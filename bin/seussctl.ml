@@ -30,11 +30,10 @@ let run_watched engine =
   let stuck = Sim.Engine.stuck_waiters engine in
   if stuck > 0 then begin
     Printf.eprintf
-      "seussctl: %d process%s still parked at quiescence (set %s=1 for a \
-       wait-for-graph report)\n"
+      "seussctl: %d process%s still parked at quiescence (set \
+       SEUSS_DEADLOCK=1 for a wait-for-graph report)\n"
       stuck
-      (if stuck = 1 then "" else "es")
-      Sim.Engine.deadlock_env_var;
+      (if stuck = 1 then "" else "es");
     List.iter
       (fun (s : Sim.Engine.stranded) ->
         Printf.eprintf
@@ -310,7 +309,7 @@ let write_file path body =
   output_string oc body;
   close_out oc
 
-let trace_cmd =
+let trace_cmd armed =
   let source =
     Arg.(
       value
@@ -318,25 +317,25 @@ let trace_cmd =
       & info [ "source" ] ~docv:"MINIJS" ~doc:"Function source to trace.")
   in
   let run source chrome seed =
-    let engine = Sim.Engine.create ~seed () in
-    if Experiments.Harness.hb_of_env () then ignore (Sim.Hb.enable engine);
+    let engine = Experiments.Harness.make_engine ~run:armed ~seed () in
+    let trace_sample = armed.Experiments.Run_config.trace_sample in
     let collected = ref [] in
     Sim.Engine.spawn engine ~name:"trace" (fun () ->
         let env = Seuss.Osenv.create engine in
-        let node = Seuss.Node.create env in
+        let node = Seuss.Node.create ?trace_sample env in
         Seuss.Node.start node;
         let fn =
           { Seuss.Node.fn_id = "traced"; runtime = Unikernel.Image.Node; source }
         in
         let traced label prepare =
           prepare ();
-          let tr = Sim.Trace.start engine in
+          let tr = Sim.Trace.start_ctx engine in
           let t0 = Sim.Engine.now engine in
           (match Seuss.Node.invoke node fn ~args:"{}" with
           | Ok _, _ -> ()
           | Error _, _ -> prerr_endline "invocation failed");
           let total = Sim.Engine.now engine -. t0 in
-          let spans = Sim.Trace.stop tr in
+          let spans = Sim.Trace.stop_ctx tr in
           collected := (label, spans) :: !collected;
           Printf.printf "%s invocation (%.2f ms total)
 %s
@@ -388,7 +387,7 @@ let require_positive name v =
     exit 2
   end
 
-let events_cmd =
+let events_cmd armed =
   let calls =
     Arg.(
       value & opt int 12
@@ -400,12 +399,12 @@ let events_cmd =
       Printf.eprintf "seussctl: --calls must be non-negative\n";
       exit 2
     end;
-    let engine = Sim.Engine.create ~seed () in
-    if Experiments.Harness.hb_of_env () then ignore (Sim.Hb.enable engine);
+    let engine = Experiments.Harness.make_engine ~run:armed ~seed () in
+    let trace_sample = armed.Experiments.Run_config.trace_sample in
     let captures = ref [] in
     Sim.Engine.spawn engine ~name:"events" (fun () ->
         let env = Seuss.Osenv.create engine in
-        let node = Seuss.Node.create env in
+        let node = Seuss.Node.create ?trace_sample env in
         Seuss.Node.start node;
         obs_workload ~functions ~calls node;
         print_string (Obs.Log.to_jsonl env.Seuss.Osenv.log);
@@ -434,8 +433,8 @@ let events_cmd =
       (fun path ->
         if !captures = [] then
           Printf.eprintf
-            "seussctl: no sampled traces to export (arm capture with %s=1/N)\n"
-            Seuss.Node.trace_sample_env_var
+            "seussctl: no sampled traces to export (arm capture with \
+             SEUSS_TRACE_SAMPLE=1/N)\n"
         else begin
           write_file path (Seuss.Traceout.chrome_string !captures);
           Printf.eprintf "seussctl: wrote %d sampled trace%s to %s\n"
@@ -453,7 +452,7 @@ let events_cmd =
           armed, $(b,--chrome) exports the sampled invocation traces.")
     Term.(const run $ functions_arg $ calls $ chrome_arg $ seed_arg)
 
-let top_cmd =
+let top_cmd armed =
   let duration =
     Arg.(
       value & opt float 30.0
@@ -479,11 +478,11 @@ let top_cmd =
     require_positive "--interval" interval;
     require_positive "--clients" (float_of_int clients);
     require_positive "--functions" (float_of_int functions);
-    let engine = Sim.Engine.create ~seed () in
-    if Experiments.Harness.hb_of_env () then ignore (Sim.Hb.enable engine);
+    let engine = Experiments.Harness.make_engine ~run:armed ~seed () in
+    let trace_sample = armed.Experiments.Run_config.trace_sample in
     Sim.Engine.spawn engine ~name:"top" (fun () ->
         let env = Seuss.Osenv.create engine in
-        let node = Seuss.Node.create env in
+        let node = Seuss.Node.create ?trace_sample env in
         Seuss.Node.start node;
         let bd = Obs.Breakdown.attach env.Seuss.Osenv.log in
         let m = env.Seuss.Osenv.metrics in
@@ -594,7 +593,7 @@ let top_cmd =
           time; $(b,--ansi) redraws in place)")
     Term.(const run $ duration $ interval $ clients $ functions_arg $ ansi $ seed_arg)
 
-let timeline_cmd =
+let timeline_cmd armed =
   let duration =
     Arg.(
       value & opt float 30.0
@@ -614,11 +613,11 @@ let timeline_cmd =
     require_positive "--period" period;
     require_positive "--clients" (float_of_int clients);
     require_positive "--functions" (float_of_int functions);
-    let engine = Sim.Engine.create ~seed () in
-    if Experiments.Harness.hb_of_env () then ignore (Sim.Hb.enable engine);
+    let engine = Experiments.Harness.make_engine ~run:armed ~seed () in
+    let trace_sample = armed.Experiments.Run_config.trace_sample in
     Sim.Engine.spawn engine ~name:"timeline" (fun () ->
         let env = Seuss.Osenv.create engine in
-        let node = Seuss.Node.create env in
+        let node = Seuss.Node.create ?trace_sample env in
         Seuss.Node.start node;
         (* Explicitly armed: this subcommand *is* the sampler demo, no
            SEUSS_TIMELINE needed. *)
@@ -674,16 +673,16 @@ let autoao_cmd =
     (exp_info "autoao")
     Term.(const run $ invocations $ seed_arg)
 
-let snapshots_cmd =
+let snapshots_cmd armed =
   let functions =
     Arg.(value & opt int 8 & info [ "functions" ] ~docv:"M" ~doc:"Functions to deploy first.")
   in
   let run functions seed =
-    let engine = Sim.Engine.create ~seed () in
-    if Experiments.Harness.hb_of_env () then ignore (Sim.Hb.enable engine);
+    let engine = Experiments.Harness.make_engine ~run:armed ~seed () in
+    let trace_sample = armed.Experiments.Run_config.trace_sample in
     Sim.Engine.spawn engine ~name:"snapshots" (fun () ->
         let env = Seuss.Osenv.create engine in
-        let node = Seuss.Node.create env in
+        let node = Seuss.Node.create ?trace_sample env in
         Seuss.Node.start node;
         for i = 1 to functions do
           ignore
@@ -764,8 +763,7 @@ let load_cmd =
       value & opt (some float) None
       & info [ "hours" ] ~docv:"H"
           ~doc:
-            "Simulated hours of arrivals per arm (default 8, or \
-             $(b,SEUSS_LOAD_HOURS)).")
+            "Simulated hours of arrivals per arm (default 8).")
   in
   let functions =
     Arg.(
@@ -773,15 +771,14 @@ let load_cmd =
       & info [ "functions" ] ~docv:"M"
           ~doc:
             "Synthetic functions under the Zipf popularity model (default \
-             1024, or $(b,SEUSS_LOAD_FUNCTIONS)).")
+             1024).")
   in
   let alpha =
     Arg.(
       value & opt (some float) None
       & info [ "alpha" ] ~docv:"A"
           ~doc:
-            "Zipf popularity exponent (default 1.1, or \
-             $(b,SEUSS_LOAD_ALPHA)).")
+            "Zipf popularity exponent (default 1.1).")
   in
   let arrival =
     Arg.(
@@ -789,15 +786,14 @@ let load_cmd =
       & info [ "arrival" ] ~docv:"PROCESS"
           ~doc:
             "Inter-arrival process: poisson, bursty or diurnal (default \
-             diurnal, or $(b,SEUSS_LOAD_ARRIVAL)).")
+             diurnal).")
   in
   let rps =
     Arg.(
       value & opt (some (list float)) None
       & info [ "rps" ] ~docv:"R,R,..."
           ~doc:
-            "Offered mean arrival rates to sweep (default 0.5,2,8, or \
-             $(b,SEUSS_LOAD_RPS)).")
+            "Offered mean arrival rates to sweep (default 0.5,2,8).")
   in
   let json =
     Arg.(
@@ -881,8 +877,7 @@ let evict_cmd =
       value & opt (some float) None
       & info [ "hours" ] ~docv:"H"
           ~doc:
-            "Simulated hours of arrivals per arm (default 0.25, or \
-             $(b,SEUSS_EVICT_HOURS)).")
+            "Simulated hours of arrivals per arm (default 0.25).")
   in
   let functions =
     Arg.(
@@ -890,23 +885,21 @@ let evict_cmd =
       & info [ "functions" ] ~docv:"M"
           ~doc:
             "Synthetic functions under the Zipf popularity model (default \
-             160, or $(b,SEUSS_EVICT_FUNCTIONS)).")
+             160).")
   in
   let alpha =
     Arg.(
       value & opt (some float) None
       & info [ "alpha" ] ~docv:"A"
           ~doc:
-            "Zipf popularity exponent (default 1.1, or \
-             $(b,SEUSS_EVICT_ALPHA)).")
+            "Zipf popularity exponent (default 1.1).")
   in
   let rate =
     Arg.(
       value & opt (some float) None
       & info [ "rate" ] ~docv:"R"
           ~doc:
-            "Offered mean arrival rate, req/s (default 4, or \
-             $(b,SEUSS_EVICT_RPS)).")
+            "Offered mean arrival rate, req/s (default 4).")
   in
   let sizes =
     Arg.(
@@ -915,16 +908,15 @@ let evict_cmd =
       & info [ "sizes" ] ~docv:"B,B,..."
           ~doc:
             "Cache budgets to sweep, bytes with optional binary k/m/g \
-             suffix; 0 is the disarmed baseline (default 0,3m,4m,6m,8m,1g, \
-             or $(b,SEUSS_EVICT_SIZES)).")
+             suffix; 0 is the disarmed baseline (default \
+             0,3m,4m,6m,8m,1g).")
   in
   let policy =
     Arg.(
       value & opt (some string) None
       & info [ "policy" ] ~docv:"POLICY"
           ~doc:
-            "Eviction policy: lru or ws (default lru, or \
-             $(b,SEUSS_EVICT_POLICY)).")
+            "Eviction policy: lru or ws (default lru).")
   in
   let json =
     Arg.(
@@ -938,7 +930,7 @@ let evict_cmd =
     let sizes =
       Option.map
         (List.map (fun s ->
-             match Experiments.Harness.parse_bytes s with
+             match Experiments.Run_config.parse_bytes s with
              | Some v -> v
              | None ->
                  Printf.eprintf "seussctl: malformed cache size %S\n" s;
@@ -993,11 +985,22 @@ let info_cmd =
 
 let () =
   let doc = "SEUSS (EuroSys '20) reproduction experiments" in
+  (* The run configuration is read once, here: a malformed SEUSS_*
+     variable is a usage error, not a silently disarmed hook. Experiment
+     subcommands see the same environment through the harness. *)
+  let armed =
+    match Experiments.Run_config.of_env () with
+    | Ok armed -> armed
+    | Error msg ->
+        Printf.eprintf "seussctl: %s\n" msg;
+        exit 2
+  in
   let cmds =
     [ table1_cmd; table2_cmd; table3_cmd; fig4_cmd; fig5_cmd; burst_cmd;
       load_cmd; evict_cmd; ablations_cmd; drseuss_cmd; chaos_cmd; reap_cmd;
       ksm_cmd;
-      autoao_cmd; trace_cmd; snapshots_cmd; top_cmd; timeline_cmd; events_cmd;
+      autoao_cmd; trace_cmd armed; snapshots_cmd armed; top_cmd armed;
+      timeline_cmd armed; events_cmd armed;
       all_cmd; info_cmd ]
   in
   (* Coverage check: every registry row must have a subcommand (the

@@ -15,7 +15,7 @@
    percentiles; the curves plot hit rate and p99 against the budget.
 
    Arms build their nodes directly (not via {!Harness.seuss_node}) so
-   the SEUSS_SNAP_CACHE env hook cannot collapse the ladder to a single
+   an armed SEUSS_SNAP_CACHE cannot collapse the ladder to a single
    budget. Every arm runs in a fresh simulation from the same run seed,
    so the whole sweep is deterministic. *)
 
@@ -56,67 +56,6 @@ type result = {
   trace_events : int;
   arms : arm list;
 }
-
-(* {1 Environment hooks}
-
-   SEUSS_EVICT_* supply the sweep's default shape (explicit arguments
-   override them); unset variables leave the compiled defaults
-   untouched, so an unhooked run is bit-identical to one with every
-   variable set to its default. *)
-
-let functions_env_var = "SEUSS_EVICT_FUNCTIONS"
-let alpha_env_var = "SEUSS_EVICT_ALPHA"
-let rps_env_var = "SEUSS_EVICT_RPS"
-let hours_env_var = "SEUSS_EVICT_HOURS"
-let sizes_env_var = "SEUSS_EVICT_SIZES"
-let policy_env_var = "SEUSS_EVICT_POLICY"
-
-let warn_malformed var s =
-  Printf.eprintf "fig_evict: ignoring malformed %s %S\n" var s
-
-let env_float var default =
-  match Sys.getenv_opt var with
-  | None -> default
-  | Some s -> (
-      match float_of_string_opt s with
-      | Some v when Float.is_finite v -> v
-      | _ ->
-          warn_malformed var s;
-          default)
-
-let env_int var default =
-  match Sys.getenv_opt var with
-  | None -> default
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some v -> v
-      | None ->
-          warn_malformed var s;
-          default)
-
-(* Comma-separated budgets with the SEUSS_SNAP_CACHE suffix syntax,
-   e.g. SEUSS_EVICT_SIZES=0,2m,4m,16m (0 = the disarmed baseline). *)
-let env_sizes var default =
-  match Sys.getenv_opt var with
-  | None -> default
-  | Some s -> (
-      let parts = String.split_on_char ',' (String.trim s) in
-      let parsed = List.filter_map Harness.parse_bytes parts in
-      match parsed with
-      | _ when List.length parsed <> List.length parts || parsed = [] ->
-          warn_malformed var s;
-          default
-      | sizes -> sizes)
-
-let env_policy var default =
-  match Sys.getenv_opt var with
-  | None -> default
-  | Some s -> (
-      match Seuss.Config.policy_of_name (String.lowercase_ascii s) with
-      | Some p -> p
-      | None ->
-          warn_malformed var s;
-          default)
 
 let label_of_bytes b =
   if Int64.equal b 0L then "off"
@@ -237,33 +176,9 @@ let default_sizes =
     Int64.of_int (Mem.Mconfig.mib 1024);
   ]
 
-let run ?functions ?alpha ?rate ?hours ?sizes ?policy ?(seed = 13L) () =
-  let functions =
-    match functions with
-    | Some f -> f
-    | None -> env_int functions_env_var default_functions
-  in
-  let alpha =
-    match alpha with
-    | Some a -> a
-    | None -> env_float alpha_env_var default_alpha
-  in
-  let rate =
-    match rate with Some r -> r | None -> env_float rps_env_var default_rate
-  in
-  let hours =
-    match hours with
-    | Some h -> h
-    | None -> env_float hours_env_var default_hours
-  in
-  let sizes =
-    match sizes with Some s -> s | None -> env_sizes sizes_env_var default_sizes
-  in
-  let policy =
-    match policy with
-    | Some p -> p
-    | None -> env_policy policy_env_var Seuss.Config.Snap_lru
-  in
+let run ?(functions = default_functions) ?(alpha = default_alpha)
+    ?(rate = default_rate) ?(hours = default_hours) ?(sizes = default_sizes)
+    ?(policy = Seuss.Config.Snap_lru) ?(seed = 13L) () =
   if functions < 1 then invalid_arg "Fig_evict.run: need at least one function";
   if not (Float.is_finite rate) || rate <= 0.0 then
     invalid_arg "Fig_evict.run: rate must be positive";

@@ -49,58 +49,6 @@ type result = {
 
 let backends = [ "seuss"; "linux"; "firecracker"; "process" ]
 
-(* {1 Environment hooks}
-
-   SEUSS_LOAD_* supply the sweep's default shape (CLI flags and explicit
-   arguments override them); unset variables leave the compiled defaults
-   untouched, so an unhooked run is bit-identical to one with every
-   variable set to its default. *)
-
-let hours_env_var = "SEUSS_LOAD_HOURS"
-let functions_env_var = "SEUSS_LOAD_FUNCTIONS"
-let rps_env_var = "SEUSS_LOAD_RPS"
-let alpha_env_var = "SEUSS_LOAD_ALPHA"
-let arrival_env_var = "SEUSS_LOAD_ARRIVAL"
-
-let warn_malformed var s =
-  Printf.eprintf "fig_load: ignoring malformed %s %S\n" var s
-
-let env_float var default =
-  match Sys.getenv_opt var with
-  | None -> default
-  | Some s -> (
-      match float_of_string_opt s with
-      | Some v when Float.is_finite v -> v
-      | _ ->
-          warn_malformed var s;
-          default)
-
-let env_int var default =
-  match Sys.getenv_opt var with
-  | None -> default
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some v -> v
-      | None ->
-          warn_malformed var s;
-          default)
-
-let env_string var default =
-  match Sys.getenv_opt var with None -> default | Some s -> s
-
-(* Comma-separated offered rates, e.g. SEUSS_LOAD_RPS=1,4,16. *)
-let env_rps var default =
-  match Sys.getenv_opt var with
-  | None -> default
-  | Some s -> (
-      let parts = String.split_on_char ',' (String.trim s) in
-      let parsed = List.filter_map float_of_string_opt parts in
-      match parsed with
-      | _ when List.length parsed <> List.length parts || parsed = [] ->
-          warn_malformed var s;
-          default
-      | rps -> rps)
-
 let arrival_names = [ "poisson"; "bursty"; "diurnal" ]
 
 let arrival_of_name name ~rate =
@@ -231,30 +179,9 @@ let default_arrival = "diurnal"
    open-loop meltdown while the other arms stay comfortably stable. *)
 let default_rps = [ 0.5; 2.0; 8.0 ]
 
-let run ?functions ?alpha ?arrival ?hours ?rps ?(seed = 11L) () =
-  let functions =
-    match functions with
-    | Some f -> f
-    | None -> env_int functions_env_var default_functions
-  in
-  let alpha =
-    match alpha with
-    | Some a -> a
-    | None -> env_float alpha_env_var default_alpha
-  in
-  let arrival =
-    match arrival with
-    | Some a -> a
-    | None -> env_string arrival_env_var default_arrival
-  in
-  let hours =
-    match hours with
-    | Some h -> h
-    | None -> env_float hours_env_var default_hours
-  in
-  let rps =
-    match rps with Some r -> r | None -> env_rps rps_env_var default_rps
-  in
+let run ?(functions = default_functions) ?(alpha = default_alpha)
+    ?(arrival = default_arrival) ?(hours = default_hours) ?(rps = default_rps)
+    ?(seed = 11L) () =
   if functions < 1 then invalid_arg "Fig_load.run: need at least one function";
   if not (Float.is_finite hours) || hours <= 0.0 then
     invalid_arg "Fig_load.run: hours must be positive";

@@ -1,65 +1,63 @@
 let default_budget = Mem.Mconfig.default_budget_bytes
 
-(* Fault-plane hook: SEUSS_FAULT_RATE arms every injection site at the
-   given rate for any harness-run experiment. The plan seed is derived
-   from the run seed by a fixed xor (never split off the engine stream),
-   so arming at rate 0 makes zero extra PRNG draws and leaves every
-   experiment output bit-identical — the CI identity check depends on
-   this. SEUSS_FAULT_SEED overrides the derived seed. *)
+(* Arming: every hook below is applied from one Run_config.t. A caller
+   that omits it gets the environment's, parsed here at the boundary — a
+   malformed variable fails the run instead of silently disarming it.
+   [active] is the configuration of the enclosing run_sim, so the nodes
+   an experiment body builds agree with the engine it runs on. *)
+let active : Run_config.t option ref = ref None
+
+let resolve = function
+  | Some run -> run
+  | None -> (
+      match !active with
+      | Some run -> run
+      | None -> (
+          match Run_config.of_env () with
+          | Ok run -> run
+          | Error msg -> invalid_arg ("Harness: " ^ msg)))
+
+(* The tie shuffler, deadlock detector and ownership census are engine
+   arguments; the happens-before checker is armed before anything
+   spawns, so spawn edges are tracked from the root process down. Race,
+   deadlock and leak reports surface as San_* events on the env log
+   (see Osenv.create); a healthy armed run emits nothing, so it stays
+   byte-identical to an unarmed one — the CI transparency checks depend
+   on this. *)
+let make_engine ?run ~seed () =
+  let run = resolve run in
+  let engine =
+    Sim.Engine.create ~seed ?tie_seed:run.Run_config.tie_seed
+      ~deadlock:run.Run_config.deadlock ~own:run.Run_config.own ()
+  in
+  if run.Run_config.hb then ignore (Sim.Hb.enable engine);
+  engine
+
+(* Fault plane: a nonzero rate arms every injection site. The plan seed
+   is derived from the run seed by a fixed xor (never split off the
+   engine stream), so one run seed fully determines the failure
+   sequence; [fault_seed] overrides it. *)
 let fault_seed_xor = 0x5EEDFA17L
 
-let fault_seed_of ~seed =
-  match Sys.getenv_opt "SEUSS_FAULT_SEED" with
-  | None -> Int64.logxor seed fault_seed_xor
-  | Some s -> (
-      match Int64.of_string_opt s with
-      | Some v -> v
-      | None ->
-          Printf.eprintf "harness: ignoring malformed SEUSS_FAULT_SEED %S\n" s;
-          Int64.logxor seed fault_seed_xor)
+let install_faults (run : Run_config.t) ~seed engine =
+  if run.fault_rate > 0.0 then
+    let seed =
+      match run.fault_seed with
+      | Some s -> s
+      | None -> Int64.logxor seed fault_seed_xor
+    in
+    Faults.Fault.install
+      (Faults.Fault.make ~seed
+         ~rates:
+           (List.map (fun site -> (site, run.fault_rate)) Faults.Fault.all_sites)
+         engine)
 
-let install_env_faults ~seed engine =
-  match Faults.Fault.rates_of_env () with
-  | None -> ()
-  | Some rates ->
-      Faults.Fault.install
-        (Faults.Fault.make ~seed:(fault_seed_of ~seed) ~rates engine)
-
-(* Sanitizer hook: SEUSS_HB=1 arms the happens-before checker before the
-   experiment body spawns, so spawn edges are tracked from the root
-   process down. Race reports surface as San_race events on the env log
-   (see Osenv.create) and via Sim.Hb.races. Tie shuffling is separate:
-   Engine.create reads SEUSS_SHUFFLE_SEED itself. *)
-let hb_env_var = "SEUSS_HB"
-
-let hb_of_env () =
-  match Sys.getenv_opt hb_env_var with
-  | None | Some ("0" | "false" | "no" | "off") -> false
-  | Some ("1" | "true" | "yes" | "on") -> true
-  | Some s ->
-      Printf.eprintf "harness: ignoring malformed %s %S\n" hb_env_var s;
-      false
-
-(* Deadlock hook: SEUSS_DEADLOCK=1 arms the engine's wait-for-graph
-   detector (Engine.create reads the variable itself, like
-   SEUSS_SHUFFLE_SEED). Stranded waiters surface as San_deadlock events
-   on the env log (see Osenv.create) and through the two counters
-   below, recorded after every run_sim — before the completion check,
-   so a stuck experiment still leaves its post-mortem behind. *)
-let deadlock_env_var = Sim.Engine.deadlock_env_var
-
+(* Post-mortems of the most recent run_sim, recorded before the
+   completion check so a stuck experiment still leaves them behind. *)
 let last_stuck = ref 0
 let last_stranded : Sim.Engine.stranded list ref = ref []
 let last_stuck_waiters () = !last_stuck
 let last_stranded_waiters () = !last_stranded
-
-(* Ownership hook: SEUSS_OWN=1 arms the engine's resource census
-   (Engine.create reads the variable itself). Every harness-built node
-   registers a quiescence census; leaks surface as San_leak events on
-   the node log and through the accessor below. A healthy armed run
-   emits nothing, so it stays byte-identical to an unarmed one — the CI
-   transparency check depends on this. *)
-let own_env_var = Sim.Engine.own_env_var
 
 let last_leaked : (string * Seuss.Node.census) list ref = ref []
 let last_leaked_resources () = List.rev !last_leaked
@@ -68,15 +66,19 @@ let last_leaked_resources () = List.rev !last_leaked
    exceptional, so the numbering never reaches healthy output. *)
 let node_seq = ref 0
 
-let run_sim ?(seed = 7L) body =
-  let engine = Sim.Engine.create ~seed () in
-  if hb_of_env () then ignore (Sim.Hb.enable engine);
-  install_env_faults ~seed engine;
+let run_sim ?run ?(seed = 7L) body =
+  let run = resolve run in
+  let engine = make_engine ~run ~seed () in
+  install_faults run ~seed engine;
   last_leaked := [];
   let result = ref None in
   Sim.Engine.spawn engine ~name:"experiment" (fun () ->
       result := Some (body engine));
-  Sim.Engine.run engine;
+  let outer = !active in
+  active := Some run;
+  Fun.protect
+    ~finally:(fun () -> active := outer)
+    (fun () -> Sim.Engine.run engine);
   last_stuck := Sim.Engine.stuck_waiters engine;
   last_stranded := Sim.Engine.stranded_waiters engine;
   match !result with
@@ -92,99 +94,31 @@ let make_seuss_env ?(budget_bytes = default_budget) ?(io_delay = 0.25) engine =
   Seuss.Osenv.register_host env "http://io-server" io_listener;
   env
 
-(* Prefault hook: SEUSS_PREFAULT=1 (or =0) overrides the config's
-   working-set-prefault flag for any harness-built SEUSS node, the same
-   way SEUSS_FAULT_RATE arms the fault plane. Unset leaves the config
-   alone; =0 forces the flag off, which is also its default, so a
-   SEUSS_PREFAULT=0 run is bit-identical to an unhooked one — the CI
-   transparency check depends on this. *)
-let prefault_env_var = "SEUSS_PREFAULT"
-
-let prefault_of_env () =
-  match Sys.getenv_opt prefault_env_var with
-  | None -> None
-  | Some ("1" | "true" | "yes" | "on") -> Some true
-  | Some ("0" | "false" | "no" | "off") -> Some false
-  | Some s ->
-      Printf.eprintf "harness: ignoring malformed %s %S\n" prefault_env_var s;
-      None
-
-let apply_env_prefault config =
-  match prefault_of_env () with
-  | None -> config
-  | Some v -> { config with Seuss.Config.prefault_working_set = v }
-
-(* Timeline hook: SEUSS_TIMELINE=1 attaches the resource sampler to
-   every harness-built SEUSS node. The sampler daemon draws nothing and
-   self-terminates at quiescence, so an unarmed (or =0) run is
-   bit-identical to an unhooked one — the CI transparency check depends
-   on this. *)
-let timeline_env_var = Seuss.Timeline.env_var
-
-(* Snapshot-store hook: SEUSS_SNAP_CACHE=<bytes> (suffixes k/m/g,
-   binary) arms the content-addressed snapshot store at that byte
-   budget on every harness-built SEUSS node; SEUSS_SNAP_POLICY=lru|ws
-   picks the eviction policy. Unset or =0 leaves the store disarmed —
-   its default — so a SEUSS_SNAP_CACHE=0 run is bit-identical to an
-   unhooked one; the CI transparency check depends on this. *)
-let snap_cache_env_var = "SEUSS_SNAP_CACHE"
-let snap_policy_env_var = "SEUSS_SNAP_POLICY"
-
-let parse_bytes s =
-  let s = String.trim s in
-  let len = String.length s in
-  if len = 0 then None
-  else
-    let mult, digits =
-      match Char.lowercase_ascii s.[len - 1] with
-      | 'k' -> (1024L, String.sub s 0 (len - 1))
-      | 'm' -> (Int64.of_int (1024 * 1024), String.sub s 0 (len - 1))
-      | 'g' -> (Int64.of_int (1024 * 1024 * 1024), String.sub s 0 (len - 1))
-      | _ -> (1L, s)
-    in
-    match Int64.of_string_opt digits with
-    | Some v when Int64.compare v 0L >= 0 -> Some (Int64.mul v mult)
-    | _ -> None
-
-let snap_cache_of_env () =
-  match Sys.getenv_opt snap_cache_env_var with
-  | None | Some "" -> None
-  | Some raw -> (
-      match parse_bytes raw with
-      | Some v -> Some v
-      | None ->
-          Printf.eprintf "harness: ignoring malformed %s %S\n"
-            snap_cache_env_var raw;
-          None)
-
-let snap_policy_of_env () =
-  match Sys.getenv_opt snap_policy_env_var with
-  | None | Some "" -> None
-  | Some raw -> (
-      match Seuss.Config.policy_of_name (String.lowercase_ascii raw) with
-      | Some _ as p -> p
-      | None ->
-          Printf.eprintf "harness: ignoring malformed %s %S\n"
-            snap_policy_env_var raw;
-          None)
-
-let apply_env_snap_cache config =
+(* Node hooks only ever switch something on: prefault and a nonzero
+   store budget override the config, and an off value leaves it alone,
+   so an off run is bit-identical to an unhooked one. *)
+let arm_config (run : Run_config.t) config =
   let config =
-    match snap_cache_of_env () with
-    | None -> config
-    | Some v -> { config with Seuss.Config.snapshot_cache_bytes = v }
+    if run.prefault then
+      { config with Seuss.Config.prefault_working_set = true }
+    else config
   in
-  match snap_policy_of_env () with
+  let config =
+    if Int64.compare run.snap_cache_bytes 0L > 0 then
+      { config with Seuss.Config.snapshot_cache_bytes = run.snap_cache_bytes }
+    else config
+  in
+  match run.snap_policy with
   | None -> config
   | Some p -> { config with Seuss.Config.snapshot_cache_policy = p }
 
-let seuss_node ?(config = Seuss.Config.default) env =
+let seuss_node ?run ?(config = Seuss.Config.default) env =
+  let run = resolve run in
   let node =
-    Seuss.Node.create
-      ~config:(apply_env_snap_cache (apply_env_prefault config))
-      env
+    Seuss.Node.create ~config:(arm_config run config)
+      ?trace_sample:run.Run_config.trace_sample env
   in
-  Seuss.Timeline.maybe_start_from_env node;
+  if run.Run_config.timeline then Seuss.Timeline.start node;
   let name = Printf.sprintf "node%d" !node_seq in
   incr node_seq;
   Seuss.Node.arm_census ~name

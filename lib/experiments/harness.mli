@@ -1,30 +1,30 @@
 (** Common experiment plumbing: build a simulated compute node (SEUSS or
     Linux), the external IO endpoint, and the platform stack around it,
     then run a body inside the simulation. One fresh deployment per
-    trial, like the paper. *)
+    trial, like the paper.
 
-val run_sim : ?seed:int64 -> (Sim.Engine.t -> 'a) -> 'a
-(** Spawn the body as a simulation process and drive the engine until it
-    completes. When {!Faults.Fault.env_var} ([SEUSS_FAULT_RATE]) is set,
-    a fault plan with every site at that rate is installed on the engine
-    first, seeded by [seed xor fault_seed_xor] (or [SEUSS_FAULT_SEED]):
-    the derivation never draws from the engine stream, so a rate of 0
-    leaves every experiment output bit-identical to an unfaulted run.
-    When {!hb_env_var} ([SEUSS_HB]) is on, the happens-before schedule
-    sanitizer ({!Sim.Hb}) is armed before the body spawns. The engine
-    itself reads {!deadlock_env_var} ([SEUSS_DEADLOCK]) to arm the
-    wait-for-graph deadlock detector; either way, after the run the
-    engine's stuck-waiter count and stranded report are recorded and
-    readable via {!last_stuck_waiters} / {!last_stranded_waiters}. *)
+    The harness is where a run is armed. Every entry point below that
+    takes [?run] applies that {!Run_config.t}; when it is omitted, the
+    enclosing {!run_sim}'s configuration is used, and outside one the
+    environment's ({!Run_config.of_env}).
+    @raise Invalid_argument when the configuration has to be read from
+    a malformed environment. *)
 
-val hb_env_var : string
-(** ["SEUSS_HB"]. *)
+val make_engine : ?run:Run_config.t -> seed:int64 -> unit -> Sim.Engine.t
+(** A fresh engine armed per [run]: tie shuffler, deadlock detector and
+    ownership census through {!Sim.Engine.create}, and the
+    happens-before checker ({!Sim.Hb}) enabled before anything spawns.
+    For subcommands and tests that drive an engine themselves. *)
 
-val hb_of_env : unit -> bool
-(** Whether {!hb_env_var} is set to a recognised "on" value. *)
-
-val deadlock_env_var : string
-(** ["SEUSS_DEADLOCK"] — re-export of {!Sim.Engine.deadlock_env_var}. *)
+val run_sim : ?run:Run_config.t -> ?seed:int64 -> (Sim.Engine.t -> 'a) -> 'a
+(** Spawn the body as a simulation process on a {!make_engine} engine
+    and drive it until it completes. With a nonzero
+    [run.fault_rate], a fault plan with every site at that rate is
+    installed first, seeded by [seed xor fault_seed_xor] (or
+    [run.fault_seed]): the derivation never draws from the engine
+    stream. After the run the engine's stuck-waiter count and stranded
+    report are recorded and readable via {!last_stuck_waiters} /
+    {!last_stranded_waiters}. *)
 
 val last_stuck_waiters : unit -> int
 (** {!Sim.Engine.stuck_waiters} of the most recent {!run_sim} engine at
@@ -32,87 +32,34 @@ val last_stuck_waiters : unit -> int
     event queue drained. Meaningful even with the detector off; [0]
     for a clean experiment. *)
 
-val own_env_var : string
-(** ["SEUSS_OWN"] — re-export of {!Sim.Engine.own_env_var}. When on,
-    every harness-built node registers an ownership census that runs at
-    engine quiescence; any resource still held beyond the node's caches
-    surfaces as a [San_leak] event and through
-    {!last_leaked_resources}. *)
-
 val last_leaked_resources : unit -> (string * Seuss.Node.census) list
 (** Per-node nonzero censuses of the most recent {!run_sim}, in node
-    creation order. Always [[]] unless [SEUSS_OWN] armed the census —
+    creation order. Always [[]] unless [run.own] armed the census —
     and, on a leak-free tree, also [[]] when it did. *)
 
 val last_stranded_waiters : unit -> Sim.Engine.stranded list
 (** {!Sim.Engine.stranded_waiters} of the most recent {!run_sim} run —
-    [[]] unless [SEUSS_DEADLOCK] armed the detector. *)
+    [[]] unless [run.deadlock] armed the detector. *)
 
 val fault_seed_xor : int64
 (** The fixed constant mixed into the run seed to derive a fault-plan
-    seed ([0x5EEDFA17]); shared by the env hook and [fig_chaos] so one
+    seed ([0x5EEDFA17]); shared by {!run_sim} and [fig_chaos] so one
     run seed fully determines the failure sequence. *)
-
-val install_env_faults : seed:int64 -> Sim.Engine.t -> unit
-(** The [SEUSS_FAULT_RATE] hook described at {!run_sim}, for harnesses
-    that build their own engine. *)
 
 val make_seuss_env :
   ?budget_bytes:int64 -> ?io_delay:float -> Sim.Engine.t -> Seuss.Osenv.t
 (** An 88 GB/16-core environment with the external blocking HTTP
     endpoint registered as ["http://io-server"]. *)
 
-val prefault_env_var : string
-(** ["SEUSS_PREFAULT"]. *)
-
-val prefault_of_env : unit -> bool option
-(** [Some true] / [Some false] when {!prefault_env_var} is set to a
-    recognised on/off value; [None] when unset or malformed. *)
-
-val apply_env_prefault : Seuss.Config.t -> Seuss.Config.t
-(** Override [prefault_working_set] from the environment (applied by
-    {!seuss_node} to every harness-built node). [SEUSS_PREFAULT=0] is
-    indistinguishable from unset because the flag defaults to off. *)
-
-val timeline_env_var : string
-(** ["SEUSS_TIMELINE"] — re-export of [Seuss.Timeline.env_var]. When
-    on, {!seuss_node} attaches the resource timeline sampler to the
-    node; unset/off runs are bit-identical to unhooked ones. *)
-
-val snap_cache_env_var : string
-(** ["SEUSS_SNAP_CACHE"] — byte budget of the content-addressed
-    snapshot store for every harness-built SEUSS node. Plain bytes or
-    binary suffixes [k]/[m]/[g] (e.g. ["64m"]). Unset or [0] leaves the
-    store disarmed (the default), so a [SEUSS_SNAP_CACHE=0] run is
-    bit-identical to an unhooked one. *)
-
-val snap_policy_env_var : string
-(** ["SEUSS_SNAP_POLICY"] — ["lru"] or ["ws"]; only meaningful while
-    {!snap_cache_env_var} arms the store. *)
-
-val parse_bytes : string -> int64 option
-(** Parse a byte count in the {!snap_cache_env_var} syntax: plain bytes
-    or binary [k]/[m]/[g] suffixes, non-negative. [None] on malformed
-    input (no warning — callers own their diagnostics). *)
-
-val snap_cache_of_env : unit -> int64 option
-(** Parsed {!snap_cache_env_var}; [None] when unset, empty or malformed
-    (malformed warns on stderr). *)
-
-val snap_policy_of_env : unit -> Seuss.Config.snap_policy option
-
-val apply_env_snap_cache : Seuss.Config.t -> Seuss.Config.t
-(** Override [snapshot_cache_bytes] / [snapshot_cache_policy] from the
-    environment (applied by {!seuss_node} to every harness-built
-    node). *)
-
 val seuss_node :
-  ?config:Seuss.Config.t -> Seuss.Osenv.t -> Seuss.Node.t
-(** Create and start a SEUSS node (blocking: boots the runtime). The
-    config's prefault flag is subject to the [SEUSS_PREFAULT] override
-    and the node to the [SEUSS_TIMELINE] sampler hook (the node itself
-    reads [SEUSS_TRACE_SAMPLE]); experiments needing fixed arms
-    (e.g. [Fig_reap]) build their nodes directly. *)
+  ?run:Run_config.t -> ?config:Seuss.Config.t -> Seuss.Osenv.t -> Seuss.Node.t
+(** Create and start a SEUSS node (blocking: boots the runtime). [run]
+    can switch on working-set prefault and the snapshot store (with its
+    policy) over [config], sets the node's trace sampling, attaches the
+    resource timeline sampler, and always registers the ownership
+    census (inert unless the engine armed it). Experiments needing
+    fixed arms (e.g. [Fig_reap], [Fig_evict]) build their nodes
+    directly. *)
 
 val seuss_controller :
   ?config:Seuss.Config.t -> Seuss.Osenv.t -> Platform.Controller.t * Seuss.Node.t

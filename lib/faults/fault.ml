@@ -160,18 +160,3 @@ let partitioned a b =
   match current () with
   | None -> false
   | Some plan -> is_partitioned plan a b
-
-(* {1 Environment hook} *)
-
-let env_var = "SEUSS_FAULT_RATE"
-
-let rates_of_env () =
-  match Sys.getenv_opt env_var with
-  | None -> None
-  | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some r when Float.is_finite r && r >= 0.0 && r <= 1.0 ->
-          Some (List.map (fun site -> (site, r)) all_sites)
-      | _ ->
-          Printf.eprintf "warning: ignoring malformed %s=%S\n%!" env_var s;
-          None)

@@ -122,15 +122,3 @@ val is_partitioned : plan -> int -> int -> bool
 val partitioned : int -> int -> bool
 (** [is_partitioned] against the running engine's plan; [false] when no
     plan is installed. *)
-
-(** {1 Environment hook} *)
-
-val env_var : string
-(** ["SEUSS_FAULT_RATE"] — when set to a float [r], experiment harnesses
-    install a plan with every site at rate [r] (seeded from the
-    experiment seed). [r = 0] is the CI identity check: it proves an
-    armed-but-zero-rate plane leaves every output bit-identical. *)
-
-val rates_of_env : unit -> (site * float) list option
-(** Parse {!env_var}; [None] when unset or malformed (malformed values
-    warn on stderr). *)

@@ -99,6 +99,7 @@ type ctx = {
   rel : string;  (** repo-relative path, for site lookups and reports *)
   in_lib : bool;
   random_exempt : bool;
+  env_exempt : bool;
   mutable binding : string;  (** enclosing top-level binding name *)
   mutable hits : violation list;
 }
@@ -131,6 +132,8 @@ let make_ctx rel =
          deterministic streams, are the two sanctioned homes for
          randomness plumbing. *)
       String.equal rel "lib/sim/prng.ml" || prefixed ~prefix:"lib/faults/" rel;
+    (* The run configuration is the one sanctioned environment reader. *)
+    env_exempt = String.equal rel "lib/experiments/run_config.ml";
     binding = "<toplevel>";
     hits = [];
   }
@@ -175,6 +178,15 @@ let check_ident ctx loc parts =
              "%s visits buckets in insertion-history order; use the sorted Det.%s wrapper"
              (String.concat "." parts)
              (List.nth parts 1))
+  | _ -> ());
+  (match parts with
+  | [ "Sys"; ("getenv" | "getenv_opt") ] | [ "Unix"; ("getenv" | "environment") ]
+    when ctx.in_lib && not ctx.env_exempt ->
+      report ctx loc Rules.Ambient_env
+        (Printf.sprintf
+           "%s reads the environment from library code; take the value from \
+            Run_config instead"
+           (String.concat "." parts))
   | _ -> ());
   (match parts with
   | [ ("==" | "!=") ] ->

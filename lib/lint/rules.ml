@@ -17,6 +17,9 @@ type id =
   | Physical_eq  (** [==] / [!=] inside lib/ *)
   | Stdout_print  (** [print_*] / [Printf.printf] inside lib/ *)
   | Frame_site  (** frame acquire/release outside the audited site list *)
+  | Ambient_env
+      (** [Sys.getenv] / [Unix.environment] inside lib/, outside the
+          run configuration *)
   | Block_in_handler
       (** a may-block call reachable from an atomic context (fault hook,
           reporter callback, heap comparator, crash handler) *)
@@ -60,7 +63,8 @@ type id =
           before the branch is released *)
 
 let syntactic =
-  [ Bare_random; Wallclock; Hashtbl_order; Physical_eq; Stdout_print; Frame_site ]
+  [ Bare_random; Wallclock; Hashtbl_order; Physical_eq; Stdout_print; Frame_site;
+    Ambient_env ]
 
 let deadlock = [ Block_in_handler; Lock_order; Unreleased_acquire ]
 
@@ -88,6 +92,7 @@ let name = function
   | Physical_eq -> "physical-eq"
   | Stdout_print -> "stdout-print"
   | Frame_site -> "frame-site"
+  | Ambient_env -> "ambient-env"
   | Block_in_handler -> "block-in-handler"
   | Lock_order -> "lock-order"
   | Unreleased_acquire -> "unreleased-acquire"
@@ -129,6 +134,10 @@ let describe = function
       "physical frame acquire/release (Frame.alloc / incref / decref) at \
        a call site missing from the audited site list in Lint.Sites; add \
        the site there after checking its pairing"
+  | Ambient_env ->
+      "Sys.getenv / Unix.environment read process state the run never \
+       declared; library code takes its arming from an explicit \
+       Run_config, which is the one place the environment is parsed"
   | Block_in_handler ->
       "a call that may suspend the current process (Semaphore.acquire, \
        Channel.recv/send, Ivar.read, Engine.sleep, transitively) is \

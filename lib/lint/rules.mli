@@ -17,6 +17,9 @@ type id =
   | Physical_eq  (** [==] / [!=] inside lib/ *)
   | Stdout_print  (** [print_*] / [Printf.printf] inside lib/ *)
   | Frame_site  (** frame acquire/release outside the audited site list *)
+  | Ambient_env
+      (** [Sys.getenv] / [Unix.environment] inside lib/, outside the
+          run configuration *)
   | Block_in_handler
       (** a may-block call reachable from an atomic context (fault hook,
           reporter callback, heap comparator, crash handler) *)

@@ -89,42 +89,14 @@ let obs_path = function
 
 let capture_limit = 32
 
-let trace_sample_env_var = "SEUSS_TRACE_SAMPLE"
-
-(* Accepts both spellings of a sampling rate: "1/N" (as documented) and
-   bare "N". Malformed values warn and disarm, like the other hooks. *)
-let trace_sample_of_env () =
-  match Sys.getenv_opt trace_sample_env_var with
-  | None | Some "" -> None  (* "" = unset: callers can't delete env vars *)
-  | Some raw -> (
-      let s = String.trim raw in
-      let num =
-        match String.index_opt s '/' with
-        | Some i when String.sub s 0 i = "1" ->
-            Some (String.sub s (i + 1) (String.length s - i - 1))
-        | Some _ -> None
-        | None -> Some s
-      in
-      match Option.bind num int_of_string_opt with
-      | Some n when n >= 1 -> Some n
-      | _ ->
-          Printf.eprintf "warning: ignoring malformed %s=%S\n%!"
-            trace_sample_env_var raw;
-          None)
-
 let create ?(config = Config.default) ?trace_sample node_env =
   let m = node_env.Osenv.metrics in
   let errors p = Obs.Metrics.counter m ~labels:[ ("path", p) ] "node_errors_total" in
-  let trace_every =
-    match trace_sample with
-    | Some _ -> trace_sample
-    | None -> trace_sample_of_env ()
-  in
   let t =
   {
     node_env;
     cfg = config;
-    trace_every;
+    trace_every = trace_sample;
     invoke_seen = 0;
     captured = Queue.create ();
     in_flight = 0;

@@ -58,11 +58,9 @@ val create : ?config:Config.t -> ?trace_sample:int -> Osenv.t -> t
 (** [trace_sample] arms per-invocation trace capture: every [n]-th
     invocation runs under its own [Sim.Trace] context and the resulting
     span tree is retained (bounded, newest kept) for
-    {!captured_traces}. When absent, {!trace_sample_env_var}
-    ([SEUSS_TRACE_SAMPLE], spelled ["1/N"] or ["N"]) supplies it.
-    Sampling draws nothing from the PRNG (a modulo counter), so an
-    unarmed node's outputs are byte-identical to a build without the
-    hook. *)
+    {!captured_traces}. Sampling draws nothing from the PRNG (a modulo
+    counter), so an unarmed node's outputs are byte-identical to a build
+    without the hook. *)
 
 val config : t -> Config.t
 
@@ -130,14 +128,6 @@ val last_served_uc : t -> Uc.t option
 
 (** {1 Sampled trace capture} *)
 
-val trace_sample_env_var : string
-(** ["SEUSS_TRACE_SAMPLE"]. *)
-
-val trace_sample_of_env : unit -> int option
-(** Parse {!trace_sample_env_var}: ["1/N"] or ["N"] gives [Some n]
-    (capture every n-th invocation); unset, empty or malformed (with a
-    warning) gives [None]. *)
-
 val trace_sampling : t -> int option
 (** The sampling interval this node was created with, if armed. *)
 
@@ -158,8 +148,8 @@ val captured_traces : t -> capture list
     The dynamic half of the [seussown] static pass: where the lint
     proves each acquire is released on every path, the census checks
     the same invariant against the runtime ground truth at engine
-    quiescence. Armed via [SEUSS_OWN=1] (or [~own:true] at
-    [Sim.Engine.create]); unarmed, {!arm_census} registers nothing and
+    quiescence. Armed with [~own:true] at [Sim.Engine.create];
+    unarmed, {!arm_census} registers nothing and
     every output is byte-identical. *)
 
 type census = {

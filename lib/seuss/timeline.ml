@@ -1,16 +1,3 @@
-let env_var = "SEUSS_TIMELINE"
-
-let of_env () =
-  match Sys.getenv_opt env_var with
-  | None | Some "" -> false  (* "" = unset: callers can't delete env vars *)
-  | Some s -> (
-      match String.lowercase_ascii (String.trim s) with
-      | "1" | "true" | "yes" | "on" -> true
-      | "0" | "false" | "no" | "off" -> false
-      | _ ->
-          Printf.eprintf "warning: ignoring malformed %s=%S\n%!" env_var s;
-          false)
-
 let default_period = 0.1
 
 let start ?(period = default_period) node =
@@ -41,8 +28,6 @@ let start ?(period = default_period) node =
         end
       in
       loop ())
-
-let maybe_start_from_env ?period node = if of_env () then start ?period node
 
 type sample = {
   time : float;

@@ -2,22 +2,15 @@
     snapshots node gauges into the event log as
     [Obs.Event.Timeline_sample] records.
 
-    Off by default; armed per run with [SEUSS_TIMELINE=1]
-    ({!maybe_start_from_env}, applied to every harness-built node) or
-    explicitly with {!start}. The sampler is a [daemon] process that
+    Off by default; armed explicitly with {!start} (the experiment
+    harness does so for every node it builds when the run configuration
+    asks for a timeline). The sampler is a [daemon] process that
     emits one sample per period and {e terminates itself} when the
     engine's pending-event count reaches zero — so it never prevents
     natural quiescence, schedules nothing beyond its own wakeups, and
     draws nothing from the PRNG. Sampling an armed run therefore leaves
     every experiment output byte-identical to a plain run except for
     the extra [timeline_sample] records in the event log. *)
-
-val env_var : string
-(** ["SEUSS_TIMELINE"]. *)
-
-val of_env : unit -> bool
-(** Whether {!env_var} is set to a recognised "on" value (malformed
-    values warn and read as off). *)
 
 val default_period : float
 (** 0.1 simulated seconds. *)
@@ -26,9 +19,6 @@ val start : ?period:float -> Node.t -> unit
 (** Spawn the sampler daemon on the node's engine. Call before (or
     during) the run; the first sample lands one period in.
     @raise Invalid_argument if [period] is not finite and positive. *)
-
-val maybe_start_from_env : ?period:float -> Node.t -> unit
-(** {!start} if {!of_env}, else nothing. *)
 
 (** {1 Reading timelines back} *)
 

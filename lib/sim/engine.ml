@@ -169,56 +169,9 @@ let dummy_kont : kont =
     };
   match !stash with Some k -> k | None -> assert false
 
-let shuffle_env_var = "SEUSS_SHUFFLE_SEED"
-
-let shuffle_seed_of_env () =
-  match Sys.getenv_opt shuffle_env_var with
-  | None | Some "" -> None  (* "" = unset: callers can't delete env vars *)
-  | Some s -> (
-      match Int64.of_string_opt (String.trim s) with
-      | Some v -> Some v
-      | None ->
-          Printf.eprintf "warning: ignoring malformed %s=%S\n%!"
-            shuffle_env_var s;
-          None)
-
-let deadlock_env_var = "SEUSS_DEADLOCK"
-
-let deadlock_of_env () =
-  match Sys.getenv_opt deadlock_env_var with
-  | None | Some "" -> false  (* "" = unset: callers can't delete env vars *)
-  | Some s -> (
-      match String.lowercase_ascii (String.trim s) with
-      | "1" | "true" | "yes" | "on" -> true
-      | "0" | "false" | "no" | "off" -> false
-      | _ ->
-          Printf.eprintf "warning: ignoring malformed %s=%S\n%!"
-            deadlock_env_var s;
-          false)
-
-let own_env_var = "SEUSS_OWN"
-
-let own_of_env () =
-  match Sys.getenv_opt own_env_var with
-  | None | Some "" -> false  (* "" = unset: callers can't delete env vars *)
-  | Some s -> (
-      match String.lowercase_ascii (String.trim s) with
-      | "1" | "true" | "yes" | "on" -> true
-      | "0" | "false" | "no" | "off" -> false
-      | _ ->
-          Printf.eprintf "warning: ignoring malformed %s=%S\n%!" own_env_var s;
-          false)
-
 let initial_capacity = 256
 
-let create ?(seed = 1L) ?tie_seed ?deadlock ?own () =
-  let tie_seed =
-    match tie_seed with Some _ -> tie_seed | None -> shuffle_seed_of_env ()
-  in
-  let deadlock =
-    match deadlock with Some b -> b | None -> deadlock_of_env ()
-  in
-  let own = match own with Some b -> b | None -> own_of_env () in
+let create ?(seed = 1L) ?tie_seed ?(deadlock = false) ?(own = false) () =
   let t =
     {
       clk = { t_now = 0.0 };

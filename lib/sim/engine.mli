@@ -25,36 +25,27 @@ val create :
     their parked waiters with the engine, and at natural quiescence the
     wait-for graph is walked — every stranded waiter (and every daemon
     on a wait cycle) is handed to the {!add_deadlock_reporter}
-    callbacks. When [deadlock] is absent, the [SEUSS_DEADLOCK]
-    environment variable supplies it ([1]/[true]/[yes]/[on]). An armed
-    engine whose run strands nobody makes no extra PRNG draws, schedules
-    nothing extra, and prints nothing, so its outputs stay
-    byte-identical to an unarmed run.
+    callbacks (default off). An armed engine whose run strands nobody
+    makes no extra PRNG draws, schedules nothing extra, and prints
+    nothing, so its outputs stay byte-identical to an unarmed run.
 
     [own] arms the ownership census: callbacks registered with
     {!add_census_hook} run once at natural quiescence (after the
     stranded-waiter report) so each node can count resources still held
     — leaked frames, snapshot references, pinned snapshots, undestroyed
-    UCs. When [own] is absent, the [SEUSS_OWN] environment variable
-    supplies it ([1]/[true]/[yes]/[on]). Unarmed, nothing registers and
-    outputs stay byte-identical to a build without the hook.
+    UCs (default off). Unarmed, nothing registers and outputs stay
+    byte-identical to a build without the hook.
 
     [tie_seed] arms the schedule sanitizer's tie shuffler: events at
     equal timestamps fire in a seeded-random order instead of FIFO
     (order across distinct timestamps is untouched). Experiments that
     are honestly deterministic produce byte-identical outputs under any
     [tie_seed]; a divergence pinpoints latent dependence on same-time
-    event order. When [tie_seed] is absent, the [SEUSS_SHUFFLE_SEED]
-    environment variable supplies it, so released binaries can be swept
-    without code changes (the unit-test FIFO contract assumes the
-    variable is unset under [dune runtest]). Unarmed engines draw
-    nothing from the shuffle stream and keep exact FIFO tie-breaking. *)
+    event order. Unarmed engines draw nothing from the shuffle stream
+    and keep exact FIFO tie-breaking. *)
 
 val tie_shuffling : t -> bool
 (** Whether the tie shuffler is armed on this engine. *)
-
-val shuffle_env_var : string
-(** ["SEUSS_SHUFFLE_SEED"]. *)
 
 val now : t -> float
 (** Current simulated time, in seconds. *)
@@ -224,14 +215,11 @@ val suspend : ((unit -> unit) -> unit) -> unit
     primitives bracket every park with {!wait_begin} / {!wait_end};
     the engine counts parked processes always (so {!stuck_waiters} is
     meaningful even with the detector off) and, when armed
-    ([?deadlock] at {!create} or [SEUSS_DEADLOCK=1]), keeps a wait
+    ([?deadlock] at {!create}), keeps a wait
     table it walks at natural quiescence: a run that ends with parked
     non-daemon processes — or daemons on a wait cycle — leaked them,
     whether by lost wakeup (a forgotten [Ivar.fill]) or by genuine
     deadlock (a lock cycle). *)
-
-val deadlock_env_var : string
-(** ["SEUSS_DEADLOCK"]. *)
 
 val deadlock_armed : t -> bool
 
@@ -265,18 +253,11 @@ val add_deadlock_reporter : t -> (stranded -> unit) -> unit
 (** {1 Ownership census}
 
     The dynamic half of the [seussown] static pass: with the census
-    armed ([?own] at {!create} or [SEUSS_OWN=1]), hooks registered via
+    armed ([?own] at {!create}), hooks registered via
     {!add_census_hook} run once when {!run} reaches natural quiescence,
     after the stranded-waiter report. Each node registers a hook that
     counts the resources still held beyond its caches — the runtime
     ground truth for the statically-proven acquire/release pairing. *)
-
-val own_env_var : string
-(** ["SEUSS_OWN"]. *)
-
-val own_of_env : unit -> bool
-(** Parse {!own_env_var}: [1]/[true]/[yes]/[on] arms, [0]/unset/empty
-    disarms, malformed warns and disarms. *)
 
 val own_armed : t -> bool
 

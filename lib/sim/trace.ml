@@ -29,23 +29,13 @@ type ctx = {
 (* Embed the context in the engine's universal process-local slot. *)
 exception Ctx of ctx
 
-(* Legacy engine-global trace: records from every process that carries
-   no local context. Its single shared stack is only meaningful when one
-   logical operation runs at a time. *)
-let ambient : ctx option ref = ref None
-
 let current () =
-  let local =
-    match Engine.self_opt () with
-    | None -> None
-    | Some engine -> (
-        match Engine.get_local engine with
-        | Some (Ctx c) when c.tr.active -> Some c
-        | _ -> None)
-  in
-  match local with
-  | Some _ -> local
-  | None -> ( match !ambient with Some c when c.tr.active -> Some c | _ -> None)
+  match Engine.self_opt () with
+  | None -> None
+  | Some engine -> (
+      match Engine.get_local engine with
+      | Some (Ctx c) when c.tr.active -> Some c
+      | _ -> None)
 
 (* seussheat: cold — the option is retained as the child's inherited parent link *)
 let parent_of c =
@@ -70,11 +60,8 @@ let fork slot =
            })
   | other -> other
 
-let make_trace engine =
-  { engine; rev_spans = []; next_id = 0; active = true }
-
 let start_ctx engine =
-  let tr = make_trace engine in
+  let tr = { engine; rev_spans = []; next_id = 0; active = true } in
   Engine.set_local_fork engine (Some fork);
   Engine.set_local engine
     (Some (Ctx { tr; stack = []; inherit_parent = None; inherit_depth = 0 }));
@@ -103,17 +90,6 @@ let stop_ctx t =
   | None -> ());
   sorted_spans t
 
-let start engine =
-  if Option.is_some !ambient then invalid_arg "Trace.start: already tracing";
-  let tr = make_trace engine in
-  ambient := Some { tr; stack = []; inherit_parent = None; inherit_depth = 0 };
-  tr
-
-let stop t =
-  t.active <- false;
-  ambient := None;
-  sorted_spans t
-
 let fresh_id tr =
   tr.next_id <- tr.next_id + 1;
   tr.next_id
@@ -133,9 +109,8 @@ let span name f =
       let pid = Engine.current_pid tr.engine in
       let t_start = Engine.now tr.engine in
       c.stack <- id :: c.stack;
-      (* Remove wherever it sits, not just at the head: under the shared
-         ambient context another process may have opened a span above
-         ours, and a head-only pop would leak ours open forever. *)
+      (* Remove by id rather than popping the head, so a mis-nested
+         close can never leave this span open forever. *)
       let close () = c.stack <- List.filter (fun s -> s <> id) c.stack in
       match f () with
       | v ->

@@ -10,22 +10,13 @@
     installs an [Engine] fork hook, so a child spawned under an open
     span starts with that span as its inherited parent.
 
-    Traces come in two flavours:
-
-    - {b process-local contexts} ({!start_ctx} / {!stop_ctx}): the
-      context rides in the current process's {!Engine} local slot, is
-      preserved across suspensions and forked for spawned children —
-      each process gets its own open-span stack over the shared span
-      sink, so two in-flight invocations record disjoint span trees,
-      concurrently;
-    - the {b legacy engine-global trace} ({!start} / {!stop}), kept as a
-      shim: it records spans from {e every} process that has no local
-      context of its own, over one shared stack, which is only
-      meaningful when a single logical operation runs at a time
-      (e.g. [seussctl trace]).
-
-    Resolution order inside {!span} / {!mark}: the current process's
-    context first, then the global shim, else no-op. *)
+    A trace is a {b process-local context} ({!start_ctx} /
+    {!stop_ctx}): it rides in the current process's {!Engine} local
+    slot, is preserved across suspensions and forked for spawned
+    children — each process gets its own open-span stack over the
+    shared span sink, so two in-flight invocations record disjoint span
+    trees, concurrently. {!span} / {!mark} record into the current
+    process's context, and are no-ops in a process without one. *)
 
 type span = {
   id : int;  (** unique within its trace, allocated at span entry *)
@@ -41,8 +32,6 @@ type span = {
 
 type t
 
-(** {1 Concurrent per-process contexts} *)
-
 val start_ctx : Engine.t -> t
 (** Create a context and install it as the current process's trace
     (replacing any inherited one). Call from inside a process; children
@@ -54,16 +43,7 @@ val stop_ctx : t -> span list
     context from the calling process's slot if it is still the one
     installed. *)
 
-(** {1 Legacy engine-global trace (shim)} *)
-
-val start : Engine.t -> t
-(** Begin recording and install as the global ambient trace.
-    @raise Invalid_argument if a global trace is already active. *)
-
-val stop : t -> span list
-(** Uninstall and return the spans in start order. *)
-
-(** {1 Recording (either flavour)} *)
+(** {1 Recording} *)
 
 val span : string -> (unit -> 'a) -> 'a
 (** Record [f]'s simulated time window under [name]. On exception the

@@ -4,12 +4,11 @@
    shipped experiments run clean (and byte-identically — CI checks that
    half) under SEUSS_DEADLOCK=1. *)
 
+(* Experiments read their arming from the environment at the harness
+   boundary; "" reads as unset (Unix offers no unsetenv). *)
 let with_deadlock_env on f =
-  (* "" reads as unset (Unix offers no unsetenv). *)
-  Unix.putenv Sim.Engine.deadlock_env_var (if on then "1" else "");
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv Sim.Engine.deadlock_env_var "")
-    f
+  Unix.putenv "SEUSS_DEADLOCK" (if on then "1" else "");
+  Fun.protect ~finally:(fun () -> Unix.putenv "SEUSS_DEADLOCK" "") f
 
 let starts_with ~prefix s =
   String.length s >= String.length prefix
@@ -120,26 +119,24 @@ let check_daemon_on_cycle_reported () =
 (* {1 Unarmed behaviour} *)
 
 let check_unarmed_still_counts () =
-  (* Run under a cleared SEUSS_DEADLOCK so the CI sanitizer matrix
-     (which exports the variable for the whole binary) cannot arm
-     Engine.create here. *)
-  with_deadlock_env false (fun () ->
-      let engine = Sim.Engine.create ~seed:3L () in
-      Alcotest.(check bool) "detector off by default" false
-        (Sim.Engine.deadlock_armed engine);
-      let ready = Sim.Ivar.create () in
-      Sim.Engine.spawn engine ~name:"reader" (fun () -> Sim.Ivar.read ready);
-      Sim.Engine.run engine;
-      Alcotest.(check int) "stuck counter works detector-off" 1
-        (Sim.Engine.stuck_waiters engine);
-      Alcotest.(check int) "but no wait-for graph was kept" 0
-        (List.length (Sim.Engine.stranded_waiters engine)))
+  let engine = Sim.Engine.create ~seed:3L () in
+  Alcotest.(check bool) "detector off by default" false
+    (Sim.Engine.deadlock_armed engine);
+  let ready = Sim.Ivar.create () in
+  Sim.Engine.spawn engine ~name:"reader" (fun () -> Sim.Ivar.read ready);
+  Sim.Engine.run engine;
+  Alcotest.(check int) "stuck counter works detector-off" 1
+    (Sim.Engine.stuck_waiters engine);
+  Alcotest.(check int) "but no wait-for graph was kept" 0
+    (List.length (Sim.Engine.stranded_waiters engine))
 
 let check_env_arms () =
-  with_deadlock_env true (fun () ->
-      let engine = Sim.Engine.create ~seed:3L () in
-      Alcotest.(check bool) "SEUSS_DEADLOCK=1 arms Engine.create" true
-        (Sim.Engine.deadlock_armed engine))
+  match Experiments.Run_config.parse [ ("SEUSS_DEADLOCK", "1") ] with
+  | Error e -> Alcotest.fail e
+  | Ok run ->
+      let engine = Experiments.Harness.make_engine ~run ~seed:3L () in
+      Alcotest.(check bool) "SEUSS_DEADLOCK=1 arms the harness engine" true
+        (Sim.Engine.deadlock_armed engine)
 
 (* {1 The San_deadlock event} *)
 

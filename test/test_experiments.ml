@@ -431,6 +431,56 @@ let test_report_rendering () =
   Alcotest.(check string) "mb format" "2.0 MB"
     (Experiments.Report.mb (Int64.of_int (2 * 1024 * 1024)))
 
+(* {1 Run configuration}
+
+   The arming contract, one row per variable: absent, empty and every
+   off spelling all yield [default]; a valid value sets exactly its own
+   field; a malformed value is an error naming the variable. *)
+
+module Rc = Experiments.Run_config
+
+let run_config_rows =
+  let d = Rc.default in
+  [
+    ("SEUSS_SHUFFLE_SEED", "3", { d with Rc.tie_seed = Some 3L }, "x3");
+    ("SEUSS_HB", "1", { d with Rc.hb = true }, "maybe");
+    ("SEUSS_DEADLOCK", "yes", { d with Rc.deadlock = true }, "2");
+    ("SEUSS_OWN", " ON ", { d with Rc.own = true }, "y");
+    ("SEUSS_FAULT_RATE", "0.25", { d with Rc.fault_rate = 0.25 }, "1.5");
+    ("SEUSS_FAULT_SEED", "29", { d with Rc.fault_seed = Some 29L }, "seed");
+    ("SEUSS_PREFAULT", "true", { d with Rc.prefault = true }, "on!");
+    ("SEUSS_TIMELINE", "on", { d with Rc.timeline = true }, "sometimes");
+    ("SEUSS_TRACE_SAMPLE", "1/7", { d with Rc.trace_sample = Some 7 }, "2/7");
+    ( "SEUSS_SNAP_CACHE", "64m",
+      { d with Rc.snap_cache_bytes = Int64.of_int (64 * 1024 * 1024) }, "-1" );
+    ( "SEUSS_SNAP_POLICY", "ws",
+      { d with Rc.snap_policy = Some Seuss.Config.Snap_ws }, "fifo" );
+  ]
+
+let test_run_config_parse () =
+  Alcotest.(check (list string)) "one row per variable" Rc.vars
+    (List.map (fun (var, _, _, _) -> var) run_config_rows);
+  let noise = [ ("PATH", "/bin"); ("SEUSS_LOAD_HOURS", "3") ] in
+  let parsed bindings = Rc.parse (noise @ bindings) in
+  List.iter
+    (fun (var, valid, expected, malformed) ->
+      let is_default what r =
+        Alcotest.(check bool) (var ^ " " ^ what ^ " is default") true
+          (r = Ok Rc.default)
+      in
+      is_default "absent" (parsed []);
+      List.iter
+        (fun off -> is_default (Printf.sprintf "%S" off) (parsed [ (var, off) ]))
+        [ ""; "0"; "off"; "false"; "no" ];
+      Alcotest.(check bool) (var ^ " valid") true
+        (parsed [ (var, valid) ] = Ok expected);
+      match parsed [ (var, malformed) ] with
+      | Ok _ -> Alcotest.failf "%s=%S accepted" var malformed
+      | Error msg ->
+          Alcotest.(check bool) (var ^ " error names the variable") true
+            (String.starts_with ~prefix:("malformed " ^ var ^ "=") msg))
+    run_config_rows
+
 let () =
   let case name f = Alcotest.test_case name `Slow f in
   Alcotest.run "experiments"
@@ -462,6 +512,8 @@ let () =
         ] );
       ( "registry",
         [ case "covers experiments" test_registry_covers_experiments ] );
+      ( "run_config",
+        [ Alcotest.test_case "parse table" `Quick test_run_config_parse ] );
       ( "misc",
         [
           case "ablations ordering" test_ablations_ordering;

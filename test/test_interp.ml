@@ -172,6 +172,44 @@ let test_runtime_errors () =
   expect_error "null.field";
   expect_error "(5)(1)"
 
+(* Constructs the other cases leave uncovered, each pinned to its
+   expected value: coercion chains, logical results, mutation
+   through nested paths, array growth by index, scope unwinding on
+   break, closures over mutable state, and the error paths of calls. *)
+let test_directed_constructs () =
+  let main body = run_main ("function main(a) { " ^ body ^ " }") in
+  check_eval "coercion chain" "\"x1true\"" "\"x\" + 1 + true";
+  check_eval "|| yields an operand" "7" "false || 7";
+  check_eval "&& short-circuits to false" "false" "0 && 1";
+  check_eval "|| keeps a truthy string" "\"s\"" "\"s\" || 0";
+  check_eval "empty string is falsy" "true" "!\"\"";
+  check_eval "nested index" "5" "[[1, 2], [3, 4]][1][0] + [[1, 2], [3, 4]][0][1]";
+  check_eval "hash is deterministic" "true" "hash(\"abc\") == hash(\"abc\")";
+  check_eval "string sort" "[\"a\", \"b\"]" "sort([\"b\", \"a\"])";
+  Alcotest.(check string) "index assignment grows an array" "2"
+    (main "let xs = []; xs[0] = 5; xs[1] = 6; return len(xs);");
+  Alcotest.(check string) "nested field assignment" "9"
+    (main "let o = {inner: {v: 7}}; o.inner.v = 9; return o.inner.v;");
+  Alcotest.(check string) "string accumulates in a for loop" "\"0123\""
+    (main "let s = \"\"; for (let i = 0; i < 4; i += 1) { s = s + i; } return s;");
+  Alcotest.(check string) "break unwinds nested scopes" "2"
+    (main
+       "let x = 1; let i = 0; while (i < 5) { i += 1; if (true) { let x = \
+        99; if (x > 0) { break; } } } return x + i;");
+  Alcotest.(check string) "closure over mutable state" "3"
+    (main
+       "let counter = function() { let n = 0; return function() { n = n + \
+        1; return n; }; }; let t = counter(); let x = t(); return x + t();");
+  let fails src =
+    match Interp.Minijs.run_main (load src) ~args_literal:"null" with
+    | Ok _ -> false
+    | Error _ -> true
+  in
+  Alcotest.(check bool) "too few arguments" true
+    (fails "function g(a, b) { return a; } function main(x) { return g(1); }");
+  Alcotest.(check bool) "mixed-type sort" true
+    (fails "function main(x) { return sort([1, \"a\"]); }")
+
 let test_parse_errors () =
   let expect_parse_error src =
     match Interp.Minijs.load ~host src with
@@ -454,6 +492,7 @@ let () =
           case "scoping" test_scoping;
           case "main args" test_main_args;
           case "runtime errors" test_runtime_errors;
+          case "directed constructs" test_directed_constructs;
           case "parse errors" test_parse_errors;
           case "continue in for rejected" test_continue_in_for_rejected;
         ] );

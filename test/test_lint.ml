@@ -19,6 +19,7 @@ let check_fires () =
       ("bad_physeq.ml", "physical-eq", 2);
       ("bad_print.ml", "stdout-print", 2);
       ("bad_frame.ml", "frame-site", 3);
+      ("bad_env.ml", "ambient-env", 3);
     ]
   in
   List.iter
@@ -83,7 +84,7 @@ let check_strip_prefix_tree () =
         (List.mem r rules))
     [
       "bare-random"; "wallclock"; "hashtbl-order"; "physical-eq";
-      "stdout-print"; "frame-site";
+      "stdout-print"; "frame-site"; "ambient-env";
     ];
   Alcotest.(check bool) "allow_ok stays clean" false
     (List.exists

@@ -224,62 +224,6 @@ let test_unique_function_throughput_seuss_wins () =
   Alcotest.(check bool) "seuss much faster on unique work" true
     (seuss > 5.0 *. linux)
 
-(* {1 Metrics} *)
-
-let test_metrics_sampler () =
-  in_sim (fun engine ->
-      let env = Seuss.Osenv.create ~budget_bytes:(gib 8) engine in
-      register_io_server env;
-      let node = Seuss.Node.create env in
-      Seuss.Node.start node;
-      let m = Platform.Metrics.watch ~interval:0.5 node in
-      for i = 1 to 5 do
-        ignore
-          (C.invoke
-             (C.create engine (C.Seuss_backend (Seuss.Shim.create env node)))
-             { C.fn_id = Printf.sprintf "m-%d" i; action = Platform.Workloads.nop });
-        Sim.Engine.sleep 0.6
-      done;
-      let samples = Platform.Metrics.stop m in
-      Alcotest.(check bool) "several samples" true (List.length samples >= 5);
-      let last = List.nth samples (List.length samples - 1) in
-      Alcotest.(check int) "cold count visible" 5 last.Platform.Metrics.cold;
-      Alcotest.(check bool) "snapshots visible" true
-        (last.Platform.Metrics.fn_snapshots = 5);
-      (* Samples are time-ordered and free memory decreased. *)
-      let first = List.hd samples in
-      Alcotest.(check bool) "time ordered" true
-        (last.Platform.Metrics.time > first.Platform.Metrics.time);
-      Alcotest.(check bool) "memory consumed" true
-        (Int64.compare last.Platform.Metrics.free_bytes
-           first.Platform.Metrics.free_bytes
-        < 0);
-      Alcotest.(check bool) "renders" true
-        (String.length (Platform.Metrics.render samples) > 50))
-
-(* Regression: stopping a watch before the first interval elapses must
-   still yield the final sample, not an empty list. *)
-let test_metrics_stop_before_first_interval () =
-  in_sim (fun engine ->
-      let env = Seuss.Osenv.create ~budget_bytes:(gib 8) engine in
-      register_io_server env;
-      let node = Seuss.Node.create env in
-      Seuss.Node.start node;
-      let m = Platform.Metrics.watch ~interval:60.0 node in
-      ignore
-        (C.invoke
-           (C.create engine (C.Seuss_backend (Seuss.Shim.create env node)))
-           { C.fn_id = "early-stop"; action = Platform.Workloads.nop });
-      let samples = Platform.Metrics.stop m in
-      Alcotest.(check bool) "at least one sample" true (List.length samples >= 1);
-      let last = List.nth samples (List.length samples - 1) in
-      Alcotest.(check int) "final sample sees the invocation" 1
-        last.Platform.Metrics.cold;
-      (* Stopping twice does not grow the list. *)
-      Alcotest.(check int) "stop is idempotent"
-        (List.length samples)
-        (List.length (Platform.Metrics.stop m)))
-
 (* {1 Burst harness} *)
 
 let test_burst_on_seuss_no_errors () =
@@ -352,11 +296,6 @@ let () =
           case "linux" test_linux_end_to_end;
           case "hot: linux beats seuss" test_hot_path_linux_faster_than_seuss;
           case "unique: seuss wins big" test_unique_function_throughput_seuss_wins;
-        ] );
-      ( "metrics",
-        [
-          case "sampler" test_metrics_sampler;
-          case "stop before first interval" test_metrics_stop_before_first_interval;
         ] );
       ( "burst",
         [

@@ -5,11 +5,12 @@
 
 (* {1 Tie shuffling} *)
 
+(* Experiments read their arming from the environment at the harness
+   boundary; "" reads as unset (Unix offers no unsetenv). *)
 let with_shuffle seed f =
-  (* "" reads as unset (Unix offers no unsetenv). *)
-  Unix.putenv Sim.Engine.shuffle_env_var
+  Unix.putenv "SEUSS_SHUFFLE_SEED"
     (match seed with None -> "" | Some s -> Int64.to_string s);
-  Fun.protect ~finally:(fun () -> Unix.putenv Sim.Engine.shuffle_env_var "") f
+  Fun.protect ~finally:(fun () -> Unix.putenv "SEUSS_SHUFFLE_SEED" "") f
 
 (* Deliberately order-dependent: the output string is exactly the order
    in which same-timestamp processes ran. *)
@@ -24,17 +25,13 @@ let toy ?tie_seed () =
   Sim.Engine.run engine;
   Buffer.contents out
 
-(* The FIFO assertions require an *unarmed* shuffler: run them under a
-   cleared SEUSS_SHUFFLE_SEED so the CI shuffle matrix (which exports the
-   env var for the whole test binary) cannot arm Engine.create here. *)
 let fifo_baseline () =
-  with_shuffle None (fun () ->
-      Alcotest.(check string) "unarmed runs are FIFO and repeatable" (toy ())
-        (toy ());
-      Alcotest.(check string) "FIFO order is spawn order" "12345678" (toy ()))
+  Alcotest.(check string) "unarmed runs are FIFO and repeatable" (toy ())
+    (toy ());
+  Alcotest.(check string) "FIFO order is spawn order" "12345678" (toy ())
 
 let shuffle_catches_order_dependence () =
-  let baseline = with_shuffle None (fun () -> toy ()) in
+  let baseline = toy () in
   let perturbed =
     List.exists
       (fun s -> not (String.equal baseline (toy ~tie_seed:s ())))
@@ -213,31 +210,33 @@ let experiments_race_free () =
      pairs with the checker armed. Single-node: drive concurrent
      invocations through the full controller stack and read the race
      count off the engine. *)
+  let run =
+    { Experiments.Run_config.default with Experiments.Run_config.hb = true }
+  in
   let races =
-    with_hb (fun () ->
-        Experiments.Harness.run_sim ~seed:5L (fun engine ->
-            let env = Experiments.Harness.make_seuss_env engine in
-            let controller, _node = Experiments.Harness.seuss_controller env in
-            let live = ref 8 in
-            let all_done = Sim.Ivar.create () in
-            for i = 1 to 8 do
-              Sim.Engine.spawn engine
-                ~name:(Printf.sprintf "client-%d" i)
-                (fun () ->
-                  for j = 0 to 4 do
-                    ignore
-                      (Platform.Controller.invoke controller
-                         {
-                           Platform.Controller.fn_id =
-                             Printf.sprintf "fn-%d" (((i * 5) + j) mod 6);
-                           action = Platform.Workloads.nop;
-                         })
-                  done;
-                  decr live;
-                  if !live = 0 then Sim.Ivar.fill all_done ())
-            done;
-            Sim.Ivar.read all_done;
-            Sim.Hb.race_count engine))
+    Experiments.Harness.run_sim ~run ~seed:5L (fun engine ->
+        let env = Experiments.Harness.make_seuss_env engine in
+        let controller, _node = Experiments.Harness.seuss_controller env in
+        let live = ref 8 in
+        let all_done = Sim.Ivar.create () in
+        for i = 1 to 8 do
+          Sim.Engine.spawn engine
+            ~name:(Printf.sprintf "client-%d" i)
+            (fun () ->
+              for j = 0 to 4 do
+                ignore
+                  (Platform.Controller.invoke controller
+                     {
+                       Platform.Controller.fn_id =
+                         Printf.sprintf "fn-%d" (((i * 5) + j) mod 6);
+                       action = Platform.Workloads.nop;
+                     })
+              done;
+              decr live;
+              if !live = 0 then Sim.Ivar.fill all_done ())
+        done;
+        Sim.Ivar.read all_done;
+        Sim.Hb.race_count engine)
   in
   Alcotest.(check int) "no races in the single-node stack" 0 races;
   (* Cluster: the chaos sweep exercises the shared registry. Arming the

@@ -958,10 +958,11 @@ let test_census_detects_planted_leak () =
       Alcotest.(check int) "event carries the UC count" 1 ucs
   | l -> Alcotest.failf "expected one San_leak event, got %d" (List.length l)
 
+(* Experiments read their arming from the environment at the harness
+   boundary; "" reads as unset (Unix offers no unsetenv). *)
 let with_own_env value f =
-  (* "" reads as unset (Unix offers no unsetenv). *)
-  Unix.putenv Sim.Engine.own_env_var value;
-  Fun.protect ~finally:(fun () -> Unix.putenv Sim.Engine.own_env_var "") f
+  Unix.putenv "SEUSS_OWN" value;
+  Fun.protect ~finally:(fun () -> Unix.putenv "SEUSS_OWN" "") f
 
 let test_experiments_zero_leaks_armed () =
   (* Every shipped experiment finishes with all resources accounted for:

@@ -366,12 +366,12 @@ let test_trace_records_spans () =
   let engine = Sim.Engine.create () in
   let spans = ref [] in
   Sim.Engine.spawn engine (fun () ->
-      let tr = Sim.Trace.start engine in
+      let tr = Sim.Trace.start_ctx engine in
       Sim.Trace.span "outer" (fun () ->
           Sim.Engine.sleep 1.0;
           Sim.Trace.span "inner" (fun () -> Sim.Engine.sleep 0.5);
           Sim.Trace.mark "point");
-      spans := Sim.Trace.stop tr);
+      spans := Sim.Trace.stop_ctx tr);
   Sim.Engine.run engine;
   match !spans with
   | [ outer; inner; point ] ->
@@ -392,9 +392,9 @@ let test_trace_renders () =
   let engine = Sim.Engine.create () in
   let out = ref "" in
   Sim.Engine.spawn engine (fun () ->
-      let tr = Sim.Trace.start engine in
+      let tr = Sim.Trace.start_ctx engine in
       Sim.Trace.span "op" (fun () -> Sim.Engine.sleep 0.01);
-      out := Sim.Trace.render (Sim.Trace.stop tr));
+      out := Sim.Trace.render (Sim.Trace.stop_ctx tr));
   Sim.Engine.run engine;
   Alcotest.(check bool) "mentions op" true
     (String.length !out > 0
@@ -520,12 +520,11 @@ let test_trace_concurrent_contexts_disjoint () =
   Alcotest.(check bool) "executions interleaved" true (lo1 < hi0 && lo0 < hi1)
 
 (* A process-local context is inherited by children spawned while it is
-   active, and takes precedence over the legacy engine-global trace. *)
-let test_trace_ctx_inherited_and_shadows_ambient () =
+   active, and a process outside it records nothing. *)
+let test_trace_ctx_inherited () =
   let engine = Sim.Engine.create () in
-  let ctx_spans = ref [] and ambient_spans = ref [] in
+  let ctx_spans = ref [] in
   Sim.Engine.spawn engine (fun () ->
-      let legacy = Sim.Trace.start engine in
       Sim.Engine.spawn engine (fun () ->
           let tr = Sim.Trace.start_ctx engine in
           Sim.Trace.span "local.op" (fun () -> Sim.Engine.sleep 0.1);
@@ -533,16 +532,11 @@ let test_trace_ctx_inherited_and_shadows_ambient () =
               Sim.Trace.span "child.op" (fun () -> Sim.Engine.sleep 0.1));
           Sim.Engine.sleep 0.5;
           ctx_spans := Sim.Trace.stop_ctx tr);
-      Sim.Trace.span "ambient.op" (fun () -> Sim.Engine.sleep 1.0);
-      ambient_spans := Sim.Trace.stop legacy);
+      Sim.Trace.span "outside.op" (fun () -> Sim.Engine.sleep 1.0));
   Sim.Engine.run engine;
-  let names spans = List.map (fun s -> s.Sim.Trace.name) spans in
   Alcotest.(check (list string))
     "ctx got its own + inherited child" [ "local.op"; "child.op" ]
-    (names !ctx_spans);
-  Alcotest.(check (list string))
-    "ambient untouched by ctx processes" [ "ambient.op" ]
-    (names !ambient_spans)
+    (List.map (fun s -> s.Sim.Trace.name) !ctx_spans)
 
 (* Causal identity: every span has a stable id, nested spans point at
    their enclosing span, siblings share a parent, and roots have none. *)
@@ -655,11 +649,6 @@ let test_engine_zero_alloc_dispatch () =
 
 (* {1 Ownership census hooks (SEUSS_OWN)} *)
 
-let with_own_env value f =
-  (* "" reads as unset (Unix offers no unsetenv). *)
-  Unix.putenv Sim.Engine.own_env_var value;
-  Fun.protect ~finally:(fun () -> Unix.putenv Sim.Engine.own_env_var "") f
-
 let test_census_hooks_run_at_quiescence () =
   let engine = Sim.Engine.create ~seed:3L ~own:true () in
   Alcotest.(check bool) "armed" true (Sim.Engine.own_armed engine);
@@ -676,26 +665,27 @@ let test_census_hooks_run_at_quiescence () =
   Alcotest.(check bool) "after the heap drained" true !quiesced
 
 let test_census_hooks_inert_unarmed () =
-  with_own_env "" (fun () ->
-      let engine = Sim.Engine.create ~seed:3L () in
-      Alcotest.(check bool) "census off by default" false
-        (Sim.Engine.own_armed engine);
-      let fired = ref 0 in
-      Sim.Engine.add_census_hook engine (fun () -> incr fired);
-      Sim.Engine.spawn engine (fun () -> Sim.Engine.sleep 1.0);
-      Sim.Engine.run engine;
-      Alcotest.(check int) "hook never runs unarmed" 0 !fired)
+  let engine = Sim.Engine.create ~seed:3L () in
+  Alcotest.(check bool) "census off by default" false
+    (Sim.Engine.own_armed engine);
+  let fired = ref 0 in
+  Sim.Engine.add_census_hook engine (fun () -> incr fired);
+  Sim.Engine.spawn engine (fun () -> Sim.Engine.sleep 1.0);
+  Sim.Engine.run engine;
+  Alcotest.(check int) "hook never runs unarmed" 0 !fired
 
+(* SEUSS_OWN reaches the engine only through the harness. *)
 let test_census_env_arms () =
-  with_own_env "1" (fun () ->
-      Alcotest.(check bool) "SEUSS_OWN=1 arms Engine.create" true
-        (Sim.Engine.own_armed (Sim.Engine.create ~seed:3L ())));
-  with_own_env "0" (fun () ->
-      Alcotest.(check bool) "SEUSS_OWN=0 behaves as unset" false
-        (Sim.Engine.own_armed (Sim.Engine.create ~seed:3L ())));
-  with_own_env "" (fun () ->
-      Alcotest.(check bool) "empty behaves as unset" false
-        (Sim.Engine.own_armed (Sim.Engine.create ~seed:3L ())))
+  let armed value =
+    match Experiments.Run_config.parse [ ("SEUSS_OWN", value) ] with
+    | Error e -> Alcotest.fail e
+    | Ok run ->
+        Sim.Engine.own_armed
+          (Experiments.Harness.make_engine ~run ~seed:3L ())
+  in
+  Alcotest.(check bool) "SEUSS_OWN=1 arms the harness engine" true (armed "1");
+  Alcotest.(check bool) "SEUSS_OWN=0 behaves as unset" false (armed "0");
+  Alcotest.(check bool) "empty behaves as unset" false (armed "")
 
 let () =
   let case name f = Alcotest.test_case name `Quick f in
@@ -736,7 +726,7 @@ let () =
           case "nested depth after exception" test_trace_nested_depth_after_exception;
           case "mark zero width" test_trace_mark_zero_width;
           case "concurrent contexts disjoint" test_trace_concurrent_contexts_disjoint;
-          case "ctx inherited, shadows ambient" test_trace_ctx_inherited_and_shadows_ambient;
+          case "ctx inherited by children" test_trace_ctx_inherited;
           case "span ids and parents" test_trace_span_ids_and_parents;
           case "parent links cross spawn" test_trace_parent_links_cross_spawn;
         ] );
