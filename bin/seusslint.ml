@@ -1,56 +1,36 @@
 (* The seusslint driver — determinism, resource-safety, hot-path and
    ownership linter.
 
-   Passes over every .ml under the given roots (default: lib bin),
-   selected with --pass:
+   Runs over every .ml under the given roots (default: lib bin; a root
+   may also be a single .ml file), one pass of the table in Lint.Passes
+   selected with --pass (default: the first), or all of them over one
+   shared parse with --pass all — each file is read, its comments lexed
+   and its AST built exactly once. --list-rules prints every pass's
+   rules and how to suppress them; --time reports the load/analysis
+   split on stderr.
 
-   - base (default): the per-file syntactic rules in Lint.Check.
-     Suppress a justified hit with
-       (* seusslint: allow <rule> — <reason> *)
-     on the offending line or the line above it.
-   - deadlock: the interprocedural blocking/deadlock rules in
-     Lint.Deadlock (block-in-handler, lock-order, unreleased-acquire).
-     Suppressions use the pass's own marker:
-       (* seussdead: allow <rule> — <reason> *)
-   - heat: the hot-path allocation/boxing rules in Lint.Heat
-     (heat-closure, heat-alloc, heat-string, heat-float-box,
-     heat-poly-cmp, heat-partial-apply), seeded from the registered hot
-     roots in Lint.Hotroots. Suppressions:
-       (* seussheat: cold — <reason> *)
-   - own: the interprocedural ownership/typestate rules in Lint.Own
-     (own-escape, own-exn-leak, own-double-release,
-     own-use-after-destroy, own-unbalanced) over the registered
-     acquire/release pairs. Suppressions:
-       (* seussown: transfer — <reason> *)
-   - all: every pass over one shared parse — each file is read, its
-     comments lexed and its AST built exactly once (Lint.Check.load_tree),
-     then the four passes analyze the shared sources. --time reports
-     the load/analysis split on stderr.
+   Exits 1 if any unsuppressed violation remains and 2 if a root cannot
+   be read. --json swaps the human report for one JSON object per line
+   (file, line, col, rule, pass, message), for CI problem matchers and
+   tooling. *)
 
-   Exits 1 if any unsuppressed violation remains. --json swaps the
-   human report for one JSON object per line (file, line, col, rule,
-   pass, message), for CI problem matchers and tooling. *)
-
-let pass_sections =
-  [
-    ("base pass (default)", Lint.Rules.syntactic);
-    ("deadlock pass, --pass deadlock", Lint.Rules.deadlock);
-    ("heat pass, --pass heat", Lint.Rules.heat);
-    ("own pass, --pass own", Lint.Rules.own);
-  ]
+let passes = Lint.Passes.all
+let default_pass = (List.hd passes).Lint.Pass.name
 
 let list_rules () =
   List.iter
-    (fun (header, rules) ->
-      Printf.printf "seusslint rules (%s):\n" header;
+    (fun (p : Lint.Pass.t) ->
+      Printf.printf "seusslint rules (%s pass%s):\n" p.name
+        (if p.name = default_pass then " (default)"
+         else ", --pass " ^ p.name);
       List.iter
         (fun r ->
           (* The [pass] column is load-bearing: CI matchers and docs
              key the suppression syntax off it. *)
-          Printf.printf "  %-22s [%s] %s\n" (Lint.Rules.name r)
-            (Lint.Rules.pass_of r) (Lint.Rules.describe r))
-        rules)
-    pass_sections;
+          Printf.printf "  %-22s [%s] %s\n" (Lint.Rules.name r) p.name
+            (Lint.Rules.describe r))
+        p.rules)
+    passes;
   print_endline "seusslint meta-rules (any pass, not suppressible):";
   Printf.printf "  %-22s [meta] reported for malformed/unknown allow \
                  comments or markers\n"
@@ -80,49 +60,40 @@ let json_escape s =
   Buffer.contents buf
 
 (* The pass a violation belongs to: the enforcing pass for catalogued
-   rules, "meta" for the checker's own diagnostics. *)
-let pass_of_rule rule =
-  match Lint.Rules.of_name rule with
-  | Some r -> Lint.Rules.pass_of r
-  | None -> "meta"
+   rules, the producing pass for the checker's own diagnostics. *)
+let pass_of_violation (produced_by : Lint.Pass.t)
+    (v : Lint.Source.violation) =
+  match Lint.Rules.of_name v.rule with
+  | Some r -> Lint.Passes.pass_of r
+  | None -> produced_by.name
 
-(* --time registry. Keyed by label with replace semantics so a second
-   run of the same pass in one process (two check_sources calls over
-   the same sources) updates its line instead of appending a duplicate
-   to the report. *)
-let timings : (string, float) Hashtbl.t = Hashtbl.create 8
-
-let timed what f =
+let timed time label f =
   let t0 = Unix.gettimeofday () in
   let v = f () in
-  Hashtbl.replace timings what ((Unix.gettimeofday () -. t0) *. 1e3);
+  if time then
+    Printf.eprintf "seusslint: %-12s %6.1f ms\n%!" label
+      ((Unix.gettimeofday () -. t0) *. 1e3);
   v
-
-let report_timings () =
-  List.iter
-    (fun label ->
-      match Hashtbl.find_opt timings label with
-      | Some ms -> Printf.eprintf "seusslint: %-12s %6.1f ms\n%!" label ms
-      | None -> ())
-    [ "load"; "base"; "deadlock"; "heat"; "own" ]
 
 let () =
   let roots = ref [] in
   let list = ref false in
   let strip = ref "" in
-  let pass = ref "base" in
+  let pass = ref default_pass in
   let json = ref false in
   let time = ref false in
+  let names =
+    List.map (fun (p : Lint.Pass.t) -> p.name) passes @ [ "all" ]
+  in
   let spec =
     [
       ("--list-rules", Arg.Set list, " Print the rule catalogue and exit");
       ( "--pass",
-        Arg.Symbol
-          ([ "base"; "deadlock"; "heat"; "own"; "all" ], fun p -> pass := p),
-        " Which pass to run: base (per-file syntactic rules, default), \
-         deadlock (interprocedural blocking/lock-order analysis), heat \
-         (hot-path allocation analysis), own (ownership/typestate \
-         analysis), or all (every pass over one shared parse)" );
+        Arg.Symbol (names, fun p -> pass := p),
+        Printf.sprintf
+          " Which pass to run (default %s), or all (every pass over one \
+           shared parse); --list-rules shows what each enforces"
+          default_pass );
       ( "--json",
         Arg.Set json,
         " Emit one JSON object per violation instead of the human report" );
@@ -138,71 +109,44 @@ let () =
   in
   Arg.parse (Arg.align spec)
     (fun dir -> roots := dir :: !roots)
-    "seusslint [--list-rules] [--pass base|deadlock|heat|own|all] [--json] \
-     [--time] [--strip-prefix PREFIX] [DIR ...]   (default roots: lib bin)";
+    (Printf.sprintf
+       "seusslint [--list-rules] [--pass %s] [--json] [--time] \
+        [--strip-prefix PREFIX] [ROOT ...]   (default roots: lib bin)"
+       (String.concat "|" names));
   if !list then begin
     list_rules ();
     exit 0
   end;
   let roots = match List.rev !roots with [] -> [ "lib"; "bin" ] | rs -> rs in
   let strip_prefix = match !strip with "" -> None | p -> Some p in
-  let tag p vs = List.map (fun v -> (p, v)) vs in
-  (* (pass, violation) pairs: single-pass runs tag with the invoked
-     pass; --pass all keeps the first producer through dedup. *)
-  let violations =
-    match !pass with
-    | "deadlock" ->
-        tag "deadlock"
-          (timed "deadlock" (fun () ->
-               Lint.Deadlock.check_tree ?strip_prefix roots))
-    | "heat" ->
-        tag "heat"
-          (timed "heat" (fun () -> Lint.Heat.check_tree ?strip_prefix roots))
-    | "own" ->
-        tag "own"
-          (timed "own" (fun () -> Lint.Own.check_tree ?strip_prefix roots))
-    | "all" ->
-        (* The point of "all": one read+lex+parse, shared by every pass. *)
-        let sources =
-          timed "load" (fun () -> Lint.Check.load_tree ?strip_prefix roots)
-        in
-        let base = timed "base" (fun () -> Lint.Check.check_sources sources) in
-        let dl =
-          timed "deadlock" (fun () -> Lint.Deadlock.check_sources sources)
-        in
-        let heat = timed "heat" (fun () -> Lint.Heat.check_sources sources) in
-        let own = timed "own" (fun () -> Lint.Own.check_sources sources) in
-        (* Dedup: the interprocedural passes can all surface the same
-           ambiguous-resolve collision. *)
-        let sorted =
-          List.sort
-            (fun (_, a) (_, b) -> Lint.Check.compare_violation a b)
-            (tag "base" base @ tag "deadlock" dl @ tag "heat" heat
-           @ tag "own" own)
-        in
-        let rec dedup = function
-          | (p1, v1) :: (_, v2) :: rest
-            when Lint.Check.compare_violation v1 v2 = 0 ->
-              dedup ((p1, v1) :: rest)
-          | x :: rest -> x :: dedup rest
-          | [] -> []
-        in
-        dedup sorted
-    | _ ->
-        tag "base"
-          (timed "base" (fun () -> Lint.Check.check_tree ?strip_prefix roots))
+  let sources =
+    try
+      timed !time "load" (fun () -> Lint.Source.load_tree ?strip_prefix roots)
+    with Sys_error msg ->
+      Printf.eprintf "seusslint: %s\n" msg;
+      exit 2
   in
-  if !time then report_timings ();
+  let prog = Lint.Passes.program sources in
+  let selected =
+    List.filter
+      (fun (p : Lint.Pass.t) -> !pass = "all" || p.name = !pass)
+      passes
+  in
+  let violations =
+    Lint.Passes.merge
+      (List.map
+         (fun (p : Lint.Pass.t) ->
+           (p, timed !time p.name (fun () -> Lint.Passes.check prog p)))
+         selected)
+  in
   List.iter
-    (fun ((produced_by, v) : string * Lint.Check.violation) ->
-      let v_pass =
-        match pass_of_rule v.rule with "meta" -> produced_by | p -> p
-      in
+    (fun (produced_by, (v : Lint.Source.violation)) ->
       if !json then
         Printf.printf
           "{\"file\":\"%s\",\"line\":%d,\"col\":%d,\"rule\":\"%s\",\"pass\":\"%s\",\"message\":\"%s\"}\n"
           (json_escape v.file) v.line v.col (json_escape v.rule)
-          (json_escape v_pass) (json_escape v.message)
+          (json_escape (pass_of_violation produced_by v))
+          (json_escape v.message)
       else
         Printf.printf "%s:%d:%d: [%s] %s\n" v.file v.line v.col v.rule
           v.message)

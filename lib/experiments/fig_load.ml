@@ -83,7 +83,12 @@ let run_arm ~seed ~timeline trace backend_name =
       let controller, mix_of, timeline_node =
         match backend_name with
         | "seuss" ->
-            let controller, node = Harness.seuss_controller env in
+            (* The arm that renders a timeline attaches the one sampler
+               itself, at its own period. *)
+            let controller, node =
+              if timeline then Harness.seuss_controller ~timeline:false env
+              else Harness.seuss_controller env
+            in
             ( controller,
               (fun () ->
                 let st = Seuss.Node.stats node in

@@ -52,18 +52,27 @@ val make_seuss_env :
     endpoint registered as ["http://io-server"]. *)
 
 val seuss_node :
-  ?run:Run_config.t -> ?config:Seuss.Config.t -> Seuss.Osenv.t -> Seuss.Node.t
+  ?run:Run_config.t ->
+  ?config:Seuss.Config.t ->
+  ?timeline:bool ->
+  Seuss.Osenv.t ->
+  Seuss.Node.t
 (** Create and start a SEUSS node (blocking: boots the runtime). [run]
     can switch on working-set prefault and the snapshot store (with its
     policy) over [config], sets the node's trace sampling, attaches the
     resource timeline sampler, and always registers the ownership
-    census (inert unless the engine armed it). Experiments needing
-    fixed arms (e.g. [Fig_reap], [Fig_evict]) build their nodes
-    directly. *)
+    census (inert unless the engine armed it). [timeline] overrides
+    [run.timeline]: a caller attaching its own sampler passes [false],
+    since two samplers on one engine keep each other alive and the run
+    never quiesces. Experiments needing fixed arms (e.g. [Fig_reap],
+    [Fig_evict]) build their nodes directly. *)
 
 val seuss_controller :
-  ?config:Seuss.Config.t -> Seuss.Osenv.t -> Platform.Controller.t * Seuss.Node.t
-(** Node + shim + OpenWhisk controller. *)
+  ?config:Seuss.Config.t ->
+  ?timeline:bool ->
+  Seuss.Osenv.t ->
+  Platform.Controller.t * Seuss.Node.t
+(** Node + shim + OpenWhisk controller; [timeline] as in {!seuss_node}. *)
 
 val linux_controller :
   ?config:Baselines.Linux_node.config ->

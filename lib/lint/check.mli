@@ -1,96 +1,5 @@
-(** The seusslint per-file checker.
+(** The base pass: per-file syntactic rules, decidable on names alone
+    (no typing pass), suppressed with
+    [(* seusslint: allow <rule> — <reason> *)]. *)
 
-    Parses one source with compiler-libs, walks the Parsetree for hits
-    of the syntactic rules ({!Rules.syntactic}), then reconciles them
-    against the file's [seusslint: allow] comments. No typing pass —
-    every rule is decidable (conservatively) on names alone, which keeps
-    the linter dependency-free and fast enough to run on every build.
-
-    The pieces shared with the interprocedural deadlock pass
-    ({!Deadlock}) — source discovery, comment gathering, directive
-    parsing and path normalization — are exported here. *)
-
-type violation = {
-  file : string;  (** repo-relative path *)
-  line : int;
-  col : int;
-  rule : string;  (** {!Rules.name}, or a meta-diagnostic id *)
-  message : string;
-}
-
-val compare_violation : violation -> violation -> int
-(** Orders by (file, line, col, rule) for stable reports. *)
-
-(** {1 Shared sources}
-
-    Reading, comment-lexing and parsing dominate a pass's wall time and
-    every pass needs the identical products, so a tree is loaded once
-    into [source]s that all passes share ([seusslint --pass all] parses
-    each file exactly once). *)
-
-type source = {
-  src_path : string;  (** filesystem path the file was read from *)
-  src_rel : string;  (** repo-relative path used for classification *)
-  src_text : string;
-  src_comments : (string * Location.t) list;
-  src_ast : (Parsetree.structure, exn) result;
-      (** the parse, or the exception every pass reports as
-          [parse-error] *)
-}
-
-val load_source : ?rel:string -> string -> source
-
-val load_tree : ?strip_prefix:string -> string list -> source list
-(** Load every [.ml] under the given roots. [strip_prefix] is dropped
-    from the front of each relative path before classification, so a
-    fixture tree like [test/lint_fixtures/lib] is linted as [lib/]. *)
-
-val check_source : source -> violation list
-(** Run the syntactic rules over one loaded source. *)
-
-val check_sources : source list -> violation list
-(** [check_source] over each, merged and sorted. *)
-
-val check_file : ?rel:string -> string -> violation list
-(** [check_file path] lints one source. [rel] overrides the
-    repo-relative path used for rule classification (lib/-only rules)
-    and reporting; it defaults to [path] with leading [./]/[../]
-    stripped. *)
-
-val check_tree : ?strip_prefix:string -> string list -> violation list
-(** [check_sources] over [load_tree]: lint every [.ml] under the given
-    roots, sorted. *)
-
-(** {1 Shared plumbing} *)
-
-val marker : string
-(** ["seusslint:"] — the comment marker of the base pass. *)
-
-val source_files : string -> string list
-(** All [.ml] files under a directory, sorted, skipping [_build] and
-    dot-directories. [[]] if the directory is unreadable. *)
-
-val rel_of_path : string -> string
-(** Strip leading [./] and [../] segments so ["lib/..."] classification
-    works from a build sandbox. *)
-
-val strip_rel_prefix : prefix:string -> string -> string
-(** Drop a leading [prefix] (itself normalized) from a relative path. *)
-
-val read_file : string -> string
-
-val gather_comments : string -> string -> (string * Location.t) list
-(** [gather_comments src path] lexes [src] (named [path] for locations)
-    to exhaustion and returns every comment with its location. *)
-
-val parse_directive :
-  marker:string -> string -> (string * string) option
-(** [parse_directive ~marker text] is [Some (verb, payload)] when the
-    comment text starts with [marker] (doc-comment [*] prefixes are
-    tolerated): [verb] is the first word after the marker and [payload]
-    the trimmed remainder. [None] when the comment is not
-    marker-directed at all. *)
-
-val split_allow_payload : string -> string * string
-(** Split an allow payload ["<rule> — <reason>"] into the rule id and
-    the reason, stripping the separator ([—], [--] or [-]). *)
+val pass : Pass.t

@@ -8,19 +8,13 @@
    there is an unhandled effect — the simulation aborts — so no
    may-block call may be reachable from one.
 
-   Two ways a context enters the analysis:
-
-   - [registrars]: functions whose callback argument becomes atomic. The
-     deadlock pass treats the callback expression at every call site of
-     a registrar (matched by its last two path components) as an atomic
-     region: a function literal is analyzed in place, a function name is
-     analyzed through its interprocedural summary.
-
-   - [atomic]: audited (file, top-level binding) pairs naming functions
-     that are installed as atomic callbacks far from their definition.
-     Like Sites.audited, the list is the reviewable inventory; fixtures
-     and new code can alternatively mark a binding with
-     (* seussdead: atomic <reason> *) on its definition. *)
+   [registrars] are the functions whose callback argument becomes
+   atomic. The deadlock pass treats the callback expression at every
+   call site of a registrar (matched by its last two path components) as
+   an atomic region: a function literal is analyzed in place, a function
+   name is analyzed through its interprocedural summary. A function
+   installed as an atomic callback far from its definition is marked
+   with (* seussdead: atomic <reason> *) on its definition instead. *)
 
 (* Which argument of a registrar is the atomic callback. *)
 type callback_arg =
@@ -41,13 +35,3 @@ let registrars : (string * callback_arg * string) list =
 
 let registrar_of ~suffix =
   List.find_opt (fun (s, _, _) -> String.equal s suffix) registrars
-
-(* (repo-relative file, top-level binding) of audited atomic roots.
-   Empty today: every shipped atomic context is a literal or named
-   argument at a registrar call site, which the pass finds by itself. *)
-let atomic : (string * string) list = []
-
-let is_atomic ~file ~binding =
-  List.exists
-    (fun (f, b) -> String.equal f file && String.equal b binding)
-    atomic

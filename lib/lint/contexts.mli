@@ -19,11 +19,3 @@ val registrar_of :
   suffix:string -> (string * callback_arg * string) option
 (** Look a call target up by its last two path components
     (e.g. ["Heap.create"]). *)
-
-val atomic : (string * string) list
-(** Audited (repo-relative file, top-level binding) pairs naming
-    functions installed as atomic callbacks far from their definition.
-    New code can instead mark a binding with
-    [(* seussdead: atomic <reason> *)] on its definition line. *)
-
-val is_atomic : file:string -> binding:string -> bool

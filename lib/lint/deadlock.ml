@@ -1,19 +1,7 @@
 (* seussdead — the interprocedural blocking/deadlock pass.
 
-   Where {!Check} decides every rule inside one file, this pass builds a
-   call graph over the whole tree first: each top-level binding becomes
-   a node keyed "Module.binding" (module = capitalized basename), and
-   every identifier a function references is a conservative call edge —
-   referencing a function counts as calling it, which keeps higher-order
-   code (callbacks handed to registrars, closures stored in records)
-   inside the approximation. Name resolution is suffix-based: a
-   reference [Sim.Semaphore.acquire] resolves to every definition whose
-   key matches its last two components ("Semaphore.acquire"), and an
-   unqualified reference resolves within its own module. Ambiguity (two
-   modules with one basename) resolves to the whole candidate set; a
-   summary holds if it holds for any candidate.
-
-   On that graph two summaries reach a fixpoint per function:
+   Over the shared call graph ({!Graph}) two summaries reach a fixpoint
+   per function:
 
    - may-block: the function can reach a blocking primitive
      (Semaphore.acquire / with_permit, Channel.recv / send, Ivar.read,
@@ -31,8 +19,7 @@
    Three rules:
    - block-in-handler: no may-block call reachable from an atomic
      context — a callback at one of the audited registrars in
-     {!Contexts}, an audited (file, binding) pair, or a binding marked
-     (* seussdead: atomic <reason> *).
+     {!Contexts}, or a binding marked (* seussdead: atomic <reason> *).
    - lock-order: the acquired-while-holding graph over lock classes
      (direct acquires plus the may-acquire summary of every function
      referenced while holding) must be acyclic, and every
@@ -41,12 +28,11 @@
      enclosing function never releases that class.
 
    Suppressions use the pass's own marker so they never collide with the
-   base pass: (* seussdead: allow <rule> — <reason> *), validated by the
-   same bad-allow/unused-allow meta-rules. *)
-
-let marker = "seussdead:"
+   base pass: (* seussdead: allow <rule> — <reason> *). *)
 
 module SSet = Set.Make (String)
+
+let rules = Rules.[ Block_in_handler; Lock_order; Unreleased_acquire ]
 
 let blocking_primitives =
   [
@@ -55,187 +41,83 @@ let blocking_primitives =
     "Engine.sleep"; "Engine.yield"; "Engine.suspend";
   ]
 
-let suffix2 = Resolve.suffix2
+let is_seed path = List.mem (Graph.suffix2 path) blocking_primitives
 
-let is_seed path = List.mem (suffix2 path) blocking_primitives
-
-(* {1 Scan products} *)
-
-type fn = {
-  fn_id : int;
-  fn_key : string;  (* "Module.binding" *)
-  fn_module : string;
-  fn_file : string;
-  fn_line : int;
-  mutable fn_refs : (string list * int) list;  (* ident path, line *)
-  mutable fn_acquires : (string * int) list;
-      (* classifiable acquires, bare + with_permit: (hint, line) *)
-  mutable fn_bare : (string * int) list;  (* bare acquires only *)
-  mutable fn_releases : string list;  (* release hints *)
-  mutable fn_atomic : bool;  (* audited or seussdead:-annotated atomic *)
-}
+(* {1 The transfer function: what one binding acquires, releases and
+   holds} *)
 
 type region = {
   rg_desc : string;
-  rg_module : string;
-  rg_file : string;
+  rg_node : Graph.node;
   rg_line : int;
-  mutable rg_refs : (string list * int) list;
+  mutable rg_refs : string list list;
 }
 
 type held = {
   h_hint : string;  (* hint of the lock held at this point *)
   h_target : [ `Call of string list | `Acquire of string ];
-  h_module : string;
-  h_file : string;
+  h_node : Graph.node;
   h_line : int;
 }
 
-type creation = {
-  c_file : string;
-  c_line : int;
-  c_hint : string;
-  mutable c_class : string option;
+type creation = { c_file : string; c_line : int; c_hint : string }
+
+type facts = {
+  acquires : (string * int) list array;
+      (* classifiable acquires, bare + with_permit: (hint, line) *)
+  bare : (string * int) list array;  (* bare acquires only *)
+  releases : string list array;  (* release hints *)
+  mutable regions : region list;
+  mutable helds : held list;
+  mutable creations : creation list;
 }
-
-type directive = {
-  d_payload : string;
-  d_first : int;
-  d_last : int;
-  d_line : int;
-  mutable d_used : bool;
-}
-
-type allow = {
-  al_rule : Rules.id;
-  al_first : int;
-  al_last : int;
-  al_line : int;
-  mutable al_used : bool;
-}
-
-type file_scan = {
-  fs_rel : string;
-  mutable fs_fns : fn list;  (* definition order *)
-  mutable fs_regions : region list;
-  mutable fs_helds : held list;
-  mutable fs_creations : creation list;
-  mutable fs_allows : allow list;
-  mutable fs_meta : Check.violation list;
-}
-
-let mk file line col rule message =
-  { Check.file; line; col; rule = Rules.name rule; message }
-
-let mk_meta file line col rule message = { Check.file; line; col; rule; message }
-
-(* {1 The per-file walk} *)
 
 type tstate = {
-  s_rel : string;
-  s_module : string;
-  mutable s_next_id : int;
-  mutable s_fns : fn list;  (* reverse order *)
-  mutable s_cur : fn;
-  mutable s_hint : string;  (* innermost binding/field name *)
-  mutable s_holding : string list;  (* hints of locks held here *)
-  mutable s_active : region list;  (* atomic regions being walked *)
-  mutable s_regions : region list;
-  mutable s_helds : held list;
-  mutable s_creations : creation list;
+  mutable cur : Graph.node;
+  mutable hint : string;  (* innermost binding/field name *)
+  mutable holding : string list;  (* hints of locks held here *)
+  mutable active : region list;  (* atomic regions being walked *)
 }
 
-let module_of rel =
-  String.capitalize_ascii Filename.(remove_extension (basename rel))
-
-let new_fn st name line =
-  let f =
-    {
-      fn_id = st.s_next_id;
-      fn_key = st.s_module ^ "." ^ name;
-      fn_module = st.s_module;
-      fn_file = st.s_rel;
-      fn_line = line;
-      fn_refs = [];
-      fn_acquires = [];
-      fn_bare = [];
-      fn_releases = [];
-      fn_atomic = false;
-    }
-  in
-  st.s_next_id <- st.s_next_id + 1;
-  st.s_fns <- f :: st.s_fns;
-  f
-
-let record_ref st path line =
-  st.s_cur.fn_refs <- (path, line) :: st.s_cur.fn_refs;
-  List.iter (fun rg -> rg.rg_refs <- (path, line) :: rg.rg_refs) st.s_active;
+(* [target] is reached while holding every lock held here. *)
+let record_held fx st target line =
   List.iter
     (fun h ->
-      st.s_helds <-
-        {
-          h_hint = h;
-          h_target = `Call path;
-          h_module = st.s_module;
-          h_file = st.s_rel;
-          h_line = line;
-        }
-        :: st.s_helds)
-    st.s_holding
+      if target <> `Acquire h then
+        fx.helds <-
+          { h_hint = h; h_target = target; h_node = st.cur; h_line = line }
+          :: fx.helds)
+    st.holding
 
-let record_acquire st hint line ~bare =
-  st.s_cur.fn_acquires <- (hint, line) :: st.s_cur.fn_acquires;
-  if bare then st.s_cur.fn_bare <- (hint, line) :: st.s_cur.fn_bare;
-  List.iter
-    (fun h ->
-      if not (String.equal h hint) then
-        st.s_helds <-
-          {
-            h_hint = h;
-            h_target = `Acquire hint;
-            h_module = st.s_module;
-            h_file = st.s_rel;
-            h_line = line;
-          }
-          :: st.s_helds)
-    st.s_holding
+let record_ref fx st path line =
+  if not (Graph.shadowed st.cur path) then begin
+    List.iter (fun rg -> rg.rg_refs <- path :: rg.rg_refs) st.active;
+    record_held fx st (`Call path) line
+  end
+
+let record_acquire fx st hint line ~bare =
+  let id = st.cur.id in
+  fx.acquires.(id) <- (hint, line) :: fx.acquires.(id);
+  if bare then fx.bare.(id) <- (hint, line) :: fx.bare.(id);
+  record_held fx st (`Acquire hint) line
+
+let release fx st hint =
+  fx.releases.(st.cur.id) <- hint :: fx.releases.(st.cur.id)
 
 (* Remove one occurrence, program-order approximation of release. *)
 let rec remove_one x = function
   | [] -> []
   | y :: rest -> if String.equal x y then rest else y :: remove_one x rest
 
-let hint_of_expr (e : Parsetree.expression) =
-  let last_of lid =
-    match List.rev (Longident.flatten lid) with [] -> "" | x :: _ -> x
-  in
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> last_of txt
-  | Pexp_field (_, { txt; _ }) -> last_of txt
-  | _ -> ""
-
-(* A semaphore operation applied by name: qualified through a
-   [Semaphore] path component, or unqualified inside semaphore.ml. *)
-let sem_op st path =
-  match List.rev path with
-  | op :: rest ->
-      let qualifies =
-        match rest with
-        | m :: _ -> String.equal m "Semaphore"
-        | [] -> String.equal st.s_module "Semaphore"
-      in
-      if not qualifies then None
-      else (
-        match op with
-        | "acquire" -> Some `Acquire
-        | "with_permit" -> Some `With_permit
-        | "release" -> Some `Release
-        | "create" -> Some `Create
-        | _ -> None)
-  | [] -> None
-
-let positional args =
-  List.filter_map (function Asttypes.Nolabel, e -> Some e | _ -> None) args
+let sem_op node path =
+  if not (Graph.in_module node path "Semaphore") then None
+  else
+    match Graph.last path with
+    | "acquire" -> Some `Acquire
+    | "with_permit" -> Some `With_permit
+    | "release" -> Some `Release
+    | "create" -> Some `Create
+    | _ -> None
 
 let callback_arg_of spec args =
   match spec with
@@ -247,526 +129,157 @@ let callback_arg_of spec args =
               Some e
           | _ -> None)
         args
-  | Contexts.Positional n -> List.nth_opt (positional args) n
+  | Contexts.Positional n -> List.nth_opt (Graph.positional args) n
 
-let iterator st =
+let iterator fx st =
   let open Ast_iterator in
   let walk_args sub args = List.iter (fun (_, a) -> sub.expr sub a) args in
-  let handle_apply sub path loc args =
-    let line = loc.Location.loc_start.Lexing.pos_lnum in
-    record_ref st path line;
-    match sem_op st path with
+  let handle_apply sub path (loc : Location.t) args =
+    let line = loc.loc_start.pos_lnum in
+    record_ref fx st path line;
+    let first_hint () =
+      match Graph.positional args with e :: _ -> Graph.name_of e | [] -> ""
+    in
+    match sem_op st.cur path with
     | Some `Create ->
-        st.s_creations <-
-          { c_file = st.s_rel; c_line = line; c_hint = st.s_hint;
-            c_class = None }
-          :: st.s_creations;
+        fx.creations <-
+          { c_file = st.cur.file; c_line = line; c_hint = st.hint }
+          :: fx.creations;
         walk_args sub args
     | Some `Acquire ->
-        let hint =
-          match positional args with e :: _ -> hint_of_expr e | [] -> ""
-        in
-        record_acquire st hint line ~bare:true;
-        if hint <> "" then st.s_holding <- hint :: st.s_holding;
+        let hint = first_hint () in
+        record_acquire fx st hint line ~bare:true;
+        if hint <> "" then st.holding <- hint :: st.holding;
         walk_args sub args
     | Some `Release ->
-        let hint =
-          match positional args with e :: _ -> hint_of_expr e | [] -> ""
-        in
+        let hint = first_hint () in
         if hint <> "" then begin
-          st.s_cur.fn_releases <- hint :: st.s_cur.fn_releases;
-          st.s_holding <- remove_one hint st.s_holding
+          release fx st hint;
+          st.holding <- remove_one hint st.holding
         end;
         walk_args sub args
     | Some `With_permit -> (
-        match positional args with
+        match Graph.positional args with
         | sem :: body :: _ ->
-            let hint = hint_of_expr sem in
-            record_acquire st hint line ~bare:false;
-            if hint <> "" then
-              st.s_cur.fn_releases <- hint :: st.s_cur.fn_releases;
+            let hint = Graph.name_of sem in
+            record_acquire fx st hint line ~bare:false;
+            if hint <> "" then release fx st hint;
             sub.expr sub sem;
-            let saved = st.s_holding in
-            if hint <> "" then st.s_holding <- hint :: st.s_holding;
+            let saved = st.holding in
+            if hint <> "" then st.holding <- hint :: st.holding;
             sub.expr sub body;
-            st.s_holding <- saved
+            st.holding <- saved
         | _ -> walk_args sub args)
     | None -> (
-        match Contexts.registrar_of ~suffix:(suffix2 path) with
+        match Contexts.registrar_of ~suffix:(Graph.suffix2 path) with
         | Some (sfx, arg_spec, desc) -> (
             match callback_arg_of arg_spec args with
             | None -> walk_args sub args
             | Some cb ->
                 let rg =
-                  {
-                    rg_desc = Printf.sprintf "%s (callback of %s)" desc sfx;
-                    rg_module = st.s_module;
-                    rg_file = st.s_rel;
-                    rg_line = line;
-                    rg_refs = [];
-                  }
+                  { rg_desc = Printf.sprintf "%s (callback of %s)" desc sfx;
+                    rg_node = st.cur; rg_line = line; rg_refs = [] }
                 in
-                st.s_regions <- rg :: st.s_regions;
+                fx.regions <- rg :: fx.regions;
                 List.iter
                   (fun ((_, a) : Asttypes.arg_label * Parsetree.expression) ->
                     if a.pexp_loc = cb.Parsetree.pexp_loc then begin
-                      st.s_active <- rg :: st.s_active;
+                      st.active <- rg :: st.active;
                       sub.expr sub a;
-                      st.s_active <- List.tl st.s_active
+                      st.active <- List.tl st.active
                     end
                     else sub.expr sub a)
                   args)
         | None -> walk_args sub args)
   in
+  let with_hint h f =
+    let saved = st.hint in
+    if h <> "" then st.hint <- h;
+    f ();
+    st.hint <- saved
+  in
   let expr sub (e : Parsetree.expression) =
     match e.pexp_desc with
     | Pexp_ident { txt; loc } ->
-        record_ref st (Longident.flatten txt) loc.loc_start.Lexing.pos_lnum
+        record_ref fx st (Longident.flatten txt) loc.loc_start.pos_lnum
     | Pexp_apply ({ pexp_desc = Pexp_ident { txt; loc }; _ }, args) ->
         handle_apply sub (Longident.flatten txt) loc args
     | Pexp_record (fields, base) ->
         Option.iter (sub.expr sub) base;
         List.iter
           (fun ((lid : Longident.t Location.loc), fe) ->
-            let saved = st.s_hint in
-            (match List.rev (Longident.flatten lid.txt) with
-            | [] -> ()
-            | x :: _ -> st.s_hint <- x);
-            sub.expr sub fe;
-            st.s_hint <- saved)
+            with_hint (Graph.last (Longident.flatten lid.txt)) (fun () -> sub.expr sub fe))
           fields
     | _ -> default_iterator.expr sub e
   in
   let value_binding sub (vb : Parsetree.value_binding) =
-    let saved = st.s_hint in
-    (match vb.pvb_pat.ppat_desc with
-    | Ppat_var { txt; _ } -> st.s_hint <- txt
-    | _ -> ());
-    default_iterator.value_binding sub vb;
-    st.s_hint <- saved
+    let h =
+      match vb.pvb_pat.ppat_desc with Ppat_var { txt; _ } -> txt | _ -> ""
+    in
+    with_hint h (fun () -> default_iterator.value_binding sub vb)
   in
-  let structure_item sub (item : Parsetree.structure_item) =
-    match item.pstr_desc with
-    | Pstr_value (_, bindings) ->
-        let toplevel = st.s_cur in
-        List.iter
-          (fun (vb : Parsetree.value_binding) ->
-            let name =
-              match vb.pvb_pat.ppat_desc with
-              | Ppat_var { txt; _ } -> txt
-              | _ -> "<toplevel>"
-            in
-            st.s_cur <-
-              new_fn st name vb.pvb_loc.Location.loc_start.Lexing.pos_lnum;
-            st.s_holding <- [];
-            sub.value_binding sub vb;
-            st.s_cur <- toplevel;
-            st.s_holding <- [])
-          bindings
-    | _ -> default_iterator.structure_item sub item
-  in
-  { default_iterator with expr; value_binding; structure_item }
+  { default_iterator with expr; value_binding }
 
-(* {1 Directives: allow / lock / atomic} *)
+(* {1 Lock classes} *)
 
-let scan_directives fs comments =
-  let locks = ref [] in
-  let atomics = ref [] in
+(* Per-file and tree-wide classes of the annotated creations; two
+   same-named semaphores with different classes in one file fall back to
+   the tree-wide set. *)
+let classifier creations =
+  let perfile = Hashtbl.create 32 and global = Hashtbl.create 32 in
   List.iter
-    (fun (text, (loc : Location.t)) ->
-      let line = loc.loc_start.Lexing.pos_lnum in
-      let col = loc.loc_start.Lexing.pos_cnum - loc.loc_start.Lexing.pos_bol in
-      let first = line and last = loc.loc_end.Lexing.pos_lnum + 1 in
-      match Check.parse_directive ~marker text with
-      | None -> ()
-      | Some ("allow", payload) when payload <> "" -> (
-          let rule_id, reason = Check.split_allow_payload payload in
-          match Rules.of_name rule_id with
-          | Some r when List.mem r Rules.deadlock ->
-              if String.length reason = 0 then
-                fs.fs_meta <-
-                  mk_meta fs.fs_rel line col Rules.bad_allow
-                    (Printf.sprintf
-                       "allow %s needs a reason: seussdead: allow %s — <why>"
-                       rule_id rule_id)
-                  :: fs.fs_meta
-              else
-                fs.fs_allows <-
-                  { al_rule = r; al_first = first; al_last = last;
-                    al_line = line; al_used = false }
-                  :: fs.fs_allows
-          | Some r ->
-              let hint =
-                if List.mem r Rules.heat then
-                  "the heat pass; suppress it with a seussheat: cold marker"
-                else if List.mem r Rules.own then
-                  "the own pass; suppress it with a seussown: transfer marker"
-                else "the base pass; suppress it with a seusslint: allow comment"
-              in
-              fs.fs_meta <-
-                mk_meta fs.fs_rel line col Rules.bad_allow
-                  (Printf.sprintf "rule %s belongs to %s" rule_id hint)
-                :: fs.fs_meta
-          | None ->
-              fs.fs_meta <-
-                mk_meta fs.fs_rel line col Rules.bad_allow
-                  (Printf.sprintf "unknown rule %S in allow comment" rule_id)
-                :: fs.fs_meta)
-      | Some ("lock", cls) when cls <> "" && not (String.contains cls ' ') ->
-          locks :=
-            { d_payload = cls; d_first = first; d_last = last; d_line = line;
-              d_used = false }
-            :: !locks
-      | Some ("atomic", reason) when reason <> "" ->
-          atomics :=
-            { d_payload = reason; d_first = first; d_last = last;
-              d_line = line; d_used = false }
-            :: !atomics
-      | Some _ ->
-          fs.fs_meta <-
-            mk_meta fs.fs_rel line col Rules.bad_allow
-              "malformed seussdead comment; expected: allow <rule> — \
-               <reason>, lock <class>, or atomic <reason>"
-            :: fs.fs_meta)
-    comments;
-  (List.rev !locks, List.rev !atomics)
-
-let binding_of_key key =
-  match String.index_opt key '.' with
-  | Some i -> String.sub key (i + 1) (String.length key - i - 1)
-  | None -> key
-
-(* Scan one loaded source: walk its AST into scan products, pair
-   creations with lock directives and definitions with atomic
-   directives, and report creations that carry no lock class. *)
-let scan_source (source : Check.source) =
-  let rel = source.Check.src_rel in
-  let fs =
-    {
-      fs_rel = rel;
-      fs_fns = [];
-      fs_regions = [];
-      fs_helds = [];
-      fs_creations = [];
-      fs_allows = [];
-      fs_meta = [];
-    }
-  in
-  let locks, atomics = scan_directives fs source.Check.src_comments in
-  let modname = module_of rel in
-  let st =
-    {
-      s_rel = rel;
-      s_module = modname;
-      s_next_id = 0;
-      s_fns = [];
-      s_cur =
-        {
-          fn_id = -1;
-          fn_key = modname ^ ".<toplevel>";
-          fn_module = modname;
-          fn_file = rel;
-          fn_line = 1;
-          fn_refs = [];
-          fn_acquires = [];
-          fn_bare = [];
-          fn_releases = [];
-          fn_atomic = false;
-        };
-      s_hint = "";
-      s_holding = [];
-      s_active = [];
-      s_regions = [];
-      s_helds = [];
-      s_creations = [];
-    }
-  in
-  st.s_cur <- new_fn st "<toplevel>" 1;
-  (match source.Check.src_ast with
-  | Ok ast ->
-      let it = iterator st in
-      it.structure it ast
-  | Error exn ->
-      fs.fs_meta <-
-        mk_meta rel 1 0 Rules.parse_error (Printexc.to_string exn)
-        :: fs.fs_meta);
-  fs.fs_fns <- List.rev st.s_fns;
-  fs.fs_regions <- List.rev st.s_regions;
-  fs.fs_helds <- List.rev st.s_helds;
-  fs.fs_creations <- List.rev st.s_creations;
-  let hits = ref [] in
-  List.iter
-    (fun c ->
-      match
-        List.find_opt
-          (fun d -> c.c_line >= d.d_first && c.c_line <= d.d_last)
-          locks
-      with
-      | Some d ->
-          d.d_used <- true;
-          c.c_class <- Some d.d_payload
-      | None ->
-          hits :=
-            mk rel c.c_line 0 Rules.Lock_order
-              "Semaphore.create without a lock class; annotate the create \
-               line with (* seussdead: lock <class> *)"
-            :: !hits)
-    fs.fs_creations;
-  List.iter
-    (fun fn ->
-      if Contexts.is_atomic ~file:rel ~binding:(binding_of_key fn.fn_key) then
-        fn.fn_atomic <- true;
-      if
-        List.exists
-          (fun d ->
-            let covers = fn.fn_line >= d.d_first && fn.fn_line <= d.d_last in
-            if covers then d.d_used <- true;
-            covers)
-          atomics
-      then fn.fn_atomic <- true)
-    fs.fs_fns;
-  List.iter
-    (fun d ->
-      if not d.d_used then
-        fs.fs_meta <-
-          mk_meta rel d.d_line 0 Rules.unused_allow
-            "lock annotation names no Semaphore.create; delete it"
-          :: fs.fs_meta)
-    locks;
-  List.iter
-    (fun d ->
-      if not d.d_used then
-        fs.fs_meta <-
-          mk_meta rel d.d_line 0 Rules.unused_allow
-            "atomic annotation covers no top-level binding; delete it"
-          :: fs.fs_meta)
-    atomics;
-  (fs, !hits)
-
-(* {1 Linking and summaries} *)
-
-type linked = {
-  fns : fn array;
-  defs : fn Resolve.t;  (* "Module.binding" -> definitions *)
-  may_block : bool array;
-  may_acquire : SSet.t array;
-  perfile_class : (string * string, string) Hashtbl.t;
-  global_class : (string, SSet.t) Hashtbl.t;
-}
-
-let resolve lk ~modname path = Resolve.find lk.defs ~modname path
-
-let classes_of lk ~file hint =
-  if String.equal hint "" then []
-  else
-    match Hashtbl.find_opt lk.perfile_class (file, hint) with
-    | Some c -> [ c ]
-    | None -> (
-        match Hashtbl.find_opt lk.global_class hint with
-        | Some s -> SSet.elements s
-        | None -> [])
-
-let link scans =
-  let all_fns = List.concat_map (fun fs -> fs.fs_fns) scans in
-  (* Re-id globally; the scans' own records keep their per-file ids but
-     only [fn_atomic] (already set) is read off them afterwards. *)
-  let fns =
-    Array.of_list (List.mapi (fun i f -> { f with fn_id = i }) all_fns)
-  in
-  let n = Array.length fns in
-  let defs = Resolve.create () in
-  Array.iter
-    (fun f ->
-      if not (String.equal (binding_of_key f.fn_key) "<toplevel>") then
-        Resolve.add defs ~key:f.fn_key ~file:f.fn_file f)
-    fns;
-  let perfile_class = Hashtbl.create 32 in
-  let global_class = Hashtbl.create 32 in
-  List.iter
-    (fun fs ->
-      List.iter
-        (fun c ->
-          match c.c_class with
-          | None -> ()
-          | Some cls ->
-              if c.c_hint <> "" then begin
-                (match Hashtbl.find_opt perfile_class (c.c_file, c.c_hint) with
-                | Some existing when not (String.equal existing cls) ->
-                    (* Two same-named semaphores with different classes in
-                       one file: fall back to the tree-wide set. *)
-                    Hashtbl.remove perfile_class (c.c_file, c.c_hint)
-                | Some _ -> ()
-                | None ->
-                    Hashtbl.replace perfile_class (c.c_file, c.c_hint) cls);
-                let prev =
-                  match Hashtbl.find_opt global_class c.c_hint with
-                  | Some s -> s
-                  | None -> SSet.empty
-                in
-                Hashtbl.replace global_class c.c_hint (SSet.add cls prev)
-              end)
-        fs.fs_creations)
-    scans;
-  let lk =
-    {
-      fns;
-      defs;
-      may_block = Array.make (max n 1) false;
-      may_acquire = Array.make (max n 1) SSet.empty;
-      perfile_class;
-      global_class;
-    }
-  in
-  (* Definitions whose key *is* a blocking primitive are seeds even when
-     their bodies bottom out in effects the walk cannot see. *)
-  Array.iter
-    (fun f ->
-      if List.mem f.fn_key blocking_primitives then
-        lk.may_block.(f.fn_id) <- true)
-    fns;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Array.iter
-      (fun f ->
-        if not lk.may_block.(f.fn_id) then
-          let blocks =
-            List.exists
-              (fun (path, _) ->
-                is_seed path
-                || List.exists
-                     (fun g -> lk.may_block.(g.fn_id))
-                     (resolve lk ~modname:f.fn_module path))
-              f.fn_refs
-          in
-          if blocks then begin
-            lk.may_block.(f.fn_id) <- true;
-            changed := true
-          end)
-      fns
-  done;
-  Array.iter
-    (fun f ->
-      let direct =
-        List.fold_left
-          (fun acc (hint, _) ->
-            List.fold_left
-              (fun acc c -> SSet.add c acc)
-              acc
-              (classes_of lk ~file:f.fn_file hint))
-          SSet.empty f.fn_acquires
-      in
-      lk.may_acquire.(f.fn_id) <- direct)
-    fns;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Array.iter
-      (fun f ->
-        let acc =
-          List.fold_left
-            (fun acc (path, _) ->
-              List.fold_left
-                (fun acc g -> SSet.union acc lk.may_acquire.(g.fn_id))
-                acc
-                (resolve lk ~modname:f.fn_module path))
-            lk.may_acquire.(f.fn_id) f.fn_refs
+    (fun (c, cls) ->
+      if c.c_hint <> "" then begin
+        (match Hashtbl.find_opt perfile (c.c_file, c.c_hint) with
+        | Some existing when not (String.equal existing cls) ->
+            Hashtbl.remove perfile (c.c_file, c.c_hint)
+        | Some _ -> ()
+        | None -> Hashtbl.replace perfile (c.c_file, c.c_hint) cls);
+        let prev =
+          Option.value ~default:SSet.empty (Hashtbl.find_opt global c.c_hint)
         in
-        if not (SSet.equal acc lk.may_acquire.(f.fn_id)) then begin
-          lk.may_acquire.(f.fn_id) <- acc;
-          changed := true
-        end)
-      fns
-  done;
-  lk
-
-(* {1 block-in-handler: chains from atomic contexts to seeds} *)
-
-(* Shortest reference chain from [refs] to a blocking primitive,
-   rendered ["f -> g -> Semaphore.acquire"]. *)
-let find_chain lk ~modname refs =
-  let refs = List.rev refs in
-  let direct =
-    List.find_map
-      (fun (path, _) -> if is_seed path then Some path else None)
-      refs
-  in
-  match direct with
-  | Some path -> Some [ suffix2 path ]
-  | None ->
-      let visited = Hashtbl.create 16 in
-      let queue = Queue.create () in
-      List.iter
-        (fun (path, _) ->
-          List.iter
-            (fun g ->
-              if lk.may_block.(g.fn_id) && not (Hashtbl.mem visited g.fn_id)
-              then begin
-                Hashtbl.replace visited g.fn_id ();
-                Queue.add (g, [ g.fn_key ]) queue
-              end)
-            (resolve lk ~modname path))
-        refs;
-      let rec bfs () =
-        match Queue.take_opt queue with
-        | None -> None
-        | Some (f, chain) -> (
-            match
-              List.find_map
-                (fun (path, _) -> if is_seed path then Some path else None)
-                (List.rev f.fn_refs)
-            with
-            | Some path -> Some (List.rev (suffix2 path :: chain))
-            | None ->
-                List.iter
-                  (fun (path, _) ->
-                    List.iter
-                      (fun g ->
-                        if
-                          lk.may_block.(g.fn_id)
-                          && not (Hashtbl.mem visited g.fn_id)
-                        then begin
-                          Hashtbl.replace visited g.fn_id ();
-                          Queue.add (g, g.fn_key :: chain) queue
-                        end)
-                      (resolve lk ~modname:f.fn_module path))
-                  (List.rev f.fn_refs);
-                bfs ())
-      in
-      bfs ()
+        Hashtbl.replace global c.c_hint (SSet.add cls prev)
+      end)
+    creations;
+  fun ~file hint ->
+    if String.equal hint "" then []
+    else
+      match Hashtbl.find_opt perfile (file, hint) with
+      | Some c -> [ c ]
+      | None -> (
+          match Hashtbl.find_opt global hint with
+          | Some s -> SSet.elements s
+          | None -> [])
 
 (* {1 lock-order: the acquired-while-holding graph} *)
 
 type edge = { e_from : string; e_to : string; e_file : string; e_line : int }
 
-let build_edges lk scans =
-  let edges = ref [] in
-  List.iter
-    (fun fs ->
-      List.iter
-        (fun h ->
-          let froms = classes_of lk ~file:h.h_file h.h_hint in
-          let tos =
-            match h.h_target with
-            | `Acquire hint -> classes_of lk ~file:h.h_file hint
-            | `Call path ->
-                List.concat_map
-                  (fun g -> SSet.elements lk.may_acquire.(g.fn_id))
-                  (resolve lk ~modname:h.h_module path)
-          in
-          List.iter
-            (fun f ->
-              List.iter
-                (fun t ->
-                  if not (String.equal f t) then
-                    edges :=
-                      { e_from = f; e_to = t; e_file = h.h_file;
-                        e_line = h.h_line }
-                      :: !edges)
-                tos)
-            froms)
-        fs.fs_helds)
-    scans;
+let build_edges g classes_of may_acquire helds =
+  let edges =
+    List.concat_map
+      (fun h ->
+        let file = h.h_node.file in
+        let tos =
+          match h.h_target with
+          | `Acquire hint -> classes_of ~file hint
+          | `Call path ->
+              List.concat_map
+                (fun (t : Graph.node) -> SSet.elements may_acquire.(t.id))
+                (Graph.find g h.h_node path)
+        in
+        List.concat_map
+          (fun f ->
+            List.filter_map
+              (fun t ->
+                if String.equal f t then None
+                else
+                  Some
+                    { e_from = f; e_to = t; e_file = file; e_line = h.h_line })
+              tos)
+          (classes_of ~file h.h_hint))
+      helds
+  in
   (* One witness per (from, to): the first in (file, line) order. *)
   let sorted =
     List.sort
@@ -774,7 +287,7 @@ let build_edges lk scans =
         compare
           (a.e_from, a.e_to, a.e_file, a.e_line)
           (b.e_from, b.e_to, b.e_file, b.e_line))
-      !edges
+      edges
   in
   List.rev
     (List.fold_left
@@ -786,11 +299,6 @@ let build_edges lk scans =
              acc
          | _ -> e :: acc)
        [] sorted)
-
-let successors edges c =
-  List.filter_map
-    (fun e -> if String.equal e.e_from c then Some e.e_to else None)
-    edges
 
 (* Shortest class path from [src] to [dst] over [edges]. *)
 let class_path edges src dst =
@@ -804,167 +312,209 @@ let class_path edges src dst =
         if String.equal c dst then Some (List.rev path)
         else begin
           List.iter
-            (fun nxt ->
-              if not (SSet.mem nxt !visited) then begin
-                visited := SSet.add nxt !visited;
-                Queue.add (nxt, nxt :: path) queue
+            (fun e ->
+              if String.equal e.e_from c && not (SSet.mem e.e_to !visited)
+              then begin
+                visited := SSet.add e.e_to !visited;
+                Queue.add (e.e_to, e.e_to :: path) queue
               end)
-            (successors edges c);
+            edges;
           bfs ()
         end
   in
   bfs ()
 
-(* {1 The tree driver} *)
+(* {1 The pass} *)
 
-let check_sources sources =
-  let scans_and_hits = List.map scan_source sources in
-  let scans = List.map fst scans_and_hits in
-  let hits = ref (List.concat_map snd scans_and_hits) in
-  let lk = link scans in
+(* Shortest reference chain from [refs] (each with the node it is
+   resolved from) to a blocking primitive, as the keys along the way
+   followed by the primitive. *)
+let find_chain g may_block refs =
+  let seed_of refs = List.find_opt is_seed refs in
+  match seed_of (List.map snd refs) with
+  | Some path -> Some [ Graph.suffix2 path ]
+  | None -> (
+      let blocks (t : Graph.node) = may_block.(t.id) in
+      let roots =
+        List.concat_map
+          (fun (n, path) -> List.filter blocks (Graph.find g n path))
+          refs
+      in
+      let own_seed (n : Graph.node) =
+        seed_of (List.map (fun r -> r.Graph.path) n.refs)
+      in
+      let stop n = own_seed n <> None in
+      match Graph.reach g roots ~follow:blocks ~stop () with
+      | parent, Some n ->
+          let seed = Graph.suffix2 (Option.get (own_seed n)) in
+          Some (Graph.chain g parent n @ [ seed ])
+      | _, None -> None)
+
+let marker =
+  let delete what _ = what ^ "; delete it" in
+  {
+    Marker.word = "seussdead:";
+    verbs =
+      [
+        {
+          verb = "allow";
+          arg = Rule;
+          reason = true;
+          unused =
+            Printf.sprintf "allowance for %s suppresses nothing; delete it";
+        };
+        {
+          verb = "lock";
+          arg = Word;
+          reason = false;
+          unused = delete "lock annotation names no Semaphore.create";
+        };
+        {
+          verb = "atomic";
+          arg = No_arg;
+          reason = true;
+          unused = delete "atomic annotation covers no top-level binding";
+        };
+      ];
+    malformed =
+      "malformed seussdead comment; expected: allow <rule> — <reason>, lock \
+       <class>, or atomic <reason>";
+  }
+
+let check pass (prog : Pass.program) =
+  let g = Lazy.force prog.graph in
+  let markers, bad = Pass.markers prog pass in
+  let n = Array.length g.nodes in
+  let fx =
+    {
+      acquires = Array.make n [];
+      bare = Array.make n [];
+      releases = Array.make n [];
+      regions = [];
+      helds = [];
+      creations = [];
+    }
+  in
+  List.iter
+    (fun ((_, nodes) as file) ->
+      let st = { cur = List.hd nodes; hint = ""; holding = []; active = [] } in
+      Graph.walk file (iterator fx st) ~enter:(fun n ->
+          st.cur <- n;
+          st.holding <- []))
+    g.files;
+  let hits = ref [] in
+  let hit file line rule message =
+    hits := Source.violation file line 0 (Rules.name rule) message :: !hits
+  in
+  (* Pair creations with lock markers. *)
+  let locks = Marker.with_verb "lock" markers in
+  let classified =
+    List.filter_map
+      (fun c ->
+        match Marker.covering locks ~file:c.c_file c.c_line with
+        | Some m ->
+            m.m_used <- true;
+            Some (c, m.m_arg)
+        | None ->
+            hit c.c_file c.c_line Rules.Lock_order
+              "Semaphore.create without a lock class; annotate the create line \
+               with (* seussdead: lock <class> *)";
+            None)
+      (List.rev fx.creations)
+  in
+  let classes_of = classifier classified in
+  let atomics = Marker.with_verb "atomic" markers in
+  let atomic (f : Graph.node) =
+    match Marker.covering atomics ~file:f.file f.def_line with
+    | Some m ->
+        m.m_used <- true;
+        true
+    | None -> false
+  in
+  (* Definitions whose key *is* a blocking primitive are seeds even when
+     their bodies bottom out in effects the walk cannot see. *)
+  let may_block =
+    Graph.fixpoint g ~join:( || ) ~equal:Bool.equal ~init:(fun f ->
+        List.mem f.key blocking_primitives
+        || List.exists (fun r -> is_seed r.Graph.path) f.refs)
+  in
+  let may_acquire =
+    Graph.fixpoint g ~join:SSet.union ~equal:SSet.equal ~init:(fun f ->
+        List.fold_left
+          (fun acc (hint, _) ->
+            SSet.union acc (SSet.of_list (classes_of ~file:f.file hint)))
+          SSet.empty fx.acquires.(f.id))
+  in
   (* block-in-handler: registrar callbacks... *)
   List.iter
-    (fun fs ->
-      List.iter
-        (fun rg ->
-          match find_chain lk ~modname:rg.rg_module rg.rg_refs with
-          | None -> ()
-          | Some chain ->
-              hits :=
-                mk rg.rg_file rg.rg_line 0 Rules.Block_in_handler
-                  (Printf.sprintf
-                     "%s may block: %s — atomic contexts run outside the \
-                      effect handler and must not suspend"
-                     rg.rg_desc
-                     (String.concat " -> " chain))
-                :: !hits)
-        fs.fs_regions)
-    scans;
-  (* ...and audited/annotated atomic functions. *)
-  Array.iter
-    (fun f ->
-      if f.fn_atomic && lk.may_block.(f.fn_id) then
-        let chain =
-          match find_chain lk ~modname:f.fn_module f.fn_refs with
-          | Some c -> String.concat " -> " (f.fn_key :: c)
-          | None -> f.fn_key
-        in
-        hits :=
-          mk f.fn_file f.fn_line 0 Rules.Block_in_handler
+    (fun rg ->
+      let refs = List.rev_map (fun p -> (rg.rg_node, p)) rg.rg_refs in
+      Option.iter
+        (fun chain ->
+          hit rg.rg_node.file rg.rg_line Rules.Block_in_handler
             (Printf.sprintf
-               "atomic function may block: %s — atomic contexts run outside \
-                the effect handler and must not suspend"
-               chain)
-          :: !hits)
-    lk.fns;
+               "%s may block: %s — atomic contexts run outside the effect \
+                handler and must not suspend"
+               rg.rg_desc (String.concat " -> " chain)))
+        (find_chain g may_block refs))
+    fx.regions;
+  (* ...and annotated atomic functions. *)
+  Array.iter
+    (fun (f : Graph.node) ->
+      if atomic f && may_block.(f.id) then
+        let refs = List.map (fun r -> (f, r.Graph.path)) f.refs in
+        let chain =
+          f.key :: Option.value ~default:[] (find_chain g may_block refs)
+        in
+        hit f.file f.def_line Rules.Block_in_handler
+          (Printf.sprintf
+             "atomic function may block: %s — atomic contexts run outside the \
+              effect handler and must not suspend"
+             (String.concat " -> " chain)))
+    g.nodes;
   (* lock-order cycles *)
-  let edges = build_edges lk scans in
+  let edges = build_edges g classes_of may_acquire fx.helds in
   List.iter
     (fun e ->
-      match class_path edges e.e_to e.e_from with
-      | None -> ()
-      | Some back ->
-          hits :=
-            mk e.e_file e.e_line 0 Rules.Lock_order
-              (Printf.sprintf
-                 "acquiring lock class %s while holding %s closes the cycle \
-                  %s; acquire classes in one global order"
-                 e.e_to e.e_from
-                 (String.concat " -> " (e.e_from :: back)))
-            :: !hits)
+      Option.iter
+        (fun back ->
+          hit e.e_file e.e_line Rules.Lock_order
+            (Printf.sprintf
+               "acquiring lock class %s while holding %s closes the cycle %s; \
+                acquire classes in one global order"
+               e.e_to e.e_from
+               (String.concat " -> " (e.e_from :: back))))
+        (class_path edges e.e_to e.e_from))
     edges;
   (* unreleased-acquire *)
   Array.iter
-    (fun f ->
+    (fun (f : Graph.node) ->
       let released =
-        List.concat_map
-          (fun hint -> classes_of lk ~file:f.fn_file hint)
-          f.fn_releases
+        List.concat_map (classes_of ~file:f.file) fx.releases.(f.id)
       in
       List.iter
         (fun (hint, line) ->
           List.iter
             (fun c ->
-              if not (List.exists (String.equal c) released) then
-                hits :=
-                  mk f.fn_file line 0 Rules.Unreleased_acquire
-                    (Printf.sprintf
-                       "acquire of lock class %s has no matching release in \
-                        %s; release on every path or justify the ownership \
-                        transfer with an allow"
-                       c f.fn_key)
-                  :: !hits)
-            (classes_of lk ~file:f.fn_file hint))
-        f.fn_bare)
-    lk.fns;
-  (* Reconcile against seussdead allows, then surface dead allows. *)
-  let allows_of_file = Hashtbl.create 32 in
-  List.iter
-    (fun fs -> Hashtbl.replace allows_of_file fs.fs_rel fs.fs_allows)
-    scans;
-  let surviving =
-    List.filter
-      (fun (v : Check.violation) ->
-        let allows =
-          match Hashtbl.find_opt allows_of_file v.file with
-          | Some l -> l
-          | None -> []
-        in
-        not
-          (List.exists
-             (fun a ->
-               if
-                 String.equal (Rules.name a.al_rule) v.rule
-                 && v.line >= a.al_first && v.line <= a.al_last
-               then begin
-                 a.al_used <- true;
-                 true
-               end
-               else false)
-             allows))
-      !hits
-  in
-  let dead =
-    List.concat_map
-      (fun fs ->
-        List.filter_map
-          (fun a ->
-            if a.al_used then None
-            else
-              Some
-                (mk_meta fs.fs_rel a.al_line 0 Rules.unused_allow
-                   (Printf.sprintf
-                      "allowance for %s suppresses nothing; delete it"
-                      (Rules.name a.al_rule))))
-          fs.fs_allows)
-      scans
-  in
-  let meta = List.concat_map (fun fs -> fs.fs_meta) scans in
-  (* Ambiguous suffix-2 resolution: a reference whose key is defined in
-     two or more files conflates same-named modules — every
-     interprocedural verdict drawn through it is suspect, so the
-     collision is surfaced as a meta-rule at each such reference. *)
-  let ambiguity =
-    List.sort_uniq Check.compare_violation
-      (Array.to_list lk.fns
-      |> List.concat_map (fun f ->
-             List.filter_map
-               (fun (path, line) ->
-                 if Resolve.ambiguous lk.defs ~modname:f.fn_module path then
-                   Some
-                     (mk_meta f.fn_file line 0 Rules.ambiguous_resolve
-                        (Printf.sprintf
-                           "%s resolves to definitions in %s; suffix-2 \
-                            resolution conflates these same-named modules — \
-                            rename one or avoid the shared suffix"
-                           (suffix2 path)
-                           (String.concat " and "
-                              (Resolve.defining_files lk.defs
-                                 ~modname:f.fn_module path))))
-                 else None)
-               f.fn_refs))
-  in
-  List.sort Check.compare_violation (surviving @ dead @ meta @ ambiguity)
+              if not (List.mem c released) then
+                hit f.file line Rules.Unreleased_acquire
+                  (Printf.sprintf
+                     "acquire of lock class %s has no matching release in %s; \
+                      release on every path or justify the ownership transfer \
+                      with an allow"
+                     c f.key))
+            (classes_of ~file:f.file hint))
+        fx.bare.(f.id))
+    g.nodes;
+  let surviving = Marker.suppress (Marker.with_verb "allow" markers) !hits in
+  surviving @ Marker.unused marker markers @ bad
+  @ Graph.ambiguity g (Array.to_list g.nodes)
 
-let check_tree ?strip_prefix roots =
-  check_sources (Check.load_tree ?strip_prefix roots)
+let rec pass =
+  {
+    Pass.name = "deadlock";
+    rules;
+    marker;
+    hint = "a seussdead: allow comment";
+    check = (fun prog -> check pass prog);
+  }

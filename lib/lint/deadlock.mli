@@ -1,40 +1,12 @@
 (** seussdead — the interprocedural blocking/deadlock pass.
 
-    Builds a conservative call graph over every [.ml] under the given
-    roots (one node per top-level binding, suffix-based name
-    resolution, referencing a function counts as calling it), computes
-    per-function may-block and may-acquire summaries to a fixpoint, and
-    reports three rules:
+    Computes may-block and may-acquire summaries over the shared call
+    graph and reports [block-in-handler] (a blocking primitive reachable
+    from a callback at one of the audited registrars in {!Contexts}, or
+    from a binding marked [(* seussdead: atomic <reason> *)]),
+    [lock-order] (a cycle among the lock classes named by
+    [(* seussdead: lock <class> *)] at [Semaphore.create] sites, or a
+    create without one) and [unreleased-acquire]. Suppressions use
+    [(* seussdead: allow <rule> — <reason> *)]. *)
 
-    - [block-in-handler]: a blocking primitive is reachable from an
-      atomic context — a callback registered at one of the audited
-      registrars in {!Contexts}, or a binding marked
-      [(* seussdead: atomic <reason> *)].
-    - [lock-order]: the acquired-while-holding graph over annotated
-      lock classes ([(* seussdead: lock <class> *)] at
-      [Semaphore.create] sites) has a cycle, or a create site carries
-      no class at all.
-    - [unreleased-acquire]: a bare [Semaphore.acquire] of a classified
-      lock whose enclosing function never releases that class.
-
-    Suppressions use the pass's own marker,
-    [(* seussdead: allow <rule> — <reason> *)], and are validated by
-    the same bad-allow / unused-allow meta-rules as the base pass. *)
-
-val marker : string
-(** ["seussdead:"] — the comment marker of this pass. *)
-
-val blocking_primitives : string list
-(** Resolution keys (last two path components) of the primitives that
-    can suspend the running process. *)
-
-val check_sources : Check.source list -> Check.violation list
-(** Analyze an already-loaded tree ({!Check.load_tree}) as one program
-    and return the sorted violations — the shared-parse entry point
-    behind [seusslint --pass all]. *)
-
-val check_tree : ?strip_prefix:string -> string list -> Check.violation list
-(** [check_sources] over {!Check.load_tree}: analyze every [.ml] under
-    the given roots as one program. [strip_prefix] is dropped from the
-    front of each relative path before reporting, mirroring
-    {!Check.check_tree}. *)
+val pass : Pass.t

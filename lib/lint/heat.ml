@@ -1,16 +1,15 @@
 (* seussheat — the hot-path allocation/boxing pass.
 
-   Where {!Check} decides rules per file and {!Deadlock} asks "can this
-   block?", this pass asks "does the per-event path allocate?". It
-   builds the same conservative call graph (one node per top-level
-   binding, suffix-2 resolution via {!Resolve}, referencing a function
-   counts as calling it), seeds a worklist with the registered hot
-   roots ({!Hotroots.registry} — the engine dispatch loop and queue
-   ops, the observability emit path, metric updates, trace forks) plus
-   any binding marked (* seussheat: hot — <reason> *), and marks
-   everything reachable as hot. Inside hot bindings it flags the
-   allocation classes that dominate the engine's words-per-event
-   budget:
+   Where {!Deadlock} asks "can this block?", this pass asks "does the
+   per-event path allocate?". It seeds a reach over the shared call
+   graph ({!Graph}) with the registered hot roots ({!Hotroots.registry}
+   — the engine dispatch loop and queue ops, the observability emit
+   path, metric updates, trace forks) plus any binding marked
+   (* seussheat: hot — <reason> *), and marks everything reachable as
+   hot. Only a binding with its own parameter chain re-executes its body
+   per reference, so hotness does not propagate into values. Inside hot
+   bindings it flags the allocation classes that dominate the engine's
+   words-per-event budget:
 
    - heat-closure: fun/function outside the binding's own leading
      parameter chain — a closure allocated per execution;
@@ -43,15 +42,12 @@
      the record and its fields.
    - (* seussheat: hot — <reason> *) covering a [let] line registers an
      extra hot root, which is how fixtures and out-of-tree code seed
-     the analysis without editing {!Hotroots}.
+     the analysis without editing {!Hotroots}. *)
 
-   A cold marker that covers no binding and silences nothing is
-   reported by the same unused-allow meta-rule as the other passes;
-   malformed markers are bad-allow; resolution through a suffix-2 key
-   defined in two files is surfaced as ambiguous-resolve at each hot
-   reference. *)
-
-let marker = "seussheat:"
+let rules =
+  Rules.
+    [ Heat_closure; Heat_alloc; Heat_string; Heat_float_box; Heat_poly_cmp;
+      Heat_partial ]
 
 (* {1 Rule tables} *)
 
@@ -94,7 +90,7 @@ let poly_fns = [ "compare"; "Stdlib.compare"; "min"; "max"; "Hashtbl.hash" ]
 
 let float_ops = [ "+."; "-."; "*."; "/."; "**"; "~-." ]
 
-(* {1 Scan products} *)
+(* {1 The transfer function: what one binding allocates} *)
 
 type site = {
   st_rule : Rules.id;
@@ -103,127 +99,24 @@ type site = {
   st_what : string;
 }
 
-type call = {
-  cl_path : string list;
-  cl_line : int;
-  cl_col : int;
-  cl_npos : int;  (* positional arguments supplied *)
-  cl_labeled : bool;  (* any labeled/optional argument present *)
-}
-
-type directive = {
-  d_first : int;
-  d_last : int;
-  d_line : int;
-  mutable d_used : bool;
-}
-
-type fn = {
-  mutable fn_id : int;
-  fn_key : string;  (* "Module.binding" *)
-  fn_module : string;
-  fn_file : string;
-  fn_line : int;
-  mutable fn_arity : int option;
-      (* leading all-positional parameter count; None when labels or a
-         non-fun body make the syntactic arity unreliable *)
-  mutable fn_is_fun : bool;
-      (* the binding has a leading fun/function chain. A plain value
-         binding's body runs once at module init, so hotness does not
-         propagate into it: referencing a value is not calling it. *)
-  mutable fn_params : string list;
-      (* names bound by the leading parameter chain — unqualified
-         references to them are the parameters, never the same-named
-         top-level bindings (let inc counter = ... counter.c <- ...) *)
-  mutable fn_refs : (string list * int) list;
-  mutable fn_sites : site list;
-  mutable fn_cold_sites : (site * directive) list;
-  mutable fn_calls : call list;
-  mutable fn_cold : bool;  (* a cold marker covers the definition line *)
-  mutable fn_hot_marked : bool;  (* a hot marker covers the definition line *)
-}
-
-type file_scan = {
-  fs_rel : string;
-  mutable fs_fns : fn list;
-  mutable fs_colds : directive list;
-  mutable fs_hots : directive list;
-  mutable fs_meta : Check.violation list;
-}
-
-let mk file line col rule message =
-  { Check.file; line; col; rule = Rules.name rule; message }
-
-let mk_meta file line col rule message = { Check.file; line; col; rule; message }
-
-(* {1 The per-file walk} *)
-
 type tstate = {
-  s_rel : string;
-  s_module : string;
-  mutable s_fns : fn list;  (* reverse order *)
-  mutable s_cur : fn;
-  s_colds : directive list;
-  mutable s_supp : directive option;  (* innermost covering cold marker *)
+  mutable cur : Graph.node;
+  colds : Marker.t list;  (* the file's cold markers *)
+  mutable supp : Marker.t option;  (* innermost covering cold marker *)
+  sites : site list array;  (* per node, unsilenced *)
+  silenced : Marker.t list array;  (* per node, the markers silencing a site *)
 }
-
-let module_of rel =
-  String.capitalize_ascii Filename.(remove_extension (basename rel))
-
-let new_fn st name line =
-  let f =
-    {
-      fn_id = -1;
-      fn_key = st.s_module ^ "." ^ name;
-      fn_module = st.s_module;
-      fn_file = st.s_rel;
-      fn_line = line;
-      fn_arity = None;
-      fn_is_fun = false;
-      fn_params = [];
-      fn_refs = [];
-      fn_sites = [];
-      fn_cold_sites = [];
-      fn_calls = [];
-      fn_cold = false;
-      fn_hot_marked = false;
-    }
-  in
-  st.s_fns <- f :: st.s_fns;
-  f
-
-let shadowed st path =
-  match path with
-  | [ x ] -> List.mem x st.s_cur.fn_params
-  | _ -> false
-
-let record_ref st path line = st.s_cur.fn_refs <- (path, line) :: st.s_cur.fn_refs
-
-let rec pat_vars acc (p : Parsetree.pattern) =
-  match p.ppat_desc with
-  | Ppat_var { txt; _ } -> txt :: acc
-  | Ppat_alias (q, { txt; _ }) -> pat_vars (txt :: acc) q
-  | Ppat_tuple ps -> List.fold_left pat_vars acc ps
-  | Ppat_construct (_, Some (_, q)) -> pat_vars acc q
-  | Ppat_variant (_, Some q) -> pat_vars acc q
-  | Ppat_record (fields, _) ->
-      List.fold_left (fun acc (_, q) -> pat_vars acc q) acc fields
-  | Ppat_array ps -> List.fold_left pat_vars acc ps
-  | Ppat_or (a, b) -> pat_vars (pat_vars acc a) b
-  | Ppat_constraint (q, _) -> pat_vars acc q
-  | Ppat_open (_, q) -> pat_vars acc q
-  | _ -> acc
 
 let record_site st rule (loc : Location.t) what =
-  let line = loc.loc_start.Lexing.pos_lnum in
-  let col = loc.loc_start.Lexing.pos_cnum - loc.loc_start.Lexing.pos_bol in
-  let s = { st_rule = rule; st_line = line; st_col = col; st_what = what } in
-  match st.s_supp with
-  | Some d -> st.s_cur.fn_cold_sites <- (s, d) :: st.s_cur.fn_cold_sites
-  | None -> st.s_cur.fn_sites <- s :: st.s_cur.fn_sites
-
-let covering_cold st line =
-  List.find_opt (fun d -> line >= d.d_first && line <= d.d_last) st.s_colds
+  let p = loc.loc_start in
+  let id = st.cur.id in
+  match st.supp with
+  | Some m -> st.silenced.(id) <- m :: st.silenced.(id)
+  | None ->
+      st.sites.(id) <-
+        { st_rule = rule; st_line = p.pos_lnum; st_col = p.pos_cnum - p.pos_bol;
+          st_what = what }
+        :: st.sites.(id)
 
 (* Structural glue through which a cold marker must not leak: a marker
    above [let x = ... in body] is meant for the definition, not for
@@ -234,8 +127,6 @@ let is_glue (e : Parsetree.expression) =
   | Pexp_try _ | Pexp_open _ | Pexp_letmodule _ | Pexp_letexception _ ->
       true
   | _ -> false
-
-let last_of path = match List.rev path with [] -> "" | x :: _ -> x
 
 (* An operand whose =/<> comparison cannot have specialized away the
    representation walk: structured literals and payload carriers. *)
@@ -254,8 +145,7 @@ let float_op_apply (e : Parsetree.expression) =
       | _ -> false)
   | _ -> false
 
-let positional args =
-  List.filter_map (function Asttypes.Nolabel, e -> Some e | _ -> None) args
+let poly sfx = Printf.sprintf "polymorphic %s walks the representation" sfx
 
 let iterator st =
   let open Ast_iterator in
@@ -267,10 +157,9 @@ let iterator st =
     else if List.mem sfx alloc_fns then
       record_site st Rules.Heat_alloc loc (Printf.sprintf "%s allocates" sfx)
     else if List.mem sfx poly_fns then
-      record_site st Rules.Heat_poly_cmp loc
-        (Printf.sprintf "polymorphic %s walks the representation" sfx)
+      record_site st Rules.Heat_poly_cmp loc (poly sfx)
     else if String.equal sfx "=" || String.equal sfx "<>" then (
-      match positional args with
+      match Graph.positional args with
       | [ a; b ] when structured_operand a || structured_operand b ->
           record_site st Rules.Heat_poly_cmp loc
             (Printf.sprintf
@@ -279,405 +168,198 @@ let iterator st =
                sfx)
       | _ -> ())
   in
+  let alloc sub e what =
+    record_site st Rules.Heat_alloc e.Parsetree.pexp_loc what;
+    default_iterator.expr sub e
+  in
   let expr sub (e : Parsetree.expression) =
     let entered =
-      if Option.is_some st.s_supp || is_glue e then None
-      else covering_cold st e.pexp_loc.loc_start.Lexing.pos_lnum
+      if Option.is_some st.supp || is_glue e then None
+      else
+        Marker.covering st.colds ~file:st.cur.file
+          e.pexp_loc.loc_start.pos_lnum
     in
-    (match entered with Some d -> st.s_supp <- Some d | None -> ());
+    if entered <> None then st.supp <- entered;
     (match e.pexp_desc with
     | Pexp_ident { txt; loc } ->
         let path = Longident.flatten txt in
-        if not (shadowed st path) then begin
-          record_ref st path loc.loc_start.Lexing.pos_lnum;
-          let sfx = Resolve.suffix2 path in
-          if List.mem sfx poly_fns then
-            record_site st Rules.Heat_poly_cmp loc
-              (Printf.sprintf "polymorphic %s walks the representation" sfx)
-        end
+        let sfx = Graph.suffix2 path in
+        if (not (Graph.shadowed st.cur path)) && List.mem sfx poly_fns then
+          record_site st Rules.Heat_poly_cmp loc (poly sfx)
     | Pexp_apply ({ pexp_desc = Pexp_ident { txt; loc }; _ }, args) ->
         let path = Longident.flatten txt in
-        let line = loc.loc_start.Lexing.pos_lnum in
-        let col = loc.loc_start.Lexing.pos_cnum - loc.loc_start.Lexing.pos_bol in
-        if not (shadowed st path) then begin
-          record_ref st path line;
-          apply_site (Resolve.suffix2 path) loc args;
-          st.s_cur.fn_calls <-
-            {
-              cl_path = path;
-              cl_line = line;
-              cl_col = col;
-              cl_npos = List.length (positional args);
-              cl_labeled =
-                List.exists
-                  (function Asttypes.Nolabel, _ -> false | _ -> true)
-                  args;
-            }
-            :: st.s_cur.fn_calls
-        end;
+        if not (Graph.shadowed st.cur path) then
+          apply_site (Graph.suffix2 path) loc args;
         List.iter (fun (_, a) -> sub.expr sub a) args
     | Pexp_fun _ | Pexp_function _ ->
         record_site st Rules.Heat_closure e.pexp_loc
           "a closure is allocated here";
         default_iterator.expr sub e
-    | Pexp_tuple _ ->
-        record_site st Rules.Heat_alloc e.pexp_loc "a tuple is allocated here";
-        default_iterator.expr sub e
-    | Pexp_record _ ->
-        record_site st Rules.Heat_alloc e.pexp_loc "a record is allocated here";
-        default_iterator.expr sub e
-    | Pexp_array _ ->
-        record_site st Rules.Heat_alloc e.pexp_loc "an array is allocated here";
-        default_iterator.expr sub e
-    | Pexp_lazy _ ->
-        record_site st Rules.Heat_alloc e.pexp_loc
-          "a lazy block is allocated here";
-        default_iterator.expr sub e
+    | Pexp_tuple _ -> alloc sub e "a tuple is allocated here"
+    | Pexp_record _ -> alloc sub e "a record is allocated here"
+    | Pexp_array _ -> alloc sub e "an array is allocated here"
+    | Pexp_lazy _ -> alloc sub e "a lazy block is allocated here"
     | Pexp_construct ({ txt; _ }, Some _) ->
-        record_site st Rules.Heat_alloc e.pexp_loc
+        alloc sub e
           (Printf.sprintf "constructor %s carries a payload block"
-             (last_of (Longident.flatten txt)));
-        default_iterator.expr sub e
+             (Graph.last (Longident.flatten txt)))
     | Pexp_variant (_, Some _) ->
-        record_site st Rules.Heat_alloc e.pexp_loc
-          "a polymorphic variant payload is allocated here";
-        default_iterator.expr sub e
+        alloc sub e "a polymorphic variant payload is allocated here"
     | Pexp_setfield (_, _, rhs) when float_op_apply rhs ->
         record_site st Rules.Heat_float_box e.pexp_loc
           "a float-arithmetic result is stored into a record field (boxes \
            unless the record is all-float)";
         default_iterator.expr sub e
     | _ -> default_iterator.expr sub e);
-    match entered with Some _ -> st.s_supp <- None | None -> ()
+    if entered <> None then st.supp <- None
   in
-  let structure_item sub (item : Parsetree.structure_item) =
-    match item.pstr_desc with
-    | Pstr_value (_, bindings) ->
-        let toplevel = st.s_cur in
-        List.iter
-          (fun (vb : Parsetree.value_binding) ->
-            let name =
-              match vb.pvb_pat.ppat_desc with
-              | Ppat_var { txt; _ } -> txt
-              | _ -> "<toplevel>"
-            in
-            st.s_cur <-
-              new_fn st name vb.pvb_loc.Location.loc_start.Lexing.pos_lnum;
-            (* Peel the binding's own parameter chain: those funs are
-               the definition, not per-call closures. *)
-            let rec peel n labeled (e : Parsetree.expression) =
-              match e.pexp_desc with
-              | Pexp_fun (lbl, default, pat, body) ->
-                  Option.iter (sub.expr sub) default;
-                  sub.pat sub pat;
-                  st.s_cur.fn_params <-
-                    pat_vars st.s_cur.fn_params pat;
-                  let labeled =
-                    labeled
-                    || match lbl with Asttypes.Nolabel -> false | _ -> true
-                  in
-                  peel (n + 1) labeled body
-              | Pexp_function cases ->
-                  st.s_cur.fn_is_fun <- true;
-                  if not labeled then st.s_cur.fn_arity <- Some (n + 1);
-                  List.iter (sub.case sub) cases
-              | _ ->
-                  if n > 0 then begin
-                    st.s_cur.fn_is_fun <- true;
-                    if not labeled then st.s_cur.fn_arity <- Some n
-                  end;
-                  sub.expr sub e
-            in
-            peel 0 false vb.pvb_expr;
-            st.s_cur <- toplevel)
-          bindings
-    | _ -> default_iterator.structure_item sub item
+  (* Peel the binding's own parameter chain: those funs are the
+     definition, not per-call closures. *)
+  let binding sub (vb : Parsetree.value_binding) =
+    let rec peel (e : Parsetree.expression) =
+      match e.pexp_desc with
+      | Pexp_fun (_, default, pat, body) ->
+          Option.iter (sub.expr sub) default;
+          sub.pat sub pat;
+          peel body
+      | Pexp_function cases -> List.iter (sub.case sub) cases
+      | _ -> sub.expr sub e
+    in
+    peel vb.pvb_expr
   in
-  { default_iterator with expr; structure_item }
+  ({ default_iterator with expr }, binding)
 
-(* {1 Directives} *)
+(* {1 The pass} *)
 
-let strip_dash s =
-  let s = String.trim s in
-  let drop n = String.trim (String.sub s n (String.length s - n)) in
-  if String.length s >= 3 && String.equal (String.sub s 0 3) "\xe2\x80\x94"
-  then drop 3
-  else if String.length s >= 2 && String.equal (String.sub s 0 2) "--" then
-    drop 2
-  else if String.length s >= 1 && s.[0] = '-' then drop 1
-  else ""
-
-let scan_directives fs comments =
-  let colds = ref [] and hots = ref [] in
-  List.iter
-    (fun (text, (loc : Location.t)) ->
-      let line = loc.loc_start.Lexing.pos_lnum in
-      let col = loc.loc_start.Lexing.pos_cnum - loc.loc_start.Lexing.pos_bol in
-      let first = line and last = loc.loc_end.Lexing.pos_lnum + 1 in
-      match Check.parse_directive ~marker text with
-      | None -> ()
-      | Some (("cold" | "hot") as verb, payload)
-        when not (String.equal (strip_dash payload) "") ->
-          let d = { d_first = first; d_last = last; d_line = line; d_used = false } in
-          if String.equal verb "cold" then colds := d :: !colds
-          else hots := d :: !hots
-      | Some (("cold" | "hot") as verb, _) ->
-          fs.fs_meta <-
-            mk_meta fs.fs_rel line col Rules.bad_allow
-              (Printf.sprintf
-                 "%s marker needs a reason: seussheat: %s — <why>" verb verb)
-            :: fs.fs_meta
-      | Some _ ->
-          fs.fs_meta <-
-            mk_meta fs.fs_rel line col Rules.bad_allow
-              "malformed seussheat comment; expected: cold — <reason> or hot \
-               — <reason>"
-            :: fs.fs_meta)
-    comments;
-  (List.rev !colds, List.rev !hots)
-
-let binding_of_key key =
-  match String.index_opt key '.' with
-  | Some i -> String.sub key (i + 1) (String.length key - i - 1)
-  | None -> key
-
-(* {1 Per-file scan} *)
-
-let scan_source (source : Check.source) =
-  let rel = source.Check.src_rel in
-  let fs =
-    { fs_rel = rel; fs_fns = []; fs_colds = []; fs_hots = []; fs_meta = [] }
-  in
-  let colds, hots = scan_directives fs source.Check.src_comments in
-  fs.fs_colds <- colds;
-  fs.fs_hots <- hots;
-  let modname = module_of rel in
-  let st =
-    {
-      s_rel = rel;
-      s_module = modname;
-      s_fns = [];
-      s_cur =
+let marker =
+  {
+    Marker.word = "seussheat:";
+    verbs =
+      [
         {
-          fn_id = -1;
-          fn_key = modname ^ ".<toplevel>";
-          fn_module = modname;
-          fn_file = rel;
-          fn_line = 1;
-          fn_arity = None;
-          fn_is_fun = false;
-          fn_params = [];
-          fn_refs = [];
-          fn_sites = [];
-          fn_cold_sites = [];
-          fn_calls = [];
-          fn_cold = false;
-          fn_hot_marked = false;
+          verb = "cold";
+          arg = No_arg;
+          reason = true;
+          unused =
+            (fun _ ->
+              "cold marker covers no binding and silences nothing; delete it");
         };
-      s_colds = colds;
-      s_supp = None;
-    }
-  in
-  st.s_cur <- new_fn st "<toplevel>" 1;
-  (match source.Check.src_ast with
-  | Ok ast ->
-      let it = iterator st in
-      it.structure it ast
-  | Error exn ->
-      fs.fs_meta <-
-        mk_meta rel 1 0 Rules.parse_error (Printexc.to_string exn)
-        :: fs.fs_meta);
-  fs.fs_fns <- List.rev st.s_fns;
-  (* A cold/hot marker covering a binding's [let] line classifies the
-     whole binding; covering a def line is what makes the marker used
-     (range markers are used only if they silence a hot site). *)
+        {
+          verb = "hot";
+          arg = No_arg;
+          reason = true;
+          unused =
+            (fun _ -> "hot marker covers no top-level binding; delete it");
+        };
+      ];
+    malformed =
+      "malformed seussheat comment; expected: cold — <reason> or hot — \
+       <reason>";
+  }
+
+let check pass (prog : Pass.program) =
+  let g = Lazy.force prog.graph in
+  let markers, bad = Pass.markers prog pass in
+  let colds = Marker.with_verb "cold" markers in
+  let hots = Marker.with_verb "hot" markers in
+  let n = Array.length g.nodes in
+  let sites = Array.make n [] and silenced = Array.make n [] in
   List.iter
-    (fun f ->
-      if not (String.equal (binding_of_key f.fn_key) "<toplevel>") then begin
-        List.iter
-          (fun d ->
-            if f.fn_line >= d.d_first && f.fn_line <= d.d_last then begin
-              f.fn_cold <- true;
-              d.d_used <- true
-            end)
-          colds;
-        List.iter
-          (fun d ->
-            if f.fn_line >= d.d_first && f.fn_line <= d.d_last then begin
-              f.fn_hot_marked <- true;
-              d.d_used <- true
-            end)
-          hots
-      end)
-    fs.fs_fns;
-  fs
-
-(* {1 Hot-set propagation} *)
-
-type linked = {
-  fns : fn array;
-  defs : fn Resolve.t;
-  hot : bool array;
-  parent : int array;  (* hot-chain predecessor, -1 at a root *)
-}
-
-let link scans =
-  let all_fns = List.concat_map (fun fs -> fs.fs_fns) scans in
-  let fns = Array.of_list all_fns in
-  Array.iteri (fun i f -> f.fn_id <- i) fns;
-  let n = Array.length fns in
-  let defs = Resolve.create () in
-  Array.iter
-    (fun f ->
-      if not (String.equal (binding_of_key f.fn_key) "<toplevel>") then
-        Resolve.add defs ~key:f.fn_key ~file:f.fn_file f)
-    fns;
-  let lk =
-    {
-      fns;
-      defs;
-      hot = Array.make (max n 1) false;
-      parent = Array.make (max n 1) (-1);
-    }
+    (fun ((src, nodes) as file) ->
+      let colds =
+        List.filter (fun m -> String.equal m.Marker.m_file src.Source.rel) colds
+      in
+      let st = { cur = List.hd nodes; colds; supp = None; sites; silenced } in
+      let it, binding = iterator st in
+      Graph.walk file it ~binding ~enter:(fun n -> st.cur <- n))
+    g.files;
+  (* A cold/hot marker covering a binding's [let] line classifies the
+     whole binding, and covering a def line is what makes it used (range
+     markers are used only if they silence a hot site). *)
+  let marks ms (f : Graph.node) =
+    f.binding <> Graph.toplevel
+    && List.fold_left
+         (fun acc m ->
+           if Marker.covers m ~file:f.file f.def_line then begin
+             m.Marker.m_used <- true;
+             true
+           end
+           else acc)
+         false ms
   in
-  let queue = Queue.create () in
-  Array.iter
-    (fun f ->
-      let binding = binding_of_key f.fn_key in
-      if
-        (not f.fn_cold)
-        && (not (String.equal binding "<toplevel>"))
-        && (f.fn_hot_marked || Hotroots.mem ~file:f.fn_file ~binding)
-      then begin
-        lk.hot.(f.fn_id) <- true;
-        Queue.add f queue
-      end)
-    fns;
-  let rec drain () =
-    match Queue.take_opt queue with
-    | None -> ()
-    | Some f ->
-        List.iter
-          (fun (path, _) ->
-            List.iter
-              (fun g ->
-                (* Values are not calls: only a binding with its own
-                   parameter chain re-executes its body per reference. *)
-                if g.fn_is_fun && (not lk.hot.(g.fn_id)) && not g.fn_cold
-                then begin
-                  lk.hot.(g.fn_id) <- true;
-                  lk.parent.(g.fn_id) <- f.fn_id;
-                  Queue.add g queue
-                end)
-              (Resolve.find defs ~modname:f.fn_module path))
-          f.fn_refs;
-        drain ()
+  let cold = Array.map (marks colds) g.nodes in
+  let roots =
+    List.filter
+      (fun (f : Graph.node) ->
+        let hot_marked = marks hots f in
+        (not cold.(f.id))
+        && f.binding <> Graph.toplevel
+        && (hot_marked || Hotroots.mem ~file:f.file ~binding:f.binding))
+      (Array.to_list g.nodes)
   in
-  drain ();
-  lk
-
-let chain_of lk f =
-  let rec up acc id =
-    if id < 0 then acc
-    else up (lk.fns.(id).fn_key :: acc) lk.parent.(id)
+  let parent, _ =
+    Graph.reach g roots ~follow:(fun t -> t.is_fun && not cold.(t.id)) ()
   in
-  String.concat " -> " (up [] f.fn_id)
-
-(* {1 The tree driver} *)
-
-let check_sources sources =
-  let scans = List.map scan_source sources in
-  let lk = link scans in
-  let hits = ref [] in
-  let ambiguity = ref [] in
-  Array.iter
-    (fun f ->
-      if lk.hot.(f.fn_id) then begin
-        let chain = chain_of lk f in
-        List.iter
-          (fun s ->
-            hits :=
-              mk f.fn_file s.st_line s.st_col s.st_rule
-                (Printf.sprintf
-                   "%s on a hot path (%s); restructure it or justify with (* \
-                    seussheat: cold — <why> *)"
-                   s.st_what chain)
-              :: !hits)
-          f.fn_sites;
+  let hot =
+    List.filter
+      (fun (f : Graph.node) -> parent.(f.id) >= 0)
+      (Array.to_list g.nodes)
+  in
+  let hits =
+    List.concat_map
+      (fun (f : Graph.node) ->
+        let chain = String.concat " -> " (Graph.chain g parent f) in
+        let hit line col rule msg =
+          Source.violation f.file line col (Rules.name rule) msg
+        in
         (* Silenced sites in a hot binding are what make a range marker
            earn its keep. *)
-        List.iter (fun (_, d) -> d.d_used <- true) f.fn_cold_sites;
+        List.iter (fun m -> m.Marker.m_used <- true) silenced.(f.id);
+        List.map
+          (fun s ->
+            hit s.st_line s.st_col s.st_rule
+              (Printf.sprintf
+                 "%s on a hot path (%s); restructure it or justify with (* \
+                  seussheat: cold — <why> *)"
+                 s.st_what chain))
+          sites.(f.id)
         (* Partial applications, where the callee's syntactic arity is
            known and unambiguous. *)
-        List.iter
-          (fun c ->
-            if (not c.cl_labeled) && c.cl_npos >= 1 then
-              if Resolve.ambiguous lk.defs ~modname:f.fn_module c.cl_path then
-                ()  (* surfaced below, at the reference *)
-              else
-                match Resolve.find lk.defs ~modname:f.fn_module c.cl_path with
-                | [] -> ()
-                | defs -> (
-                    match
-                      List.map (fun (g : fn) -> g.fn_arity) defs
-                    with
-                    | Some a :: rest
-                      when List.for_all (fun x -> x = Some a) rest
-                           && c.cl_npos < a ->
-                        hits :=
-                          mk f.fn_file c.cl_line c.cl_col Rules.Heat_partial
-                            (Printf.sprintf
-                               "partial application of %s (%d of %d \
-                                arguments) allocates a closure on a hot path \
-                                (%s); apply it fully or eta-expand"
-                               (Resolve.suffix2 c.cl_path) c.cl_npos a chain)
-                          :: !hits
-                    | _ -> ()))
-          f.fn_calls;
-        (* Ambiguous resolution only matters where the verdict is drawn
-           through it: at hot references. *)
-        List.iter
-          (fun (path, line) ->
-            if Resolve.ambiguous lk.defs ~modname:f.fn_module path then
-              ambiguity :=
-                mk_meta f.fn_file line 0 Rules.ambiguous_resolve
-                  (Printf.sprintf
-                     "%s resolves to definitions in %s; suffix-2 resolution \
-                      conflates these same-named modules — rename one or \
-                      avoid the shared suffix"
-                     (Resolve.suffix2 path)
-                     (String.concat " and "
-                        (Resolve.defining_files lk.defs ~modname:f.fn_module
-                           path)))
-                :: !ambiguity)
-          f.fn_refs
-      end)
-    lk.fns;
-  let dead =
-    List.concat_map
-      (fun fs ->
-        List.filter_map
-          (fun d ->
-            if d.d_used then None
-            else
-              Some
-                (mk_meta fs.fs_rel d.d_line 0 Rules.unused_allow
-                   "cold marker covers no binding and silences nothing; \
-                    delete it"))
-          fs.fs_colds
         @ List.filter_map
-            (fun d ->
-              if d.d_used then None
-              else
-                Some
-                  (mk_meta fs.fs_rel d.d_line 0 Rules.unused_allow
-                     "hot marker covers no top-level binding; delete it"))
-            fs.fs_hots)
-      scans
+            (fun (r : Graph.ref_) ->
+              match r.args with
+              | Some args
+                when List.for_all (fun (l, _) -> l = Asttypes.Nolabel) args
+                     && args <> []
+                     && not (Graph.ambiguous g f r.path) -> (
+                  let npos = List.length args in
+                  match
+                    List.map (fun (t : Graph.node) -> t.arity) r.targets
+                  with
+                  | Some a :: rest
+                    when List.for_all (fun x -> x = Some a) rest && npos < a ->
+                      Some
+                        (hit r.line r.col Rules.Heat_partial
+                           (Printf.sprintf
+                              "partial application of %s (%d of %d arguments) \
+                               allocates a closure on a hot path (%s); apply it \
+                               fully or eta-expand"
+                              (Graph.suffix2 r.path) npos a chain))
+                  | _ -> None)
+              | _ -> None)
+            f.refs)
+      hot
   in
-  let meta = List.concat_map (fun fs -> fs.fs_meta) scans in
-  List.sort Check.compare_violation
-    (!hits @ dead @ meta @ List.sort_uniq Check.compare_violation !ambiguity)
+  hits @ Marker.unused marker markers @ bad
+  (* Ambiguous resolution only matters where the verdict is drawn
+     through it: at hot references. *)
+  @ Graph.ambiguity g hot
 
-let check_tree ?strip_prefix roots =
-  check_sources (Check.load_tree ?strip_prefix roots)
+let rec pass =
+  {
+    Pass.name = "heat";
+    rules;
+    marker;
+    hint = "a seussheat: cold marker";
+    check = (fun prog -> check pass prog);
+  }

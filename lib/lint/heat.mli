@@ -1,35 +1,13 @@
 (** seussheat — the hot-path allocation/boxing pass.
 
-    Builds the same conservative call graph as {!Deadlock} (one node
-    per top-level binding, suffix-2 resolution via {!Resolve}), marks
-    everything reachable from the registered hot roots
-    ({!Hotroots.registry}, plus bindings carrying
+    Marks everything the shared call graph reaches from the registered
+    hot roots ({!Hotroots.registry}, plus bindings carrying
     [(* seussheat: hot — <reason> *)]) as hot, and reports the
-    allocation classes of {!Rules.heat} at every site inside a hot
-    binding: per-call closures, tuple/record/array/constructor/ref
-    construction and known-allocating stdlib calls, string building,
-    float results boxed into record fields, polymorphic comparison, and
-    partial applications of tree-defined functions. Every violation
-    carries the root-to-site chain that makes it hot.
-
-    Suppression uses the pass's own marker:
+    allocation classes of its rules at every site inside a hot binding,
+    each with the root-to-site chain that makes it hot.
     [(* seussheat: cold — <reason> *)] covering a binding's [let] line
     prunes the binding from the hot set; covering any other line
     silences sites in expressions starting on a covered line,
-    whole-subtree. Unjustified, malformed or dead markers are reported
-    by the shared bad-allow / unused-allow meta-rules, and hot
-    references through a suffix-2 key defined in two files are
-    surfaced as ambiguous-resolve. *)
+    whole-subtree. *)
 
-val marker : string
-(** ["seussheat:"] — the comment marker of this pass. *)
-
-val check_sources : Check.source list -> Check.violation list
-(** Analyze an already-loaded tree ({!Check.load_tree}) as one program
-    and return the sorted violations — the shared-parse entry point
-    behind [seusslint --pass all]. *)
-
-val check_tree : ?strip_prefix:string -> string list -> Check.violation list
-(** [check_sources] over {!Check.load_tree}: analyze every [.ml] under
-    the given roots as one program. [strip_prefix] mirrors
-    {!Check.check_tree}. *)
+val pass : Pass.t

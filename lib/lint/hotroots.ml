@@ -61,11 +61,3 @@ let mem ~file ~binding =
   List.exists
     (fun r -> String.equal r.hr_file file && String.equal r.hr_binding binding)
     registry
-
-let why ~file ~binding =
-  List.find_map
-    (fun r ->
-      if String.equal r.hr_file file && String.equal r.hr_binding binding then
-        Some r.hr_why
-      else None)
-    registry

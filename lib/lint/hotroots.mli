@@ -19,5 +19,3 @@ type root = {
 val registry : root list
 
 val mem : file:string -> binding:string -> bool
-
-val why : file:string -> binding:string -> string option

@@ -2,8 +2,7 @@
 
    Where {!Deadlock} asks "can this block?" and {!Heat} asks "does this
    allocate?", this pass asks "does every acquired resource reach its
-   release?". Three resource classes are tracked, by the same name-based
-   classification the other passes use:
+   release?". Three resource classes are tracked, by name:
 
    - frame references: Frame.alloc / Frame.incref -> Frame.decref;
    - snapshot references: Snapshot.addref -> Snapshot.decref;
@@ -12,13 +11,11 @@
 
    The analysis runs in two layers over the shared parse:
 
-   1. Flow-insensitive, interprocedural (own-escape): the same
-      conservative call graph as the other passes (one node per
-      top-level binding, suffix-2 resolution via {!Resolve}, referencing
-      counts as calling) carries a may-release summary per function and
-      class to a fixpoint. A direct acquire in a function whose
-      transitive callee cone contains no release of that class leaks on
-      every path — unless the (file, binding, class) triple is in the
+   1. Flow-insensitive, interprocedural (own-escape): a may-release
+      summary per function and class over the shared call graph
+      ({!Graph}). A direct acquire in a function whose transitive callee
+      cone contains no release of that class leaks on every path —
+      unless the (file, binding, class) triple is in the
       {!Sites.transfers} registry or a transfer marker covers the
       acquire line.
 
@@ -53,12 +50,12 @@
    (* seussown: transfer — <reason> *). Covering an acquire line it
    declares the ownership handed off (the acquire is untracked, escape
    and path rules both silenced for it); covering a reported site line
-   it silences that finding. A marker that clears no acquire and
-   silences nothing is unused-allow; a malformed one is bad-allow;
-   suffix-2 collisions are surfaced as ambiguous-resolve at each
-   reference, exactly as the deadlock pass does. *)
+   it silences that finding. *)
 
-let marker = "seussown:"
+let rules =
+  Rules.
+    [ Own_escape; Own_exn_leak; Own_double_release; Own_use_after_destroy;
+      Own_unbalanced ]
 
 type which_arg = A_first | A_last
 
@@ -79,36 +76,30 @@ let uc_liveness =
     "start_ws_record"; "take_ws_record"; "await_breakpoint"; "guest_state";
   ]
 
-let res_op ~cur_module path =
-  match List.rev path with
-  | [] -> None
-  | op :: rest -> (
-      let in_module m =
-        match rest with
-        | m' :: _ -> String.equal m' m
-        | [] -> String.equal cur_module m
-      in
-      if in_module "Frame" then
-        match op with
-        | "alloc" -> Some (Op_acquire_ret (Sites.Frame_ref, "Frame.alloc"))
-        | "incref" ->
-            Some (Op_acquire_arg (Sites.Frame_ref, "Frame.incref", A_last))
-        | "decref" -> Some (Op_release (Sites.Frame_ref, "Frame.decref", A_last))
-        | _ -> None
-      else if in_module "Snapshot" then
-        match op with
-        | "addref" ->
-            Some (Op_acquire_arg (Sites.Snap_ref, "Snapshot.addref", A_first))
-        | "decref" ->
-            Some (Op_release (Sites.Snap_ref, "Snapshot.decref", A_first))
-        | _ -> None
-      else if in_module "Uc" then
-        match op with
-        | "boot" | "deploy" -> Some (Op_acquire_ret (Sites.Uc_ctx, "Uc." ^ op))
-        | "destroy" -> Some (Op_release (Sites.Uc_ctx, "Uc.destroy", A_first))
-        | _ when List.mem op uc_liveness -> Some (Op_use ("Uc." ^ op))
-        | _ -> None
-      else None)
+let res_op node path =
+  let op = Graph.last path in
+  let in_module = Graph.in_module node path in
+  if in_module "Frame" then
+    match op with
+    | "alloc" -> Some (Op_acquire_ret (Sites.Frame_ref, "Frame.alloc"))
+    | "incref" ->
+        Some (Op_acquire_arg (Sites.Frame_ref, "Frame.incref", A_last))
+    | "decref" -> Some (Op_release (Sites.Frame_ref, "Frame.decref", A_last))
+    | _ -> None
+  else if in_module "Snapshot" then
+    match op with
+    | "addref" ->
+        Some (Op_acquire_arg (Sites.Snap_ref, "Snapshot.addref", A_first))
+    | "decref" ->
+        Some (Op_release (Sites.Snap_ref, "Snapshot.decref", A_first))
+    | _ -> None
+  else if in_module "Uc" then
+    match op with
+    | "boot" | "deploy" -> Some (Op_acquire_ret (Sites.Uc_ctx, "Uc." ^ op))
+    | "destroy" -> Some (Op_release (Sites.Uc_ctx, "Uc.destroy", A_first))
+    | _ when List.mem op uc_liveness -> Some (Op_use ("Uc." ^ op))
+    | _ -> None
+  else None
 
 (* Definitions that ARE the release primitives: their bodies mutate
    refcount fields rather than calling a release op, so the may-release
@@ -134,316 +125,46 @@ let runion a b = List.fold_left (fun acc r -> radd r acc) a b
 let req a b =
   List.length a = List.length b && List.for_all (fun r -> List.mem r b) a
 
-(* {1 Scan products} *)
-
-type acq = {
-  aq_res : Sites.resource;
-  aq_op : string;
-  aq_line : int;
-  aq_col : int;
-  mutable aq_cleared : bool;  (* marker- or registry-covered *)
-}
-
-type directive = {
-  d_first : int;
-  d_last : int;
-  d_line : int;
-  mutable d_used : bool;
-}
-
-type fn = {
-  mutable fn_id : int;
-  fn_key : string;  (* "Module.binding" *)
-  fn_module : string;
-  fn_file : string;
-  mutable fn_refs : (string list * int) list;
-  mutable fn_acquires : acq list;
-  mutable fn_rel : Sites.resource list;  (* direct release classes *)
-}
-
-type file_scan = {
-  fs_rel : string;
-  fs_src : Check.source;
-  mutable fs_fns : fn list;
-  mutable fs_transfers : directive list;
-  mutable fs_meta : Check.violation list;
-}
-
-let mk file line col rule message =
-  { Check.file; line; col; rule = Rules.name rule; message }
-
-let mk_meta file line col rule message = { Check.file; line; col; rule; message }
-
-let module_of rel =
-  String.capitalize_ascii Filename.(remove_extension (basename rel))
-
-let binding_of_key key =
-  match String.index_opt key '.' with
-  | Some i -> String.sub key (i + 1) (String.length key - i - 1)
-  | None -> key
-
-let last_of path = match List.rev path with [] -> "" | x :: _ -> x
-
-let hint_of_expr (e : Parsetree.expression) =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> last_of (Longident.flatten txt)
-  | Pexp_field (_, { txt; _ }) -> last_of (Longident.flatten txt)
-  | _ -> ""
-
-let positional args =
-  List.filter_map (function Asttypes.Nolabel, e -> Some e | _ -> None) args
-
 let hint_of_arg which pos =
   match (which, pos) with
-  | A_first, e :: _ -> hint_of_expr e
-  | A_last, (_ :: _ as l) -> hint_of_expr (List.hd (List.rev l))
+  | A_first, e :: _ -> Graph.name_of e
+  | A_last, (_ :: _ as l) -> Graph.name_of (List.hd (List.rev l))
   | _, [] -> ""
 
-let covering directives line =
-  List.find_opt (fun d -> line >= d.d_first && line <= d.d_last) directives
+(* {1 The per-path typestate walk} *)
 
-(* {1 Pass 1: refs, acquires and direct releases per binding} *)
-
-type sstate = {
-  s_rel : string;
-  s_module : string;
-  mutable s_fns : fn list;  (* reverse order *)
-  mutable s_cur : fn;
-}
-
-let new_fn st name =
-  let f =
-    {
-      fn_id = -1;
-      fn_key = st.s_module ^ "." ^ name;
-      fn_module = st.s_module;
-      fn_file = st.s_rel;
-      fn_refs = [];
-      fn_acquires = [];
-      fn_rel = [];
-    }
-  in
-  st.s_fns <- f :: st.s_fns;
-  f
-
-let scan_iterator st =
-  let open Ast_iterator in
-  let classify path line col =
-    match res_op ~cur_module:st.s_module path with
-    | Some (Op_acquire_ret (res, op) | Op_acquire_arg (res, op, _)) ->
-        st.s_cur.fn_acquires <-
-          { aq_res = res; aq_op = op; aq_line = line; aq_col = col;
-            aq_cleared = false }
-          :: st.s_cur.fn_acquires
-    | Some (Op_release (res, _, _)) -> st.s_cur.fn_rel <- radd res st.s_cur.fn_rel
-    | Some (Op_use _) | None -> ()
-  in
-  let expr sub (e : Parsetree.expression) =
-    match e.pexp_desc with
-    | Pexp_ident { txt; loc } ->
-        let path = Longident.flatten txt in
-        st.s_cur.fn_refs <-
-          (path, loc.loc_start.Lexing.pos_lnum) :: st.s_cur.fn_refs;
-        (* An eta-passed release op (List.iter Uc.destroy ...) still
-           releases; a bare acquire reference binds nothing. *)
-        (match res_op ~cur_module:st.s_module path with
-        | Some (Op_release (res, _, _)) ->
-            st.s_cur.fn_rel <- radd res st.s_cur.fn_rel
-        | _ -> ())
-    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; loc }; _ }, args) ->
-        let path = Longident.flatten txt in
-        let line = loc.loc_start.Lexing.pos_lnum in
-        let col = loc.loc_start.Lexing.pos_cnum - loc.loc_start.Lexing.pos_bol in
-        st.s_cur.fn_refs <- (path, line) :: st.s_cur.fn_refs;
-        classify path line col;
-        List.iter (fun (_, a) -> sub.expr sub a) args
-    | _ -> default_iterator.expr sub e
-  in
-  let structure_item sub (item : Parsetree.structure_item) =
-    match item.pstr_desc with
-    | Pstr_value (_, bindings) ->
-        let toplevel = st.s_cur in
-        List.iter
-          (fun (vb : Parsetree.value_binding) ->
-            let name =
-              match vb.pvb_pat.ppat_desc with
-              | Ppat_var { txt; _ } -> txt
-              | _ -> "<toplevel>"
-            in
-            st.s_cur <- new_fn st name;
-            sub.expr sub vb.pvb_expr;
-            st.s_cur <- toplevel)
-          bindings
-    | _ -> default_iterator.structure_item sub item
-  in
-  { default_iterator with expr; structure_item }
-
-(* {1 Directives} *)
-
-let strip_dash s =
-  let s = String.trim s in
-  let drop n = String.trim (String.sub s n (String.length s - n)) in
-  if String.length s >= 3 && String.equal (String.sub s 0 3) "\xe2\x80\x94"
-  then drop 3
-  else if String.length s >= 2 && String.equal (String.sub s 0 2) "--" then
-    drop 2
-  else if String.length s >= 1 && s.[0] = '-' then drop 1
-  else ""
-
-let scan_directives fs comments =
-  let transfers = ref [] in
-  List.iter
-    (fun (text, (loc : Location.t)) ->
-      let line = loc.loc_start.Lexing.pos_lnum in
-      let col = loc.loc_start.Lexing.pos_cnum - loc.loc_start.Lexing.pos_bol in
-      let first = line and last = loc.loc_end.Lexing.pos_lnum + 1 in
-      match Check.parse_directive ~marker text with
-      | None -> ()
-      | Some ("transfer", payload)
-        when not (String.equal (strip_dash payload) "") ->
-          transfers :=
-            { d_first = first; d_last = last; d_line = line; d_used = false }
-            :: !transfers
-      | Some ("transfer", _) ->
-          fs.fs_meta <-
-            mk_meta fs.fs_rel line col Rules.bad_allow
-              "transfer marker needs a reason: seussown: transfer — <why>"
-            :: fs.fs_meta
-      | Some _ ->
-          fs.fs_meta <-
-            mk_meta fs.fs_rel line col Rules.bad_allow
-              "malformed seussown comment; expected: transfer — <reason>"
-            :: fs.fs_meta)
-    comments;
-  List.rev !transfers
-
-let scan_source (source : Check.source) =
-  let rel = source.Check.src_rel in
-  let fs =
-    { fs_rel = rel; fs_src = source; fs_fns = []; fs_transfers = [];
-      fs_meta = [] }
-  in
-  fs.fs_transfers <- scan_directives fs source.Check.src_comments;
-  let modname = module_of rel in
-  let st =
-    {
-      s_rel = rel;
-      s_module = modname;
-      s_fns = [];
-      s_cur =
-        {
-          fn_id = -1;
-          fn_key = modname ^ ".<toplevel>";
-          fn_module = modname;
-          fn_file = rel;
-          fn_refs = [];
-          fn_acquires = [];
-          fn_rel = [];
-        };
-    }
-  in
-  st.s_cur <- new_fn st "<toplevel>";
-  (match source.Check.src_ast with
-  | Ok ast ->
-      let it = scan_iterator st in
-      it.structure it ast
-  | Error exn ->
-      fs.fs_meta <-
-        mk_meta rel 1 0 Rules.parse_error (Printexc.to_string exn)
-        :: fs.fs_meta);
-  fs.fs_fns <- List.rev st.s_fns;
-  fs
-
-(* {1 Linking: the may-release fixpoint} *)
-
-type linked = {
-  fns : fn array;
-  defs : fn Resolve.t;
-  rel : Sites.resource list array;  (* may-release summary per fn *)
-}
-
-let link scans =
-  let all_fns = List.concat_map (fun fs -> fs.fs_fns) scans in
-  let fns = Array.of_list all_fns in
-  Array.iteri (fun i f -> f.fn_id <- i) fns;
-  let n = Array.length fns in
-  let defs = Resolve.create () in
-  Array.iter
-    (fun f ->
-      if not (String.equal (binding_of_key f.fn_key) "<toplevel>") then
-        Resolve.add defs ~key:f.fn_key ~file:f.fn_file f)
-    fns;
-  let rel = Array.make (max n 1) [] in
-  Array.iter
-    (fun f ->
-      rel.(f.fn_id) <- f.fn_rel;
-      List.iter
-        (fun (key, res) ->
-          if String.equal f.fn_key key then
-            rel.(f.fn_id) <- radd res rel.(f.fn_id))
-        release_keys)
-    fns;
-  let lk = { fns; defs; rel } in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Array.iter
-      (fun f ->
-        let acc =
-          List.fold_left
-            (fun acc (path, _) ->
-              List.fold_left
-                (fun acc g -> runion acc lk.rel.(g.fn_id))
-                acc
-                (Resolve.find lk.defs ~modname:f.fn_module path))
-            lk.rel.(f.fn_id) f.fn_refs
-        in
-        if not (req acc lk.rel.(f.fn_id)) then begin
-          lk.rel.(f.fn_id) <- acc;
-          changed := true
-        end)
-      lk.fns
-  done;
-  lk
-
-(* {1 Pass 2: the per-path typestate walk} *)
+(* A transfer marker covering the acquire line (now used), or the
+   registry entry for the binding, hands the resource off. *)
+let cleared transfers (f : Graph.node) res line =
+  (match Marker.covering transfers ~file:f.file line with
+  | Some m ->
+      m.m_used <- true;
+      true
+  | None -> false)
+  || Sites.transfer ~file:f.file ~binding:f.binding res <> None
 
 type acq_info = { ai_res : Sites.resource; ai_op : string; ai_line : int }
 
 type pstate = {
-  p_rel : string;
-  p_module : string;
-  p_lk : linked;
-  p_transfers : directive list;
-  mutable p_fn_key : string;
+  p_graph : Graph.t;
+  p_rel : Sites.resource list array;  (* may-release summary per node *)
+  p_transfers : Marker.t list;
+  mutable p_cur : Graph.node;
   mutable p_hint : string;  (* innermost binding/field name *)
   mutable p_owned : (string * acq_info) list;
   mutable p_released : (Sites.resource * string * int) list;
   mutable p_destroyed : (string * int) list;
   mutable p_raised : bool;
   mutable p_in_try : int;
-  mutable p_hits : Check.violation list;
+  mutable p_hits : Source.violation list;
 }
 
-(* A hit is silenced when a transfer marker covers its line. *)
-let report st (loc : Location.t) rule message =
-  let line = loc.loc_start.Lexing.pos_lnum in
-  let col = loc.loc_start.Lexing.pos_cnum - loc.loc_start.Lexing.pos_bol in
-  match covering st.p_transfers line with
-  | Some d -> d.d_used <- true
-  | None -> st.p_hits <- mk st.p_rel line col rule message :: st.p_hits
+let report st loc rule message =
+  st.p_hits <-
+    Source.at st.p_cur.file loc (Rules.name rule) message :: st.p_hits
 
 let track_acquire st ~res ~op ~hint ~line =
-  let cleared =
-    (match covering st.p_transfers line with
-    | Some d ->
-        d.d_used <- true;
-        true
-    | None -> false)
-    || Sites.transfer ~file:st.p_rel
-         ~binding:(binding_of_key st.p_fn_key) res
-       <> None
-  in
+  let cleared = cleared st.p_transfers st.p_cur res line in
   if not (String.equal hint "") then begin
     (* Rebinding a name re-acquires it: the old typestate dies. *)
     st.p_released <-
@@ -491,7 +212,7 @@ let walk_arms st (loc : Location.t) arms =
                "branch arms disagree about %s (%s, line %d): one arm \
                 releases it, another leaves it owned (%s -> %s); release \
                 on every arm or transfer explicitly"
-               hint ai.ai_op ai.ai_line st.p_fn_key ai.ai_op))
+               hint ai.ai_op ai.ai_line st.p_cur.key ai.ai_op))
       pre_owned;
   match joining with
   | [] ->
@@ -526,9 +247,9 @@ let path_iterator st =
   let open Ast_iterator in
   let handle_apply sub (loc : Location.t) path args =
     let line = loc.loc_start.Lexing.pos_lnum in
-    let pos = positional args in
+    let pos = Graph.positional args in
     let walk_args () = List.iter (fun (_, a) -> sub.expr sub a) args in
-    match res_op ~cur_module:st.p_module path with
+    match res_op st.p_cur path with
     | Some (Op_acquire_ret (res, op)) ->
         walk_args ();
         track_acquire st ~res ~op ~hint:st.p_hint ~line
@@ -549,7 +270,7 @@ let path_iterator st =
                 (Printf.sprintf
                    "%s of %s already released at line %d (%s -> %s -> %s); \
                     the second release double-frees"
-                   op hint prev st.p_fn_key op op)
+                   op hint prev st.p_cur.key op op)
           | None -> ());
           st.p_released <- (res, hint, line) :: st.p_released;
           if res = Sites.Uc_ctx && not (List.mem_assoc hint st.p_destroyed)
@@ -564,14 +285,14 @@ let path_iterator st =
         walk_args ();
         match pos with
         | e :: _ -> (
-            let hint = hint_of_expr e in
+            let hint = Graph.name_of e in
             match List.assoc_opt hint st.p_destroyed with
             | Some dline when not (String.equal hint "") ->
                 report st loc Rules.Own_use_after_destroy
                   (Printf.sprintf
                      "%s on %s destroyed at line %d (%s -> Uc.destroy -> \
                       %s); destroy already released its resources"
-                     op hint dline st.p_fn_key op)
+                     op hint dline st.p_cur.key op)
             | _ -> ())
         | [] -> ())
     | None ->
@@ -585,8 +306,8 @@ let path_iterator st =
                      "%s fires while %s (%s, line %d) is still owned (%s \
                       -> %s -> %s); release before raising or wrap in \
                       Fun.protect"
-                     (last_of path) hint ai.ai_op ai.ai_line st.p_fn_key
-                     ai.ai_op (last_of path)))
+                     (Graph.last path) hint ai.ai_op ai.ai_line st.p_cur.key
+                     ai.ai_op (Graph.last path)))
               st.p_owned;
             st.p_raised <- true
           end
@@ -596,14 +317,14 @@ let path_iterator st =
              may-release summary covers its class. *)
           let mr =
             List.fold_left
-              (fun acc g -> runion acc st.p_lk.rel.(g.fn_id))
+              (fun acc (g : Graph.node) -> runion acc st.p_rel.(g.id))
               []
-              (Resolve.find st.p_lk.defs ~modname:st.p_module path)
+              (Graph.find st.p_graph st.p_cur path)
           in
           if mr <> [] then
             List.iter
               (fun a ->
-                let h = hint_of_expr a in
+                let h = Graph.name_of a in
                 if not (String.equal h "") then
                   st.p_owned <-
                     List.filter
@@ -655,139 +376,111 @@ let path_iterator st =
     default_iterator.value_binding sub vb;
     st.p_hint <- saved
   in
-  let structure_item sub (item : Parsetree.structure_item) =
-    match item.pstr_desc with
-    | Pstr_value (_, bindings) ->
-        List.iter
-          (fun (vb : Parsetree.value_binding) ->
-            let name =
-              match vb.pvb_pat.ppat_desc with
-              | Ppat_var { txt; _ } -> txt
-              | _ -> "<toplevel>"
-            in
-            st.p_fn_key <- st.p_module ^ "." ^ name;
+  { default_iterator with expr; value_binding }
+
+(* {1 The pass} *)
+
+let marker =
+  {
+    Marker.word = "seussown:";
+    verbs =
+      [
+        {
+          verb = "transfer";
+          arg = No_arg;
+          reason = true;
+          unused =
+            (fun _ ->
+              "transfer marker covers no acquire and silences nothing; \
+               delete it");
+        };
+      ];
+    malformed = "malformed seussown comment; expected: transfer — <reason>";
+  }
+
+let check pass (prog : Pass.program) =
+  let g = Lazy.force prog.graph in
+  let transfers, bad = Pass.markers prog pass in
+  let op (f : Graph.node) (r : Graph.ref_) =
+    res_op f r.path
+  in
+  let rel =
+    Graph.fixpoint g ~join:runion ~equal:req ~init:(fun f ->
+        List.fold_left
+          (fun acc r ->
+            match op f r with
+            | Some (Op_release (res, _, _)) -> radd res acc
+            | _ -> acc)
+          (List.filter_map
+             (fun (key, res) ->
+               if String.equal f.key key then Some res else None)
+             release_keys)
+          f.refs)
+  in
+  (* own-escape: direct acquires in functions whose callee cone never
+     releases the class, outside the transfer registry and markers. *)
+  let escapes =
+    List.concat_map
+      (fun (f : Graph.node) ->
+        List.filter_map
+          (fun (r : Graph.ref_) ->
+            match (r.args, op f r) with
+            | ( Some _,
+                Some
+                  (Op_acquire_ret (res, aop) | Op_acquire_arg (res, aop, _)) )
+              when (not (cleared transfers f res r.line))
+                   && not (List.mem res rel.(f.id)) ->
+                Some
+                  (Source.violation f.file r.line r.col
+                     (Rules.name Rules.Own_escape)
+                     (Printf.sprintf
+                        "%s acquires a %s that no reachable path releases (%s \
+                         -> %s); release it, register the transfer in \
+                         Lint.Sites, or justify with (* seussown: transfer — \
+                         <why> *)"
+                        aop (Sites.resource_name res) f.key aop))
+            | _ -> None)
+          f.refs)
+      (Array.to_list g.nodes)
+  in
+  (* The flow-sensitive typestate rules. *)
+  let paths =
+    List.concat_map
+      (fun ((_, nodes) as file) ->
+        let st =
+          {
+            p_graph = g;
+            p_rel = rel;
+            p_transfers = transfers;
+            p_cur = List.hd nodes;
+            p_hint = "";
+            p_owned = [];
+            p_released = [];
+            p_destroyed = [];
+            p_raised = false;
+            p_in_try = 0;
+            p_hits = [];
+          }
+        in
+        Graph.walk file (path_iterator st) ~enter:(fun n ->
+            st.p_cur <- n;
             st.p_owned <- [];
             st.p_released <- [];
             st.p_destroyed <- [];
             st.p_raised <- false;
-            st.p_in_try <- 0;
-            sub.value_binding sub vb)
-          bindings
-    | _ -> default_iterator.structure_item sub item
+            st.p_in_try <- 0);
+        st.p_hits)
+      g.files
   in
-  { default_iterator with expr; value_binding; structure_item }
+  let surviving = Marker.suppress transfers (escapes @ paths) in
+  surviving @ Marker.unused marker transfers @ bad
+  @ Graph.ambiguity g (Array.to_list g.nodes)
 
-let walk_paths lk fs =
-  let st =
-    {
-      p_rel = fs.fs_rel;
-      p_module = module_of fs.fs_rel;
-      p_lk = lk;
-      p_transfers = fs.fs_transfers;
-      p_fn_key = module_of fs.fs_rel ^ ".<toplevel>";
-      p_hint = "";
-      p_owned = [];
-      p_released = [];
-      p_destroyed = [];
-      p_raised = false;
-      p_in_try = 0;
-      p_hits = [];
-    }
-  in
-  (match fs.fs_src.Check.src_ast with
-  | Ok ast ->
-      let it = path_iterator st in
-      it.structure it ast
-  | Error _ -> ());
-  st.p_hits
-
-(* {1 The tree driver} *)
-
-let check_sources sources =
-  let scans = List.map scan_source sources in
-  let lk = link scans in
-  let transfers_of_file = Hashtbl.create 32 in
-  List.iter
-    (fun fs -> Hashtbl.replace transfers_of_file fs.fs_rel fs.fs_transfers)
-    scans;
-  let hits = ref [] in
-  (* own-escape: direct acquires in functions whose callee cone never
-     releases the class, outside the transfer registry and markers. *)
-  Array.iter
-    (fun f ->
-      let binding = binding_of_key f.fn_key in
-      let transfers =
-        match Hashtbl.find_opt transfers_of_file f.fn_file with
-        | Some l -> l
-        | None -> []
-      in
-      List.iter
-        (fun a ->
-          (match covering transfers a.aq_line with
-          | Some d ->
-              d.d_used <- true;
-              a.aq_cleared <- true
-          | None -> ());
-          if
-            (not a.aq_cleared)
-            && Sites.transfer ~file:f.fn_file ~binding a.aq_res <> None
-          then a.aq_cleared <- true;
-          if (not a.aq_cleared) && not (List.mem a.aq_res lk.rel.(f.fn_id))
-          then
-            hits :=
-              mk f.fn_file a.aq_line a.aq_col Rules.Own_escape
-                (Printf.sprintf
-                   "%s acquires a %s that no reachable path releases (%s \
-                    -> %s); release it, register the transfer in \
-                    Lint.Sites, or justify with (* seussown: transfer — \
-                    <why> *)"
-                   a.aq_op
-                   (Sites.resource_name a.aq_res)
-                   f.fn_key a.aq_op)
-              :: !hits)
-        f.fn_acquires)
-    lk.fns;
-  (* The flow-sensitive typestate rules. *)
-  List.iter (fun fs -> hits := walk_paths lk fs @ !hits) scans;
-  (* Dead markers. *)
-  let dead =
-    List.concat_map
-      (fun fs ->
-        List.filter_map
-          (fun d ->
-            if d.d_used then None
-            else
-              Some
-                (mk_meta fs.fs_rel d.d_line 0 Rules.unused_allow
-                   "transfer marker covers no acquire and silences \
-                    nothing; delete it"))
-          fs.fs_transfers)
-      scans
-  in
-  let meta = List.concat_map (fun fs -> fs.fs_meta) scans in
-  (* Ambiguous suffix-2 resolution, surfaced at each reference exactly
-     as the deadlock pass does (identical text, so --pass all dedups). *)
-  let ambiguity =
-    List.sort_uniq Check.compare_violation
-      (Array.to_list lk.fns
-      |> List.concat_map (fun f ->
-             List.filter_map
-               (fun (path, line) ->
-                 if Resolve.ambiguous lk.defs ~modname:f.fn_module path then
-                   Some
-                     (mk_meta f.fn_file line 0 Rules.ambiguous_resolve
-                        (Printf.sprintf
-                           "%s resolves to definitions in %s; suffix-2 \
-                            resolution conflates these same-named modules — \
-                            rename one or avoid the shared suffix"
-                           (Resolve.suffix2 path)
-                           (String.concat " and "
-                              (Resolve.defining_files lk.defs
-                                 ~modname:f.fn_module path))))
-                 else None)
-               f.fn_refs))
-  in
-  List.sort Check.compare_violation (!hits @ dead @ meta @ ambiguity)
-
-let check_tree ?strip_prefix roots =
-  check_sources (Check.load_tree ?strip_prefix roots)
+let rec pass =
+  {
+    Pass.name = "own";
+    rules;
+    marker;
+    hint = "a seussown: transfer marker";
+    check = (fun prog -> check pass prog);
+  }

@@ -1,24 +1,13 @@
-(** seussown — the interprocedural ownership/lifecycle typestate pass
-    ([seusslint --pass own]).
+(** seussown — the interprocedural ownership/lifecycle typestate pass.
 
-    Tracks three acquire/release disciplines over the shared parse and
-    the conservative suffix-2 call graph: [Frame.alloc]/[Frame.incref]
-    -> [Frame.decref], [Snapshot.addref] -> [Snapshot.decref], and
-    [Uc.boot]/[Uc.deploy] -> [Uc.destroy] (destroy-at-most-once).
-    A flow-insensitive may-release fixpoint catches acquires whose
-    callee cone never releases the class ([own-escape], cleared by the
-    {!Sites.transfers} registry); a flow-sensitive per-path walk with
-    must-semantics branch joins catches [own-exn-leak],
-    [own-double-release], [own-use-after-destroy] and [own-unbalanced].
-    Suppression: [(* seussown: transfer — <reason> *)], validated by
-    the usual bad-allow/unused-allow meta-rules. *)
+    Tracks [Frame.alloc]/[Frame.incref] -> [Frame.decref],
+    [Snapshot.addref] -> [Snapshot.decref] and [Uc.boot]/[Uc.deploy]
+    -> [Uc.destroy] (destroy-at-most-once). A may-release fixpoint over
+    the shared call graph catches acquires whose callee cone never
+    releases the class ([own-escape], cleared by the
+    {!Sites.transfers} registry); a per-path walk with must-semantics
+    branch joins catches [own-exn-leak], [own-double-release],
+    [own-use-after-destroy] and [own-unbalanced]. Suppression:
+    [(* seussown: transfer — <reason> *)]. *)
 
-val marker : string
-(** ["seussown:"]. *)
-
-val check_sources : Check.source list -> Check.violation list
-(** Run the pass over pre-loaded sources (the shared-parse path used by
-    [--pass all]). *)
-
-val check_tree : ?strip_prefix:string -> string list -> Check.violation list
-(** Load, parse and check every [.ml] file under the roots. *)
+val pass : Pass.t

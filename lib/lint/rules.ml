@@ -1,14 +1,7 @@
 (* The seusslint rule catalogue. Every rule guards one way simulation
    determinism, resource safety or liveness has actually broken (or
-   nearly broken) in this codebase. The syntactic rules are enforced
-   per-file by {!Check}; the deadlock rules need the interprocedural
-   call graph built by {!Deadlock} and run as a separate pass
-   ([seusslint --pass deadlock]); the heat rules flag allocation and
-   boxing on paths proven reachable from the registered hot roots
-   ({!Hotroots}) by {!Heat} ([seusslint --pass heat]); the own rules
-   track acquire/release typestate for frames, snapshot references and
-   unikernel contexts interprocedurally, enforced by {!Own}
-   ([seusslint --pass own]). *)
+   nearly broken) in this codebase. Which pass enforces a rule is the
+   pass table's business ({!Passes}). *)
 
 type id =
   | Bare_random  (** [Random.*] outside the seeded PRNG plumbing *)
@@ -62,28 +55,14 @@ type id =
       (** branch arms that disagree about whether a resource owned
           before the branch is released *)
 
-let syntactic =
-  [ Bare_random; Wallclock; Hashtbl_order; Physical_eq; Stdout_print; Frame_site;
-    Ambient_env ]
-
-let deadlock = [ Block_in_handler; Lock_order; Unreleased_acquire ]
-
-let heat =
-  [ Heat_closure; Heat_alloc; Heat_string; Heat_float_box; Heat_poly_cmp;
-    Heat_partial ]
-
-let own =
-  [ Own_escape; Own_exn_leak; Own_double_release; Own_use_after_destroy;
-    Own_unbalanced ]
-
-let all = syntactic @ deadlock @ heat @ own
-
-(* Which seusslint pass enforces a rule ([--list-rules], --json records). *)
-let pass_of r =
-  if List.mem r syntactic then "base"
-  else if List.mem r deadlock then "deadlock"
-  else if List.mem r heat then "heat"
-  else "own"
+let all =
+  [
+    Bare_random; Wallclock; Hashtbl_order; Physical_eq; Stdout_print;
+    Frame_site; Ambient_env; Block_in_handler; Lock_order; Unreleased_acquire;
+    Heat_closure; Heat_alloc; Heat_string; Heat_float_box; Heat_poly_cmp;
+    Heat_partial; Own_escape; Own_exn_leak; Own_double_release;
+    Own_use_after_destroy; Own_unbalanced;
+  ]
 
 let name = function
   | Bare_random -> "bare-random"

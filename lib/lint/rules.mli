@@ -2,13 +2,8 @@
 
     Every rule guards one way simulation determinism, resource safety or
     liveness has actually broken (or nearly broken) in this codebase.
-    The {!syntactic} rules are decidable per-file on names alone and are
-    enforced by {!Check}; the {!deadlock} rules need the interprocedural
-    call graph built by {!Deadlock} over the whole tree, the {!heat}
-    rules flag allocation/boxing reachable from the registered hot roots
-    ({!Hotroots}), enforced by {!Heat}, and the {!own} rules track
-    acquire/release typestate for frames, snapshot references and
-    unikernel contexts, enforced by {!Own}. *)
+    Which pass enforces a rule is recorded in the pass table
+    ({!Passes}). *)
 
 type id =
   | Bare_random  (** [Random.*] outside the seeded PRNG plumbing *)
@@ -58,26 +53,8 @@ type id =
       (** branch arms that disagree about releasing a pre-branch
           resource *)
 
-val syntactic : id list
-(** Rules enforced per-file by the base pass ({!Check.check_file}). *)
-
-val deadlock : id list
-(** Rules enforced by the interprocedural pass ({!Deadlock.check_tree}). *)
-
-val heat : id list
-(** Rules enforced by the hot-path pass ({!Heat.check_tree}),
-    suppressed with [(* seussheat: cold — <reason> *)] markers. *)
-
-val own : id list
-(** Rules enforced by the ownership pass ({!Own.check_tree}),
-    suppressed with [(* seussown: transfer — <reason> *)] markers. *)
-
 val all : id list
-(** [syntactic @ deadlock @ heat @ own]. *)
-
-val pass_of : id -> string
-(** The seusslint pass that enforces the rule: ["base"], ["deadlock"],
-    ["heat"] or ["own"]. *)
+(** The catalogue, in [--list-rules] order. *)
 
 val name : id -> string
 (** Stable kebab-case identifier, as printed and as written in allow

@@ -8,8 +8,6 @@
 
 type op = Alloc | Incref | Decref
 
-let op_name = function Alloc -> "alloc" | Incref -> "incref" | Decref -> "decref"
-
 let op_of_name = function
   | "alloc" -> Some Alloc
   | "incref" -> Some Incref

@@ -9,7 +9,6 @@
 
 type op = Alloc | Incref | Decref
 
-val op_name : op -> string
 val op_of_name : string -> op option
 
 val audited : (string * string * op) list

@@ -232,6 +232,22 @@ let test_fig_load_same_seed_identical () =
     (Obs.Json.to_string (Experiments.Fig_load.to_json r1))
     (Obs.Json.to_string (Experiments.Fig_load.to_json r2))
 
+(* An armed timeline gives the top SEUSS arm exactly one sampler —
+   fig_load's own — so the run quiesces, and arming changes nothing. *)
+let test_fig_load_timeline_armed () =
+  let run () =
+    Experiments.Fig_load.run ~functions:16 ~hours:0.005 ~rps:[ 2.0; 4.0 ]
+      ~seed:9L ()
+  in
+  let plain = run () in
+  let prior = Option.value ~default:"" (Sys.getenv_opt "SEUSS_TIMELINE") in
+  Unix.putenv "SEUSS_TIMELINE" "1";
+  let armed =
+    Fun.protect ~finally:(fun () -> Unix.putenv "SEUSS_TIMELINE" prior) run
+  in
+  Alcotest.(check bool) "armed run returns the unarmed result" true
+    (armed = plain)
+
 let evict_sizes =
   (* 2 MiB is below even the first member's indexed-runtime footprint,
      so that arm lives under constant eviction pressure. *)
@@ -500,6 +516,7 @@ let () =
           case "fig_reap reduction" test_fig_reap_reduction;
           case "fig_load shapes" test_fig_load_shapes;
           case "fig_load same-seed identical" test_fig_load_same_seed_identical;
+          case "fig_load timeline armed" test_fig_load_timeline_armed;
           case "fig_evict shapes" test_fig_evict_shapes;
           case "fig_evict same-seed identical" test_fig_evict_same_seed_identical;
         ] );

@@ -5,10 +5,17 @@
 let fixture name = Filename.concat "lint_fixtures/lib" name
 
 (* Fixtures pose as lib/ sources so lib-only rules apply to them. *)
-let check name = Lint.Check.check_file ~rel:("lib/" ^ name) (fixture name)
+let check name = Lint.Passes.check_file ~rel:("lib/" ^ name) (fixture name)
 
 let rules_hit vs =
-  List.sort_uniq String.compare (List.map (fun v -> v.Lint.Check.rule) vs)
+  List.sort_uniq String.compare (List.map (fun v -> v.Lint.Source.rule) vs)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec from i =
+    i + n <= String.length s && (String.sub s i n = sub || from (i + 1))
+  in
+  from 0
 
 let check_fires () =
   let cases =
@@ -30,17 +37,25 @@ let check_fires () =
     cases
 
 let check_no_parse_errors () =
-  (* The fixtures must be valid OCaml — a parse-error violation would
+  (* Every fixture must be valid OCaml — a parse-error violation would
      silently satisfy the nonzero-exit expectation for the wrong reason. *)
+  let sources = Lint.Source.load_tree [ "lint_fixtures" ] in
   List.iter
-    (fun file ->
-      let vs = check file in
-      List.iter
-        (fun v ->
-          if String.equal v.Lint.Check.rule Lint.Rules.parse_error then
-            Alcotest.failf "%s failed to parse: %s" file v.Lint.Check.message)
-        vs)
-    (Array.to_list (Sys.readdir "lint_fixtures/lib"))
+    (fun dir ->
+      Alcotest.(check bool) (dir ^ " fixtures present") true
+        (List.exists
+           (fun (src : Lint.Source.t) ->
+             String.starts_with ~prefix:("lint_fixtures/" ^ dir ^ "/") src.rel)
+           sources))
+    [ "lib"; "deadlock"; "heat"; "own" ];
+  List.iter
+    (fun (src : Lint.Source.t) ->
+      match src.ast with
+      | Ok _ -> ()
+      | Error exn ->
+          Alcotest.failf "%s failed to parse: %s" src.rel
+            (Printexc.to_string exn))
+    sources
 
 let check_allow_suppresses () =
   Alcotest.(check (list string)) "allow_ok clean" [] (rules_hit (check "allow_ok.ml"))
@@ -58,8 +73,8 @@ let check_allow_unused () =
 let check_positions () =
   match check "bad_random.ml" with
   | [ v ] ->
-      Alcotest.(check string) "file" "lib/bad_random.ml" v.Lint.Check.file;
-      Alcotest.(check int) "line" 2 v.Lint.Check.line
+      Alcotest.(check string) "file" "lib/bad_random.ml" v.Lint.Source.file;
+      Alcotest.(check int) "line" 2 v.Lint.Source.line
   | vs -> Alcotest.failf "expected exactly one violation, got %d" (List.length vs)
 
 let check_strip_prefix_tree () =
@@ -67,58 +82,62 @@ let check_strip_prefix_tree () =
      root with the prefix stripped must classify files as lib/, fire
      every lib-only rule, and leave the clean allow_ok fixture clean. *)
   let vs =
-    Lint.Check.check_tree ~strip_prefix:"lint_fixtures" [ "lint_fixtures" ]
+    Lint.Passes.check_tree ~strip_prefix:"lint_fixtures" Lint.Check.pass
+      [ "lint_fixtures" ]
   in
   List.iter
     (fun v ->
       Alcotest.(check bool)
-        (v.Lint.Check.file ^ " reported lib-relative")
+        (v.Lint.Source.file ^ " reported lib-relative")
         true
-        (String.length v.Lint.Check.file >= 4
-        && String.equal (String.sub v.Lint.Check.file 0 4) "lib/"))
+        (String.length v.Lint.Source.file >= 4
+        && String.equal (String.sub v.Lint.Source.file 0 4) "lib/"))
     vs;
   let rules = rules_hit vs in
   List.iter
     (fun r ->
       Alcotest.(check bool) (r ^ " fires in the fixture tree") true
         (List.mem r rules))
-    [
-      "bare-random"; "wallclock"; "hashtbl-order"; "physical-eq";
-      "stdout-print"; "frame-site"; "ambient-env";
-    ];
+    (List.map Lint.Rules.name Lint.Check.pass.rules);
   Alcotest.(check bool) "allow_ok stays clean" false
     (List.exists
-       (fun v -> String.equal v.Lint.Check.file "lib/allow_ok.ml")
+       (fun v -> String.equal v.Lint.Source.file "lib/allow_ok.ml")
        vs)
+
+(* Each fixture file under [dir] trips exactly its rule, with the
+   planted count. *)
+let in_file vs f = List.filter (fun v -> String.equal v.Lint.Source.file f) vs
+
+let check_planted vs dir cases =
+  List.iter
+    (fun (file, rule, expected) ->
+      let hits = in_file vs (dir ^ file) in
+      Alcotest.(check (list string)) (file ^ " rule") [ rule ] (rules_hit hits);
+      Alcotest.(check int) (file ^ " count") expected (List.length hits))
+    cases
 
 let check_deadlock_fixture_tree () =
   (* Mirror CI's "Deadlock fixtures still fail" step: each fixture file
      trips exactly its rule family, with the planted counts, and the
      seussdead allow fixture stays clean. *)
   let vs =
-    Lint.Deadlock.check_tree ~strip_prefix:"lint_fixtures"
+    Lint.Passes.check_tree ~strip_prefix:"lint_fixtures" Lint.Deadlock.pass
       [ "lint_fixtures/deadlock" ]
   in
-  let in_file f =
-    List.filter (fun v -> String.equal v.Lint.Check.file f) vs
-  in
-  List.iter
-    (fun (file, rule, expected) ->
-      let hits = in_file ("deadlock/" ^ file) in
-      Alcotest.(check (list string)) (file ^ " rule") [ rule ] (rules_hit hits);
-      Alcotest.(check int) (file ^ " count") expected (List.length hits))
+  check_planted vs "deadlock/"
     [
       ("handler_blocks.ml", "block-in-handler", 3);
       ("lock_cycle.ml", "lock-order", 2);
       ("leaked_acquire.ml", "unreleased-acquire", 1);
     ];
   Alcotest.(check (list string)) "allow_ok clean under seussdead" []
-    (rules_hit (in_file "deadlock/allow_ok.ml"));
+    (rules_hit (in_file vs "deadlock/allow_ok.ml"));
   (* The base/heat fixtures must not confuse the deadlock pass — except
      for the heat ambiguity fixture, whose suffix-2 collision the
      deadlock pass also surfaces (at every reference site, hot or not). *)
   let whole =
-    Lint.Deadlock.check_tree ~strip_prefix:"lint_fixtures" [ "lint_fixtures" ]
+    Lint.Passes.check_tree ~strip_prefix:"lint_fixtures" Lint.Deadlock.pass
+      [ "lint_fixtures" ]
   in
   Alcotest.(check int) "whole fixture tree: planted hits + the collision" 7
     (List.length whole);
@@ -127,14 +146,14 @@ let check_deadlock_fixture_tree () =
     [ Lint.Rules.ambiguous_resolve ]
     (rules_hit
        (List.filter
-          (fun v -> String.starts_with ~prefix:"heat/" v.Lint.Check.file)
+          (fun v -> String.starts_with ~prefix:"heat/" v.Lint.Source.file)
           whole));
   Alcotest.(check bool) "base pass ignores deadlock/heat fixtures" false
     (List.exists
        (fun v ->
-         String.starts_with ~prefix:"deadlock/" v.Lint.Check.file
-         || String.starts_with ~prefix:"heat/" v.Lint.Check.file)
-       (Lint.Check.check_tree ~strip_prefix:"lint_fixtures"
+         String.starts_with ~prefix:"deadlock/" v.Lint.Source.file
+         || String.starts_with ~prefix:"heat/" v.Lint.Source.file)
+       (Lint.Passes.check_tree ~strip_prefix:"lint_fixtures" Lint.Check.pass
           [ "lint_fixtures" ]))
 
 let check_heat_fixture_tree () =
@@ -143,17 +162,10 @@ let check_heat_fixture_tree () =
      the ambiguity fixture surfaces its collision, and the justified
      cold markers leave their file clean. *)
   let vs =
-    Lint.Heat.check_tree ~strip_prefix:"lint_fixtures"
+    Lint.Passes.check_tree ~strip_prefix:"lint_fixtures" Lint.Heat.pass
       [ "lint_fixtures/heat" ]
   in
-  let in_file f =
-    List.filter (fun v -> String.equal v.Lint.Check.file f) vs
-  in
-  List.iter
-    (fun (file, rule, expected) ->
-      let hits = in_file ("heat/" ^ file) in
-      Alcotest.(check (list string)) (file ^ " rule") [ rule ] (rules_hit hits);
-      Alcotest.(check int) (file ^ " count") expected (List.length hits))
+  check_planted vs "heat/"
     [
       ("hot_closure.ml", "heat-closure", 1);
       ("hot_alloc.ml", "heat-alloc", 3);
@@ -166,29 +178,24 @@ let check_heat_fixture_tree () =
       ("amb_use.ml", Lint.Rules.ambiguous_resolve, 1);
     ];
   Alcotest.(check (list string)) "cold_ok clean under seussheat" []
-    (rules_hit (in_file "heat/cold_ok.ml"));
+    (rules_hit (in_file vs "heat/cold_ok.ml"));
   Alcotest.(check int) "whole heat fixture tree: only the planted hits" 16
     (List.length vs);
   (* Every violation inside a hot binding must carry its root-to-site
      chain — the report doubles as the hotness proof. *)
   List.iter
     (fun v ->
-      if String.starts_with ~prefix:"heat-" v.Lint.Check.rule then
+      if String.starts_with ~prefix:"heat-" v.Lint.Source.rule then
         Alcotest.(check bool)
-          (v.Lint.Check.rule ^ " message carries a hot chain") true
-          (let msg = v.Lint.Check.message in
-           let rec has i =
-             i + 10 <= String.length msg
-             && (String.equal (String.sub msg i 10) "hot path (" || has (i + 1))
-           in
-           has 0))
+          (v.Lint.Source.rule ^ " message carries a hot chain") true
+          (contains v.Lint.Source.message "hot path ("))
     vs;
   (* Cross-pass isolation: the heat pass sees nothing in the base and
      deadlock fixtures (their markers are not seussheat's), and the heat
      markers are invisible to the other two scanners. *)
   Alcotest.(check int) "heat pass ignores the base/deadlock fixtures" 0
     (List.length
-       (Lint.Heat.check_tree ~strip_prefix:"lint_fixtures"
+       (Lint.Passes.check_tree ~strip_prefix:"lint_fixtures" Lint.Heat.pass
           [ "lint_fixtures/lib"; "lint_fixtures/deadlock" ]))
 
 let check_own_fixture_tree () =
@@ -196,17 +203,10 @@ let check_own_fixture_tree () =
      fires on its fixture with the planted count, the marker meta-rules
      fire, and the justified-transfer fixture stays clean. *)
   let vs =
-    Lint.Own.check_tree ~strip_prefix:"lint_fixtures"
+    Lint.Passes.check_tree ~strip_prefix:"lint_fixtures" Lint.Own.pass
       [ "lint_fixtures/own" ]
   in
-  let in_file f =
-    List.filter (fun v -> String.equal v.Lint.Check.file f) vs
-  in
-  List.iter
-    (fun (file, rule, expected) ->
-      let hits = in_file ("own/" ^ file) in
-      Alcotest.(check (list string)) (file ^ " rule") [ rule ] (rules_hit hits);
-      Alcotest.(check int) (file ^ " count") expected (List.length hits))
+  check_planted vs "own/"
     [
       ("leak_escape.ml", "own-escape", 1);
       ("exn_leak.ml", "own-exn-leak", 1);
@@ -217,22 +217,17 @@ let check_own_fixture_tree () =
       ("unused_marker.ml", Lint.Rules.unused_allow, 1);
     ];
   Alcotest.(check (list string)) "transfer_ok clean under seussown" []
-    (rules_hit (in_file "own/transfer_ok.ml"));
+    (rules_hit (in_file vs "own/transfer_ok.ml"));
   Alcotest.(check int) "whole own fixture tree: only the planted hits" 8
     (List.length vs);
   (* Every ownership finding must carry its root-to-site chain — the
      report doubles as the ownership-flow proof. *)
   List.iter
     (fun v ->
-      if String.starts_with ~prefix:"own-" v.Lint.Check.rule then
+      if String.starts_with ~prefix:"own-" v.Lint.Source.rule then
         Alcotest.(check bool)
-          (v.Lint.Check.rule ^ " message carries an ownership chain") true
-          (let msg = v.Lint.Check.message in
-           let rec has i =
-             i + 4 <= String.length msg
-             && (String.equal (String.sub msg i 4) " -> " || has (i + 1))
-           in
-           has 0))
+          (v.Lint.Source.rule ^ " message carries an ownership chain") true
+          (contains v.Lint.Source.message " -> "))
     vs;
   (* Cross-pass isolation: the own fixtures are invisible to the other
      three passes (their markers are not seussown's and vice versa),
@@ -240,102 +235,184 @@ let check_own_fixture_tree () =
   Alcotest.(check int) "base pass ignores the own fixtures" 0
     (List.length
        (List.filter
-          (fun v -> String.starts_with ~prefix:"own/" v.Lint.Check.file)
-          (Lint.Check.check_tree ~strip_prefix:"lint_fixtures"
+          (fun v -> String.starts_with ~prefix:"own/" v.Lint.Source.file)
+          (Lint.Passes.check_tree ~strip_prefix:"lint_fixtures" Lint.Check.pass
              [ "lint_fixtures" ])));
-  Alcotest.(check int) "deadlock pass ignores the own fixtures" 0
-    (List.length
-       (Lint.Deadlock.check_tree ~strip_prefix:"lint_fixtures"
-          [ "lint_fixtures/own" ]));
-  Alcotest.(check int) "heat pass ignores the own fixtures" 0
-    (List.length
-       (Lint.Heat.check_tree ~strip_prefix:"lint_fixtures"
-          [ "lint_fixtures/own" ]));
-  Alcotest.(check int) "own pass ignores the deadlock fixtures" 0
-    (List.length
-       (Lint.Own.check_tree ~strip_prefix:"lint_fixtures"
-          [ "lint_fixtures/deadlock" ]))
+  List.iter
+    (fun ((pass : Lint.Pass.t), dir) ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s pass ignores the %s fixtures" pass.name dir)
+        0
+        (List.length
+           (Lint.Passes.check_tree ~strip_prefix:"lint_fixtures" pass
+              [ "lint_fixtures/" ^ dir ])))
+    [
+      (Lint.Deadlock.pass, "own"); (Lint.Heat.pass, "own");
+      (Lint.Own.pass, "deadlock");
+    ]
 
 let check_pass_all_shared_parse () =
   (* --pass all must equal the union of the four passes over the same
      tree, deduplicated: the three interprocedural passes all surface
      the same suffix-2 collision, which must be reported once. *)
   let sources =
-    Lint.Check.load_tree ~strip_prefix:"lint_fixtures" [ "lint_fixtures" ]
+    Lint.Source.load_tree ~strip_prefix:"lint_fixtures" [ "lint_fixtures" ]
   in
-  let base = Lint.Check.check_sources sources in
-  let dl = Lint.Deadlock.check_sources sources in
-  let heat = Lint.Heat.check_sources sources in
-  let own = Lint.Own.check_sources sources in
+  let prog = Lint.Passes.program sources in
+  let base = Lint.Passes.check prog Lint.Check.pass in
+  let dl = Lint.Passes.check prog Lint.Deadlock.pass in
+  let heat = Lint.Passes.check prog Lint.Heat.pass in
+  let own = Lint.Passes.check prog Lint.Own.pass in
   let merged =
-    List.sort_uniq Lint.Check.compare_violation (base @ dl @ heat @ own)
+    List.sort_uniq Lint.Source.compare_violation (base @ dl @ heat @ own)
   in
   Alcotest.(check int) "dedup removes the triply-reported collision"
     (List.length base + List.length dl + List.length heat + List.length own
    - 2)
     (List.length merged)
 
-let check_clean_tree () =
-  (* The shipped sources (copied into the build sandbox as our library
-     deps) must lint clean — the same gate CI applies via seusslint. *)
-  let roots = List.filter Sys.file_exists [ "../lib"; "../bin" ] in
-  if roots = [] then ()
-  else
-    let vs = Lint.Check.check_tree roots in
-    List.iter
-      (fun v ->
-        Printf.eprintf "unexpected: %s:%d [%s] %s\n" v.Lint.Check.file
-          v.Lint.Check.line v.Lint.Check.rule v.Lint.Check.message)
-      vs;
-    Alcotest.(check int) "violations in shipped tree" 0 (List.length vs)
+(* {1 Roots} *)
 
-let check_clean_tree_deadlock () =
-  (* The deadlock pass must also come back clean on the shipped tree:
-     every Semaphore.create carries a lock class, the class graph is
-     acyclic, and nothing reachable from an atomic context may block. *)
-  let roots = List.filter Sys.file_exists [ "../lib"; "../bin" ] in
-  if roots = [] then ()
-  else
-    let vs = Lint.Deadlock.check_tree roots in
-    List.iter
-      (fun v ->
-        Printf.eprintf "unexpected: %s:%d [%s] %s\n" v.Lint.Check.file
-          v.Lint.Check.line v.Lint.Check.rule v.Lint.Check.message)
-      vs;
-    Alcotest.(check int) "deadlock violations in shipped tree" 0
-      (List.length vs)
+let check_missing_root () =
+  match Lint.Source.load_tree [ "lint_fixtures"; "no/such/dir" ] with
+  | _ -> Alcotest.fail "a missing root loaded"
+  | exception Sys_error msg ->
+      Alcotest.(check bool) ("message names the root: " ^ msg) true
+        (String.starts_with ~prefix:"no/such/dir" msg)
 
-let check_clean_tree_heat () =
-  (* The heat pass must come back clean on the shipped tree: every
-     allocation reachable from the registered hot roots is either
-     rewritten away or carries a justified cold marker. *)
-  let roots = List.filter Sys.file_exists [ "../lib"; "../bin" ] in
-  if roots = [] then ()
-  else begin
-    let vs = Lint.Heat.check_tree roots in
-    List.iter
-      (fun v ->
-        Printf.eprintf "unexpected: %s:%d [%s] %s\n" v.Lint.Check.file
-          v.Lint.Check.line v.Lint.Check.rule v.Lint.Check.message)
-      vs;
-    Alcotest.(check int) "heat violations in shipped tree" 0 (List.length vs)
-  end
+let check_file_root () =
+  let path = fixture "bad_physeq.ml" in
+  let vs =
+    Lint.Passes.check_tree ~strip_prefix:"lint_fixtures" Lint.Check.pass
+      [ path ]
+  in
+  Alcotest.(check int) "a file root lints as itself" 2 (List.length vs);
+  Alcotest.(check bool) "same violations as check_file" true
+    (vs = Lint.Passes.check_file ~rel:"lib/bad_physeq.ml" path)
 
-let check_clean_tree_own () =
-  (* The own pass must come back clean on the shipped tree: every
-     acquire reaches a release on every path, or sits in the Lint.Sites
-     transfer registry, or carries a justified transfer marker. *)
-  let roots = List.filter Sys.file_exists [ "../lib"; "../bin" ] in
-  if roots = [] then ()
-  else begin
-    let vs = Lint.Own.check_tree roots in
-    List.iter
-      (fun v ->
-        Printf.eprintf "unexpected: %s:%d [%s] %s\n" v.Lint.Check.file
-          v.Lint.Check.line v.Lint.Check.rule v.Lint.Check.message)
-      vs;
-    Alcotest.(check int) "own violations in shipped tree" 0 (List.length vs)
-  end
+(* {1 The marker grammar}
+
+   One row per pass: its marker head (word, verb and any rule argument),
+   a line the head suppresses or is used by, the suppression hint another
+   pass gives for its rules, and the unused-allow text. Each row is
+   linted under every grammar case in a scratch tree of its own, and the
+   meta-diagnostics (bad-allow, unused-allow) are pinned exactly. *)
+
+let marker_rows =
+  [
+    ( Lint.Check.pass, "seusslint: allow physical-eq", "let f a b = a == b",
+      "allowance for physical-eq suppresses nothing; delete it" );
+    ( Lint.Deadlock.pass, "seussdead: allow unreleased-acquire",
+      "let f () = Sim.Semaphore.acquire s",
+      "allowance for unreleased-acquire suppresses nothing; delete it" );
+    ( Lint.Heat.pass, "seussheat: cold", "let f x = x + 1",
+      "cold marker covers no binding and silences nothing; delete it" );
+    ( Lint.Own.pass, "seussown: transfer", "let f () = Frame.alloc ()",
+      "transfer marker covers no acquire and silences nothing; delete it" );
+  ]
+
+(* Lint [comment] followed by [code] (the deadlock row's semaphore is
+   declared first) as lib/m.ml; its meta-diagnostics as (rule, message). *)
+let lint_marker (pass : Lint.Pass.t) comment code =
+  let root = Filename.temp_dir "seusslint" "" in
+  Sys.mkdir (Filename.concat root "lib") 0o755;
+  let path = Filename.concat root "lib/m.ml" in
+  Out_channel.with_open_bin path (fun oc ->
+      Printf.fprintf oc
+        "let s = Sim.Semaphore.create 1 (* seussdead: lock t.s *)\n\n\
+         (* %s *)\n\
+         %s\n"
+        comment code);
+  let vs =
+    Fun.protect
+      ~finally:(fun () ->
+        Sys.remove path;
+        Sys.rmdir (Filename.concat root "lib");
+        Sys.rmdir root)
+      (fun () -> Lint.Passes.check_tree ~strip_prefix:root pass [ root ])
+  in
+  List.filter_map
+    (fun v ->
+      let open Lint.Source in
+      if v.rule = Lint.Rules.bad_allow || v.rule = Lint.Rules.unused_allow then
+        Some (v.rule, v.message)
+      else None)
+    vs
+
+let check_marker_grammar () =
+  List.iter
+    (fun ((pass : Lint.Pass.t), head, code, unused) ->
+      let word = List.hd (String.split_on_char ' ' head) in
+      let verb = List.nth (String.split_on_char ' ' head) 1 in
+      let foreign, foreign_msg =
+        if pass.name = "own" then
+          ( "heat-alloc",
+            "rule heat-alloc belongs to the heat pass; suppress it with a \
+             seussheat: cold marker" )
+        else
+          ( "own-escape",
+            "rule own-escape belongs to the own pass; suppress it with a \
+             seussown: transfer marker" )
+      in
+      let malformed = [ (Lint.Rules.bad_allow, pass.marker.malformed) ] in
+      let missing =
+        let arg = String.concat " " (List.tl (String.split_on_char ' ' head)) in
+        if arg = verb then
+          Printf.sprintf "%s marker needs a reason: %s — <why>" verb head
+        else Printf.sprintf "%s needs a reason: %s — <why>" arg head
+      in
+      let has_allow =
+        List.exists
+          (fun (v : Lint.Marker.verb) -> v.verb = "allow")
+          pass.marker.verbs
+      in
+      List.iter
+        (fun (case, comment, code, expected) ->
+          Alcotest.(check (list (pair string string)))
+            (Printf.sprintf "%s: %s" pass.name case)
+            expected (lint_marker pass comment code))
+        [
+          ("valid", head ^ " — a reason", code, []);
+          ("missing reason", head, code, [ (Lint.Rules.bad_allow, missing) ]);
+          ("unknown verb", word ^ " frobnicate — a reason", code, malformed);
+          ( "rule of another pass",
+            Printf.sprintf "%s allow %s — a reason" word foreign,
+            code,
+            if has_allow then [ (Lint.Rules.bad_allow, foreign_msg) ]
+            else malformed );
+          ("reason after --", head ^ " -- a reason", code, []);
+          ("reason after -", head ^ " - a reason", code, []);
+          ("reason without a dash", head ^ " a reason", code, []);
+          ( "unused",
+            head ^ " — a reason",
+            "\n\n" ^ code,
+            [ (Lint.Rules.unused_allow, unused) ] );
+        ])
+    marker_rows
+
+(* The shipped sources (copied into the build sandbox as our library
+   deps) must come back clean under every pass — the same gate CI applies
+   via seusslint. A missing root is an error, never a silent pass. *)
+let check_clean_tree (pass : Lint.Pass.t) () =
+  let vs = Lint.Passes.check_tree pass [ "../lib"; "../bin" ] in
+  List.iter
+    (fun v ->
+      Printf.eprintf "unexpected: %s:%d [%s] %s\n" v.Lint.Source.file
+        v.Lint.Source.line v.Lint.Source.rule v.Lint.Source.message)
+    vs;
+  Alcotest.(check int)
+    (pass.name ^ " violations in shipped tree")
+    0 (List.length vs)
+
+let clean_tree_cases =
+  List.mapi
+    (fun i (pass : Lint.Pass.t) ->
+      let name =
+        if i = 0 then "shipped tree is clean"
+        else Printf.sprintf "shipped tree is %s-clean" pass.name
+      in
+      Alcotest.test_case name `Quick (check_clean_tree pass))
+    Lint.Passes.all
 
 let () =
   Alcotest.run "lint"
@@ -351,6 +428,13 @@ let () =
           Alcotest.test_case "suppression works" `Quick check_allow_suppresses;
           Alcotest.test_case "unknown rule rejected" `Quick check_allow_unknown;
           Alcotest.test_case "unused allowance rejected" `Quick check_allow_unused;
+          Alcotest.test_case "marker grammar" `Quick check_marker_grammar;
+        ] );
+      ( "roots",
+        [
+          Alcotest.test_case "missing root is an error" `Quick
+            check_missing_root;
+          Alcotest.test_case "file root lints as itself" `Quick check_file_root;
         ] );
       ( "tree",
         [
@@ -364,12 +448,6 @@ let () =
             check_own_fixture_tree;
           Alcotest.test_case "--pass all shares one parse" `Quick
             check_pass_all_shared_parse;
-          Alcotest.test_case "shipped tree is clean" `Quick check_clean_tree;
-          Alcotest.test_case "shipped tree is deadlock-clean" `Quick
-            check_clean_tree_deadlock;
-          Alcotest.test_case "shipped tree is heat-clean" `Quick
-            check_clean_tree_heat;
-          Alcotest.test_case "shipped tree is own-clean" `Quick
-            check_clean_tree_own;
-        ] );
+        ]
+        @ clean_tree_cases );
     ]
