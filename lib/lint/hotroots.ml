@@ -42,9 +42,11 @@ let registry =
       hr_why = "per-event extract for heap-backed queues" };
     (* Observability: every emitted event crosses these. *)
     { hr_file = "lib/obs/log.ml"; hr_binding = "emit";
-      hr_why = "every observed event is stamped and ring-pushed here" };
-    { hr_file = "lib/obs/ring.ml"; hr_binding = "push";
-      hr_why = "the ring store behind every emit" };
+      hr_why = "every observed event is stamped and stored in the ring \
+                here" };
+    (* Memory: every guest write crosses this. *)
+    { hr_file = "lib/mem/addr_space.ml"; hr_binding = "write_range";
+      hr_why = "every guest write crosses it (Guest.touch_charged, Galloc)" };
     (* Metrics: incremented on event/sample cadence by the platform. *)
     { hr_file = "lib/obs/metrics.ml"; hr_binding = "inc";
       hr_why = "counter bump on event cadence" };

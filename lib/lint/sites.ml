@@ -17,11 +17,12 @@ let op_of_name = function
 (* (repo-relative file, enclosing top-level binding, operation) *)
 let audited : (string * string * op) list =
   [
-    (* COW fault paths: a private copy or a zero-fill allocates; the
-       page-table entry swap drops the old mapping's reference. *)
-    ("lib/mem/addr_space.ml", "touch_write", Alloc);
-    ("lib/mem/addr_space.ml", "prefault", Alloc);
-    ("lib/mem/page_table.ml", "private_leaf", Incref);
+    (* COW fault paths: a private copy or a zero-fill allocates (demand
+       writes, write ranges and batched prefault all resolve a page
+       through Addr_space.resolve); the page-table entry swap drops the
+       old mapping's reference. *)
+    ("lib/mem/addr_space.ml", "resolve", Alloc);
+    ("lib/mem/page_table.ml", "privatize", Incref);
     ("lib/mem/page_table.ml", "set", Decref);
     ("lib/mem/page_table.ml", "release", Decref);
     (* KSM baseline: the shared master page, and one reference per
@@ -66,11 +67,9 @@ let transfers : (string * string * resource * string) list =
     (* The audited frame acquire sites hand their reference to the page
        table / KSM master map; Page_table.set and Page_table.release
        drop them. *)
-    ("lib/mem/addr_space.ml", "touch_write", Frame_ref,
+    ("lib/mem/addr_space.ml", "resolve", Frame_ref,
      "installed via Page_table.set; released by set/release");
-    ("lib/mem/addr_space.ml", "prefault", Frame_ref,
-     "installed via Page_table.set; released by set/release");
-    ("lib/mem/page_table.ml", "private_leaf", Frame_ref,
+    ("lib/mem/page_table.ml", "privatize", Frame_ref,
      "the cloned leaf owns the extra reference; released by set/release");
     ("lib/baselines/ksm.ml", "create", Frame_ref,
      "the KSM master map owns the frame until the allocator is dropped");

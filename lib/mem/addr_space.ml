@@ -9,14 +9,16 @@ type t = {
      O(mapped pages), for the 65k-function experiments to run. *)
   mutable dirty_count : int;
   mutable mapped_count : int;
-  (* Instrumentation: invoked on every resolved fault. The owner (a UC)
+  (* Instrumentation: invoked with a count of resolved faults of one
+     kind, once per [touch_write] or [write_range]. The owner (a UC)
      installs it so the fault handler feeds the node's telemetry without
      this layer depending on it. *)
-  mutable on_fault : fault -> unit;
+  mutable on_fault : fault -> int -> unit;
   (* Access trace (REAP-style working-set recording): while armed, every
-     resolved fault appends its vpn, in fault order. Reversed buffer;
-     [take_trace] restores order. *)
-  mutable trace : int list option;
+     resolved fault appends its vpn, in fault order, to an unboxed
+     buffer ([trace_buf.(0 .. trace_len - 1)]). *)
+  mutable tracing : bool;
+  mutable trace_buf : int array;
   mutable trace_len : int;
 }
 
@@ -29,6 +31,8 @@ type prefault_stats = {
   already_mapped : int;
 }
 
+let no_hook (_ : fault) (_ : int) = ()
+
 let create frames =
   {
     frames;
@@ -37,8 +41,9 @@ let create frames =
     cow_copies = 0;
     dirty_count = 0;
     mapped_count = 0;
-    on_fault = ignore;
-    trace = None;
+    on_fault = no_hook;
+    tracing = false;
+    trace_buf = [||];
     trace_len = 0;
   }
 
@@ -57,8 +62,9 @@ let of_table ?(mapped_hint = -1) frames source =
     cow_copies = 0;
     dirty_count = 0;
     mapped_count = mapped;
-    on_fault = ignore;
-    trace = None;
+    on_fault = no_hook;
+    tracing = false;
+    trace_buf = [||];
     trace_len = 0;
   }
 
@@ -70,32 +76,39 @@ let set_fault_hook t f = t.on_fault <- f
 let trace_limit = 65_536
 
 let start_trace t =
-  t.trace <- Some [];
+  t.tracing <- true;
   t.trace_len <- 0
 
+(* seussheat: cold — amortized doubling: O(log pages) growths per armed trace *)
+let grow_trace t =
+  let buf = Array.make (max 256 (2 * t.trace_len)) 0 in
+  Array.blit t.trace_buf 0 buf 0 t.trace_len;
+  t.trace_buf <- buf
+
 let record_fault t vpn =
-  match t.trace with
-  | None -> ()
-  | Some vpns ->
-      (* A runaway trace (a function touching more pages than any
-         sensible working set) stops recording rather than growing
-         unboundedly; [take_trace] still returns the prefix. *)
-      if t.trace_len < trace_limit then begin
-        t.trace <- Some (vpn :: vpns);
-        t.trace_len <- t.trace_len + 1
-      end
+  (* A runaway trace (a function touching more pages than any sensible
+     working set) stops recording rather than growing unboundedly;
+     [take_trace] still returns the prefix. *)
+  if t.tracing && t.trace_len < trace_limit then begin
+    if t.trace_len = Array.length t.trace_buf then grow_trace t;
+    t.trace_buf.(t.trace_len) <- vpn;
+    t.trace_len <- t.trace_len + 1
+  end
 
 let take_trace t =
-  match t.trace with
-  | None -> []
-  | Some vpns ->
-      t.trace <- None;
-      t.trace_len <- 0;
-      List.rev vpns
+  let vpns = List.init t.trace_len (Array.get t.trace_buf) in
+  t.tracing <- false;
+  t.trace_buf <- [||];
+  t.trace_len <- 0;
+  vpns
 
-let tracing t = t.trace <> None
+let tracing t = t.tracing
 
-let touch_write t ~vpn =
+(* Resolve one page write with no telemetry: allocate a zero frame for
+   an absent page, copy a copy-on-write one privately, or just set the
+   flags on a writable one. Every fault path — demand, range, batched
+   prefault — goes through here, so they cannot drift apart. *)
+let resolve (t : t) ~vpn =
   let e = Page_table.get t.pt ~vpn in
   if not (Page_table.Entry.present e) then begin
     let frame = Frame.alloc t.frames in
@@ -105,15 +118,12 @@ let touch_write t ~vpn =
     t.zero_fills <- t.zero_fills + 1;
     t.dirty_count <- t.dirty_count + 1;
     t.mapped_count <- t.mapped_count + 1;
-    record_fault t vpn;
-    t.on_fault Zero_fill;
     Zero_fill
   end
   else if Page_table.Entry.writable e then begin
     if not (Page_table.Entry.dirty e) then t.dirty_count <- t.dirty_count + 1;
     if not (Page_table.Entry.dirty e && Page_table.Entry.accessed e) then
-      Page_table.set t.pt ~vpn
-        (Page_table.Entry.with_flags ~dirty:true ~accessed:true e);
+      Page_table.set t.pt ~vpn (Page_table.Entry.written e);
     No_fault
   end
   else if Page_table.Entry.cow e then begin
@@ -124,30 +134,52 @@ let touch_write t ~vpn =
          ~accessed:true);
     t.cow_copies <- t.cow_copies + 1;
     t.dirty_count <- t.dirty_count + 1;
-    record_fault t vpn;
-    t.on_fault Cow_copy;
     Cow_copy
   end
-  else
-    invalid_arg
-      (Printf.sprintf "Addr_space.touch_write: protection violation at vpn %d"
-         vpn)
+  else invalid_arg "Addr_space: write to a read-only, non-COW page"
+
+let touch_write t ~vpn =
+  match resolve t ~vpn with
+  | No_fault -> No_fault
+  | fault ->
+      record_fault t vpn;
+      t.on_fault fault 1;
+      fault
 
 let touch_read t ~vpn =
   let e = Page_table.get t.pt ~vpn in
   if Page_table.Entry.present e && not (Page_table.Entry.accessed e) then
     Page_table.set t.pt ~vpn (Page_table.Entry.with_flags ~accessed:true e)
 
-let write_range t ~vpn ~pages =
+(* One hook call per fault kind for the whole range, with the count the
+   lifetime counters moved by since [zero0]/[cow0]. *)
+let report_faults (t : t) ~zero0 ~cow0 =
+  let zero = t.zero_fills - zero0 and cow = t.cow_copies - cow0 in
+  if zero > 0 then t.on_fault Zero_fill zero;
+  if cow > 0 then t.on_fault Cow_copy cow
+
+(* Pages resolve silently and the hook hears one count per kind at the
+   end: per-page telemetry would cost more host time than the faults it
+   describes. Pages resolved before a raise (an OOM) are still reported,
+   so hook sums always equal the lifetime counters. *)
+let write_range (t : t) ~vpn ~pages =
   if pages < 0 then invalid_arg "Addr_space.write_range: negative count";
-  let zero = ref 0 and cow = ref 0 in
-  for p = vpn to vpn + pages - 1 do
-    match touch_write t ~vpn:p with
-    | No_fault -> ()
-    | Zero_fill -> incr zero
-    | Cow_copy -> incr cow
-  done;
-  { pages; zero_fills = !zero; cow_copies = !cow }
+  let zero0 = t.zero_fills and cow0 = t.cow_copies in
+  (match
+     for p = vpn to vpn + pages - 1 do
+       match resolve t ~vpn:p with No_fault -> () | _ -> record_fault t p
+     done
+   with
+  | () -> report_faults t ~zero0 ~cow0
+  | exception e ->
+      report_faults t ~zero0 ~cow0;
+      raise e);
+  (* seussheat: cold — one 4-word result per range, not per page *)
+  {
+    pages;
+    zero_fills = t.zero_fills - zero0;
+    cow_copies = t.cow_copies - cow0;
+  }
 
 let write_bytes t ~addr ~len =
   if addr < 0 || len < 0 then invalid_arg "Addr_space.write_bytes: negative";
@@ -159,58 +191,24 @@ let write_bytes t ~addr ~len =
   end
 
 (* Batched working-set installation (REAP): bring every vpn to exactly
-   the state a demand [touch_write] would leave it in — fresh zero frame,
-   private COW copy, or dirty+accessed flags on an already-writable page —
-   without taking a per-page fault. Lifetime/mapped/dirty counters move
+   the state a demand [touch_write] would leave it in, through the same
+   [resolve] demand faults use. Lifetime/mapped/dirty counters move
    exactly as under demand faulting (prefaulted pages are private pages
-   and must charge footprints identically); only the per-fault hook stays
-   silent, because no faults occur — the caller charges one batched cost
-   from the returned stats instead. Structural sharing is preserved: only
-   leaves containing prefaulted vpns are privatized, by the same
-   [Page_table.set] path demand faults use.
-   @raise Frame.Out_of_memory mid-batch like [write_range]. *)
-let prefault t ~vpns =
-  let zero = ref 0 and cow = ref 0 and present = ref 0 in
-  List.iter
-    (fun vpn ->
-      let e = Page_table.get t.pt ~vpn in
-      if not (Page_table.Entry.present e) then begin
-        let frame = Frame.alloc t.frames in
-        Page_table.set t.pt ~vpn
-          (Page_table.Entry.make ~frame ~writable:true ~cow:false ~dirty:true
-             ~accessed:true);
-        t.zero_fills <- t.zero_fills + 1;
-        t.dirty_count <- t.dirty_count + 1;
-        t.mapped_count <- t.mapped_count + 1;
-        incr zero
-      end
-      else if Page_table.Entry.writable e then begin
-        if not (Page_table.Entry.dirty e) then
-          t.dirty_count <- t.dirty_count + 1;
-        if not (Page_table.Entry.dirty e && Page_table.Entry.accessed e) then
-          Page_table.set t.pt ~vpn
-            (Page_table.Entry.with_flags ~dirty:true ~accessed:true e);
-        incr present
-      end
-      else if Page_table.Entry.cow e then begin
-        let frame = Frame.alloc t.frames in
-        Page_table.set t.pt ~vpn
-          (Page_table.Entry.make ~frame ~writable:true ~cow:false ~dirty:true
-             ~accessed:true);
-        t.cow_copies <- t.cow_copies + 1;
-        t.dirty_count <- t.dirty_count + 1;
-        incr cow
-      end
-      else
-        invalid_arg
-          (Printf.sprintf "Addr_space.prefault: protection violation at vpn %d"
-             vpn))
-    vpns;
+   and must charge footprints identically); only the fault hook and the
+   access trace stay silent, because no faults occur — the caller
+   charges one batched cost from the returned stats instead. Structural
+   sharing is preserved: only leaves containing prefaulted vpns are
+   privatized. @raise Frame.Out_of_memory mid-batch like [write_range]. *)
+let prefault (t : t) ~vpns =
+  let zero0 = t.zero_fills and cow0 = t.cow_copies in
+  let requested = List.length vpns in
+  List.iter (fun vpn -> ignore (resolve t ~vpn)) vpns;
+  let zero = t.zero_fills - zero0 and cow = t.cow_copies - cow0 in
   {
-    requested = List.length vpns;
-    prefault_zero_fills = !zero;
-    prefault_cow_copies = !cow;
-    already_mapped = !present;
+    requested;
+    prefault_zero_fills = zero;
+    prefault_cow_copies = cow;
+    already_mapped = requested - zero - cow;
   }
 
 let mapped_pages t = t.mapped_count

@@ -39,15 +39,23 @@ val table : t -> Page_table.t
 val allocator : t -> Frame.t
 
 val touch_write : t -> vpn:int -> fault
-(** Write one page. @raise Frame.Out_of_memory when a needed allocation
-    exceeds the budget (the page is left unmodified). *)
+(** Write one page; a resolved fault reports a count of 1 to the fault
+    hook. @raise Frame.Out_of_memory when a needed allocation exceeds
+    the budget (the page is left unmodified).
+    @raise Invalid_argument on a read-only, non-COW page. *)
 
-val set_fault_hook : t -> (fault -> unit) -> unit
-(** Install an observer called on every {e resolved} fault
-    ([Zero_fill] / [Cow_copy]; never [No_fault]) with no simulated-time
-    cost. The owning layer uses this to feed fault telemetry (counters,
-    COW-fault events) without [mem] depending on it. One hook per
-    space; installing replaces the previous one. *)
+val set_fault_hook : t -> (fault -> int -> unit) -> unit
+(** Install an observer of {e resolved} faults ([Zero_fill] /
+    [Cow_copy]; never [No_fault]), called with no simulated-time cost.
+    It hears [kind n] for [n >= 1] faults of one kind: once per faulting
+    {!touch_write}, and at most once per kind for a {!write_range},
+    after the whole range resolved (or, when [Frame.Out_of_memory]
+    stops the range, with the pages resolved before it). Its sums per
+    kind therefore always equal the {!lifetime_zero_fills} /
+    {!lifetime_cow_copies} deltas outside {!prefault}. The owning layer
+    uses this to feed fault telemetry (counters, COW-fault events)
+    without [mem] depending on it. One hook per space; installing
+    replaces the previous one. *)
 
 val touch_read : t -> vpn:int -> unit
 (** Sets the accessed bit on a present page; no-op on absent pages. *)
@@ -83,7 +91,12 @@ val prefault : t -> vpns:int list -> prefault_stats
     pages stay installed, like a partial {!write_range}). *)
 
 val write_range : t -> vpn:int -> pages:int -> write_stats
-(** Write [pages] consecutive pages starting at [vpn]. *)
+(** Write [pages] consecutive pages starting at [vpn], in vpn order.
+    Pages resolve silently and the fault hook then hears one count per
+    fault kind (see {!set_fault_hook}); the access trace still records
+    each faulting vpn in order.
+    @raise Frame.Out_of_memory mid-range: pages before the failing one
+    stay installed, and their faults are reported before the raise. *)
 
 val write_bytes : t -> addr:int -> len:int -> write_stats
 (** Byte-addressed convenience over {!write_range}. *)

@@ -4,14 +4,19 @@ exception Out_of_memory
 
 type t = {
   budget_frames : int;
-  (* refcounts.(id) = 0 means the slot is free (and sits on free_list). *)
+  (* refcounts.(id) = 0 means the slot is free (and sits on the free
+     stack). *)
   mutable refcounts : int array;
   (* tags.(id) = 0 means untagged; a nonzero tag is a content identity
      stamped by the snapshot store and cleared when the frame is freed,
      so a recycled id can never masquerade as old content. *)
   mutable tags : int array;
   mutable next_fresh : int;
-  mutable free_list : int list;
+  (* The free stack, unboxed: [free.(0 .. free_top - 1)], most recently
+     freed on top. Sized by the most frames ever free at once, not by
+     the id space. *)
+  mutable free : int array;
+  mutable free_top : int;
   mutable live : int;
   mutable peak : int;
   mutable allocs : int;
@@ -25,7 +30,8 @@ let create ?(budget_bytes = Mconfig.default_budget_bytes) () =
     refcounts = Array.make 4096 0;
     tags = Array.make 4096 0;
     next_fresh = 0;
-    free_list = [];
+    free = Array.make 256 0;
+    free_top = 0;
     live = 0;
     peak = 0;
     allocs = 0;
@@ -34,6 +40,7 @@ let create ?(budget_bytes = Mconfig.default_budget_bytes) () =
 let budget_frames t = t.budget_frames
 let budget_bytes t = Mconfig.bytes_of_pages t.budget_frames
 
+(* seussheat: cold — amortized doubling: O(log frames) growths per allocator *)
 let ensure_capacity t id =
   if id >= Array.length t.refcounts then begin
     let cap = max (id + 1) (2 * Array.length t.refcounts) in
@@ -46,18 +53,25 @@ let ensure_capacity t id =
     t.tags <- tags
   end
 
+(* seussheat: cold — amortized doubling: O(log frames) growths per allocator *)
+let grow_free t =
+  let free = Array.make (2 * Array.length t.free) 0 in
+  Array.blit t.free 0 free 0 t.free_top;
+  t.free <- free
+
 let alloc t =
   if t.live >= t.budget_frames then raise Out_of_memory;
   let id =
-    match t.free_list with
-    | id :: rest ->
-        t.free_list <- rest;
-        id
-    | [] ->
-        let id = t.next_fresh in
-        t.next_fresh <- id + 1;
-        ensure_capacity t id;
-        id
+    if t.free_top > 0 then begin
+      t.free_top <- t.free_top - 1;
+      t.free.(t.free_top)
+    end
+    else begin
+      let id = t.next_fresh in
+      t.next_fresh <- id + 1;
+      ensure_capacity t id;
+      id
+    end
   in
   t.refcounts.(id) <- 1;
   t.live <- t.live + 1;
@@ -65,9 +79,13 @@ let alloc t =
   t.allocs <- t.allocs + 1;
   id
 
+(* seussheat: cold — raises: the message is built only on a refcount bug *)
+let dead_frame name id =
+  invalid_arg (Printf.sprintf "Frame.%s: dead frame %d" name id)
+
 let check_live t id name =
   if id < 0 || id >= t.next_fresh || t.refcounts.(id) = 0 then
-    invalid_arg (Printf.sprintf "Frame.%s: dead frame %d" name id)
+    dead_frame name id
 
 let incref t id =
   check_live t id "incref";
@@ -78,7 +96,9 @@ let decref t id =
   t.refcounts.(id) <- t.refcounts.(id) - 1;
   if t.refcounts.(id) = 0 then begin
     t.tags.(id) <- 0;
-    t.free_list <- id :: t.free_list;
+    if t.free_top = Array.length t.free then grow_free t;
+    t.free.(t.free_top) <- id;
+    t.free_top <- t.free_top + 1;
     t.live <- t.live - 1
   end
 

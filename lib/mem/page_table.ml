@@ -24,6 +24,8 @@ module Entry = struct
   let dirty e = e land dirty_bit <> 0
   let accessed e = e land accessed_bit <> 0
 
+  let written e = e lor dirty_bit lor accessed_bit
+
   let with_flags ?writable:w ?cow:c ?dirty:d ?accessed:a e =
     let put bit value e =
       match value with
@@ -59,38 +61,46 @@ let clone_shallow t =
     t.dirs;
   { frames = t.frames; dirs = Array.copy t.dirs; released = false }
 
-let split vpn =
-  if vpn < 0 || vpn >= max_vpn then invalid_arg "Page_table: vpn out of range";
-  (vpn / entries, vpn mod entries)
+let check_vpn vpn =
+  if vpn < 0 || vpn >= max_vpn then invalid_arg "Page_table: vpn out of range"
 
 let get t ~vpn =
   check_alive t;
-  let dir, idx = split vpn in
-  match t.dirs.(dir) with None -> Entry.absent | Some leaf -> leaf.entries.(idx)
+  check_vpn vpn;
+  match t.dirs.(vpn / entries) with
+  | None -> Entry.absent
+  | Some leaf -> leaf.entries.(vpn mod entries)
+
+(* seussheat: cold — allocates one leaf per table and directory slot (the modelled page-table copy), amortized over up to 512 page writes *)
+let privatize t dir =
+  let leaf =
+    match t.dirs.(dir) with
+    | None -> { rc = 1; entries = Array.make entries Entry.absent }
+    | Some shared ->
+        shared.rc <- shared.rc - 1;
+        let copy = Array.copy shared.entries in
+        for i = 0 to entries - 1 do
+          let e = copy.(i) in
+          if Entry.present e then Frame.incref t.frames (Entry.frame e)
+        done;
+        { rc = 1; entries = copy }
+  in
+  t.dirs.(dir) <- Some leaf;
+  leaf
 
 (* A leaf this table is about to write through must be exclusively owned:
    copy it if shared, taking a frame reference for every present entry the
    copy now names. *)
 let private_leaf t dir =
   match t.dirs.(dir) with
-  | None ->
-      let leaf = { rc = 1; entries = Array.make entries Entry.absent } in
-      t.dirs.(dir) <- Some leaf;
-      leaf
   | Some leaf when leaf.rc = 1 -> leaf
-  | Some shared ->
-      shared.rc <- shared.rc - 1;
-      let copy = { rc = 1; entries = Array.copy shared.entries } in
-      Array.iter
-        (fun e -> if Entry.present e then Frame.incref t.frames (Entry.frame e))
-        copy.entries;
-      t.dirs.(dir) <- Some copy;
-      copy
+  | None | Some _ -> privatize t dir
 
 let set t ~vpn entry =
   check_alive t;
-  let dir, idx = split vpn in
-  let leaf = private_leaf t dir in
+  check_vpn vpn;
+  let idx = vpn mod entries in
+  let leaf = private_leaf t (vpn / entries) in
   let old = leaf.entries.(idx) in
   leaf.entries.(idx) <- entry;
   (* Same-frame updates (flag changes) keep the existing reference;

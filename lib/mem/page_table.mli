@@ -34,6 +34,9 @@ module Entry : sig
   val dirty : t -> bool
   val accessed : t -> bool
 
+  val written : t -> t
+  (** Same entry with the dirty and accessed bits set: a write's flags. *)
+
   val with_flags :
     ?writable:bool -> ?cow:bool -> ?dirty:bool -> ?accessed:bool -> t -> t
   (** Same frame, updated flags. *)

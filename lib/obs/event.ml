@@ -21,7 +21,7 @@ type t =
       ok : bool;
     }
   | Snapshot_capture of { name : string; pages : int; bytes : int64 }
-  | Cow_fault of { uc_id : int }
+  | Cow_fault of { uc_id : int; pages : int }
   | Uc_reclaim of { uc_id : int; fn_id : string }
   | Oom_wake of { free_bytes : int64 }
   | Fault_injected of { site : string; detail : string }
@@ -136,7 +136,8 @@ let to_json ~time ev =
           ("pages", Json.Int pages);
           ("bytes", Json.Int (Int64.to_int bytes));
         ]
-    | Cow_fault { uc_id } -> [ ("uc_id", Json.Int uc_id) ]
+    | Cow_fault { uc_id; pages } ->
+        [ ("uc_id", Json.Int uc_id); ("pages", Json.Int pages) ]
     | Uc_reclaim { uc_id; fn_id } ->
         [ ("uc_id", Json.Int uc_id); ("fn_id", Json.String fn_id) ]
     | Oom_wake { free_bytes } ->
@@ -273,7 +274,8 @@ let of_json json =
         Ok (Snapshot_capture { name; pages; bytes = Int64.of_int bytes })
     | "cow_fault" ->
         let* uc_id = field "uc_id" Json.to_int in
-        Ok (Cow_fault { uc_id })
+        let* pages = field "pages" Json.to_int in
+        Ok (Cow_fault { uc_id; pages })
     | "uc_reclaim" ->
         let* uc_id = field "uc_id" Json.to_int in
         let* fn_id = field "fn_id" Json.to_str in

@@ -31,10 +31,11 @@ type t =
     }  (** The invocation left the node (queue-vs-service split). *)
   | Snapshot_capture of { name : string; pages : int; bytes : int64 }
       (** A snapshot was captured; [pages] is the dirty-page diff. *)
-  | Cow_fault of { uc_id : int }
-      (** A deployed UC copied a shared frame on first write.
-          (Zero-fill faults are counted in the metrics registry only —
-          per-event they would drown the ring in boot noise.) *)
+  | Cow_fault of { uc_id : int; pages : int }
+      (** One guest write range (or single-page write) in a deployed
+          UC copied [pages] shared frames on first write. (Zero-fill
+          faults are counted in the metrics registry only — per-event
+          they would drown the ring in boot noise.) *)
   | Uc_reclaim of { uc_id : int; fn_id : string }
       (** The OOM daemon destroyed an idle UC. *)
   | Oom_wake of { free_bytes : int64 }

@@ -1,8 +1,16 @@
 type record = { time : float; ev : Event.t }
 
+(* The ring is two parallel arrays, so retaining an event costs one
+   unboxed float and one pointer store — no per-event record. Slot
+   [(head - len + i) mod capacity] holds the i-th oldest retained event;
+   vacant slots hold [vacant], so a cleared ring keeps no event alive. *)
 type t = {
   clock : unit -> float;
-  ring : record Ring.t;
+  times : float array;
+  events : Event.t array;
+  mutable head : int;  (* next write position *)
+  mutable len : int;
+  mutable dropped : int;
   mutable subscribers : (record -> unit) list;  (* subscription order *)
   mutable emitted : int;
   mutable on_drop : unit -> unit;
@@ -10,10 +18,18 @@ type t = {
 
 let default_capacity = 16384
 
+(* Never read back: only slots outside the retained window hold it. *)
+let vacant = Event.Invoke_start { fn_id = "" }
+
 let create ?(capacity = default_capacity) ~clock () =
+  if capacity <= 0 then invalid_arg "Log.create: capacity must be positive";
   {
     clock;
-    ring = Ring.create ~capacity;
+    times = Array.make capacity 0.0;
+    events = Array.make capacity vacant;
+    head = 0;
+    len = 0;
+    dropped = 0;
     subscribers = [];
     emitted = 0;
     on_drop = ignore;
@@ -29,29 +45,56 @@ let rec notify r = function
       notify r rest
 
 let emit t ev =
-  (* seussheat: cold — this record is the emitted payload itself, retained by the ring *)
-  let r = { time = t.clock (); ev } in
+  let time = t.clock () in
+  let cap = Array.length t.events in
+  t.times.(t.head) <- time;
+  t.events.(t.head) <- ev;
+  t.head <- (if t.head + 1 = cap then 0 else t.head + 1);
   t.emitted <- t.emitted + 1;
-  let dropped_before = Ring.dropped t.ring in
-  Ring.push t.ring r;
-  if Ring.dropped t.ring > dropped_before then t.on_drop ();
-  notify r t.subscribers
+  if t.len < cap then t.len <- t.len + 1
+  else begin
+    t.dropped <- t.dropped + 1;
+    t.on_drop ()
+  end;
+  match t.subscribers with
+  | [] -> ()
+  | subscribers ->
+      (* seussheat: cold — the record is built only when a subscriber is attached; the ring stores time and event unboxed *)
+      notify { time; ev } subscribers
 
 let subscribe t f =
   (* Append (subscription is rare; emission is the hot path). *)
   t.subscribers <- t.subscribers @ [ f ]
-let records t = Ring.to_list t.ring
+
+(* Oldest first. *)
+let iter f t =
+  let cap = Array.length t.events in
+  let start = t.head - t.len + cap in
+  for i = 0 to t.len - 1 do
+    let slot = (start + i) mod cap in
+    f { time = t.times.(slot); ev = t.events.(slot) }
+  done
+
+let records t =
+  let acc = ref [] in
+  iter (fun r -> acc := r :: !acc) t;
+  List.rev !acc
+
 let emitted t = t.emitted
-let dropped t = Ring.dropped t.ring
-let clear t = Ring.clear t.ring
+let dropped t = t.dropped
+
+let clear t =
+  Array.fill t.events 0 (Array.length t.events) vacant;
+  t.head <- 0;
+  t.len <- 0
 
 let to_jsonl t =
   let buf = Buffer.create 4096 in
-  Ring.iter
+  iter
     (fun r ->
       Buffer.add_string buf (Json.to_string (Event.to_json ~time:r.time r.ev));
       Buffer.add_char buf '\n')
-    t.ring;
+    t;
   Buffer.contents buf
 
 let parse_jsonl text =

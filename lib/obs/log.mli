@@ -2,9 +2,13 @@
 
     Emitted events are stamped with the injected clock (the simulation
     engine's [now] in practice — the log itself is engine-agnostic so
-    lower layers can host one), retained in a bounded {!Ring}, and
-    fanned out to any attached subscribers. Emission costs no simulated
-    time: telemetry never perturbs the quantities it measures. *)
+    lower layers can host one), retained in a bounded ring, and fanned
+    out to any attached subscribers. The ring is O(1) per emit and
+    overwrites its oldest entry once full, which bounds the log's memory
+    so telemetry can stay on during the 65k-function experiments. It
+    stores times and events unboxed: a {!record} is built only for
+    subscribers and readers. Emission costs no simulated time:
+    telemetry never perturbs the quantities it measures. *)
 
 type record = { time : float; ev : Event.t }
 
@@ -14,6 +18,7 @@ val default_capacity : int
 (** Ring size when [capacity] is not given (16384 events). *)
 
 val create : ?capacity:int -> clock:(unit -> float) -> unit -> t
+(** @raise Invalid_argument if [capacity <= 0]. *)
 
 val emit : t -> Event.t -> unit
 (** Stamp with [clock ()], retain, and deliver to subscribers (in
@@ -39,6 +44,8 @@ val dropped : t -> int
 (** Events evicted from the ring so far. *)
 
 val clear : t -> unit
+(** Forget (and release) every retained event; {!emitted} and
+    {!dropped} are kept. *)
 
 val to_jsonl : t -> string
 (** One JSON object per line (trailing newline), oldest first. *)

@@ -74,19 +74,21 @@ let make env ~image ~space ~source =
     }
   in
   (* Feed the node's telemetry from the fault handler: counters for
-     both fault kinds, an event per COW copy (the snapshot-stack
-     signal; zero-fills are boot noise at event granularity). *)
+     both fault kinds, and one event per faulting write range that
+     copied shared frames (the snapshot-stack signal; zero-fills are
+     boot noise at event granularity). *)
   let cow_faults =
     Obs.Metrics.counter env.Osenv.metrics "mem_cow_faults_total"
   and zero_fills =
     Obs.Metrics.counter env.Osenv.metrics "mem_zero_fills_total"
   in
-  Mem.Addr_space.set_fault_hook space (function
-    | Mem.Addr_space.Cow_copy ->
-        Obs.Metrics.inc cow_faults;
-        Osenv.emit env (Obs.Event.Cow_fault { uc_id = t.uc_id })
-    | Mem.Addr_space.Zero_fill -> Obs.Metrics.inc zero_fills
-    | Mem.Addr_space.No_fault -> ());
+  Mem.Addr_space.set_fault_hook space (fun fault pages ->
+      match fault with
+      | Mem.Addr_space.Cow_copy ->
+          Obs.Metrics.inc ~by:pages cow_faults;
+          Osenv.emit env (Obs.Event.Cow_fault { uc_id = t.uc_id; pages })
+      | Mem.Addr_space.Zero_fill -> Obs.Metrics.inc ~by:pages zero_fills
+      | Mem.Addr_space.No_fault -> ());
   Net.Proxy.register env.Osenv.proxy ~port:uc_port listener;
   Osenv.note_uc_created env;
   t

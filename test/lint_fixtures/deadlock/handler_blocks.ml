@@ -12,7 +12,7 @@ let heap () = Sim.Heap.create ~cmp:slow_compare ()
 
 (* A fault hook literal that sleeps — blocks directly. *)
 let hook space =
-  Mem.Addr_space.set_fault_hook space (fun _ -> Sim.Engine.sleep 1e-6)
+  Mem.Addr_space.set_fault_hook space (fun _ _ -> Sim.Engine.sleep 1e-6)
 
 (* seussdead: atomic runs from the crash-unwind path *)
 let drain_on_crash ch = ignore (Sim.Channel.recv ch)

@@ -15,7 +15,12 @@
    - differential: a batched prefault followed by an invocation's writes
      leaves an address space byte-identical (same frames, same flags,
      same counters) to pure demand faulting of the same vpns — only the
-     fault-hook activity differs.
+     fault-hook activity differs;
+
+   - write_range: a range write reports its faults to the hook once per
+     kind, with sums equal to the lifetime counters and to a per-page
+     touch_write twin, and leaves the same tables — including when the
+     allocator runs dry mid-range.
 
    SEUSS_PROP_SEED overrides the base seed (CI rotates it). *)
 
@@ -176,13 +181,14 @@ let test_prefault_matches_demand () =
     (* Arm 1: pure demand faulting, counting hook activity. *)
     let frames_d, parent_d, demand = build_universe () in
     let demand_faults = ref 0 in
-    AS.set_fault_hook demand (fun _ -> incr demand_faults);
+    AS.set_fault_hook demand (fun _ n -> demand_faults := !demand_faults + n);
     List.iter (fun vpn -> ignore (AS.touch_write demand ~vpn)) ws;
     List.iter (fun vpn -> ignore (AS.touch_write demand ~vpn)) follow_ups;
     (* Arm 2: batched prefault of the same set, then the same writes. *)
     let frames_p, parent_p, prefaulted = build_universe () in
     let prefault_faults = ref 0 in
-    AS.set_fault_hook prefaulted (fun _ -> incr prefault_faults);
+    AS.set_fault_hook prefaulted (fun _ n ->
+        prefault_faults := !prefault_faults + n);
     let stats = AS.prefault prefaulted ~vpns:ws in
     List.iter (fun vpn -> ignore (AS.touch_write prefaulted ~vpn)) follow_ups;
     if state_of demand <> state_of prefaulted then
@@ -219,6 +225,147 @@ let test_prefault_rejects_read_only () =
     (match AS.prefault space ~vpns:[ 7 ] with
     | _ -> false
     | exception Invalid_argument _ -> true)
+
+(* {1 Batched fault accounting: write_range vs per-page touch_write} *)
+
+type hook_sums = { mutable zero : int; mutable cow : int; mutable calls : int }
+
+(* A fault hook that sums the counts it hears per kind. *)
+let counting_hook space =
+  let s = { zero = 0; cow = 0; calls = 0 } in
+  AS.set_fault_hook space (fun fault n ->
+      if n < 1 then Alcotest.failf "hook heard a count of %d" n;
+      s.calls <- s.calls + 1;
+      match fault with
+      | AS.Zero_fill -> s.zero <- s.zero + n
+      | AS.Cow_copy -> s.cow <- s.cow + n
+      | AS.No_fault -> Alcotest.fail "hook heard No_fault");
+  s
+
+let range_span = 4 * Mem.Mconfig.entries_per_table
+
+(* A frozen parent with scattered mapped ranges over four leaves, and a
+   clone that already wrote some pages privately — so one range crosses
+   absent, COW and writable pages. Deterministic in [seed]: two calls
+   build twin worlds down to the frame ids. *)
+let build_range_universe seed =
+  let prng = Sim.Prng.create seed in
+  let frames = F.create ~budget_bytes:(mib 64) () in
+  let parent = AS.create frames in
+  for _ = 1 to 12 do
+    ignore
+      (AS.write_range parent
+         ~vpn:(Sim.Prng.int prng (range_span - 64))
+         ~pages:(1 + Sim.Prng.int prng 64))
+  done;
+  AS.freeze parent;
+  let child = AS.of_table frames (AS.table parent) in
+  for _ = 1 to 16 do
+    ignore (AS.touch_write child ~vpn:(Sim.Prng.int prng range_span))
+  done;
+  (frames, parent, child)
+
+let test_write_range_matches_touch_write () =
+  for round = 0 to 59 do
+    let seed = Int64.add base_seed (Int64.of_int (1000 + round)) in
+    let frames_r, parent_r, ranged = build_range_universe seed in
+    let frames_p, parent_p, paged = build_range_universe seed in
+    let sums_r = counting_hook ranged and sums_p = counting_hook paged in
+    AS.start_trace ranged;
+    AS.start_trace paged;
+    let prng = Sim.Prng.create (Int64.lognot seed) in
+    for step = 1 to 20 do
+      let ctx = Printf.sprintf "seed %Ld round %d step %d" base_seed round step in
+      (* Up to 700 pages: ranges cross one or two leaf boundaries. *)
+      let pages = Sim.Prng.int prng 700 in
+      let vpn = Sim.Prng.int prng (range_span - pages) in
+      let z0 = AS.lifetime_zero_fills ranged
+      and c0 = AS.lifetime_cow_copies ranged in
+      let hz = sums_r.zero and hc = sums_r.cow and calls = sums_r.calls in
+      let pz = sums_p.zero and pc = sums_p.cow in
+      let st = AS.write_range ranged ~vpn ~pages in
+      for p = vpn to vpn + pages - 1 do
+        ignore (AS.touch_write paged ~vpn:p)
+      done;
+      let dz = AS.lifetime_zero_fills ranged - z0
+      and dc = AS.lifetime_cow_copies ranged - c0 in
+      if st.AS.pages <> pages || st.AS.zero_fills <> dz || st.AS.cow_copies <> dc
+      then Alcotest.failf "%s: write_stats disagree with lifetime deltas" ctx;
+      if sums_r.zero - hz <> dz || sums_r.cow - hc <> dc then
+        Alcotest.failf "%s: range hook heard %d/%d, lifetime moved %d/%d" ctx
+          (sums_r.zero - hz) (sums_r.cow - hc) dz dc;
+      let kinds = (if dz > 0 then 1 else 0) + if dc > 0 then 1 else 0 in
+      if sums_r.calls - calls <> kinds then
+        Alcotest.failf "%s: %d hook calls for %d faulting kinds" ctx
+          (sums_r.calls - calls) kinds;
+      if sums_p.zero - pz <> dz || sums_p.cow - pc <> dc then
+        Alcotest.failf "%s: per-page twin heard %d/%d, range %d/%d" ctx
+          (sums_p.zero - pz) (sums_p.cow - pc) dz dc;
+      if state_of ranged <> state_of paged then
+        Alcotest.failf "%s: range-written space diverged from its twin" ctx
+    done;
+    Alcotest.(check (list int))
+      "same working set, in fault order" (AS.take_trace paged)
+      (AS.take_trace ranged);
+    let ctx = Printf.sprintf "seed %Ld round %d" base_seed round in
+    check_invariants ~ctx frames_r [ parent_r; ranged ];
+    check_invariants ~ctx frames_p [ parent_p; paged ];
+    List.iter AS.release [ ranged; parent_r; paged; parent_p ];
+    Alcotest.(check int) "range world drained" 0 (F.used_frames frames_r);
+    Alcotest.(check int) "page world drained" 0 (F.used_frames frames_p)
+  done
+
+(* A range that runs the allocator dry: the hook must still hear exactly
+   the pages resolved before [Out_of_memory], and they are a prefix. *)
+let test_write_range_oom_reports_resolved () =
+  let prng = Sim.Prng.create (Int64.logxor base_seed 0x00FL) in
+  for round = 1 to 60 do
+    let ctx = Printf.sprintf "seed %Ld round %d" base_seed round in
+    let parent_pages = 8 + Sim.Prng.int prng 56 in
+    let budget = parent_pages + 4 + Sim.Prng.int prng 32 in
+    let frames =
+      F.create ~budget_bytes:(Mem.Mconfig.bytes_of_pages budget) ()
+    in
+    let parent = AS.create frames in
+    ignore (AS.write_range parent ~vpn:0 ~pages:parent_pages);
+    AS.freeze parent;
+    let child = AS.of_table frames (AS.table parent) in
+    for _ = 1 to Sim.Prng.int prng 4 do
+      ignore (AS.touch_write child ~vpn:(Sim.Prng.int prng parent_pages))
+    done;
+    let sums = counting_hook child in
+    let z0 = AS.lifetime_zero_fills child
+    and c0 = AS.lifetime_cow_copies child in
+    let free = budget - F.used_frames frames in
+    let vpn = Sim.Prng.int prng 8 in
+    let pages = free + 4 + Sim.Prng.int prng 64 in
+    (* The faults a per-page walk takes before the allocator runs dry. *)
+    let needs_frame v =
+      not (PT.Entry.writable (PT.get (AS.table child) ~vpn:v))
+    in
+    let expected =
+      List.filter needs_frame (List.init pages (fun i -> vpn + i))
+      |> List.filteri (fun i _ -> i < free)
+    in
+    AS.start_trace child;
+    (match AS.write_range child ~vpn ~pages with
+    | _ -> Alcotest.failf "%s: range past the budget did not raise" ctx
+    | exception F.Out_of_memory -> ());
+    let dz = AS.lifetime_zero_fills child - z0
+    and dc = AS.lifetime_cow_copies child - c0 in
+    if sums.zero <> dz || sums.cow <> dc then
+      Alcotest.failf "%s: hook heard %d/%d, lifetime moved %d/%d" ctx
+        sums.zero sums.cow dz dc;
+    Alcotest.(check int) (ctx ^ ": every free frame resolved a page") free
+      (dz + dc);
+    Alcotest.(check (list int))
+      (ctx ^ ": resolved pages are the faulting prefix") expected
+      (AS.take_trace child);
+    check_invariants ~ctx frames [ parent; child ];
+    AS.release child;
+    AS.release parent;
+    Alcotest.(check int) (ctx ^ ": drained") 0 (F.used_frames frames)
+  done
 
 (* {1 Trace recording} *)
 
@@ -276,6 +423,13 @@ let () =
         [
           case "prefault == demand faulting" test_prefault_matches_demand;
           case "read-only page rejected" test_prefault_rejects_read_only;
+        ] );
+      ( "write_range",
+        [
+          case "range hook == lifetime == per-page twin"
+            test_write_range_matches_touch_write;
+          case "OOM mid-range reports resolved pages"
+            test_write_range_oom_reports_resolved;
         ] );
       ( "trace",
         [ case "records fault order once" test_trace_records_fault_order ] );

@@ -59,7 +59,7 @@ let test_event_roundtrip_all_variants () =
         };
       Obs.Event.Snapshot_capture
         { name = "fn-fn-1"; pages = 546; bytes = 2236416L };
-      Obs.Event.Cow_fault { uc_id = 7 };
+      Obs.Event.Cow_fault { uc_id = 7; pages = 12 };
       Obs.Event.Uc_reclaim { uc_id = 7; fn_id = "fn-1" };
       Obs.Event.Oom_wake { free_bytes = 1048576L };
       Obs.Event.Fault_injected { site = "uc_kill"; detail = "uc-42" };
@@ -129,22 +129,6 @@ let test_event_roundtrip_all_variants () =
             (Obs.Json.to_string (Obs.Event.to_json ~time ev')))
     events
 
-(* {1 Ring} *)
-
-let test_ring_overwrites_oldest () =
-  let r = Obs.Ring.create ~capacity:3 in
-  List.iter (fun i -> Obs.Ring.push r i) [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check (list int)) "keeps newest" [ 3; 4; 5 ] (Obs.Ring.to_list r);
-  Alcotest.(check int) "length capped" 3 (Obs.Ring.length r);
-  Alcotest.(check int) "dropped counted" 2 (Obs.Ring.dropped r);
-  Obs.Ring.clear r;
-  Alcotest.(check (list int)) "clear empties" [] (Obs.Ring.to_list r)
-
-let test_ring_rejects_bad_capacity () =
-  Alcotest.check_raises "zero capacity"
-    (Invalid_argument "Ring.create: capacity must be positive") (fun () ->
-      ignore (Obs.Ring.create ~capacity:0))
-
 (* {1 Log} *)
 
 let fake_clock () =
@@ -164,6 +148,64 @@ let finish_ev i =
       total = 0.008;
       ok = i mod 5 <> 0;
     }
+
+(* {1 The log's ring} *)
+
+let oom_ev i = Obs.Event.Oom_wake { free_bytes = Int64.of_int i }
+
+let free_bytes_of (r : Obs.Log.record) =
+  match r.Obs.Log.ev with
+  | Obs.Event.Oom_wake { free_bytes } -> Int64.to_int free_bytes
+  | ev -> Alcotest.failf "unexpected %s" (Obs.Event.type_name ev)
+
+let test_ring_overwrites_oldest () =
+  let clock, set = fake_clock () in
+  let log = Obs.Log.create ~capacity:3 ~clock () in
+  List.iter
+    (fun i ->
+      set (float_of_int i);
+      Obs.Log.emit log (oom_ev i))
+    [ 1; 2; 3; 4; 5 ];
+  let records = Obs.Log.records log in
+  Alcotest.(check (list int)) "keeps newest" [ 3; 4; 5 ]
+    (List.map free_bytes_of records);
+  Alcotest.(check (list (float 0.0))) "with their times" [ 3.; 4.; 5. ]
+    (List.map (fun r -> r.Obs.Log.time) records);
+  Alcotest.(check int) "dropped counted" 2 (Obs.Log.dropped log);
+  Obs.Log.clear log;
+  Alcotest.(check (list int)) "clear empties" []
+    (List.map free_bytes_of (Obs.Log.records log));
+  Alcotest.(check int) "clear keeps the drop count" 2 (Obs.Log.dropped log);
+  (* The ring restarts cleanly after a clear. *)
+  List.iter (fun i -> Obs.Log.emit log (oom_ev i)) [ 6; 7 ];
+  Alcotest.(check (list int)) "refills after clear" [ 6; 7 ]
+    (List.map free_bytes_of (Obs.Log.records log));
+  Alcotest.(check int) "emitted counts everything" 7 (Obs.Log.emitted log)
+
+let test_ring_rejects_bad_capacity () =
+  Alcotest.check_raises "zero capacity"
+    (Invalid_argument "Log.create: capacity must be positive") (fun () ->
+      ignore (Obs.Log.create ~capacity:0 ~clock:(fun () -> 0.0) ()))
+
+(* Emit one event whose payload is a fresh heap string and return a weak
+   pointer to that payload; nothing else keeps it reachable. *)
+let emit_watched log =
+  let weak = Weak.create 1 in
+  let fn_id = String.init 64 (fun i -> Char.chr (97 + (i mod 26))) in
+  Weak.set weak 0 (Some fn_id);
+  Obs.Log.emit log (Obs.Event.Invoke_start { fn_id });
+  weak
+
+let test_ring_clear_releases_events () =
+  let log = Obs.Log.create ~capacity:4 ~clock:(fun () -> 0.0) () in
+  let weak = emit_watched log in
+  Gc.full_major ();
+  Alcotest.(check bool) "retained while in the ring" true (Weak.check weak 0);
+  Obs.Log.clear log;
+  Gc.full_major ();
+  Alcotest.(check bool) "released by clear" false (Weak.check weak 0);
+  (* The log itself stayed reachable across the collection. *)
+  Alcotest.(check int) "log still counts the event" 1 (Obs.Log.emitted log)
 
 let test_log_jsonl_roundtrip () =
   let clock, set = fake_clock () in
@@ -195,16 +237,41 @@ let test_log_parse_reports_line () =
   | Error msg ->
       Alcotest.(check bool) "names the line" true (contains "line 2" msg)
 
+let test_log_cow_fault_pages_roundtrip () =
+  let log = Obs.Log.create ~capacity:8 ~clock:(fun () -> 2.5) () in
+  let ev = Obs.Event.Cow_fault { uc_id = 3; pages = 487 } in
+  Obs.Log.emit log ev;
+  let text = Obs.Log.to_jsonl log in
+  Alcotest.(check bool) "pages serialised" true (contains "\"pages\":487" text);
+  match Obs.Log.parse_jsonl text with
+  | Ok [ r ] ->
+      Alcotest.(check (float 0.0)) "time" 2.5 r.Obs.Log.time;
+      Alcotest.(check bool) "event survives" true (r.Obs.Log.ev = ev)
+  | Ok rs -> Alcotest.failf "%d records back, expected 1" (List.length rs)
+  | Error e -> Alcotest.failf "round-trip failed: %s" e
+
+let test_log_cow_fault_needs_pages () =
+  match
+    Obs.Log.parse_jsonl "{\"ts\":1,\"type\":\"cow_fault\",\"uc_id\":3}\n"
+  with
+  | Ok _ -> Alcotest.fail "accepted a cow_fault line without pages"
+  | Error msg ->
+      Alcotest.(check bool) "names the line and field" true
+        (contains "line 1" msg && contains "pages" msg)
+
 let test_log_subscriber_outlives_ring () =
   let clock, set = fake_clock () in
   let log = Obs.Log.create ~capacity:2 ~clock () in
-  let seen = ref 0 in
-  Obs.Log.subscribe log (fun _ -> incr seen);
+  let seen = ref [] in
+  Obs.Log.subscribe log (fun r -> seen := r.Obs.Log.time :: !seen);
   for i = 1 to 50 do
     set (float_of_int i);
     Obs.Log.emit log (finish_ev i)
   done;
-  Alcotest.(check int) "subscriber saw every event" 50 !seen;
+  Alcotest.(check (list (float 0.0)))
+    "subscriber saw every event, stamped, in order"
+    (List.init 50 (fun i -> float_of_int (i + 1)))
+    (List.rev !seen);
   Alcotest.(check int) "ring kept only capacity" 2
     (List.length (Obs.Log.records log));
   Alcotest.(check int) "emitted counts all" 50 (Obs.Log.emitted log);
@@ -627,12 +694,16 @@ let () =
         [
           case "overwrites oldest" test_ring_overwrites_oldest;
           case "rejects bad capacity" test_ring_rejects_bad_capacity;
+          case "clear releases events" test_ring_clear_releases_events;
         ] );
       ( "log",
         [
           case "jsonl roundtrip" test_log_jsonl_roundtrip;
           case "parse names bad line" test_log_parse_reports_line;
           case "subscriber outlives ring" test_log_subscriber_outlives_ring;
+          case "cow_fault pages roundtrip" test_log_cow_fault_pages_roundtrip;
+          case "cow_fault without pages rejected"
+            test_log_cow_fault_needs_pages;
         ] );
       ( "metrics",
         [

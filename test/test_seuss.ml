@@ -733,6 +733,33 @@ let test_ws_recorded_then_prefaulted () =
       Alcotest.(check int) "no demand COW events" 0 !cow_events;
       Alcotest.(check string) "same reply either way" r1 r2)
 
+(* A warm invoke's COW faults reach telemetry per write range: the event
+   pages sum to the counter's delta, in a handful of events rather than
+   one per copied page. *)
+let test_warm_cow_events_per_range () =
+  with_node
+    ~config:{ Seuss.Config.default with Seuss.Config.cache_idle_ucs = false }
+    (fun env node ->
+      ignore (expect_ok (N.invoke node nop_fn ~args:"{}"));
+      let m = env.Seuss.Osenv.metrics in
+      let cow0 = Obs.Metrics.sum_counters m "mem_cow_faults_total" in
+      let events = ref 0 and pages = ref 0 in
+      Obs.Log.subscribe env.Seuss.Osenv.log (fun r ->
+          match r.Obs.Log.ev with
+          | Obs.Event.Cow_fault { pages = n; _ } ->
+              incr events;
+              pages := !pages + n
+          | _ -> ());
+      let _, path = expect_ok (N.invoke node nop_fn ~args:"{}") in
+      Alcotest.(check bool) "warm path" true (path = N.Warm);
+      let cow = Obs.Metrics.sum_counters m "mem_cow_faults_total" - cow0 in
+      Alcotest.(check bool) "the warm run copied pages" true (cow > 0);
+      Alcotest.(check int) "event pages sum to the counter delta" cow !pages;
+      Alcotest.(check bool)
+        (Printf.sprintf "fewer than 10 cow_fault events (%d)" !events)
+        true
+        (!events > 0 && !events < 10))
+
 let test_prefault_off_is_inert () =
   with_node
     ~config:{ Seuss.Config.default with Seuss.Config.cache_idle_ucs = false }
@@ -1037,6 +1064,7 @@ let () =
           case "idle footprint" test_idle_uc_footprint_small;
           case "oom reclaim" test_oom_reclaims_idle_ucs;
           case "caches disabled" test_cache_disabled_config;
+          case "warm cow events per range" test_warm_cow_events_per_range;
         ] );
       ( "runtimes",
         [
