@@ -47,6 +47,9 @@ let registry =
     (* Memory: every guest write crosses this. *)
     { hr_file = "lib/mem/addr_space.ml"; hr_binding = "write_range";
       hr_why = "every guest write crosses it (Guest.touch_charged, Galloc)" };
+    { hr_file = "lib/mem/addr_space.ml"; hr_binding = "prefault";
+      hr_why = "write_range's batched twin: resolves every page of each warm \
+                call's recorded working set" };
     (* Metrics: incremented on event/sample cadence by the platform. *)
     { hr_file = "lib/obs/metrics.ml"; hr_binding = "inc";
       hr_why = "counter bump on event cadence" };

@@ -96,7 +96,7 @@ let record_fault t vpn =
   end
 
 let take_trace t =
-  let vpns = List.init t.trace_len (Array.get t.trace_buf) in
+  let vpns = Array.sub t.trace_buf 0 t.trace_len in
   t.tracing <- false;
   t.trace_buf <- [||];
   t.trace_len <- 0;
@@ -201,9 +201,12 @@ let write_bytes t ~addr ~len =
    privatized. @raise Frame.Out_of_memory mid-batch like [write_range]. *)
 let prefault (t : t) ~vpns =
   let zero0 = t.zero_fills and cow0 = t.cow_copies in
-  let requested = List.length vpns in
-  List.iter (fun vpn -> ignore (resolve t ~vpn)) vpns;
+  let requested = Array.length vpns in
+  for i = 0 to requested - 1 do
+    ignore (resolve t ~vpn:vpns.(i))
+  done;
   let zero = t.zero_fills - zero0 and cow = t.cow_copies - cow0 in
+  (* seussheat: cold — one 4-word result per batch, not per page *)
   {
     requested;
     prefault_zero_fills = zero;

@@ -73,14 +73,15 @@ val start_trace : t -> unit
     replaces any trace in progress. Recording stops silently after
     65536 vpns (a runaway function, not a working set). *)
 
-val take_trace : t -> int list
+val take_trace : t -> int array
 (** Disarm and return the vpns recorded since {!start_trace}, in fault
     order (each vpn appears at most once per trace: a page faults at
-    most once between freezes). Empty if not armed. *)
+    most once between freezes). Empty if not armed. The array is fresh:
+    the caller owns it. *)
 
 val tracing : t -> bool
 
-val prefault : t -> vpns:int list -> prefault_stats
+val prefault : t -> vpns:int array -> prefault_stats
 (** Install a recorded working set in one batched page-table pass: each
     vpn ends in exactly the state a demand {!touch_write} would leave it
     (zero-filled, COW-copied, or just dirty+accessed), lifetime and
@@ -122,7 +123,9 @@ val clear_dirty : t -> unit
 val freeze : t -> unit
 (** The capture barrier: every present mapping becomes read-only +
     copy-on-write with clean dirty bits (visible through all tables
-    sharing these leaves), and the dirty counter resets. *)
+    sharing these leaves), and the dirty counter resets. Costs
+    O(root + leaves written since their last freeze); see
+    {!Page_table.mark_all_cow_clean}. *)
 
 val lifetime_zero_fills : t -> int
 

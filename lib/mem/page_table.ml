@@ -37,7 +37,11 @@ module Entry = struct
     |> put accessed_bit a
 end
 
-type leaf = { mutable rc : int; entries : int array }
+(* [frozen] caches "every present entry is already read-only + COW and
+   clean", so a freeze can skip the leaf: [mark_all_cow_clean] sets it,
+   every [set] through the leaf clears it, and a privatized copy inherits
+   it along with the entries. *)
+type leaf = { mutable rc : int; mutable frozen : bool; entries : int array }
 
 type t = {
   frames : Frame.t;
@@ -75,7 +79,8 @@ let get t ~vpn =
 let privatize t dir =
   let leaf =
     match t.dirs.(dir) with
-    | None -> { rc = 1; entries = Array.make entries Entry.absent }
+    | None ->
+        { rc = 1; frozen = false; entries = Array.make entries Entry.absent }
     | Some shared ->
         shared.rc <- shared.rc - 1;
         let copy = Array.copy shared.entries in
@@ -83,7 +88,7 @@ let privatize t dir =
           let e = copy.(i) in
           if Entry.present e then Frame.incref t.frames (Entry.frame e)
         done;
-        { rc = 1; entries = copy }
+        { rc = 1; frozen = shared.frozen; entries = copy }
   in
   t.dirs.(dir) <- Some leaf;
   leaf
@@ -103,6 +108,7 @@ let set t ~vpn entry =
   let leaf = private_leaf t (vpn / entries) in
   let old = leaf.entries.(idx) in
   leaf.entries.(idx) <- entry;
+  leaf.frozen <- false;
   (* Same-frame updates (flag changes) keep the existing reference;
      otherwise the old mapping's reference is dropped and the new entry's
      reference was transferred in by the caller. *)
@@ -113,23 +119,35 @@ let set t ~vpn entry =
   if (not same_frame) && Entry.present old then
     Frame.decref t.frames (Entry.frame old)
 
-let in_place_map t f =
+let map_leaf leaf f =
+  for i = 0 to entries - 1 do
+    let e = leaf.entries.(i) in
+    if Entry.present e then leaf.entries.(i) <- f e
+  done
+
+let freeze_entry e = Entry.with_flags ~writable:false ~cow:true ~dirty:false e
+
+(* A frozen leaf is a fixed point of [freeze_entry], so skipping it
+   changes nothing; an unfrozen one is frozen in place, through every
+   table that shares it. *)
+let mark_all_cow_clean t =
   check_alive t;
   Array.iter
     (function
-      | None -> ()
-      | Some leaf ->
-          for i = 0 to entries - 1 do
-            let e = leaf.entries.(i) in
-            if Entry.present e then leaf.entries.(i) <- f e
-          done)
+      | Some leaf when not leaf.frozen ->
+          map_leaf leaf freeze_entry;
+          leaf.frozen <- true
+      | None | Some _ -> ())
     t.dirs
 
-let mark_all_cow_clean t =
-  in_place_map t (fun e ->
-      Entry.with_flags ~writable:false ~cow:true ~dirty:false e)
-
-let clear_dirty_all t = in_place_map t (fun e -> Entry.with_flags ~dirty:false e)
+(* Clearing dirty bits keeps a frozen leaf frozen. *)
+let clear_dirty_all t =
+  check_alive t;
+  Array.iter
+    (function
+      | Some leaf -> map_leaf leaf (fun e -> Entry.with_flags ~dirty:false e)
+      | None -> ())
+    t.dirs
 
 let fold_present t ~init ~f =
   check_alive t;
@@ -240,6 +258,15 @@ let expected_refcounts tables =
         t.dirs)
     tables;
   counts
+
+let shares_leaf a b ~vpn =
+  check_alive a;
+  check_alive b;
+  check_vpn vpn;
+  match (a.dirs.(vpn / entries), b.dirs.(vpn / entries)) with
+  (* seusslint: allow physical-eq — the question asked is leaf identity *)
+  | Some la, Some lb -> la == lb
+  | _ -> false
 
 let release t =
   check_alive t;

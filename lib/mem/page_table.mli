@@ -68,7 +68,16 @@ val mark_all_cow_clean : t -> unit
     snapshot-capture barrier — intentionally visible through every table
     sharing these leaves (the captured UC keeps running but now faults on
     write, exactly like the hardware after write-protecting a live
-    address space). *)
+    address space).
+
+    Cost: O(root + leaves written since their last freeze), not
+    O(mapped pages). Each leaf carries a frozen bit with the invariant
+    {e frozen ⇒ every present entry is already read-only + COW and
+    clean}: this function sets it, every {!set} through the leaf clears
+    it, a privatized copy inherits it, and {!clear_dirty_all} keeps it.
+    A frozen leaf is a fixed point of the barrier and is skipped; an
+    unfrozen one — shared or not — is rewritten in place and frozen for
+    every table sharing it. *)
 
 val clear_dirty_all : t -> unit
 (** In-place dirty-bit reset (also applies to shared leaves). *)
@@ -105,6 +114,11 @@ val expected_refcounts : t list -> (int, int) Hashtbl.t
     consistent allocator reports exactly these refcounts, and exactly
     [Hashtbl.length] frames live, when the family lists every table
     sharing its leaves. *)
+
+val shares_leaf : t -> t -> vpn:int -> bool
+(** Validation helper for tests: whether both tables reach [vpn] through
+    the same physical leaf — the entries an in-place {!mark_all_cow_clean}
+    of one table rewrites in the other. *)
 
 val release : t -> unit
 (** Drop this table: unshare every leaf, releasing frame references for

@@ -514,11 +514,11 @@ let warm_invoke t ph fn snap ~args =
         let result = run_on_uc t ph uc ~args in
         if recording then begin
           let ws = Uc.take_ws_record uc in
-          if Result.is_ok result && ws <> [] then begin
+          if Result.is_ok result && Array.length ws > 0 then begin
             Snapshot.record_working_set snap ws;
             Osenv.emit t.node_env
               (Obs.Event.Ws_record
-                 { snapshot = snap.Snapshot.name; pages = List.length ws })
+                 { snapshot = snap.Snapshot.name; pages = Array.length ws })
           end
         end;
         finish t Warm fn uc result

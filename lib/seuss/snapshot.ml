@@ -102,11 +102,14 @@ let record_working_set t vpns =
   check_alive t "record_working_set";
   match t.working_set with
   | Some _ -> ()
-  | None -> if vpns <> [] then t.working_set <- Some (Array.of_list vpns)
+  | None -> if Array.length vpns > 0 then t.working_set <- Some vpns
 
 let working_set t =
   check_alive t "working_set";
-  match t.working_set with None -> None | Some a -> Some (Array.to_list a)
+  t.working_set
+
+let working_set_pages t =
+  match t.working_set with None -> 0 | Some a -> Array.length a
 
 let is_deleted t = t.deleted
 

@@ -69,15 +69,20 @@ val decref : t -> unit
 
 val dependents : t -> int
 
-val record_working_set : t -> int list -> unit
-(** Attach the ordered list of vpns demand-faulted during the first
-    completed invocation from this snapshot. First record wins — later
-    calls (and empty traces) are ignored, mirroring REAP's
-    record-once/replay-forever design.
+val record_working_set : t -> int array -> unit
+(** Attach the ordered vpns demand-faulted during the first completed
+    invocation from this snapshot. First record wins — later calls (and
+    empty traces) are ignored, mirroring REAP's
+    record-once/replay-forever design. The snapshot keeps the array
+    itself: the caller must not mutate it afterwards.
     @raise Invalid_argument on a deleted snapshot. *)
 
-val working_set : t -> int list option
-(** The recorded working set, in original fault order, if any. *)
+val working_set : t -> int array option
+(** The recorded working set, in original fault order, if any. The
+    array is the stored one, not a copy: read it, never write it. *)
+
+val working_set_pages : t -> int
+(** O(1): the recorded working set's length, 0 if none was recorded. *)
 
 val is_deleted : t -> bool
 

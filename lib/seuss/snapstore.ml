@@ -19,6 +19,7 @@ type ix_entry = {
 }
 
 type member = {
+  m_fn_id : string;
   m_snap : Snapshot.t;
   m_hashes : int array;  (* content hash of each delta page *)
   m_delta_pages : int;
@@ -114,14 +115,21 @@ let members t =
 
 (* {1 Content identity} *)
 
-(* djb2 folded into 62 bits — deterministic across runs and platforms,
-   never 0 (0 is Frame's "untagged"). *)
-let hash_string s =
-  let h = ref 5381 in
-  String.iter
-    (fun c -> h := ((!h * 33) + Char.code c) land 0x3FFFFFFFFFFFFFF)
-    s;
-  if !h = 0 then 1 else !h
+(* djb2 folded into 58 bits — deterministic across runs and platforms.
+   A hash is built incrementally: [djb2_string] and [djb2_decimal] extend
+   a running state by a string's bytes or by a non-negative int's
+   decimal digits (the bytes [%d] would print), and [djb2_final] maps
+   the state to a tag that is never 0 (0 is Frame's "untagged"). *)
+let djb2_init = 5381
+let djb2_byte h b = ((h * 33) + b) land 0x3FFFFFFFFFFFFFF
+let djb2_string h s =
+  String.fold_left (fun h c -> djb2_byte h (Char.code c)) h s
+
+let rec djb2_decimal h n =
+  let h = if n >= 10 then djb2_decimal h (n / 10) else h in
+  djb2_byte h (Char.code '0' + (n mod 10))
+
+let djb2_final h = if h = 0 then 1 else h
 
 (* The function-specific region of a snapshot's address space: the
    compiled bytecode occupies the last [source_bytes * 4] bytes of the
@@ -143,43 +151,63 @@ let fn_region (snap : Snapshot.t) =
          anything — salt every page by the snapshot's own name. *)
       (0, max_int, snap.Snapshot.name)
 
-let content_hashes (snap : Snapshot.t) delta =
+(* The djb2 of ["fn:%s:%s:%d" rt salt vpn] inside the function region
+   and of ["img:%s:%d" rt vpn] outside it, byte for byte: each prefix is
+   hashed once per snapshot and each vpn folds in only its digits. *)
+let content_hashes (snap : Snapshot.t) vpns =
   let rt =
     Unikernel.Image.runtime_name snap.Snapshot.image.Unikernel.Image.runtime
   in
   let fn_lo, fn_hi, salt = fn_region snap in
-  List.map
-    (fun (vpn, _) ->
-      if vpn >= fn_lo && vpn < fn_hi then
-        hash_string (Printf.sprintf "fn:%s:%s:%d" rt salt vpn)
-      else hash_string (Printf.sprintf "img:%s:%d" rt vpn))
-    delta
+  let fn_prefix =
+    djb2_string djb2_init (Printf.sprintf "fn:%s:%s:" rt salt)
+  in
+  let img_prefix = djb2_string djb2_init (Printf.sprintf "img:%s:" rt) in
+  Array.map
+    (fun vpn ->
+      let prefix =
+        if vpn >= fn_lo && vpn < fn_hi then fn_prefix else img_prefix
+      in
+      djb2_final (djb2_decimal prefix vpn))
+    vpns
 
-let delta_entries (snap : Snapshot.t) =
-  let collect acc ~vpn e = (vpn, e) :: acc in
-  List.rev
-    (match snap.Snapshot.parent with
+(* The vpns of the snapshot's delta layer, ascending (both folds walk
+   directories, then entries, in order). *)
+let delta_vpns (snap : Snapshot.t) =
+  let collect acc ~vpn _ = vpn :: acc in
+  let descending =
+    match snap.Snapshot.parent with
     | Some p ->
         Mem.Page_table.fold_delta ~parent:p.Snapshot.table snap.Snapshot.table
           ~init:[] ~f:collect
     | None ->
-        Mem.Page_table.fold_present snap.Snapshot.table ~init:[] ~f:collect)
+        Mem.Page_table.fold_present snap.Snapshot.table ~init:[] ~f:collect
+  in
+  let n = List.length descending in
+  let vpns = Array.make n 0 in
+  List.iteri (fun i vpn -> vpns.(n - 1 - i) <- vpn) descending;
+  vpns
 
 (* Member-private page-table overhead: its root copy plus one leaf per
    directory its delta touches (the leaves it privatized away from the
    base; everything else is structurally shared and charged to the
    base). Computed from the delta's vpns so it is stable — the private
-   leaf count of the live table shifts as the capturing UC retires. *)
-let member_structure_bytes delta =
+   leaf count of the live table shifts as the capturing UC retires.
+   The vpns are ascending, so each directory is one run of them. *)
+let member_structure_bytes vpns =
   let word = 8 in
   let per_leaf = Mem.Mconfig.entries_per_table * word in
   let root = 512 * word in
-  let dirs = Hashtbl.create 16 in
-  List.iter
-    (fun (vpn, _) ->
-      Hashtbl.replace dirs (vpn / Mem.Mconfig.entries_per_table) ())
-    delta;
-  root + (Hashtbl.length dirs * per_leaf)
+  let dirs = ref 0 and last_dir = ref (-1) in
+  Array.iter
+    (fun vpn ->
+      let dir = vpn / Mem.Mconfig.entries_per_table in
+      if dir <> !last_dir then begin
+        incr dirs;
+        last_dir := dir
+      end)
+    vpns;
+  root + (!dirs * per_leaf)
 
 (* Rewriting a delta entry to the canonical frame of its content: take
    the reference [Page_table.set] will consume; [set] drops the old
@@ -199,7 +227,7 @@ let adopt_canonical frames table ~vpn entry frame =
 (* Drop a member's index holds; returns the content pages whose last
    holder this was (their canonical frames die with the member's table
    release, which is the caller's side of the bargain). *)
-let unlink t fn_id m =
+let unlink t m =
   let freed = ref 0 in
   Array.iter
     (fun h ->
@@ -213,46 +241,55 @@ let unlink t fn_id m =
           end)
     m.m_hashes;
   t.structure_total <- t.structure_total - m.m_structure_bytes;
-  Hashtbl.remove t.members fn_id;
+  Hashtbl.remove t.members m.m_fn_id;
   !freed
 
-(* Deterministic victim score, smaller evicts first. LRU orders by
-   last-use tick; the working-set policy sends snapshots that never
-   recorded a working set first (nothing proves they are worth keeping
-   warm), then the lowest working-set-per-delta-page ratio. Both break
-   ties by tick then fn_id, and [Det.fold] fixes the scan order. *)
-let score t fn_id m =
-  match t.policy with
-  | Config.Snap_lru -> (0.0, 0.0, m.m_last_used, fn_id)
-  | Config.Snap_ws ->
-      let ws_pages =
-        match Snapshot.working_set m.m_snap with
-        | Some ws -> List.length ws
-        | None -> 0
-      in
-      let has_ws = if ws_pages > 0 then 1.0 else 0.0 in
-      let ratio =
-        float_of_int ws_pages /. float_of_int (max 1 m.m_delta_pages)
-      in
-      (has_ws, ratio, m.m_last_used, fn_id)
+(* Deterministic victim order: [precedes t a b] when [a] evicts before
+   [b]. LRU orders by last-use tick; the working-set policy sends
+   snapshots that never recorded a working set first (nothing proves
+   they are worth keeping warm), then the lowest
+   working-set-per-delta-page ratio. Both break ties by tick then
+   fn_id, which is unique, so this is a total order over members. *)
+let precedes t a b =
+  let by_ws =
+    match t.policy with
+    | Config.Snap_lru -> 0
+    | Config.Snap_ws ->
+        let wa = Snapshot.working_set_pages a.m_snap
+        and wb = Snapshot.working_set_pages b.m_snap in
+        let c = Bool.compare (wa > 0) (wb > 0) in
+        if c <> 0 then c
+        else
+          Float.compare
+            (float_of_int wa /. float_of_int (max 1 a.m_delta_pages))
+            (float_of_int wb /. float_of_int (max 1 b.m_delta_pages))
+  in
+  let c =
+    if by_ws <> 0 then by_ws else Int.compare a.m_last_used b.m_last_used
+  in
+  (if c <> 0 then c else String.compare a.m_fn_id b.m_fn_id) < 0
 
+(* The minimum unpinned member under [precedes], in one pass over the
+   member table with no per-member allocation. *)
 let victim t =
-  Det.fold
-    (fun fn_id m best ->
-      if Snapshot.dependents m.m_snap > 0 || Snapshot.is_deleted m.m_snap then
-        best
-      else
-        let s = score t fn_id m in
-        match best with
-        | Some (_, _, bs) when compare bs s <= 0 -> best
-        | _ -> Some (fn_id, m, s))
-    t.members None
+  let best = ref None in
+  (* seusslint: allow hashtbl-order — a minimum under a total order is the same in every scan order *)
+  Hashtbl.iter
+    (fun _ m ->
+      if Snapshot.dependents m.m_snap = 0 && not (Snapshot.is_deleted m.m_snap)
+      then
+        match !best with
+        | Some b when not (precedes t m b) -> ()
+        | None | Some _ -> best := Some m)
+    t.members;
+  !best
 
-let evict_one t fn_id m =
+let evict_one t m =
+  let fn_id = m.m_fn_id in
   t.on_evict ~fn_id;
   Osenv.burn t.env Cost.snap_evict_fixed;
   let deleted = Snapshot.try_delete ~env:t.env m.m_snap in
-  let freed = unlink t fn_id m in
+  let freed = unlink t m in
   t.eviction_count <- t.eviction_count + 1;
   Obs.Metrics.inc t.c_evictions;
   Osenv.emit t.env
@@ -272,38 +309,43 @@ let rec enforce_budget t =
   then
     match victim t with
     | None -> () (* every member is pinned: tolerate the overrun *)
-    | Some (fn_id, m, _) ->
-        evict_one t fn_id m;
+    | Some m ->
+        evict_one t m;
         enforce_budget t
 
 let insert t ~fn_id (snap : Snapshot.t) =
   if Hashtbl.mem t.members fn_id then
     invalid_arg (Printf.sprintf "Snapstore.insert: duplicate member %S" fn_id);
   let frames = t.env.Osenv.frames in
-  let delta = delta_entries snap in
-  let delta_pages = List.length delta in
+  let table = snap.Snapshot.table in
+  let vpns = delta_vpns snap in
+  let delta_pages = Array.length vpns in
   Osenv.burn t.env (Cost.snap_index_time ~delta_pages);
-  let hashes = content_hashes snap delta in
+  let hashes = content_hashes snap vpns in
   let shared = ref 0 and unique = ref 0 in
-  List.iter2
-    (fun (vpn, e) h ->
+  (* Each vpn is rewritten at most once, by its own iteration, so [get]
+     reads the entry as the delta walk saw it. *)
+  Array.iteri
+    (fun i vpn ->
+      let h = hashes.(i) and e = Mem.Page_table.get table ~vpn in
       match Hashtbl.find_opt t.index h with
       | Some ix ->
           ix.holders <- ix.holders + 1;
           incr shared;
           if ix.ix_frame <> Mem.Page_table.Entry.frame e then
-            adopt_canonical frames snap.Snapshot.table ~vpn e ix.ix_frame
+            adopt_canonical frames table ~vpn e ix.ix_frame
       | None ->
           let f = Mem.Page_table.Entry.frame e in
           Mem.Frame.set_tag frames f h;
           Hashtbl.replace t.index h { ix_frame = f; holders = 1 };
           incr unique)
-    delta hashes;
-  let structure = member_structure_bytes delta in
+    vpns;
+  let structure = member_structure_bytes vpns in
   let m =
     {
+      m_fn_id = fn_id;
       m_snap = snap;
-      m_hashes = Array.of_list hashes;
+      m_hashes = hashes;
       m_delta_pages = delta_pages;
       m_shared_pages = !shared;
       m_unique_pages = !unique;
@@ -318,8 +360,8 @@ let insert t ~fn_id (snap : Snapshot.t) =
   t.pages_inserted_total <- t.pages_inserted_total + delta_pages;
   t.pages_unique_total <- t.pages_unique_total + !unique;
   Obs.Metrics.inc t.c_inserts;
-  for _ = 1 to !shared do Obs.Metrics.inc t.c_pages_shared done;
-  for _ = 1 to !unique do Obs.Metrics.inc t.c_pages_unique done;
+  Obs.Metrics.inc ~by:!shared t.c_pages_shared;
+  Obs.Metrics.inc ~by:!unique t.c_pages_unique;
   Osenv.emit t.env
     (Obs.Event.Snap_delta
        {
@@ -363,7 +405,7 @@ let forget t ~fn_id snap =
   | None -> Snapshot.try_delete ~env:t.env snap
   | Some m ->
       if Snapshot.try_delete ~env:t.env m.m_snap then begin
-        ignore (unlink t fn_id m);
+        ignore (unlink t m);
         refresh_gauges t;
         true
       end
@@ -371,13 +413,22 @@ let forget t ~fn_id snap =
 
 let drain t =
   List.iter
-    (fun (fn_id, m) ->
+    (fun (_, m) ->
       ignore (Snapshot.try_delete ~env:t.env m.m_snap);
-      ignore (unlink t fn_id m))
+      ignore (unlink t m))
     (Det.bindings t.members);
   refresh_gauges t
 
 (* {1 Self-validation (tests)} *)
+
+let victim_id t = Option.map (fun m -> m.m_fn_id) (victim t)
+
+type member_info = { last_used : int; delta_pages : int }
+
+let member_info t fn_id =
+  Option.map
+    (fun m -> { last_used = m.m_last_used; delta_pages = m.m_delta_pages })
+    (Hashtbl.find_opt t.members fn_id)
 
 let check t =
   let problems = ref [] in
@@ -428,8 +479,8 @@ let check t =
      && Int64.compare (resident_bytes t) t.budget > 0
    then
      match victim t with
-     | Some (fn_id, _, _) ->
+     | Some m ->
          bad "over budget (%Ld > %Ld) with evictable member %s"
-           (resident_bytes t) t.budget fn_id
+           (resident_bytes t) t.budget m.m_fn_id
      | None -> ());
   List.rev !problems

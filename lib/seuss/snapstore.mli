@@ -25,7 +25,13 @@
     {!Config.snap_policy} until it fits, each eviction emitting
     {!Obs.Event.Snap_evict} and falling the function back to the cold
     path. All ordering is deterministic: a logical insert/lookup tick,
-    [Det]-ordered victim scans, no wallclock, no PRNG draws. *)
+    a victim that is the minimum of a total order (so independent of
+    scan order), no wallclock, no PRNG draws.
+
+    Costs: an insert is O(delta pages) — one content hash per page
+    (digits only; the per-snapshot prefix is hashed once) and one index
+    probe; each eviction's victim choice is one O(members) pass that
+    sorts and allocates nothing. *)
 
 type t
 
@@ -96,6 +102,29 @@ val dedup_ratio : t -> float
 (** [pages_inserted / pages_unique] — 1.0 means no sharing was found;
     the paper-shaped workload (many functions on one runtime) pushes
     this far above 1. *)
+
+val victim_id : t -> string option
+(** The member the next budget eviction would remove: the minimum
+    unpinned member under the configured policy's total order (ties
+    broken by last-use tick, then fn_id), or [None] if every member is
+    pinned. One pass over the members with no per-member allocation —
+    O(members) per eviction, independent of scan order. *)
+
+type member_info = {
+  last_used : int;  (** logical tick of the last insert or hit *)
+  delta_pages : int;  (** pages in the member's delta layer *)
+}
+
+val member_info : t -> string -> member_info option
+(** A member's policy inputs, without touching recency (tests). *)
+
+val content_hashes : Snapshot.t -> int array -> int array
+(** The content hash of each given vpn of a snapshot: djb2 of
+    ["fn:<runtime>:<source>:<vpn>"] inside the function's bytecode
+    region (["<source>"] is the snapshot name when no program is
+    loaded) and of ["img:<runtime>:<vpn>"] outside it, computed
+    incrementally — the prefix once per call, then each vpn's decimal
+    digits. Vpns must be non-negative. *)
 
 val check : t -> string list
 (** Self-validation for the property battery: every index entry names a

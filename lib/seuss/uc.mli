@@ -62,11 +62,11 @@ val start_ws_record : t -> unit
 (** Begin recording the vpns this UC demand-faults, in fault order
     (REAP-style working-set record; see {!Config.t.prefault_working_set}). *)
 
-val take_ws_record : t -> int list
-(** Stop recording and return the ordered faulted vpns ([[]] if
+val take_ws_record : t -> int array
+(** Stop recording and return the ordered faulted vpns ([[||]] if
     recording was never started). *)
 
-val prefault : t -> vpns:int list -> Mem.Addr_space.prefault_stats
+val prefault : t -> vpns:int array -> Mem.Addr_space.prefault_stats
 (** Batch-install a recorded working set into this UC's address space
     before the guest runs: pages are resident synchronously (no yield
     until after install), then one {!Cost.prefault_time} charge covers

@@ -20,7 +20,12 @@
    - write_range: a range write reports its faults to the hook once per
      kind, with sums equal to the lifetime counters and to a per-page
      touch_write twin, and leaves the same tables — including when the
-     allocator runs dry mid-range.
+     allocator runs dry mid-range;
+
+   - freeze: the capture barrier, which skips leaves already frozen,
+     leaves every entry of every live table exactly where a full walk
+     over the frozen table's leaves would, across writes, clones
+     (frozen or not), dirty-bit clears and releases.
 
    SEUSS_PROP_SEED overrides the base seed (CI rotates it). *)
 
@@ -50,8 +55,8 @@ let check_counters ~ctx space =
   let d = AS.dirty_pages space and ds = AS.dirty_pages_slow space in
   if d <> ds then Alcotest.failf "%s: dirty_pages %d <> slow walk %d" ctx d ds
 
-let check_refcounts ~ctx frames spaces =
-  let expected = PT.expected_refcounts (List.map AS.table spaces) in
+let check_refcounts ~ctx frames tables =
+  let expected = PT.expected_refcounts tables in
   let live = Hashtbl.length expected and used = F.used_frames frames in
   if live <> used then
     Alcotest.failf "%s: tables reference %d frames, allocator holds %d" ctx
@@ -66,7 +71,7 @@ let check_refcounts ~ctx frames spaces =
 
 let check_invariants ~ctx frames spaces =
   List.iter (check_counters ~ctx) spaces;
-  check_refcounts ~ctx frames spaces
+  check_refcounts ~ctx frames (List.map AS.table spaces)
 
 (* {1 Random schedules} *)
 
@@ -117,7 +122,7 @@ let run_schedule ~seed ~sched =
     | _ ->
         let space = pick () in
         let n = 1 + Sim.Prng.int prng 32 in
-        let vpns = List.init n (fun _ -> Sim.Prng.int prng vpn_span) in
+        let vpns = Array.init n (fun _ -> Sim.Prng.int prng vpn_span) in
         ignore (AS.prefault space ~vpns));
     check_invariants ~ctx frames !spaces
   done;
@@ -169,7 +174,7 @@ let test_prefault_matches_demand () =
     (* A working set mixing COW hits (parent range) and fresh pages,
        duplicates allowed, plus follow-up invocation writes. *)
     let ws =
-      List.init
+      Array.init
         (1 + Sim.Prng.int prng 48)
         (fun _ -> Sim.Prng.int prng 160)
     in
@@ -182,7 +187,7 @@ let test_prefault_matches_demand () =
     let frames_d, parent_d, demand = build_universe () in
     let demand_faults = ref 0 in
     AS.set_fault_hook demand (fun _ n -> demand_faults := !demand_faults + n);
-    List.iter (fun vpn -> ignore (AS.touch_write demand ~vpn)) ws;
+    Array.iter (fun vpn -> ignore (AS.touch_write demand ~vpn)) ws;
     List.iter (fun vpn -> ignore (AS.touch_write demand ~vpn)) follow_ups;
     (* Arm 2: batched prefault of the same set, then the same writes. *)
     let frames_p, parent_p, prefaulted = build_universe () in
@@ -204,7 +209,7 @@ let test_prefault_matches_demand () =
         (!demand_faults - !prefault_faults)
         delta;
     Alcotest.(check int)
-      "requested counts every vpn" (List.length ws) stats.AS.requested;
+      "requested counts every vpn" (Array.length ws) stats.AS.requested;
     (* Both worlds drain to zero. *)
     AS.release demand;
     AS.release parent_d;
@@ -222,7 +227,7 @@ let test_prefault_rejects_read_only () =
     (PT.Entry.make ~frame:fr ~writable:false ~cow:false ~dirty:false
        ~accessed:false);
   Alcotest.(check bool) "protection violation raises" true
-    (match AS.prefault space ~vpns:[ 7 ] with
+    (match AS.prefault space ~vpns:[| 7 |] with
     | _ -> false
     | exception Invalid_argument _ -> true)
 
@@ -304,7 +309,7 @@ let test_write_range_matches_touch_write () =
       if state_of ranged <> state_of paged then
         Alcotest.failf "%s: range-written space diverged from its twin" ctx
     done;
-    Alcotest.(check (list int))
+    Alcotest.(check (array int))
       "same working set, in fault order" (AS.take_trace paged)
       (AS.take_trace ranged);
     let ctx = Printf.sprintf "seed %Ld round %d" base_seed round in
@@ -358,13 +363,123 @@ let test_write_range_oom_reports_resolved () =
         sums.zero sums.cow dz dc;
     Alcotest.(check int) (ctx ^ ": every free frame resolved a page") free
       (dz + dc);
-    Alcotest.(check (list int))
-      (ctx ^ ": resolved pages are the faulting prefix") expected
-      (AS.take_trace child);
+    Alcotest.(check (array int))
+      (ctx ^ ": resolved pages are the faulting prefix")
+      (Array.of_list expected) (AS.take_trace child);
     check_invariants ~ctx frames [ parent; child ];
     AS.release child;
     AS.release parent;
     Alcotest.(check int) (ctx ^ ": drained") 0 (F.used_frames frames)
+  done
+
+(* {1 Freeze equivalence: frozen-leaf skipping vs a full walk} *)
+
+(* A member of the family: an address space, or a bare table (a
+   snapshot's clone_shallow). *)
+type member = Space of AS.t | Table of PT.t
+
+let table_of = function Space s -> AS.table s | Table t -> t
+let release_member = function Space s -> AS.release s | Table t -> PT.release t
+let freeze_span = 4 * Mem.Mconfig.entries_per_table
+
+let freeze_entry e =
+  if PT.Entry.present e then
+    PT.Entry.with_flags ~writable:false ~cow:true ~dirty:false e
+  else e
+
+let entries_in t = Array.init freeze_span (fun vpn -> PT.get t ~vpn)
+
+(* Freeze [target] and compare every live table with the reference: a
+   walk over every leaf [target] reaches rewrites each present entry,
+   and every table reaching the same physical leaf sees the rewrite. *)
+let freeze_and_check ~ctx frames family target =
+  let tables = List.map table_of family in
+  let expected =
+    List.map
+      (fun t ->
+        Array.mapi
+          (fun vpn e ->
+            if PT.shares_leaf target t ~vpn then freeze_entry e else e)
+          (entries_in t))
+      tables
+  in
+  PT.mark_all_cow_clean target;
+  List.iteri
+    (fun i (t, want) ->
+      let got = entries_in t in
+      Array.iteri
+        (fun vpn e ->
+          if got.(vpn) <> e then
+            Alcotest.failf "%s: table %d vpn %d is %#x, full walk gives %#x"
+              ctx i vpn got.(vpn) e)
+        want)
+    (List.combine tables expected);
+  check_refcounts ~ctx frames (List.map table_of family)
+
+let run_freeze_schedule ~seed ~sched =
+  let prng = Sim.Prng.create (Int64.add seed (Int64.of_int (5000 + sched))) in
+  let frames = F.create ~budget_bytes:(mib 256) () in
+  let root = AS.create frames in
+  ignore (AS.write_range root ~vpn:0 ~pages:(1 + Sim.Prng.int prng 700));
+  (* A clone of an unfrozen table, frozen afterwards: the freeze goes
+     through the leaves it shares with [root]. *)
+  let clone = PT.clone_shallow (AS.table root) in
+  let family = ref [ Space root; Table clone ] in
+  let ctx0 = Printf.sprintf "seed %Ld sched %d" seed sched in
+  freeze_and_check ~ctx:(ctx0 ^ " unfrozen clone") frames !family clone;
+  let pick () = List.nth !family (Sim.Prng.int prng (List.length !family)) in
+  let pick_space () =
+    match
+      List.filter_map (function Space s -> Some s | Table _ -> None) !family
+    with
+    | [] -> None
+    | l -> Some (List.nth l (Sim.Prng.int prng (List.length l)))
+  in
+  for step = 1 to 30 + Sim.Prng.int prng 30 do
+    let ctx = Printf.sprintf "%s step %d" ctx0 step in
+    (match Sim.Prng.int prng 100 with
+    | r when r < 25 ->
+        Option.iter
+          (fun s ->
+            ignore (AS.touch_write s ~vpn:(Sim.Prng.int prng freeze_span)))
+          (pick_space ())
+    | r when r < 45 ->
+        Option.iter
+          (fun s ->
+            let pages = 1 + Sim.Prng.int prng 600 in
+            ignore
+              (AS.write_range s
+                 ~vpn:(Sim.Prng.int prng (freeze_span - pages))
+                 ~pages))
+          (pick_space ())
+    | r when r < 55 ->
+        if List.length !family < max_spaces then
+          family := Table (PT.clone_shallow (table_of (pick ()))) :: !family
+    | r when r < 65 ->
+        if List.length !family < max_spaces then begin
+          let source = table_of (pick ()) in
+          freeze_and_check ~ctx:(ctx ^ " of_table") frames !family source;
+          family := Space (AS.of_table frames source) :: !family
+        end
+    | r when r < 82 ->
+        freeze_and_check ~ctx:(ctx ^ " freeze") frames !family
+          (table_of (pick ()))
+    | r when r < 90 -> Option.iter AS.clear_dirty (pick_space ())
+    | _ -> (
+        match !family with
+        | _ :: _ :: _ ->
+            let victim = pick () in
+            release_member victim;
+            family := List.filter (fun m -> m != victim) !family
+        | _ -> ()))
+  done;
+  check_refcounts ~ctx:(ctx0 ^ " end") frames (List.map table_of !family);
+  List.iter release_member !family;
+  Alcotest.(check int) (ctx0 ^ ": drained") 0 (F.used_frames frames)
+
+let test_freeze_matches_full_walk () =
+  for sched = 0 to schedules - 1 do
+    run_freeze_schedule ~seed:base_seed ~sched
   done
 
 (* {1 Trace recording} *)
@@ -378,10 +493,10 @@ let test_trace_records_fault_order () =
   ignore (AS.touch_write child ~vpn:120);
   ignore (AS.touch_write child ~vpn:3);
   ignore (AS.touch_write child ~vpn:777);
-  Alcotest.(check (list int))
-    "faulted vpns in order" [ 120; 3; 777 ] (AS.take_trace child);
+  Alcotest.(check (array int))
+    "faulted vpns in order" [| 120; 3; 777 |] (AS.take_trace child);
   Alcotest.(check bool) "disarmed" false (AS.tracing child);
-  Alcotest.(check (list int)) "empty when unarmed" [] (AS.take_trace child);
+  Alcotest.(check (array int)) "empty when unarmed" [||] (AS.take_trace child);
   AS.release child;
   AS.release parent;
   ignore frames
@@ -430,6 +545,13 @@ let () =
             test_write_range_matches_touch_write;
           case "OOM mid-range reports resolved pages"
             test_write_range_oom_reports_resolved;
+        ] );
+      ( "freeze",
+        [
+          case
+            (Printf.sprintf "%d schedules: skip-frozen == full walk"
+               schedules)
+            test_freeze_matches_full_walk;
         ] );
       ( "trace",
         [ case "records fault order once" test_trace_records_fault_order ] );

@@ -709,14 +709,14 @@ let test_ws_recorded_then_prefaulted () =
         | None -> Alcotest.fail "working set not recorded"
       in
       Alcotest.(check bool) "working set is substantial" true
-        (List.length ws > 100);
+        (Array.length ws > 100);
       Alcotest.(check bool) "record event emitted" true
         (List.exists
            (fun r ->
              match r.Obs.Log.ev with
              | Obs.Event.Ws_record { snapshot; pages } ->
                  snapshot = snap.Seuss.Snapshot.name
-                 && pages = List.length ws
+                 && pages = Array.length ws
              | _ -> false)
            (Obs.Log.records env.Seuss.Osenv.log));
       (* The next warm deploy replays the set: one batch, and the

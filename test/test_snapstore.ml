@@ -16,7 +16,11 @@
      shape (same vpns and flags; only frame ids may differ — that is
      what dedup rewrites);
    - SEUSS_SNAP_CACHE=0 must be bit-identical to unset (the disarmed
-     default) for a harness-built experiment.
+     default) for a harness-built experiment;
+   - after every schedule operation the store's next eviction victim
+     must equal a reference scan (a Det-ordered fold scoring members
+     with tuples under polymorphic compare, as the store once did);
+   - content hashes must equal djb2 over the formatted content key.
 
    SEUSS_PROP_SEED overrides the base seed (CI rotates it). *)
 
@@ -52,6 +56,48 @@ let path_label = function
 
 (* {1 Invariant checks} *)
 
+(* The reference victim scan: fold the members in fn_id order, score
+   each as a (has working set, working-set ratio, last use, fn_id) tuple
+   and keep the first minimum under polymorphic compare. *)
+let reference_victim store =
+  let members = Hashtbl.create 16 in
+  List.iter
+    (fun (fn_id, snap) -> Hashtbl.replace members fn_id snap)
+    (Seuss.Snapstore.members store);
+  let score fn_id snap =
+    let info =
+      match Seuss.Snapstore.member_info store fn_id with
+      | Some i -> i
+      | None -> Alcotest.failf "member %s has no info" fn_id
+    in
+    let last_used = info.Seuss.Snapstore.last_used in
+    match Seuss.Snapstore.policy store with
+    | Seuss.Config.Snap_lru -> (0.0, 0.0, last_used, fn_id)
+    | Seuss.Config.Snap_ws ->
+        let ws_pages =
+          match Seuss.Snapshot.working_set snap with
+          | Some ws -> List.length (Array.to_list ws)
+          | None -> 0
+        in
+        let has_ws = if ws_pages > 0 then 1.0 else 0.0 in
+        let ratio =
+          float_of_int ws_pages
+          /. float_of_int (max 1 info.Seuss.Snapstore.delta_pages)
+        in
+        (has_ws, ratio, last_used, fn_id)
+  in
+  Det.fold
+    (fun fn_id snap best ->
+      if Seuss.Snapshot.dependents snap > 0 || Seuss.Snapshot.is_deleted snap
+      then best
+      else
+        let s = score fn_id snap in
+        match best with
+        | Some (_, bs) when compare bs s <= 0 -> best
+        | _ -> Some (fn_id, s))
+    members None
+  |> Option.map fst
+
 (* Every live snapshot table: bases plus the function-snapshot mirror.
    With the idle-UC cache off the node destroys each serving UC before
    [invoke] returns, so at an op boundary these tables are the only
@@ -84,6 +130,12 @@ let check_node ~ctx env node =
   (match Seuss.Node.snapstore node with
   | None -> ()
   | Some store ->
+      let victim = Seuss.Snapstore.victim_id store
+      and reference = reference_victim store in
+      if victim <> reference then
+        Alcotest.failf "%s: victim %s, reference scan picks %s" ctx
+          (Option.value ~default:"-" victim)
+          (Option.value ~default:"-" reference);
       (match Seuss.Snapstore.check store with
       | [] -> ()
       | vs ->
@@ -106,12 +158,29 @@ let check_node ~ctx env node =
 
 (* {1 Random schedules} *)
 
+(* Attach a working set of random length to [fn]'s member, if it has
+   none yet. Only for nodes that never replay working sets: the store's
+   ws policy is then their only reader. *)
+let synthetic_working_set prng node fn =
+  Option.iter
+    (fun store ->
+      let members = Seuss.Snapstore.members store in
+      match List.assoc_opt fn.Seuss.Node.fn_id members with
+      | Some snap ->
+          Seuss.Snapshot.record_working_set snap
+            (Array.init (1 + Sim.Prng.int prng 400) Fun.id)
+      | None -> ())
+    (Seuss.Node.snapstore node)
+
 (* One schedule: a fresh node under a drawn (budget, policy), a random
    invoke/probe sequence over a small corpus, the full invariant set
    after every operation, then an orderly shutdown that must drain every
    frame. Tiny budgets force eviction (including of a snapshot captured
    moments before); the 0 draw runs the same schedule disarmed so the
-   mirror-only paths stay covered by the same checks. *)
+   mirror-only paths stay covered by the same checks. Odd schedules
+   record working sets on warm calls; in even ones, where nothing
+   replays them, half the calls attach a synthetic set of random length
+   to their member, so the ws policy meets distinct ratios. *)
 let run_schedule ~seed ~sched =
   let prng = Sim.Prng.create (Int64.add seed (Int64.of_int (sched * 7919))) in
   let budget =
@@ -131,6 +200,7 @@ let run_schedule ~seed ~sched =
   in
   let functions = 4 + Sim.Prng.int prng 5 in
   let steps = 10 + Sim.Prng.int prng 11 in
+  let prefault = sched mod 2 = 1 in
   Experiments.Harness.run_sim ~seed:(Int64.add seed (Int64.of_int sched)) (fun engine ->
       let env = Experiments.Harness.make_seuss_env engine in
       let config =
@@ -139,6 +209,7 @@ let run_schedule ~seed ~sched =
           Seuss.Config.cache_idle_ucs = false;
           snapshot_cache_bytes = budget;
           snapshot_cache_policy = policy;
+          prefault_working_set = prefault;
         }
       in
       let node = Seuss.Node.create ~config env in
@@ -152,7 +223,9 @@ let run_schedule ~seed ~sched =
         | r when r < 80 -> (
             let fn = prop_fn (Sim.Prng.int prng functions) in
             match Seuss.Node.invoke node fn ~args:"{}" with
-            | Ok _, _ -> ()
+            | Ok _, _ ->
+                if (not prefault) && Sim.Prng.int prng 2 = 0 then
+                  synthetic_working_set prng node fn
             | Error _, _ ->
                 Alcotest.failf "%s: invocation of %s failed" ctx
                   fn.Seuss.Node.fn_id)
@@ -411,6 +484,61 @@ let test_lru_evicts_least_recent () = run_eviction_scenario ~policy:Seuss.Config
 let test_ws_without_sets_matches_lru () =
   run_eviction_scenario ~policy:Seuss.Config.Snap_ws
 
+(* {1 Content hashes} *)
+
+let djb2 s =
+  let h = ref 5381 in
+  String.iter
+    (fun c -> h := ((!h * 33) + Char.code c) land 0x3FFFFFFFFFFFFFF)
+    s;
+  if !h = 0 then 1 else !h
+
+(* Golden check of both key shapes at digit-count boundaries: a base
+   snapshot has no program, so every vpn takes the "fn:" branch salted
+   by its name; a function snapshot's low pages take "img:" and its
+   heap tail (the compiled bytecode) takes "fn:" salted by the source. *)
+let test_content_hashes_golden () =
+  Experiments.Harness.run_sim ~seed:41L (fun engine ->
+      let env = Experiments.Harness.make_seuss_env engine in
+      let budget = Int64.of_int (Mem.Mconfig.mib 4096) in
+      let node = Seuss.Node.create ~config:(scenario_config ~budget) env in
+      Seuss.Node.start node;
+      let fn = prop_fn 0 in
+      ignore (invoke_ok node fn);
+      let base =
+        match Seuss.Node.base_snapshot node Unikernel.Image.Node with
+        | Some s -> s
+        | None -> Alcotest.fail "no base snapshot"
+      and fsnap =
+        match Seuss.Node.function_snapshot node fn.Seuss.Node.fn_id with
+        | Some s -> s
+        | None -> Alcotest.fail "no function snapshot"
+      in
+      let rt = Unikernel.Image.runtime_name Unikernel.Image.Node in
+      let vpns =
+        [| 0; 9; 10; 99; 100; Unikernel.Gconst.heap_base; PT.max_vpn - 1 |]
+      in
+      let check label snap vpns key =
+        let got = Seuss.Snapstore.content_hashes snap vpns in
+        Array.iteri
+          (fun i vpn ->
+            Alcotest.(check int)
+              (Printf.sprintf "%s vpn %d" label vpn)
+              (djb2 (key vpn)) got.(i))
+          vpns
+      in
+      check "base" base vpns (fun vpn ->
+          Printf.sprintf "fn:%s:%s:%d" rt base.Seuss.Snapshot.name vpn);
+      check "function image" fsnap vpns (fun vpn ->
+          Printf.sprintf "img:%s:%d" rt vpn);
+      let heap_end =
+        Unikernel.Gconst.heap_base
+        + Unikernel.Guest.snapshot_heap_pages fsnap.Seuss.Snapshot.guest
+      in
+      check "function bytecode" fsnap [| heap_end - 1 |] (fun vpn ->
+          Printf.sprintf "fn:%s:%s:%d" rt fn.Seuss.Node.source vpn);
+      Seuss.Node.shutdown node)
+
 let () =
   let case name f = Alcotest.test_case name `Slow f in
   Alcotest.run "snapstore"
@@ -434,4 +562,6 @@ let () =
           case "ws without sets falls back to recency"
             test_ws_without_sets_matches_lru;
         ] );
+      ( "content",
+        [ case "hashes == djb2 of the key" test_content_hashes_golden ] );
     ]
