@@ -21,8 +21,8 @@ let exp_info name =
 let print s = print_string s
 
 (* Drive an engine the subcommand built itself and surface stuck
-   waiters on stderr — stdout stays byte-identical, which the CI
-   sanitizer-transparency check depends on. With SEUSS_DEADLOCK=1 the
+   waiters on stderr — stdout stays byte-identical, which the
+   sanitizer-transparency checks depend on. With SEUSS_DEADLOCK=1 the
    wait-for-graph detector adds one provenance line per stranded
    process. *)
 let run_watched engine =
@@ -987,7 +987,8 @@ let () =
   let doc = "SEUSS (EuroSys '20) reproduction experiments" in
   (* The run configuration is read once, here: a malformed SEUSS_*
      variable is a usage error, not a silently disarmed hook. Experiment
-     subcommands see the same environment through the harness. *)
+     subcommands get the same record as the harness's enclosing
+     configuration, so nothing parses the environment a second time. *)
   let armed =
     match Experiments.Run_config.of_env () with
     | Ok armed -> armed
@@ -1016,4 +1017,4 @@ let () =
       end)
     Experiments.All.registry;
   let main = Cmd.group (Cmd.info "seussctl" ~doc) cmds in
-  exit (Cmd.eval main)
+  exit (Experiments.Harness.with_run armed (fun () -> Cmd.eval main))

@@ -3,8 +3,9 @@ let default_budget = Mem.Mconfig.default_budget_bytes
 (* Arming: every hook below is applied from one Run_config.t. A caller
    that omits it gets the environment's, parsed here at the boundary — a
    malformed variable fails the run instead of silently disarming it.
-   [active] is the configuration of the enclosing run_sim, so the nodes
-   an experiment body builds agree with the engine it runs on. *)
+   [active] is the configuration of the enclosing with_run (every
+   run_sim is one), so the nodes an experiment body builds agree with
+   the engine it runs on. *)
 let active : Run_config.t option ref = ref None
 
 let resolve = function
@@ -22,8 +23,8 @@ let resolve = function
    spawns, so spawn edges are tracked from the root process down. Race,
    deadlock and leak reports surface as San_* events on the env log
    (see Osenv.create); a healthy armed run emits nothing, so it stays
-   byte-identical to an unarmed one — the CI transparency checks depend
-   on this. *)
+   byte-identical to an unarmed one — test_arms's sweep depends on
+   this. *)
 let make_engine ?run ~seed () =
   let run = resolve run in
   let engine =
@@ -66,24 +67,26 @@ let last_leaked_resources () = List.rev !last_leaked
    exceptional, so the numbering never reaches healthy output. *)
 let node_seq = ref 0
 
-let run_sim ?run ?(seed = 7L) body =
-  let run = resolve run in
-  let engine = make_engine ~run ~seed () in
-  install_faults run ~seed engine;
-  last_leaked := [];
-  let result = ref None in
-  Sim.Engine.spawn engine ~name:"experiment" (fun () ->
-      result := Some (body engine));
+let with_run run f =
   let outer = !active in
   active := Some run;
-  Fun.protect
-    ~finally:(fun () -> active := outer)
-    (fun () -> Sim.Engine.run engine);
-  last_stuck := Sim.Engine.stuck_waiters engine;
-  last_stranded := Sim.Engine.stranded_waiters engine;
-  match !result with
-  | Some v -> v
-  | None -> failwith "experiment did not complete"
+  Fun.protect ~finally:(fun () -> active := outer) f
+
+let run_sim ?run ?(seed = 7L) body =
+  let run = resolve run in
+  with_run run (fun () ->
+      let engine = make_engine ~run ~seed () in
+      install_faults run ~seed engine;
+      last_leaked := [];
+      let result = ref None in
+      Sim.Engine.spawn engine ~name:"experiment" (fun () ->
+          result := Some (body engine));
+      Sim.Engine.run engine;
+      last_stuck := Sim.Engine.stuck_waiters engine;
+      last_stranded := Sim.Engine.stranded_waiters engine;
+      match !result with
+      | Some v -> v
+      | None -> failwith "experiment did not complete")
 
 let make_seuss_env ?(budget_bytes = default_budget) ?(io_delay = 0.25) engine =
   let env = Seuss.Osenv.create ~budget_bytes engine in

@@ -5,10 +5,18 @@
 
     The harness is where a run is armed. Every entry point below that
     takes [?run] applies that {!Run_config.t}; when it is omitted, the
-    enclosing {!run_sim}'s configuration is used, and outside one the
-    environment's ({!Run_config.of_env}).
+    enclosing {!with_run}'s configuration is used (every {!run_sim} is
+    one), and outside any the environment's ({!Run_config.of_env}).
     @raise Invalid_argument when the configuration has to be read from
     a malformed environment. *)
+
+val with_run : Run_config.t -> (unit -> 'a) -> 'a
+(** [with_run run f] calls [f] with [run] as the enclosing
+    configuration, restored on return or raise. Experiments called
+    inside it without an explicit [?run] are armed by [run], whatever
+    the environment says: a binary that parsed the environment once
+    wraps its commands in it, and a test compares arms in one process
+    without touching the environment. An explicit [?run] still wins. *)
 
 val make_engine : ?run:Run_config.t -> seed:int64 -> unit -> Sim.Engine.t
 (** A fresh engine armed per [run]: tie shuffler, deadlock detector and
@@ -18,7 +26,7 @@ val make_engine : ?run:Run_config.t -> seed:int64 -> unit -> Sim.Engine.t
 
 val run_sim : ?run:Run_config.t -> ?seed:int64 -> (Sim.Engine.t -> 'a) -> 'a
 (** Spawn the body as a simulation process on a {!make_engine} engine
-    and drive it until it completes. With a nonzero
+    and drive it until it completes, all inside {!with_run}. With a nonzero
     [run.fault_rate], a fault plan with every site at that rate is
     installed first, seeded by [seed xor fault_seed_xor] (or
     [run.fault_seed]): the derivation never draws from the engine

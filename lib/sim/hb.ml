@@ -14,15 +14,30 @@
    publish a release→acquire edge through a per-object [sync] record.
    Edges compose through vector clocks, TSan-style, but pruned to the
    current timestamp: a cell forgets its access history whenever the
-   clock advances.
+   clock advances, and so do process clocks and sync records.
+
+   Why pruning clocks loses nothing. A process's own component only
+   moves when it publishes (signal or spawn), and it moves right after
+   publishing, so the value a process had at an access is published only
+   by a later signal or spawn of that process — no earlier than the
+   access itself. An edge chain that carries that value to another
+   process therefore happens entirely at or after the access's instant.
+   Races are only checked against accesses at the current instant, so
+   the only knowledge that can ever order one is knowledge gained at
+   that same instant; whatever a clock learned earlier orders only
+   earlier accesses, which time already serializes. So on the first
+   hook at a new [now], a process clock is reset to its own component
+   (kept, so counters stay monotone) and a sync record to nothing. This
+   keeps clocks as small as one instant's interactions instead of
+   growing with every process the run ever spawned, and reports exactly
+   the races an unpruned checker would.
 
    The checker is dormant unless {!enable}d on an engine. Dormant, every
    hook is a cheap no-op that draws nothing and allocates nothing, so an
    unsanitized run is bit-identical to a build without this module. *)
 
-(* Vector clocks as sorted association lists (pid -> count). Process
-   fan-out per experiment is modest and entries are only created at
-   spawn/sync, so the simple representation is fine. *)
+(* Vector clocks as sorted association lists (pid -> count). Pruned to
+   one instant, they hold only the processes that synchronized at it. *)
 type vc = (int * int) list
 
 let vc_get vc pid = match List.assoc_opt pid vc with Some n -> n | None -> 0
@@ -45,9 +60,16 @@ let vc_set vc pid n =
   in
   go vc
 
-type pstate = { pid : int; mutable vc : vc }
+(* [vtime]: the instant [vc] was last pruned to. *)
+type pstate = { pid : int; mutable vc : vc; mutable vtime : float }
 
 exception Pstate_slot of pstate
+
+let prune p now =
+  if now > p.vtime then begin
+    p.vtime <- now;
+    p.vc <- [ (p.pid, vc_get p.vc p.pid) ]
+  end
 
 type kind = Write_write | Read_write
 
@@ -83,16 +105,20 @@ let fresh_pid st =
   st.next_pid <- st.next_pid + 1;
   st.next_pid
 
-(* The calling process's sanitizer state, created on first use: a
-   process that was never forked from an instrumented parent still gets
-   its own identity, just with no ordering edges behind it. *)
+(* The calling process's sanitizer state, pruned to the current
+   instant and created on first use: a process that was never forked
+   from an instrumented parent still gets its own identity, just with no
+   ordering edges behind it. *)
 let pstate st =
   let engine = st.engine in
+  let now = Engine.now engine in
   match Engine.get_san_local engine with
-  | Some (Pstate_slot p) -> p
+  | Some (Pstate_slot p) ->
+      prune p now;
+      p
   | _ ->
       let pid = fresh_pid st in
-      let p = { pid; vc = [ (pid, 1) ] } in
+      let p = { pid; vc = [ (pid, 1) ]; vtime = now } in
       Engine.set_san_local engine (Some (Pstate_slot p));
       p
 
@@ -108,10 +134,12 @@ let enable engine =
       Engine.set_san_fork engine
         (Some
            (fun parent_slot ->
+             let now = Engine.now engine in
              let child_pid = fresh_pid st in
              let inherited =
                match parent_slot with
                | Some (Pstate_slot parent) ->
+                   prune parent now;
                    let vc = parent.vc in
                    parent.vc <-
                      vc_set parent.vc parent.pid (vc_get parent.vc parent.pid + 1);
@@ -120,7 +148,11 @@ let enable engine =
              in
              Some
                (Pstate_slot
-                  { pid = child_pid; vc = vc_set inherited child_pid 1 })));
+                  {
+                    pid = child_pid;
+                    vc = vc_set inherited child_pid 1;
+                    vtime = now;
+                  })));
       st
 
 let add_reporter engine f =
@@ -136,11 +168,14 @@ let race_count engine =
 
 (* {1 Sync objects} *)
 
-(* One per blocking primitive instance. [svc] accumulates the joined
-   clocks of every signaller; observers join it into their own clock. *)
-type sync = { mutable svc : vc }
+(* One per blocking primitive instance. [svc] holds the joined clocks
+   of every signaller at one instant; observers at that instant join it
+   into their own clock, and a later one sees nothing. Dormant, it stays
+   [Unsignalled], so an unsanitized sync record is one word. *)
+type published = Unsignalled | At of float * vc
+type sync = { mutable svc : published }
 
-let make_sync () = { svc = [] }
+let make_sync () = { svc = Unsignalled }
 
 (* Hooks are ambient: they find the running engine (if any) and its
    checker state (if armed), and otherwise cost two reads and a match. *)
@@ -152,15 +187,21 @@ let with_state f =
 let signal sync =
   with_state (fun st ->
       let p = pstate st in
-      sync.svc <- vc_join sync.svc p.vc;
+      let joined =
+        match sync.svc with
+        | At (t, vc) when t = p.vtime -> vc_join vc p.vc
+        | At _ | Unsignalled -> p.vc
+      in
+      sync.svc <- At (p.vtime, joined);
       p.vc <- vc_set p.vc p.pid (vc_get p.vc p.pid + 1))
 
 let observe sync =
   with_state (fun st ->
-      if sync.svc <> [] then begin
-        let p = pstate st in
-        p.vc <- vc_join p.vc sync.svc
-      end)
+      match sync.svc with
+      | Unsignalled -> ()
+      | At (t, vc) ->
+          let p = pstate st in
+          if t = p.vtime then p.vc <- vc_join p.vc vc)
 
 (* {1 Registered shared cells} *)
 

@@ -1,14 +1,15 @@
 (* Wait-for-graph deadlock detector coverage: the classic toys are
    caught with actionable provenance, daemons are exempt unless they sit
    on a cycle, the unarmed engine still counts stuck waiters, and the
-   shipped experiments run clean (and byte-identically — CI checks that
-   half) under SEUSS_DEADLOCK=1. *)
+   shipped experiments run clean (and byte-identically — test_arms
+   checks that half) with the detector armed. *)
 
-(* Experiments read their arming from the environment at the harness
-   boundary; "" reads as unset (Unix offers no unsetenv). *)
-let with_deadlock_env on f =
-  Unix.putenv "SEUSS_DEADLOCK" (if on then "1" else "");
-  Fun.protect ~finally:(fun () -> Unix.putenv "SEUSS_DEADLOCK" "") f
+(* Experiments take their arming from the enclosing run configuration,
+   which wins over the environment. *)
+let with_deadlock on f =
+  Experiments.Harness.with_run
+    { Experiments.Run_config.default with Experiments.Run_config.deadlock = on }
+    f
 
 let starts_with ~prefix s =
   String.length s >= String.length prefix
@@ -157,10 +158,10 @@ let check_event_roundtrip () =
       Alcotest.(check bool) "payload survives the roundtrip" true (e = e')
   | _ -> Alcotest.fail "San_deadlock did not roundtrip through JSON"
 
-(* {1 Shipped experiments under SEUSS_DEADLOCK=1} *)
+(* {1 Shipped experiments with the detector armed} *)
 
 let check_experiments_clean () =
-  with_deadlock_env true (fun () ->
+  with_deadlock true (fun () ->
       let check_run name run =
         ignore (run ());
         Alcotest.(check int) (name ^ ": no stuck waiters") 0
@@ -180,7 +181,7 @@ let check_quiescence_counted_unarmed () =
   (* The counter is not gated on the detector: a detector-off run still
      proves its quiescence was genuine, closing the silent-quiescence
      hole where a stuck experiment looked identical to a finished one. *)
-  with_deadlock_env false (fun () ->
+  with_deadlock false (fun () ->
       ignore (Experiments.Fig4.run ~set_sizes:[ 16 ] ~client_threads:8 ~seed:7L ());
       Alcotest.(check int) "fig4 unarmed: no stuck waiters" 0
         (Experiments.Harness.last_stuck_waiters ()))

@@ -150,7 +150,7 @@ let test_auto_ao_recovers_costs () =
 
 let test_fig4_deterministic () =
   (* Two in-process runs with the same seed must be structurally
-     identical — the golden guarantee every CI cmp check builds on. *)
+     identical — the golden guarantee every byte comparison builds on. *)
   let run () = Experiments.Fig4.run ~set_sizes:[ 64 ] ~client_threads:16 () in
   let r1 = run () and r2 = run () in
   Alcotest.(check bool) "same-seed runs identical" true (r1 = r2);
@@ -232,21 +232,39 @@ let test_fig_load_same_seed_identical () =
     (Obs.Json.to_string (Experiments.Fig_load.to_json r1))
     (Obs.Json.to_string (Experiments.Fig_load.to_json r2))
 
-(* An armed timeline gives the top SEUSS arm exactly one sampler —
-   fig_load's own — so the run quiesces, and arming changes nothing. *)
-let test_fig_load_timeline_armed () =
-  let run () =
-    Experiments.Fig_load.run ~functions:16 ~hours:0.005 ~rps:[ 2.0; 4.0 ]
-      ~seed:9L ()
+(* A saved trace replays to the numbers of the sweep that synthesized
+   it: save and load through JSONL, replay with run_trace, and the point
+   and the canonical JSON must equal the synthesized one-point sweep. *)
+let test_fig_load_replay_equals_synthesis () =
+  let seed = 9L and functions = 32 and hours = 0.02 and rate = 4.0 in
+  let synthesized =
+    Experiments.Fig_load.run ~functions ~hours ~rps:[ rate ]
+      ~arrival:"poisson" ~seed ()
   in
-  let plain = run () in
-  let prior = Option.value ~default:"" (Sys.getenv_opt "SEUSS_TIMELINE") in
-  Unix.putenv "SEUSS_TIMELINE" "1";
-  let armed =
-    Fun.protect ~finally:(fun () -> Unix.putenv "SEUSS_TIMELINE" prior) run
+  let trace =
+    Workload.Trace.synthesize ~functions
+      ~alpha:synthesized.Experiments.Fig_load.alpha
+      ~arrival:(Experiments.Fig_load.arrival_of_name "poisson" ~rate)
+      ~horizon:synthesized.Experiments.Fig_load.horizon ~seed
   in
-  Alcotest.(check bool) "armed run returns the unarmed result" true
-    (armed = plain)
+  let path = Filename.temp_file "fig_load" ".jsonl" in
+  let loaded =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Workload.Trace.save ~path trace;
+        Workload.Trace.load ~path)
+  in
+  match loaded with
+  | Error msg -> Alcotest.fail ("saved trace did not load: " ^ msg)
+  | Ok loaded ->
+      let replayed = Experiments.Fig_load.run_trace ~seed loaded in
+      Alcotest.(check bool) "replayed point equals the synthesized one" true
+        (replayed.Experiments.Fig_load.points
+        = synthesized.Experiments.Fig_load.points);
+      Alcotest.(check string) "replayed JSON equals the synthesized JSON"
+        (Obs.Json.to_string (Experiments.Fig_load.to_json synthesized))
+        (Obs.Json.to_string (Experiments.Fig_load.to_json replayed))
 
 let evict_sizes =
   (* 2 MiB is below even the first member's indexed-runtime footprint,
@@ -419,23 +437,6 @@ let test_pool_stale_lru_entries_not_double_freed () =
       Alcotest.(check int) "both survivors idle" 2
         (Baselines.Pool_node.idle_count node))
 
-let test_registry_covers_experiments () =
-  (* Every shipped experiment must be discoverable: present in the
-     registry with a non-empty one-liner, and the load plane in
-     particular must be registered. *)
-  let names = List.map fst Experiments.All.registry in
-  List.iter
-    (fun n ->
-      Alcotest.(check bool) (n ^ " registered") true (List.mem n names);
-      match Experiments.All.doc n with
-      | Some d -> Alcotest.(check bool) (n ^ " documented") true
-          (String.length d > 0)
-      | None -> Alcotest.fail (n ^ " has no doc"))
-    [ "table1"; "fig4"; "burst"; "load"; "chaos"; "reap"; "evict" ];
-  let sorted = List.sort_uniq compare names in
-  Alcotest.(check int) "registry names unique" (List.length names)
-    (List.length sorted)
-
 let test_report_rendering () =
   let text =
     Experiments.Report.comparison ~title:"T" ~note:"n"
@@ -516,7 +517,8 @@ let () =
           case "fig_reap reduction" test_fig_reap_reduction;
           case "fig_load shapes" test_fig_load_shapes;
           case "fig_load same-seed identical" test_fig_load_same_seed_identical;
-          case "fig_load timeline armed" test_fig_load_timeline_armed;
+          case "fig_load replay equals synthesis"
+            test_fig_load_replay_equals_synthesis;
           case "fig_evict shapes" test_fig_evict_shapes;
           case "fig_evict same-seed identical" test_fig_evict_same_seed_identical;
         ] );
@@ -527,8 +529,6 @@ let () =
           case "stale LRU entries not double-freed"
             test_pool_stale_lru_entries_not_double_freed;
         ] );
-      ( "registry",
-        [ case "covers experiments" test_registry_covers_experiments ] );
       ( "run_config",
         [ Alcotest.test_case "parse table" `Quick test_run_config_parse ] );
       ( "misc",

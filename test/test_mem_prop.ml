@@ -27,21 +27,13 @@
      over the frozen table's leaves would, across writes, clones
      (frozen or not), dirty-bit clears and releases.
 
-   SEUSS_PROP_SEED overrides the base seed (CI rotates it). *)
+   SEUSS_PROP_SEED overrides the base seed (see Prop_seed). *)
 
 module F = Mem.Frame
 module PT = Mem.Page_table
 module AS = Mem.Addr_space
 
-let base_seed =
-  match Sys.getenv_opt "SEUSS_PROP_SEED" with
-  | None -> 17L
-  | Some s -> (
-      match Int64.of_string_opt s with
-      | Some v -> v
-      | None ->
-          Printf.eprintf "test_mem_prop: malformed SEUSS_PROP_SEED %S\n" s;
-          17L)
+let base_seed = Prop_seed.base ~default:17L
 
 let schedules = 200
 let mib n = Int64.of_int (Mem.Mconfig.mib n)

@@ -22,20 +22,12 @@
      with tuples under polymorphic compare, as the store once did);
    - content hashes must equal djb2 over the formatted content key.
 
-   SEUSS_PROP_SEED overrides the base seed (CI rotates it). *)
+   SEUSS_PROP_SEED overrides the base seed (see Prop_seed). *)
 
 module F = Mem.Frame
 module PT = Mem.Page_table
 
-let base_seed =
-  match Sys.getenv_opt "SEUSS_PROP_SEED" with
-  | None -> 23L
-  | Some s -> (
-      match Int64.of_string_opt s with
-      | Some v -> v
-      | None ->
-          Printf.eprintf "test_snapstore: malformed SEUSS_PROP_SEED %S\n" s;
-          23L)
+let base_seed = Prop_seed.base ~default:23L
 
 let schedules = 200
 
@@ -325,8 +317,7 @@ let test_armed_unlimited_matches_unarmed () =
     armed_shapes plain_shapes
 
 (* The env hook's transparency contract: SEUSS_SNAP_CACHE=0 must be
-   bit-identical to unset for a harness-built experiment (the CI job
-   checks the same property over the full figures). *)
+   bit-identical to unset for a harness-built experiment. *)
 let test_env_hook_zero_is_identity () =
   Unix.putenv "SEUSS_SNAP_CACHE" "";
   let baseline = Experiments.Fig4.run ~set_sizes:[ 32 ] ~client_threads:8 () in

@@ -3,17 +3,9 @@
    must be seed-deterministic and JSONL-roundtrippable. Randomness is
    drawn from the simulator's own splitmix64 stream (Sim.Prng), so every
    assertion is a deterministic function of the base seed;
-   SEUSS_LOAD_PROP_SEED overrides it (CI rotates it). *)
+   SEUSS_PROP_SEED overrides it (see Prop_seed). *)
 
-let base_seed =
-  match Sys.getenv_opt "SEUSS_LOAD_PROP_SEED" with
-  | None -> 29L
-  | Some s -> (
-      match Int64.of_string_opt s with
-      | Some v -> v
-      | None ->
-          Printf.eprintf "test_workload: malformed SEUSS_LOAD_PROP_SEED %S\n" s;
-          29L)
+let base_seed = Prop_seed.base ~default:29L
 
 let rng_for label =
   Sim.Prng.create (Int64.add base_seed (Int64.of_int (Hashtbl.hash label)))
