@@ -20,29 +20,7 @@ let exp_info name =
 
 let print s = print_string s
 
-(* Drive an engine the subcommand built itself and surface stuck
-   waiters on stderr — stdout stays byte-identical, which the
-   sanitizer-transparency checks depend on. With SEUSS_DEADLOCK=1 the
-   wait-for-graph detector adds one provenance line per stranded
-   process. *)
-let run_watched engine =
-  Sim.Engine.run engine;
-  let stuck = Sim.Engine.stuck_waiters engine in
-  if stuck > 0 then begin
-    Printf.eprintf
-      "seussctl: %d process%s still parked at quiescence (set \
-       SEUSS_DEADLOCK=1 for a wait-for-graph report)\n"
-      stuck
-      (if stuck = 1 then "" else "es");
-    List.iter
-      (fun (s : Sim.Engine.stranded) ->
-        Printf.eprintf
-          "seussctl:   %s (pid %d, spawned %.6f) stuck on %s since %.6f%s\n"
-          s.Sim.Engine.proc s.Sim.Engine.pid s.Sim.Engine.spawned_at
-          s.Sim.Engine.resource s.Sim.Engine.waiting_since
-          (if s.Sim.Engine.in_cycle then " [wait cycle]" else ""))
-      (Sim.Engine.stranded_waiters engine)
-  end
+module H = Experiments.Harness
 
 let table1_cmd =
   let invocations =
@@ -309,7 +287,37 @@ let write_file path body =
   output_string oc body;
   close_out oc
 
-let trace_cmd armed =
+(* The inspection subcommands run on the harness, armed like any
+   experiment: [body] gets a plain environment (no io-server) and a
+   harness-built SEUSS node. Stuck waiters surface on stderr — stdout
+   stays byte-identical, which the sanitizer-transparency checks depend
+   on. With SEUSS_DEADLOCK=1 the wait-for-graph detector adds one
+   provenance line per stranded process. *)
+let report_stuck () =
+  let stuck = H.last_stuck_waiters () in
+  if stuck > 0 then begin
+    Printf.eprintf
+      "seussctl: %d process%s still parked at quiescence (set \
+       SEUSS_DEADLOCK=1 for a wait-for-graph report)\n"
+      stuck
+      (if stuck = 1 then "" else "es");
+    List.iter
+      (fun (s : Sim.Engine.stranded) ->
+        Printf.eprintf
+          "seussctl:   %s (pid %d, spawned %.6f) stuck on %s since %.6f%s\n"
+          s.Sim.Engine.proc s.Sim.Engine.pid s.Sim.Engine.spawned_at
+          s.Sim.Engine.resource s.Sim.Engine.waiting_since
+          (if s.Sim.Engine.in_cycle then " [wait cycle]" else ""))
+      (H.last_stranded_waiters ())
+  end
+
+let inspect ?timeline ~seed body =
+  Fun.protect ~finally:report_stuck (fun () ->
+      H.run_sim ~seed (fun engine ->
+          let env = Seuss.Osenv.create engine in
+          body env (H.seuss_node ?timeline env)))
+
+let trace_cmd =
   let source =
     Arg.(
       value
@@ -317,38 +325,39 @@ let trace_cmd armed =
       & info [ "source" ] ~docv:"MINIJS" ~doc:"Function source to trace.")
   in
   let run source chrome seed =
-    let engine = Experiments.Harness.make_engine ~run:armed ~seed () in
-    let trace_sample = armed.Experiments.Run_config.trace_sample in
-    let collected = ref [] in
-    Sim.Engine.spawn engine ~name:"trace" (fun () ->
-        let env = Seuss.Osenv.create engine in
-        let node = Seuss.Node.create ?trace_sample env in
-        Seuss.Node.start node;
-        let fn =
-          { Seuss.Node.fn_id = "traced"; runtime = Unikernel.Image.Node; source }
-        in
-        let traced label prepare =
-          prepare ();
-          let tr = Sim.Trace.start_ctx engine in
-          let t0 = Sim.Engine.now engine in
-          (match Seuss.Node.invoke node fn ~args:"{}" with
-          | Ok _, _ -> ()
-          | Error _, _ -> prerr_endline "invocation failed");
-          let total = Sim.Engine.now engine -. t0 in
-          let spans = Sim.Trace.stop_ctx tr in
-          collected := (label, spans) :: !collected;
-          Printf.printf "%s invocation (%.2f ms total)
-%s
-" label
-            (total *. 1e3) (Sim.Trace.render spans)
-        in
-        traced "cold" (fun () -> ());
-        traced "hot" (fun () -> ());
-        traced "warm" (fun () -> Seuss.Node.drop_idle node ~fn_id:"traced"));
-    run_watched engine;
+    let collected =
+      inspect ~seed (fun env node ->
+          let engine = env.Seuss.Osenv.engine in
+          let fn =
+            {
+              Seuss.Node.fn_id = "traced";
+              runtime = Unikernel.Image.Node;
+              source;
+            }
+          in
+          let traced label prepare =
+            prepare ();
+            let tr = Sim.Trace.start_ctx engine in
+            let t0 = Sim.Engine.now engine in
+            (match Seuss.Node.invoke node fn ~args:"{}" with
+            | Ok _, _ -> ()
+            | Error _, _ -> prerr_endline "invocation failed");
+            let total = Sim.Engine.now engine -. t0 in
+            let spans = Sim.Trace.stop_ctx tr in
+            Printf.printf "%s invocation (%.2f ms total)\n%s\n" label
+              (total *. 1e3) (Sim.Trace.render spans);
+            (label, spans)
+          in
+          let cold = traced "cold" ignore in
+          let hot = traced "hot" ignore in
+          let warm =
+            traced "warm" (fun () -> Seuss.Node.drop_idle node ~fn_id:"traced")
+          in
+          [ cold; hot; warm ])
+    in
     Option.iter
       (fun path ->
-        write_file path (Seuss.Traceout.chrome_string (List.rev !collected));
+        write_file path (Seuss.Traceout.chrome_string collected);
         Printf.eprintf "seussctl: wrote Chrome trace to %s\n" path)
       chrome
   in
@@ -359,21 +368,30 @@ let trace_cmd armed =
           $(b,--chrome) exports the same spans as Chrome trace-event JSON)")
     Term.(const run $ source $ chrome_arg $ seed_arg)
 
-(* A small self-contained workload for the observability subcommands:
-   [functions] distinct MiniJS functions invoked round-robin, so the
-   event log shows cold, warm and hot paths plus snapshot captures. *)
-let obs_workload ~functions ~calls node =
-  for i = 0 to calls - 1 do
-    let k = i mod functions in
-    ignore
-      (Seuss.Node.invoke node
-         {
-           Seuss.Node.fn_id = Printf.sprintf "fn-%d" k;
-           runtime = Unikernel.Image.Node;
-           source =
-             Printf.sprintf "function main(args) { return {fn: %d}; }" k;
-         }
-         ~args:"{}")
+(* The synthetic workload of the observability subcommands: function
+   [k] is a distinct one-line MiniJS function, so a mix of them shows
+   cold, warm and hot paths plus snapshot captures. [spawn_clients]
+   starts [clients] processes that each invoke a random function and
+   think for a random while, until [until] (simulated). *)
+let invoke_fn node k =
+  ignore
+    (Seuss.Node.invoke node
+       {
+         Seuss.Node.fn_id = Printf.sprintf "fn-%d" k;
+         runtime = Unikernel.Image.Node;
+         source = Printf.sprintf "function main(args) { return {fn: %d}; }" k;
+       }
+       ~args:"{}")
+
+let spawn_clients (env : Seuss.Osenv.t) node ~clients ~functions ~until =
+  let engine = env.Seuss.Osenv.engine in
+  for c = 1 to clients do
+    let rng = Sim.Prng.split env.Seuss.Osenv.rng in
+    Sim.Engine.spawn engine ~name:(Printf.sprintf "client-%d" c) (fun () ->
+        while Sim.Engine.now engine < until do
+          invoke_fn node (Sim.Prng.int rng functions);
+          Sim.Engine.sleep (0.05 +. (0.25 *. Sim.Prng.float rng))
+        done)
   done
 
 let functions_arg =
@@ -387,7 +405,7 @@ let require_positive name v =
     exit 2
   end
 
-let events_cmd armed =
+let events_cmd =
   let calls =
     Arg.(
       value & opt int 12
@@ -399,23 +417,19 @@ let events_cmd armed =
       Printf.eprintf "seussctl: --calls must be non-negative\n";
       exit 2
     end;
-    let engine = Experiments.Harness.make_engine ~run:armed ~seed () in
-    let trace_sample = armed.Experiments.Run_config.trace_sample in
-    let captures = ref [] in
-    Sim.Engine.spawn engine ~name:"events" (fun () ->
-        let env = Seuss.Osenv.create engine in
-        let node = Seuss.Node.create ?trace_sample env in
-        Seuss.Node.start node;
-        obs_workload ~functions ~calls node;
-        print_string (Obs.Log.to_jsonl env.Seuss.Osenv.log);
-        let dropped = Obs.Log.dropped env.Seuss.Osenv.log in
-        if dropped > 0 then
-          Printf.eprintf
-            "seussctl: %d event%s evicted from the ring before this dump \
-             (raise log_capacity to keep them)\n"
-            dropped
-            (if dropped = 1 then "" else "s");
-        captures :=
+    let captures =
+      inspect ~seed (fun env node ->
+          for i = 0 to calls - 1 do
+            invoke_fn node (i mod functions)
+          done;
+          print_string (Obs.Log.to_jsonl env.Seuss.Osenv.log);
+          let dropped = Obs.Log.dropped env.Seuss.Osenv.log in
+          if dropped > 0 then
+            Printf.eprintf
+              "seussctl: %d event%s evicted from the ring before this dump \
+               (raise log_capacity to keep them)\n"
+              dropped
+              (if dropped = 1 then "" else "s");
           List.map
             (fun (c : Seuss.Node.capture) ->
               let path =
@@ -427,19 +441,19 @@ let events_cmd armed =
               ( Printf.sprintf "%s %s @%.3fs" c.Seuss.Node.c_fn path
                   c.Seuss.Node.c_t0,
                 c.Seuss.Node.c_spans ))
-            (Seuss.Node.captured_traces node));
-    run_watched engine;
+            (Seuss.Node.captured_traces node))
+    in
     Option.iter
       (fun path ->
-        if !captures = [] then
+        if captures = [] then
           Printf.eprintf
             "seussctl: no sampled traces to export (arm capture with \
              SEUSS_TRACE_SAMPLE=1/N)\n"
         else begin
-          write_file path (Seuss.Traceout.chrome_string !captures);
+          write_file path (Seuss.Traceout.chrome_string captures);
           Printf.eprintf "seussctl: wrote %d sampled trace%s to %s\n"
-            (List.length !captures)
-            (if List.length !captures = 1 then "" else "s")
+            (List.length captures)
+            (if List.length captures = 1 then "" else "s")
             path
         end)
       chrome
@@ -452,7 +466,7 @@ let events_cmd armed =
           armed, $(b,--chrome) exports the sampled invocation traces.")
     Term.(const run $ functions_arg $ calls $ chrome_arg $ seed_arg)
 
-let top_cmd armed =
+let top_cmd =
   let duration =
     Arg.(
       value & opt float 30.0
@@ -478,35 +492,13 @@ let top_cmd armed =
     require_positive "--interval" interval;
     require_positive "--clients" (float_of_int clients);
     require_positive "--functions" (float_of_int functions);
-    let engine = Experiments.Harness.make_engine ~run:armed ~seed () in
-    let trace_sample = armed.Experiments.Run_config.trace_sample in
-    Sim.Engine.spawn engine ~name:"top" (fun () ->
-        let env = Seuss.Osenv.create engine in
-        let node = Seuss.Node.create ?trace_sample env in
-        Seuss.Node.start node;
+    inspect ~seed (fun env node ->
+        let engine = env.Seuss.Osenv.engine in
         let bd = Obs.Breakdown.attach env.Seuss.Osenv.log in
         let m = env.Seuss.Osenv.metrics in
         let log = env.Seuss.Osenv.log in
         let stop_at = Sim.Engine.now engine +. duration in
-        for c = 1 to clients do
-          let rng = Sim.Prng.split env.Seuss.Osenv.rng in
-          Sim.Engine.spawn engine ~name:(Printf.sprintf "client-%d" c)
-            (fun () ->
-              while Sim.Engine.now engine < stop_at do
-                let k = Sim.Prng.int rng functions in
-                ignore
-                  (Seuss.Node.invoke node
-                     {
-                       Seuss.Node.fn_id = Printf.sprintf "fn-%d" k;
-                       runtime = Unikernel.Image.Node;
-                       source =
-                         Printf.sprintf
-                           "function main(args) { return {fn: %d}; }" k;
-                     }
-                     ~args:"{}");
-                Sim.Engine.sleep (0.05 +. (0.25 *. Sim.Prng.float rng))
-              done)
-        done;
+        spawn_clients env node ~clients ~functions ~until:stop_at;
         let frame () =
           if ansi then print_string "\027[2J\027[H";
           Printf.printf "seussctl top — t=%.1fs (simulated)\n"
@@ -582,8 +574,7 @@ let top_cmd armed =
         while Sim.Engine.now engine < stop_at do
           Sim.Engine.sleep interval;
           frame ()
-        done);
-    run_watched engine
+        done)
   in
   Cmd.v
     (Cmd.info "top"
@@ -593,7 +584,7 @@ let top_cmd armed =
           time; $(b,--ansi) redraws in place)")
     Term.(const run $ duration $ interval $ clients $ functions_arg $ ansi $ seed_arg)
 
-let timeline_cmd armed =
+let timeline_cmd =
   let duration =
     Arg.(
       value & opt float 30.0
@@ -613,35 +604,14 @@ let timeline_cmd armed =
     require_positive "--period" period;
     require_positive "--clients" (float_of_int clients);
     require_positive "--functions" (float_of_int functions);
-    let engine = Experiments.Harness.make_engine ~run:armed ~seed () in
-    let trace_sample = armed.Experiments.Run_config.trace_sample in
-    Sim.Engine.spawn engine ~name:"timeline" (fun () ->
-        let env = Seuss.Osenv.create engine in
-        let node = Seuss.Node.create ?trace_sample env in
-        Seuss.Node.start node;
-        (* Explicitly armed: this subcommand *is* the sampler demo, no
-           SEUSS_TIMELINE needed. *)
+    (* This subcommand is the sampler demo: it starts its own sampler at
+       [period] and keeps SEUSS_TIMELINE's sampler off the node: two
+       samplers keep each other alive and the run never quiesces. *)
+    inspect ~timeline:false ~seed (fun env node ->
+        let engine = env.Seuss.Osenv.engine in
         Seuss.Timeline.start ~period node;
         let stop_at = Sim.Engine.now engine +. duration in
-        for c = 1 to clients do
-          let rng = Sim.Prng.split env.Seuss.Osenv.rng in
-          Sim.Engine.spawn engine ~name:(Printf.sprintf "client-%d" c)
-            (fun () ->
-              while Sim.Engine.now engine < stop_at do
-                let k = Sim.Prng.int rng functions in
-                ignore
-                  (Seuss.Node.invoke node
-                     {
-                       Seuss.Node.fn_id = Printf.sprintf "fn-%d" k;
-                       runtime = Unikernel.Image.Node;
-                       source =
-                         Printf.sprintf
-                           "function main(args) { return {fn: %d}; }" k;
-                     }
-                     ~args:"{}");
-                Sim.Engine.sleep (0.05 +. (0.25 *. Sim.Prng.float rng))
-              done)
-        done;
+        spawn_clients env node ~clients ~functions ~until:stop_at;
         (* Render at quiescence: park until the clients are done, then one
            more period so the sampler has observed the drained node. *)
         while Sim.Engine.now engine < stop_at +. period do
@@ -651,8 +621,7 @@ let timeline_cmd armed =
           Seuss.Timeline.samples_of_records
             (Obs.Log.records env.Seuss.Osenv.log)
         in
-        print_string (Seuss.Timeline.render samples));
-    run_watched engine
+        print_string (Seuss.Timeline.render samples))
   in
   Cmd.v
     (Cmd.info "timeline"
@@ -673,17 +642,12 @@ let autoao_cmd =
     (exp_info "autoao")
     Term.(const run $ invocations $ seed_arg)
 
-let snapshots_cmd armed =
+let snapshots_cmd =
   let functions =
     Arg.(value & opt int 8 & info [ "functions" ] ~docv:"M" ~doc:"Functions to deploy first.")
   in
   let run functions seed =
-    let engine = Experiments.Harness.make_engine ~run:armed ~seed () in
-    let trace_sample = armed.Experiments.Run_config.trace_sample in
-    Sim.Engine.spawn engine ~name:"snapshots" (fun () ->
-        let env = Seuss.Osenv.create engine in
-        let node = Seuss.Node.create ?trace_sample env in
-        Seuss.Node.start node;
+    inspect ~seed (fun _ node ->
         for i = 1 to functions do
           ignore
             (Seuss.Node.invoke node
@@ -749,8 +713,7 @@ let snapshots_cmd armed =
           (Int64.to_float
              (Int64.add (Int64.mul (Int64.of_int functions) shared) diffs)
           /. 1048576.0)
-          (Int64.to_float (Int64.add shared diffs) /. 1048576.0));
-    run_watched engine
+          (Int64.to_float (Int64.add shared diffs) /. 1048576.0))
   in
   Cmd.v
     (Cmd.info "snapshots"
@@ -977,7 +940,8 @@ let info_cmd =
        *. 4096.0 /. 1048576.0)
       Unikernel.Hypercall.interface_size;
     List.iter
-      (fun (name, doc) -> Printf.printf "  %-10s %s\n" name doc)
+      (fun (e : Experiments.All.experiment) ->
+        Printf.printf "  %-10s %s\n" e.name e.doc)
       Experiments.All.registry;
     Printf.printf "  %-10s %s\n" "all" "Run every table and figure"
   in
@@ -986,8 +950,8 @@ let info_cmd =
 let () =
   let doc = "SEUSS (EuroSys '20) reproduction experiments" in
   (* The run configuration is read once, here: a malformed SEUSS_*
-     variable is a usage error, not a silently disarmed hook. Experiment
-     subcommands get the same record as the harness's enclosing
+     variable is a usage error, not a silently disarmed hook. Every
+     subcommand gets the same record as the harness's enclosing
      configuration, so nothing parses the environment a second time. *)
   let armed =
     match Experiments.Run_config.of_env () with
@@ -1000,8 +964,8 @@ let () =
     [ table1_cmd; table2_cmd; table3_cmd; fig4_cmd; fig5_cmd; burst_cmd;
       load_cmd; evict_cmd; ablations_cmd; drseuss_cmd; chaos_cmd; reap_cmd;
       ksm_cmd;
-      autoao_cmd; trace_cmd armed; snapshots_cmd armed; top_cmd armed;
-      timeline_cmd armed; events_cmd armed;
+      autoao_cmd; trace_cmd; snapshots_cmd; top_cmd; timeline_cmd;
+      events_cmd;
       all_cmd; info_cmd ]
   in
   (* Coverage check: every registry row must have a subcommand (the
@@ -1009,12 +973,13 @@ let () =
      [exp_info] when the command is built above). *)
   let names = List.map Cmd.name cmds in
   List.iter
-    (fun (name, _) ->
-      if not (List.mem name names) then begin
+    (fun (e : Experiments.All.experiment) ->
+      if not (List.mem e.name names) then begin
         Printf.eprintf
-          "seussctl: experiment %s is registered but has no subcommand\n" name;
+          "seussctl: experiment %s is registered but has no subcommand\n"
+          e.name;
         exit 1
       end)
     Experiments.All.registry;
   let main = Cmd.group (Cmd.info "seussctl" ~doc) cmds in
-  exit (Experiments.Harness.with_run armed (fun () -> Cmd.eval main))
+  exit (H.with_run armed (fun () -> Cmd.eval main))

@@ -7,14 +7,21 @@ type scale = Quick | Full
     microbenchmarks, 88 GB density sweeps, 300 s bursts at all three
     periods). *)
 
-val run : ?scale:scale -> ?seed:int64 -> unit -> string
-(** Returns the full report text (each section printed as it is
-    produced on stderr progress). *)
+type experiment = {
+  name : string;  (** the [seussctl] subcommand *)
+  doc : string;  (** its one-line doc *)
+  section : scale -> seed:int64 -> string;
+      (** run the experiment at [scale] and render its section of
+          {!run}'s report, announcing it on stderr *)
+}
 
-val registry : (string * string) list
-(** Every experiment-producing [seussctl] subcommand, as
-    [(name, one-line doc)] — the single source of the CLI's experiment
-    docs and of the list printed by [seussctl info]. *)
+val registry : experiment list
+(** Every experiment-producing [seussctl] subcommand, in report order —
+    the single source of the CLI's experiment docs, of the list printed
+    by [seussctl info] and of the sections of {!run}. *)
 
 val doc : string -> string option
 (** Look a subcommand's doc up in {!registry}. *)
+
+val run : ?scale:scale -> ?seed:int64 -> unit -> string
+(** Every {!registry} section in order, each followed by a blank line. *)

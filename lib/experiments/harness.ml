@@ -18,22 +18,6 @@ let resolve = function
           | Ok run -> run
           | Error msg -> invalid_arg ("Harness: " ^ msg)))
 
-(* The tie shuffler, deadlock detector and ownership census are engine
-   arguments; the happens-before checker is armed before anything
-   spawns, so spawn edges are tracked from the root process down. Race,
-   deadlock and leak reports surface as San_* events on the env log
-   (see Osenv.create); a healthy armed run emits nothing, so it stays
-   byte-identical to an unarmed one — test_arms's sweep depends on
-   this. *)
-let make_engine ?run ~seed () =
-  let run = resolve run in
-  let engine =
-    Sim.Engine.create ~seed ?tie_seed:run.Run_config.tie_seed
-      ~deadlock:run.Run_config.deadlock ~own:run.Run_config.own ()
-  in
-  if run.Run_config.hb then ignore (Sim.Hb.enable engine);
-  engine
-
 (* Fault plane: a nonzero rate arms every injection site. The plan seed
    is derived from the run seed by a fixed xor (never split off the
    engine stream), so one run seed fully determines the failure
@@ -75,7 +59,18 @@ let with_run run f =
 let run_sim ?run ?(seed = 7L) body =
   let run = resolve run in
   with_run run (fun () ->
-      let engine = make_engine ~run ~seed () in
+      (* The tie shuffler, deadlock detector and ownership census are
+         engine arguments; the happens-before checker is armed before
+         anything spawns, so spawn edges are tracked from the root
+         process down. Race, deadlock and leak reports surface as San_*
+         events on the env log (see Osenv.create); a healthy armed run
+         emits nothing, so it stays byte-identical to an unarmed one —
+         test_arms's sweep depends on this. *)
+      let engine =
+        Sim.Engine.create ~seed ?tie_seed:run.Run_config.tie_seed
+          ~deadlock:run.Run_config.deadlock ~own:run.Run_config.own ()
+      in
+      if run.Run_config.hb then ignore (Sim.Hb.enable engine);
       install_faults run ~seed engine;
       last_leaked := [];
       let result = ref None in

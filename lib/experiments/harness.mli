@@ -18,21 +18,18 @@ val with_run : Run_config.t -> (unit -> 'a) -> 'a
     wraps its commands in it, and a test compares arms in one process
     without touching the environment. An explicit [?run] still wins. *)
 
-val make_engine : ?run:Run_config.t -> seed:int64 -> unit -> Sim.Engine.t
-(** A fresh engine armed per [run]: tie shuffler, deadlock detector and
-    ownership census through {!Sim.Engine.create}, and the
-    happens-before checker ({!Sim.Hb}) enabled before anything spawns.
-    For subcommands and tests that drive an engine themselves. *)
-
 val run_sim : ?run:Run_config.t -> ?seed:int64 -> (Sim.Engine.t -> 'a) -> 'a
-(** Spawn the body as a simulation process on a {!make_engine} engine
-    and drive it until it completes, all inside {!with_run}. With a nonzero
-    [run.fault_rate], a fault plan with every site at that rate is
-    installed first, seeded by [seed xor fault_seed_xor] (or
-    [run.fault_seed]): the derivation never draws from the engine
-    stream. After the run the engine's stuck-waiter count and stranded
-    report are recorded and readable via {!last_stuck_waiters} /
-    {!last_stranded_waiters}. *)
+(** Spawn the body as a simulation process on a fresh engine armed per
+    [run] and drive it until it completes, all inside {!with_run}. The
+    engine carries the tie shuffler, deadlock detector and ownership
+    census, and the happens-before checker ({!Sim.Hb}) is enabled
+    before anything spawns; this is the only way to get an armed
+    engine. With a nonzero [run.fault_rate], a fault
+    plan with every site at that rate is installed first, seeded by
+    [seed xor fault_seed_xor] (or [run.fault_seed]): the derivation
+    never draws from the engine stream. After the run the engine's
+    stuck-waiter count and stranded report are recorded and readable
+    via {!last_stuck_waiters} / {!last_stranded_waiters}. *)
 
 val last_stuck_waiters : unit -> int
 (** {!Sim.Engine.stuck_waiters} of the most recent {!run_sim} engine at

@@ -13,7 +13,17 @@ exception Return_exc of Value.t
 exception Break_exc
 exception Continue_exc
 
-type ctx = { hooks : hooks; mutable ops : int; mutable unbilled : int }
+type ctx = {
+  hooks : hooks;
+  mutable ops : int;
+  mutable unbilled : int;
+  mutable depth : int;  (** closure calls in progress *)
+}
+
+(* Each nested call costs host stack, so unbounded recursion must fail
+   as a guest error long before the step budget runs out. Far above any
+   shipped function, none of which recurses. *)
+let max_call_depth = 10_000
 
 (* CPU time is reported in batches to keep simulated-event counts sane on
    busy loops. *)
@@ -148,13 +158,25 @@ and apply ctx fv argv =
       if List.length params <> List.length argv then
         error "arity mismatch: expected %d arguments, got %d"
           (List.length params) (List.length argv);
+      if ctx.depth >= max_call_depth then
+        error "maximum call depth %d exceeded" max_call_depth;
       let frame = Value.new_env ~parent:env () in
       ctx.hooks.alloc (48 + (16 * List.length params));
       List.iter2 (Value.define frame) params argv;
-      (try
-         exec_block ctx frame body;
-         Value.Null
-       with Return_exc v -> v)
+      let depth = ctx.depth in
+      ctx.depth <- depth + 1;
+      (* Restored on every exit: break/continue may unwind a call into
+         the caller's loop. *)
+      (match exec_block ctx frame body with
+      | () ->
+          ctx.depth <- depth;
+          Value.Null
+      | exception Return_exc v ->
+          ctx.depth <- depth;
+          v
+      | exception e ->
+          ctx.depth <- depth;
+          raise e)
   | v -> error "cannot call %s" (Value.type_name v)
 
 and exec_stmt ctx env (s : Ast.stmt) =
@@ -218,7 +240,7 @@ and exec_scoped ctx env block =
 and exec_block ctx env block = List.iter (exec_stmt ctx env) block
 
 let with_ctx hooks f =
-  let ctx = { hooks; ops = 0; unbilled = 0 } in
+  let ctx = { hooks; ops = 0; unbilled = 0; depth = 0 } in
   match f ctx with
   | v ->
       flush ctx;

@@ -19,9 +19,10 @@
    runs under an armed SEUSS_* variable.
 
    The rows carry seussctl's arguments and render what the subcommand
-   prints at a given --seed. They live here, not in the registry,
-   because a runnable row in lib/ would be code only tests use; the
-   first case keeps the two name lists equal. *)
+   prints at a given --seed, at sizes trimmed for the sweep. They live
+   here, not beside the registry's `all` sections, because runners at
+   these sizes in lib/ would be code only tests use; the first case
+   keeps the two name lists equal. *)
 
 module Rc = Experiments.Run_config
 module H = Experiments.Harness
@@ -192,7 +193,10 @@ let sweep_row row () =
       (List.exists Fun.id shuffled_differs)
 
 let rows_match_registry () =
-  let registered = List.map fst Experiments.All.registry in
+  let registered =
+    List.map (fun (e : Experiments.All.experiment) -> e.name)
+      Experiments.All.registry
+  in
   let swept = List.map (fun row -> row.name) rows in
   List.iter
     (fun n ->
@@ -211,8 +215,9 @@ let rows_match_registry () =
         (List.mem n swept))
     tie_order_dependent;
   List.iter
-    (fun (n, doc) ->
-      Alcotest.(check bool) (n ^ " documented") true (String.length doc > 0))
+    (fun (e : Experiments.All.experiment) ->
+      Alcotest.(check bool) (e.name ^ " documented") true
+        (String.length e.doc > 0))
     Experiments.All.registry
 
 let () =

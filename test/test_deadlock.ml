@@ -135,9 +135,8 @@ let check_env_arms () =
   match Experiments.Run_config.parse [ ("SEUSS_DEADLOCK", "1") ] with
   | Error e -> Alcotest.fail e
   | Ok run ->
-      let engine = Experiments.Harness.make_engine ~run ~seed:3L () in
       Alcotest.(check bool) "SEUSS_DEADLOCK=1 arms the harness engine" true
-        (Sim.Engine.deadlock_armed engine)
+        (Experiments.Harness.run_sim ~run ~seed:3L Sim.Engine.deadlock_armed)
 
 (* {1 The San_deadlock event} *)
 

@@ -467,6 +467,29 @@ let test_ops_budget_stops_runaway () =
       Alcotest.(check bool) "mentions budget" true
         (String.length msg > 0)
 
+(* Unbounded recursion is a guest error, not a host stack that grows
+   until the step budget runs out; deep but finite recursion still
+   runs, and a call unwound by [continue] gives its depth back. *)
+let test_call_depth_bounded () =
+  (match
+     Interp.Minijs.run_main
+       (load "function f(x) { return f(x + 1); } function main(a) { return f(0); }")
+       ~args_literal:"null"
+   with
+  | Ok v -> Alcotest.failf "unbounded recursion returned %s" v
+  | Error msg ->
+      Alcotest.(check string) "guest error"
+        "runtime error: maximum call depth 10000 exceeded" msg);
+  Alcotest.(check string) "1000 calls deep" "1000"
+    (run_main
+       "function d(n) { if (n == 0) { return 0; } return 1 + d(n - 1); }\n\
+        function main(a) { return d(1000); }");
+  Alcotest.(check string) "continue unwinds a call" "20000"
+    (run_main
+       "function skip() { continue; }\n\
+        function main(a) { let i = 0; while (i < 20000) { i = i + 1; skip(); } \
+        return i; }")
+
 let () =
   let case name f = Alcotest.test_case name `Quick f in
   let qcase = QCheck_alcotest.to_alcotest in
@@ -516,5 +539,6 @@ let () =
         [
           case "work and allocs" test_metering_counts_work_and_allocs;
           case "ops budget" test_ops_budget_stops_runaway;
+          case "call depth" test_call_depth_bounded;
         ] );
     ]

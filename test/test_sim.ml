@@ -679,9 +679,7 @@ let test_census_env_arms () =
   let armed value =
     match Experiments.Run_config.parse [ ("SEUSS_OWN", value) ] with
     | Error e -> Alcotest.fail e
-    | Ok run ->
-        Sim.Engine.own_armed
-          (Experiments.Harness.make_engine ~run ~seed:3L ())
+    | Ok run -> Experiments.Harness.run_sim ~run ~seed:3L Sim.Engine.own_armed
   in
   Alcotest.(check bool) "SEUSS_OWN=1 arms the harness engine" true (armed "1");
   Alcotest.(check bool) "SEUSS_OWN=0 behaves as unset" false (armed "0");
