@@ -521,14 +521,12 @@ let top_cmd =
           List.iter
             (fun (label, path) ->
               let where = [ ("path", label) ] in
-              let h =
-                Obs.Metrics.histogram m ~labels:where "node_invoke_seconds"
+              let ms empty = function
+                | None -> empty
+                | Some seconds -> Printf.sprintf "%.2f" (seconds *. 1e3)
               in
-              let ms sel =
-                match Obs.Breakdown.per_path bd path with
-                | None -> "-"
-                | Some p -> Printf.sprintf "%.2f" (sel p *. 1e3)
-              in
+              let means = Obs.Breakdown.per_path bd path in
+              let phase sel = ms "-" (Option.map sel means) in
               Stats.Tablefmt.add_row table
                 [
                   label;
@@ -536,13 +534,15 @@ let top_cmd =
                     (Obs.Metrics.sum_counters m ~where "node_invocations_total");
                   string_of_int
                     (Obs.Metrics.sum_counters m ~where "node_errors_total");
-                  Printf.sprintf "%.2f" (Obs.Metrics.hist_mean h *. 1e3);
-                  Printf.sprintf "%.2f"
-                    (Obs.Metrics.hist_quantile h 0.99 *. 1e3);
-                  ms (fun p -> p.Obs.Breakdown.deploy);
-                  ms (fun p -> p.Obs.Breakdown.import);
-                  ms (fun p -> p.Obs.Breakdown.run);
-                  ms (fun p -> p.Obs.Breakdown.queue);
+                  ms "0.00" (Option.map (fun p -> p.Obs.Breakdown.total) means);
+                  ms "0.00"
+                    (Option.map
+                       (fun t -> t.Obs.Breakdown.p99)
+                       (Obs.Breakdown.tails bd path));
+                  phase (fun p -> p.Obs.Breakdown.deploy);
+                  phase (fun p -> p.Obs.Breakdown.import);
+                  phase (fun p -> p.Obs.Breakdown.run);
+                  phase (fun p -> p.Obs.Breakdown.queue);
                 ])
             [
               ("cold", Obs.Event.Cold);
@@ -551,12 +551,11 @@ let top_cmd =
             ];
           print_string (Stats.Tablefmt.render table);
           Printf.printf
-            "free %.1f MB | idle UCs %.0f | fn snapshots %.0f | cow faults %d \
+            "free %.1f MB | idle UCs %d | fn snapshots %d | cow faults %d \
              | reclaims %d | oom wakes %d\n"
-            (Obs.Metrics.gauge_value (Obs.Metrics.gauge m "node_free_bytes")
-            /. 1048576.0)
-            (Obs.Metrics.gauge_value (Obs.Metrics.gauge m "node_idle_ucs"))
-            (Obs.Metrics.gauge_value (Obs.Metrics.gauge m "node_fn_snapshots"))
+            (Int64.to_float (Seuss.Node.free_bytes node) /. 1048576.0)
+            (Seuss.Node.idle_uc_count node)
+            (Seuss.Node.snapshot_count node)
             (Obs.Metrics.sum_counters m "mem_cow_faults_total")
             (Obs.Metrics.sum_counters m "node_ucs_reclaimed_total")
             (Obs.Metrics.sum_counters m "node_oom_wakes_total");
@@ -579,9 +578,9 @@ let top_cmd =
   Cmd.v
     (Cmd.info "top"
        ~doc:
-         "Live ascii dashboard over the metrics registry and event log \
-          while a synthetic workload runs (frames advance in simulated \
-          time; $(b,--ansi) redraws in place)")
+         "Live ascii dashboard over the metrics registry, the event log \
+          and the node's state while a synthetic workload runs (frames \
+          advance in simulated time; $(b,--ansi) redraws in place)")
     Term.(const run $ duration $ interval $ clients $ functions_arg $ ansi $ seed_arg)
 
 let timeline_cmd =
@@ -934,7 +933,7 @@ let info_cmd =
        Unikernel image (Node.js): %d pages (%.1f MB).\n\
        Guest hypercall surface: %d calls.\n\
        Experiments:\n"
-      Seuss.Config.default.Seuss.Config.cores Mem.Mconfig.default_budget_bytes
+      Seuss.Osenv.default_cores Mem.Mconfig.default_budget_bytes
       (Unikernel.Image.total_pages Unikernel.Image.node)
       (float_of_int (Unikernel.Image.total_pages Unikernel.Image.node)
        *. 4096.0 /. 1048576.0)

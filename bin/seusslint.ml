@@ -40,7 +40,11 @@ let list_rules () =
     Lint.Rules.unused_allow;
   Printf.printf
     "  %-22s [meta] reported when a suffix-2 name resolves into two files\n"
-    Lint.Rules.ambiguous_resolve
+    Lint.Rules.ambiguous_resolve;
+  Printf.printf
+    "  %-22s [meta] reported for a registered hot root whose file no \
+     longer defines it\n"
+    Lint.Rules.stale_root
 
 (* Minimal JSON string escaping: the report fields are ASCII paths and
    rule prose, but messages may carry quotes or em dashes. *)

@@ -4,7 +4,8 @@
    per-event path allocate?". It seeds a reach over the shared call
    graph ({!Graph}) with the registered hot roots ({!Hotroots.registry}
    — the engine dispatch loop and queue ops, the observability emit
-   path, metric updates, trace forks) plus any binding marked
+   path and breakdown fold, counter bumps, trace forks) plus any
+   binding marked
    (* seussheat: hot — <reason> *), and marks everything reachable as
    hot. Only a binding with its own parameter chain re-executes its body
    per reference, so hotness does not propagate into values. Inside hot
@@ -20,7 +21,8 @@
    - heat-string: string building — ^, String.concat/make/sub,
      Printf/Format, string_of_*;
    - heat-float-box: a float-arithmetic result stored into a record
-     field, which boxes two words unless the record is all-float;
+     field, which boxes two words unless the record is all-float
+     (fields declared only in all-float records are exempt);
    - heat-poly-cmp: compare/min/max/Hashtbl.hash, and =/<> against a
      structured operand — representation-walking C calls;
    - heat-partial-apply: applying a tree-defined function to fewer
@@ -30,7 +32,8 @@
 
    Each violation carries the root-to-function chain that makes the
    site hot, so the report reads as a proof obligation: break the chain
-   or fix the site.
+   or fix the site. A registered root whose file is scanned but no
+   longer defines it is reported as stale-hot-root.
 
    Suppression is the pass's own marker with two verbs:
 
@@ -101,6 +104,7 @@ type site = {
 
 type tstate = {
   mutable cur : Graph.node;
+  flat : string -> bool;  (* field of an all-float record *)
   colds : Marker.t list;  (* the file's cold markers *)
   mutable supp : Marker.t option;  (* innermost covering cold marker *)
   sites : site list array;  (* per node, unsilenced *)
@@ -136,6 +140,47 @@ let structured_operand (e : Parsetree.expression) =
   | Pexp_construct (_, Some _) | Pexp_variant (_, Some _) -> true
   | Pexp_constant (Pconst_string _ | Pconst_float _) -> true
   | _ -> false
+
+(* Field names that every declaring record in the tree stores flat: a
+   record whose fields are all [float] is one unboxed float block, so a
+   float-arithmetic store into it allocates nothing. Resolution is by
+   name, so a name also declared in any mixed record (or inline
+   constructor record) stays flagged. *)
+let flat_float_fields (g : Graph.t) =
+  let flat = Hashtbl.create 256 in
+  let is_float (ld : Parsetree.label_declaration) =
+    match ld.pld_type.ptyp_desc with
+    | Ptyp_constr ({ txt = Lident "float"; _ }, []) -> true
+    | _ -> false
+  in
+  let record lds =
+    let all = List.for_all is_float lds in
+    List.iter
+      (fun (ld : Parsetree.label_declaration) ->
+        let name = ld.pld_name.txt in
+        let seen = Option.value ~default:true (Hashtbl.find_opt flat name) in
+        Hashtbl.replace flat name (all && seen))
+      lds
+  in
+  let open Ast_iterator in
+  let it =
+    {
+      default_iterator with
+      type_kind =
+        (fun sub k ->
+          (match k with Ptype_record lds -> record lds | _ -> ());
+          default_iterator.type_kind sub k);
+      constructor_declaration =
+        (fun sub cd ->
+          (match cd.pcd_args with Pcstr_record lds -> record lds | _ -> ());
+          default_iterator.constructor_declaration sub cd);
+    }
+  in
+  List.iter
+    (fun ((src : Source.t), _) ->
+      match src.ast with Ok str -> it.structure it str | Error _ -> ())
+    g.files;
+  fun name -> Option.value ~default:false (Hashtbl.find_opt flat name)
 
 let float_op_apply (e : Parsetree.expression) =
   match e.pexp_desc with
@@ -205,7 +250,8 @@ let iterator st =
              (Graph.last (Longident.flatten txt)))
     | Pexp_variant (_, Some _) ->
         alloc sub e "a polymorphic variant payload is allocated here"
-    | Pexp_setfield (_, _, rhs) when float_op_apply rhs ->
+    | Pexp_setfield (_, { txt; _ }, rhs)
+      when float_op_apply rhs && not (st.flat (Longident.last txt)) ->
         record_site st Rules.Heat_float_box e.pexp_loc
           "a float-arithmetic result is stored into a record field (boxes \
            unless the record is all-float)";
@@ -264,12 +310,15 @@ let check pass (prog : Pass.program) =
   let hots = Marker.with_verb "hot" markers in
   let n = Array.length g.nodes in
   let sites = Array.make n [] and silenced = Array.make n [] in
+  let flat = flat_float_fields g in
   List.iter
     (fun ((src, nodes) as file) ->
       let colds =
         List.filter (fun m -> String.equal m.Marker.m_file src.Source.rel) colds
       in
-      let st = { cur = List.hd nodes; colds; supp = None; sites; silenced } in
+      let st =
+        { cur = List.hd nodes; flat; colds; supp = None; sites; silenced }
+      in
       let it, binding = iterator st in
       Graph.walk file it ~binding ~enter:(fun n -> st.cur <- n))
     g.files;
@@ -350,7 +399,32 @@ let check pass (prog : Pass.program) =
             f.refs)
       hot
   in
-  hits @ Marker.unused marker markers @ bad
+  (* A registered root whose file was scanned but no longer defines it
+     seeds nothing: the hot set would shrink without a word. *)
+  let stale =
+    List.filter_map
+      (fun (r : Hotroots.root) ->
+        match
+          List.find_opt
+            (fun ((src : Source.t), _) -> String.equal src.rel r.hr_file)
+            g.files
+        with
+        | Some (_, nodes)
+          when not
+                 (List.exists
+                    (fun (f : Graph.node) -> String.equal f.binding r.hr_binding)
+                    nodes) ->
+            Some
+              (Source.violation r.hr_file 1 0 Rules.stale_root
+                 (Printf.sprintf
+                    "hot root %s is registered in Lint.Hotroots but %s has \
+                     no top-level binding of that name; update or delete \
+                     the entry"
+                    r.hr_binding r.hr_file))
+        | _ -> None)
+      Hotroots.registry
+  in
+  hits @ stale @ Marker.unused marker markers @ bad
   (* Ambiguous resolution only matters where the verdict is drawn
      through it: at hot references. *)
   @ Graph.ambiguity g hot

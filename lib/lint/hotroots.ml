@@ -9,7 +9,8 @@
    O(events) or O(samples) per run, not merely "fast-sounding". Adding a
    root is a review-visible act — append here with a why, and expect to
    spend time placing (* seussheat: cold — ... *) markers on the code it
-   newly drags into the hot set. *)
+   newly drags into the hot set. Removing or renaming a root's binding
+   without updating its entry is a stale-hot-root finding. *)
 
 type root = {
   hr_file : string;  (** repo-relative defining file *)
@@ -50,13 +51,13 @@ let registry =
     { hr_file = "lib/mem/addr_space.ml"; hr_binding = "prefault";
       hr_why = "write_range's batched twin: resolves every page of each warm \
                 call's recorded working set" };
-    (* Metrics: incremented on event/sample cadence by the platform. *)
+    { hr_file = "lib/obs/breakdown.ml"; hr_binding = "fold_record";
+      hr_why = "the latency breakdown's log subscriber: runs on every \
+                emitted record and folds each finished invocation into \
+                its path's sums and histogram" };
+    (* Metrics: incremented on event cadence by the platform. *)
     { hr_file = "lib/obs/metrics.ml"; hr_binding = "inc";
       hr_why = "counter bump on event cadence" };
-    { hr_file = "lib/obs/metrics.ml"; hr_binding = "observe";
-      hr_why = "histogram observe on sample cadence" };
-    { hr_file = "lib/obs/metrics.ml"; hr_binding = "set_gauge";
-      hr_why = "gauge store on sample cadence" };
     (* Trace-context propagation: per spawned/forked unit of work. *)
     { hr_file = "lib/sim/trace.ml"; hr_binding = "fork";
       hr_why = "span-context fork on every spawn" };

@@ -2,8 +2,10 @@
 
     A root is a (repo-relative file, top-level binding) pair naming code
     executed O(events) or O(samples) per run — the engine dispatch loop
-    and queue operations, the observability emit path, metric updates
-    and trace-context forks. Everything transitively referenced from a
+    and queue operations, the observability emit path and latency
+    breakdown fold, counter bumps and trace-context forks. An entry
+    whose file is scanned but no longer defines the binding is a
+    [stale-hot-root] finding. Everything transitively referenced from a
     root is analyzed under the allocation rules ({!Rules.heat}).
 
     The registry is curated by hand; fixtures and out-of-tree code seed

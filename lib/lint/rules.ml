@@ -191,3 +191,4 @@ let bad_allow = "bad-allow"
 let unused_allow = "unused-allow"
 let parse_error = "parse-error"
 let ambiguous_resolve = "ambiguous-resolve"
+let stale_root = "stale-hot-root"

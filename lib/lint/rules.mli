@@ -83,3 +83,8 @@ val ambiguous_resolve : string
 (** ["ambiguous-resolve"]: a reference whose suffix-2 key is defined in
     two or more files (same module basename), so interprocedural
     resolution conflates distinct modules. *)
+
+val stale_root : string
+(** ["stale-hot-root"]: a {!Hotroots.registry} entry whose file was
+    scanned but defines no top-level binding of that name, so the root
+    seeds nothing. *)

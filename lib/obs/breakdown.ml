@@ -9,19 +9,26 @@ type phase_means = {
 
 type tails = { p50 : float; p90 : float; p99 : float; p999 : float }
 
+(* Running sums and extrema live in their own all-float record: stores
+   into a flat float record are unboxed, so folding an invocation
+   allocates nothing. Inlined into [acc] (a mixed record) every store
+   would box. *)
+type sums = {
+  mutable s_queue : float;
+  mutable s_deploy : float;
+  mutable s_import : float;
+  mutable s_run : float;
+  mutable s_total : float;
+  mutable s_min : float;
+  mutable s_max : float;
+}
+
 type acc = {
   mutable n : int;
-  mutable queue : float;
-  mutable deploy : float;
-  mutable import : float;
-  mutable run : float;
-  mutable total : float;
-  (* Total-latency distribution, for the tail columns: same 30
-     bins/decade layout as the metrics registry (~8% quantile error),
-     with extrema kept for clamping. *)
+  s : sums;
+  (* Total-latency distribution, for the tail columns: 30 bins/decade
+     (~8% quantile error), clamped by the extrema in [s]. *)
   hist : Stats.Histogram.t;
-  mutable mn : float;
-  mutable mx : float;
 }
 
 type t = {
@@ -34,14 +41,17 @@ type t = {
 let fresh () =
   {
     n = 0;
-    queue = 0.0;
-    deploy = 0.0;
-    import = 0.0;
-    run = 0.0;
-    total = 0.0;
+    s =
+      {
+        s_queue = 0.0;
+        s_deploy = 0.0;
+        s_import = 0.0;
+        s_run = 0.0;
+        s_total = 0.0;
+        s_min = infinity;
+        s_max = neg_infinity;
+      };
     hist = Stats.Histogram.create ~bins_per_decade:30 ();
-    mn = infinity;
-    mx = neg_infinity;
   }
 
 let acc_of t = function
@@ -49,37 +59,42 @@ let acc_of t = function
   | Event.Warm -> t.warm
   | Event.Hot -> t.hot
 
+(* The log subscriber: one call per emitted record, so it runs on event
+   cadence and allocates nothing. *)
+let fold_record t (r : Log.record) =
+  match r.ev with
+  | Event.Invoke_finish { path; queue; deploy; import; run; total; ok; _ } ->
+      let a = acc_of t path in
+      let s = a.s in
+      a.n <- a.n + 1;
+      s.s_queue <- s.s_queue +. queue;
+      s.s_deploy <- s.s_deploy +. deploy;
+      s.s_import <- s.s_import +. import;
+      s.s_run <- s.s_run +. run;
+      s.s_total <- s.s_total +. total;
+      Stats.Histogram.add a.hist total;
+      if total < s.s_min then s.s_min <- total;
+      if total > s.s_max then s.s_max <- total;
+      if not ok then t.errs <- t.errs + 1
+  | _ -> ()
+
 let attach log =
   let t = { cold = fresh (); warm = fresh (); hot = fresh (); errs = 0 } in
-  Log.subscribe log (fun r ->
-      match r.Log.ev with
-      | Event.Invoke_finish { path; queue; deploy; import; run; total; ok; _ } ->
-          let a = acc_of t path in
-          a.n <- a.n + 1;
-          a.queue <- a.queue +. queue;
-          a.deploy <- a.deploy +. deploy;
-          a.import <- a.import +. import;
-          a.run <- a.run +. run;
-          a.total <- a.total +. total;
-          Stats.Histogram.add a.hist total;
-          if total < a.mn then a.mn <- total;
-          if total > a.mx then a.mx <- total;
-          if not ok then t.errs <- t.errs + 1
-      | _ -> ());
+  Log.subscribe log (fold_record t);
   t
 
 let means (a : acc) : phase_means option =
   if a.n = 0 then None
   else begin
-    let n = float_of_int a.n in
+    let n = float_of_int a.n and s = a.s in
     Some
       {
         n = a.n;
-        queue = a.queue /. n;
-        deploy = a.deploy /. n;
-        import = a.import /. n;
-        run = a.run /. n;
-        total = a.total /. n;
+        queue = s.s_queue /. n;
+        deploy = s.s_deploy /. n;
+        import = s.s_import /. n;
+        run = s.s_run /. n;
+        total = s.s_total /. n;
       }
   end
 
@@ -87,7 +102,8 @@ let tails_of (a : acc) =
   if a.n = 0 then None
   else begin
     let q p =
-      Float.max a.mn (Float.min (Stats.Histogram.quantile a.hist p) a.mx)
+      Float.max a.s.s_min
+        (Float.min (Stats.Histogram.quantile a.hist p) a.s.s_max)
     in
     Some { p50 = q 0.5; p90 = q 0.9; p99 = q 0.99; p999 = q 0.999 }
   end
@@ -99,15 +115,16 @@ let merged_accs t =
   let merged = fresh () in
   List.iter
     (fun (a : acc) ->
+      let m = merged.s and s = a.s in
       merged.n <- merged.n + a.n;
-      merged.queue <- merged.queue +. a.queue;
-      merged.deploy <- merged.deploy +. a.deploy;
-      merged.import <- merged.import +. a.import;
-      merged.run <- merged.run +. a.run;
-      merged.total <- merged.total +. a.total;
+      m.s_queue <- m.s_queue +. s.s_queue;
+      m.s_deploy <- m.s_deploy +. s.s_deploy;
+      m.s_import <- m.s_import +. s.s_import;
+      m.s_run <- m.s_run +. s.s_run;
+      m.s_total <- m.s_total +. s.s_total;
       Stats.Histogram.merge merged.hist ~from:a.hist;
-      if a.mn < merged.mn then merged.mn <- a.mn;
-      if a.mx > merged.mx then merged.mx <- a.mx)
+      if s.s_min < m.s_min then m.s_min <- s.s_min;
+      if s.s_max > m.s_max then m.s_max <- s.s_max)
     [ t.cold; t.warm; t.hot ];
   merged
 

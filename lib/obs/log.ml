@@ -13,7 +13,6 @@ type t = {
   mutable dropped : int;
   mutable subscribers : (record -> unit) list;  (* subscription order *)
   mutable emitted : int;
-  mutable on_drop : unit -> unit;
 }
 
 let default_capacity = 16384
@@ -32,10 +31,7 @@ let create ?(capacity = default_capacity) ~clock () =
     dropped = 0;
     subscribers = [];
     emitted = 0;
-    on_drop = ignore;
   }
-
-let set_on_drop t f = t.on_drop <- f
 
 (* Top-level so emitting to subscribers allocates no iterator closure. *)
 let rec notify r = function
@@ -52,10 +48,7 @@ let emit t ev =
   t.head <- (if t.head + 1 = cap then 0 else t.head + 1);
   t.emitted <- t.emitted + 1;
   if t.len < cap then t.len <- t.len + 1
-  else begin
-    t.dropped <- t.dropped + 1;
-    t.on_drop ()
-  end;
+  else t.dropped <- t.dropped + 1;
   match t.subscribers with
   | [] -> ()
   | subscribers ->

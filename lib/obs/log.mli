@@ -28,12 +28,6 @@ val subscribe : t -> (record -> unit) -> unit
 (** Attach a live consumer; it sees every event from now on, including
     ones the ring later evicts. *)
 
-val set_on_drop : t -> (unit -> unit) -> unit
-(** Called once per record the ring evicts (before subscribers see the
-    new record). Default: nothing. [Seuss.Osenv] points this at an
-    [obs_events_dropped_total] counter so eviction is a visible metric
-    rather than silent truncation. *)
-
 val records : t -> record list
 (** Retained records, oldest first. *)
 

@@ -1,42 +1,19 @@
 type labels = (string * string) list
 
 type counter = { mutable c : int }
-type gauge = { mutable g : float }
 
-(* Running stats live in their own all-float record: stores into a flat
-   float record are unboxed, so [observe] allocates nothing. Inlined into
-   [histogram] (a mixed record) every store would box. *)
-type hstats = { mutable sum : float; mutable mn : float; mutable mx : float }
-type histogram = { h : Stats.Histogram.t; s : hstats }
-
-type instrument = C of counter | G of gauge | H of histogram
-
-type t = { table : (string * labels, instrument) Hashtbl.t }
+type t = { table : (string * labels, counter) Hashtbl.t }
 
 let create () = { table = Hashtbl.create 64 }
 
-let canon labels = List.sort compare labels
-
-let register t ~labels name make describe_kind match_kind =
-  let key = (name, canon labels) in
-  match Hashtbl.find_opt t.table key with
-  | None ->
-      let fresh = make () in
-      Hashtbl.replace t.table key fresh;
-      (match match_kind fresh with Some v -> v | None -> assert false)
-  | Some existing -> (
-      match match_kind existing with
-      | Some v -> v
-      | None ->
-          invalid_arg
-            (Printf.sprintf "Metrics: %S is already registered, not as a %s"
-               name describe_kind))
-
 let counter t ?(labels = []) name =
-  register t ~labels name
-    (fun () -> C { c = 0 })
-    "counter"
-    (function C c -> Some c | _ -> None)
+  let key = (name, List.sort compare labels) in
+  match Hashtbl.find_opt t.table key with
+  | Some c -> c
+  | None ->
+      let c = { c = 0 } in
+      Hashtbl.replace t.table key c;
+      c
 
 let inc ?(by = 1) counter =
   if by < 0 then invalid_arg "Metrics.inc: counters only go up";
@@ -44,205 +21,10 @@ let inc ?(by = 1) counter =
 
 let value counter = counter.c
 
-let gauge t ?(labels = []) name =
-  register t ~labels name
-    (fun () -> G { g = 0.0 })
-    "gauge"
-    (function G g -> Some g | _ -> None)
-
-let set_gauge gauge v = gauge.g <- v
-let gauge_value gauge = gauge.g
-
-(* 30 bins per decade bounds the quantile quantisation at
-   10^(1/30) - 1 ~ 8% — tight enough for p999 columns — while a
-   histogram stays 210 ints. *)
-let hist_bins_per_decade = 30
-
-let fresh_hist () =
-  {
-    h = Stats.Histogram.create ~bins_per_decade:hist_bins_per_decade ();
-    s = { sum = 0.0; mn = infinity; mx = neg_infinity };
-  }
-
-let histogram t ?(labels = []) name =
-  register t ~labels name
-    (fun () -> H (fresh_hist ()))
-    "histogram"
-    (function H h -> Some h | _ -> None)
-
-let observe hist v =
-  Stats.Histogram.add hist.h v;
-  let s = hist.s in
-  (* seussheat: cold — hstats is a flat float record; this store is unboxed *)
-  s.sum <- s.sum +. v;
-  if v < s.mn then s.mn <- v;
-  if v > s.mx then s.mx <- v
-
-let hist_count hist = Stats.Histogram.count hist.h
-
-let hist_mean hist =
-  let n = hist_count hist in
-  if n = 0 then 0.0 else hist.s.sum /. float_of_int n
-
-let hist_quantile hist q =
-  if q < 0.0 || q > 1.0 then invalid_arg "Metrics.hist_quantile: q in [0,1]";
-  if hist_count hist = 0 then 0.0
-  else
-    (* Clamp the bin bound by the observed extrema so tail quantiles
-       stay inside [min, max]. *)
-    Float.max hist.s.mn (Float.min (Stats.Histogram.quantile hist.h q) hist.s.mx)
-
-let merge_hist hist ~from =
-  Stats.Histogram.merge hist.h ~from:from.h;
-  let s = hist.s and f = from.s in
-  s.sum <- s.sum +. f.sum;
-  if f.mn < s.mn then s.mn <- f.mn;
-  if f.mx > s.mx then s.mx <- f.mx
-
-let hist_to_json hist =
-  let counts =
-    List.rev
-      (Stats.Histogram.fold hist.h
-         ~init:(0, [])
-         ~f:(fun (i, acc) ~lo:_ ~hi:_ ~count ->
-           (i + 1, if count = 0 then acc else Json.List [ Json.Int i; Json.Int count ] :: acc))
-       |> snd)
-  in
-  let base =
-    [
-      ("kind", Json.String "histogram");
-      ("lo", Json.Float (Stats.Histogram.lo hist.h));
-      ("bins_per_decade", Json.Int (Stats.Histogram.bins_per_decade hist.h));
-      ("bin_count", Json.Int (Stats.Histogram.bin_count hist.h));
-      ("n", Json.Int (hist_count hist));
-      ("sum", Json.Float hist.s.sum);
-      ("counts", Json.List counts);
-    ]
-  in
-  (* min/max are infinities when empty — unrepresentable in JSON, so
-     they appear only once a sample exists. *)
-  Json.Obj
-    (if hist_count hist = 0 then base
-     else base @ [ ("min", Json.Float hist.s.mn); ("max", Json.Float hist.s.mx) ])
-
-let hist_of_json json =
-  let ( let* ) r f = Result.bind r f in
-  let field name conv =
-    match Option.bind (Json.member name json) conv with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "histogram: missing or bad field %S" name)
-  in
-  let* lo = field "lo" Json.to_float in
-  let* bins_per_decade = field "bins_per_decade" Json.to_int in
-  let* bin_count = field "bin_count" Json.to_int in
-  let* n = field "n" Json.to_int in
-  let* sum = field "sum" Json.to_float in
-  let* entries =
-    match Json.member "counts" json with
-    | Some (Json.List l) ->
-        List.fold_left
-          (fun acc item ->
-            let* acc = acc in
-            match item with
-            | Json.List [ i; c ] -> (
-                match (Json.to_int i, Json.to_int c) with
-                | Some i, Some c -> Ok ((i, c) :: acc)
-                | _ -> Error "histogram: bad counts entry")
-            | _ -> Error "histogram: bad counts entry")
-          (Ok []) l
-        |> Result.map List.rev
-    | _ -> Error "histogram: missing or bad field \"counts\""
-  in
-  let* h =
-    match Stats.Histogram.restore ~lo ~bins_per_decade ~bin_count entries with
-    | h -> Ok h
-    | exception Invalid_argument msg -> Error msg
-  in
-  if Stats.Histogram.count h <> n then Error "histogram: n disagrees with counts"
-  else
-    let mn = Option.bind (Json.member "min" json) Json.to_float in
-    let mx = Option.bind (Json.member "max" json) Json.to_float in
-    Ok
-      {
-        h;
-        s =
-          {
-            sum;
-            mn = Option.value mn ~default:infinity;
-            mx = Option.value mx ~default:neg_infinity;
-          };
-      }
-
 let sum_counters t ?(where = []) name =
   Det.fold
-    (fun (n, labels) inst acc ->
-      match inst with
-      | C c
-        when n = name
-             && List.for_all (fun kv -> List.mem kv labels) where ->
-          acc + c.c
-      | _ -> acc)
+    (fun (n, labels) c acc ->
+      if n = name && List.for_all (fun kv -> List.mem kv labels) where then
+        acc + c.c
+      else acc)
     t.table 0
-
-type reading =
-  | Counter_v of int
-  | Gauge_v of float
-  | Histogram_v of {
-      n : int;
-      mean : float;
-      p50 : float;
-      p90 : float;
-      p99 : float;
-      p999 : float;
-    }
-
-let dump t =
-  (* Det.bindings sorts by the (name, labels) key, which is exactly the
-     output order dump always promised. *)
-  List.map
-    (fun ((name, labels), inst) ->
-      let reading =
-        match inst with
-        | C c -> Counter_v c.c
-        | G g -> Gauge_v g.g
-        | H h ->
-            Histogram_v
-              {
-                n = hist_count h;
-                mean = hist_mean h;
-                p50 = hist_quantile h 0.5;
-                p90 = hist_quantile h 0.9;
-                p99 = hist_quantile h 0.99;
-                p999 = hist_quantile h 0.999;
-              }
-      in
-      (name, labels, reading))
-    (Det.bindings t.table)
-
-let render t =
-  let table =
-    Stats.Tablefmt.create
-      ~columns:
-        [
-          ("metric", Stats.Tablefmt.Left);
-          ("labels", Stats.Tablefmt.Left);
-          ("value", Stats.Tablefmt.Right);
-        ]
-  in
-  List.iter
-    (fun (name, labels, reading) ->
-      let labels_text =
-        String.concat ","
-          (List.map (fun (k, v) -> Printf.sprintf "%s=%s" k v) labels)
-      in
-      let value_text =
-        match reading with
-        | Counter_v c -> string_of_int c
-        | Gauge_v g -> Printf.sprintf "%.3g" g
-        | Histogram_v { n; mean; p50; p90; p99; p999 } ->
-            Printf.sprintf "n=%d mean=%.3g p50=%.3g p90=%.3g p99=%.3g p999=%.3g"
-              n mean p50 p90 p99 p999
-      in
-      Stats.Tablefmt.add_row table [ name; labels_text; value_text ])
-    (dump t);
-  Stats.Tablefmt.render table

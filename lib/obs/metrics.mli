@@ -1,20 +1,13 @@
-(** The metrics registry: named counters, gauges and histograms with
-    labels.
+(** The metrics registry: named, labelled counters.
 
-    Instruments are registered by [(name, labels)] — registering the
-    same pair twice returns the same instrument, so hot paths can look
-    handles up per call without coordination. Reads ({!sum_counters},
-    {!dump}) are views over live instruments: consumers such as
-    [Seuss.Node.stats] derive their numbers from the registry instead of
-    maintaining parallel ints.
-
-    Histograms are log-binned ({!Stats.Histogram}, 30 bins per decade)
-    with running sum/min/max, so memory stays bounded over
-    million-invocation runs at the price of quantiles quantised to bin
-    upper bounds (~8% bin width). They merge ({!merge_hist}) and
-    round-trip through {!Json} ({!hist_to_json} / {!hist_of_json}), so
-    per-node distributions can be exported as JSONL and folded into
-    fleet-wide tails offline. *)
+    Counters are registered by [(name, labels)] — registering the same
+    pair twice returns the same counter, so hot paths can look handles
+    up per call without coordination. {!sum_counters} is a view over
+    the live counters: consumers such as [Seuss.Node.stats] derive
+    their numbers from the registry instead of maintaining parallel
+    ints. A number that already lives elsewhere (a store's own counts,
+    the event log's drop count, a latency distribution in
+    {!Breakdown}) is read there, not copied in here. *)
 
 type t
 
@@ -23,66 +16,16 @@ type labels = (string * string) list
     registration. *)
 
 type counter
-type gauge
-type histogram
 
 val create : unit -> t
 
 val counter : t -> ?labels:labels -> string -> counter
-(** @raise Invalid_argument if [(name, labels)] already names an
-    instrument of a different kind. *)
 
 val inc : ?by:int -> counter -> unit
 (** @raise Invalid_argument if [by] is negative (counters only go up). *)
 
 val value : counter -> int
 
-val gauge : t -> ?labels:labels -> string -> gauge
-val set_gauge : gauge -> float -> unit
-val gauge_value : gauge -> float
-
-val histogram : t -> ?labels:labels -> string -> histogram
-val observe : histogram -> float -> unit
-val hist_count : histogram -> int
-val hist_mean : histogram -> float
-
-val hist_quantile : histogram -> float -> float
-(** [hist_quantile h q] for [q] in [0,1]: the upper bound of the bin
-    holding the q-th sample, clamped into the observed [min, max]
-    (0. when empty). Relative error is bounded by one bin width
-    (~8% at 30 bins/decade). *)
-
-val merge_hist : histogram -> from:histogram -> unit
-(** Fold [from]'s samples (counts, sum, extrema) into the first
-    histogram. @raise Invalid_argument when bucket layouts differ. *)
-
-val hist_to_json : histogram -> Json.t
-(** Self-describing codec (layout + sparse non-empty bins + sum and
-    extrema); one histogram per line makes a JSONL stream. *)
-
-val hist_of_json : Json.t -> (histogram, string) result
-(** Inverse of {!hist_to_json}. The result is detached from any
-    registry — use it with the [hist_*] reads and {!merge_hist}. *)
-
 val sum_counters : t -> ?where:labels -> string -> int
 (** Sum of every counter named [name] whose labels include all [where]
     pairs — e.g. total invocations across runtimes for one path. *)
-
-(** A point-in-time reading of one instrument, for dashboards/tests. *)
-type reading =
-  | Counter_v of int
-  | Gauge_v of float
-  | Histogram_v of {
-      n : int;
-      mean : float;
-      p50 : float;
-      p90 : float;
-      p99 : float;
-      p999 : float;
-    }
-
-val dump : t -> (string * labels * reading) list
-(** All instruments, sorted by (name, labels) for deterministic output. *)
-
-val render : t -> string
-(** A fixed-width table of {!dump}. *)

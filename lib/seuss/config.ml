@@ -3,12 +3,10 @@ type ao_level = Ao_none | Ao_network | Ao_full
 type snap_policy = Snap_lru | Snap_ws
 
 type t = {
-  cores : int;
   ao : ao_level;
   cache_function_snapshots : bool;
   cache_idle_ucs : bool;
   oom_headroom_bytes : int64;
-  max_function_snapshots : int;
   invoke_timeout : float;
   prefault_working_set : bool;
   snapshot_cache_bytes : int64;
@@ -18,12 +16,10 @@ type t = {
 
 let default =
   {
-    cores = 16;
     ao = Ao_full;
     cache_function_snapshots = true;
     cache_idle_ucs = true;
     oom_headroom_bytes = Int64.of_int (Mem.Mconfig.mib 1024);
-    max_function_snapshots = 200_000;
     invoke_timeout = 60.0;
     prefault_working_set = false;
     snapshot_cache_bytes = 0L;

@@ -15,7 +15,6 @@ type snap_policy =
           resident pages buy the fewest prefaultable pages *)
 
 type t = {
-  cores : int;  (** compute-node VCPUs; the paper's VM has 16 *)
   ao : ao_level;
   cache_function_snapshots : bool;
       (** snapshot stacks on/off — ablation: off makes every miss a full
@@ -24,10 +23,6 @@ type t = {
   oom_headroom_bytes : int64;
       (** reclaim idle UCs when free memory drops below this floor (§6:
           "a pre-defined threshold") *)
-  max_function_snapshots : int;
-      (** bound on cached function snapshots; evictions respect §6's
-          deletion-safety rule (only snapshots with no active UCs and no
-          child snapshots are deleted, oldest first) *)
   invoke_timeout : float;  (** seconds before an invocation errors out *)
   prefault_working_set : bool;
       (** REAP-style warm deploys: record the vpns demand-faulted by the
@@ -52,13 +47,13 @@ type t = {
 }
 
 val default : t
-(** 16 cores, full AO, both caches on, 1 GiB OOM headroom, 60 s timeout,
-    Node.js runtime. *)
+(** Full AO, both caches on, 1 GiB OOM headroom, 60 s timeout, no
+    snapshot store, Node.js runtime. *)
 
 val ao_name : ao_level -> string
 
 val policy_name : snap_policy -> string
-(** ["lru"] / ["ws"] — the spelling used in events, metrics and the
+(** ["lru"] / ["ws"] — the spelling used in events and the
     [SEUSS_SNAP_POLICY] env hook. *)
 
 val policy_of_name : string -> snap_policy option

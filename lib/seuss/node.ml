@@ -58,8 +58,6 @@ type t = {
      every path below is byte-identical to a build without it. *)
   mutable store : Snapstore.t option;
   fn_snapshots : (string, Snapshot.t) Hashtbl.t;
-  (* Insertion order of function snapshots, for bounded-cache eviction. *)
-  snap_order : string Queue.t;
   idle : (string, Uc.t Queue.t) Hashtbl.t;
   (* FIFO of (fn_id, uc) for oldest-first reclamation; entries go stale
      when a UC is taken for a hot invocation, so consumers re-validate. *)
@@ -75,9 +73,6 @@ type t = {
   c_reclaimed : Obs.Metrics.counter;
   c_oom_wakes : Obs.Metrics.counter;
   c_captured : Obs.Metrics.counter;
-  g_free_bytes : Obs.Metrics.gauge;
-  g_idle_ucs : Obs.Metrics.gauge;
-  g_snapshots : Obs.Metrics.gauge;
 }
 
 let path_label = function Cold -> "cold" | Warm -> "warm" | Hot -> "hot"
@@ -103,7 +98,6 @@ let create ?(config = Config.default) ?trace_sample node_env =
     bases = [];
     store = None;
     fn_snapshots = Hashtbl.create 1024;
-    snap_order = Queue.create ();
     idle = Hashtbl.create 1024;
     idle_order = Queue.create ();
     idle_total = 0;
@@ -115,9 +109,6 @@ let create ?(config = Config.default) ?trace_sample node_env =
     c_reclaimed = Obs.Metrics.counter m "node_ucs_reclaimed_total";
     c_oom_wakes = Obs.Metrics.counter m "node_oom_wakes_total";
     c_captured = Obs.Metrics.counter m "node_snapshots_captured_total";
-    g_free_bytes = Obs.Metrics.gauge m "node_free_bytes";
-    g_idle_ucs = Obs.Metrics.gauge m "node_idle_ucs";
-    g_snapshots = Obs.Metrics.gauge m "node_fn_snapshots";
   }
   in
   if Int64.compare config.Config.snapshot_cache_bytes 0L > 0 then
@@ -151,12 +142,6 @@ let count_error t path =
     | Warm -> t.c_errors_warm
     | Hot -> t.c_errors_hot)
 
-let refresh_gauges t =
-  Obs.Metrics.set_gauge t.g_free_bytes (Int64.to_float (free_bytes t));
-  Obs.Metrics.set_gauge t.g_idle_ucs (float_of_int t.idle_total);
-  Obs.Metrics.set_gauge t.g_snapshots
-    (float_of_int (Hashtbl.length t.fn_snapshots))
-
 let base_snapshot t runtime = List.assoc_opt runtime t.bases
 
 let function_snapshot t fn_id = Hashtbl.find_opt t.fn_snapshots fn_id
@@ -179,38 +164,11 @@ let snapshot_inventory t =
      dashboard) see a reproducible inventory. *)
   Det.bindings t.fn_snapshots
 
-(* Keep the snapshot cache within its configured bound: walk the
-   insertion order looking for a snapshot that is safe to delete (§6: no
-   dependents). Entries whose snapshot is still in use are requeued. *)
-let evict_snapshots_if_needed t =
-  let attempts = ref (Queue.length t.snap_order) in
-  while
-    Hashtbl.length t.fn_snapshots >= t.cfg.Config.max_function_snapshots
-    && !attempts > 0
-  do
-    decr attempts;
-    match Queue.take_opt t.snap_order with
-    | None -> attempts := 0
-    | Some fn_id -> (
-        match Hashtbl.find_opt t.fn_snapshots fn_id with
-        | None -> () (* stale entry *)
-        | Some snap ->
-            let deleted =
-              match t.store with
-              | Some s -> Snapstore.forget s ~fn_id snap
-              | None -> Snapshot.try_delete ~env:t.node_env snap
-            in
-            if deleted then Hashtbl.remove t.fn_snapshots fn_id
-            else Queue.add fn_id t.snap_order)
-  done
-
 let install_snapshot t ~fn_id snap =
   if Hashtbl.mem t.fn_snapshots fn_id then
     ignore (Snapshot.try_delete ~env:t.node_env snap)
   else begin
-    evict_snapshots_if_needed t;
     Hashtbl.replace t.fn_snapshots fn_id snap;
-    Queue.add fn_id t.snap_order;
     Obs.Metrics.inc t.c_captured;
     (* The store's budget sweep may evict members right here — including,
        under a budget smaller than one snapshot, the one just inserted
@@ -336,7 +294,6 @@ let reclaim_idle_ucs t =
   while continue_ () do
     if reclaim_oldest t then incr reclaimed
   done;
-  refresh_gauges t;
   !reclaimed
 
 (* An injected OOM storm: a sudden external allocation spike forces the
@@ -351,7 +308,6 @@ let storm_reclaim t =
   while not (Queue.is_empty t.idle_order) do
     if reclaim_oldest t then incr reclaimed
   done;
-  refresh_gauges t;
   !reclaimed
 
 (* {1 Node startup: boot, AO, base snapshot capture} *)
@@ -418,8 +374,7 @@ let start t =
       | None ->
           Uc.destroy uc;
           failwith "Node.start: boot timeout")
-    t.cfg.Config.runtimes;
-  refresh_gauges t
+    t.cfg.Config.runtimes
 
 (* {1 Invocation paths} *)
 
@@ -431,10 +386,6 @@ let now t = Sim.Engine.now t.node_env.Osenv.engine
    with zero PRNG draws. *)
 let inject t site detail =
   if Faults.Fault.fire site ~detail then begin
-    Obs.Metrics.inc
-      (Obs.Metrics.counter t.node_env.Osenv.metrics
-         ~labels:[ ("site", Faults.Fault.site_name site) ]
-         "node_faults_injected_total");
     Osenv.emit t.node_env
       (Obs.Event.Fault_injected
          { site = Faults.Fault.site_name site; detail });
@@ -693,12 +644,6 @@ let invoke t fn ~args =
          total;
          ok = Result.is_ok result;
        });
-  Obs.Metrics.observe
-    (Obs.Metrics.histogram t.node_env.Osenv.metrics
-       ~labels:[ ("path", path_label path) ]
-       "node_invoke_seconds")
-    total;
-  refresh_gauges t;
   (result, path)
 
 let last_served_uc t = t.last_uc
@@ -728,12 +673,10 @@ let shutdown t =
         (fun _ snap -> ignore (Snapshot.try_delete ~env:t.node_env snap))
         t.fn_snapshots);
   Hashtbl.reset t.fn_snapshots;
-  Queue.clear t.snap_order;
   List.iter
     (fun (_, base) -> ignore (Snapshot.try_delete ~env:t.node_env base))
     t.bases;
-  t.bases <- [];
-  refresh_gauges t
+  t.bases <- []
 
 (* {1 Ownership census}
 

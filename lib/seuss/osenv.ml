@@ -15,7 +15,9 @@ type t = {
   mutable pins : int;
 }
 
-let create ?budget_bytes ?(cores = 16) ?log_capacity engine =
+let default_cores = 16
+
+let create ?budget_bytes ?(cores = default_cores) ?log_capacity engine =
   let log =
     Obs.Log.create ?capacity:log_capacity
       ~clock:(fun () -> Sim.Engine.now engine)
@@ -53,12 +55,6 @@ let create ?budget_bytes ?(cores = 16) ?log_capacity engine =
                waiting_since = s.waiting_since;
                in_cycle = s.in_cycle;
              }));
-  let metrics = Obs.Metrics.create () in
-  (* Ring eviction is a visible metric, not silent truncation: every
-     record the bounded ring drops bumps this counter, which tools like
-     [seussctl events] check before presenting the ring as history. *)
-  let dropped_events = Obs.Metrics.counter metrics "obs_events_dropped_total" in
-  Obs.Log.set_on_drop log (fun () -> Obs.Metrics.inc dropped_events);
   {
     engine;
     frames = Mem.Frame.create ?budget_bytes ();
@@ -70,7 +66,7 @@ let create ?budget_bytes ?(cores = 16) ?log_capacity engine =
     hosts = Hashtbl.create 8;
     hosts_cell = Sim.Hb.cell ~name:"osenv.hosts";
     log;
-    metrics;
+    metrics = Obs.Metrics.create ();
     ucs_created = 0;
     ucs_released = 0;
     pins = 0;

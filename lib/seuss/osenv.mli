@@ -23,10 +23,14 @@ type t = {
   mutable pins : int;  (** snapshot pin windows currently open *)
 }
 
+val default_cores : int
+(** Cores of the modeled compute node when {!create} is not told
+    otherwise: the paper's VM has 16. *)
+
 val create :
   ?budget_bytes:int64 -> ?cores:int -> ?log_capacity:int -> Sim.Engine.t -> t
-(** Defaults: the paper's 88 GB / 16-core compute-node VM, event ring of
-    {!Obs.Log.default_capacity}. *)
+(** Defaults: the paper's 88 GB VM with {!default_cores} cores, event
+    ring of {!Obs.Log.default_capacity}. *)
 
 val emit : t -> Obs.Event.t -> unit
 (** Emit onto the node's event log (zero simulated-time cost). *)

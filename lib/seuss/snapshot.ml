@@ -113,13 +113,15 @@ let working_set_pages t =
 
 let is_deleted t = t.deleted
 
+(* Claimed before the yield in [burn]: a second deleter arriving during
+   the destroy cost sees [deleted] and backs off. *)
 let try_delete ~env t =
   if t.deleted || t.dependents > 0 then false
   else begin
+    t.deleted <- true;
     Osenv.burn env Cost.destroy;
     Mem.Page_table.release t.table;
     (match t.parent with Some p -> decref p | None -> ());
-    t.deleted <- true;
     true
   end
 

@@ -90,7 +90,9 @@ val try_delete : env:Osenv.t -> t -> bool
 (** Delete if nothing depends on it: releases the table's frame
     references and drops the parent dependency (cascading a parent
     delete is the cache's policy decision, not automatic). Returns
-    [false] — and does nothing — while dependents remain. *)
+    [false] — and does nothing — while dependents remain or once
+    another call has claimed the delete: the snapshot is marked deleted
+    before {!Cost.destroy} is charged. *)
 
 val diff_bytes : t -> int64
 

@@ -46,18 +46,9 @@ type t = {
   mutable pages_inserted_total : int;
   mutable pages_unique_total : int;
   c_inserts : Obs.Metrics.counter;
-  c_hits : Obs.Metrics.counter;
-  c_misses : Obs.Metrics.counter;
-  c_evictions : Obs.Metrics.counter;
-  c_pages_shared : Obs.Metrics.counter;
-  c_pages_unique : Obs.Metrics.counter;
-  g_resident : Obs.Metrics.gauge;
-  g_members : Obs.Metrics.gauge;
-  g_index : Obs.Metrics.gauge;
 }
 
 let create ~env ~budget_bytes ~policy ~on_evict =
-  let m = env.Osenv.metrics in
   {
     env;
     budget = budget_bytes;
@@ -73,15 +64,7 @@ let create ~env ~budget_bytes ~policy ~on_evict =
     eviction_count = 0;
     pages_inserted_total = 0;
     pages_unique_total = 0;
-    c_inserts = Obs.Metrics.counter m "snapstore_inserts_total";
-    c_hits = Obs.Metrics.counter m "snapstore_hits_total";
-    c_misses = Obs.Metrics.counter m "snapstore_misses_total";
-    c_evictions = Obs.Metrics.counter m "snapstore_evictions_total";
-    c_pages_shared = Obs.Metrics.counter m "snapstore_pages_shared_total";
-    c_pages_unique = Obs.Metrics.counter m "snapstore_pages_unique_total";
-    g_resident = Obs.Metrics.gauge m "snapstore_resident_bytes";
-    g_members = Obs.Metrics.gauge m "snapstore_members";
-    g_index = Obs.Metrics.gauge m "snapstore_index_pages";
+    c_inserts = Obs.Metrics.counter env.Osenv.metrics "snapstore_inserts_total";
   }
 
 let budget_bytes t = t.budget
@@ -104,11 +87,6 @@ let resident_bytes t =
     (Int64.of_int t.structure_total)
 
 let peak_resident_bytes t = t.peak_bytes
-
-let refresh_gauges t =
-  Obs.Metrics.set_gauge t.g_resident (Int64.to_float (resident_bytes t));
-  Obs.Metrics.set_gauge t.g_members (float_of_int (Hashtbl.length t.members));
-  Obs.Metrics.set_gauge t.g_index (float_of_int (Hashtbl.length t.index))
 
 let members t =
   List.map (fun (fn_id, m) -> (fn_id, m.m_snap)) (Det.bindings t.members)
@@ -284,14 +262,16 @@ let victim t =
     t.members;
   !best
 
+(* The victim leaves the member table and the owner's mirror before the
+   first yield, so no lookup or concurrent victim scan can reach it while
+   it is being deleted. *)
 let evict_one t m =
   let fn_id = m.m_fn_id in
   t.on_evict ~fn_id;
-  Osenv.burn t.env Cost.snap_evict_fixed;
-  let deleted = Snapshot.try_delete ~env:t.env m.m_snap in
   let freed = unlink t m in
+  Osenv.burn t.env Cost.snap_evict_fixed;
+  ignore (Snapshot.try_delete ~env:t.env m.m_snap);
   t.eviction_count <- t.eviction_count + 1;
-  Obs.Metrics.inc t.c_evictions;
   Osenv.emit t.env
     (Obs.Event.Snap_evict
        {
@@ -299,8 +279,7 @@ let evict_one t m =
          pages_freed = freed;
          resident_bytes = resident_bytes t;
          policy = Config.policy_name t.policy;
-       });
-  ignore deleted
+       })
 
 let rec enforce_budget t =
   if
@@ -360,8 +339,6 @@ let insert t ~fn_id (snap : Snapshot.t) =
   t.pages_inserted_total <- t.pages_inserted_total + delta_pages;
   t.pages_unique_total <- t.pages_unique_total + !unique;
   Obs.Metrics.inc t.c_inserts;
-  Obs.Metrics.inc ~by:!shared t.c_pages_shared;
-  Obs.Metrics.inc ~by:!unique t.c_pages_unique;
   Osenv.emit t.env
     (Obs.Event.Snap_delta
        {
@@ -383,41 +360,26 @@ let insert t ~fn_id (snap : Snapshot.t) =
        });
   enforce_budget t;
   let res = resident_bytes t in
-  if Int64.compare res t.peak_bytes > 0 then t.peak_bytes <- res;
-  refresh_gauges t
+  if Int64.compare res t.peak_bytes > 0 then t.peak_bytes <- res
 
 let lookup t fn_id =
   match Hashtbl.find_opt t.members fn_id with
   | None ->
       t.miss_count <- t.miss_count + 1;
-      Obs.Metrics.inc t.c_misses;
       None
   | Some m ->
       m.m_last_used <- t.tick;
       t.tick <- t.tick + 1;
       m.m_uses <- m.m_uses + 1;
       t.hit_count <- t.hit_count + 1;
-      Obs.Metrics.inc t.c_hits;
       Some m.m_snap
-
-let forget t ~fn_id snap =
-  match Hashtbl.find_opt t.members fn_id with
-  | None -> Snapshot.try_delete ~env:t.env snap
-  | Some m ->
-      if Snapshot.try_delete ~env:t.env m.m_snap then begin
-        ignore (unlink t m);
-        refresh_gauges t;
-        true
-      end
-      else false
 
 let drain t =
   List.iter
     (fun (_, m) ->
       ignore (Snapshot.try_delete ~env:t.env m.m_snap);
       ignore (unlink t m))
-    (Det.bindings t.members);
-  refresh_gauges t
+    (Det.bindings t.members)
 
 (* {1 Self-validation (tests)} *)
 

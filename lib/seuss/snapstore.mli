@@ -58,12 +58,6 @@ val lookup : t -> string -> Snapshot.t option
     touching recency. Inspection that must not disturb the policy state
     should go through {!members} instead. *)
 
-val forget : t -> fn_id:string -> Snapshot.t -> bool
-(** Delete a specific snapshot if nothing depends on it, unlinking its
-    membership (if any) on success; [false] leaves everything in place.
-    Falls back to a plain {!Snapshot.try_delete} when [fn_id] is not a
-    member. *)
-
 val drain : t -> unit
 (** Teardown sweep ([Det]-ordered): try to delete every member's
     snapshot and unlink all membership and index state regardless, so

@@ -13,9 +13,6 @@ let create ?(lo = 1e-4) ?(hi = 1e3) ?(bins_per_decade = 10) () =
 
 let bin_count t = Array.length t.counts
 
-let lo t = t.lo
-let bins_per_decade t = t.bins_per_decade
-
 let index_of t x =
   if x <= t.lo then 0
   else
@@ -53,19 +50,6 @@ let merge t ~from =
     t.counts.(i) <- t.counts.(i) + from.counts.(i)
   done;
   t.total <- t.total + from.total
-
-let restore ~lo ~bins_per_decade ~bin_count:n counts =
-  if lo <= 0.0 || bins_per_decade <= 0 || n <= 0 then
-    invalid_arg "Histogram.restore: bad layout";
-  let t = { lo; bins_per_decade; counts = Array.make n 0; total = 0 } in
-  List.iter
-    (fun (i, c) ->
-      if i < 0 || i >= n || c < 0 then
-        invalid_arg "Histogram.restore: bad bin entry";
-      t.counts.(i) <- t.counts.(i) + c;
-      t.total <- t.total + c)
-    counts;
-  t
 
 let quantile t q =
   if q < 0.0 || q > 1.0 then invalid_arg "Histogram.quantile: q in [0,1]";

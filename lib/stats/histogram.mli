@@ -20,11 +20,6 @@ val count : t -> int
 
 val bin_count : t -> int
 
-val lo : t -> float
-(** Lower bound of the first bin (the layout's [lo]). *)
-
-val bins_per_decade : t -> int
-
 val bin_bounds : t -> int -> float * float
 (** Lower/upper bound of a bin index. *)
 
@@ -34,11 +29,6 @@ val bin_value : t -> int -> int
 val merge : t -> from:t -> unit
 (** Add every count of [from] into the first histogram.
     @raise Invalid_argument when the layouts differ. *)
-
-val restore : lo:float -> bins_per_decade:int -> bin_count:int -> (int * int) list -> t
-(** Rebuild a histogram from a sparse [(bin index, count)] list — the
-    inverse of enumerating non-empty bins, used by the JSON codec.
-    @raise Invalid_argument on a bad layout or out-of-range entry. *)
 
 val quantile : t -> float -> float
 (** [quantile t q] for [q] in [0,1]: the upper bound of the bin holding

@@ -273,6 +273,34 @@ let check_pass_all_shared_parse () =
 
 (* {1 Roots} *)
 
+(* A registry root must name a binding its file still defines. Lint a
+   scratch lib/obs/log.ml (a registered root's file) twice: without an
+   [emit] binding the heat pass reports the stale root, with one it
+   does not. *)
+let lint_as_log code =
+  let root = Filename.temp_dir "seusslint" "" in
+  let dirs = [ "lib"; "lib/obs" ] in
+  List.iter (fun d -> Sys.mkdir (Filename.concat root d) 0o755) dirs;
+  let path = Filename.concat root "lib/obs/log.ml" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc code);
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove path;
+      List.iter (fun d -> Sys.rmdir (Filename.concat root d)) (List.rev dirs);
+      Sys.rmdir root)
+    (fun () -> Lint.Passes.check_tree ~strip_prefix:root Lint.Heat.pass [ root ])
+
+let check_stale_hot_root () =
+  (match lint_as_log "let record x = x\n" with
+  | [ v ] ->
+      Alcotest.(check string) "rule" Lint.Rules.stale_root v.Lint.Source.rule;
+      Alcotest.(check string) "file" "lib/obs/log.ml" v.Lint.Source.file;
+      Alcotest.(check bool) "message names the binding" true
+        (contains v.Lint.Source.message "hot root emit")
+  | vs -> Alcotest.failf "expected one stale root, got %d" (List.length vs));
+  Alcotest.(check int) "a defined root is not stale" 0
+    (List.length (lint_as_log "let emit x = x\n"))
+
 let check_missing_root () =
   match Lint.Source.load_tree [ "lint_fixtures"; "no/such/dir" ] with
   | _ -> Alcotest.fail "a missing root loaded"
@@ -435,6 +463,8 @@ let () =
           Alcotest.test_case "missing root is an error" `Quick
             check_missing_root;
           Alcotest.test_case "file root lints as itself" `Quick check_file_root;
+          Alcotest.test_case "stale hot root is a finding" `Quick
+            check_stale_hot_root;
         ] );
       ( "tree",
         [

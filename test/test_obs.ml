@@ -298,108 +298,6 @@ let test_metrics_counters_and_labels () =
     (Invalid_argument "Metrics.inc: counters only go up") (fun () ->
       Obs.Metrics.inc ~by:(-1) a)
 
-let test_metrics_kind_mismatch () =
-  let m = Obs.Metrics.create () in
-  ignore (Obs.Metrics.counter m "x");
-  Alcotest.(check bool) "gauge over counter raises" true
-    (try
-       ignore (Obs.Metrics.gauge m "x");
-       false
-     with Invalid_argument _ -> true)
-
-let test_metrics_histogram () =
-  let m = Obs.Metrics.create () in
-  let h = Obs.Metrics.histogram m "lat" in
-  for i = 1 to 100 do
-    Obs.Metrics.observe h (float_of_int i /. 1000.0)
-  done;
-  Alcotest.(check int) "count" 100 (Obs.Metrics.hist_count h);
-  Alcotest.(check (float 1e-9)) "mean" 0.0505 (Obs.Metrics.hist_mean h);
-  (* Quantiles are quantised to log-bin upper bounds (10 bins/decade),
-     so allow one bin of slack around the true values. *)
-  let p50 = Obs.Metrics.hist_quantile h 0.5 in
-  Alcotest.(check bool) "p50 within a bin of the median" true
-    (p50 >= 0.05 && p50 < 0.07);
-  let p99 = Obs.Metrics.hist_quantile h 0.99 in
-  Alcotest.(check bool) "p99 near max" true (p99 > 0.08 && p99 <= 0.1)
-
-(* Property: bucketed quantiles track exact order statistics within the
-   log-bin quantisation bound. With 30 bins/decade a bin spans a factor
-   of 10^(1/30) ~ 1.0798, and [hist_quantile] answers the upper bound of
-   the bin holding the rank-th smallest sample (clamped into the
-   observed [min, max]), so for every q:
-   exact <= approx <= exact * 1.08. *)
-let hist_quantiles_track_exact =
-  QCheck.Test.make ~name:"bucketed p50/p99/p999 within 8% of exact"
-    ~count:200
-    (* Millis in [1, 100_000] mapped to seconds in [1e-3, 1e2]: safely
-       inside the histogram's default [1e-4, 1e3] range, so no
-       saturation bin distorts the bound. *)
-    QCheck.(list_of_size Gen.(int_range 1 400) (int_range 1 100_000))
-    (fun millis ->
-      let xs = List.map (fun m -> float_of_int m /. 1000.0) millis in
-      let m = Obs.Metrics.create () in
-      let h = Obs.Metrics.histogram m "q" in
-      List.iter (Obs.Metrics.observe h) xs;
-      let sorted = Array.of_list (List.sort compare xs) in
-      let n = Array.length sorted in
-      List.for_all
-        (fun q ->
-          let exact =
-            sorted.(int_of_float (Float.round (q *. float_of_int (n - 1))))
-          in
-          let approx = Obs.Metrics.hist_quantile h q in
-          approx >= exact -. 1e-12 && approx <= (exact *. 1.08) +. 1e-12)
-        [ 0.5; 0.9; 0.99; 0.999 ])
-
-let test_metrics_hist_json_roundtrip () =
-  let m = Obs.Metrics.create () in
-  let h = Obs.Metrics.histogram m "lat" in
-  List.iter (Obs.Metrics.observe h) [ 0.0012; 0.0012; 0.034; 0.5; 2.25; 0.08 ];
-  let s = Obs.Json.to_string (Obs.Metrics.hist_to_json h) in
-  let h' =
-    match Obs.Json.of_string s with
-    | Error e -> Alcotest.failf "reparse failed: %s" e
-    | Ok j -> (
-        match Obs.Metrics.hist_of_json j with
-        | Error e -> Alcotest.failf "decode failed: %s" e
-        | Ok h' -> h')
-  in
-  Alcotest.(check int) "count survives" (Obs.Metrics.hist_count h)
-    (Obs.Metrics.hist_count h');
-  Alcotest.(check (float 1e-12)) "mean survives" (Obs.Metrics.hist_mean h)
-    (Obs.Metrics.hist_mean h');
-  List.iter
-    (fun q ->
-      Alcotest.(check (float 1e-12))
-        (Printf.sprintf "q%.3f survives" q)
-        (Obs.Metrics.hist_quantile h q)
-        (Obs.Metrics.hist_quantile h' q))
-    [ 0.0; 0.5; 0.9; 0.99; 0.999; 1.0 ];
-  Alcotest.(check string) "re-encoding is stable" s
-    (Obs.Json.to_string (Obs.Metrics.hist_to_json h'))
-
-let test_metrics_hist_merge () =
-  let m = Obs.Metrics.create () in
-  let a = Obs.Metrics.histogram m "a" and b = Obs.Metrics.histogram m "b" in
-  let merged = Obs.Metrics.histogram m "merged" in
-  let xs = [ 0.001; 0.002; 0.04 ] and ys = [ 0.3; 0.9; 7.5; 0.0015 ] in
-  List.iter (Obs.Metrics.observe a) xs;
-  List.iter (Obs.Metrics.observe b) ys;
-  List.iter (Obs.Metrics.observe merged) (xs @ ys);
-  Obs.Metrics.merge_hist a ~from:b;
-  Alcotest.(check int) "merged count" (Obs.Metrics.hist_count merged)
-    (Obs.Metrics.hist_count a);
-  Alcotest.(check (float 1e-12)) "merged mean" (Obs.Metrics.hist_mean merged)
-    (Obs.Metrics.hist_mean a);
-  List.iter
-    (fun q ->
-      Alcotest.(check (float 1e-12))
-        (Printf.sprintf "merged q%.3f" q)
-        (Obs.Metrics.hist_quantile merged q)
-        (Obs.Metrics.hist_quantile a q))
-    [ 0.5; 0.99; 0.999 ]
-
 (* {1 Chrome trace-event encoding} *)
 
 let test_chrome_document_structure () =
@@ -471,20 +369,6 @@ let test_chrome_document_structure () =
   | Some (Obs.Json.Float d) -> Alcotest.(check (float 1e-9)) "dur" 7300.5 d
   | _ -> Alcotest.fail "complete event lost dur"
 
-let test_metrics_dump_and_render () =
-  let m = Obs.Metrics.create () in
-  Obs.Metrics.inc (Obs.Metrics.counter m ~labels:[ ("k", "b") ] "c");
-  Obs.Metrics.inc (Obs.Metrics.counter m ~labels:[ ("k", "a") ] "c");
-  Obs.Metrics.set_gauge (Obs.Metrics.gauge m "g") 1.5;
-  let dump = Obs.Metrics.dump m in
-  Alcotest.(check int) "three instruments" 3 (List.length dump);
-  (match dump with
-  | (n1, l1, _) :: (n2, l2, _) :: _ ->
-      Alcotest.(check bool) "sorted" true ((n1, l1) <= (n2, l2))
-  | _ -> Alcotest.fail "dump too short");
-  Alcotest.(check bool) "render mentions instruments" true
-    (contains "c" (Obs.Metrics.render m))
-
 (* {1 Breakdown} *)
 
 let test_breakdown_aggregates_beyond_ring () =
@@ -532,6 +416,39 @@ let fresh_breakdown () =
   let clock, set = fake_clock () in
   let log = Obs.Log.create ~capacity:16 ~clock () in
   (Obs.Breakdown.attach log, log, set)
+
+(* Property: the tail columns track exact order statistics within the
+   log-bin quantisation bound. With 30 bins/decade a bin spans a factor
+   of 10^(1/30) ~ 1.0798, and a quantile is the upper bound of the bin
+   holding the rank-th smallest total (clamped into the observed
+   [min, max]), so for every q: exact <= approx <= exact * 1.08. *)
+let tails_track_exact =
+  QCheck.Test.make ~name:"bucketed p50/p99/p999 within 8% of exact"
+    ~count:200
+    (* Millis in [1, 100_000] mapped to seconds in [1e-3, 1e2]: safely
+       inside the histogram's [1e-4, 1e3] range, so no saturation bin
+       distorts the bound. *)
+    QCheck.(list_of_size Gen.(int_range 1 400) (int_range 1 100_000))
+    (fun millis ->
+      let xs = List.map (fun m -> float_of_int m /. 1000.0) millis in
+      let bd, log, _set = fresh_breakdown () in
+      List.iter
+        (fun total ->
+          Obs.Log.emit log (finish ~path:Obs.Event.Cold ~total ~ok:true))
+        xs;
+      let sorted = Array.of_list (List.sort compare xs) in
+      let n = Array.length sorted in
+      match Obs.Breakdown.tails bd Obs.Event.Cold with
+      | None -> false
+      | Some t ->
+          List.for_all
+            (fun (q, approx) ->
+              let exact =
+                sorted.(int_of_float (Float.round (q *. float_of_int (n - 1))))
+              in
+              approx >= exact -. 1e-12 && approx <= (exact *. 1.08) +. 1e-12)
+            Obs.Breakdown.
+              [ (0.5, t.p50); (0.9, t.p90); (0.99, t.p99); (0.999, t.p999) ])
 
 let test_breakdown_path_classification () =
   (* Each path accumulates independently: cold/warm/hot events must not
@@ -708,12 +625,6 @@ let () =
       ( "metrics",
         [
           case "counters and labels" test_metrics_counters_and_labels;
-          case "kind mismatch" test_metrics_kind_mismatch;
-          case "histogram" test_metrics_histogram;
-          case "dump and render" test_metrics_dump_and_render;
-          case "hist JSON roundtrip" test_metrics_hist_json_roundtrip;
-          case "hist merge" test_metrics_hist_merge;
-          QCheck_alcotest.to_alcotest hist_quantiles_track_exact;
         ] );
       ("chrome", [ case "document structure" test_chrome_document_structure ]);
       ( "breakdown",
@@ -723,6 +634,7 @@ let () =
           case "empty buckets" test_breakdown_empty_buckets;
           case "single-sample tails" test_breakdown_single_sample_tails;
           case "tails ordered and clamped" test_breakdown_tails_ordered;
+          QCheck_alcotest.to_alcotest tails_track_exact;
         ] );
       ("end_to_end", [ case "node JSONL roundtrip" test_node_event_stream_roundtrips ]);
     ]
