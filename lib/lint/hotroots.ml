@@ -51,6 +51,12 @@ let registry =
     { hr_file = "lib/mem/addr_space.ml"; hr_binding = "prefault";
       hr_why = "write_range's batched twin: resolves every page of each warm \
                 call's recorded working set" };
+    { hr_file = "lib/mem/page_table.ml"; hr_binding = "clone_shallow";
+      hr_why = "every deploy and every snapshot freeze copies a root \
+                through it" };
+    { hr_file = "lib/mem/page_table.ml"; hr_binding = "release";
+      hr_why = "every UC destroy and snapshot delete drops a table \
+                through it" };
     { hr_file = "lib/obs/breakdown.ml"; hr_binding = "fold_record";
       hr_why = "the latency breakdown's log subscriber: runs on every \
                 emitted record and folds each finished invocation into \

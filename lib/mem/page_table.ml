@@ -37,33 +37,153 @@ module Entry = struct
     |> put accessed_bit a
 end
 
-(* [frozen] caches "every present entry is already read-only + COW and
-   clean", so a freeze can skip the leaf: [mark_all_cow_clean] sets it,
-   every [set] through the leaf clears it, and a privatized copy inherits
-   it along with the entries. *)
-type leaf = { mutable rc : int; mutable frozen : bool; entries : int array }
+(* A family is one [create] plus every clone of it. Its tables share
+   leaves, so they share one slab holding every leaf unboxed: leaf
+   [slot] occupies [entries] ints of chunk [chunk slot], starting at
+   [base slot], and its reference count and frozen bit sit in that
+   chunk's [rc_col] and [frozen_col] columns. The slab grows a fixed
+   chunk at a time and never moves entries; a released leaf's slot
+   returns to the [free] stack and a released table's root to the
+   [roots] stack, so a steady deploy/destroy cycle allocates only each
+   table's record.
 
-type t = {
+   The frozen bit caches "every present entry is already read-only +
+   COW and clean", so a freeze can skip the leaf: [mark_all_cow_clean]
+   sets it, every [set] through the leaf clears it, and a privatized
+   copy inherits it along with the entries. *)
+type family = {
   frames : Frame.t;
-  dirs : leaf option array;
-  mutable released : bool;
+  mutable ents : int array array;
+  mutable rc_col : int array array;
+  mutable frozen_col : bool array array;
+  mutable chunks : int;
+  (* Free slots: [free.(0 .. nfree - 1)], sized to every slot the slab
+     holds, so a push never grows it. *)
+  mutable free : int array;
+  mutable nfree : int;
+  (* Released roots: [roots.(0 .. nroots - 1)], sized to every root the
+     family has made, so a push never grows it. *)
+  mutable roots : int array array;
+  mutable nroots : int;
+  mutable made_roots : int;
 }
+
+(* [dirs.(d)] is the slot of directory [d]'s leaf, or [no_leaf]. *)
+type t = { fam : family; dirs : int array; mutable released : bool }
 
 let entries = Mconfig.entries_per_table
 let root_size = 512
 let max_vpn = root_size * entries
+let no_leaf = -1
+let chunk_shift = 6
+let chunk_leaves = 1 lsl chunk_shift
+
+let chunk slot = slot lsr chunk_shift
+let col slot = slot land (chunk_leaves - 1)
+let base slot = col slot * entries
+
+(* Column accessors, inlined: the deploy path runs them once per leaf. *)
+let[@inline] rc fam slot = fam.rc_col.(chunk slot).(col slot)
+let[@inline] set_rc fam slot n = fam.rc_col.(chunk slot).(col slot) <- n
+let[@inline] frozen fam slot = fam.frozen_col.(chunk slot).(col slot)
+let[@inline] set_frozen fam slot b = fam.frozen_col.(chunk slot).(col slot) <- b
+
+(* Copies between [int array]s, as a loop: the element type lets the
+   compiler store each int directly, where [Array.blit] and [Array.fill]
+   on a major-heap array run the write barrier once per element. *)
+let blit_ints (src : int array) s (dst : int array) d n =
+  for i = 0 to n - 1 do
+    dst.(d + i) <- src.(s + i)
+  done
+
+let fill_ints (dst : int array) d n v =
+  for i = d to d + n - 1 do
+    dst.(i) <- v
+  done
+
+(* seussheat: cold — slab growth: one fixed chunk per 64 leaves the family holds at once, plus the chunk directory and free stack doubling with it; entries are never copied *)
+let add_chunk fam =
+  let c = fam.chunks in
+  if c = Array.length fam.ents then begin
+    let cap = max 1 (2 * c) in
+    let grow a empty =
+      let b = Array.make cap empty in
+      Array.blit a 0 b 0 c;
+      b
+    in
+    fam.ents <- grow fam.ents [||];
+    fam.rc_col <- grow fam.rc_col [||];
+    fam.frozen_col <- grow fam.frozen_col [||];
+    let free = Array.make (cap * chunk_leaves) no_leaf in
+    Array.blit fam.free 0 free 0 fam.nfree;
+    fam.free <- free
+  end;
+  fam.ents.(c) <- Array.make (chunk_leaves * entries) Entry.absent;
+  fam.rc_col.(c) <- Array.make chunk_leaves 0;
+  fam.frozen_col.(c) <- Array.make chunk_leaves false;
+  fam.chunks <- c + 1;
+  (* Highest first, so the chunk's slots pop in ascending order. *)
+  for k = chunk_leaves - 1 downto 0 do
+    fam.free.(fam.nfree) <- (c * chunk_leaves) + k;
+    fam.nfree <- fam.nfree + 1
+  done
+
+let take_slot fam =
+  if fam.nfree = 0 then add_chunk fam;
+  fam.nfree <- fam.nfree - 1;
+  fam.free.(fam.nfree)
+
+let free_slot fam slot =
+  fam.free.(fam.nfree) <- slot;
+  fam.nfree <- fam.nfree + 1
+
+(* seussheat: cold — root-pool growth: a root is made only when no released one is waiting, and the root stack doubles with the roots made *)
+let fresh_root fam =
+  if fam.made_roots = Array.length fam.roots then begin
+    let roots = Array.make (max 1 (2 * fam.made_roots)) [||] in
+    Array.blit fam.roots 0 roots 0 fam.nroots;
+    fam.roots <- roots
+  end;
+  fam.made_roots <- fam.made_roots + 1;
+  Array.make root_size no_leaf
+
+let take_root fam =
+  if fam.nroots = 0 then fresh_root fam
+  else begin
+    fam.nroots <- fam.nroots - 1;
+    fam.roots.(fam.nroots)
+  end
 
 let create frames =
-  { frames; dirs = Array.make root_size None; released = false }
+  let fam =
+    {
+      frames;
+      ents = [||];
+      rc_col = [||];
+      frozen_col = [||];
+      chunks = 0;
+      free = [||];
+      nfree = 0;
+      roots = [||];
+      nroots = 0;
+      made_roots = 0;
+    }
+  in
+  { fam; dirs = fresh_root fam; released = false }
 
 let check_alive t = if t.released then invalid_arg "Page_table: use after release"
 
 let clone_shallow t =
   check_alive t;
-  Array.iter
-    (function Some leaf -> leaf.rc <- leaf.rc + 1 | None -> ())
-    t.dirs;
-  { frames = t.frames; dirs = Array.copy t.dirs; released = false }
+  let fam = t.fam in
+  let dirs = take_root fam in
+  blit_ints t.dirs 0 dirs 0 root_size;
+  for dir = 0 to root_size - 1 do
+    let slot = dirs.(dir) in
+    if slot <> no_leaf then set_rc fam slot (rc fam slot + 1)
+  done;
+  (* seussheat: cold — the table record is the product: one per clone, retained by its owner *)
+  { fam; dirs; released = false }
 
 let check_vpn vpn =
   if vpn < 0 || vpn >= max_vpn then invalid_arg "Page_table: vpn out of range"
@@ -71,44 +191,51 @@ let check_vpn vpn =
 let get t ~vpn =
   check_alive t;
   check_vpn vpn;
-  match t.dirs.(vpn / entries) with
-  | None -> Entry.absent
-  | Some leaf -> leaf.entries.(vpn mod entries)
+  let slot = t.dirs.(vpn / entries) in
+  if slot = no_leaf then Entry.absent
+  else t.fam.ents.(chunk slot).(base slot + (vpn mod entries))
 
-(* seussheat: cold — allocates one leaf per table and directory slot (the modelled page-table copy), amortized over up to 512 page writes *)
+(* Give [dir] a leaf of its own in a free slot: a zeroed one if it has
+   none, else a copy of the shared one, taking a frame reference for
+   every present entry the copy names. *)
 let privatize t dir =
-  let leaf =
-    match t.dirs.(dir) with
-    | None ->
-        { rc = 1; frozen = false; entries = Array.make entries Entry.absent }
-    | Some shared ->
-        shared.rc <- shared.rc - 1;
-        let copy = Array.copy shared.entries in
-        for i = 0 to entries - 1 do
-          let e = copy.(i) in
-          if Entry.present e then Frame.incref t.frames (Entry.frame e)
-        done;
-        { rc = 1; frozen = shared.frozen; entries = copy }
-  in
-  t.dirs.(dir) <- Some leaf;
-  leaf
+  let fam = t.fam in
+  let slot = take_slot fam in
+  let dst = fam.ents.(chunk slot) and d = base slot in
+  let src = t.dirs.(dir) in
+  if src = no_leaf then begin
+    fill_ints dst d entries Entry.absent;
+    set_frozen fam slot false
+  end
+  else begin
+    set_rc fam src (rc fam src - 1);
+    blit_ints fam.ents.(chunk src) (base src) dst d entries;
+    for i = d to d + entries - 1 do
+      let e = dst.(i) in
+      if Entry.present e then Frame.incref fam.frames (Entry.frame e)
+    done;
+    set_frozen fam slot (frozen fam src)
+  end;
+  set_rc fam slot 1;
+  t.dirs.(dir) <- slot;
+  slot
 
-(* A leaf this table is about to write through must be exclusively owned:
-   copy it if shared, taking a frame reference for every present entry the
-   copy now names. *)
+(* A leaf this table is about to write through must be exclusively
+   owned. *)
 let private_leaf t dir =
-  match t.dirs.(dir) with
-  | Some leaf when leaf.rc = 1 -> leaf
-  | None | Some _ -> privatize t dir
+  let slot = t.dirs.(dir) in
+  if slot <> no_leaf && rc t.fam slot = 1 then slot
+  else privatize t dir
 
 let set t ~vpn entry =
   check_alive t;
   check_vpn vpn;
-  let idx = vpn mod entries in
-  let leaf = private_leaf t (vpn / entries) in
-  let old = leaf.entries.(idx) in
-  leaf.entries.(idx) <- entry;
-  leaf.frozen <- false;
+  let fam = t.fam in
+  let slot = private_leaf t (vpn / entries) in
+  let leaf = fam.ents.(chunk slot) and i = base slot + (vpn mod entries) in
+  let old = leaf.(i) in
+  leaf.(i) <- entry;
+  set_frozen fam slot false;
   (* Same-frame updates (flag changes) keep the existing reference;
      otherwise the old mapping's reference is dropped and the new entry's
      reference was transferred in by the caller. *)
@@ -117,12 +244,13 @@ let set t ~vpn entry =
     && Entry.frame old = Entry.frame entry
   in
   if (not same_frame) && Entry.present old then
-    Frame.decref t.frames (Entry.frame old)
+    Frame.decref fam.frames (Entry.frame old)
 
-let map_leaf leaf f =
-  for i = 0 to entries - 1 do
-    let e = leaf.entries.(i) in
-    if Entry.present e then leaf.entries.(i) <- f e
+let map_leaf fam slot f =
+  let leaf = fam.ents.(chunk slot) and b = base slot in
+  for i = b to b + entries - 1 do
+    let e = leaf.(i) in
+    if Entry.present e then leaf.(i) <- f e
   done
 
 let freeze_entry e = Entry.with_flags ~writable:false ~cow:true ~dirty:false e
@@ -132,35 +260,36 @@ let freeze_entry e = Entry.with_flags ~writable:false ~cow:true ~dirty:false e
    table that shares it. *)
 let mark_all_cow_clean t =
   check_alive t;
+  let fam = t.fam in
   Array.iter
-    (function
-      | Some leaf when not leaf.frozen ->
-          map_leaf leaf freeze_entry;
-          leaf.frozen <- true
-      | None | Some _ -> ())
+    (fun slot ->
+      if slot <> no_leaf && not (frozen fam slot) then begin
+        map_leaf fam slot freeze_entry;
+        set_frozen fam slot true
+      end)
     t.dirs
 
 (* Clearing dirty bits keeps a frozen leaf frozen. *)
 let clear_dirty_all t =
   check_alive t;
   Array.iter
-    (function
-      | Some leaf -> map_leaf leaf (fun e -> Entry.with_flags ~dirty:false e)
-      | None -> ())
+    (fun slot ->
+      if slot <> no_leaf then
+        map_leaf t.fam slot (fun e -> Entry.with_flags ~dirty:false e))
     t.dirs
 
 let fold_present t ~init ~f =
   check_alive t;
   let acc = ref init in
   Array.iteri
-    (fun dir leaf ->
-      match leaf with
-      | None -> ()
-      | Some leaf ->
-          for i = 0 to entries - 1 do
-            let e = leaf.entries.(i) in
-            if Entry.present e then acc := f !acc ~vpn:((dir * entries) + i) e
-          done)
+    (fun dir slot ->
+      if slot <> no_leaf then begin
+        let leaf = t.fam.ents.(chunk slot) and b = base slot in
+        for i = 0 to entries - 1 do
+          let e = leaf.(b + i) in
+          if Entry.present e then acc := f !acc ~vpn:((dir * entries) + i) e
+        done
+      end)
     t.dirs;
   !acc
 
@@ -173,36 +302,26 @@ let fold_present t ~init ~f =
 let fold_delta ~parent t ~init ~f =
   check_alive t;
   check_alive parent;
+  (* seusslint: allow physical-eq — slots name the same leaf only within one family's slab *)
+  let same_family = parent.fam == t.fam in
   let acc = ref init in
   Array.iteri
-    (fun dir leaf ->
-      match leaf with
-      | None -> ()
-      | Some leaf ->
-          let shared =
-            match parent.dirs.(dir) with
-            (* seusslint: allow physical-eq — leaf sharing between snapshot layers is identity by construction *)
-            | Some p -> p == leaf
-            | None -> false
-          in
-          if not shared then
-            let parent_entries =
-              match parent.dirs.(dir) with
-              | Some p -> Some p.entries
-              | None -> None
+    (fun dir slot ->
+      let p = parent.dirs.(dir) in
+      if slot <> no_leaf && not (same_family && p = slot) then begin
+        let leaf = t.fam.ents.(chunk slot) and b = base slot in
+        for i = 0 to entries - 1 do
+          let e = leaf.(b + i) in
+          if Entry.present e then
+            let same =
+              p <> no_leaf
+              &&
+              let pe = parent.fam.ents.(chunk p).(base p + i) in
+              Entry.present pe && Entry.frame pe = Entry.frame e
             in
-            for i = 0 to entries - 1 do
-              let e = leaf.entries.(i) in
-              if Entry.present e then
-                let same =
-                  match parent_entries with
-                  | Some pe ->
-                      let p = pe.(i) in
-                      Entry.present p && Entry.frame p = Entry.frame e
-                  | None -> false
-                in
-                if not same then acc := f !acc ~vpn:((dir * entries) + i) e
-            done)
+            if not same then acc := f !acc ~vpn:((dir * entries) + i) e
+        done
+      end)
     t.dirs;
   !acc
 
@@ -214,14 +333,13 @@ let count_dirty t =
 
 let leaf_tables t =
   check_alive t;
-  Array.fold_left
-    (fun n leaf -> match leaf with Some _ -> n + 1 | None -> n)
-    0 t.dirs
+  Array.fold_left (fun n slot -> if slot <> no_leaf then n + 1 else n) 0 t.dirs
 
 let private_leaf_tables t =
   check_alive t;
   Array.fold_left
-    (fun n leaf -> match leaf with Some l when l.rc = 1 -> n + 1 | _ -> n)
+    (fun n slot ->
+      if slot <> no_leaf && rc t.fam slot = 1 then n + 1 else n)
     0 t.dirs
 
 let structure_bytes t =
@@ -230,31 +348,44 @@ let structure_bytes t =
   let leaf_bytes = entries * word in
   root + (private_leaf_tables t * leaf_bytes)
 
-(* Validation (tests): walk a family of tables, deduplicating physically
-   shared leaves, and return the per-frame reference counts the allocator
-   should be reporting — each distinct leaf holds one reference per
-   present entry, shared leaves exactly once. *)
+(* Validation (tests): walk a family of tables, deduplicating shared
+   leaves (the same slot of the same slab), and return the per-frame
+   reference counts the allocator should be reporting — each distinct
+   leaf holds one reference per present entry, shared leaves exactly
+   once. The table is sized for the allocator's live frames, the key
+   count when the tables are consistent with it. *)
 let expected_refcounts tables =
   let seen = ref [] in
-  let counts = Hashtbl.create 64 in
+  let counts =
+    Hashtbl.create
+      (match tables with
+      | t :: _ -> max 64 (Frame.used_frames t.fam.frames)
+      | [] -> 64)
+  in
   List.iter
     (fun t ->
       check_alive t;
+      let counted =
+        match List.assq_opt t.fam !seen with
+        | Some slots -> slots
+        | None ->
+            let slots = Array.make (t.fam.chunks * chunk_leaves) false in
+            seen := (t.fam, slots) :: !seen;
+            slots
+      in
       Array.iter
-        (function
-          | None -> ()
-          | Some leaf ->
-              if not (List.memq leaf !seen) then begin
-                seen := leaf :: !seen;
-                Array.iter
-                  (fun e ->
-                    if Entry.present e then
-                      let f = Entry.frame e in
-                      Hashtbl.replace counts f
-                        (1
-                        + Option.value ~default:0 (Hashtbl.find_opt counts f)))
-                  leaf.entries
-              end)
+        (fun slot ->
+          if slot <> no_leaf && not counted.(slot) then begin
+            counted.(slot) <- true;
+            let leaf = t.fam.ents.(chunk slot) and b = base slot in
+            for i = b to b + entries - 1 do
+              let e = leaf.(i) in
+              if Entry.present e then
+                let f = Entry.frame e in
+                Hashtbl.replace counts f
+                  (1 + Option.value ~default:0 (Hashtbl.find_opt counts f))
+            done
+          end)
         t.dirs)
     tables;
   counts
@@ -263,24 +394,31 @@ let shares_leaf a b ~vpn =
   check_alive a;
   check_alive b;
   check_vpn vpn;
-  match (a.dirs.(vpn / entries), b.dirs.(vpn / entries)) with
-  (* seusslint: allow physical-eq — the question asked is leaf identity *)
-  | Some la, Some lb -> la == lb
-  | _ -> false
+  let slot = a.dirs.(vpn / entries) in
+  slot <> no_leaf
+  (* seusslint: allow physical-eq — the question asked is leaf identity, and slots name the same leaf only within one family's slab *)
+  && a.fam == b.fam
+  && slot = b.dirs.(vpn / entries)
 
+(* Frames are released in ascending directory, then entry, order — the
+   order the frame allocator's free stack hands ids back out in. *)
 let release t =
   check_alive t;
-  Array.iteri
-    (fun dir leaf ->
-      match leaf with
-      | None -> ()
-      | Some leaf ->
-          leaf.rc <- leaf.rc - 1;
-          if leaf.rc = 0 then
-            Array.iter
-              (fun e ->
-                if Entry.present e then Frame.decref t.frames (Entry.frame e))
-              leaf.entries;
-          t.dirs.(dir) <- None)
-    t.dirs;
-  t.released <- true
+  let fam = t.fam in
+  for dir = 0 to root_size - 1 do
+    let slot = t.dirs.(dir) in
+    if slot <> no_leaf then begin
+      set_rc fam slot (rc fam slot - 1);
+      if rc fam slot = 0 then begin
+        let leaf = fam.ents.(chunk slot) and b = base slot in
+        for i = b to b + entries - 1 do
+          let e = leaf.(i) in
+          if Entry.present e then Frame.decref fam.frames (Entry.frame e)
+        done;
+        free_slot fam slot
+      end
+    end
+  done;
+  t.released <- true;
+  fam.roots.(fam.nroots) <- t.dirs;
+  fam.nroots <- fam.nroots + 1

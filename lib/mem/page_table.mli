@@ -104,8 +104,9 @@ val private_leaf_tables : t -> int
 (** Leaves with reference count 1 (not shared with any other table). *)
 
 val structure_bytes : t -> int
-(** Host-page-table overhead accounted to this table: the root plus its
-    *private* share of leaves (shared leaves are charged to one owner). *)
+(** Host-page-table overhead accounted to this table: the root plus the
+    leaves only it reaches (reference count 1). A leaf shared between
+    tables is charged to none of them. *)
 
 val expected_refcounts : t list -> (int, int) Hashtbl.t
 (** Validation helper for tests: per-frame reference counts implied by a

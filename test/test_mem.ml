@@ -197,6 +197,56 @@ let test_pt_vpn_bounds () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* The zero-allocation contract of the deploy path, the mem twin of
+   test_sim's zero-alloc dispatch: once a family's slab and root pool
+   have grown, a deploy/destroy cycle recycles leaf slots and roots, so
+   it allocates nothing on the major heap and, on the minor heap, only
+   the clone's table record (three fields plus a header). *)
+let test_pt_zero_alloc_deploy_cycle () =
+  let f = small_frames () in
+  let entries = Mem.Mconfig.entries_per_table in
+  let leaves = 5 in
+  let base = PT.create f in
+  for leaf = 0 to leaves - 1 do
+    for i = 0 to 7 do
+      PT.set base ~vpn:((leaf * entries) + (i * 37)) (entry_rw (F.alloc f))
+    done
+  done;
+  PT.mark_all_cow_clean base;
+  let fr = F.alloc f in
+  (* Each write lands in a shared leaf, so each privatizes one. *)
+  let cycle () =
+    let clone = PT.clone_shallow base in
+    for leaf = 0 to leaves - 1 do
+      F.incref f fr;
+      PT.set clone ~vpn:((leaf * entries) + 3) (entry_rw fr)
+    done;
+    PT.release clone
+  in
+  for _ = 1 to 10 do
+    cycle ()
+  done;
+  let cycles = 1_000 and record_words = 4 in
+  (* An empty minor heap holds every record the cycles allocate, so no
+     minor collection promotes one into the major count. *)
+  Gc.minor ();
+  let _, _, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  for _ = 1 to cycles do
+    cycle ()
+  done;
+  let minor1 = Gc.minor_words () in
+  let _, _, major1 = Gc.counters () in
+  Alcotest.(check (float 0.0))
+    (Printf.sprintf "major words allocated across %d deploy cycles" cycles)
+    0.0 (major1 -. major0);
+  let minor = int_of_float (minor1 -. minor0) in
+  if minor > record_words * cycles then
+    Alcotest.failf "%d minor words across %d cycles, over %d per cycle" minor
+      cycles record_words;
+  Alcotest.(check int) "only the base's frames and the shared one live"
+    ((leaves * 8) + 1) (F.used_frames f)
+
 (* Property: an arbitrary interleaving of table operations never breaks
    frame conservation — releasing every table returns the allocator to
    zero live frames. *)
@@ -378,6 +428,7 @@ let () =
           case "release returns frames" test_pt_release_returns_frames;
           case "use after release" test_pt_use_after_release_rejected;
           case "vpn bounds" test_pt_vpn_bounds;
+          case "zero-alloc deploy cycle" test_pt_zero_alloc_deploy_cycle;
           qcase entry_roundtrip_prop;
           qcase pt_frame_conservation;
         ] );

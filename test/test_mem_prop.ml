@@ -474,6 +474,171 @@ let test_freeze_matches_full_walk () =
     run_freeze_schedule ~seed:base_seed ~sched
   done
 
+(* {1 Slot reuse: the slab against a pure model} *)
+
+(* A live table beside its model: the entries it should map, and a leaf
+   token per materialized directory. Tokens stand for physical leaves:
+   a clone copies its source's tokens, and a write through a missing or
+   shared leaf mints a fresh one — so two tables share a leaf exactly
+   when their tokens for that directory are equal. *)
+type modelled = {
+  pt : PT.t;
+  leaves : (int, int) Hashtbl.t;  (* dir -> leaf token *)
+  map : (int, PT.Entry.t) Hashtbl.t;  (* vpn -> present entry *)
+}
+
+let entries_per_leaf = Mem.Mconfig.entries_per_table
+
+(* Directories at both ends of the root, so a root copied short loses a
+   mapped leaf, mixed with uniform ones. *)
+let hot_dirs = [| 0; 1; 2; 255; 510; 511 |]
+
+let check_model ~ctx m =
+  let got =
+    List.sort compare
+      (PT.fold_present m.pt ~init:[] ~f:(fun acc ~vpn e -> (vpn, e) :: acc))
+  in
+  let want =
+    List.sort compare (Hashtbl.fold (fun vpn e acc -> (vpn, e) :: acc) m.map [])
+  in
+  if got <> want then begin
+    let show l =
+      String.concat " "
+        (List.map (fun (v, e) -> Printf.sprintf "%d:%#x" v e) l)
+    in
+    Alcotest.failf "%s: table maps [%s], model [%s]" ctx (show got) (show want)
+  end;
+  if PT.leaf_tables m.pt <> Hashtbl.length m.leaves then
+    Alcotest.failf "%s: table reaches %d leaves, model %d" ctx
+      (PT.leaf_tables m.pt) (Hashtbl.length m.leaves)
+
+(* One schedule: two families (two [create]s and their clones) over one
+   allocator, so slot ids coincide across slabs; after every operation
+   every live table matches its model and the allocator matches the
+   refcounts the tables imply. A family whose last table is released is
+   replaced by a fresh [create]. *)
+let run_slot_schedule ~seed ~sched =
+  let prng = Sim.Prng.create (Int64.add seed (Int64.of_int (9000 + sched))) in
+  let frames = F.create ~budget_bytes:(mib 256) () in
+  let tokens = ref 0 in
+  let fresh_token () =
+    incr tokens;
+    !tokens
+  in
+  let families = ref 0 in
+  let create () =
+    incr families;
+    (!families, { pt = PT.create frames; leaves = Hashtbl.create 8;
+                  map = Hashtbl.create 64 })
+  in
+  let live = ref [ create (); create () ] in
+  let pick () = List.nth !live (Sim.Prng.int prng (List.length !live)) in
+  let flag () = Sim.Prng.int prng 2 = 0 in
+  let random_vpn () =
+    let dir =
+      if flag () then hot_dirs.(Sim.Prng.int prng (Array.length hot_dirs))
+      else Sim.Prng.int prng (PT.max_vpn / entries_per_leaf)
+    in
+    (dir * entries_per_leaf) + Sim.Prng.int prng 8
+  in
+  let shared_elsewhere m dir tok =
+    List.exists
+      (fun (_, o) -> o != m && Hashtbl.find_opt o.leaves dir = Some tok)
+      !live
+  in
+  (* [set] writes through a private leaf: keep an unshared token, mint a
+     fresh one for a missing or shared leaf. *)
+  let set m ~vpn e =
+    let dir = vpn / entries_per_leaf in
+    (match Hashtbl.find_opt m.leaves dir with
+    | Some tok when not (shared_elsewhere m dir tok) -> ()
+    | None | Some _ -> Hashtbl.replace m.leaves dir (fresh_token ()));
+    PT.set m.pt ~vpn e;
+    if PT.Entry.present e then Hashtbl.replace m.map vpn e
+    else Hashtbl.remove m.map vpn
+  in
+  let mapped_frames () =
+    List.concat_map
+      (fun (_, o) -> Hashtbl.fold (fun _ e acc -> PT.Entry.frame e :: acc) o.map [])
+      !live
+  in
+  let steps = 30 + Sim.Prng.int prng 30 in
+  for step = 1 to steps do
+    let ctx = Printf.sprintf "seed %Ld sched %d step %d" seed sched step in
+    (match Sim.Prng.int prng 100 with
+    | r when r < 30 ->
+        (* A fresh frame, the caller's reference handed to the table. *)
+        let e =
+          PT.Entry.make ~frame:(F.alloc frames) ~writable:(flag ())
+            ~cow:(flag ()) ~dirty:(flag ()) ~accessed:(flag ())
+        in
+        set (snd (pick ())) ~vpn:(random_vpn ()) e
+    | r when r < 40 -> (
+        (* A frame another mapping already names, shared by reference. *)
+        match mapped_frames () with
+        | [] -> ()
+        | frs ->
+            let fr = List.nth frs (Sim.Prng.int prng (List.length frs)) in
+            let _, m = pick () and vpn = random_vpn () in
+            (* Over a mapping of the same frame this is a flag change,
+               which keeps the table's reference instead of taking one. *)
+            (match Hashtbl.find_opt m.map vpn with
+            | Some old when PT.Entry.frame old = fr -> ()
+            | Some _ | None -> F.incref frames fr);
+            set m ~vpn
+              (PT.Entry.make ~frame:fr ~writable:(flag ()) ~cow:(flag ())
+                 ~dirty:(flag ()) ~accessed:(flag ())))
+    | r when r < 48 ->
+        (* A flag change in place (same frame), or a clear. *)
+        let _, m = pick () in
+        let vpn = random_vpn () in
+        let e =
+          match Hashtbl.find_opt m.map vpn with
+          | Some e when flag () -> PT.Entry.with_flags ~dirty:(flag ()) e
+          | Some _ | None -> PT.Entry.absent
+        in
+        set m ~vpn e
+    | r when r < 60 ->
+        let _, m = pick () in
+        PT.mark_all_cow_clean m.pt;
+        List.iter
+          (fun (_, o) ->
+            Hashtbl.filter_map_inplace
+              (fun vpn e ->
+                let dir = vpn / entries_per_leaf in
+                if Hashtbl.find_opt o.leaves dir = Hashtbl.find_opt m.leaves dir
+                then Some (freeze_entry e)
+                else Some e)
+              o.map)
+          !live
+    | r when r < 80 ->
+        if List.length !live < max_spaces then begin
+          let fam, m = pick () in
+          let c =
+            { pt = PT.clone_shallow m.pt; leaves = Hashtbl.copy m.leaves;
+              map = Hashtbl.copy m.map }
+          in
+          live := (fam, c) :: !live
+        end
+    | _ ->
+        let ((fam, m) as victim) = pick () in
+        PT.release m.pt;
+        live := List.filter (fun v -> v != victim) !live;
+        if not (List.exists (fun (f, _) -> f = fam) !live) then
+          live := create () :: !live);
+    List.iter (fun (_, m) -> check_model ~ctx m) !live;
+    check_refcounts ~ctx frames (List.map (fun (_, m) -> m.pt) !live)
+  done;
+  List.iter (fun (_, m) -> PT.release m.pt) !live;
+  Alcotest.(check int)
+    (Printf.sprintf "seed %Ld sched %d: drained" seed sched)
+    0 (F.used_frames frames)
+
+let test_slot_reuse_matches_model () =
+  for sched = 0 to schedules - 1 do
+    run_slot_schedule ~seed:base_seed ~sched
+  done
+
 (* {1 Trace recording} *)
 
 let test_trace_records_fault_order () =
@@ -544,6 +709,12 @@ let () =
             (Printf.sprintf "%d schedules: skip-frozen == full walk"
                schedules)
             test_freeze_matches_full_walk;
+        ] );
+      ( "slab",
+        [
+          case
+            (Printf.sprintf "%d schedules: slot reuse == pure model" schedules)
+            test_slot_reuse_matches_model;
         ] );
       ( "trace",
         [ case "records fault order once" test_trace_records_fault_order ] );
