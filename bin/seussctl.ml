@@ -311,11 +311,11 @@ let report_stuck () =
       (H.last_stranded_waiters ())
   end
 
-let inspect ?timeline ~seed body =
+let inspect ~seed body =
   Fun.protect ~finally:report_stuck (fun () ->
       H.run_sim ~seed (fun engine ->
           let env = Seuss.Osenv.create engine in
-          body env (H.seuss_node ?timeline env)))
+          body env (H.seuss_node env)))
 
 let trace_cmd =
   let source =
@@ -374,14 +374,13 @@ let trace_cmd =
    starts [clients] processes that each invoke a random function and
    think for a random while, until [until] (simulated). *)
 let invoke_fn node k =
-  ignore
-    (Seuss.Node.invoke node
-       {
-         Seuss.Node.fn_id = Printf.sprintf "fn-%d" k;
-         runtime = Unikernel.Image.Node;
-         source = Printf.sprintf "function main(args) { return {fn: %d}; }" k;
-       }
-       ~args:"{}")
+  Seuss.Node.invoke node
+    {
+      Seuss.Node.fn_id = Printf.sprintf "fn-%d" k;
+      runtime = Unikernel.Image.Node;
+      source = Printf.sprintf "function main(args) { return {fn: %d}; }" k;
+    }
+    ~args:"{}"
 
 let spawn_clients (env : Seuss.Osenv.t) node ~clients ~functions ~until =
   let engine = env.Seuss.Osenv.engine in
@@ -389,7 +388,7 @@ let spawn_clients (env : Seuss.Osenv.t) node ~clients ~functions ~until =
     let rng = Sim.Prng.split env.Seuss.Osenv.rng in
     Sim.Engine.spawn engine ~name:(Printf.sprintf "client-%d" c) (fun () ->
         while Sim.Engine.now engine < until do
-          invoke_fn node (Sim.Prng.int rng functions);
+          ignore (invoke_fn node (Sim.Prng.int rng functions));
           Sim.Engine.sleep (0.05 +. (0.25 *. Sim.Prng.float rng))
         done)
   done
@@ -417,11 +416,32 @@ let events_cmd =
       Printf.eprintf "seussctl: --calls must be non-negative\n";
       exit 2
     end;
-    let captures =
+    let traces =
       inspect ~seed (fun env node ->
-          for i = 0 to calls - 1 do
-            invoke_fn node (i mod functions)
-          done;
+          let engine = env.Seuss.Osenv.engine in
+          (* With --chrome, each call records into its own trace,
+             labelled by function, serving path and start time. *)
+          let call i =
+            let k = i mod functions in
+            match chrome with
+            | None ->
+                ignore (invoke_fn node k);
+                None
+            | Some _ ->
+                let tr = Sim.Trace.start_ctx engine in
+                let t0 = Sim.Engine.now engine in
+                let _, path = invoke_fn node k in
+                let path =
+                  match path with
+                  | Seuss.Node.Cold -> "cold"
+                  | Seuss.Node.Warm -> "warm"
+                  | Seuss.Node.Hot -> "hot"
+                in
+                Some
+                  ( Printf.sprintf "fn-%d %s @%.3fs" k path t0,
+                    Sim.Trace.stop_ctx tr )
+          in
+          let traces = List.filter_map call (List.init calls Fun.id) in
           print_string (Obs.Log.to_jsonl env.Seuss.Osenv.log);
           let dropped = Obs.Log.dropped env.Seuss.Osenv.log in
           if dropped > 0 then
@@ -430,40 +450,23 @@ let events_cmd =
                (raise log_capacity to keep them)\n"
               dropped
               (if dropped = 1 then "" else "s");
-          List.map
-            (fun (c : Seuss.Node.capture) ->
-              let path =
-                match c.Seuss.Node.c_path with
-                | Seuss.Node.Cold -> "cold"
-                | Seuss.Node.Warm -> "warm"
-                | Seuss.Node.Hot -> "hot"
-              in
-              ( Printf.sprintf "%s %s @%.3fs" c.Seuss.Node.c_fn path
-                  c.Seuss.Node.c_t0,
-                c.Seuss.Node.c_spans ))
-            (Seuss.Node.captured_traces node))
+          traces)
     in
     Option.iter
       (fun path ->
-        if captures = [] then
-          Printf.eprintf
-            "seussctl: no sampled traces to export (arm capture with \
-             SEUSS_TRACE_SAMPLE=1/N)\n"
-        else begin
-          write_file path (Seuss.Traceout.chrome_string captures);
-          Printf.eprintf "seussctl: wrote %d sampled trace%s to %s\n"
-            (List.length captures)
-            (if List.length captures = 1 then "" else "s")
-            path
-        end)
+        write_file path (Seuss.Traceout.chrome_string traces);
+        Printf.eprintf "seussctl: wrote %d trace%s to %s\n"
+          (List.length traces)
+          (if List.length traces = 1 then "" else "s")
+          path)
       chrome
   in
   Cmd.v
     (Cmd.info "events"
        ~doc:
          "Run a small workload and dump the structured event log as JSONL \
-          (one engine-timestamped event per line). With SEUSS_TRACE_SAMPLE \
-          armed, $(b,--chrome) exports the sampled invocation traces.")
+          (one engine-timestamped event per line); $(b,--chrome) also \
+          exports every invocation's span tree.")
     Term.(const run $ functions_arg $ calls $ chrome_arg $ seed_arg)
 
 let top_cmd =
@@ -603,12 +606,9 @@ let timeline_cmd =
     require_positive "--period" period;
     require_positive "--clients" (float_of_int clients);
     require_positive "--functions" (float_of_int functions);
-    (* This subcommand is the sampler demo: it starts its own sampler at
-       [period] and keeps SEUSS_TIMELINE's sampler off the node: two
-       samplers keep each other alive and the run never quiesces. *)
-    inspect ~timeline:false ~seed (fun env node ->
+    inspect ~seed (fun env node ->
         let engine = env.Seuss.Osenv.engine in
-        Seuss.Timeline.start ~period node;
+        let samples = Seuss.Timeline.start ~period node in
         let stop_at = Sim.Engine.now engine +. duration in
         spawn_clients env node ~clients ~functions ~until:stop_at;
         (* Render at quiescence: park until the clients are done, then one
@@ -616,11 +616,7 @@ let timeline_cmd =
         while Sim.Engine.now engine < stop_at +. period do
           Sim.Engine.sleep period
         done;
-        let samples =
-          Seuss.Timeline.samples_of_records
-            (Obs.Log.records env.Seuss.Osenv.log)
-        in
-        print_string (Seuss.Timeline.render samples))
+        print_string (Seuss.Timeline.render (samples ())))
   in
   Cmd.v
     (Cmd.info "timeline"

@@ -80,14 +80,17 @@ let run_arm ~seed ~timeline trace backend_name =
   Harness.run_sim ~seed (fun engine ->
       let env = Harness.make_seuss_env engine in
       let bd = Obs.Breakdown.attach env.Seuss.Osenv.log in
-      let controller, mix_of, timeline_node =
+      let controller, mix_of, samples =
         match backend_name with
         | "seuss" ->
-            (* The arm that renders a timeline attaches the one sampler
-               itself, at its own period. *)
-            let controller, node =
-              if timeline then Harness.seuss_controller ~timeline:false env
-              else Harness.seuss_controller env
+            let controller, node = Harness.seuss_controller env in
+            let samples =
+              if timeline then
+                Some
+                  (Seuss.Timeline.start
+                     ~period:(trace.Workload.Trace.horizon /. 256.0)
+                     node)
+              else None
             in
             ( controller,
               (fun () ->
@@ -97,7 +100,7 @@ let run_arm ~seed ~timeline trace backend_name =
                   warm = st.Seuss.Node.warm;
                   hot = st.Seuss.Node.hot;
                 }),
-              Some node )
+              samples )
         | "linux" ->
             let controller, node = Harness.linux_controller env in
             ( controller,
@@ -127,12 +130,6 @@ let run_arm ~seed ~timeline trace backend_name =
               None )
         | s -> invalid_arg (Printf.sprintf "Fig_load: unknown backend %S" s)
       in
-      (match (timeline, timeline_node) with
-      | true, Some node ->
-          Seuss.Timeline.start
-            ~period:(trace.Workload.Trace.horizon /. 256.0)
-            node
-      | _ -> ());
       let r =
         Workload.Replay.run
           ~invoke:(fun ~fn ->
@@ -149,11 +146,9 @@ let run_arm ~seed ~timeline trace backend_name =
             (t.Obs.Breakdown.p99 *. 1e3, t.Obs.Breakdown.p999 *. 1e3)
       in
       let rendered_timeline =
-        if timeline && timeline_node <> None then
-          Seuss.Timeline.render
-            (Seuss.Timeline.samples_of_records
-               (Obs.Log.records env.Seuss.Osenv.log))
-        else ""
+        match samples with
+        | Some read -> Seuss.Timeline.render (read ())
+        | None -> ""
       in
       ( {
           backend = backend_name;

@@ -110,14 +110,8 @@ let arm_config (run : Run_config.t) config =
   | None -> config
   | Some p -> { config with Seuss.Config.snapshot_cache_policy = p }
 
-let seuss_node ?run ?(config = Seuss.Config.default) ?timeline env =
-  let run = resolve run in
-  let node =
-    Seuss.Node.create ~config:(arm_config run config)
-      ?trace_sample:run.Run_config.trace_sample env
-  in
-  if Option.value timeline ~default:run.Run_config.timeline then
-    Seuss.Timeline.start node;
+let seuss_node ?run ?(config = Seuss.Config.default) env =
+  let node = Seuss.Node.create ~config:(arm_config (resolve run) config) env in
   let name = Printf.sprintf "node%d" !node_seq in
   incr node_seq;
   Seuss.Node.arm_census ~name
@@ -126,8 +120,8 @@ let seuss_node ?run ?(config = Seuss.Config.default) ?timeline env =
   Seuss.Node.start node;
   node
 
-let seuss_controller ?config ?timeline env =
-  let node = seuss_node ?config ?timeline env in
+let seuss_controller ?config env =
+  let node = seuss_node ?config env in
   let shim = Seuss.Shim.create env node in
   (Platform.Controller.create env.Seuss.Osenv.engine
      (Platform.Controller.Seuss_backend shim),

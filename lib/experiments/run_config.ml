@@ -6,8 +6,6 @@ type t = {
   fault_rate : float;
   fault_seed : int64 option;
   prefault : bool;
-  timeline : bool;
-  trace_sample : int option;
   snap_cache_bytes : int64;
   snap_policy : Seuss.Config.snap_policy option;
 }
@@ -21,8 +19,6 @@ let default =
     fault_rate = 0.0;
     fault_seed = None;
     prefault = false;
-    timeline = false;
-    trace_sample = None;
     snap_cache_bytes = 0L;
     snap_policy = None;
   }
@@ -31,8 +27,7 @@ let vars =
   [
     "SEUSS_SHUFFLE_SEED"; "SEUSS_HB"; "SEUSS_DEADLOCK"; "SEUSS_OWN";
     "SEUSS_FAULT_RATE"; "SEUSS_FAULT_SEED"; "SEUSS_PREFAULT";
-    "SEUSS_TIMELINE"; "SEUSS_TRACE_SAMPLE"; "SEUSS_SNAP_CACHE";
-    "SEUSS_SNAP_POLICY";
+    "SEUSS_SNAP_CACHE"; "SEUSS_SNAP_POLICY";
   ]
 
 (* {1 Value parsers} *)
@@ -63,19 +58,6 @@ let seed s = Int64.of_string_opt s
 let rate s =
   match float_of_string_opt s with
   | Some r when Float.is_finite r && r >= 0.0 && r <= 1.0 -> Some r
-  | _ -> None
-
-(* "1/N" (as documented) or bare "N", N >= 1. *)
-let sample s =
-  let num =
-    match String.index_opt s '/' with
-    | Some i when String.sub s 0 i = "1" ->
-        Some (String.sub s (i + 1) (String.length s - i - 1))
-    | Some _ -> None
-    | None -> Some s
-  in
-  match Option.bind num int_of_string_opt with
-  | Some n when n >= 1 -> Some n
   | _ -> None
 
 let policy s = Seuss.Config.policy_of_name s
@@ -116,9 +98,6 @@ let parse env =
   |> field "SEUSS_FAULT_SEED" seed "an integer seed" (fun r v ->
          { r with fault_seed = Some v })
   |> field "SEUSS_PREFAULT" switch "1 or 0" (fun r v -> { r with prefault = v })
-  |> field "SEUSS_TIMELINE" switch "1 or 0" (fun r v -> { r with timeline = v })
-  |> field "SEUSS_TRACE_SAMPLE" sample "1/N or N with N >= 1" (fun r v ->
-         { r with trace_sample = Some v })
   |> field "SEUSS_SNAP_CACHE" parse_bytes "bytes with an optional k/m/g suffix"
        (fun r v -> { r with snap_cache_bytes = v })
   |> field "SEUSS_SNAP_POLICY" policy "lru or ws" (fun r v ->

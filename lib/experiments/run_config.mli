@@ -1,12 +1,12 @@
-(** How one run is armed: the sanitizers, the fault plane, the
-    observability hooks and the snapshot store, as one typed record.
+(** How one run is armed: the sanitizers, the fault plane, working-set
+    prefault and the snapshot store, as one typed record.
 
     This is the only place the library reads the environment. A binary
     parses the [SEUSS_*] variables ({!of_env}) and hands the record to
     {!Harness}, which applies it through the explicit arguments of
-    [Sim.Engine.create], [Sim.Hb], [Faults.Fault], [Seuss.Config],
-    [Seuss.Node.create] and [Seuss.Timeline]. Harness entry points
-    called without a record parse the environment themselves.
+    [Sim.Engine.create], [Sim.Hb], [Faults.Fault] and [Seuss.Config].
+    Harness entry points called without a record parse the environment
+    themselves.
 
     One contract holds for every variable: absent, empty, [0] and the
     other off spellings ([false]/[no]/[off]) all mean {!default}, so an
@@ -29,12 +29,6 @@ type t = {
   prefault : bool;
       (** [SEUSS_PREFAULT]: force working-set prefault on for
           harness-built nodes *)
-  timeline : bool;
-      (** [SEUSS_TIMELINE]: attach the resource sampler to harness-built
-          nodes *)
-  trace_sample : int option;
-      (** [SEUSS_TRACE_SAMPLE], spelled ["1/N"] or ["N"]: capture every
-          N-th invocation's span tree *)
   snap_cache_bytes : int64;
       (** [SEUSS_SNAP_CACHE]: snapshot-store byte budget for
           harness-built nodes, plain or with a binary [k]/[m]/[g]
@@ -47,7 +41,7 @@ val default : t
 (** Nothing armed. *)
 
 val vars : string list
-(** The 11 variable names {!parse} reads, in record order. *)
+(** The 9 variable names {!parse} reads, in record order. *)
 
 val parse : (string * string) list -> (t, string) result
 (** Build a run configuration from [(variable, value)] bindings.

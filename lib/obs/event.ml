@@ -55,14 +55,6 @@ type t =
       waiting_since : float;
       in_cycle : bool;
     }
-  | Timeline_sample of {
-      run_queue : int;
-      in_flight : int;
-      free_bytes : int64;
-      idle_ucs : int;
-      cached_snapshots : int;
-      stuck_waiters : int;
-    }
   | Snap_dedup of {
       snapshot : string;
       delta_pages : int;
@@ -109,7 +101,6 @@ let type_name = function
   | Ws_prefault _ -> "ws_prefault"
   | San_race _ -> "san_race"
   | San_deadlock _ -> "san_deadlock"
-  | Timeline_sample _ -> "timeline_sample"
   | Snap_dedup _ -> "snap_dedup"
   | Snap_delta _ -> "snap_delta"
   | Snap_evict _ -> "snap_evict"
@@ -198,17 +189,6 @@ let to_json ~time ev =
           ("spawned_at", Json.Float spawned_at);
           ("waiting_since", Json.Float waiting_since);
           ("in_cycle", Json.Bool in_cycle);
-        ]
-    | Timeline_sample
-        { run_queue; in_flight; free_bytes; idle_ucs; cached_snapshots; stuck_waiters }
-      ->
-        [
-          ("run_queue", Json.Int run_queue);
-          ("in_flight", Json.Int in_flight);
-          ("free_bytes", Json.Int (Int64.to_int free_bytes));
-          ("idle_ucs", Json.Int idle_ucs);
-          ("cached_snapshots", Json.Int cached_snapshots);
-          ("stuck_waiters", Json.Int stuck_waiters);
         ]
     | Snap_dedup { snapshot; delta_pages; shared_pages; unique_pages } ->
         [
@@ -347,23 +327,6 @@ let of_json json =
         Ok
           (San_deadlock
              { resource; proc; pid; spawned_at; waiting_since; in_cycle })
-    | "timeline_sample" ->
-        let* run_queue = field "run_queue" Json.to_int in
-        let* in_flight = field "in_flight" Json.to_int in
-        let* free_bytes = field "free_bytes" Json.to_int in
-        let* idle_ucs = field "idle_ucs" Json.to_int in
-        let* cached_snapshots = field "cached_snapshots" Json.to_int in
-        let* stuck_waiters = field "stuck_waiters" Json.to_int in
-        Ok
-          (Timeline_sample
-             {
-               run_queue;
-               in_flight;
-               free_bytes = Int64.of_int free_bytes;
-               idle_ucs;
-               cached_snapshots;
-               stuck_waiters;
-             })
     | "snap_dedup" ->
         let* snapshot = field "snapshot" Json.to_str in
         let* delta_pages = field "delta_pages" Json.to_int in

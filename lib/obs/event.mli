@@ -2,10 +2,10 @@
 
     Every event the node emits while serving traffic is one of these
     typed variants; they carry the quantities the paper's evaluation
-    attributes time and memory to (§6.1's per-phase breakdowns, the
-    burst experiments' resource timelines). Events are engine-timestamped
-    by {!Log} at emission; the JSON codec round-trips through {!Json}
-    so exported JSONL streams can be re-parsed losslessly. *)
+    attributes time and memory to (§6.1's per-phase breakdowns). Events
+    are engine-timestamped by {!Log} at emission; the JSON codec
+    round-trips through {!Json} so exported JSONL streams can be
+    re-parsed losslessly. *)
 
 type path = Cold | Warm | Hot
 
@@ -100,17 +100,6 @@ type t =
           emitted when the engine's detector is armed
           ([SEUSS_DEADLOCK=1] or [~deadlock:true] at
           [Sim.Engine.create]). *)
-  | Timeline_sample of {
-      run_queue : int;  (** events pending in the engine heap *)
-      in_flight : int;  (** invocations currently inside the node *)
-      free_bytes : int64;
-      idle_ucs : int;
-      cached_snapshots : int;  (** function snapshots cached *)
-      stuck_waiters : int;  (** non-daemon processes parked right now *)
-    }
-      (** One periodic gauge sample from the resource timeline sampler
-          ([Seuss.Timeline], armed by [SEUSS_TIMELINE=1]); the raw
-          material for queue-depth and memory-pressure timelines. *)
   | Snap_dedup of {
       snapshot : string;
       delta_pages : int;  (** pages in the snapshot's delta layer *)

@@ -32,23 +32,9 @@ type phases = {
   mutable p_run : float;
 }
 
-(* One sampled invocation's captured trace (SEUSS_TRACE_SAMPLE). *)
-type capture = {
-  c_fn : string;
-  c_path : path;
-  c_t0 : float;
-  c_spans : Sim.Trace.span list;
-}
-
 type t = {
   node_env : Osenv.t;
   cfg : Config.t;
-  (* Trace sampling: capture every [n]-th invocation's span tree when
-     [trace_every = Some n]. Pure counter arithmetic — no PRNG draws —
-     so an unarmed node is byte-identical to one predating the hook. *)
-  trace_every : int option;
-  mutable invoke_seen : int;
-  captured : capture Queue.t;  (* bounded to [capture_limit], oldest out *)
   mutable in_flight : int;
   mutable bases : (Unikernel.Image.runtime * Snapshot.t) list;
   (* Armed when [Config.snapshot_cache_bytes > 0L]: the content-addressed
@@ -82,18 +68,13 @@ let obs_path = function
   | Warm -> Obs.Event.Warm
   | Hot -> Obs.Event.Hot
 
-let capture_limit = 32
-
-let create ?(config = Config.default) ?trace_sample node_env =
+let create ?(config = Config.default) node_env =
   let m = node_env.Osenv.metrics in
   let errors p = Obs.Metrics.counter m ~labels:[ ("path", p) ] "node_errors_total" in
   let t =
   {
     node_env;
     cfg = config;
-    trace_every = trace_sample;
-    invoke_seen = 0;
-    captured = Queue.create ();
     in_flight = 0;
     bases = [];
     store = None;
@@ -593,16 +574,6 @@ let hot_invoke t ph uc fn ~args =
 
 let invoke t fn ~args =
   let t0 = now t in
-  (* Sampled trace capture: every n-th invocation records its own
-     span tree (the context is process-local, so concurrent unsampled
-     invocations are untouched). *)
-  t.invoke_seen <- t.invoke_seen + 1;
-  let tracing =
-    match t.trace_every with
-    | Some n when t.invoke_seen mod n = 0 ->
-        Some (Sim.Trace.start_ctx t.node_env.Osenv.engine)
-    | _ -> None
-  in
   t.in_flight <- t.in_flight + 1;
   Osenv.emit t.node_env (Obs.Event.Invoke_start { fn_id = fn.fn_id });
   let ph = { p_deploy = 0.0; p_import = 0.0; p_run = 0.0 } in
@@ -622,14 +593,6 @@ let invoke t fn ~args =
                 (cold_invoke t ph fn ~args, Cold)))
   in
   t.in_flight <- t.in_flight - 1;
-  (match tracing with
-  | None -> ()
-  | Some tr ->
-      let spans = Sim.Trace.stop_ctx tr in
-      if Queue.length t.captured >= capture_limit then
-        ignore (Queue.pop t.captured);
-      Queue.push { c_fn = fn.fn_id; c_path = path; c_t0 = t0; c_spans = spans }
-        t.captured);
   let total = now t -. t0 in
   let service = ph.p_deploy +. ph.p_import +. ph.p_run in
   Osenv.emit t.node_env
@@ -648,10 +611,6 @@ let invoke t fn ~args =
 
 let last_served_uc t = t.last_uc
 let in_flight t = t.in_flight
-let trace_sampling t = t.trace_every
-
-let captured_traces t =
-  List.rev (Queue.fold (fun acc c -> c :: acc) [] t.captured)
 
 (* Orderly teardown, for leak audits: destroy every idle UC, then delete
    function snapshots (their dependents are now zero), then bases. After

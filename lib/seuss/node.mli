@@ -54,13 +54,7 @@ type stats = {
   snapshots_captured : int;
 }
 
-val create : ?config:Config.t -> ?trace_sample:int -> Osenv.t -> t
-(** [trace_sample] arms per-invocation trace capture: every [n]-th
-    invocation runs under its own [Sim.Trace] context and the resulting
-    span tree is retained (bounded, newest kept) for
-    {!captured_traces}. Sampling draws nothing from the PRNG (a modulo
-    counter), so an unarmed node's outputs are byte-identical to a build
-    without the hook. *)
+val create : ?config:Config.t -> Osenv.t -> t
 
 val config : t -> Config.t
 
@@ -75,7 +69,9 @@ val invoke : t -> fn -> args:string -> (string, invoke_error) result * path
 (** Process one invocation to completion (blocking). The returned path
     tells the caller which case served it (the reported path is the one
     *attempted first*; a hot UC that died mid-request is retried as
-    warm/cold internally). *)
+    warm/cold internally). Its spans record into the calling process's
+    [Sim.Trace] context, if the caller started one; export them with
+    {!Traceout.chrome}. *)
 
 val deploy_idle : t -> Unikernel.Image.runtime -> bool
 (** Deploy one idle runtime UC from the base snapshot and leave it
@@ -125,23 +121,6 @@ val last_served_uc : t -> Uc.t option
 (** The UC that served the most recent invocation — instrumentation for
     the Table 1 memory-footprint microbenchmark (pages copied per
     invocation type). *)
-
-(** {1 Sampled trace capture} *)
-
-val trace_sampling : t -> int option
-(** The sampling interval this node was created with, if armed. *)
-
-type capture = {
-  c_fn : string;  (** fn_id of the sampled invocation *)
-  c_path : path;
-  c_t0 : float;  (** simulated start time *)
-  c_spans : Sim.Trace.span list;
-}
-
-val captured_traces : t -> capture list
-(** Span trees of the sampled invocations, oldest first (at most the
-    newest 32 are retained). Render with [Sim.Trace.render] or export
-    with {!Traceout.chrome}. *)
 
 (** {1 Ownership census}
 

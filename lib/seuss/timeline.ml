@@ -1,34 +1,3 @@
-let default_period = 0.1
-
-let start ?(period = default_period) node =
-  if not (Float.is_finite period) || period <= 0.0 then
-    invalid_arg "Timeline.start: period must be finite and positive";
-  let env = Node.env node in
-  let engine = env.Osenv.engine in
-  Sim.Engine.spawn engine ~name:"timeline-sampler" ~daemon:true (fun () ->
-      (* Terminate with the simulation: [pending] counts everyone
-         else's scheduled work, so when it reaches zero nothing the
-         sampler could observe will ever change again — sleeping on
-         would only stretch the run's end time. Emission itself costs
-         no simulated time and draws nothing from the PRNG. *)
-      let rec loop () =
-        if Sim.Engine.pending engine > 0 then begin
-          Sim.Engine.sleep period;
-          Osenv.emit env
-            (Obs.Event.Timeline_sample
-               {
-                 run_queue = Sim.Engine.pending engine;
-                 in_flight = Node.in_flight node;
-                 free_bytes = Node.free_bytes node;
-                 idle_ucs = Node.idle_uc_count node;
-                 cached_snapshots = Node.snapshot_count node;
-                 stuck_waiters = Sim.Engine.stuck_waiters engine;
-               });
-          loop ()
-        end
-      in
-      loop ())
-
 type sample = {
   time : float;
   run_queue : int;
@@ -39,35 +8,38 @@ type sample = {
   stuck_waiters : int;
 }
 
-let samples_of_records records =
-  List.filter_map
-    (fun (r : Obs.Log.record) ->
-      match r.Obs.Log.ev with
-      | Obs.Event.Timeline_sample
+let default_period = 0.1
+
+let start ?(period = default_period) node =
+  if not (Float.is_finite period) || period <= 0.0 then
+    invalid_arg "Timeline.start: period must be finite and positive";
+  let engine = (Node.env node).Osenv.engine in
+  let samples = ref [] in
+  Sim.Engine.spawn engine ~name:"timeline-sampler" ~daemon:true (fun () ->
+      (* Terminate with the simulation: [pending] counts everyone
+         else's scheduled work, so when it reaches zero nothing the
+         sampler could observe will ever change again — sleeping on
+         would only stretch the run's end time. Recording itself costs
+         no simulated time and draws nothing from the PRNG. *)
+      while Sim.Engine.pending engine > 0 do
+        Sim.Engine.sleep period;
+        samples :=
           {
-            run_queue;
-            in_flight;
-            free_bytes;
-            idle_ucs;
-            cached_snapshots;
-            stuck_waiters;
-          } ->
-          Some
-            {
-              time = r.Obs.Log.time;
-              run_queue;
-              in_flight;
-              free_bytes;
-              idle_ucs;
-              cached_snapshots;
-              stuck_waiters;
-            }
-      | _ -> None)
-    records
+            time = Sim.Engine.now engine;
+            run_queue = Sim.Engine.pending engine;
+            in_flight = Node.in_flight node;
+            free_bytes = Node.free_bytes node;
+            idle_ucs = Node.idle_uc_count node;
+            cached_snapshots = Node.snapshot_count node;
+            stuck_waiters = Sim.Engine.stuck_waiters engine;
+          }
+          :: !samples
+      done);
+  fun () -> List.rev !samples
 
 let render samples =
   match samples with
-  | [] -> "(no timeline samples — arm the sampler with SEUSS_TIMELINE=1)\n"
+  | [] -> "(no timeline samples)\n"
   | _ ->
       let series sel = List.map (fun s -> (s.time, sel s)) samples in
       let activity =

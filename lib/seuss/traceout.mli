@@ -20,4 +20,5 @@ val chrome : (string * Sim.Trace.span list) list -> Obs.Json.t
     metadata plus every span. *)
 
 val chrome_string : (string * Sim.Trace.span list) list -> string
-(** File body for [seussctl trace --chrome <file>]. *)
+(** File body for [seussctl trace --chrome <file>] and
+    [seussctl events --chrome <file>]. *)

@@ -6,8 +6,8 @@
      and shuffling the order of same-timestamp events (tie seeds 1-3)
      changes no byte;
    - inert until armed: the happens-before checker, the deadlock
-     detector, the ownership census, the timeline sampler and trace
-     sampling change no byte, alone or all together.
+     detector and the ownership census change no byte, alone or all
+     together.
 
    "Off is the same as unset" needs no runs here: test_experiments's
    run_config parse table proves every off spelling of every variable
@@ -110,8 +110,6 @@ let arms : (string * Rc.t) list =
     ("hb", { d with Rc.hb = true });
     ("deadlock", { d with Rc.deadlock = true });
     ("own", { d with Rc.own = true });
-    ("timeline", { d with Rc.timeline = true });
-    ("trace 1/7", { d with Rc.trace_sample = Some 7 });
     ( "all, tie seed 2",
       {
         d with
@@ -119,8 +117,6 @@ let arms : (string * Rc.t) list =
         hb = true;
         deadlock = true;
         own = true;
-        timeline = true;
-        trace_sample = Some 7;
       } );
   ]
 

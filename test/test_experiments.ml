@@ -466,8 +466,6 @@ let run_config_rows =
     ("SEUSS_FAULT_RATE", "0.25", { d with Rc.fault_rate = 0.25 }, "1.5");
     ("SEUSS_FAULT_SEED", "29", { d with Rc.fault_seed = Some 29L }, "seed");
     ("SEUSS_PREFAULT", "true", { d with Rc.prefault = true }, "on!");
-    ("SEUSS_TIMELINE", "on", { d with Rc.timeline = true }, "sometimes");
-    ("SEUSS_TRACE_SAMPLE", "1/7", { d with Rc.trace_sample = Some 7 }, "2/7");
     ( "SEUSS_SNAP_CACHE", "64m",
       { d with Rc.snap_cache_bytes = Int64.of_int (64 * 1024 * 1024) }, "-1" );
     ( "SEUSS_SNAP_POLICY", "ws",
@@ -497,6 +495,20 @@ let test_run_config_parse () =
           Alcotest.(check bool) (var ^ " error names the variable") true
             (String.starts_with ~prefix:("malformed " ^ var ^ "=") msg))
     run_config_rows
+
+(* The README's environment-variable table documents exactly the
+   variables Run_config reads, in its order (SEUSS_PROP_SEED is a test
+   knob, described outside the table). *)
+let test_readme_env_table () =
+  let text = In_channel.with_open_bin "../README.md" In_channel.input_all in
+  let var_of_row line =
+    if String.starts_with ~prefix:"| `SEUSS_" line then
+      let stop = String.index_from line 3 '=' in
+      Some (String.sub line 3 (stop - 3))
+    else None
+  in
+  Alcotest.(check (list string)) "table rows are Run_config.vars" Rc.vars
+    (List.filter_map var_of_row (String.split_on_char '\n' text))
 
 let () =
   let case name f = Alcotest.test_case name `Slow f in
@@ -530,7 +542,10 @@ let () =
             test_pool_stale_lru_entries_not_double_freed;
         ] );
       ( "run_config",
-        [ Alcotest.test_case "parse table" `Quick test_run_config_parse ] );
+        [
+          Alcotest.test_case "parse table" `Quick test_run_config_parse;
+          Alcotest.test_case "README env table" `Quick test_readme_env_table;
+        ] );
       ( "misc",
         [
           case "ablations ordering" test_ablations_ordering;

@@ -61,7 +61,6 @@ let ignore_result (_ : (_, string) result) = ()
 (* One line of each kind `seussctl events` prints. *)
 let event_lines =
   [
-    {|{"ts":0.10000000000000001,"type":"timeline_sample","run_queue":2,"in_flight":0,"free_bytes":94489280512,"idle_ucs":0,"cached_snapshots":0,"stuck_waiters":1}|};
     {|{"ts":5.0542431175999969,"type":"snapshot_capture","name":"nodejs-base","pages":29361,"bytes":120262656}|};
     {|{"ts":5.0543631175999968,"type":"invoke_start","fn_id":"fn-0"}|};
     {|{"ts":5.0543631175999968,"type":"fault_injected","site":"oom_storm","detail":"allocation spike"}|};

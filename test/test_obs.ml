@@ -83,15 +83,6 @@ let test_event_roundtrip_all_variants () =
         };
       Obs.Event.San_race
         { cell = "registry.table"; kind = "write/write"; first_pid = 1; second_pid = 4 };
-      Obs.Event.Timeline_sample
-        {
-          run_queue = 12;
-          in_flight = 3;
-          free_bytes = 87912349696L;
-          idle_ucs = 5;
-          cached_snapshots = 17;
-          stuck_waiters = 0;
-        };
       Obs.Event.Snap_dedup
         {
           snapshot = "fn-fn-1";

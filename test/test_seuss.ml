@@ -783,7 +783,7 @@ let test_prefault_off_is_inert () =
                 | _ -> false)
               (Obs.Log.records env.Seuss.Osenv.log))))
 
-(* {1 seussprof: timeline sampler, sampled trace capture, ring drops} *)
+(* {1 seussprof: timeline sampler, explicit trace capture, ring drops} *)
 
 let invoke_k node k =
   ignore
@@ -799,78 +799,117 @@ let invoke_k node k =
 let test_timeline_sampler_emits_and_quiesces () =
   let engine = Sim.Engine.create ~seed:11L () in
   let env = Seuss.Osenv.create ~budget_bytes:(gib 8) engine in
-  let samples = ref [] in
+  let read = ref (fun () -> []) in
   Sim.Engine.spawn engine ~name:"experiment" (fun () ->
       let node = N.create env in
       N.start node;
-      Seuss.Timeline.start ~period:0.05 node;
+      read := Seuss.Timeline.start ~period:0.05 node;
       for k = 0 to 5 do
         invoke_k node (k mod 2);
         Sim.Engine.sleep 0.1
-      done;
-      samples :=
-        Seuss.Timeline.samples_of_records (Obs.Log.records env.Seuss.Osenv.log));
+      done);
   Sim.Engine.run engine;
-  Alcotest.(check bool) "samples recorded" true (List.length !samples > 2);
+  let samples = !read () in
+  Alcotest.(check bool) "samples recorded" true (List.length samples > 2);
   List.iter
     (fun (s : Seuss.Timeline.sample) ->
       Alcotest.(check bool) "free bytes positive" true (s.free_bytes > 0L);
       Alcotest.(check bool) "gauges non-negative" true
         (s.run_queue >= 0 && s.in_flight >= 0 && s.idle_ucs >= 0
        && s.cached_snapshots >= 0 && s.stuck_waiters >= 0))
-    !samples;
-  let times = List.map (fun (s : Seuss.Timeline.sample) -> s.time) !samples in
+    samples;
+  let times = List.map (fun (s : Seuss.Timeline.sample) -> s.time) samples in
   Alcotest.(check bool) "sample times strictly increase" true
     (List.for_all2 ( < ) times (List.tl times @ [ infinity ]));
-  let rendering = Seuss.Timeline.render !samples in
+  let rendering = Seuss.Timeline.render samples in
   Alcotest.(check bool) "render draws both canvases" true
     (String.length rendering > 0)
 
-let test_timeline_unarmed_emits_nothing () =
-  let records =
+(* The sampler keeps its own samples, so a small event ring that drops
+   most of the run's events loses none of the timeline: every period
+   from the first on is there. *)
+let test_timeline_survives_ring_eviction () =
+  let period = 0.05 in
+  let engine = Sim.Engine.create ~seed:11L () in
+  let env =
+    Seuss.Osenv.create ~budget_bytes:(gib 8) ~log_capacity:64 engine
+  in
+  let read = ref (fun () -> []) and started = ref 0.0 in
+  Sim.Engine.spawn engine ~name:"experiment" (fun () ->
+      let node = N.create env in
+      N.start node;
+      started := Sim.Engine.now engine;
+      read := Seuss.Timeline.start ~period node;
+      for k = 0 to 39 do
+        invoke_k node (k mod 3);
+        Sim.Engine.sleep period
+      done);
+  Sim.Engine.run engine;
+  Alcotest.(check bool) "the ring overflowed" true
+    (Obs.Log.dropped env.Seuss.Osenv.log > 0);
+  let times = List.map (fun (s : Seuss.Timeline.sample) -> s.time) (!read ()) in
+  Alcotest.(check bool) "at least 30 periods sampled" true
+    (List.length times >= 30);
+  let close a b = Float.abs (a -. b) < 1e-9 in
+  (match times with
+  | first :: _ ->
+      Alcotest.(check bool) "first sample lands one period in" true
+        (close first (!started +. period))
+  | [] -> Alcotest.fail "no samples");
+  let rec check_gaps = function
+    | a :: (b :: _ as rest) ->
+        Alcotest.(check bool) "times strictly increase" true (a < b);
+        Alcotest.(check bool) "no period missing" true (close (b -. a) period);
+        check_gaps rest
+    | _ -> ()
+  in
+  check_gaps times
+
+(* The sampler writes nothing to the event log: a sampled run's JSONL
+   equals a plain run's. *)
+let test_timeline_leaves_log_untouched () =
+  let run ~sampled =
     with_node (fun env node ->
+        let read =
+          if sampled then Seuss.Timeline.start ~period:0.05 node
+          else fun () -> []
+        in
         for k = 0 to 5 do
           invoke_k node k
         done;
-        Obs.Log.records env.Seuss.Osenv.log)
+        (Obs.Log.to_jsonl env.Seuss.Osenv.log, read))
   in
-  Alcotest.(check int) "no timeline samples" 0
-    (List.length (Seuss.Timeline.samples_of_records records))
+  let plain, _ = run ~sampled:false in
+  let sampled, read = run ~sampled:true in
+  Alcotest.(check bool) "the sampler ran" true (read () <> []);
+  Alcotest.(check string) "same log" plain sampled
 
-let test_trace_capture_every_nth () =
-  let engine = Sim.Engine.create ~seed:11L () in
-  let env = Seuss.Osenv.create ~budget_bytes:(gib 8) engine in
-  let captured = ref [] and sampling = ref None in
-  Sim.Engine.spawn engine ~name:"experiment" (fun () ->
-      let node = N.create ~trace_sample:2 env in
-      N.start node;
-      sampling := N.trace_sampling node;
-      for k = 1 to 6 do
-        invoke_k node k
-      done;
-      captured := N.captured_traces node);
-  Sim.Engine.run engine;
-  Alcotest.(check (option int)) "armed at 1/2" (Some 2) !sampling;
-  Alcotest.(check int) "every 2nd of 6 invocations captured" 3
-    (List.length !captured);
+(* Span capture is the caller's: a context started around Node.invoke
+   records that call's span tree, which exports as a Chrome document. *)
+let test_chrome_export_of_traced_calls () =
+  let traces =
+    with_node (fun env node ->
+        List.map
+          (fun k ->
+            let tr = Sim.Trace.start_ctx env.Seuss.Osenv.engine in
+            invoke_k node k;
+            (Printf.sprintf "fn-%d" k, Sim.Trace.stop_ctx tr))
+          [ 1; 2; 1 ])
+  in
   List.iter
-    (fun (c : N.capture) ->
-      Alcotest.(check bool) "capture names its function" true
-        (String.length c.N.c_fn > 0);
-      Alcotest.(check bool) "span tree non-empty" true (c.N.c_spans <> []);
-      (* The root span is the invocation wrapper, parentless. *)
-      match c.N.c_spans with
+    (fun (_, spans) ->
+      match spans with
       | root :: _ ->
+          (* The root span is the invocation wrapper, parentless. *)
+          Alcotest.(check bool) "root is the invocation" true
+            (String.starts_with ~prefix:"node.invoke " root.Sim.Trace.name);
           Alcotest.(check (option int)) "root has no parent" None
             root.Sim.Trace.parent
-      | [] -> ())
-    !captured;
-  (* The export path the CLI uses: captures encode to a Chrome document
+      | [] -> Alcotest.fail "span tree empty")
+    traces;
+  (* The export path the CLI uses: traces encode to a Chrome document
      that parses and carries the required fields. *)
-  let labelled =
-    List.map (fun (c : N.capture) -> (c.N.c_fn, c.N.c_spans)) !captured
-  in
-  match Obs.Json.of_string (Seuss.Traceout.chrome_string labelled) with
+  match Obs.Json.of_string (Seuss.Traceout.chrome_string traces) with
   | Error e -> Alcotest.failf "chrome export does not parse: %s" e
   | Ok (Obs.Json.Obj kvs) -> (
       match List.assoc_opt "traceEvents" kvs with
@@ -889,15 +928,6 @@ let test_trace_capture_every_nth () =
             rows
       | _ -> Alcotest.fail "no traceEvents")
   | Ok _ -> Alcotest.fail "chrome document is not an object"
-
-let test_unsampled_node_captures_nothing () =
-  with_node (fun _env node ->
-      for k = 1 to 6 do
-        invoke_k node k
-      done;
-      Alcotest.(check (option int)) "not armed" None (N.trace_sampling node);
-      Alcotest.(check int) "nothing captured" 0
-        (List.length (N.captured_traces node)))
 
 (* Ring evictions are first-class: the log counts exactly what the ring
    dropped, so dashboards can warn instead of silently reading a
@@ -1116,9 +1146,11 @@ let () =
         [
           case "timeline sampler emits and quiesces"
             test_timeline_sampler_emits_and_quiesces;
-          case "unarmed timeline emits nothing" test_timeline_unarmed_emits_nothing;
-          case "trace capture every nth" test_trace_capture_every_nth;
-          case "unsampled node captures nothing" test_unsampled_node_captures_nothing;
+          case "timeline survives ring eviction"
+            test_timeline_survives_ring_eviction;
+          case "timeline leaves the log untouched"
+            test_timeline_leaves_log_untouched;
+          case "chrome export of traced calls" test_chrome_export_of_traced_calls;
           case "ring drops surface in metrics" test_ring_drops_surface_in_metrics;
         ] );
     ]
