@@ -4,6 +4,31 @@
 
 open Cmdliner
 
+(* Numeric flags are range-checked where Cmdliner parses them, so an
+   out-of-range value is a usage error naming the flag, never a hang or
+   an uncaught exception inside an experiment. *)
+let bounded conv ok what =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s what))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:(Arg.conv_docv conv) (parse, Arg.conv_printer conv)
+
+let pos_int = bounded Arg.int (fun n -> n > 0) "a positive integer"
+let nonneg_int = bounded Arg.int (fun n -> n >= 0) "a non-negative integer"
+
+let pos_float =
+  bounded Arg.float
+    (fun x -> Float.is_finite x && x > 0.0)
+    "a finite positive number"
+
+let nonneg_float =
+  bounded Arg.float
+    (fun x -> Float.is_finite x && x >= 0.0)
+    "a finite non-negative number"
+
 let seed_arg =
   let doc = "PRNG seed (experiments are deterministic per seed)." in
   Arg.(value & opt int64 7L & info [ "seed" ] ~docv:"SEED" ~doc)
@@ -25,7 +50,7 @@ module H = Experiments.Harness
 let table1_cmd =
   let invocations =
     Arg.(
-      value & opt int 475
+      value & opt pos_int 475
       & info [ "n"; "invocations" ] ~docv:"N"
           ~doc:"Invocations per path (paper: 475).")
   in
@@ -38,7 +63,7 @@ let table1_cmd =
 
 let table2_cmd =
   let invocations =
-    Arg.(value & opt int 50 & info [ "n" ] ~docv:"N" ~doc:"Invocations per cell.")
+    Arg.(value & opt nonneg_int 50 & info [ "n" ] ~docv:"N" ~doc:"Invocations per cell.")
   in
   let run invocations seed =
     print (Experiments.Table2.render (Experiments.Table2.run ~invocations ~seed ()))
@@ -50,7 +75,7 @@ let table2_cmd =
 let table3_cmd =
   let mem_gib =
     Arg.(
-      value & opt int 88
+      value & opt pos_int 88
       & info [ "mem-gib" ] ~docv:"GIB"
           ~doc:"Node memory budget in GiB (paper: 88; smaller runs faster).")
   in
@@ -67,7 +92,7 @@ let table3_cmd =
 let sizes_arg =
   Arg.(
     value
-    & opt (list int) Experiments.Fig4.default_set_sizes
+    & opt (list pos_int) Experiments.Fig4.default_set_sizes
     & info [ "sizes" ] ~docv:"M,M,..."
         ~doc:"Unique-function set sizes (one trial each).")
 
@@ -79,7 +104,7 @@ let csv_arg =
 
 let fig4_cmd =
   let threads =
-    Arg.(value & opt int 32 & info [ "threads" ] ~docv:"C" ~doc:"Client threads.")
+    Arg.(value & opt pos_int 32 & info [ "threads" ] ~docv:"C" ~doc:"Client threads.")
   in
   let run sizes threads csv seed =
     let r = Experiments.Fig4.run ~set_sizes:sizes ~client_threads:threads ~seed () in
@@ -93,11 +118,11 @@ let fig4_cmd =
 let fig5_cmd =
   let sizes =
     Arg.(
-      value & opt (list int) [ 64; 2048; 65536 ]
+      value & opt (list pos_int) [ 64; 2048; 65536 ]
       & info [ "sizes" ] ~docv:"M,M,..." ~doc:"Set sizes (paper: 64,2048,65536).")
   in
   let requests =
-    Arg.(value & opt int 2048 & info [ "requests" ] ~docv:"N" ~doc:"Measured requests per panel.")
+    Arg.(value & opt pos_int 2048 & info [ "requests" ] ~docv:"N" ~doc:"Measured requests per panel.")
   in
   let run sizes requests csv seed =
     let panels = Experiments.Fig5.run ~set_sizes:sizes ~requests ~seed () in
@@ -111,14 +136,14 @@ let fig5_cmd =
 let burst_cmd =
   let period =
     Arg.(
-      value & opt float 32.0
+      value & opt pos_float 32.0
       & info [ "period" ] ~docv:"SECONDS" ~doc:"Burst period (paper: 32, 16, 8).")
   in
   let duration =
-    Arg.(value & opt float 300.0 & info [ "duration" ] ~docv:"SECONDS" ~doc:"Run length.")
+    Arg.(value & opt nonneg_float 300.0 & info [ "duration" ] ~docv:"SECONDS" ~doc:"Run length.")
   in
   let size =
-    Arg.(value & opt int 64 & info [ "burst-size" ] ~docv:"N" ~doc:"Concurrent requests per burst.")
+    Arg.(value & opt nonneg_int 64 & info [ "burst-size" ] ~docv:"N" ~doc:"Concurrent requests per burst.")
   in
   let run period duration size csv seed =
     let r = Experiments.Fig_burst.run ~period ~duration ~burst_size:size ~seed () in
@@ -131,7 +156,7 @@ let burst_cmd =
 
 let ablations_cmd =
   let invocations =
-    Arg.(value & opt int 30 & info [ "n" ] ~docv:"N" ~doc:"Invocations per cell.")
+    Arg.(value & opt nonneg_int 30 & info [ "n" ] ~docv:"N" ~doc:"Invocations per cell.")
   in
   let run invocations seed =
     print (Experiments.Ablations.render (Experiments.Ablations.run ~invocations ~seed ()))
@@ -142,10 +167,10 @@ let ablations_cmd =
 
 let drseuss_cmd =
   let nodes =
-    Arg.(value & opt int 4 & info [ "nodes" ] ~docv:"N" ~doc:"Cluster size.")
+    Arg.(value & opt pos_int 4 & info [ "nodes" ] ~docv:"N" ~doc:"Cluster size.")
   in
   let functions =
-    Arg.(value & opt int 40 & info [ "functions" ] ~docv:"M" ~doc:"Unique functions.")
+    Arg.(value & opt nonneg_int 40 & info [ "functions" ] ~docv:"M" ~doc:"Unique functions.")
   in
   let run nodes functions seed =
     print
@@ -158,20 +183,23 @@ let drseuss_cmd =
 
 let chaos_cmd =
   let nodes =
-    Arg.(value & opt int 4 & info [ "nodes" ] ~docv:"N" ~doc:"Cluster size.")
+    Arg.(value & opt pos_int 4 & info [ "nodes" ] ~docv:"N" ~doc:"Cluster size.")
   in
   let functions =
-    Arg.(value & opt int 25 & info [ "functions" ] ~docv:"M" ~doc:"Unique functions (default coprime to the cluster size, so repeats migrate across nodes and exercise the fetch path).")
+    Arg.(value & opt pos_int 25 & info [ "functions" ] ~docv:"M" ~doc:"Unique functions (default coprime to the cluster size, so repeats migrate across nodes and exercise the fetch path).")
   in
   let calls =
     Arg.(
-      value & opt int 200
+      value & opt pos_int 200
       & info [ "calls" ] ~docv:"K" ~doc:"Invocations per fault rate.")
   in
   let rates =
     Arg.(
       value
-      & opt (list float) Experiments.Fig_chaos.default_rates
+      & opt
+          (list
+             (bounded Arg.float (fun r -> r >= 0.0 && r <= 1.0) "in [0, 1]"))
+          Experiments.Fig_chaos.default_rates
       & info [ "rates" ] ~docv:"R,R,..."
           ~doc:"Injected per-site fault rates to sweep (0 = control arm).")
   in
@@ -190,13 +218,6 @@ let chaos_cmd =
                 as JSONL (crashes, evictions, retries, failovers).")
   in
   let run nodes functions calls rates json events csv seed =
-    List.iter
-      (fun r ->
-        if r < 0.0 || r > 1.0 then begin
-          Printf.eprintf "seussctl: --rates entries must be in [0, 1]\n";
-          exit 2
-        end)
-      rates;
     let r =
       Experiments.Fig_chaos.run ~nodes ~functions ~calls ~rates ~seed ()
     in
@@ -213,12 +234,12 @@ let chaos_cmd =
 let reap_cmd =
   let functions =
     Arg.(
-      value & opt int 8
+      value & opt pos_int 8
       & info [ "functions" ] ~docv:"M" ~doc:"Distinct functions.")
   in
   let rounds =
     Arg.(
-      value & opt int 20
+      value & opt pos_int 20
       & info [ "rounds" ] ~docv:"R"
           ~doc:
             "Measured warm rounds per arm (the recording round is \
@@ -233,10 +254,6 @@ let reap_cmd =
                 a table.")
   in
   let run functions rounds json csv seed =
-    if functions < 1 || rounds < 1 then begin
-      Printf.eprintf "seussctl: --functions and --rounds must be positive\n";
-      exit 2
-    end;
     let r = Experiments.Fig_reap.run ~functions ~rounds ~seed () in
     if json then
       print (Obs.Json.to_string (Experiments.Fig_reap.to_json r) ^ "\n")
@@ -249,7 +266,7 @@ let reap_cmd =
 
 let ksm_cmd =
   let mem =
-    Arg.(value & opt int 3072 & info [ "mem-mib" ] ~docv:"MIB" ~doc:"Node memory budget.")
+    Arg.(value & opt pos_int 3072 & info [ "mem-mib" ] ~docv:"MIB" ~doc:"Node memory budget.")
   in
   let run mem seed =
     print (Experiments.Ksm_exp.render (Experiments.Ksm_exp.run ~budget_mib:mem ~seed ()))
@@ -395,27 +412,16 @@ let spawn_clients (env : Seuss.Osenv.t) node ~clients ~functions ~until =
 
 let functions_arg =
   Arg.(
-    value & opt int 4
+    value & opt pos_int 4
     & info [ "functions" ] ~docv:"M" ~doc:"Distinct functions in the workload.")
-
-let require_positive name v =
-  if v <= 0.0 then begin
-    Printf.eprintf "seussctl: %s must be positive (got %g)\n" name v;
-    exit 2
-  end
 
 let events_cmd =
   let calls =
     Arg.(
-      value & opt int 12
+      value & opt nonneg_int 12
       & info [ "calls" ] ~docv:"N" ~doc:"Invocations to run before dumping.")
   in
   let run functions calls chrome seed =
-    require_positive "--functions" (float_of_int functions);
-    if calls < 0 then begin
-      Printf.eprintf "seussctl: --calls must be non-negative\n";
-      exit 2
-    end;
     let traces =
       inspect ~seed (fun env node ->
           let engine = env.Seuss.Osenv.engine in
@@ -472,16 +478,16 @@ let events_cmd =
 let top_cmd =
   let duration =
     Arg.(
-      value & opt float 30.0
+      value & opt pos_float 30.0
       & info [ "duration" ] ~docv:"SECONDS" ~doc:"Simulated run length.")
   in
   let interval =
     Arg.(
-      value & opt float 5.0
+      value & opt pos_float 5.0
       & info [ "interval" ] ~docv:"SECONDS" ~doc:"Refresh period (simulated).")
   in
   let clients =
-    Arg.(value & opt int 8 & info [ "clients" ] ~docv:"C" ~doc:"Client processes.")
+    Arg.(value & opt pos_int 8 & info [ "clients" ] ~docv:"C" ~doc:"Client processes.")
   in
   let ansi =
     Arg.(
@@ -491,10 +497,6 @@ let top_cmd =
                 instead of printing frames sequentially.")
   in
   let run duration interval clients functions ansi seed =
-    require_positive "--duration" duration;
-    require_positive "--interval" interval;
-    require_positive "--clients" (float_of_int clients);
-    require_positive "--functions" (float_of_int functions);
     inspect ~seed (fun env node ->
         let engine = env.Seuss.Osenv.engine in
         let bd = Obs.Breakdown.attach env.Seuss.Osenv.log in
@@ -589,23 +591,19 @@ let top_cmd =
 let timeline_cmd =
   let duration =
     Arg.(
-      value & opt float 30.0
+      value & opt pos_float 30.0
       & info [ "duration" ] ~docv:"SECONDS" ~doc:"Simulated run length.")
   in
   let period =
     Arg.(
       value
-      & opt float Seuss.Timeline.default_period
+      & opt pos_float Seuss.Timeline.default_period
       & info [ "period" ] ~docv:"SECONDS" ~doc:"Sampling period (simulated).")
   in
   let clients =
-    Arg.(value & opt int 8 & info [ "clients" ] ~docv:"C" ~doc:"Client processes.")
+    Arg.(value & opt pos_int 8 & info [ "clients" ] ~docv:"C" ~doc:"Client processes.")
   in
   let run duration period clients functions seed =
-    require_positive "--duration" duration;
-    require_positive "--period" period;
-    require_positive "--clients" (float_of_int clients);
-    require_positive "--functions" (float_of_int functions);
     inspect ~seed (fun env node ->
         let engine = env.Seuss.Osenv.engine in
         let samples = Seuss.Timeline.start ~period node in
@@ -628,7 +626,7 @@ let timeline_cmd =
 
 let autoao_cmd =
   let invocations =
-    Arg.(value & opt int 20 & info [ "n" ] ~docv:"N" ~doc:"Invocations per cell.")
+    Arg.(value & opt nonneg_int 20 & info [ "n" ] ~docv:"N" ~doc:"Invocations per cell.")
   in
   let run invocations seed =
     print (Experiments.Auto_ao.render (Experiments.Auto_ao.run ~invocations ~seed ()))
@@ -639,7 +637,7 @@ let autoao_cmd =
 
 let snapshots_cmd =
   let functions =
-    Arg.(value & opt int 8 & info [ "functions" ] ~docv:"M" ~doc:"Functions to deploy first.")
+    Arg.(value & opt nonneg_int 8 & info [ "functions" ] ~docv:"M" ~doc:"Functions to deploy first.")
   in
   let run functions seed =
     inspect ~seed (fun _ node ->
@@ -718,14 +716,14 @@ let snapshots_cmd =
 let load_cmd =
   let hours =
     Arg.(
-      value & opt (some float) None
+      value & opt (some pos_float) None
       & info [ "hours" ] ~docv:"H"
           ~doc:
             "Simulated hours of arrivals per arm (default 8).")
   in
   let functions =
     Arg.(
-      value & opt (some int) None
+      value & opt (some pos_int) None
       & info [ "functions" ] ~docv:"M"
           ~doc:
             "Synthetic functions under the Zipf popularity model (default \
@@ -733,7 +731,7 @@ let load_cmd =
   in
   let alpha =
     Arg.(
-      value & opt (some float) None
+      value & opt (some nonneg_float) None
       & info [ "alpha" ] ~docv:"A"
           ~doc:
             "Zipf popularity exponent (default 1.1).")
@@ -748,7 +746,7 @@ let load_cmd =
   in
   let rps =
     Arg.(
-      value & opt (some (list float)) None
+      value & opt (some (list pos_float)) None
       & info [ "rps" ] ~docv:"R,R,..."
           ~doc:
             "Offered mean arrival rates to sweep (default 0.5,2,8).")
@@ -830,16 +828,33 @@ let load_cmd =
       $ save_traces $ trace_in $ csv_arg $ seed_arg)
 
 let evict_cmd =
+  let cache_bytes =
+    let parse s =
+      match Experiments.Run_config.parse_bytes s with
+      | Some v -> Ok v
+      | None -> Error (`Msg (Printf.sprintf "malformed cache size %S" s))
+    in
+    Arg.conv ~docv:"B" (parse, fun ppf v -> Format.fprintf ppf "%Ld" v)
+  in
+  let policy =
+    let parse s =
+      match Seuss.Config.policy_of_name (String.lowercase_ascii s) with
+      | Some p -> Ok p
+      | None -> Error (`Msg (Printf.sprintf "unknown eviction policy %S" s))
+    in
+    Arg.conv ~docv:"POLICY"
+      (parse, fun ppf p -> Format.pp_print_string ppf (Seuss.Config.policy_name p))
+  in
   let hours =
     Arg.(
-      value & opt (some float) None
+      value & opt (some pos_float) None
       & info [ "hours" ] ~docv:"H"
           ~doc:
             "Simulated hours of arrivals per arm (default 0.25).")
   in
   let functions =
     Arg.(
-      value & opt (some int) None
+      value & opt (some pos_int) None
       & info [ "functions" ] ~docv:"M"
           ~doc:
             "Synthetic functions under the Zipf popularity model (default \
@@ -847,14 +862,14 @@ let evict_cmd =
   in
   let alpha =
     Arg.(
-      value & opt (some float) None
+      value & opt (some nonneg_float) None
       & info [ "alpha" ] ~docv:"A"
           ~doc:
             "Zipf popularity exponent (default 1.1).")
   in
   let rate =
     Arg.(
-      value & opt (some float) None
+      value & opt (some pos_float) None
       & info [ "rate" ] ~docv:"R"
           ~doc:
             "Offered mean arrival rate, req/s (default 4).")
@@ -862,7 +877,7 @@ let evict_cmd =
   let sizes =
     Arg.(
       value
-      & opt (some (list string)) None
+      & opt (some (list cache_bytes)) None
       & info [ "sizes" ] ~docv:"B,B,..."
           ~doc:
             "Cache budgets to sweep, bytes with optional binary k/m/g \
@@ -871,7 +886,7 @@ let evict_cmd =
   in
   let policy =
     Arg.(
-      value & opt (some string) None
+      value & opt (some policy) None
       & info [ "policy" ] ~docv:"POLICY"
           ~doc:
             "Eviction policy: lru or ws (default lru).")
@@ -885,26 +900,6 @@ let evict_cmd =
              across runs of the same seed) instead of a table.")
   in
   let run hours functions alpha rate sizes policy json csv seed =
-    let sizes =
-      Option.map
-        (List.map (fun s ->
-             match Experiments.Run_config.parse_bytes s with
-             | Some v -> v
-             | None ->
-                 Printf.eprintf "seussctl: malformed cache size %S\n" s;
-                 exit 2))
-        sizes
-    in
-    let policy =
-      Option.map
-        (fun s ->
-          match Seuss.Config.policy_of_name (String.lowercase_ascii s) with
-          | Some p -> p
-          | None ->
-              Printf.eprintf "seussctl: unknown eviction policy %S\n" s;
-              exit 2)
-        policy
-    in
     let r =
       Experiments.Fig_evict.run ?hours ?functions ?alpha ?rate ?sizes ?policy
         ~seed ()

@@ -30,8 +30,6 @@ let create env bridge =
     spaces = [];
   }
 
-let count t = t.containers
-
 let creation_latency t =
   let population =
     creation_base_time

@@ -44,5 +44,3 @@ val destroy_container_raw : t -> Mem.Addr_space.t option -> unit
     caller passes the container's space to release, if it owns one. *)
 
 val deletion_time : float
-
-val count : t -> int

@@ -1,8 +1,6 @@
 type config = {
   container_cache_limit : int;
   stemcell_count : int;
-  init_time : float;
-  dispatch_time : float;
   invoke_timeout : float;
   capacity_retry_interval : float;
 }
@@ -11,11 +9,14 @@ let default_config =
   {
     container_cache_limit = 1024;
     stemcell_count = 0;
-    init_time = 0.055;
-    dispatch_time = 1.2e-3;
     invoke_timeout = 60.0;
     capacity_retry_interval = 0.1;
   }
+
+(* /init (importing function code into Node.js) and invocation-server
+   request handling: the OpenWhisk operating point. *)
+let init_time = 0.055
+let dispatch_time = 1.2e-3
 
 type fn = { fn_id : string; action : Backend_intf.action }
 
@@ -78,13 +79,6 @@ let create ?(config = default_config) env =
 let bridge t = t.br
 let config t = t.cfg
 let container_count t = t.total
-
-let idle_count t =
-  Queue.length t.stemcells
-  + Det.fold
-      (fun _ q acc ->
-        Queue.fold (fun acc c -> if c.dead || c.busy then acc else acc + 1) acc q)
-      t.warm 0
 
 let stats t =
   {
@@ -247,7 +241,7 @@ let run_in_container t c action =
   match Net.Bridge.connect t.br c.listener with
   | None -> finish (Error `Connection_failed)
   | Some conn -> (
-      Seuss.Osenv.burn t.env t.cfg.dispatch_time;
+      Seuss.Osenv.burn t.env dispatch_time;
       Net.Tcp.send conn "RUN";
       (match action with
       | Backend_intf.Nop -> Seuss.Osenv.burn t.env 0.3e-3
@@ -270,7 +264,7 @@ let run_in_container t c action =
           finish (Error `Timeout))
 
 let init_container t c fn_id =
-  Seuss.Osenv.burn t.env t.cfg.init_time;
+  Seuss.Osenv.burn t.env init_time;
   (* Importing code dirties container-private pages. *)
   (try
      ignore

@@ -18,14 +18,14 @@
 type config = {
   container_cache_limit : int;
   stemcell_count : int;
-  init_time : float;  (** /init: importing function code into Node.js *)
-  dispatch_time : float;  (** invocation-server request handling *)
   invoke_timeout : float;
   capacity_retry_interval : float;
 }
 
 val default_config : config
-(** Limit 1024, no stemcells, 55 ms init, 60 s timeout. *)
+(** Limit 1024, no stemcells, 60 s timeout. Every container pays 55 ms
+    of /init (importing function code into Node.js) and 1.2 ms of
+    invocation-server handling per request. *)
 
 type fn = { fn_id : string; action : Backend_intf.action }
 
@@ -57,7 +57,5 @@ val invoke : t -> fn -> (unit, invoke_error) result * path
 (** Serve one invocation end to end. *)
 
 val container_count : t -> int
-
-val idle_count : t -> int
 
 val stats : t -> stats

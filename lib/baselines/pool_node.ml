@@ -1,13 +1,13 @@
 type kind = Firecracker | Process
 
-type config = {
-  cache_limit : int;
-  init_time : float;
-  dispatch_time : float;
-}
+type config = { cache_limit : int }
 
-let default_config _kind =
-  { cache_limit = 1024; init_time = 0.055; dispatch_time = 1.2e-3 }
+let default_config = { cache_limit = 1024 }
+
+(* Importing function code into a new instance, and per-request handling
+   inside it: the OpenWhisk operating point. *)
+let init_time = 0.055
+let dispatch_time = 1.2e-3
 
 type stats = {
   creates : int;
@@ -39,7 +39,7 @@ type t = {
 }
 
 let create ?config ~kind env =
-  let cfg = match config with Some c -> c | None -> default_config kind in
+  let cfg = Option.value config ~default:default_config in
   let backend, destroy =
     match kind with
     | Firecracker ->
@@ -129,7 +129,7 @@ let evict_one_idle t =
 
 let run t i action =
   i.busy <- true;
-  Seuss.Osenv.burn t.env t.cfg.dispatch_time;
+  Seuss.Osenv.burn t.env dispatch_time;
   (match action with
   | Backend_intf.Nop -> Seuss.Osenv.burn t.env 0.3e-3
   | Backend_intf.Cpu_ms ms -> Seuss.Osenv.burn t.env (ms /. 1000.0)
@@ -143,7 +143,7 @@ let create_one t ~fn_id =
     t.total <- t.total + 1;
     t.s_creates <- t.s_creates + 1;
     (* Import the function's code into the fresh instance. *)
-    Seuss.Osenv.burn t.env t.cfg.init_time;
+    Seuss.Osenv.burn t.env init_time;
     Some { i_fn = fn_id; busy = false; dead = false }
   end
   else None

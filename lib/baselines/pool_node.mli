@@ -20,13 +20,12 @@ type kind = Firecracker | Process
 
 type config = {
   cache_limit : int;  (** instances, busy + idle, before LRU eviction *)
-  init_time : float;  (** importing function code into a new instance *)
-  dispatch_time : float;  (** per-request handling inside the instance *)
 }
 
-val default_config : kind -> config
-(** 55 ms init and 1.2 ms dispatch (the OpenWhisk operating point);
-    limit 1024 — memory binds first for microVMs (~450 in 88 GB). *)
+val default_config : config
+(** Limit 1024 — memory binds first for microVMs (~450 in 88 GB). Every
+    instance pays 55 ms to import function code and 1.2 ms of handling
+    per request (the OpenWhisk operating point). *)
 
 type stats = {
   creates : int;

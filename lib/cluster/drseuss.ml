@@ -72,7 +72,6 @@ let create ?(nodes = 4) ?(budget_per_node = Int64.mul 16L gib) ?config engine
     s_evictions = 0;
   }
 
-let node_count t = Array.length t.members
 let nodes t = Array.to_list (Array.map (fun m -> m.node) t.members)
 let registry t = t.reg
 let log t = t.log
@@ -186,26 +185,6 @@ let pick_member t fn_id =
       Some m
   | _, chosen -> chosen
 
-(* A partition between the routed node and every holder starves the
-   fetch path; when some live holder exists, route the invocation to the
-   holder itself instead (it serves locally). *)
-let reroute_around_partition t member fn_id =
-  let holders = Registry.locate t.reg ~fn_id in
-  let live = List.filter (fun l -> is_alive t l.Registry.node_id) holders in
-  let reachable l = not (Faults.Fault.partitioned member.id l.Registry.node_id) in
-  if live = [] || List.exists reachable live then member
-  else
-    let holder_ids = List.map (fun l -> l.Registry.node_id) live in
-    match
-      least_loaded_among t (fun m -> m.alive && List.mem m.id holder_ids)
-    with
-    | None -> member
-    | Some m ->
-        t.s_failovers <- t.s_failovers + 1;
-        Obs.Log.emit t.log
-          (Obs.Event.Failover { fn_id; from_node = member.id; to_node = m.id });
-        m
-
 (* {1 Remote fetch} *)
 
 type fetch_outcome = Fetched | No_holder | Unreachable
@@ -237,11 +216,7 @@ let fetch_with_retry t member (fn : Seuss.Node.fn) =
               evict t ~fn_id ~node_id:l.Registry.node_id ~reason:"dead holder")
           holders;
         let usable =
-          List.filter
-            (fun l ->
-              is_alive t l.Registry.node_id
-              && not (Faults.Fault.partitioned member.id l.Registry.node_id))
-            holders
+          List.filter (fun l -> is_alive t l.Registry.node_id) holders
         in
         match usable with
         | [] -> if holders = [] then No_holder else Unreachable
@@ -332,13 +307,7 @@ let invoke t (fn : Seuss.Node.fn) ~args =
   maybe_inject_crash t fn_id;
   match pick_member t fn_id with
   | None -> (Error `Overloaded, Cluster_cold)
-  | Some routed ->
-      let member =
-        if
-          Option.is_some (Seuss.Node.function_snapshot routed.node fn_id)
-        then routed
-        else reroute_around_partition t routed fn_id
-      in
+  | Some member ->
       member.inflight <- member.inflight + 1;
       let finish result =
         member.inflight <- member.inflight - 1;

@@ -21,11 +21,9 @@
       ([Registry_repair]);
     - a failed or stale remote fetch is retried with exponential backoff
       and a jittered pause ([Fetch_retry]), trying other holders;
-    - when holders exist but none is reachable (crash or partition), the
-      invocation degrades to a local cold start ([Degraded_cold]) rather
-      than failing;
-    - a partition that cuts the routed node off from every holder
-      re-routes the invocation to a holder itself ([Failover]).
+    - when holders exist but none is reachable (crashed, stale or out of
+      retries), the invocation degrades to a local cold start
+      ([Degraded_cold]) rather than failing.
 
     With no fault plan installed none of this machinery draws, sleeps,
     or emits: behaviour is identical to a fault-free build. *)
@@ -40,7 +38,7 @@ type stats = {
   cluster_colds : int;
   bytes_transferred : int64;
   fetch_retries : int;  (** backed-off fetch re-attempts *)
-  failovers : int;  (** invocations re-routed off dead/partitioned nodes *)
+  failovers : int;  (** invocations re-routed off dead nodes *)
   degraded_colds : int;  (** holders existed but none reachable *)
   node_crashes : int;
   registry_evictions : int;  (** dead/stale holder entries dropped *)
@@ -54,8 +52,6 @@ val create :
   t
 (** Start an [n]-node cluster (default 4 nodes, 16 GiB each — call
     inside a simulation process; boots every node). *)
-
-val node_count : t -> int
 
 val nodes : t -> Seuss.Node.t list
 

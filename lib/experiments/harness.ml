@@ -83,11 +83,11 @@ let run_sim ?run ?(seed = 7L) body =
       | Some v -> v
       | None -> failwith "experiment did not complete")
 
-let make_seuss_env ?(budget_bytes = default_budget) ?(io_delay = 0.25) engine =
+let make_seuss_env ?(budget_bytes = default_budget) engine =
   let env = Seuss.Osenv.create ~budget_bytes engine in
   let io_listener = Net.Tcp.listener ~port:80 in
   Net.Http.serve ~listener:io_listener (fun _ ->
-      Sim.Engine.sleep io_delay;
+      Sim.Engine.sleep 0.25;
       Net.Http.ok "OK");
   Seuss.Osenv.register_host env "http://io-server" io_listener;
   env
@@ -110,8 +110,8 @@ let arm_config (run : Run_config.t) config =
   | None -> config
   | Some p -> { config with Seuss.Config.snapshot_cache_policy = p }
 
-let seuss_node ?run ?(config = Seuss.Config.default) env =
-  let node = Seuss.Node.create ~config:(arm_config (resolve run) config) env in
+let seuss_node ?(config = Seuss.Config.default) env =
+  let node = Seuss.Node.create ~config:(arm_config (resolve None) config) env in
   let name = Printf.sprintf "node%d" !node_seq in
   incr node_seq;
   Seuss.Node.arm_census ~name
@@ -120,8 +120,8 @@ let seuss_node ?run ?(config = Seuss.Config.default) env =
   Seuss.Node.start node;
   node
 
-let seuss_controller ?config env =
-  let node = seuss_node ?config env in
+let seuss_controller env =
+  let node = seuss_node env in
   let shim = Seuss.Shim.create env node in
   (Platform.Controller.create env.Seuss.Osenv.engine
      (Platform.Controller.Seuss_backend shim),
@@ -134,8 +134,8 @@ let linux_controller ?config env =
      (Platform.Controller.Linux_backend node),
    node)
 
-let pool_controller ?config ~kind env =
-  let node = Baselines.Pool_node.create ?config ~kind env in
+let pool_controller ~kind env =
+  let node = Baselines.Pool_node.create ~kind env in
   (Platform.Controller.create env.Seuss.Osenv.engine
      (Platform.Controller.Pool_backend node),
    node)

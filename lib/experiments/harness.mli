@@ -3,10 +3,11 @@
     then run a body inside the simulation. One fresh deployment per
     trial, like the paper.
 
-    The harness is where a run is armed. Every entry point below that
-    takes [?run] applies that {!Run_config.t}; when it is omitted, the
-    enclosing {!with_run}'s configuration is used (every {!run_sim} is
-    one), and outside any the environment's ({!Run_config.of_env}).
+    The harness is where a run is armed. {!run_sim} applies its [?run]
+    {!Run_config.t}; when it is omitted, and for every node
+    {!seuss_node} builds, the enclosing {!with_run}'s configuration is
+    used (every {!run_sim} is one), and outside any the environment's
+    ({!Run_config.of_env}).
     @raise Invalid_argument when the configuration has to be read from
     a malformed environment. *)
 
@@ -51,29 +52,24 @@ val fault_seed_xor : int64
     seed ([0x5EEDFA17]); shared by {!run_sim} and [fig_chaos] so one
     run seed fully determines the failure sequence. *)
 
-val make_seuss_env :
-  ?budget_bytes:int64 -> ?io_delay:float -> Sim.Engine.t -> Seuss.Osenv.t
+val make_seuss_env : ?budget_bytes:int64 -> Sim.Engine.t -> Seuss.Osenv.t
 (** An 88 GB/16-core environment with the external blocking HTTP
-    endpoint registered as ["http://io-server"]. *)
+    endpoint registered as ["http://io-server"], which answers after
+    250 ms. *)
 
-val seuss_node :
-  ?run:Run_config.t ->
-  ?config:Seuss.Config.t ->
-  Seuss.Osenv.t ->
-  Seuss.Node.t
-(** Create and start a SEUSS node (blocking: boots the runtime). [run]
-    can switch on working-set prefault and the snapshot store (with its
-    policy) over [config], and the node always registers the ownership
-    census (inert unless the engine armed it). Span capture and the
-    resource timeline are started by the command that prints them, not
-    here. Experiments needing fixed arms (e.g. [Fig_reap],
-    [Fig_evict]) build their nodes directly. *)
+val seuss_node : ?config:Seuss.Config.t -> Seuss.Osenv.t -> Seuss.Node.t
+(** Create and start a SEUSS node (blocking: boots the runtime). The
+    enclosing run (see {!with_run}) can switch on working-set prefault
+    and the snapshot store (with its policy) over [config], and the
+    node always registers the ownership census (inert unless the
+    engine armed it). Span capture and the resource timeline are
+    started by the command that prints them, not here. Experiments
+    needing fixed arms (e.g. [Fig_reap], [Fig_evict]) build their nodes
+    directly. *)
 
-val seuss_controller :
-  ?config:Seuss.Config.t ->
-  Seuss.Osenv.t ->
-  Platform.Controller.t * Seuss.Node.t
-(** Node + shim + OpenWhisk controller, node as in {!seuss_node}. *)
+val seuss_controller : Seuss.Osenv.t -> Platform.Controller.t * Seuss.Node.t
+(** Node + shim + OpenWhisk controller, node as in {!seuss_node} with
+    the default config. *)
 
 val linux_controller :
   ?config:Baselines.Linux_node.config ->
@@ -81,7 +77,6 @@ val linux_controller :
   Platform.Controller.t * Baselines.Linux_node.t
 
 val pool_controller :
-  ?config:Baselines.Pool_node.config ->
   kind:Baselines.Pool_node.kind ->
   Seuss.Osenv.t ->
   Platform.Controller.t * Baselines.Pool_node.t

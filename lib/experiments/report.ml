@@ -28,8 +28,6 @@ let mb_of_pages pages = mb (Mem.Mconfig.bytes_of_pages pages)
 
 let per_s v = Printf.sprintf "%.1f/s" v
 
-let count n = string_of_int n
-
 let csv_field f =
   if String.exists (fun c -> c = ',' || c = '"' || c = '\n') f then
     "\"" ^ String.concat "\"\"" (String.split_on_char '"' f) ^ "\""

@@ -16,8 +16,6 @@ val mb_of_pages : int -> string
 
 val per_s : float -> string
 
-val count : int -> string
-
 val heading : string -> string
 (** Underlined section heading. *)
 

@@ -4,7 +4,6 @@ type site =
   | Oom_storm
   | Net_drop
   | Net_delay
-  | Partition
   | Node_crash
   | Registry_stale
 
@@ -15,7 +14,6 @@ let all_sites =
     Oom_storm;
     Net_drop;
     Net_delay;
-    Partition;
     Node_crash;
     Registry_stale;
   ]
@@ -26,20 +24,8 @@ let site_name = function
   | Oom_storm -> "oom_storm"
   | Net_drop -> "net_drop"
   | Net_delay -> "net_delay"
-  | Partition -> "partition"
   | Node_crash -> "node_crash"
   | Registry_stale -> "registry_stale"
-
-let site_of_name = function
-  | "uc_kill" -> Some Uc_kill
-  | "capture_fail" -> Some Capture_fail
-  | "oom_storm" -> Some Oom_storm
-  | "net_drop" -> Some Net_drop
-  | "net_delay" -> Some Net_delay
-  | "partition" -> Some Partition
-  | "node_crash" -> Some Node_crash
-  | "registry_stale" -> Some Registry_stale
-  | _ -> None
 
 exception Injected_crash of string
 
@@ -52,7 +38,6 @@ type plan = {
   rng : Sim.Prng.t;
   mutable rates : (site * float) list;
   delay_spike : float;
-  mutable partitions : (int * int) list;
   mutable history : record list; (* newest first *)
 }
 
@@ -73,7 +58,7 @@ let make ?seed ?(delay_spike = 0.02) ?(rates = []) engine =
     | Some s -> Sim.Prng.create s
     | None -> Sim.Prng.split (Sim.Engine.rng engine)
   in
-  { engine; rng; rates; delay_spike; partitions = []; history = [] }
+  { engine; rng; rates; delay_spike; history = [] }
 
 let install plan =
   Sim.Engine.set_fault_plan plan.engine (Some (Plan_slot plan))
@@ -129,34 +114,3 @@ let delay () =
 let pick plan n = Sim.Prng.int plan.rng n
 
 let jitter plan = Sim.Prng.float plan.rng
-
-(* {1 Partitions} *)
-
-let ordered a b = if a <= b then (a, b) else (b, a)
-
-let is_partitioned plan a b = List.mem (ordered a b) plan.partitions
-
-let partition plan ~a ~b =
-  let key = ordered a b in
-  if not (List.mem key plan.partitions) then begin
-    plan.partitions <- key :: plan.partitions;
-    record plan Partition (Printf.sprintf "cut %d-%d" a b)
-  end
-
-let heal plan ~a ~b =
-  let key = ordered a b in
-  if List.mem key plan.partitions then begin
-    plan.partitions <- List.filter (fun k -> k <> key) plan.partitions;
-    record plan Partition (Printf.sprintf "heal %d-%d" a b)
-  end
-
-let schedule_partition plan ~a ~b ~after ~duration =
-  Sim.Engine.schedule plan.engine ~delay:after (fun () ->
-      partition plan ~a ~b;
-      Sim.Engine.schedule plan.engine ~delay:duration (fun () ->
-          heal plan ~a ~b))
-
-let partitioned a b =
-  match current () with
-  | None -> false
-  | Some plan -> is_partitioned plan a b

@@ -1,8 +1,8 @@
 (** Deterministic, seed-driven fault injection.
 
     The paper's §9 DR-SEUSS vision assumes a cluster that survives node
-    crashes, snapshot-fetch failures and fabric partitions; this module
-    is the plane those failures are injected through. A {!plan} owns a
+    crashes and snapshot-fetch failures; this module is the plane those
+    failures are injected through. A {!plan} owns a
     private splitmix64 stream and a per-{!site} probability table;
     injection sites across the stack ([Net.Tcp], [Seuss.Node],
     [Cluster.Drseuss]) consult the plan of the running engine via
@@ -28,15 +28,12 @@ type site =
   | Oom_storm  (** transient memory pressure evicts all idle UCs *)
   | Net_drop  (** a SYN is dropped ([Net.Tcp.connect]) *)
   | Net_delay  (** a send stalls for [delay_spike] seconds *)
-  | Partition  (** fabric cut between a node pair (scheduled, not drawn) *)
   | Node_crash  (** a whole cluster node dies ([Cluster.Drseuss]) *)
   | Registry_stale  (** a registry holder entry is stale at fetch time *)
 
 val all_sites : site list
 
 val site_name : site -> string
-
-val site_of_name : string -> site option
 
 exception Injected_crash of string
 (** The exception a deliberately-crashed process dies with; pair with
@@ -101,24 +98,3 @@ val history : plan -> record list
     timeline. *)
 
 val fired : plan -> int
-
-(** {1 Partitions}
-
-    Pair-wise fabric cuts between cluster node ids. These are state, not
-    draws: install/heal them directly or on a schedule, and let sites
-    consult {!partitioned}. Cuts and heals are recorded in {!history}
-    under the [Partition] site. *)
-
-val partition : plan -> a:int -> b:int -> unit
-
-val heal : plan -> a:int -> b:int -> unit
-
-val schedule_partition :
-  plan -> a:int -> b:int -> after:float -> duration:float -> unit
-(** Cut [a]-[b] [after] seconds from now, heal [duration] later. *)
-
-val is_partitioned : plan -> int -> int -> bool
-
-val partitioned : int -> int -> bool
-(** [is_partitioned] against the running engine's plan; [false] when no
-    plan is installed. *)

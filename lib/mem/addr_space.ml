@@ -69,7 +69,6 @@ let of_table ?(mapped_hint = -1) frames source =
   }
 
 let table t = t.pt
-let allocator t = t.frames
 
 let set_fault_hook t f = t.on_fault <- f
 
@@ -216,7 +215,6 @@ let prefault (t : t) ~vpns =
 
 let mapped_pages t = t.mapped_count
 let mapped_pages_slow t = Page_table.count_present t.pt
-let resident_bytes t = Mconfig.bytes_of_pages (mapped_pages t)
 let dirty_pages t = t.dirty_count
 let dirty_pages_slow t = Page_table.count_dirty t.pt
 

@@ -36,8 +36,6 @@ val of_table : ?mapped_hint:int -> Frame.t -> Page_table.t -> t
 
 val table : t -> Page_table.t
 
-val allocator : t -> Frame.t
-
 val touch_write : t -> vpn:int -> fault
 (** Write one page; a resolved fault reports a count of 1 to the fault
     hook. @raise Frame.Out_of_memory when a needed allocation exceeds
@@ -104,10 +102,6 @@ val write_bytes : t -> addr:int -> len:int -> write_stats
 
 val mapped_pages : t -> int
 (** O(1), maintained incrementally (exact when [of_table]'s hint was). *)
-
-val resident_bytes : t -> int64
-(** [mapped_pages * page_size]: what this space would charge a node if
-    nothing were shared. *)
 
 val dirty_pages : t -> int
 (** O(1): pages written since creation or the last {!clear_dirty} /

@@ -19,7 +19,6 @@ type t = {
   mutable free_top : int;
   mutable live : int;
   mutable peak : int;
-  mutable allocs : int;
 }
 
 let create ?(budget_bytes = Mconfig.default_budget_bytes) () =
@@ -34,7 +33,6 @@ let create ?(budget_bytes = Mconfig.default_budget_bytes) () =
     free_top = 0;
     live = 0;
     peak = 0;
-    allocs = 0;
   }
 
 let budget_frames t = t.budget_frames
@@ -76,7 +74,6 @@ let alloc t =
   t.refcounts.(id) <- 1;
   t.live <- t.live + 1;
   if t.live > t.peak then t.peak <- t.live;
-  t.allocs <- t.allocs + 1;
   id
 
 (* seussheat: cold — raises: the message is built only on a refcount bug *)
@@ -121,4 +118,3 @@ let used_frames t = t.live
 let used_bytes t = Mconfig.bytes_of_pages t.live
 let free_bytes t = Mconfig.bytes_of_pages (t.budget_frames - t.live)
 let peak_frames t = t.peak
-let total_allocs t = t.allocs

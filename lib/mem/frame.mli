@@ -63,6 +63,3 @@ val free_bytes : t -> int64
 
 val peak_frames : t -> int
 (** High-water mark of simultaneously live frames. *)
-
-val total_allocs : t -> int
-(** Cumulative {!alloc} calls (allocation-rate sanity checks). *)

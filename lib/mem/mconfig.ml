@@ -1,12 +1,6 @@
 let page_size = 4096
-let page_shift = 12
 let entries_per_table = 512
-let table_span_pages = entries_per_table
 let default_budget_bytes = Int64.mul 88L (Int64.mul 1024L (Int64.mul 1024L 1024L))
-
-let pages_of_bytes bytes =
-  if bytes < 0 then invalid_arg "Mconfig.pages_of_bytes: negative";
-  (bytes + page_size - 1) / page_size
 
 let bytes_of_pages pages = Int64.mul (Int64.of_int pages) (Int64.of_int page_size)
 

@@ -6,20 +6,11 @@
 val page_size : int
 (** Bytes per page (4096). *)
 
-val page_shift : int
-(** log2 [page_size]. *)
-
 val entries_per_table : int
 (** Entries in one page-table leaf (512, as on x86-64). *)
 
-val table_span_pages : int
-(** Pages covered by one leaf table. *)
-
 val default_budget_bytes : int64
 (** The paper's compute-node memory: 88 GiB. *)
-
-val pages_of_bytes : int -> int
-(** Bytes rounded up to whole pages. *)
 
 val bytes_of_pages : int -> int64
 

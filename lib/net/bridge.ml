@@ -42,8 +42,6 @@ let remove_endpoint t =
   if t.n_endpoints <= 0 then invalid_arg "Bridge.remove_endpoint: none attached";
   t.n_endpoints <- t.n_endpoints - 1
 
-let endpoints t = t.n_endpoints
-
 let drop_probability t =
   let load = float_of_int t.n_endpoints /. float_of_int t.cfg.safe_endpoints in
   let concurrency = 1.0 +. (float_of_int t.inflight_connects /. 8.0) in

@@ -38,8 +38,6 @@ val add_endpoint : t -> unit
 
 val remove_endpoint : t -> unit
 
-val endpoints : t -> int
-
 val connect : t -> Tcp.listener -> Tcp.conn option
 (** Connect across the bridge; [None] after exhausting SYN retries. *)
 

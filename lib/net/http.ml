@@ -2,10 +2,7 @@ type request = { path : string; body : string; body_size : int }
 
 type response = { status : int; body : string; body_size : int }
 
-let ok ?body_size body =
-  { status = 200; body; body_size = Option.value body_size ~default:(String.length body) }
-
-let error status body = { status; body; body_size = String.length body }
+let ok body = { status = 200; body; body_size = String.length body }
 
 (* Wire framing: a one-line header then the body, carried in a single
    Tcp message whose modeled [size] includes the body size. *)
@@ -36,11 +33,9 @@ let decode_response m =
   in
   { status; body; body_size = m.Tcp.size }
 
-let request ~conn ?timeout ?body_size ~path body =
+let request ~conn ?timeout ~path body =
   let wire = encode_request { path; body; body_size = 0 } in
-  let size =
-    Option.value body_size ~default:(String.length body) + String.length path + 64
-  in
+  let size = String.length body + String.length path + 64 in
   Tcp.send conn ~size wire;
   let reply =
     match timeout with

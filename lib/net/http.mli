@@ -9,14 +9,12 @@ type request = { path : string; body : string; body_size : int }
 
 type response = { status : int; body : string; body_size : int }
 
-val ok : ?body_size:int -> string -> response
-
-val error : int -> string -> response
+val ok : string -> response
+(** A 200 response whose modeled size is its body's length. *)
 
 val request :
   conn:Tcp.conn ->
   ?timeout:float ->
-  ?body_size:int ->
   path:string ->
   string ->
   (response, [ `Timeout | `Closed ]) result

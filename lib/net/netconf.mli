@@ -1,8 +1,8 @@
 (** Link parameters for the simulated fabric.
 
     The paper's testbed is a 10 GbE private VLAN between four machines,
-    plus near-zero-cost paths inside one machine (shim -> VM virtio, and
-    SEUSS OS -> UC over the internal network). *)
+    plus near-zero-cost paths inside one machine (SEUSS OS -> UC over
+    the internal network). *)
 
 type link = {
   latency : float;  (** one-way propagation + stack traversal, seconds *)
@@ -12,12 +12,6 @@ type link = {
 
 val lan : link
 (** Machine-to-machine over the 10 GbE switch (~80 us one-way). *)
-
-val virtio : link
-(** Host process to the compute-node VM via virtio/vhost. The paper
-    measures the shim hop adding ~8 ms round trip to hot invocations; the
-    dominant term is the shim's serialized TCP connection, modeled in
-    [Seuss.Shim], with ~1 ms of it in the virtio path itself. *)
 
 val internal : link
 (** SEUSS OS to a UC through the per-core network proxy (~10 us). *)

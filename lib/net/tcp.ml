@@ -65,8 +65,6 @@ let connect ?(admit = fun () -> true) ~link l =
 
 let accept l = Sim.Channel.recv l.accepts
 
-let accept_timeout l ~timeout = Sim.Channel.recv_timeout l.accepts ~timeout
-
 (* Put a frame on the wire: claim the next sequence number now (sender
    program order), deliver one link latency later. *)
 let transmit dir ~latency frame =

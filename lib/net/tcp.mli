@@ -34,8 +34,6 @@ val connect : ?admit:(unit -> bool) -> link:Netconf.link -> listener -> conn opt
 val accept : listener -> conn
 (** Blocks until a peer connects. *)
 
-val accept_timeout : listener -> timeout:float -> conn option
-
 val send : conn -> ?size:int -> string -> unit
 (** Blocks the sender for serialization + overhead; the peer receives the
     message one latency later. [size] defaults to the string length.

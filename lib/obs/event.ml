@@ -32,7 +32,6 @@ type t =
   | Registry_repair of { node_id : int; republished : int }
   | Failover of { fn_id : string; from_node : int; to_node : int }
   | Degraded_cold of { fn_id : string }
-  | Partition_change of { a : int; b : int; healed : bool }
   | Ws_record of { snapshot : string; pages : int }
   | Ws_prefault of {
       uc_id : int;
@@ -96,7 +95,6 @@ let type_name = function
   | Registry_repair _ -> "registry_repair"
   | Failover _ -> "failover"
   | Degraded_cold _ -> "degraded_cold"
-  | Partition_change _ -> "partition_change"
   | Ws_record _ -> "ws_record"
   | Ws_prefault _ -> "ws_prefault"
   | San_race _ -> "san_race"
@@ -161,8 +159,6 @@ let to_json ~time ev =
           ("to_node", Json.Int to_node);
         ]
     | Degraded_cold { fn_id } -> [ ("fn_id", Json.String fn_id) ]
-    | Partition_change { a; b; healed } ->
-        [ ("a", Json.Int a); ("b", Json.Int b); ("healed", Json.Bool healed) ]
     | Ws_record { snapshot; pages } ->
         [ ("snapshot", Json.String snapshot); ("pages", Json.Int pages) ]
     | Ws_prefault { uc_id; snapshot; pages; cow_copied; zero_filled } ->
@@ -295,11 +291,6 @@ let of_json json =
     | "degraded_cold" ->
         let* fn_id = field "fn_id" Json.to_str in
         Ok (Degraded_cold { fn_id })
-    | "partition_change" ->
-        let* a = field "a" Json.to_int in
-        let* b = field "b" Json.to_int in
-        let* healed = field "healed" Json.to_bool in
-        Ok (Partition_change { a; b; healed })
     | "ws_record" ->
         let* snapshot = field "snapshot" Json.to_str in
         let* pages = field "pages" Json.to_int in

@@ -62,8 +62,6 @@ type t =
   | Degraded_cold of { fn_id : string }
       (** Holders exist but none was reachable: the cluster degraded to
           a local cold start rather than failing the invocation. *)
-  | Partition_change of { a : int; b : int; healed : bool }
-      (** The fabric between nodes [a] and [b] was cut or healed. *)
   | Ws_record of { snapshot : string; pages : int }
       (** The first invocation from [snapshot] completed with working-set
           recording on; [pages] vpns were captured for future prefault. *)

@@ -33,6 +33,11 @@ type result = {
 }
 
 let run ~invoke cfg =
+  (* A zero period or rate would loop forever at one instant. *)
+  if not (cfg.burst_period > 0.0) then
+    invalid_arg "Burst.run: burst_period must be positive";
+  if not (cfg.background_rate > 0.0) then
+    invalid_arg "Burst.run: background_rate must be positive";
   let engine = Sim.Engine.self () in
   let rng = Sim.Prng.create cfg.seed in
   let t_end = Sim.Engine.now engine +. cfg.duration in

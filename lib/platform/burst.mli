@@ -37,4 +37,6 @@ val run :
 (** Blocking; call within a simulation process. The caller must have
     registered [io_url]'s external server (see
     {!Seuss.Osenv.register_host}) so the IO-bound functions can reach
-    it. *)
+    it.
+    @raise Invalid_argument if [burst_period] or [background_rate] is
+    not positive. *)

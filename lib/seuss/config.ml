@@ -27,11 +27,6 @@ let default =
     runtimes = [ Unikernel.Image.node ];
   }
 
-let ao_name = function
-  | Ao_none -> "none"
-  | Ao_network -> "network"
-  | Ao_full -> "network+interpreter"
-
 let policy_name = function Snap_lru -> "lru" | Snap_ws -> "ws"
 
 let policy_of_name = function

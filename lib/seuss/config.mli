@@ -50,8 +50,6 @@ val default : t
 (** Full AO, both caches on, 1 GiB OOM headroom, 60 s timeout, no
     snapshot store, Node.js runtime. *)
 
-val ao_name : ao_level -> string
-
 val policy_name : snap_policy -> string
 (** ["lru"] / ["ws"] — the spelling used in events and the
     [SEUSS_SNAP_POLICY] env hook. *)

@@ -17,7 +17,7 @@ type t = {
 
 let default_cores = 16
 
-let create ?budget_bytes ?(cores = default_cores) ?log_capacity engine =
+let create ?budget_bytes ?log_capacity engine =
   let log =
     Obs.Log.create ?capacity:log_capacity
       ~clock:(fun () -> Sim.Engine.now engine)
@@ -59,7 +59,7 @@ let create ?budget_bytes ?(cores = default_cores) ?log_capacity engine =
     engine;
     frames = Mem.Frame.create ?budget_bytes ();
     proxy = Net.Proxy.create ();
-    cpu = Sim.Semaphore.create cores; (* seussdead: lock osenv.cpu *)
+    cpu = Sim.Semaphore.create default_cores; (* seussdead: lock osenv.cpu *)
     rng = Sim.Prng.split (Sim.Engine.rng engine);
     next_port = 10_000;
     next_id = 0;

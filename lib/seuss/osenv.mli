@@ -24,11 +24,9 @@ type t = {
 }
 
 val default_cores : int
-(** Cores of the modeled compute node when {!create} is not told
-    otherwise: the paper's VM has 16. *)
+(** Cores of every modeled compute node: the paper's VM has 16. *)
 
-val create :
-  ?budget_bytes:int64 -> ?cores:int -> ?log_capacity:int -> Sim.Engine.t -> t
+val create : ?budget_bytes:int64 -> ?log_capacity:int -> Sim.Engine.t -> t
 (** Defaults: the paper's 88 GB VM with {!default_cores} cores, event
     ring of {!Obs.Log.default_capacity}. *)
 

@@ -3,19 +3,15 @@ type t = {
   target : Node.t;
   (* One TCP connection to the VM: transfers serialize on it. *)
   conn_lock : Sim.Semaphore.t;
-  mutable relayed : int;
 }
 
 let create env target =
   (* seussdead: lock shim.conn *)
-  { env; target; conn_lock = Sim.Semaphore.create 1; relayed = 0 }
-
-let node t = t.target
+  { env; target; conn_lock = Sim.Semaphore.create 1 }
 
 let transfer t =
   Sim.Semaphore.with_permit t.conn_lock (fun () ->
-      Sim.Engine.sleep Cost.shim_per_message);
-  t.relayed <- t.relayed + 1
+      Sim.Engine.sleep Cost.shim_per_message)
 
 let invoke t fn ~args =
   transfer t;
@@ -28,5 +24,3 @@ let deploy_idle t runtime =
   let ok = Node.deploy_idle t.target runtime in
   transfer t;
   ok
-
-let messages_relayed t = t.relayed

@@ -11,8 +11,6 @@ type t
 
 val create : Osenv.t -> Node.t -> t
 
-val node : t -> Node.t
-
 val invoke :
   t -> Node.fn -> args:string -> (string, Node.invoke_error) result * Node.path
 (** Relay one invocation: request transfer (serialized), node
@@ -20,5 +18,3 @@ val invoke :
 
 val deploy_idle : t -> Unikernel.Image.runtime -> bool
 (** Relay a Table 3 instance-creation request. *)
-
-val messages_relayed : t -> int

@@ -1,6 +1,6 @@
 let us t = t *. 1e6
 
-let span_events ?(cat = "sim") ~pid spans =
+let span_events ~pid spans =
   List.map
     (fun (s : Sim.Trace.span) ->
       let args =
@@ -14,7 +14,7 @@ let span_events ?(cat = "sim") ~pid spans =
         Obs.Chrome.Complete
           {
             name = s.Sim.Trace.name;
-            cat;
+            cat = "sim";
             ts_us = us s.Sim.Trace.t_start;
             dur_us = us (s.Sim.Trace.t_end -. s.Sim.Trace.t_start);
             pid;
@@ -25,7 +25,7 @@ let span_events ?(cat = "sim") ~pid spans =
         Obs.Chrome.Instant
           {
             name = s.Sim.Trace.name;
-            cat;
+            cat = "sim";
             ts_us = us s.Sim.Trace.t_start;
             pid;
             tid = s.Sim.Trace.pid;

@@ -10,10 +10,8 @@
     Zero-width spans ([Sim.Trace.mark]) export as instant events;
     everything else as complete ("X") events. *)
 
-val span_events :
-  ?cat:string -> pid:int -> Sim.Trace.span list -> Obs.Chrome.event list
-(** Encode one trace's spans into lane [pid] (category defaults to
-    ["sim"]). *)
+val span_events : pid:int -> Sim.Trace.span list -> Obs.Chrome.event list
+(** Encode one trace's spans into lane [pid], category ["sim"]. *)
 
 val chrome : (string * Sim.Trace.span list) list -> Obs.Json.t
 (** The full document for a list of labelled traces: process/thread

@@ -263,8 +263,6 @@ let footprint_bytes t =
     (Mem.Mconfig.bytes_of_pages (private_pages t))
     (Int64.of_int (Mem.Page_table.structure_bytes (Mem.Addr_space.table t.space)))
 
-let last_used t = t.used_at
-
 let touch_lru t = t.used_at <- Sim.Engine.now t.env.Osenv.engine
 
 let is_released t = t.released

@@ -88,8 +88,6 @@ val private_pages : t -> int
 val footprint_bytes : t -> int64
 (** [private_pages * page_size] plus private page-table structures. *)
 
-val last_used : t -> float
-
 val touch_lru : t -> unit
 (** Record use (for the OOM reclaimer's eviction order). *)
 

@@ -80,6 +80,3 @@ let recv_timeout t ~timeout =
         end
       in
       wait ()
-
-let length t = Queue.length t.items
-let is_empty t = Queue.is_empty t.items

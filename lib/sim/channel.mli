@@ -20,7 +20,3 @@ val try_recv : 'a t -> 'a option
 val recv_timeout : 'a t -> timeout:float -> 'a option
 (** [Some item] if one arrives for this receiver within [timeout]
     simulated seconds, else [None]. *)
-
-val length : 'a t -> int
-
-val is_empty : 'a t -> bool

@@ -220,8 +220,6 @@ let create ?(seed = 1L) ?tie_seed ?(deadlock = false) ?(own = false) () =
 
 let now t = t.clk.t_now
 let rng t = t.prng
-let events_executed t = t.executed
-let tie_shuffling t = Option.is_some t.tie
 
 let pending t = t.q_size
 

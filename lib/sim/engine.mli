@@ -44,9 +44,6 @@ val create :
     event order. Unarmed engines draw nothing from the shuffle stream
     and keep exact FIFO tie-breaking. *)
 
-val tie_shuffling : t -> bool
-(** Whether the tie shuffler is armed on this engine. *)
-
 val now : t -> float
 (** Current simulated time, in seconds. *)
 
@@ -88,9 +85,6 @@ val run : ?until:float -> t -> unit
     until simulated time would exceed [until] (remaining events are left
     queued). Re-entrant calls are rejected. *)
 
-val events_executed : t -> int
-(** Total events fired so far, for tests and sanity checks. *)
-
 val pending : t -> int
 (** Events currently queued in the heap. Inside a running process this
     counts everyone else's scheduled work — a periodic daemon can use
@@ -104,7 +98,7 @@ val pending : t -> int
     committed [BENCH_engine.json] baseline. *)
 
 type perf = {
-  dispatched : int;  (** events fired (heap pops) — {!events_executed} *)
+  dispatched : int;  (** events fired (heap pops) *)
   scheduled : int;  (** events ever queued (heap pushes) *)
   max_heap : int;  (** event-heap high-water mark *)
 }

@@ -215,8 +215,6 @@ type cell = {
 
 let cell ~name = { name; atime = neg_infinity; accs = [] }
 
-let cell_name c = c.name
-
 let report st race =
   st.races <- race :: st.races;
   List.iter (fun f -> f race) st.reporters

@@ -57,8 +57,6 @@ val cell : name:string -> cell
     accesses only record when the running engine has the checker
     enabled. *)
 
-val cell_name : cell -> string
-
 val read : cell -> unit
 (** Record that the calling process read the cell. *)
 

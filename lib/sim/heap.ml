@@ -6,8 +6,6 @@ type 'a t = {
 
 let create ~cmp = { data = [||]; size = 0; cmp }
 
-let length t = t.size
-
 let is_empty t = t.size = 0
 
 (* seussheat: cold — amortized capacity doubling, off the per-event path *)
@@ -63,7 +61,3 @@ let pop t =
     (* seussheat: cold — the option is pop's API result *)
     Some top
   end
-
-let clear t =
-  t.data <- [||];
-  t.size <- 0

@@ -9,8 +9,6 @@ type 'a t
 val create : cmp:('a -> 'a -> int) -> 'a t
 (** [create ~cmp] is an empty heap ordered by [cmp] (minimum first). *)
 
-val length : 'a t -> int
-
 val is_empty : 'a t -> bool
 
 val push : 'a t -> 'a -> unit
@@ -20,5 +18,3 @@ val peek : 'a t -> 'a option
 
 val pop : 'a t -> 'a option
 (** [pop t] removes and returns the minimum element. *)
-
-val clear : 'a t -> unit

@@ -26,7 +26,6 @@ let create n =
 
 let capacity t = t.capacity
 let available t = t.avail
-let waiting t = Queue.length t.waiters
 let in_use t = t.capacity - t.avail
 
 let resource t e =

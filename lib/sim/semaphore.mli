@@ -13,9 +13,6 @@ val capacity : t -> int
 
 val available : t -> int
 
-val waiting : t -> int
-(** Number of processes currently queued on {!acquire}. *)
-
 val in_use : t -> int
 (** [capacity t - available t]. *)
 

@@ -144,7 +144,7 @@ let mark name =
         }
         :: tr.rev_spans
 
-let render ?(unit_scale = 1e3) ?(unit_name = "ms") spans =
+let render spans =
   match spans with
   | [] -> "(no spans)\n"
   | first :: _ ->
@@ -158,11 +158,11 @@ let render ?(unit_scale = 1e3) ?(unit_name = "ms") spans =
         (fun s ->
           Buffer.add_string buf
             (Printf.sprintf "%10.3f %10.3f %10.3f  %s%s\n"
-               ((s.t_start -. t0) *. unit_scale)
-               ((s.t_end -. t0) *. unit_scale)
-               ((s.t_end -. s.t_start) *. unit_scale)
+               ((s.t_start -. t0) *. 1e3)
+               ((s.t_end -. t0) *. 1e3)
+               ((s.t_end -. s.t_start) *. 1e3)
                (String.make (2 * s.depth) ' ')
                s.name))
         spans;
-      Buffer.add_string buf (Printf.sprintf "(times in %s)\n" unit_name);
+      Buffer.add_string buf "(times in ms)\n";
       Buffer.contents buf

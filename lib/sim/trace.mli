@@ -54,6 +54,6 @@ val span : string -> (unit -> 'a) -> 'a
 val mark : string -> unit
 (** A zero-width span. *)
 
-val render : ?unit_scale:float -> ?unit_name:string -> span list -> string
-(** A waterfall: start/end/duration columns with indentation, default in
-    milliseconds. *)
+val render : span list -> string
+(** A waterfall: start/end/duration columns in milliseconds, with
+    indentation. *)

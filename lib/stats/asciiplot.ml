@@ -112,5 +112,3 @@ let render t =
       series;
     Buffer.contents buf
   end
-
-let pp ppf t = Format.pp_print_string ppf (render t)

@@ -23,5 +23,3 @@ val add_series : t -> label:string -> mark:char -> (float * float) list -> unit
 val render : t -> string
 (** Renders the canvas, axis ticks and a legend. Points that fall outside
     a log-scaled axis' positive domain are dropped. *)
-
-val pp : Format.formatter -> t -> unit

@@ -77,15 +77,3 @@ let fold t ~init ~f =
     acc := f !acc ~lo ~hi ~count:t.counts.(i)
   done;
   !acc
-
-let pp ppf t =
-  let peak = Array.fold_left max 1 t.counts in
-  for i = 0 to bin_count t - 1 do
-    if t.counts.(i) > 0 then begin
-      let lo, hi = bin_bounds t i in
-      let width = t.counts.(i) * 40 / peak in
-      Format.fprintf ppf "%10.4g-%-10.4g |%s %d@." lo hi
-        (String.make (max 1 width) '#')
-        t.counts.(i)
-    end
-  done

@@ -36,6 +36,3 @@ val quantile : t -> float -> float
     one bin width, [10^(1/bins_per_decade) - 1]. *)
 
 val fold : t -> init:'a -> f:('a -> lo:float -> hi:float -> count:int -> 'a) -> 'a
-
-val pp : Format.formatter -> t -> unit
-(** Compact bar rendering of non-empty bins. *)

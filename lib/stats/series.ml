@@ -46,8 +46,3 @@ let window_counts t ~width =
       pts;
     List.init nwin (fun i -> (tmin +. (float_of_int i *. width), counts.(i)))
   end
-
-let window_rate t ~width =
-  List.map
-    (fun (start, c) -> (start, float_of_int c /. width))
-    (window_counts t ~width)

@@ -22,6 +22,3 @@ val failures : t -> int
 val window_counts : t -> width:float -> (float * int) list
 (** [(window_start, events_in_window)] covering the series span. Empty
     list when the series is empty. *)
-
-val window_rate : t -> width:float -> (float * float) list
-(** Events per second per window. *)

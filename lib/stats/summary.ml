@@ -93,9 +93,3 @@ let digest t =
     min = min_value t;
     max = max_value t;
   }
-
-let pp_digest ~scale ~unit ppf d =
-  Format.fprintf ppf
-    "n=%d mean=%.2f%s p1=%.2f p25=%.2f p50=%.2f p75=%.2f p99=%.2f%s" d.n
-    (d.mean *. scale) unit (d.p01 *. scale) (d.p25 *. scale) (d.p50 *. scale)
-    (d.p75 *. scale) (d.p99 *. scale) unit

@@ -49,7 +49,3 @@ type digest = {
 val digest : t -> digest
 (** The paper's Figure 5 statistic set. @raise Invalid_argument when
     empty. *)
-
-val pp_digest : scale:float -> unit:string -> Format.formatter -> digest -> unit
-(** Render as one line, samples multiplied by [scale] (e.g. 1e3 for
-    seconds -> ms) with [unit] appended. *)

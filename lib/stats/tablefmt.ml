@@ -62,5 +62,3 @@ let render t =
     rows;
   rule ();
   Buffer.contents buf
-
-let pp ppf t = Format.pp_print_string ppf (render t)

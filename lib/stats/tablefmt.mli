@@ -14,5 +14,3 @@ val add_separator : t -> unit
 (** A horizontal rule between row groups. *)
 
 val render : t -> string
-
-val pp : Format.formatter -> t -> unit

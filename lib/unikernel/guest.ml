@@ -338,8 +338,6 @@ let warmth t =
 
 let program_source t = Option.map (fun l -> l.source) t.program
 
-let heap_used_bytes t = Galloc.used_bytes t.heap
-
 (* Frozen-state views for the snapshot store's content model: which
    function (if any) the snapshot carries, and how far its heap bump
    cursor had advanced — the tail of that extent is the function's

@@ -65,8 +65,6 @@ val warmth : state -> warmth
 
 val program_source : state -> string option
 
-val heap_used_bytes : state -> int
-
 val snapshot_program_source : snapshot_state -> string option
 (** The source of the program the frozen state carries, if any — the
     salt the snapshot store uses to give each function's compiled

@@ -10,41 +10,35 @@ let poisson ~rate =
   check_rate "Arrival.poisson" rate;
   Poisson { rate }
 
-let bursty ~rate ?(burst_ratio = 8.0) ?(duty = 0.1) ?(cycle = 60.0) () =
+let bursty ~rate ?(burst_ratio = 8.0) ?(duty = 0.1) () =
   check_rate "Arrival.bursty" rate;
   if burst_ratio < 1.0 then
     invalid_arg "Arrival.bursty: burst_ratio must be >= 1";
   if duty <= 0.0 || duty >= 1.0 then
     invalid_arg "Arrival.bursty: duty must be in (0, 1)";
-  if cycle <= 0.0 then invalid_arg "Arrival.bursty: cycle must be positive";
   (* Solve base so that duty-weighted mean equals [rate]. *)
   let base = rate /. (1.0 -. duty +. (duty *. burst_ratio)) in
   Mmpp
     {
       phases =
         [|
-          { rate = base; dwell = (1.0 -. duty) *. cycle; random_dwell = true };
-          { rate = base *. burst_ratio; dwell = duty *. cycle; random_dwell = true };
+          { rate = base; dwell = (1.0 -. duty) *. 60.0; random_dwell = true };
+          { rate = base *. burst_ratio; dwell = duty *. 60.0; random_dwell = true };
         |];
     }
 
-let diurnal ~rate ?(amplitude = 0.6) ?(period = 14400.0) ?(phases = 24) () =
+let diurnal ~rate ?(period = 14400.0) () =
   check_rate "Arrival.diurnal" rate;
-  if amplitude < 0.0 || amplitude >= 1.0 then
-    invalid_arg "Arrival.diurnal: amplitude must be in [0, 1)";
   if period <= 0.0 then invalid_arg "Arrival.diurnal: period must be positive";
-  if phases < 2 then invalid_arg "Arrival.diurnal: need at least two phases";
-  let k = float_of_int phases in
+  let k = 24.0 in
   Mmpp
     {
       phases =
-        Array.init phases (fun i ->
+        Array.init 24 (fun i ->
             {
               rate =
                 rate
-                *. (1.0
-                   +. amplitude
-                      *. sin (2.0 *. Float.pi *. float_of_int i /. k));
+                *. (1.0 +. 0.6 *. sin (2.0 *. Float.pi *. float_of_int i /. k));
               dwell = period /. k;
               random_dwell = false;
             });

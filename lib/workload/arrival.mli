@@ -28,21 +28,18 @@ type t = Poisson of { rate : float } | Mmpp of { phases : phase array }
 val poisson : rate:float -> t
 (** @raise Invalid_argument unless [rate] is finite and positive. *)
 
-val bursty :
-  rate:float -> ?burst_ratio:float -> ?duty:float -> ?cycle:float -> unit -> t
+val bursty : rate:float -> ?burst_ratio:float -> ?duty:float -> unit -> t
 (** Two-phase MMPP with exponential dwells: a base phase and a burst
     phase whose rate is [burst_ratio] (default 8) times the base's. The
     burst phase is active [duty] (default 0.1) of the time on average,
-    one base+burst cycle averaging [cycle] (default 60) seconds; rates
-    are scaled so the long-run mean equals [rate]. *)
+    one base+burst cycle averaging 60 seconds; rates are scaled so the
+    long-run mean equals [rate]. *)
 
-val diurnal :
-  rate:float -> ?amplitude:float -> ?period:float -> ?phases:int -> unit -> t
+val diurnal : rate:float -> ?period:float -> unit -> t
 (** Deterministic-dwell MMPP tracing one sine cycle per [period]
-    (default 14400 s = 4 simulated hours) across [phases] (default 24)
-    equal slices: phase [i]'s rate is
-    [rate * (1 + amplitude * sin (2πi/phases))] (default amplitude
-    0.6). The slices average back to [rate] exactly. *)
+    (default 14400 s = 4 simulated hours) across 24 equal slices:
+    phase [i]'s rate is [rate * (1 + 0.6 * sin (2πi/24))]. The slices
+    average back to [rate] exactly. *)
 
 val mean_rate : t -> float
 (** Long-run arrivals/second (phase rates weighted by mean dwell). *)

@@ -329,8 +329,7 @@ let test_fig_evict_same_seed_identical () =
 (* {1 Pool_node edge cases} *)
 
 let pool_config ~cache_limit =
-  { (Baselines.Pool_node.default_config Baselines.Pool_node.Process) with
-    Baselines.Pool_node.cache_limit }
+  { Baselines.Pool_node.cache_limit }
 
 let test_pool_capacity_zero () =
   Experiments.Harness.run_sim (fun engine ->

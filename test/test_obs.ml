@@ -71,7 +71,6 @@ let test_event_roundtrip_all_variants () =
       Obs.Event.Registry_repair { node_id = 1; republished = 4 };
       Obs.Event.Failover { fn_id = "fn-1"; from_node = 0; to_node = 2 };
       Obs.Event.Degraded_cold { fn_id = "fn-1" };
-      Obs.Event.Partition_change { a = 0; b = 3; healed = false };
       Obs.Event.Ws_record { snapshot = "fn-fn-1"; pages = 546 };
       Obs.Event.Ws_prefault
         {

@@ -277,6 +277,21 @@ let test_burst_io_latency_dominated_by_block () =
             (p.Stats.Series.value >= 0.25))
         steady)
 
+(* A zero period (or rate) used to spin at one instant, spawning a burst
+   per turn without ever advancing time. *)
+let test_burst_rejects_zero_period () =
+  let rejected cfg =
+    in_sim (fun _ ->
+        match Platform.Burst.run ~invoke:(fun _ -> Ok ()) cfg with
+        | _ -> false
+        | exception Invalid_argument _ -> true)
+  in
+  Alcotest.(check bool) "burst_period = 0 rejected" true
+    (rejected { Platform.Burst.default with Platform.Burst.burst_period = 0. });
+  Alcotest.(check bool) "background_rate = 0 rejected" true
+    (rejected
+       { Platform.Burst.default with Platform.Burst.background_rate = 0. })
+
 let () =
   let case name f = Alcotest.test_case name `Quick f in
   Alcotest.run "platform"
@@ -301,5 +316,6 @@ let () =
         [
           case "seuss handles bursts" test_burst_on_seuss_no_errors;
           case "io latency floor" test_burst_io_latency_dominated_by_block;
+          case "zero period rejected" test_burst_rejects_zero_period;
         ] );
     ]

@@ -178,7 +178,7 @@ let engine_deterministic =
                 log := (i, Sim.Engine.now e) :: !log))
           delays;
         Sim.Engine.run e;
-        (!log, Sim.Engine.now e, Sim.Engine.events_executed e)
+        (!log, Sim.Engine.now e, (Sim.Engine.perf e).Sim.Engine.dispatched)
       in
       trace () = trace ())
 
