@@ -20,10 +20,15 @@ let load ?(hooks = Eval.default_hooks) ~host source =
 
 let compiled t = t.compiled
 
+let rec builtin_named name = function
+  | [] -> None
+  | (n, v) :: rest ->
+      if String.equal n name then Some v else builtin_named name rest
+
 let clone ?hooks ~host t =
   let hooks = Option.value hooks ~default:t.hooks in
   let builtins = Builtins.install host in
-  let rebind_builtin name = List.assoc_opt name builtins in
+  let rebind_builtin name = builtin_named name builtins in
   { compiled = t.compiled; env = Value.deep_copy_env ~rebind_builtin t.env; hooks }
 
 let call t ~fname args =

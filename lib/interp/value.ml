@@ -110,7 +110,16 @@ let heap_bytes = function
 (* Deep copy with physical-identity memoization. The memo tables must be
    seeded *before* recursing into children because environment graphs are
    cyclic (an env binds a closure whose env is that same env). Identity
-   lists are O(n^2) but guest programs are small. *)
+   lists ([List.assq_opt], physical equality) are O(n^2) but guest
+   programs are small.
+
+   Each table is copied whole ([Hashtbl.copy], bucket layout and all)
+   and its values are then replaced in place. The order in which that
+   visits bindings decides only which child gets memoized first, and a
+   memo keyed by identity maps every original to one copy whatever the
+   order: the copied graph is the same graph. Nothing downstream can
+   see the copy's bucket layout either, since everything that reads a
+   table's order goes through [Det]'s sorted views. *)
 type memo = {
   mutable envs : (env * env) list;
   mutable vals : (t * t) list;
@@ -123,8 +132,8 @@ let rec copy_value memo v =
   | Builtin (name, _) -> (
       match memo.rebind name with Some fresh -> fresh | None -> v)
   | Arr a -> (
-      match List.find_opt (fun (orig, _) -> orig == v) memo.vals with (* seusslint: allow physical-eq — memo table keyed by identity to preserve sharing *)
-      | Some (_, copy) -> copy
+      match List.assq_opt v memo.vals with
+      | Some copy -> copy
       | None ->
           let fresh = { items = Array.make (Array.length a.items) Null; len = a.len } in
           let copy = Arr fresh in
@@ -134,40 +143,39 @@ let rec copy_value memo v =
           done;
           copy)
   | Obj h -> (
-      match List.find_opt (fun (orig, _) -> orig == v) memo.vals with (* seusslint: allow physical-eq — memo table keyed by identity to preserve sharing *)
-      | Some (_, copy) -> copy
+      match List.assq_opt v memo.vals with
+      | Some copy -> copy
       | None ->
-          let fresh = Hashtbl.create (max 4 (Hashtbl.length h)) in
+          let fresh = Hashtbl.copy h in
           let copy = Obj fresh in
           memo.vals <- (v, copy) :: memo.vals;
-          (* Sorted copy order so memo seeding (hence child sharing) does
-             not depend on the source table's bucket layout. *)
-          Det.iter (fun k x -> Hashtbl.replace fresh k (copy_value memo x)) h;
+          copy_bindings memo fresh;
           copy)
   | Closure c -> (
-      match List.find_opt (fun (orig, _) -> orig == v) memo.vals with (* seusslint: allow physical-eq — memo table keyed by identity to preserve sharing *)
-      | Some (_, copy) -> copy
+      match List.assq_opt v memo.vals with
+      | Some copy -> copy
       | None ->
           let copy = Closure { c with env = copy_env_memo memo c.env } in
           memo.vals <- (v, copy) :: memo.vals;
           copy)
 
+(* Replace every value of a freshly copied table by its copy. *)
+and copy_bindings memo tbl =
+  (* seusslint: allow hashtbl-order — visit order only picks which child is memoized first; the copied graph is the same in every order *)
+  Hashtbl.filter_map_inplace (fun _ x -> Some (copy_value memo x)) tbl
+
 and copy_env_memo memo env =
-  match List.find_opt (fun (orig, _) -> orig == env) memo.envs with (* seusslint: allow physical-eq — memo table keyed by identity to preserve sharing *)
-  | Some (_, copy) -> copy
+  match List.assq_opt env memo.envs with
+  | Some copy -> copy
   | None ->
       (* Seed before touching parent or values: the graph may reach this
          env again through either. *)
-      let fresh =
-        { vars = Hashtbl.create (max 8 (Hashtbl.length env.vars)); parent = None }
-      in
+      let fresh = { vars = Hashtbl.copy env.vars; parent = None } in
       memo.envs <- (env, fresh) :: memo.envs;
       (match env.parent with
       | Some p -> fresh.parent <- Some (copy_env_memo memo p)
       | None -> ());
-      Det.iter
-        (fun name v -> Hashtbl.replace fresh.vars name (copy_value memo v))
-        env.vars;
+      copy_bindings memo fresh.vars;
       fresh
 
 let deep_copy_env ~rebind_builtin env =

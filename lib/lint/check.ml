@@ -65,13 +65,16 @@ let check_ident ctx loc parts =
              (String.concat "." parts))
   | _ -> ());
   (match parts with
-  | [ "Hashtbl"; ("iter" | "fold") ] ->
+  | [ "Hashtbl";
+      ( "iter" | "fold" | "filter_map_inplace" | "to_seq" | "to_seq_keys"
+      | "to_seq_values" ) as fn ] ->
       if ctx.in_lib then
         report ctx loc Rules.Hashtbl_order
-          (Printf.sprintf
-             "%s visits buckets in insertion-history order; use the sorted Det.%s wrapper"
+          (Printf.sprintf "%s visits buckets in insertion-history order; %s"
              (String.concat "." parts)
-             (List.nth parts 1))
+             (match fn with
+             | "iter" | "fold" -> Printf.sprintf "use the sorted Det.%s wrapper" fn
+             | _ -> "go through the sorted Det views (Det.bindings, Det.keys)"))
   | _ -> ());
   (match parts with
   | [ "Sys"; ("getenv" | "getenv_opt") ] | [ "Unix"; ("getenv" | "environment") ]

@@ -4,7 +4,8 @@
    allocate?", this pass asks "does every acquired resource reach its
    release?". Three resource classes are tracked, by name:
 
-   - frame references: Frame.alloc / Frame.incref -> Frame.decref;
+   - frame references: Frame.alloc / Frame.incref -> Frame.decref, and
+     per leaf Frame.incref_leaf -> Frame.decref_leaf;
    - snapshot references: Snapshot.addref -> Snapshot.decref;
    - unikernel contexts: Uc.boot / Uc.deploy -> Uc.destroy
      (destroy-at-most-once).
@@ -82,9 +83,10 @@ let res_op node path =
   if in_module "Frame" then
     match op with
     | "alloc" -> Some (Op_acquire_ret (Sites.Frame_ref, "Frame.alloc"))
-    | "incref" ->
-        Some (Op_acquire_arg (Sites.Frame_ref, "Frame.incref", A_last))
-    | "decref" -> Some (Op_release (Sites.Frame_ref, "Frame.decref", A_last))
+    | ("incref" | "incref_leaf") as op ->
+        Some (Op_acquire_arg (Sites.Frame_ref, "Frame." ^ op, A_last))
+    | ("decref" | "decref_leaf") as op ->
+        Some (Op_release (Sites.Frame_ref, "Frame." ^ op, A_last))
     | _ -> None
   else if in_module "Snapshot" then
     match op with
@@ -107,6 +109,7 @@ let res_op node path =
 let release_keys =
   [
     ("Frame.decref", Sites.Frame_ref);
+    ("Frame.decref_leaf", Sites.Frame_ref);
     ("Snapshot.decref", Sites.Snap_ref);
     ("Uc.destroy", Sites.Uc_ctx);
   ]

@@ -6,7 +6,10 @@
 type id =
   | Bare_random  (** [Random.*] outside the seeded PRNG plumbing *)
   | Wallclock  (** [Unix.gettimeofday] / [Sys.time] inside lib/ *)
-  | Hashtbl_order  (** raw [Hashtbl.iter]/[Hashtbl.fold] inside lib/ *)
+  | Hashtbl_order
+      (** a raw [Hashtbl] bucket-order enumerator ([iter], [fold],
+          [filter_map_inplace], [to_seq], [to_seq_keys],
+          [to_seq_values]) inside lib/ *)
   | Physical_eq  (** [==] / [!=] inside lib/ *)
   | Stdout_print  (** [print_*] / [Printf.printf] inside lib/ *)
   | Frame_site  (** frame acquire/release outside the audited site list *)
@@ -98,9 +101,10 @@ let describe = function
       "Unix.gettimeofday / Sys.time read the host clock; simulation code \
        must read Sim.Engine.now, which only advances with the event heap"
   | Hashtbl_order ->
-      "Hashtbl.iter / Hashtbl.fold visit buckets in insertion-history \
-       order; results that reach output, the event heap or teardown must \
-       go through the sorted Det wrappers"
+      "Hashtbl.iter / fold / filter_map_inplace / to_seq / to_seq_keys / \
+       to_seq_values visit buckets in insertion-history order; results \
+       that reach output, the event heap or teardown must go through the \
+       sorted Det wrappers"
   | Physical_eq ->
       "== / != compare physical identity, which GC moves and copying make \
        treacherous on mutable simulation records; use structural (=) or \

@@ -8,7 +8,10 @@
 type id =
   | Bare_random  (** [Random.*] outside the seeded PRNG plumbing *)
   | Wallclock  (** [Unix.gettimeofday] / [Sys.time] inside lib/ *)
-  | Hashtbl_order  (** raw [Hashtbl.iter]/[Hashtbl.fold] inside lib/ *)
+  | Hashtbl_order
+      (** a raw [Hashtbl] bucket-order enumerator ([iter], [fold],
+          [filter_map_inplace], [to_seq], [to_seq_keys],
+          [to_seq_values]) inside lib/ *)
   | Physical_eq  (** [==] / [!=] inside lib/ *)
   | Stdout_print  (** [print_*] / [Printf.printf] inside lib/ *)
   | Frame_site  (** frame acquire/release outside the audited site list *)

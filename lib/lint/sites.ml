@@ -1,7 +1,9 @@
 (* The audited frame acquire/release site list.
 
-   Every call to Frame.alloc / Frame.incref / Frame.decref must happen
-   inside one of the (file, top-level binding, operation) triples below;
+   Every call to Frame.alloc / Frame.incref / Frame.decref — or to the
+   per-leaf Frame.incref_leaf / Frame.decref_leaf, which audit as
+   Incref / Decref — must happen inside one of the (file, top-level
+   binding, operation) triples below;
    the checker reports any other call site as [frame-site]. The list is
    the reviewable inventory of where physical frames change hands — when
    adding a site, check its release pairing before extending it. *)
@@ -10,18 +12,22 @@ type op = Alloc | Incref | Decref
 
 let op_of_name = function
   | "alloc" -> Some Alloc
-  | "incref" -> Some Incref
-  | "decref" -> Some Decref
+  | "incref" | "incref_leaf" -> Some Incref
+  | "decref" | "decref_leaf" -> Some Decref
   | _ -> None
 
 (* (repo-relative file, enclosing top-level binding, operation) *)
 let audited : (string * string * op) list =
   [
-    (* COW fault paths: a private copy or a zero-fill allocates (demand
-       writes, write ranges and batched prefault all resolve a page
-       through Addr_space.resolve); the page-table entry swap drops the
-       old mapping's reference. *)
-    ("lib/mem/addr_space.ml", "resolve", Alloc);
+    (* COW fault paths: a private copy or a zero-fill allocates, and a
+       private copy drops the shared frame's reference (demand writes,
+       write ranges and batched prefault all resolve pages through
+       Page_table.write_pages, a leaf at a time in write_run). An
+       entry swap through set drops the old mapping's reference; a
+       privatized leaf takes, and a released one drops, a reference per
+       present entry. *)
+    ("lib/mem/page_table.ml", "write_run", Alloc);
+    ("lib/mem/page_table.ml", "write_run", Decref);
     ("lib/mem/page_table.ml", "privatize", Incref);
     ("lib/mem/page_table.ml", "set", Decref);
     ("lib/mem/page_table.ml", "release", Decref);
@@ -67,8 +73,8 @@ let transfers : (string * string * resource * string) list =
     (* The audited frame acquire sites hand their reference to the page
        table / KSM master map; Page_table.set and Page_table.release
        drop them. *)
-    ("lib/mem/addr_space.ml", "resolve", Frame_ref,
-     "installed via Page_table.set; released by set/release");
+    ("lib/mem/page_table.ml", "write_run", Frame_ref,
+     "installed in the written leaf; released by set/release");
     ("lib/mem/page_table.ml", "privatize", Frame_ref,
      "the cloned leaf owns the extra reference; released by set/release");
     ("lib/baselines/ksm.ml", "create", Frame_ref,

@@ -1,8 +1,9 @@
 (** The audited frame acquire/release site list.
 
-    Every call to [Frame.alloc] / [Frame.incref] / [Frame.decref] must
-    happen inside one of the audited (file, top-level binding,
-    operation) triples; {!Check} reports any other call site as
+    Every call to [Frame.alloc] / [Frame.incref] / [Frame.decref] (or
+    the per-leaf [Frame.incref_leaf] / [Frame.decref_leaf], audited as
+    [Incref] / [Decref]) must happen inside one of the audited (file,
+    top-level binding, operation) triples; {!Check} reports any other call site as
     [frame-site]. The list is the reviewable inventory of where physical
     frames change hands — when adding a site, check its release pairing
     before extending it. *)

@@ -9,7 +9,12 @@
 
     Fault counts are exposed so the cost model can charge simulated time
     per fault — the "pages copied during the execution" column of
-    Table 1 is read straight off these counters. *)
+    Table 1 is read straight off these counters.
+
+    Every write entry point — {!touch_write}, {!write_range} and
+    {!prefault} — resolves its pages through the one
+    {!Page_table.write_pages}, a leaf at a time, so they cannot drift
+    apart. *)
 
 type t
 
@@ -32,7 +37,9 @@ val of_table : ?mapped_hint:int -> Frame.t -> Page_table.t -> t
     clean dirty bits, as produced by snapshot capture): shallow
     page-table copy in O(root size) — the SEUSS deploy primitive.
     [mapped_hint] seeds the O(1) mapped-page counter (snapshots know
-    their totals); without it the table is walked once. *)
+    their totals); without it the table is walked once. The allocator
+    argument must be the one the table draws from; writes reach it
+    through the table. *)
 
 val table : t -> Page_table.t
 
@@ -86,8 +93,10 @@ val prefault : t -> vpns:int array -> prefault_stats
     mapped/dirty counters included, but the fault hook never fires — no
     faults occur; the caller charges one batched cost from the stats.
     Structural sharing is preserved: only leaves holding prefaulted vpns
-    are privatized. @raise Frame.Out_of_memory mid-batch (installed
-    pages stay installed, like a partial {!write_range}). *)
+    are privatized. Each run of consecutive vpns is resolved by one
+    {!Page_table.write_pages} call, in array order.
+    @raise Frame.Out_of_memory mid-batch (installed pages stay
+    installed, like a partial {!write_range}). *)
 
 val write_range : t -> vpn:int -> pages:int -> write_stats
 (** Write [pages] consecutive pages starting at [vpn], in vpn order.

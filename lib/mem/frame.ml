@@ -88,8 +88,8 @@ let incref t id =
   check_live t id "incref";
   t.refcounts.(id) <- t.refcounts.(id) + 1
 
-let decref t id =
-  check_live t id "decref";
+let[@inline] drop t id name =
+  check_live t id name;
   t.refcounts.(id) <- t.refcounts.(id) - 1;
   if t.refcounts.(id) = 0 then begin
     t.tags.(id) <- 0;
@@ -98,6 +98,29 @@ let decref t id =
     t.free_top <- t.free_top + 1;
     t.live <- t.live - 1
   end
+
+let decref t id = drop t id "decref"
+
+(* The leaf variants walk [entries_per_table] packed page-table entries
+   in place: the present bit is bit 0 and the frame id sits above the
+   flag bits (Mconfig.pte_flag_bits). One call per leaf replaces 512
+   calls, with each entry's dead-frame check kept. *)
+let incref_leaf t (ents : int array) ~pos =
+  let rc = t.refcounts in
+  for i = pos to pos + Mconfig.entries_per_table - 1 do
+    let e = ents.(i) in
+    if e land 1 <> 0 then begin
+      let id = e lsr Mconfig.pte_flag_bits in
+      if id >= t.next_fresh || rc.(id) = 0 then dead_frame "incref_leaf" id;
+      rc.(id) <- rc.(id) + 1
+    end
+  done
+
+let decref_leaf t (ents : int array) ~pos =
+  for i = pos to pos + Mconfig.entries_per_table - 1 do
+    let e = ents.(i) in
+    if e land 1 <> 0 then drop t (e lsr Mconfig.pte_flag_bits) "decref_leaf"
+  done
 
 let refcount t id =
   check_live t id "refcount";

@@ -37,6 +37,19 @@ val decref : t -> frame -> unit
 (** Frees the frame when the count reaches zero.
     @raise Invalid_argument on a dead frame. *)
 
+val incref_leaf : t -> int array -> pos:int -> unit
+(** [incref_leaf t ents ~pos] takes one reference to the frame of every
+    present entry among the [Mconfig.entries_per_table] packed
+    page-table entries [ents.(pos ..)] — what privatizing a shared leaf
+    owes. Entries are visited in ascending order.
+    @raise Invalid_argument on the first dead frame met (earlier
+    entries keep their new reference). *)
+
+val decref_leaf : t -> int array -> pos:int -> unit
+(** The release of {!incref_leaf}: one {!decref} per present entry, in
+    ascending entry order, so frames freed together go back on the free
+    stack in that order. @raise Invalid_argument on a dead frame. *)
+
 val refcount : t -> frame -> int
 
 val is_live : t -> frame -> bool

@@ -9,6 +9,11 @@ val page_size : int
 val entries_per_table : int
 (** Entries in one page-table leaf (512, as on x86-64). *)
 
+val pte_flag_bits : int
+(** Low bits of a packed page-table entry that hold its flags, bit 0
+    being the present bit; the frame id sits above them. Shared by
+    [Page_table.Entry] and [Frame]'s per-leaf reference operations. *)
+
 val default_budget_bytes : int64
 (** The paper's compute-node memory: 88 GiB. *)
 

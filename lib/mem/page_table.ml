@@ -7,7 +7,7 @@ module Entry = struct
   let cow_bit = 4
   let dirty_bit = 8
   let accessed_bit = 16
-  let flag_bits = 5
+  let flag_bits = Mconfig.pte_flag_bits
 
   let make ~frame ~writable ~cow ~dirty ~accessed =
     (frame lsl flag_bits)
@@ -210,10 +210,7 @@ let privatize t dir =
   else begin
     set_rc fam src (rc fam src - 1);
     blit_ints fam.ents.(chunk src) (base src) dst d entries;
-    for i = d to d + entries - 1 do
-      let e = dst.(i) in
-      if Entry.present e then Frame.incref fam.frames (Entry.frame e)
-    done;
+    Frame.incref_leaf fam.frames dst ~pos:d;
     set_frozen fam slot (frozen fam src)
   end;
   set_rc fam slot 1;
@@ -245,6 +242,91 @@ let set t ~vpn entry =
   in
   if (not same_frame) && Entry.present old then
     Frame.decref fam.frames (Entry.frame old)
+
+type write_counts = {
+  mutable zero_fills : int;
+  mutable cow_copies : int;
+  mutable dirty : int;
+}
+
+(* The entry of a page just written through a frame fresh from
+   [Frame.alloc]: private, writable, dirty and accessed. *)
+let fresh_written frame =
+  (frame lsl Entry.flag_bits) lor Entry.present_bit lor Entry.writable_bit
+  lor Entry.dirty_bit lor Entry.accessed_bit
+
+(* Resolve the writes to [vpn, stop), in vpn order. [slot] is the leaf
+   of directory [dir] (-1 before the first page), [owned] when this
+   table holds it alone; a page in another directory reloads the three,
+   and a directory past the root raises [check_vpn]'s range error. A leaf is privatized on its first page whose entry
+   changes — after that page's [Frame.alloc], so an allocation failure
+   leaves it shared — and at most once.
+
+   One self-tail-recursive function walks both the leaves and the pages
+   within them: the guest write path runs on a simulated process's
+   fiber stack, so every frame it adds below [Addr_space.write_range]
+   is paid in stack size by every process that writes. *)
+let rec write_run t c record dir slot owned vpn stop =
+  if vpn < stop then begin
+    if vpn / entries <> dir then begin
+      let dir = vpn / entries in
+      if dir >= root_size then check_vpn vpn;
+      let slot = t.dirs.(dir) in
+      write_run t c record dir slot
+        (slot <> no_leaf && rc t.fam slot = 1)
+        vpn stop
+    end
+    else begin
+      let fam = t.fam in
+      let i = vpn land (entries - 1) in
+      let e =
+        if slot = no_leaf then Entry.absent
+        else fam.ents.(chunk slot).(base slot + i)
+      in
+      if not (Entry.present e) then begin
+        let frame = Frame.alloc fam.frames in
+        let slot = if owned then slot else privatize t dir in
+        fam.ents.(chunk slot).(base slot + i) <- fresh_written frame;
+        set_frozen fam slot false;
+        c.zero_fills <- c.zero_fills + 1;
+        c.dirty <- c.dirty + 1;
+        record vpn;
+        write_run t c record dir slot true (vpn + 1) stop
+      end
+      else if Entry.writable e then begin
+        if not (Entry.dirty e) then c.dirty <- c.dirty + 1;
+        let w = Entry.written e in
+        if w = e then write_run t c record dir slot owned (vpn + 1) stop
+        else begin
+          let slot = if owned then slot else privatize t dir in
+          fam.ents.(chunk slot).(base slot + i) <- w;
+          set_frozen fam slot false;
+          write_run t c record dir slot true (vpn + 1) stop
+        end
+      end
+      else if Entry.cow e then begin
+        (* Clone the shared frame into a private writable copy, and drop
+           the leaf's reference to it (a privatized leaf took one). *)
+        let frame = Frame.alloc fam.frames in
+        let slot = if owned then slot else privatize t dir in
+        fam.ents.(chunk slot).(base slot + i) <- fresh_written frame;
+        set_frozen fam slot false;
+        Frame.decref fam.frames (Entry.frame e);
+        c.cow_copies <- c.cow_copies + 1;
+        c.dirty <- c.dirty + 1;
+        record vpn;
+        write_run t c record dir slot true (vpn + 1) stop
+      end
+      else invalid_arg "Addr_space: write to a read-only, non-COW page"
+    end
+  end
+
+let write_pages t ~vpn ~pages c record =
+  if pages > 0 then begin
+    check_alive t;
+    check_vpn vpn;
+    write_run t c record (-1) no_leaf false vpn (vpn + pages)
+  end
 
 let map_leaf fam slot f =
   let leaf = fam.ents.(chunk slot) and b = base slot in
@@ -410,11 +492,7 @@ let release t =
     if slot <> no_leaf then begin
       set_rc fam slot (rc fam slot - 1);
       if rc fam slot = 0 then begin
-        let leaf = fam.ents.(chunk slot) and b = base slot in
-        for i = b to b + entries - 1 do
-          let e = leaf.(i) in
-          if Entry.present e then Frame.decref fam.frames (Entry.frame e)
-        done;
+        Frame.decref_leaf fam.frames fam.ents.(chunk slot) ~pos:(base slot);
         free_slot fam slot
       end
     end

@@ -7,11 +7,13 @@
     through it, so the per-UC page-table overhead is proportional to the
     pages the UC actually dirties.
 
-    Reference-count discipline: installing a present entry with {!set}
-    consumes one reference to its frame (the caller must hold it, e.g.
-    fresh from [Frame.alloc]); overwriting or clearing a present entry
-    releases the old frame's reference; privatizing or releasing a leaf
-    adjusts the references of every present entry it contains. *)
+    Reference-count discipline: a frame holds one reference per leaf
+    that names it. Installing a present entry with {!set} consumes one
+    reference to its frame (the caller must hold it, e.g. fresh from
+    [Frame.alloc]); overwriting or clearing a present entry releases the
+    old frame's reference; privatizing a leaf takes, and releasing its
+    last table drops, one reference for every present entry it contains,
+    with one [Frame.incref_leaf] / [Frame.decref_leaf] call per leaf. *)
 
 (** Packed page-table entries ([int]-encoded, absent = {!Entry.absent}). *)
 module Entry : sig
@@ -61,6 +63,44 @@ val get : t -> vpn:int -> Entry.t
 val set : t -> vpn:int -> Entry.t -> unit
 (** Install/replace/clear the entry for [vpn], privatizing the leaf if it
     is shared. See the refcount discipline above. *)
+
+(** {2 Resolving writes}
+
+    Counters the write resolver moves page by page, owned by the caller
+    (an address space): an exception mid-range leaves them exact for the
+    pages resolved before it. *)
+type write_counts = {
+  mutable zero_fills : int;  (** absent pages given a fresh zero frame *)
+  mutable cow_copies : int;  (** copy-on-write pages copied privately *)
+  mutable dirty : int;
+      (** pages that turned dirty; the owner resets it when it clears
+          dirty bits *)
+}
+
+val write_pages :
+  t -> vpn:int -> pages:int -> write_counts -> (int -> unit) -> unit
+(** [write_pages t ~vpn ~pages c record] resolves a write to each page
+    of [\[vpn, vpn + pages)], in vpn order, as x86 fault handling
+    would:
+
+    - an absent page maps a fresh frame from [Frame.alloc], writable,
+      dirty and accessed (a zero fill);
+    - a copy-on-write page maps a fresh frame the same way and drops
+      its reference to the shared one (a private copy);
+    - a writable page gets the dirty and accessed bits.
+
+    [record] hears the vpn of every zero fill and private copy, in
+    order. The walk goes a leaf at a time: a leaf shared with another
+    table is privatized (see {!set}) on its first page whose entry
+    changes, right after that page's [Frame.alloc], and at most once;
+    a leaf whose writable pages already carry both bits is never
+    copied. Every frame id, slab slot and reference therefore comes out
+    exactly as from one {!get} and {!set} per page.
+    @raise Frame.Out_of_memory when an allocation fails: the pages
+    before it stay resolved and counted, the failing page is untouched.
+    @raise Invalid_argument on a present page that is neither writable
+    nor copy-on-write, or a vpn out of range, after resolving the pages
+    before it. *)
 
 val mark_all_cow_clean : t -> unit
 (** In-place, across *shared* leaves: every present entry becomes

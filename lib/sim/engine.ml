@@ -139,6 +139,16 @@ type t = {
 
 exception Process_failure of string * exn
 
+(* The default printer shows a nested exception as [_], which would hide
+   the cause of every failed run. *)
+let () =
+  Printexc.register_printer (function
+    | Process_failure (name, exn) ->
+        Some
+          (Printf.sprintf "Process_failure(%S, %s)" name
+             (Printexc.to_string exn))
+    | _ -> None)
+
 type _ Effect.t +=
   | Sleep : float -> unit Effect.t
   | Suspend : ((unit -> unit) -> unit) -> unit Effect.t

@@ -107,7 +107,9 @@ val perf : t -> perf
 
 exception Process_failure of string * exn
 (** Raised by {!run} when a spawned process raises: carries the process
-    name and the original exception. *)
+    name and the original exception. [Printexc.to_string] prints both,
+    e.g. [Process_failure("experiment", Invalid_argument("option is
+    None"))]. *)
 
 (** {1 Within a running process} *)
 

@@ -22,10 +22,10 @@ let check_fires () =
     [
       ("bad_random.ml", "bare-random", 1);
       ("bad_wallclock.ml", "wallclock", 2);
-      ("bad_hashtbl.ml", "hashtbl-order", 2);
+      ("bad_hashtbl.ml", "hashtbl-order", 6);
       ("bad_physeq.ml", "physical-eq", 2);
       ("bad_print.ml", "stdout-print", 2);
-      ("bad_frame.ml", "frame-site", 3);
+      ("bad_frame.ml", "frame-site", 4);
       ("bad_env.ml", "ambient-env", 3);
     ]
   in

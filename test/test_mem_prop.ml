@@ -3,7 +3,7 @@
    generators: the schedules are a deterministic function of the seed,
    so a failure report names the exact (seed, schedule, step) to replay.
 
-   Two families:
+   Families:
 
    - schedules: random interleavings of touch_read / touch_write /
      write_range / freeze / COW-clone / release / prefault over a family
@@ -21,6 +21,13 @@
      kind, with sums equal to the lifetime counters and to a per-page
      touch_write twin, and leaves the same tables — including when the
      allocator runs dry mid-range;
+
+   - model: touch_write, write_range and prefault all resolve pages
+     through one Page_table.write_pages, so each is checked against an
+     independent per-page model over get/set/Frame.alloc — same
+     entries, frame ids, refcounts, leaf sharing, counters, hook sums
+     and trace — over random schedules and with the allocator running
+     dry at every page of a leaf-crossing range;
 
    - freeze: the capture barrier, which skips leaves already frozen,
      leaves every entry of every live table exactly where a full walk
@@ -245,9 +252,9 @@ let range_span = 4 * Mem.Mconfig.entries_per_table
    clone that already wrote some pages privately — so one range crosses
    absent, COW and writable pages. Deterministic in [seed]: two calls
    build twin worlds down to the frame ids. *)
-let build_range_universe seed =
+let build_range_universe ?(budget_bytes = mib 64) seed =
   let prng = Sim.Prng.create seed in
-  let frames = F.create ~budget_bytes:(mib 64) () in
+  let frames = F.create ~budget_bytes () in
   let parent = AS.create frames in
   for _ = 1 to 12 do
     ignore
@@ -362,6 +369,267 @@ let test_write_range_oom_reports_resolved () =
     AS.release child;
     AS.release parent;
     Alcotest.(check int) (ctx ^ ": drained") 0 (F.used_frames frames)
+  done
+
+(* {1 Every write entry point vs an independent per-page model} *)
+
+(* Per-page write resolution written over the public Page_table.get/set
+   and Frame.alloc only. It shares no code with Page_table.write_pages,
+   the one resolver behind touch_write, write_range and prefault, so
+   those three are checked against something other than each other. *)
+type model = {
+  mutable m_zero : int;
+  mutable m_cow : int;
+  mutable m_dirty : int;
+  mutable m_faults : int list;  (* faulting vpns, newest first *)
+}
+
+let model_write frames m pt ~vpn =
+  let written frame =
+    PT.Entry.make ~frame ~writable:true ~cow:false ~dirty:true ~accessed:true
+  in
+  let e = PT.get pt ~vpn in
+  if not (PT.Entry.present e) then begin
+    PT.set pt ~vpn (written (F.alloc frames));
+    m.m_zero <- m.m_zero + 1;
+    m.m_dirty <- m.m_dirty + 1;
+    m.m_faults <- vpn :: m.m_faults
+  end
+  else if PT.Entry.writable e then begin
+    if not (PT.Entry.dirty e) then m.m_dirty <- m.m_dirty + 1;
+    if not (PT.Entry.dirty e && PT.Entry.accessed e) then
+      PT.set pt ~vpn (PT.Entry.written e)
+  end
+  else if PT.Entry.cow e then begin
+    PT.set pt ~vpn (written (F.alloc frames));
+    m.m_cow <- m.m_cow + 1;
+    m.m_dirty <- m.m_dirty + 1;
+    m.m_faults <- vpn :: m.m_faults
+  end
+  else invalid_arg "model: write to a read-only, non-COW page"
+
+(* A space written through the real entry points, its hook sums, and
+   its twin in a second world written only through the model. The two
+   worlds start identical and see the same operations, so every frame
+   id matches. *)
+type twin = { real : AS.t; sums : hook_sums; model : AS.t }
+
+let make_twin real model =
+  AS.start_trace real;
+  { real; sums = counting_hook real; model }
+
+type entry = Range | Pages | Prefault
+
+let entry_name = function
+  | Range -> "write_range"
+  | Pages -> "touch_write"
+  | Prefault -> "prefault"
+
+(* [vpns] must be consecutive for [Range]. *)
+let real_write entry space vpns =
+  match entry with
+  | Range ->
+      if Array.length vpns > 0 then
+        ignore (AS.write_range space ~vpn:vpns.(0) ~pages:(Array.length vpns))
+  | Pages -> Array.iter (fun vpn -> ignore (AS.touch_write space ~vpn)) vpns
+  | Prefault -> ignore (AS.prefault space ~vpns)
+
+let oom f = match f () with () -> false | exception F.Out_of_memory -> true
+
+(* Write [vpns] through [entry] on the real space and through the model
+   on its twin, then check that the real counters, hook and trace moved
+   exactly as the model's did. *)
+let write_twin ~ctx ~frames_m tw entry vpns =
+  let ctx = Printf.sprintf "%s: %s" ctx (entry_name entry) in
+  let r = tw.real in
+  let z0 = AS.lifetime_zero_fills r and c0 = AS.lifetime_cow_copies r
+  and d0 = AS.dirty_pages r and mp0 = AS.mapped_pages r
+  and hz = tw.sums.zero and hc = tw.sums.cow in
+  let m = { m_zero = 0; m_cow = 0; m_dirty = 0; m_faults = [] } in
+  let real_oom = oom (fun () -> real_write entry r vpns) in
+  let model_oom =
+    oom (fun () ->
+        Array.iter
+          (fun vpn -> model_write frames_m m (AS.table tw.model) ~vpn)
+          vpns)
+  in
+  if real_oom <> model_oom then
+    Alcotest.failf "%s: real ran out of memory %b, model %b" ctx real_oom
+      model_oom;
+  let got =
+    [
+      AS.lifetime_zero_fills r - z0;
+      AS.lifetime_cow_copies r - c0;
+      AS.dirty_pages r - d0;
+      AS.mapped_pages r - mp0;
+    ]
+  and want = [ m.m_zero; m.m_cow; m.m_dirty; m.m_zero ] in
+  Alcotest.(check (list int))
+    (ctx ^ ": zero/cow/dirty/mapped deltas") want got;
+  let silent = entry = Prefault in
+  Alcotest.(check (list int))
+    (ctx ^ ": hook sums")
+    (if silent then [ 0; 0 ] else [ m.m_zero; m.m_cow ])
+    [ tw.sums.zero - hz; tw.sums.cow - hc ];
+  Alcotest.(check (array int))
+    (ctx ^ ": trace")
+    (if silent then [||] else Array.of_list (List.rev m.m_faults))
+    (AS.take_trace r);
+  AS.start_trace r
+
+(* Both worlds hold the same entries, frames, refcounts and leaf
+   sharing, and each is consistent with its own allocator. *)
+let check_twins ~ctx ~frames_r ~frames_m twins =
+  check_invariants ~ctx frames_r (List.map (fun tw -> tw.real) twins);
+  check_refcounts ~ctx frames_m (List.map (fun tw -> AS.table tw.model) twins);
+  Alcotest.(check int)
+    (ctx ^ ": live frames") (F.used_frames frames_m) (F.used_frames frames_r);
+  let refs_of frames space =
+    List.map
+      (fun (vpn, fr, _, _, _, _) -> (vpn, F.refcount frames fr))
+      (entries_of space)
+  in
+  List.iteri
+    (fun i tw ->
+      if entries_of tw.real <> entries_of tw.model then
+        Alcotest.failf "%s: space %d entries diverge from the model" ctx i;
+      if refs_of frames_r tw.real <> refs_of frames_m tw.model then
+        Alcotest.failf "%s: space %d refcounts diverge from the model" ctx i;
+      List.iteri
+        (fun j tw' ->
+          for dir = 0 to (vpn_span / Mem.Mconfig.entries_per_table) - 1 do
+            let vpn = dir * Mem.Mconfig.entries_per_table in
+            let rs = PT.shares_leaf (AS.table tw.real) (AS.table tw'.real) ~vpn
+            and ms =
+              PT.shares_leaf (AS.table tw.model) (AS.table tw'.model) ~vpn
+            in
+            if rs <> ms then
+              Alcotest.failf "%s: spaces %d/%d share dir %d: real %b, model %b"
+                ctx i j dir rs ms
+          done)
+        twins)
+    twins
+
+(* The random schedules of the first group, run in two worlds in
+   lockstep: writes go through the real entry points in one and through
+   the model in the other. *)
+let run_model_schedule ~seed ~sched =
+  let prng = Sim.Prng.create (Int64.add seed (Int64.of_int (7000 + sched))) in
+  let world () =
+    let frames = F.create ~budget_bytes:(mib 256) () in
+    let root = AS.create frames in
+    ignore (AS.write_range root ~vpn:0 ~pages:64);
+    AS.freeze root;
+    (frames, root)
+  in
+  let frames_r, root_r = world () and frames_m, root_m = world () in
+  let twins = ref [ make_twin root_r root_m ] in
+  let pick () = List.nth !twins (Sim.Prng.int prng (List.length !twins)) in
+  let steps = 24 + Sim.Prng.int prng 25 in
+  for step = 1 to steps do
+    let ctx = Printf.sprintf "seed %Ld sched %d step %d" seed sched step in
+    (match Sim.Prng.int prng 100 with
+    | r when r < 30 ->
+        write_twin ~ctx ~frames_m (pick ()) Pages
+          [| Sim.Prng.int prng vpn_span |]
+    | r when r < 40 ->
+        let tw = pick () and vpn = Sim.Prng.int prng vpn_span in
+        AS.touch_read tw.real ~vpn;
+        AS.touch_read tw.model ~vpn
+    | r when r < 55 ->
+        let vpn = Sim.Prng.int prng (vpn_span - 16) in
+        let pages = 1 + Sim.Prng.int prng 16 in
+        write_twin ~ctx ~frames_m (pick ()) Range
+          (Array.init pages (fun i -> vpn + i))
+    | r when r < 63 ->
+        let tw = pick () in
+        AS.freeze tw.real;
+        AS.freeze tw.model
+    | r when r < 78 ->
+        if List.length !twins < max_spaces then begin
+          let p = pick () in
+          AS.freeze p.real;
+          AS.freeze p.model;
+          twins :=
+            make_twin
+              (AS.of_table frames_r (AS.table p.real))
+              (AS.of_table frames_m (AS.table p.model))
+            :: !twins
+        end
+    | r when r < 88 -> (
+        match !twins with
+        | _ :: _ :: _ ->
+            let victim = pick () in
+            AS.release victim.real;
+            AS.release victim.model;
+            twins := List.filter (fun tw -> tw != victim) !twins
+        | _ -> ())
+    | _ ->
+        (* Sorted runs with gaps and repeats, so prefault splits the
+           working set into several runs, some crossing a leaf. *)
+        let start = Sim.Prng.int prng (vpn_span - 64) in
+        let vpns =
+          Array.init
+            (1 + Sim.Prng.int prng 32)
+            (fun i -> start + i + (Sim.Prng.int prng 4 / 3))
+        in
+        write_twin ~ctx ~frames_m (pick ()) Prefault vpns);
+    check_twins ~ctx ~frames_r ~frames_m !twins
+  done;
+  List.iter
+    (fun tw ->
+      AS.release tw.real;
+      AS.release tw.model)
+    !twins;
+  Alcotest.(check (list int))
+    "both worlds drained" [ 0; 0 ]
+    [ F.used_frames frames_r; F.used_frames frames_m ]
+
+let test_entry_points_match_model () =
+  for sched = 0 to schedules - 1 do
+    run_model_schedule ~seed:base_seed ~sched
+  done
+
+(* A range crossing a leaf boundary, with the allocator running dry at
+   each page in turn that needs a frame (and once not at all): every
+   entry point must stop exactly where the model stops, leaving the same
+   tables, counters, hook sums and trace. *)
+let test_entry_points_oom_every_page () =
+  let entries = Mem.Mconfig.entries_per_table in
+  for round = 0 to 5 do
+    let seed = Int64.add base_seed (Int64.of_int (5000 + round)) in
+    let prng = Sim.Prng.create (Int64.lognot seed) in
+    let boundary = entries * (1 + Sim.Prng.int prng 3) in
+    let before = 1 + Sim.Prng.int prng 24 and after = 1 + Sim.Prng.int prng 24 in
+    let vpns = Array.init (before + after) (fun i -> boundary - before + i) in
+    let frames, parent, child = build_range_universe seed in
+    let used = F.used_frames frames in
+    let needy =
+      Array.fold_left
+        (fun n vpn ->
+          if PT.Entry.writable (PT.get (AS.table child) ~vpn) then n else n + 1)
+        0 vpns
+    in
+    AS.release child;
+    AS.release parent;
+    for free = 0 to needy do
+      List.iter
+        (fun entry ->
+          let ctx =
+            Printf.sprintf "seed %Ld round %d, %d of %d frames free" base_seed
+              round free needy
+          in
+          let budget_bytes = Mem.Mconfig.bytes_of_pages (used + free) in
+          let frames_r, parent_r, real = build_range_universe ~budget_bytes seed
+          and frames_m, parent_m, model =
+            build_range_universe ~budget_bytes seed
+          in
+          let tw = make_twin real model in
+          write_twin ~ctx ~frames_m tw entry vpns;
+          let twins = [ tw; { tw with real = parent_r; model = parent_m } ] in
+          check_twins ~ctx ~frames_r ~frames_m twins)
+        [ Range; Pages; Prefault ]
+    done
   done
 
 (* {1 Freeze equivalence: frozen-leaf skipping vs a full walk} *)
@@ -702,6 +970,15 @@ let () =
             test_write_range_matches_touch_write;
           case "OOM mid-range reports resolved pages"
             test_write_range_oom_reports_resolved;
+        ] );
+      ( "model",
+        [
+          case
+            (Printf.sprintf "%d schedules: every write entry point == model"
+               schedules)
+            test_entry_points_match_model;
+          case "OOM at every page of a leaf-crossing range"
+            test_entry_points_oom_every_page;
         ] );
       ( "freeze",
         [
