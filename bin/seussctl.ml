@@ -1,280 +1,22 @@
 (* seussctl: run the SEUSS reproduction experiments from the command
-   line. Each subcommand regenerates one of the paper's tables/figures
-   (see DESIGN.md's experiment index). *)
+   line. Each experiment subcommand is a row of Cli.rows (bin/cli.ml)
+   and regenerates one of the paper's tables/figures (see DESIGN.md's
+   experiment index); the others inspect a running node. *)
 
 open Cmdliner
 
-(* Numeric flags are range-checked where Cmdliner parses them, so an
-   out-of-range value is a usage error naming the flag, never a hang or
-   an uncaught exception inside an experiment. *)
-let bounded conv ok what =
-  let parse s =
-    match Arg.conv_parser conv s with
-    | Ok v when ok v -> Ok v
-    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s what))
-    | Error _ as e -> e
-  in
-  Arg.conv ~docv:(Arg.conv_docv conv) (parse, Arg.conv_printer conv)
-
-let pos_int = bounded Arg.int (fun n -> n > 0) "a positive integer"
-let nonneg_int = bounded Arg.int (fun n -> n >= 0) "a non-negative integer"
-
-let pos_float =
-  bounded Arg.float
-    (fun x -> Float.is_finite x && x > 0.0)
-    "a finite positive number"
-
-let nonneg_float =
-  bounded Arg.float
-    (fun x -> Float.is_finite x && x >= 0.0)
-    "a finite non-negative number"
-
-let seed_arg =
-  let doc = "PRNG seed (experiments are deterministic per seed)." in
-  Arg.(value & opt int64 7L & info [ "seed" ] ~docv:"SEED" ~doc)
-
-(* Experiment subcommands take their one-line doc from the registry in
-   Experiments.All — one table drives the CLI help, `seussctl info` and
-   the startup coverage check in [main] below. *)
-let exp_info name =
-  match Experiments.All.doc name with
-  | Some doc -> Cmd.info name ~doc
-  | None ->
-      Printf.ksprintf failwith
-        "seussctl: subcommand %s missing from Experiments.All.registry" name
-
-let print s = print_string s
+let pos_int = Cli.pos_int
+let nonneg_int = Cli.nonneg_int
+let pos_float = Cli.pos_float
+let seed_arg = Cli.seed_arg
 
 module H = Experiments.Harness
 
-let table1_cmd =
-  let invocations =
-    Arg.(
-      value & opt pos_int 475
-      & info [ "n"; "invocations" ] ~docv:"N"
-          ~doc:"Invocations per path (paper: 475).")
-  in
-  let run invocations seed =
-    print (Experiments.Table1.render (Experiments.Table1.run ~invocations ~seed ()))
-  in
-  Cmd.v
-    (exp_info "table1")
-    Term.(const run $ invocations $ seed_arg)
+let experiment_cmd (row : Cli.row) =
+  Cmd.v (Cmd.info row.name ~doc:row.doc) Term.(const print_string $ row.term)
 
-let table2_cmd =
-  let invocations =
-    Arg.(value & opt nonneg_int 50 & info [ "n" ] ~docv:"N" ~doc:"Invocations per cell.")
-  in
-  let run invocations seed =
-    print (Experiments.Table2.render (Experiments.Table2.run ~invocations ~seed ()))
-  in
-  Cmd.v
-    (exp_info "table2")
-    Term.(const run $ invocations $ seed_arg)
-
-let table3_cmd =
-  let mem_gib =
-    Arg.(
-      value & opt pos_int 88
-      & info [ "mem-gib" ] ~docv:"GIB"
-          ~doc:"Node memory budget in GiB (paper: 88; smaller runs faster).")
-  in
-  let run mem_gib seed =
-    let budget_bytes =
-      Int64.mul (Int64.of_int mem_gib) (Int64.of_int (Mem.Mconfig.mib 1024))
-    in
-    print (Experiments.Table3.render (Experiments.Table3.run ~budget_bytes ~seed ()))
-  in
-  Cmd.v
-    (exp_info "table3")
-    Term.(const run $ mem_gib $ seed_arg)
-
-let sizes_arg =
-  Arg.(
-    value
-    & opt (list pos_int) Experiments.Fig4.default_set_sizes
-    & info [ "sizes" ] ~docv:"M,M,..."
-        ~doc:"Unique-function set sizes (one trial each).")
-
-let csv_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "csv" ] ~docv:"PATH" ~doc:"Also write the data as CSV.")
-
-let fig4_cmd =
-  let threads =
-    Arg.(value & opt pos_int 32 & info [ "threads" ] ~docv:"C" ~doc:"Client threads.")
-  in
-  let run sizes threads csv seed =
-    let r = Experiments.Fig4.run ~set_sizes:sizes ~client_threads:threads ~seed () in
-    print (Experiments.Fig4.render r);
-    Option.iter (fun path -> Experiments.Fig4.write_csv ~path r) csv
-  in
-  Cmd.v
-    (exp_info "fig4")
-    Term.(const run $ sizes_arg $ threads $ csv_arg $ seed_arg)
-
-let fig5_cmd =
-  let sizes =
-    Arg.(
-      value & opt (list pos_int) [ 64; 2048; 65536 ]
-      & info [ "sizes" ] ~docv:"M,M,..." ~doc:"Set sizes (paper: 64,2048,65536).")
-  in
-  let requests =
-    Arg.(value & opt pos_int 2048 & info [ "requests" ] ~docv:"N" ~doc:"Measured requests per panel.")
-  in
-  let run sizes requests csv seed =
-    let panels = Experiments.Fig5.run ~set_sizes:sizes ~requests ~seed () in
-    print (Experiments.Fig5.render panels);
-    Option.iter (fun path -> Experiments.Fig5.write_csv ~path panels) csv
-  in
-  Cmd.v
-    (exp_info "fig5")
-    Term.(const run $ sizes $ requests $ csv_arg $ seed_arg)
-
-let burst_cmd =
-  let period =
-    Arg.(
-      value & opt pos_float 32.0
-      & info [ "period" ] ~docv:"SECONDS" ~doc:"Burst period (paper: 32, 16, 8).")
-  in
-  let duration =
-    Arg.(value & opt nonneg_float 300.0 & info [ "duration" ] ~docv:"SECONDS" ~doc:"Run length.")
-  in
-  let size =
-    Arg.(value & opt nonneg_int 64 & info [ "burst-size" ] ~docv:"N" ~doc:"Concurrent requests per burst.")
-  in
-  let run period duration size csv seed =
-    let r = Experiments.Fig_burst.run ~period ~duration ~burst_size:size ~seed () in
-    print (Experiments.Fig_burst.render r);
-    Option.iter (fun path -> Experiments.Fig_burst.write_csv ~path r) csv
-  in
-  Cmd.v
-    (exp_info "burst")
-    Term.(const run $ period $ duration $ size $ csv_arg $ seed_arg)
-
-let ablations_cmd =
-  let invocations =
-    Arg.(value & opt nonneg_int 30 & info [ "n" ] ~docv:"N" ~doc:"Invocations per cell.")
-  in
-  let run invocations seed =
-    print (Experiments.Ablations.render (Experiments.Ablations.run ~invocations ~seed ()))
-  in
-  Cmd.v
-    (exp_info "ablations")
-    Term.(const run $ invocations $ seed_arg)
-
-let drseuss_cmd =
-  let nodes =
-    Arg.(value & opt pos_int 4 & info [ "nodes" ] ~docv:"N" ~doc:"Cluster size.")
-  in
-  let functions =
-    Arg.(value & opt nonneg_int 40 & info [ "functions" ] ~docv:"M" ~doc:"Unique functions.")
-  in
-  let run nodes functions seed =
-    print
-      (Experiments.Drseuss_exp.render
-         (Experiments.Drseuss_exp.run ~nodes ~functions ~seed ()))
-  in
-  Cmd.v
-    (exp_info "drseuss")
-    Term.(const run $ nodes $ functions $ seed_arg)
-
-let chaos_cmd =
-  let nodes =
-    Arg.(value & opt pos_int 4 & info [ "nodes" ] ~docv:"N" ~doc:"Cluster size.")
-  in
-  let functions =
-    Arg.(value & opt pos_int 25 & info [ "functions" ] ~docv:"M" ~doc:"Unique functions (default coprime to the cluster size, so repeats migrate across nodes and exercise the fetch path).")
-  in
-  let calls =
-    Arg.(
-      value & opt pos_int 200
-      & info [ "calls" ] ~docv:"K" ~doc:"Invocations per fault rate.")
-  in
-  let rates =
-    Arg.(
-      value
-      & opt
-          (list
-             (bounded Arg.float (fun r -> r >= 0.0 && r <= 1.0) "in [0, 1]"))
-          Experiments.Fig_chaos.default_rates
-      & info [ "rates" ] ~docv:"R,R,..."
-          ~doc:"Injected per-site fault rates to sweep (0 = control arm).")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit the sweep as one canonical JSON object (bit-identical \
-                across runs of the same seed) instead of a table.")
-  in
-  let events =
-    Arg.(
-      value & flag
-      & info [ "events" ]
-          ~doc:"Also dump the highest-rate run's failure/recovery timeline \
-                as JSONL (crashes, evictions, retries, failovers).")
-  in
-  let run nodes functions calls rates json events csv seed =
-    let r =
-      Experiments.Fig_chaos.run ~nodes ~functions ~calls ~rates ~seed ()
-    in
-    if json then
-      print (Obs.Json.to_string (Experiments.Fig_chaos.to_json r) ^ "\n")
-    else print (Experiments.Fig_chaos.render r);
-    if events then print r.Experiments.Fig_chaos.timeline;
-    Option.iter (fun path -> Experiments.Fig_chaos.write_csv ~path r) csv
-  in
-  Cmd.v
-    (exp_info "chaos")
-    Term.(const run $ nodes $ functions $ calls $ rates $ json $ events $ csv_arg $ seed_arg)
-
-let reap_cmd =
-  let functions =
-    Arg.(
-      value & opt pos_int 8
-      & info [ "functions" ] ~docv:"M" ~doc:"Distinct functions.")
-  in
-  let rounds =
-    Arg.(
-      value & opt pos_int 20
-      & info [ "rounds" ] ~docv:"R"
-          ~doc:
-            "Measured warm rounds per arm (the recording round is \
-             excluded).")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit the comparison as one canonical JSON object \
-                (bit-identical across runs of the same seed) instead of \
-                a table.")
-  in
-  let run functions rounds json csv seed =
-    let r = Experiments.Fig_reap.run ~functions ~rounds ~seed () in
-    if json then
-      print (Obs.Json.to_string (Experiments.Fig_reap.to_json r) ^ "\n")
-    else print (Experiments.Fig_reap.render r);
-    Option.iter (fun path -> Experiments.Fig_reap.write_csv ~path r) csv
-  in
-  Cmd.v
-    (exp_info "reap")
-    Term.(const run $ functions $ rounds $ json $ csv_arg $ seed_arg)
-
-let ksm_cmd =
-  let mem =
-    Arg.(value & opt pos_int 3072 & info [ "mem-mib" ] ~docv:"MIB" ~doc:"Node memory budget.")
-  in
-  let run mem seed =
-    print (Experiments.Ksm_exp.render (Experiments.Ksm_exp.run ~budget_mib:mem ~seed ()))
-  in
-  Cmd.v
-    (exp_info "ksm")
-    Term.(const run $ mem $ seed_arg)
-
+(* One section per row, each of its argument lines run at [seed] and
+   the outputs joined with a newline. *)
 let all_cmd =
   let full =
     Arg.(
@@ -283,8 +25,19 @@ let all_cmd =
           ~doc:"Paper-scale parameters (88 GB density sweep, full burst set).")
   in
   let run full seed =
-    let scale = if full then Experiments.All.Full else Experiments.All.Quick in
-    print (Experiments.All.run ~scale ~seed ())
+    List.iter
+      (fun (row : Cli.row) ->
+        let section line =
+          let args = Cli.words line in
+          prerr_endline
+            ("[experiments] " ^ String.concat " " (row.name :: args) ^ "...");
+          Cli.run row (args @ [ Printf.sprintf "--seed=%Ld" seed ])
+        in
+        print_string
+          (String.concat "\n"
+             (List.map section (if full then row.full else row.quick)));
+        print_char '\n')
+      Cli.rows
   in
   Cmd.v
     (Cmd.info "all" ~doc:"Run every table and figure")
@@ -624,17 +377,6 @@ let timeline_cmd =
           idle UCs, snapshots, free memory) as ASCII charts")
     Term.(const run $ duration $ period $ clients $ functions_arg $ seed_arg)
 
-let autoao_cmd =
-  let invocations =
-    Arg.(value & opt nonneg_int 20 & info [ "n" ] ~docv:"N" ~doc:"Invocations per cell.")
-  in
-  let run invocations seed =
-    print (Experiments.Auto_ao.render (Experiments.Auto_ao.run ~invocations ~seed ()))
-  in
-  Cmd.v
-    (exp_info "autoao")
-    Term.(const run $ invocations $ seed_arg)
-
 let snapshots_cmd =
   let functions =
     Arg.(value & opt nonneg_int 8 & info [ "functions" ] ~docv:"M" ~doc:"Functions to deploy first.")
@@ -713,208 +455,6 @@ let snapshots_cmd =
        ~doc:"Deploy some functions and inspect the snapshot stack")
     Term.(const run $ functions $ seed_arg)
 
-let load_cmd =
-  let hours =
-    Arg.(
-      value & opt (some pos_float) None
-      & info [ "hours" ] ~docv:"H"
-          ~doc:
-            "Simulated hours of arrivals per arm (default 8).")
-  in
-  let functions =
-    Arg.(
-      value & opt (some pos_int) None
-      & info [ "functions" ] ~docv:"M"
-          ~doc:
-            "Synthetic functions under the Zipf popularity model (default \
-             1024).")
-  in
-  let alpha =
-    Arg.(
-      value & opt (some nonneg_float) None
-      & info [ "alpha" ] ~docv:"A"
-          ~doc:
-            "Zipf popularity exponent (default 1.1).")
-  in
-  let arrival =
-    Arg.(
-      value & opt (some string) None
-      & info [ "arrival" ] ~docv:"PROCESS"
-          ~doc:
-            "Inter-arrival process: poisson, bursty or diurnal (default \
-             diurnal).")
-  in
-  let rps =
-    Arg.(
-      value & opt (some (list pos_float)) None
-      & info [ "rps" ] ~docv:"R,R,..."
-          ~doc:
-            "Offered mean arrival rates to sweep (default 0.5,2,8).")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit the sweep as one canonical JSON object (bit-identical \
-                across runs of the same seed) instead of a table.")
-  in
-  let save_traces =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "save-traces" ] ~docv:"PREFIX"
-          ~doc:
-            "Also write each sweep point's synthesized trace to \
-             $(docv)-<rps>.jsonl (replayable with $(b,--trace)).")
-  in
-  let trace_in =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"PATH"
-          ~doc:
-            "Replay a saved trace (JSONL) as a single sweep point instead \
-             of synthesizing; shape flags are ignored.")
-  in
-  let run hours functions alpha arrival rps json save_traces trace_in csv seed
-      =
-    let r =
-      match trace_in with
-      | Some path -> (
-          match Workload.Trace.load ~path with
-          | Ok trace -> Experiments.Fig_load.run_trace ~seed trace
-          | Error msg ->
-              Printf.eprintf "seussctl: cannot load trace %s: %s\n" path msg;
-              exit 2)
-      | None ->
-          Experiments.Fig_load.run ?hours ?functions ?alpha ?arrival ?rps
-            ~seed ()
-    in
-    if json then
-      print (Obs.Json.to_string (Experiments.Fig_load.to_json r) ^ "\n")
-    else print (Experiments.Fig_load.render r);
-    Option.iter (fun path -> Experiments.Fig_load.write_csv ~path r) csv;
-    Option.iter
-      (fun prefix ->
-        List.iter
-          (fun (p : Experiments.Fig_load.point) ->
-            (* Synthesis is pure, so the sweep's traces can be
-               rematerialized from the report parameters. *)
-            let trace =
-              Workload.Trace.synthesize
-                ~functions:r.Experiments.Fig_load.functions
-                ~alpha:r.Experiments.Fig_load.alpha
-                ~arrival:
-                  (Experiments.Fig_load.arrival_of_name
-                     r.Experiments.Fig_load.arrival
-                     ~rate:p.Experiments.Fig_load.offered_rps)
-                ~horizon:r.Experiments.Fig_load.horizon
-                ~seed:r.Experiments.Fig_load.seed
-            in
-            let path =
-              Printf.sprintf "%s-%g.jsonl" prefix
-                p.Experiments.Fig_load.offered_rps
-            in
-            Workload.Trace.save ~path trace;
-            Printf.eprintf "seussctl: wrote %s (%d events)\n" path
-              (Array.length trace.Workload.Trace.events))
-          r.Experiments.Fig_load.points)
-      save_traces
-  in
-  Cmd.v
-    (exp_info "load")
-    Term.(
-      const run $ hours $ functions $ alpha $ arrival $ rps $ json
-      $ save_traces $ trace_in $ csv_arg $ seed_arg)
-
-let evict_cmd =
-  let cache_bytes =
-    let parse s =
-      match Experiments.Run_config.parse_bytes s with
-      | Some v -> Ok v
-      | None -> Error (`Msg (Printf.sprintf "malformed cache size %S" s))
-    in
-    Arg.conv ~docv:"B" (parse, fun ppf v -> Format.fprintf ppf "%Ld" v)
-  in
-  let policy =
-    let parse s =
-      match Seuss.Config.policy_of_name (String.lowercase_ascii s) with
-      | Some p -> Ok p
-      | None -> Error (`Msg (Printf.sprintf "unknown eviction policy %S" s))
-    in
-    Arg.conv ~docv:"POLICY"
-      (parse, fun ppf p -> Format.pp_print_string ppf (Seuss.Config.policy_name p))
-  in
-  let hours =
-    Arg.(
-      value & opt (some pos_float) None
-      & info [ "hours" ] ~docv:"H"
-          ~doc:
-            "Simulated hours of arrivals per arm (default 0.25).")
-  in
-  let functions =
-    Arg.(
-      value & opt (some pos_int) None
-      & info [ "functions" ] ~docv:"M"
-          ~doc:
-            "Synthetic functions under the Zipf popularity model (default \
-             160).")
-  in
-  let alpha =
-    Arg.(
-      value & opt (some nonneg_float) None
-      & info [ "alpha" ] ~docv:"A"
-          ~doc:
-            "Zipf popularity exponent (default 1.1).")
-  in
-  let rate =
-    Arg.(
-      value & opt (some pos_float) None
-      & info [ "rate" ] ~docv:"R"
-          ~doc:
-            "Offered mean arrival rate, req/s (default 4).")
-  in
-  let sizes =
-    Arg.(
-      value
-      & opt (some (list cache_bytes)) None
-      & info [ "sizes" ] ~docv:"B,B,..."
-          ~doc:
-            "Cache budgets to sweep, bytes with optional binary k/m/g \
-             suffix; 0 is the disarmed baseline (default \
-             0,3m,4m,6m,8m,1g).")
-  in
-  let policy =
-    Arg.(
-      value & opt (some policy) None
-      & info [ "policy" ] ~docv:"POLICY"
-          ~doc:
-            "Eviction policy: lru or ws (default lru).")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Emit the sweep as one canonical JSON object (bit-identical \
-             across runs of the same seed) instead of a table.")
-  in
-  let run hours functions alpha rate sizes policy json csv seed =
-    let r =
-      Experiments.Fig_evict.run ?hours ?functions ?alpha ?rate ?sizes ?policy
-        ~seed ()
-    in
-    if json then
-      print (Obs.Json.to_string (Experiments.Fig_evict.to_json r) ^ "\n")
-    else print (Experiments.Fig_evict.render r);
-    Option.iter (fun path -> Experiments.Fig_evict.write_csv ~path r) csv
-  in
-  Cmd.v
-    (exp_info "evict")
-    Term.(
-      const run $ hours $ functions $ alpha $ rate $ sizes $ policy $ json
-      $ csv_arg $ seed_arg)
-
 let info_cmd =
   let run () =
     Printf.printf
@@ -930,9 +470,8 @@ let info_cmd =
        *. 4096.0 /. 1048576.0)
       Unikernel.Hypercall.interface_size;
     List.iter
-      (fun (e : Experiments.All.experiment) ->
-        Printf.printf "  %-10s %s\n" e.name e.doc)
-      Experiments.All.registry;
+      (fun (row : Cli.row) -> Printf.printf "  %-10s %s\n" row.name row.doc)
+      Cli.rows;
     Printf.printf "  %-10s %s\n" "all" "Run every table and figure"
   in
   Cmd.v (Cmd.info "info" ~doc:"Show modeled-system parameters") Term.(const run $ const ())
@@ -951,25 +490,9 @@ let () =
         exit 2
   in
   let cmds =
-    [ table1_cmd; table2_cmd; table3_cmd; fig4_cmd; fig5_cmd; burst_cmd;
-      load_cmd; evict_cmd; ablations_cmd; drseuss_cmd; chaos_cmd; reap_cmd;
-      ksm_cmd;
-      autoao_cmd; trace_cmd; snapshots_cmd; top_cmd; timeline_cmd;
-      events_cmd;
-      all_cmd; info_cmd ]
+    List.map experiment_cmd Cli.rows
+    @ [ trace_cmd; snapshots_cmd; top_cmd; timeline_cmd; events_cmd; all_cmd;
+        info_cmd ]
   in
-  (* Coverage check: every registry row must have a subcommand (the
-     inverse — a subcommand missing from the registry — fails in
-     [exp_info] when the command is built above). *)
-  let names = List.map Cmd.name cmds in
-  List.iter
-    (fun (e : Experiments.All.experiment) ->
-      if not (List.mem e.name names) then begin
-        Printf.eprintf
-          "seussctl: experiment %s is registered but has no subcommand\n"
-          e.name;
-        exit 1
-      end)
-    Experiments.All.registry;
   let main = Cmd.group (Cmd.info "seussctl" ~doc) cmds in
   exit (H.with_run armed (fun () -> Cmd.eval main))

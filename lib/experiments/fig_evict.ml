@@ -161,6 +161,7 @@ let default_functions = 160
 let default_alpha = 1.1
 let default_rate = 4.0
 let default_hours = 0.25
+let default_policy = Seuss.Config.Snap_lru
 
 (* The finite rungs bracket the store's natural footprint for the
    default corpus (~2.2 MiB of indexed runtime pages plus ~40 KiB per
@@ -178,7 +179,7 @@ let default_sizes =
 
 let run ?(functions = default_functions) ?(alpha = default_alpha)
     ?(rate = default_rate) ?(hours = default_hours) ?(sizes = default_sizes)
-    ?(policy = Seuss.Config.Snap_lru) ?(seed = 13L) () =
+    ?(policy = default_policy) ?(seed = 13L) () =
   if functions < 1 then invalid_arg "Fig_evict.run: need at least one function";
   if not (Float.is_finite rate) || rate <= 0.0 then
     invalid_arg "Fig_evict.run: rate must be positive";

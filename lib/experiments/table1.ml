@@ -29,6 +29,10 @@ let nop_fn i =
     source = nop_source;
   }
 
+(* An armed fault plane can fail a NOP deploy or lose its snapshot
+   capture; each retry deploys a fresh function id. *)
+let snapshot_attempts = 16
+
 (* Snapshot sizes at one AO level: base snapshot total, NOP function
    snapshot diff. *)
 let snapshot_sizes ~seed ao =
@@ -40,13 +44,22 @@ let snapshot_sizes ~seed ao =
       in
       let config = { Seuss.Config.default with Seuss.Config.ao } in
       let node = Harness.seuss_node ~config env in
-      (match Seuss.Node.invoke node (nop_fn 0) ~args:"{}" with
-      | Ok _, _ -> ()
-      | Error _, _ -> failwith "Table1: NOP invocation failed");
+      let rec fn_snapshot i =
+        if i = snapshot_attempts then
+          Printf.ksprintf failwith
+            "Table1: no NOP function snapshot after %d deploys" i;
+        let fn = nop_fn i in
+        match Seuss.Node.invoke node fn ~args:"{}" with
+        | Error _, _ -> fn_snapshot (i + 1)
+        | Ok _, _ -> (
+            match Seuss.Node.function_snapshot node fn.Seuss.Node.fn_id with
+            | Some snap -> snap
+            | None -> fn_snapshot (i + 1))
+      in
+      let fn_snap = fn_snapshot 0 in
       let base =
         Option.get (Seuss.Node.base_snapshot node Unikernel.Image.Node)
       in
-      let fn_snap = Option.get (Seuss.Node.function_snapshot node "nop-0") in
       (Seuss.Snapshot.total_bytes base, Seuss.Snapshot.diff_bytes fn_snap))
 
 let run ?(invocations = 475) ?(seed = 7L) () =

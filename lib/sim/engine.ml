@@ -513,7 +513,10 @@ let exec ?supervise ?(daemon = false) t name f =
           | Some on_crash ->
               t.crashed <- (name, exn) :: t.crashed;
               on_crash name exn
-          | None -> raise (Process_failure (name, exn)));
+          | None ->
+              (* Keep the trace of the raise inside the process. *)
+              let bt = Printexc.get_raw_backtrace () in
+              Printexc.raise_with_backtrace (Process_failure (name, exn)) bt);
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with

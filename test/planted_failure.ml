@@ -1,10 +1,10 @@
-(* A simulated process that raises, left uncaught: the runtime's
-   top-level handler must print the process name and the inner
-   exception on stderr (a runtest rule in this directory checks it). *)
+(* A simulated process that raises, left uncaught: stderr must name the
+   process and the inner exception, and under OCAMLRUNPARAM=b trace back
+   to the raise on line 9 (runtest rules in this directory check both). *)
 
 let () =
   let engine = Sim.Engine.create () in
   Sim.Engine.spawn engine ~name:"planted" (fun () ->
       Sim.Engine.sleep 1.0;
-      invalid_arg "planted cause");
+      raise (Invalid_argument "planted cause") (* raised in this frame *));
   Sim.Engine.run engine

@@ -1,7 +1,7 @@
 (* The arm sweep: every registered experiment, run in this one process
    under every arm that must be inert, against its own plain output.
 
-   Two guarantees hold for every row of Experiments.All.registry:
+   Two guarantees hold for every experiment row of seussctl (Cli.rows):
    - determinism: the plain run repeats byte for byte in one process,
      and shuffling the order of same-timestamp events (tie seeds 1-3)
      changes no byte;
@@ -18,75 +18,46 @@
    environment, so the plain baseline stays plain when the suite itself
    runs under an armed SEUSS_* variable.
 
-   The rows carry seussctl's arguments and render what the subcommand
-   prints at a given --seed, at sizes trimmed for the sweep. They live
-   here, not beside the registry's `all` sections, because runners at
-   these sizes in lib/ would be code only tests use; the first case
-   keeps the two name lists equal. *)
+   The rows name seussctl's experiment rows (Cli.rows) and give their
+   arguments at sizes trimmed for the sweep; each run goes through
+   Cli.run, so the sweep checks the CLI itself. The first case keeps
+   the two name lists equal. *)
 
 module Rc = Experiments.Run_config
 module H = Experiments.Harness
 
-let json j = Obs.Json.to_string j ^ "\n"
-let mib n = Int64.of_int (Mem.Mconfig.mib n)
-
-(* [seeds]: the first runs every arm. A row whose determinism is
-   checked at several run seeds runs each later seed plain and shuffled
-   with that seed as tie seed; the two runs agreeing covers the repeat
-   too. *)
-type row = {
-  name : string;
-  args : string;  (** seussctl arguments, without --seed *)
-  seeds : int64 list;
-  render : int64 -> string;
-}
+(* [args] come after the subcommand, without --seed. [seeds]: the first
+   runs every arm. A row whose determinism is checked at several run
+   seeds runs each later seed plain and shuffled with that seed as tie
+   seed; the two runs agreeing covers the repeat too. *)
+type row = { name : string; args : string; seeds : int64 list }
 
 let rows =
-  let open Experiments in
-  let row ?(seeds = [ 7L ]) name args render = { name; args; seeds; render } in
+  let row ?(seeds = [ 7L ]) name args = { name; args; seeds } in
   [
-    row "table1" "table1 -n 20" (fun seed ->
-        Table1.render (Table1.run ~invocations:20 ~seed ()));
-    row "table2" "table2 -n 15" (fun seed ->
-        Table2.render (Table2.run ~invocations:15 ~seed ()));
-    row "table3" "table3 --mem-gib 1" (fun seed ->
-        Table3.render (Table3.run ~budget_bytes:(mib 1024) ~seed ()));
-    row "fig4" "fig4 --sizes 64,256" (fun seed ->
-        Fig4.render
-          (Fig4.run ~set_sizes:[ 64; 256 ] ~client_threads:32 ~seed ()));
-    row "fig5" "fig5 --sizes 64 --requests 128" (fun seed ->
-        Fig5.render (Fig5.run ~set_sizes:[ 64 ] ~requests:128 ~seed ()));
-    row "burst" "burst --duration 24 --period 8 --burst-size 16" (fun seed ->
-        Fig_burst.render
-          (Fig_burst.run ~period:8.0 ~duration:24.0 ~burst_size:16 ~seed ()));
+    row "table1" "-n 20";
+    row "table2" "-n 15";
+    row "table3" "--mem-gib 1";
+    row "fig4" "--sizes 64,256";
+    row "fig5" "--sizes 64 --requests 128";
+    row "burst" "--duration 24 --period 8 --burst-size 16";
     row "load" ~seeds:[ 1L; 2L; 3L ]
-      "load --hours 0.02 --functions 32 --rps 2,8 --arrival bursty --json"
-      (fun seed ->
-        json
-          (Fig_load.to_json
-             (Fig_load.run ~hours:0.02 ~functions:32 ~rps:[ 2.0; 8.0 ]
-                ~arrival:"bursty" ~seed ())));
-    row "ablations" "ablations -n 10" (fun seed ->
-        Ablations.render (Ablations.run ~invocations:10 ~seed ()));
-    row "drseuss" "drseuss --functions 12" (fun seed ->
-        Drseuss_exp.render (Drseuss_exp.run ~functions:12 ~seed ()));
-    row "chaos" ~seeds:[ 7L; 29L; 101L ] "chaos --json --events" (fun seed ->
-        let r = Fig_chaos.run ~seed () in
-        json (Fig_chaos.to_json r) ^ r.Fig_chaos.timeline);
-    row "reap" ~seeds:[ 7L; 29L; 101L ] "reap --json" (fun seed ->
-        json (Fig_reap.to_json (Fig_reap.run ~seed ())));
+      "--hours 0.02 --functions 32 --rps 2,8 --arrival bursty --json";
+    row "ablations" "-n 10";
+    row "drseuss" "--functions 12";
+    row "chaos" ~seeds:[ 7L; 29L; 101L ] "--json --events";
+    row "reap" ~seeds:[ 7L; 29L; 101L ] "--json";
     row "evict" ~seeds:[ 5L; 17L; 43L ]
-      "evict --functions 24 --hours 0.02 --rate 8 --sizes 0,3m,64m --json"
-      (fun seed ->
-        json
-          (Fig_evict.to_json
-             (Fig_evict.run ~functions:24 ~hours:0.02 ~rate:8.0
-                ~sizes:[ 0L; mib 3; mib 64 ] ~seed ())));
-    row "ksm" "ksm --mem-mib 768" (fun seed ->
-        Ksm_exp.render (Ksm_exp.run ~budget_mib:768 ~seed ()));
-    row "autoao" "autoao -n 8" (fun seed ->
-        Auto_ao.render (Auto_ao.run ~invocations:8 ~seed ()));
+      "--functions 24 --hours 0.02 --rate 8 --sizes 0,3m,64m --json";
+    row "ksm" "--mem-mib 768";
+    row "autoao" "-n 8";
   ]
+
+(* What `seussctl <name> <args> --seed <seed> [extra]` prints. *)
+let render ?(extra = []) row seed () =
+  Cli.run
+    (List.find (fun (r : Cli.row) -> r.name = row.name) Cli.rows)
+    (Cli.words row.args @ (Printf.sprintf "--seed=%Ld" seed :: extra))
 
 (* Rows whose output depends on the order of same-instant events, each
    with the reason. For these the shuffle arms must change the output
@@ -167,8 +138,8 @@ let sweep_row row () =
   let shuffled_differs =
     List.mapi
       (fun i seed ->
-        let cmd = Printf.sprintf "%s --seed %Ld" row.args seed in
-        let render () = row.render seed in
+        let cmd = Printf.sprintf "%s %s --seed %Ld" row.name row.args seed in
+        let render = render row seed in
         let plain = armed_output cmd ("plain", Rc.default) render in
         let arms =
           if i = 0 then arms
@@ -189,10 +160,7 @@ let sweep_row row () =
       (List.exists Fun.id shuffled_differs)
 
 let rows_match_registry () =
-  let registered =
-    List.map (fun (e : Experiments.All.experiment) -> e.name)
-      Experiments.All.registry
-  in
+  let registered = List.map (fun (r : Cli.row) -> r.name) Cli.rows in
   let swept = List.map (fun row -> row.name) rows in
   List.iter
     (fun n ->
@@ -211,16 +179,64 @@ let rows_match_registry () =
         (List.mem n swept))
     tie_order_dependent;
   List.iter
-    (fun (e : Experiments.All.experiment) ->
-      Alcotest.(check bool) (e.name ^ " documented") true
-        (String.length e.doc > 0))
-    Experiments.All.registry
+    (fun (r : Cli.row) ->
+      Alcotest.(check bool) (r.name ^ " documented") true
+        (String.length r.doc > 0))
+    Cli.rows
+
+(* The records of a CSV file as Report.write_csv writes them: every
+   record ends in a newline, and a quoted field may hold commas,
+   newlines and doubled quotes. *)
+let csv_records text =
+  let records = ref [] and record = ref [] and field = Buffer.create 16 in
+  let quoted = ref false in
+  let end_field () =
+    record := Buffer.contents field :: !record;
+    Buffer.clear field
+  in
+  String.iteri
+    (fun i c ->
+      match c with
+      | '"' ->
+          quoted := not !quoted;
+          if !quoted && i > 0 && text.[i - 1] = '"' then Buffer.add_char field c
+      | ',' when not !quoted -> end_field ()
+      | '\n' when not !quoted ->
+          end_field ();
+          records := List.rev !record :: !records;
+          record := []
+      | c -> Buffer.add_char field c)
+    text;
+  List.rev !records
+
+(* Every --csv writer, run at its sweep arguments: a header, at least
+   one data row, and every row as wide as the header. *)
+let csv_writers () =
+  List.iter
+    (fun name ->
+      let row = List.find (fun row -> row.name = name) rows in
+      let path = Filename.temp_file ("seuss-" ^ name) ".csv" in
+      let extra = [ "--csv"; path ] in
+      ignore (H.with_run Rc.default (render ~extra row (List.hd row.seeds)));
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      Sys.remove path;
+      match csv_records text with
+      | header :: (_ :: _ as data) when List.for_all (( <> ) "") header ->
+          List.iteri
+            (fun i r ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s: row %d width" name (i + 1))
+                (List.length header) (List.length r))
+            data
+      | _ -> Alcotest.failf "%s: want a named header and a data row" name)
+    [ "fig4"; "fig5"; "burst"; "chaos"; "reap"; "load"; "evict" ]
 
 let () =
   Alcotest.run "arms"
     [
       ( "registry",
         [ Alcotest.test_case "rows match" `Quick rows_match_registry ] );
+      ("csv", [ Alcotest.test_case "every writer" `Slow csv_writers ]);
       ( "sweep",
         List.map
           (fun row -> Alcotest.test_case row.name `Slow (sweep_row row))

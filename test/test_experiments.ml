@@ -24,6 +24,20 @@ let test_table1_shapes () =
   let render = Experiments.Table1.render r in
   Alcotest.(check bool) "renders" true (String.length render > 100)
 
+(* Under an armed fault plane a NOP deploy can lose its snapshot
+   capture; Table 1 then used to read the missing snapshot and raise
+   Invalid_argument "option is None". A failed timed call may still
+   fail the run. *)
+let test_table1_under_faults () =
+  let run = { Experiments.Run_config.default with fault_rate = 0.01 } in
+  match
+    Experiments.Harness.with_run run (fun () ->
+        Experiments.Table1.run ~invocations:20 ~seed:7L ())
+  with
+  | _ | (exception Sim.Engine.Process_failure (_, Failure _)) -> ()
+  | exception Sim.Engine.Process_failure (_, Invalid_argument msg) ->
+      Alcotest.failf "Table1 under faults raised Invalid_argument %S" msg
+
 let test_table2_ladder () =
   let r = Experiments.Table2.run ~invocations:8 () in
   let open Experiments.Table2 in
@@ -516,6 +530,7 @@ let () =
       ( "tables",
         [
           case "table1 shapes" test_table1_shapes;
+          case "table1 under faults" test_table1_under_faults;
           case "table2 ladder" test_table2_ladder;
           case "table3 orderings" test_table3_orderings;
         ] );
