@@ -21,5 +21,6 @@ val heading : string -> string
 
 val write_csv : path:string -> header:string list -> string list list -> unit
 (** Write rows as a CSV file (naive quoting: fields containing commas or
-    quotes are double-quoted). Used by the CLI's [--csv-dir] option so
-    figure data can be re-plotted with external tools. *)
+    quotes are double-quoted). Used by the CLI's [--csv PATH] flag,
+    which writes one file per run, so figure data can be re-plotted
+    with external tools. *)

@@ -1,4 +1,5 @@
 type result = {
+  invocations : int;
   base_no_ao_bytes : int64;
   base_ao_bytes : int64;
   fn_no_ao_bytes : int64;
@@ -108,6 +109,7 @@ let run ?(invocations = 475) ?(seed = 7L) () =
       done;
       let n = float_of_int invocations in
       {
+        invocations;
         base_no_ao_bytes;
         base_ao_bytes;
         fn_no_ao_bytes;
@@ -147,10 +149,12 @@ let render r =
   let mb_f pages = Report.mb_of_pages (int_of_float pages) in
   Report.comparison ~title:"Table 1: SEUSS microbenchmarks"
     ~note:
-      "Latency/footprint rows measured over 475 NOP invocations per path\n\
-       (node-side, shim and control plane excluded, AO enabled).\n\
-       Phase splits (deploy / import / run / queue) are per-invocation\n\
-       means derived from the node's structured event log.\n"
+      (Printf.sprintf
+         "Latency/footprint rows measured over %d NOP invocations per path\n\
+          (node-side, shim and control plane excluded, AO enabled).\n\
+          Phase splits (deploy / import / run / queue) are per-invocation\n\
+          means derived from the node's structured event log.\n"
+         r.invocations)
     [
       {
         Report.label = "Node.js driver snapshot (no AO)";

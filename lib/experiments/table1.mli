@@ -8,6 +8,7 @@
     no control plane or shim. *)
 
 type result = {
+  invocations : int;  (** NOP invocations per path *)
   base_no_ao_bytes : int64;
   base_ao_bytes : int64;
   fn_no_ao_bytes : int64;

@@ -41,9 +41,8 @@ type plan = {
   mutable history : record list; (* newest first *)
 }
 
-(* The plan rides in the engine's fault-plan slot via the universal-type
-   embedding, exactly like Trace contexts ride in the process-local slot. *)
-exception Plan_slot of plan
+(* The plan is the engine-wide value of this key. *)
+let key : plan Sim.Engine.key = Sim.Engine.new_key ()
 
 let validate_rate site r =
   if not (Float.is_finite r) || r < 0.0 || r > 1.0 then
@@ -60,18 +59,14 @@ let make ?seed ?(delay_spike = 0.02) ?(rates = []) engine =
   in
   { engine; rng; rates; delay_spike; history = [] }
 
-let install plan =
-  Sim.Engine.set_fault_plan plan.engine (Some (Plan_slot plan))
+let install plan = Sim.Engine.set_global plan.engine key (Some plan)
 
-let uninstall engine = Sim.Engine.set_fault_plan engine None
+let uninstall engine = Sim.Engine.set_global engine key None
 
 let current () =
   match Sim.Engine.self_opt () with
   | None -> None
-  | Some engine -> (
-      match Sim.Engine.fault_plan engine with
-      | Some (Plan_slot plan) -> Some plan
-      | Some _ | None -> None)
+  | Some engine -> Sim.Engine.get_global engine key
 
 let rate plan site =
   Option.value (List.assoc_opt site plan.rates) ~default:0.0

@@ -62,8 +62,9 @@ val make :
     @raise Invalid_argument if any rate is outside [0,1]. *)
 
 val install : plan -> unit
-(** Park the plan in its engine's fault-plan slot, arming every
-    injection site run by that engine. *)
+(** Make the plan its engine's engine-wide fault plan (a
+    {!Sim.Engine.key} value), arming every injection site run by that
+    engine. *)
 
 val uninstall : Sim.Engine.t -> unit
 

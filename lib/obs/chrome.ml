@@ -75,5 +75,3 @@ let trace events =
       ("traceEvents", Json.List (List.map event_to_json events));
       ("displayTimeUnit", Json.String "ms");
     ]
-
-let to_string events = Json.to_string (trace events)

@@ -38,7 +38,3 @@ val event_to_json : event -> Json.t
 val trace : event list -> Json.t
 (** The whole document; every event carries the required [ph], [ts],
     [pid], [tid] and [name] fields. *)
-
-val to_string : event list -> string
-(** [Json.to_string] of {!trace} — the file body for
-    [seussctl trace --chrome]. *)

@@ -1,11 +1,21 @@
-type local = exn
+(* Key values are stored untyped, as [exn]: each key mints its own
+   local exception constructor (the standard universal-type idiom), so
+   the engine stays independent of what its clients carry. [Unset] marks
+   a vacant cell. *)
+exception Unset
 
-(* Identity of the currently-dispatching process, carried across
-   suspensions like the local slots. Daemons are processes expected to
-   park forever (accept loops, refill loops): they are excluded from
-   [stuck_waiters] and only reported by the deadlock detector when they
-   sit on a wait cycle. *)
-type pinfo = { p_id : int; p_name : string; p_born : float; p_daemon : bool }
+(* The currently-dispatching process: its identity and its key values,
+   parked as one record with its continuation so both survive
+   suspensions. Daemons are processes expected to park forever (accept
+   loops, refill loops): they are excluded from [stuck_waiters] and only
+   reported by the deadlock detector when they sit on a wait cycle. *)
+type proc = {
+  p_id : int;
+  p_name : string;
+  p_born : float;
+  p_daemon : bool;
+  mutable p_vals : exn array;  (* indexed by key id; [||] holds nothing *)
+}
 
 (* One parked waiter, keyed by its wait token. [w_holders] is a thunk so
    the current holder set is read at quiescence, not at park time. *)
@@ -49,10 +59,9 @@ type t = {
      calls the GC write barrier. Payloads live in the arena columns
      indexed by [q_slot]: each slot is either a plain callback
      ([a_kind] 0: [a_thunk]) or a parked process continuation with its
-     saved process-local slots ([a_kind] 1:
-     [a_kont]/[a_local]/[a_san]/[a_proc]) — storing the continuation
-     and slots directly replaces the per-suspension closure the old
-     record-based queue allocated. A slot is written once at push and
+     process record ([a_kind] 1: [a_kont]/[a_proc]) — storing both
+     directly replaces the per-suspension closure the old record-based
+     queue allocated. A slot is written once at push and
      reset to the dummies at pop (so the arena retains nothing), with
      free slots kept on an integer stack. Nothing on this path
      allocates once the arrays are grown. *)
@@ -64,9 +73,7 @@ type t = {
   mutable a_kind : int array;
   mutable a_thunk : (unit -> unit) array;
   mutable a_kont : kont array;
-  mutable a_local : local option array;
-  mutable a_san : local option array;
-  mutable a_proc : pinfo option array;
+  mutable a_proc : proc option array;
   mutable free : int array;  (* free arena slots, as a stack *)
   mutable free_top : int;
   prng : Prng.t;
@@ -89,29 +96,9 @@ type t = {
      allocate a fresh option per call (the dynamic zero-alloc test in
      test_sim measures an entire run). *)
   mutable self_some : t option;
-  (* The process-local slot of the currently-dispatching event: children
-     inherit it at [spawn], and it is saved/restored across Sleep and
-     Suspend so a process keeps its value over its whole lifetime. *)
-  mutable local : local option;
-  (* Optional fork hook for [local], mirroring [san_fork]: when
-     installed, a spawned child's initial slot is [fork parent_slot]
-     instead of the shared value — this is how trace contexts give each
-     process its own span stack while recording the spawn parent link. *)
-  mutable local_fork : (local option -> local option) option;
-  (* Second process-local slot, reserved for the happens-before
-     sanitizer ([Hb]): kept separate from [local] so arming the
-     sanitizer never competes with trace contexts for the one slot.
-     Unlike [local], inheritance at [spawn] goes through [san_fork] so
-     the sanitizer can fork (not share) per-process state. *)
-  mutable san_local : local option;
-  mutable san_fork : (local option -> local option) option;
-  (* Engine-owned sanitizer-state slot (same universal-type idiom as
-     [fault_plan]): [Hb] parks its per-engine checker state here. *)
-  mutable san_state : local option;
-  (* Engine-owned fault-plan slot (same universal-type idiom as [local]):
-     the faults library parks its plan here so injection sites anywhere in
-     the stack can find it without the engine depending on them. *)
-  mutable fault_plan : local option;
+  (* Engine-wide key values (the fault plan, the happens-before
+     checker's state), indexed by key id like [p_vals]. *)
+  mutable globals : exn array;
   (* Supervised processes that died, newest first. *)
   mutable crashed : (string * exn) list;
   (* Deadlock sanitizer. The wait counters are always on (integer
@@ -127,7 +114,9 @@ type t = {
      run is byte-identical to a build without the hook. *)
   own : bool;
   mutable census_hooks : (unit -> unit) list;
-  mutable proc : pinfo option;
+  (* The dispatching process; [None] in a plain callback until a key is
+     set there. *)
+  mutable proc : proc option;
   mutable next_pid : int;
   mutable parked : int;  (* non-daemon processes currently suspended *)
   mutable parked_daemon : int;
@@ -194,8 +183,6 @@ let create ?(seed = 1L) ?tie_seed ?(deadlock = false) ?(own = false) () =
       a_kind = Array.make initial_capacity 0;
       a_thunk = Array.make initial_capacity dummy_thunk;
       a_kont = Array.make initial_capacity dummy_kont;
-      a_local = Array.make initial_capacity None;
-      a_san = Array.make initial_capacity None;
       a_proc = Array.make initial_capacity None;
       free = Array.init initial_capacity (fun i -> i);
       free_top = initial_capacity;
@@ -205,12 +192,7 @@ let create ?(seed = 1L) ?tie_seed ?(deadlock = false) ?(own = false) () =
       executed = 0;
       max_heap = 0;
       self_some = None;
-      local = None;
-      local_fork = None;
-      san_local = None;
-      san_fork = None;
-      san_state = None;
-      fault_plan = None;
+      globals = [||];
       crashed = [];
       deadlock;
       own;
@@ -315,14 +297,9 @@ let grow t =
   let kont = Array.make cap dummy_kont in
   Array.blit t.a_kont 0 kont 0 old;
   t.a_kont <- kont;
-  let copy_opt src =
-    let a = Array.make cap None in
-    Array.blit src 0 a 0 old;
-    a
-  in
-  t.a_local <- copy_opt t.a_local;
-  t.a_san <- copy_opt t.a_san;
-  t.a_proc <- copy_opt t.a_proc;
+  let proc = Array.make cap None in
+  Array.blit t.a_proc 0 proc 0 old;
+  t.a_proc <- proc;
   (* Sized [cap] so the stack can absorb every slot as the queue drains. *)
   t.free <- Array.init cap (fun i -> if i < old then old + i else 0);
   t.free_top <- old
@@ -352,13 +329,11 @@ let schedule t ~delay thunk =
   (* Vacated slots are pre-cleared, so only the thunk column is set. *)
   t.a_thunk.(slot) <- thunk
 
-(* Park a process continuation with its saved process-local slots. *)
-let push_resume t ~delay k saved saved_san saved_proc =
+(* Park a process continuation with its process record. *)
+let push_resume t ~delay k saved_proc =
   let slot = push_event t ~delay in
   t.a_kind.(slot) <- 1;
   t.a_kont.(slot) <- k;
-  t.a_local.(slot) <- saved;
-  t.a_san.(slot) <- saved_san;
   t.a_proc.(slot) <- saved_proc
 
 (* The engine currently dispatching an event; the simulator is
@@ -372,19 +347,91 @@ let self () =
 
 let self_opt () = !current
 
-let get_local t = t.local
-let set_local t v = t.local <- v
-let set_local_fork t f = t.local_fork <- f
+(* {1 Keys} *)
 
-let get_san_local t = t.san_local
-let set_san_local t v = t.san_local <- v
-let set_san_fork t f = t.san_fork <- f
+type 'a key = {
+  id : int;
+  inj : 'a -> exn;
+  prj : exn -> 'a option;
+  fork : t -> 'a option -> 'a option;
+}
 
-let san_state t = t.san_state
-let set_san_state t v = t.san_state <- v
+type any_key = Key : 'a key -> any_key
 
-let fault_plan t = t.fault_plan
-let set_fault_plan t v = t.fault_plan <- v
+(* Every key ever minted, oldest first; [spawn] forks each of them in
+   this order. *)
+let keys : any_key list ref = ref []
+let key_count = ref 0
+
+let new_key (type a) ?(fork = fun _ v -> v) () : a key =
+  let module M = struct
+    exception V of a
+  end in
+  let k =
+    {
+      id = !key_count;
+      inj = (fun v -> M.V v);
+      prj = (function M.V v -> Some v | _ -> None);
+      fork;
+    }
+  in
+  incr key_count;
+  keys := !keys @ [ Key k ];
+  k
+
+let find vals k = if k.id < Array.length vals then k.prj vals.(k.id) else None
+
+(* [vals] with [k] bound to [v]; grows (so copies) a short array, which
+   keeps the shared [[||]] of a record that holds nothing untouched. *)
+let store vals k v =
+  match v with
+  | None ->
+      if k.id < Array.length vals then vals.(k.id) <- Unset;
+      vals
+  | Some v ->
+      let vals =
+        if k.id < Array.length vals then vals
+        else begin
+          let a = Array.make !key_count Unset in
+          Array.blit vals 0 a 0 (Array.length vals);
+          a
+        end
+      in
+      vals.(k.id) <- k.inj v;
+      vals
+
+let get t k = match t.proc with None -> None | Some p -> find p.p_vals k
+
+(* A plain callback gets a record of its own on its first [set], dropped
+   when the next event dispatches. *)
+let set t k v =
+  match t.proc with
+  | Some p -> p.p_vals <- store p.p_vals k v
+  | None ->
+      if Option.is_some v then
+        t.proc <-
+          Some
+            {
+              p_id = 0;
+              p_name = "callback";
+              p_born = t.clk.t_now;
+              p_daemon = false;
+              p_vals = store [||] k v;
+            }
+
+let get_global t k = find t.globals k
+let set_global t k v = t.globals <- store t.globals k v
+
+(* The values a child starts with: each key's fork of the spawner's
+   value, computed at [spawn] time. *)
+let rec fork_keys t parent vals = function
+  | [] -> vals
+  | Key k :: rest ->
+      fork_keys t parent (store vals k (k.fork t (find parent k))) rest
+
+let fork_vals t =
+  let parent = match t.proc with None -> [||] | Some p -> p.p_vals in
+  fork_keys t parent [||] !keys
 
 let failures t = List.rev t.crashed
 
@@ -499,10 +546,17 @@ let suspend register = Effect.perform (Suspend register)
    the continuation in the event arena or with the caller's registrar. The
    handler stays attached when the continuation is resumed later, so a
    supervised process that crashes after a suspension is still caught. *)
-let exec ?supervise ?(daemon = false) t name f =
+let exec ?supervise ?(daemon = false) t name vals f =
   t.next_pid <- t.next_pid + 1;
   t.proc <-
-    Some { p_id = t.next_pid; p_name = name; p_born = t.clk.t_now; p_daemon = daemon };
+    Some
+      {
+        p_id = t.next_pid;
+        p_name = name;
+        p_born = t.clk.t_now;
+        p_daemon = daemon;
+        p_vals = vals;
+      };
   let open Effect.Deep in
   match_with f ()
     {
@@ -523,15 +577,13 @@ let exec ?supervise ?(daemon = false) t name f =
           | Sleep delay ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  (* The handler runs at suspension time, so the engine
-                     slots still belong to the parking process: park them
-                     with the continuation, no closure needed. *)
-                  push_resume t ~delay k t.local t.san_local t.proc)
+                  (* The handler runs at suspension time, so [t.proc]
+                     still belongs to the parking process: park it with
+                     the continuation, no closure needed. *)
+                  push_resume t ~delay k t.proc)
           | Suspend register ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  let saved = t.local in
-                  let saved_san = t.san_local in
                   let saved_proc = t.proc in
                   let resumed = ref false in
                   let resume () =
@@ -539,51 +591,28 @@ let exec ?supervise ?(daemon = false) t name f =
                       invalid_arg "Engine: process resumed twice"
                     else begin
                       resumed := true;
-                      push_resume t ~delay:0.0 k saved saved_san saved_proc
+                      push_resume t ~delay:0.0 k saved_proc
                     end
                   in
                   register resume)
           | _ -> None);
     }
 
-(* The sanitizer slot a child starts with: forked from the spawner's via
-   [san_fork] when the happens-before checker is armed, shared otherwise
-   (in which case it is [None] anyway — nothing installs the slot but the
-   checker). Computed at [spawn] time, so the child is ordered after
-   everything its parent did before the spawn and concurrent with the
-   rest. *)
-let child_san t =
-  match t.san_fork with None -> t.san_local | Some fork -> fork t.san_local
-
-(* Same shape for the primary slot: forked when a hook is installed
-   (trace contexts), shared verbatim otherwise. *)
-let child_local t =
-  match t.local_fork with None -> t.local | Some fork -> fork t.local
-
 let spawn t ?(name = "process") ?(daemon = false) f =
-  (* Children inherit the spawner's local slot (e.g. its trace
-     context), so work fanned out by an invocation records into the
-     invocation's own trace. *)
-  let inherited = child_local t in
-  let inherited_san = child_san t in
-  schedule t ~delay:0.0 (fun () ->
-      t.local <- inherited;
-      t.san_local <- inherited_san;
-      exec ~daemon t name f)
+  (* Children fork the spawner's key values (e.g. its trace context),
+     so work fanned out by an invocation records into the invocation's
+     own trace. *)
+  let vals = fork_vals t in
+  schedule t ~delay:0.0 (fun () -> exec ~daemon t name vals f)
 
 let spawn_supervised t ?(name = "process") ?(daemon = false)
     ?(on_crash = fun _ _ -> ()) f =
-  let inherited = child_local t in
-  let inherited_san = child_san t in
+  let vals = fork_vals t in
   schedule t ~delay:0.0 (fun () ->
-      t.local <- inherited;
-      t.san_local <- inherited_san;
-      exec ~supervise:on_crash ~daemon t name f)
+      exec ~supervise:on_crash ~daemon t name vals f)
 
 let restore_idle t =
   t.running <- false;
-  t.local <- None;
-  t.san_local <- None;
   t.proc <- None;
   current := None
 
@@ -625,8 +654,6 @@ let rec dispatch_loop t limit =
       let kind = t.a_kind.(slot) in
       let thunk = t.a_thunk.(slot) in
       let k = t.a_kont.(slot) in
-      let l = t.a_local.(slot) in
-      let s = t.a_san.(slot) in
       let p = t.a_proc.(slot) in
       (* Reset only the columns this event used: callbacks never touch
          the continuation columns and vice versa. *)
@@ -634,18 +661,14 @@ let rec dispatch_loop t limit =
       else begin
         t.a_kind.(slot) <- 0;
         t.a_kont.(slot) <- dummy_kont;
-        t.a_local.(slot) <- None;
-        t.a_san.(slot) <- None;
         t.a_proc.(slot) <- None
       end;
       t.free.(t.free_top) <- slot;
       t.free_top <- t.free_top + 1;
       t.clk.t_now <- time;
       t.executed <- t.executed + 1;
-      (* Each event starts with its own slots: a plain callback with
-         clean ones, a resumed process with the values it parked. *)
-      t.local <- l;
-      t.san_local <- s;
+      (* Each event starts with its own record: a plain callback with
+         none, a resumed process with the one it parked. *)
       t.proc <- p;
       if kind = 0 then thunk () else Effect.Deep.continue k ();
       dispatch_loop t limit

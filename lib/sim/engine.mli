@@ -121,77 +121,39 @@ val self_opt : unit -> t option
 (** [self ()] without the exception — [None] outside of a run, so
     always-on instrumentation can degrade to a no-op. *)
 
-(** {1 Process-local storage}
+(** {1 Keys}
 
-    One universal slot per process. A value set while a process runs is
-    preserved across {!sleep} / {!suspend} and inherited by processes it
-    {!spawn}s; callbacks registered with plain {!schedule} start with an
-    empty slot. This is the substrate for per-process trace contexts
-    ({!Trace}): two in-flight operations each carry their own context
-    instead of sharing an engine-global one. *)
+    Typed storage for the engine's clients — trace contexts ({!Trace}),
+    the happens-before checker ({!Hb}), the fault plan — so the engine
+    stays independent of what they carry. Each client mints one key at
+    module initialisation. A key holds a value per process ({!get} /
+    {!set}) and one engine-wide value ({!get_global} / {!set_global});
+    every value starts unset.
 
-type local = exn
-(** The slot is untyped; clients embed their state with an extensible
-    [exception] constructor (the standard universal-type idiom), which
-    keeps the engine independent of what it carries. *)
+    A process's value is preserved across {!sleep} / {!suspend}. At
+    {!spawn}, the child starts with [fork t parent_value] for every key,
+    computed when [spawn] is called, in key-creation order — also when
+    the parent holds no value. A plain {!schedule} callback starts with
+    every key unset; a value set there lasts until the callback
+    returns, and processes it spawns fork from it. *)
 
-val get_local : t -> local option
-(** The slot of the currently-dispatching process. *)
+type 'a key
 
-val set_local : t -> local option -> unit
-(** Overwrite the current process's slot (takes effect for the rest of
-    this process's lifetime, including after suspensions). *)
+val new_key : ?fork:(t -> 'a option -> 'a option) -> unit -> 'a key
+(** A fresh key. [fork] (default: share the parent's value verbatim)
+    gives a spawned child its initial value from its spawner's. *)
 
-val set_local_fork : t -> (local option -> local option) option -> unit
-(** Install a fork hook for the primary slot, mirroring
-    {!set_san_fork}: when present, a spawned child's initial slot is
-    [fork parent_slot], computed at [spawn] time. {!Trace} uses this to
-    give every process its own span stack while capturing the parent
-    span open at the spawn — the cross-process causal link. [None]
-    (default) shares the parent's value verbatim. *)
+val get : t -> 'a key -> 'a option
+(** The currently-dispatching process's value. *)
 
-(** {1 Sanitizer process slot}
+val set : t -> 'a key -> 'a option -> unit
+(** Overwrite the current process's value, for the rest of its
+    lifetime. *)
 
-    A second process-local slot, reserved for the happens-before
-    sanitizer ({!Hb}) so it never competes with trace contexts for
-    {!get_local}. It behaves like the primary slot (preserved across
-    {!sleep}/{!suspend}, cleared for plain {!schedule} callbacks) except
-    at {!spawn}: if a fork hook is installed the child's initial slot is
-    [fork parent_slot] — computed when [spawn] is called — letting the
-    sanitizer give every process its own identity while recording the
-    spawn ordering edge. *)
+val get_global : t -> 'a key -> 'a option
+(** The engine-wide value. *)
 
-val get_san_local : t -> local option
-
-val set_san_local : t -> local option -> unit
-
-val set_san_fork : t -> (local option -> local option) option -> unit
-
-(** {1 Sanitizer engine slot}
-
-    Engine-owned slot for the happens-before checker's per-engine state,
-    using the same universal-type embedding as {!fault_plan}. Empty by
-    default; an engine with no checker installed makes no extra PRNG
-    draws and schedules nothing extra, so its event stream is
-    bit-identical to an unsanitized build. *)
-
-val san_state : t -> local option
-
-val set_san_state : t -> local option -> unit
-
-(** {1 Fault-plan slot}
-
-    One engine-owned slot for the fault-injection plan (see the [faults]
-    library), using the same universal-type embedding as {!local}. The
-    engine never interprets the value; it only carries it so injection
-    sites across the stack can reach the plan of the running simulation
-    without a dependency cycle. Empty by default: a simulation with no
-    installed plan makes no PRNG draws for fault decisions, so its event
-    stream is bit-identical to a build without the fault plane. *)
-
-val fault_plan : t -> local option
-
-val set_fault_plan : t -> local option -> unit
+val set_global : t -> 'a key -> 'a option -> unit
 
 val sleep : float -> unit
 (** Suspend the current process for a simulated duration (>= 0). *)

@@ -63,8 +63,6 @@ let vc_set vc pid n =
 (* [vtime]: the instant [vc] was last pruned to. *)
 type pstate = { pid : int; mutable vc : vc; mutable vtime : float }
 
-exception Pstate_slot of pstate
-
 let prune p now =
   if now > p.vtime then begin
     p.vtime <- now;
@@ -92,18 +90,38 @@ type state = {
   mutable reporters : (race -> unit) list; (* registration order *)
 }
 
-exception State_slot of state
-
-let state_of engine =
-  match Engine.san_state engine with
-  | Some (State_slot st) -> Some st
-  | Some _ | None -> None
-
+let state_key : state Engine.key = Engine.new_key ()
+let state_of engine = Engine.get_global engine state_key
 let enabled engine = Option.is_some (state_of engine)
 
 let fresh_pid st =
   st.next_pid <- st.next_pid + 1;
   st.next_pid
+
+(* The spawn fork, with the checker enabled: the child gets a fresh pid
+   — also when the spawner has no state yet — and is ordered after the
+   spawner's history at the spawn point; bumping the spawner's own
+   component afterwards keeps its *later* accesses concurrent with the
+   child. *)
+let fork engine parent =
+  match state_of engine with
+  | None -> None
+  | Some st ->
+      let now = Engine.now engine in
+      let pid = fresh_pid st in
+      let inherited =
+        match parent with
+        | Some parent ->
+            prune parent now;
+            let vc = parent.vc in
+            parent.vc <-
+              vc_set parent.vc parent.pid (vc_get parent.vc parent.pid + 1);
+            vc
+        | None -> []
+      in
+      Some { pid; vc = vc_set inherited pid 1; vtime = now }
+
+let pstate_key : pstate Engine.key = Engine.new_key ~fork ()
 
 (* The calling process's sanitizer state, pruned to the current
    instant and created on first use: a process that was never forked
@@ -112,14 +130,14 @@ let fresh_pid st =
 let pstate st =
   let engine = st.engine in
   let now = Engine.now engine in
-  match Engine.get_san_local engine with
-  | Some (Pstate_slot p) ->
+  match Engine.get engine pstate_key with
+  | Some p ->
       prune p now;
       p
-  | _ ->
+  | None ->
       let pid = fresh_pid st in
       let p = { pid; vc = [ (pid, 1) ]; vtime = now } in
-      Engine.set_san_local engine (Some (Pstate_slot p));
+      Engine.set engine pstate_key (Some p);
       p
 
 let enable engine =
@@ -127,32 +145,7 @@ let enable engine =
   | Some st -> st
   | None ->
       let st = { engine; next_pid = 0; races = []; reporters = [] } in
-      Engine.set_san_state engine (Some (State_slot st));
-      (* Spawn edge: the child is ordered after the parent's history at
-         the spawn point; bumping the parent's own component afterwards
-         keeps the parent's *later* accesses concurrent with the child. *)
-      Engine.set_san_fork engine
-        (Some
-           (fun parent_slot ->
-             let now = Engine.now engine in
-             let child_pid = fresh_pid st in
-             let inherited =
-               match parent_slot with
-               | Some (Pstate_slot parent) ->
-                   prune parent now;
-                   let vc = parent.vc in
-                   parent.vc <-
-                     vc_set parent.vc parent.pid (vc_get parent.vc parent.pid + 1);
-                   vc
-               | _ -> []
-             in
-             Some
-               (Pstate_slot
-                  {
-                    pid = child_pid;
-                    vc = vc_set inherited child_pid 1;
-                    vtime = now;
-                  })));
+      Engine.set_global engine state_key (Some st);
       st
 
 let add_reporter engine f =

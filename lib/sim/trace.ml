@@ -26,45 +26,42 @@ type ctx = {
   inherit_depth : int;
 }
 
-(* Embed the context in the engine's universal process-local slot. *)
-exception Ctx of ctx
-
-let current () =
-  match Engine.self_opt () with
-  | None -> None
-  | Some engine -> (
-      match Engine.get_local engine with
-      | Some (Ctx c) when c.tr.active -> Some c
-      | _ -> None)
-
 (* seussheat: cold — the option is retained as the child's inherited parent link *)
 let parent_of c =
   match c.stack with s :: _ -> Some s | [] -> c.inherit_parent
 
 let depth_of c = c.inherit_depth + List.length c.stack
 
-(* The spawn hook: a child gets a fresh stack over the same sink, with
-   the spawner's innermost open span as its inherited parent. Installed
-   engine-wide by [start_ctx]; the identity on non-trace slot values. *)
-let fork slot =
-  match slot with
-  | Some (Ctx c) when c.tr.active ->
+(* The spawn fork: a child gets a fresh stack over the same sink, with
+   the spawner's innermost open span as its inherited parent; a stopped
+   context passes through as is. *)
+let fork _ parent =
+  match parent with
+  | Some c when c.tr.active ->
       (* seussheat: cold — the forked context is the product: one per spawn, retained by the child *)
       Some
-        (Ctx
-           {
-             tr = c.tr;
-             stack = [];
-             inherit_parent = parent_of c;
-             inherit_depth = depth_of c;
-           })
+        {
+          tr = c.tr;
+          stack = [];
+          inherit_parent = parent_of c;
+          inherit_depth = depth_of c;
+        }
   | other -> other
+
+let key : ctx Engine.key = Engine.new_key ~fork ()
+
+let current () =
+  match Engine.self_opt () with
+  | None -> None
+  | Some engine -> (
+      match Engine.get engine key with
+      | Some c as cur when c.tr.active -> cur
+      | _ -> None)
 
 let start_ctx engine =
   let tr = { engine; rev_spans = []; next_id = 0; active = true } in
-  Engine.set_local_fork engine (Some fork);
-  Engine.set_local engine
-    (Some (Ctx { tr; stack = []; inherit_parent = None; inherit_depth = 0 }));
+  Engine.set engine key
+    (Some { tr; stack = []; inherit_parent = None; inherit_depth = 0 });
   tr
 
 let sorted_spans t =
@@ -83,9 +80,9 @@ let stop_ctx t =
   t.active <- false;
   (match Engine.self_opt () with
   | Some engine -> (
-      match Engine.get_local engine with
+      match Engine.get engine key with
       (* seusslint: allow physical-eq — only this exact context may uninstall itself *)
-      | Some (Ctx c) when c.tr == t -> Engine.set_local engine None
+      | Some c when c.tr == t -> Engine.set engine key None
       | _ -> ())
   | None -> ());
   sorted_spans t

@@ -6,13 +6,13 @@
     Every recorded span carries a stable id, its parent's id and the
     simulated pid that recorded it, so a trace is an exportable causal
     tree (see [Obs.Chrome] for the Chrome trace-event encoding), not
-    just a waterfall. Parent links cross process boundaries: a context
-    installs an [Engine] fork hook, so a child spawned under an open
-    span starts with that span as its inherited parent.
+    just a waterfall. Parent links cross process boundaries: the
+    context's {!Engine.key} forks at spawn, so a child spawned under an
+    open span starts with that span as its inherited parent.
 
     A trace is a {b process-local context} ({!start_ctx} /
-    {!stop_ctx}): it rides in the current process's {!Engine} local
-    slot, is preserved across suspensions and forked for spawned
+    {!stop_ctx}): it is the current process's value of an {!Engine}
+    key, preserved across suspensions and forked for spawned
     children — each process gets its own open-span stack over the
     shared span sink, so two in-flight invocations record disjoint span
     trees, concurrently. {!span} / {!mark} record into the current
@@ -40,7 +40,7 @@ val start_ctx : Engine.t -> t
 
 val stop_ctx : t -> span list
 (** Deactivate and return the spans in start order. Uninstalls the
-    context from the calling process's slot if it is still the one
+    context from the calling process if it is still the one
     installed. *)
 
 (** {1 Recording} *)

@@ -38,6 +38,18 @@ let test_table1_under_faults () =
   | exception Sim.Engine.Process_failure (_, Invalid_argument msg) ->
       Alcotest.failf "Table1 under faults raised Invalid_argument %S" msg
 
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+(* The note names the count the rows were measured over, not the
+   paper's 475. *)
+let test_table1_note_count () =
+  let note = Experiments.Table1.(render (run ~invocations:3 ())) in
+  let says = "measured over 3 NOP invocations per path" in
+  Alcotest.(check bool) says true (contains note says)
+
 let test_table2_ladder () =
   let r = Experiments.Table2.run ~invocations:8 () in
   let open Experiments.Table2 in
@@ -227,13 +239,8 @@ let test_fig_load_shapes () =
   Alcotest.(check bool) "timeline captured" true
     (String.length r.timeline > 0);
   let rendered = render r in
-  let mentions needle =
-    let nl = String.length needle and hl = String.length rendered in
-    let rec go i = i + nl <= hl && (String.sub rendered i nl = needle || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "render mentions every backend" true
-    (List.for_all mentions [ "seuss"; "linux"; "firecracker"; "process" ])
+    (List.for_all (contains rendered) [ "seuss"; "linux"; "firecracker"; "process" ])
 
 let test_fig_load_same_seed_identical () =
   let run () =
@@ -531,6 +538,7 @@ let () =
         [
           case "table1 shapes" test_table1_shapes;
           case "table1 under faults" test_table1_under_faults;
+          case "table1 note names its count" test_table1_note_count;
           case "table2 ladder" test_table2_ladder;
           case "table3 orderings" test_table3_orderings;
         ] );

@@ -317,7 +317,7 @@ let test_chrome_document_structure () =
     ]
   in
   let doc =
-    match Obs.Json.of_string (Obs.Chrome.to_string events) with
+    match Obs.Json.of_string (Obs.Json.to_string (Obs.Chrome.trace events)) with
     | Error e -> Alcotest.failf "chrome output does not parse: %s" e
     | Ok j -> j
   in

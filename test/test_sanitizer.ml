@@ -303,7 +303,7 @@ module Ref_hb = struct
       races = [];
     }
 
-  (* Mirrors the engine's fork hook: the child's id is taken at the
+  (* Mirrors Hb's spawn fork: the child's id is taken at the
      spawn point, and the parent moves on past what it handed down. *)
   let spawn t parent =
     t.next <- t.next + 1;

@@ -647,6 +647,103 @@ let test_engine_zero_alloc_dispatch () =
     (Printf.sprintf "minor words allocated across %d dispatches" (measured + 1))
     0.0 (w1 -. w0)
 
+(* {1 Engine keys} *)
+
+let opt_int = Alcotest.(option int)
+
+(* Each key runs its own fork at the same spawn; neither disturbs the
+   other's value or the parent's. *)
+let test_keys_fork_independently () =
+  let engine = Sim.Engine.create () in
+  let count = Sim.Engine.new_key ~fork:(fun _ v -> Option.map succ v) () in
+  let label =
+    Sim.Engine.new_key ~fork:(fun _ v -> Option.map (fun s -> s ^ "'") v) ()
+  in
+  let seen = ref (None, None) in
+  Sim.Engine.spawn engine (fun () ->
+      Sim.Engine.set engine count (Some 1);
+      Sim.Engine.set engine label (Some "p");
+      Sim.Engine.spawn engine (fun () ->
+          seen :=
+            (Sim.Engine.get engine count, Sim.Engine.get engine label));
+      Sim.Engine.sleep 1.0;
+      Alcotest.(check opt_int) "parent count kept" (Some 1)
+        (Sim.Engine.get engine count);
+      Alcotest.(check (option string)) "parent label kept" (Some "p")
+        (Sim.Engine.get engine label));
+  Sim.Engine.run engine;
+  Alcotest.(check opt_int) "child count forked" (Some 2) (fst !seen);
+  Alcotest.(check (option string)) "child label forked" (Some "p'") (snd !seen)
+
+(* A plain callback holds no value, yet the HB checker's fork still
+   gives each child its pid at spawn: B, spawned second and writing
+   first, reports pid 2 — a lazily minted pid would read 1. *)
+let test_keys_hb_fork_without_parent_value () =
+  let engine = Sim.Engine.create () in
+  ignore (Sim.Hb.enable engine);
+  let cell = Sim.Hb.cell ~name:"keys.cell" in
+  Sim.Engine.schedule engine ~delay:0.0 (fun () ->
+      Sim.Engine.spawn engine ~name:"a" (fun () ->
+          Sim.Engine.yield ();
+          Sim.Hb.write cell);
+      Sim.Engine.spawn engine ~name:"b" (fun () -> Sim.Hb.write cell));
+  Sim.Engine.run engine;
+  match Sim.Hb.races engine with
+  | [ r ] ->
+      Alcotest.(check (pair int int)) "pids minted at spawn" (2, 1)
+        (r.Sim.Hb.first_pid, r.Sim.Hb.second_pid)
+  | rs -> Alcotest.failf "expected one race, got %d" (List.length rs)
+
+let test_keys_survive_sleep_and_suspend () =
+  let engine = Sim.Engine.create () in
+  let k = Sim.Engine.new_key () in
+  let after_sleep = ref None and after_suspend = ref None in
+  Sim.Engine.spawn engine (fun () ->
+      Sim.Engine.set engine k (Some 7);
+      Sim.Engine.sleep 1.0;
+      after_sleep := Sim.Engine.get engine k;
+      Sim.Engine.suspend (fun resume ->
+          Sim.Engine.schedule engine ~delay:2.0 resume);
+      after_suspend := Sim.Engine.get engine k);
+  (* A second process in between holds nothing of the first's. *)
+  Sim.Engine.spawn engine (fun () ->
+      Sim.Engine.sleep 1.5;
+      Alcotest.(check opt_int) "other process unset" None
+        (Sim.Engine.get engine k));
+  Sim.Engine.run engine;
+  Alcotest.(check opt_int) "after sleep" (Some 7) !after_sleep;
+  Alcotest.(check opt_int) "after suspend" (Some 7) !after_suspend
+
+let test_keys_callback_value_dies_with_it () =
+  let engine = Sim.Engine.create () in
+  let k = Sim.Engine.new_key () in
+  let at_start = ref (Some 0) and inside = ref None and next = ref (Some 0) in
+  Sim.Engine.spawn engine (fun () ->
+      Sim.Engine.set engine k (Some 1);
+      Sim.Engine.schedule engine ~delay:1.0 (fun () ->
+          at_start := Sim.Engine.get engine k;
+          Sim.Engine.set engine k (Some 5);
+          inside := Sim.Engine.get engine k);
+      Sim.Engine.schedule engine ~delay:1.0 (fun () ->
+          next := Sim.Engine.get engine k);
+      Sim.Engine.sleep 2.0;
+      Alcotest.(check opt_int) "the process keeps its own" (Some 1)
+        (Sim.Engine.get engine k));
+  Sim.Engine.run engine;
+  Alcotest.(check opt_int) "callback starts unset" None !at_start;
+  Alcotest.(check opt_int) "set inside the callback" (Some 5) !inside;
+  Alcotest.(check opt_int) "gone in the next callback" None !next
+
+let test_keys_spawn_from_callback_forks () =
+  let engine = Sim.Engine.create () in
+  let k = Sim.Engine.new_key ~fork:(fun _ v -> Option.map succ v) () in
+  let child = ref None in
+  Sim.Engine.schedule engine ~delay:0.0 (fun () ->
+      Sim.Engine.set engine k (Some 10);
+      Sim.Engine.spawn engine (fun () -> child := Sim.Engine.get engine k));
+  Sim.Engine.run engine;
+  Alcotest.(check opt_int) "forked from the callback's value" (Some 11) !child
+
 (* {1 Ownership census hooks (SEUSS_OWN)} *)
 
 let test_census_hooks_run_at_quiescence () =
@@ -732,6 +829,18 @@ let () =
         [
           case "engine counters" test_engine_perf_counters;
           case "zero-alloc dispatch" test_engine_zero_alloc_dispatch;
+        ] );
+      ( "keys",
+        [
+          case "two keys fork independently" test_keys_fork_independently;
+          case "hb fork without a parent value"
+            test_keys_hb_fork_without_parent_value;
+          case "values survive sleep and suspend"
+            test_keys_survive_sleep_and_suspend;
+          case "callback value dies with it"
+            test_keys_callback_value_dies_with_it;
+          case "spawn from a callback forks its value"
+            test_keys_spawn_from_callback_forks;
         ] );
       ( "ivar",
         [
