@@ -31,6 +31,10 @@ let registry =
                 (sleep and wait_begin both land on it)" };
     { hr_file = "lib/sim/engine.ml"; hr_binding = "sleep";
       hr_why = "per-sleep: the dominant primitive of every workload" };
+    { hr_file = "lib/sim/engine.ml"; hr_binding = "cancel";
+      hr_why = "every receive with a timeout whose item arrives first \
+                (Channel.recv_timeout, Ivar.read_timeout) removes its \
+                timer through here" };
     { hr_file = "lib/sim/engine.ml"; hr_binding = "wait_begin";
       hr_why = "per-acquire on the semaphore path" };
     { hr_file = "lib/sim/engine.ml"; hr_binding = "wait_end";

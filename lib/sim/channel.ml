@@ -2,8 +2,10 @@ type 'a t = {
   items : 'a Queue.t;
   (* Each waiter is woken at most once; a woken receiver re-checks the
      queue because an item can be consumed by a non-blocked receiver that
-     runs first at the same timestamp. *)
-  readers : (unit -> unit) Queue.t;
+     runs first at the same timestamp. A reader returns whether it took
+     the wakeup: one left behind by a receive that timed out declines,
+     and [send] passes the wakeup on to the next. *)
+  readers : (unit -> bool) Queue.t;
   (* Happens-before edge carrier: send publishes, a successful receive
      observes (no-op unless the schedule sanitizer is armed). *)
   hb : Hb.sync;
@@ -23,12 +25,15 @@ let resource t e =
   if String.equal t.rname "" then t.rname <- Engine.fresh_resource e "channel";
   t.rname
 
+let rec wake_one readers =
+  match Queue.take_opt readers with
+  | Some take -> if not (take ()) then wake_one readers
+  | None -> ()
+
 let send t x =
   Hb.signal t.hb;
   Queue.add x t.items;
-  match Queue.take_opt t.readers with
-  | Some resume -> resume ()
-  | None -> ()
+  wake_one t.readers
 
 let try_recv t =
   match Queue.take_opt t.items with
@@ -51,7 +56,8 @@ let rec recv t =
           Queue.add
             (fun () ->
               Engine.wait_end e tok;
-              resume ())
+              resume ();
+              true)
             t.readers);
       (* An item can be stolen at the same timestamp; re-parking takes a
          fresh wait token. *)
@@ -68,9 +74,17 @@ let recv_timeout t ~timeout =
         let remaining = deadline -. Engine.now engine in
         if remaining < 0.0 then try_recv t
         else begin
-          Engine.schedule engine ~delay:remaining (fun () ->
-              ignore (Ivar.try_fill race `Timeout));
-          Queue.add (fun () -> ignore (Ivar.try_fill race `Ready)) t.readers;
+          let timer =
+            Engine.schedule_timer engine ~delay:remaining (fun () ->
+                ignore (Ivar.try_fill race `Timeout))
+          in
+          (* The item won: its timer has nothing left to decide. *)
+          Queue.add
+            (fun () ->
+              let won = Ivar.try_fill race `Ready in
+              if won then Engine.cancel engine timer;
+              won)
+            t.readers;
           match Ivar.read race with
           | `Timeout -> try_recv t
           | `Ready -> (

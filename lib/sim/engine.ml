@@ -44,8 +44,10 @@ type kont = (unit, unit) Effect.Deep.continuation
 (* The simulated clock lives in its own all-float record: float fields
    of a flat float record read and write unboxed, so advancing the clock
    on every dispatch allocates nothing. Inlined into the engine record it
-   would be a boxed store per event. *)
-type clockbox = { mutable t_now : float }
+   would be a boxed store per event. [t_limit] is the current run's
+   [until] cut, read by the dispatch loop and by {!sleep}'s in-place
+   resume. *)
+type clockbox = { mutable t_now : float; mutable t_limit : float }
 
 type t = {
   clk : clockbox;
@@ -63,8 +65,10 @@ type t = {
      directly replaces the per-suspension closure the old record-based
      queue allocated. A slot is written once at push and
      reset to the dummies at pop (so the arena retains nothing), with
-     free slots kept on an integer stack. Nothing on this path
-     allocates once the arrays are grown. *)
+     free slots kept on an integer stack. [a_pos] maps a queued slot
+     back to its heap index (kept by every push, swap and pop), so
+     {!cancel} finds a timer's entry without a search. Nothing on this
+     path allocates once the arrays are grown. *)
   mutable q_size : int;
   mutable q_time : float array;
   mutable q_pri : int array;
@@ -74,6 +78,7 @@ type t = {
   mutable a_thunk : (unit -> unit) array;
   mutable a_kont : kont array;
   mutable a_proc : proc option array;
+  mutable a_pos : int array;
   mutable free : int array;  (* free arena slots, as a stack *)
   mutable free_top : int;
   prng : Prng.t;
@@ -173,7 +178,7 @@ let initial_capacity = 256
 let create ?(seed = 1L) ?tie_seed ?(deadlock = false) ?(own = false) () =
   let t =
     {
-      clk = { t_now = 0.0 };
+      clk = { t_now = 0.0; t_limit = Float.infinity };
       seq = 0;
       q_size = 0;
       q_time = Array.make initial_capacity 0.0;
@@ -184,6 +189,7 @@ let create ?(seed = 1L) ?tie_seed ?(deadlock = false) ?(own = false) () =
       a_thunk = Array.make initial_capacity dummy_thunk;
       a_kont = Array.make initial_capacity dummy_kont;
       a_proc = Array.make initial_capacity None;
+      a_pos = Array.make initial_capacity 0;
       free = Array.init initial_capacity (fun i -> i);
       free_top = initial_capacity;
       prng = Prng.create seed;
@@ -249,9 +255,11 @@ let heap_swap t i j =
   let n = t.q_seq.(i) in
   t.q_seq.(i) <- t.q_seq.(j);
   t.q_seq.(j) <- n;
-  let n = t.q_slot.(i) in
-  t.q_slot.(i) <- t.q_slot.(j);
-  t.q_slot.(j) <- n
+  let si = t.q_slot.(i) and sj = t.q_slot.(j) in
+  t.q_slot.(i) <- sj;
+  t.q_slot.(j) <- si;
+  t.a_pos.(sj) <- i;
+  t.a_pos.(si) <- j
 
 let rec sift_up t i =
   if i > 0 then begin
@@ -291,6 +299,7 @@ let grow t =
   t.q_seq <- copy_int t.q_seq;
   t.q_slot <- copy_int t.q_slot;
   t.a_kind <- copy_int t.a_kind;
+  t.a_pos <- copy_int t.a_pos;
   let thunk = Array.make cap dummy_thunk in
   Array.blit t.a_thunk 0 thunk 0 old;
   t.a_thunk <- thunk;
@@ -319,6 +328,7 @@ let push_event t ~delay =
   t.q_pri.(i) <- pri;
   t.q_seq.(i) <- t.seq;
   t.q_slot.(i) <- slot;
+  t.a_pos.(slot) <- i;
   t.q_size <- i + 1;
   sift_up t i;
   if t.q_size > t.max_heap then t.max_heap <- t.q_size;
@@ -328,6 +338,57 @@ let schedule t ~delay thunk =
   let slot = push_event t ~delay in
   (* Vacated slots are pre-cleared, so only the thunk column is set. *)
   t.a_thunk.(slot) <- thunk
+
+(* A queued callback's arena slot and the [seq] it was pushed with:
+   [seq] is unique per push, so once the event fires or is cancelled —
+   and even after its slot is reused — the handle matches nothing. *)
+type timer = { tm_slot : int; tm_seq : int }
+
+let schedule_timer t ~delay thunk =
+  let slot = push_event t ~delay in
+  t.a_thunk.(slot) <- thunk;
+  { tm_slot = slot; tm_seq = t.seq }
+
+(* Drop heap entry [i]: the last entry fills the hole and sifts to its
+   place (up or down, as it compares with its new parent). The entry's
+   arena slot is left to the caller. *)
+let heap_remove t i =
+  let last = t.q_size - 1 in
+  if i < last then begin
+    t.q_time.(i) <- t.q_time.(last);
+    t.q_pri.(i) <- t.q_pri.(last);
+    t.q_seq.(i) <- t.q_seq.(last);
+    t.q_slot.(i) <- t.q_slot.(last);
+    t.a_pos.(t.q_slot.(i)) <- i
+  end;
+  t.q_time.(last) <- 0.0;
+  t.q_pri.(last) <- 0;
+  t.q_seq.(last) <- 0;
+  t.q_slot.(last) <- 0;
+  t.q_size <- last;
+  if i < last then
+    if i > 0 && ev_before t i ((i - 1) / 2) then sift_up t i
+    else sift_down t i
+
+(* Reset a vacated slot's payload columns to the dummies (only the
+   columns its kind used: callbacks never touch the continuation
+   columns and vice versa) and return it to the free stack. *)
+let free_slot t slot =
+  if t.a_kind.(slot) = 0 then t.a_thunk.(slot) <- dummy_thunk
+  else begin
+    t.a_kind.(slot) <- 0;
+    t.a_kont.(slot) <- dummy_kont;
+    t.a_proc.(slot) <- None
+  end;
+  t.free.(t.free_top) <- slot;
+  t.free_top <- t.free_top + 1
+
+let cancel t tm =
+  let i = t.a_pos.(tm.tm_slot) in
+  if i < t.q_size && t.q_seq.(i) = tm.tm_seq then begin
+    heap_remove t i;
+    free_slot t tm.tm_slot
+  end
 
 (* Park a process continuation with its process record. *)
 let push_resume t ~delay k saved_proc =
@@ -536,9 +597,31 @@ let stranded_waiters t =
       entries
   end
 
+(* A sleep that would be the very next event resumes in place: no
+   effect, no heap push and pop, just the bookkeeping the round trip
+   would have left — one [seq] (a push), one [executed] (a pop), the
+   heap high-water mark at [q_size + 1], and the clock at the due time.
+   That holds only for a real process (a callback, pid 0, must still
+   raise [Effect.Unhandled]), with the tie shuffler unarmed (each push
+   draws a priority), for a valid delay due within the run's [until]
+   cut and strictly before the heap root: at an equal time the queued
+   event was pushed first, so FIFO order runs it first. *)
 let sleep delay =
-  (* seussheat: cold — the effect payload: performing Sleep boxes its argument by construction *)
-  Effect.perform (Sleep delay)
+  match !current with
+  | Some t
+    when (match t.proc with Some p -> p.p_id > 0 | None -> false)
+         && Option.is_none t.tie
+         && delay >= 0.0
+         && delay < Float.infinity
+         && t.clk.t_now +. delay <= t.clk.t_limit
+         && (t.q_size = 0 || t.clk.t_now +. delay < t.q_time.(0)) ->
+      t.seq <- t.seq + 1;
+      if t.q_size >= t.max_heap then t.max_heap <- t.q_size + 1;
+      t.executed <- t.executed + 1;
+      t.clk.t_now <- t.clk.t_now +. delay
+  | _ ->
+      (* seussheat: cold — the effect payload: performing Sleep boxes its argument by construction *)
+      Effect.perform (Sleep delay)
 let yield () = sleep 0.0
 let suspend register = Effect.perform (Suspend register)
 
@@ -628,50 +711,29 @@ let run_census t = List.iter (fun f -> f ()) (List.rev t.census_hooks)
 (* The dispatch loop, as a tail-recursive drain so an unarmed run
    allocates nothing at all: no option per peek/pop (slot columns are
    read in place), no refs, no closures. Returns whether the queue
-   drained (as opposed to stopping at the [limit] cut). *)
-let rec dispatch_loop t limit =
+   drained (as opposed to stopping at the [until] cut). *)
+let rec dispatch_loop t =
   if t.q_size = 0 then true
   else begin
     let time = t.q_time.(0) in
-    if time > limit then false
+    if time > t.clk.t_limit then false
     else begin
       (* Pop the heap root (scalar moves only), then read out and reset
          its arena slot so the arena retains nothing. *)
       let slot = t.q_slot.(0) in
-      let last = t.q_size - 1 in
-      if last > 0 then begin
-        t.q_time.(0) <- t.q_time.(last);
-        t.q_pri.(0) <- t.q_pri.(last);
-        t.q_seq.(0) <- t.q_seq.(last);
-        t.q_slot.(0) <- t.q_slot.(last)
-      end;
-      t.q_time.(last) <- 0.0;
-      t.q_pri.(last) <- 0;
-      t.q_seq.(last) <- 0;
-      t.q_slot.(last) <- 0;
-      t.q_size <- last;
-      if last > 1 then sift_down t 0;
+      heap_remove t 0;
       let kind = t.a_kind.(slot) in
       let thunk = t.a_thunk.(slot) in
       let k = t.a_kont.(slot) in
       let p = t.a_proc.(slot) in
-      (* Reset only the columns this event used: callbacks never touch
-         the continuation columns and vice versa. *)
-      if kind = 0 then t.a_thunk.(slot) <- dummy_thunk
-      else begin
-        t.a_kind.(slot) <- 0;
-        t.a_kont.(slot) <- dummy_kont;
-        t.a_proc.(slot) <- None
-      end;
-      t.free.(t.free_top) <- slot;
-      t.free_top <- t.free_top + 1;
+      free_slot t slot;
       t.clk.t_now <- time;
       t.executed <- t.executed + 1;
       (* Each event starts with its own record: a plain callback with
          none, a resumed process with the one it parked. *)
       t.proc <- p;
       if kind = 0 then thunk () else Effect.Deep.continue k ();
-      dispatch_loop t limit
+      dispatch_loop t
     end
   end
 
@@ -679,10 +741,10 @@ let run ?until t =
   if t.running then invalid_arg "Engine.run: already running";
   t.running <- true;
   current := t.self_some;
-  let limit = match until with None -> Float.infinity | Some l -> l in
-  match dispatch_loop t limit with
+  t.clk.t_limit <- (match until with None -> Float.infinity | Some l -> l);
+  match dispatch_loop t with
   | drained ->
-      if not drained then t.clk.t_now <- limit;
+      if not drained then t.clk.t_now <- t.clk.t_limit;
       (* Natural quiescence (the queue drained, not an [until] cut):
          anything still parked can never be woken — walk the wait-for
          graph and hand each stranded waiter to the reporters. *)

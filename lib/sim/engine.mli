@@ -53,6 +53,22 @@ val schedule : t -> delay:float -> (unit -> unit) -> unit
 (** [schedule t ~delay f] runs callback [f] at [now t +. delay].
     @raise Invalid_argument if [delay] is negative or not finite. *)
 
+type timer
+(** A handle on one event queued by {!schedule_timer}. *)
+
+val schedule_timer : t -> delay:float -> (unit -> unit) -> timer
+(** [schedule] that also returns a handle for {!cancel}. The event
+    orders, fires and counts in {!perf} exactly as a {!schedule}d one.
+    @raise Invalid_argument if [delay] is negative or not finite. *)
+
+val cancel : t -> timer -> unit
+(** [cancel t tm] removes [tm]'s event from the queue in O(log n): its
+    callback never runs, it is never counted as dispatched, and
+    {!pending} drops by one. Cancelling a timer that already fired or
+    was already cancelled is a no-op, also after its queue slot has
+    been reused by a later event. Nothing else moves: the remaining
+    events fire in the same order, and no PRNG is drawn. *)
+
 val spawn : t -> ?name:string -> ?daemon:bool -> (unit -> unit) -> unit
 (** [spawn t f] starts process [f] at the current time. [f] may use
     {!sleep} and the blocking primitives. An exception escaping [f] aborts
@@ -86,10 +102,11 @@ val run : ?until:float -> t -> unit
     queued). Re-entrant calls are rejected. *)
 
 val pending : t -> int
-(** Events currently queued in the heap. Inside a running process this
-    counts everyone else's scheduled work — a periodic daemon can use
-    [pending t = 0] as its termination signal: nothing else will ever
-    run, so sleeping again would only stretch the simulation. *)
+(** Live events currently queued: a {!cancel}led timer no longer
+    counts. Inside a running process this counts everyone else's
+    scheduled work — a periodic daemon can use [pending t = 0] as its
+    termination signal: nothing else will ever run, so sleeping again
+    would only stretch the simulation. *)
 
 (** {1 Engine self-profiling}
 
@@ -102,6 +119,10 @@ type perf = {
   scheduled : int;  (** events ever queued (heap pushes) *)
   max_heap : int;  (** event-heap high-water mark *)
 }
+(** A {!sleep} resumed in place counts as the push and the pop it
+    skipped, so these read the same as if it had gone through the
+    heap. A {!cancel}led timer counts as scheduled, never as
+    dispatched. *)
 
 val perf : t -> perf
 
@@ -156,7 +177,14 @@ val get_global : t -> 'a key -> 'a option
 val set_global : t -> 'a key -> 'a option -> unit
 
 val sleep : float -> unit
-(** Suspend the current process for a simulated duration (>= 0). *)
+(** Suspend the current process for a simulated duration (>= 0).
+
+    When the wakeup would be the very next event — the queue is empty
+    or its earliest event is strictly later, the wakeup is within
+    {!run}'s [until], and the tie shuffler is unarmed — the process
+    resumes in place, without a heap round trip; time, dispatch order
+    and {!perf} are exactly as if it had parked. Called from a plain
+    {!schedule} callback, it raises [Effect.Unhandled]. *)
 
 val yield : unit -> unit
 (** [yield ()] is [sleep 0.]: lets other events at this timestamp run. *)

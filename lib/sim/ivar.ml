@@ -66,17 +66,19 @@ let read_timeout t ~timeout =
   | Full v ->
       Hb.observe t.hb;
       Some v
-  | Empty _ ->
+  | Empty waiters ->
       (* Race the fill against a timer through a secondary ivar so the
-         blocked reader is woken exactly once. *)
+         blocked reader is woken exactly once; a fill that wins cancels
+         the timer. *)
       let race : [ `Value | `Timeout ] t = create () in
       let engine = Engine.self () in
-      Engine.schedule engine ~delay:timeout (fun () ->
-          ignore (try_fill race `Timeout));
-      (match t.state with
-      | Full _ -> ()
-      | Empty waiters ->
-          Queue.add (fun () -> ignore (try_fill race `Value)) waiters);
+      let timer =
+        Engine.schedule_timer engine ~delay:timeout (fun () ->
+            ignore (try_fill race `Timeout))
+      in
+      Queue.add
+        (fun () -> if try_fill race `Value then Engine.cancel engine timer)
+        waiters;
       (match read race with
       | `Value -> peek t
       | `Timeout -> peek t (* a fill at exactly the deadline still counts *))

@@ -62,14 +62,8 @@ let render ?(extra = []) row seed () =
 (* Rows whose output depends on the order of same-instant events, each
    with the reason. For these the shuffle arms must change the output
    under some seed (so the entry cannot go stale), and every other arm
-   must still be byte-identical. *)
-let tie_order_dependent =
-  [
-    ( "burst",
-      "same-instant arrivals at the capacity-1 FIFOs of \
-       Platform.Controller's pipeline and Seuss.Shim's connection are \
-       served in engine tie order, and burst plots every request" );
-  ]
+   must still be byte-identical. None does today. *)
+let tie_order_dependent : (string * string) list = []
 
 let arms : (string * Rc.t) list =
   let d = Rc.default in

@@ -182,6 +182,233 @@ let engine_deterministic =
       in
       trace () = trace ())
 
+(* {1 Cancellable timers} *)
+
+let test_timer_cancelled_never_fires () =
+  let engine = Sim.Engine.create () in
+  let fired = ref [] in
+  let a =
+    Sim.Engine.schedule_timer engine ~delay:1.0 (fun () ->
+        fired := "a" :: !fired)
+  in
+  Sim.Engine.schedule engine ~delay:2.0 (fun () -> fired := "b" :: !fired);
+  Alcotest.(check int) "both queued" 2 (Sim.Engine.pending engine);
+  Sim.Engine.cancel engine a;
+  Alcotest.(check int) "pending drops" 1 (Sim.Engine.pending engine);
+  Sim.Engine.cancel engine a;
+  Alcotest.(check int) "a second cancel is a no-op" 1
+    (Sim.Engine.pending engine);
+  Sim.Engine.run engine;
+  Alcotest.(check (list string)) "only b fired" [ "b" ] !fired;
+  let perf = Sim.Engine.perf engine in
+  Alcotest.(check int) "scheduled counts the timer" 2 perf.Sim.Engine.scheduled;
+  Alcotest.(check int) "dispatched does not" 1 perf.Sim.Engine.dispatched;
+  check_float "clock ends at b" 2.0 (Sim.Engine.now engine)
+
+let test_timer_cancel_after_fire () =
+  let engine = Sim.Engine.create () in
+  let fired = ref [] in
+  let a =
+    Sim.Engine.schedule_timer engine ~delay:1.0 (fun () ->
+        fired := "a" :: !fired)
+  in
+  Sim.Engine.schedule engine ~delay:1.5 (fun () ->
+      Sim.Engine.cancel engine a;
+      Alcotest.(check int) "c still queued" 1 (Sim.Engine.pending engine));
+  Sim.Engine.schedule engine ~delay:2.0 (fun () -> fired := "c" :: !fired);
+  Sim.Engine.run engine;
+  Alcotest.(check (list string)) "a fired, c kept" [ "c"; "a" ] !fired
+
+(* Free arena slots are a stack, so the event queued right after [a]
+   fires takes [a]'s slot: the stale handle must not reach it. *)
+let test_timer_cancel_reused_slot () =
+  let engine = Sim.Engine.create () in
+  let fired = ref [] in
+  let a =
+    Sim.Engine.schedule_timer engine ~delay:1.0 (fun () ->
+        fired := "a" :: !fired)
+  in
+  Sim.Engine.run engine;
+  let b =
+    Sim.Engine.schedule_timer engine ~delay:1.0 (fun () ->
+        fired := "b" :: !fired)
+  in
+  Sim.Engine.cancel engine a;
+  Alcotest.(check int) "b still queued" 1 (Sim.Engine.pending engine);
+  Sim.Engine.run engine;
+  Alcotest.(check (list string)) "b fired" [ "b"; "a" ] !fired;
+  Sim.Engine.cancel engine b;
+  Alcotest.(check int) "nothing queued" 0 (Sim.Engine.pending engine)
+
+(* Random schedule / cancel / partial-run sequences against a sorted
+   list: the engine fires exactly the live events, in (time, push
+   order) order, and [pending] counts exactly the live ones. Cancels
+   pick from every handle ever made, so they also hit fired, cancelled
+   and slot-reused timers. Quarter-second delays make ties common. *)
+let timers_match_sorted_reference =
+  QCheck.Test.make ~name:"random ops match a sorted list"
+    ~count:200 QCheck.int64 (fun seed ->
+      let rng = Sim.Prng.create seed in
+      let engine = Sim.Engine.create () in
+      let fired = ref [] and expected = ref [] in
+      let live = ref [] and handles = ref [||] in
+      let quarters n = float_of_int (Sim.Prng.int rng n) *. 0.25 in
+      let expect events =
+        List.iter
+          (fun (_, id) -> expected := id :: !expected)
+          (List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) events)
+      in
+      let ok = ref true in
+      for _ = 1 to 300 do
+        (match Sim.Prng.int rng 4 with
+        | 0 | 1 ->
+            let id = Array.length !handles in
+            let delay = quarters 8 in
+            let tm =
+              Sim.Engine.schedule_timer engine ~delay (fun () ->
+                  fired := id :: !fired)
+            in
+            handles := Array.append !handles [| tm |];
+            live := !live @ [ (Sim.Engine.now engine +. delay, id) ]
+        | 2 ->
+            let n = Array.length !handles in
+            if n > 0 then begin
+              let id = Sim.Prng.int rng n in
+              Sim.Engine.cancel engine !handles.(id);
+              live := List.filter (fun (_, i) -> i <> id) !live
+            end
+        | _ ->
+            let until = Sim.Engine.now engine +. quarters 4 in
+            let due, rest = List.partition (fun (t, _) -> t <= until) !live in
+            expect due;
+            live := rest;
+            Sim.Engine.run ~until engine);
+        if Sim.Engine.pending engine <> List.length !live then ok := false
+      done;
+      expect !live;
+      Sim.Engine.run engine;
+      !ok && List.rev !fired = List.rev !expected
+      && Sim.Engine.pending engine = 0)
+
+(* {1 In-place resume} *)
+
+(* A sleep due at the heap root's time still parks (the queued event
+   came first); one due strictly earlier resumes in place, ahead of
+   it. *)
+let test_inplace_fifo_tie () =
+  let log = ref [] in
+  ignore
+    (run_sim (fun e ->
+         Sim.Engine.spawn e (fun () ->
+             Sim.Engine.schedule e ~delay:1.0 (fun () ->
+                 log := "callback" :: !log);
+             Sim.Engine.sleep 1.0;
+             log := "process" :: !log;
+             Sim.Engine.schedule e ~delay:1.0 (fun () -> log := "late" :: !log);
+             Sim.Engine.sleep 0.5;
+             log := "early" :: !log)));
+  Alcotest.(check (list string)) "fifo at the tie, in place before it"
+    [ "callback"; "process"; "early"; "late" ]
+    (List.rev !log)
+
+let test_inplace_stops_at_until () =
+  let engine = Sim.Engine.create () in
+  let wakes = ref 0 in
+  Sim.Engine.spawn engine (fun () ->
+      for _ = 1 to 5 do
+        Sim.Engine.sleep 1.0;
+        incr wakes
+      done);
+  Sim.Engine.run ~until:2.5 engine;
+  Alcotest.(check int) "woken twice before the cut" 2 !wakes;
+  check_float "clock at the cut" 2.5 (Sim.Engine.now engine);
+  Alcotest.(check int) "the third wakeup is queued" 1
+    (Sim.Engine.pending engine);
+  Sim.Engine.run engine;
+  Alcotest.(check int) "all wakeups" 5 !wakes;
+  check_float "final clock" 5.0 (Sim.Engine.now engine)
+
+(* The tie shuffler turns in-place resume off, and on a program with no
+   same-time events it changes nothing else: both engines must end with
+   the same log, clock and perf counters. *)
+let test_inplace_perf_matches_slow_path () =
+  let same_as_slow_path name ~dispatched ~max_heap program =
+    let outcome e =
+      let log = ref [] in
+      program e (fun tag -> log := (Sim.Engine.now e, tag) :: !log);
+      Sim.Engine.run e;
+      (List.rev !log, Sim.Engine.now e, Sim.Engine.perf e)
+    in
+    let log, clock, fast = outcome (Sim.Engine.create ()) in
+    let log', clock', slow = outcome (Sim.Engine.create ~tie_seed:5L ()) in
+    let counts (p : Sim.Engine.perf) = [ p.dispatched; p.scheduled; p.max_heap ] in
+    let where what = name ^ ": " ^ what in
+    Alcotest.(check (list (pair (float 0.0) string))) (where "same log") log' log;
+    Alcotest.(check (float 0.0)) (where "same clock") clock' clock;
+    Alcotest.(check (list int)) (where "same dispatched, scheduled, max heap")
+      (counts slow) (counts fast);
+    Alcotest.(check (pair int int)) (where "dispatched, max heap")
+      (dispatched, max_heap)
+      (fast.dispatched, fast.max_heap)
+  in
+  same_as_slow_path "two processes" ~dispatched:13 ~max_heap:3 (fun e note ->
+      Sim.Engine.schedule e ~delay:10.0 (fun () -> note "callback");
+      Sim.Engine.spawn e (fun () ->
+          Sim.Engine.spawn e (fun () ->
+              for _ = 1 to 6 do
+                Sim.Engine.sleep 0.625;
+                note "child"
+              done);
+          for _ = 1 to 4 do
+            Sim.Engine.sleep 1.0;
+            note "parent"
+          done));
+  (* Only the in-place sleep's skipped push reaches two queued events. *)
+  same_as_slow_path "high-water set by a sleep" ~dispatched:3 ~max_heap:2
+    (fun e note ->
+      Sim.Engine.spawn e (fun () ->
+          Sim.Engine.schedule e ~delay:10.0 (fun () -> note "callback");
+          Sim.Engine.sleep 1.0;
+          note "process"))
+
+(* With nothing else queued, every sleep resumes in place — no effect,
+   no continuation, not a word allocated. Under the tie shuffler every
+   sleep still parks (each push draws a tie priority). *)
+let test_inplace_sleep_allocates_nothing () =
+  let words engine =
+    let words = ref (-1.0) in
+    Sim.Engine.spawn engine (fun () ->
+        let w0 = Gc.minor_words () in
+        for _ = 1 to 1_000 do
+          Sim.Engine.sleep 0.5
+        done;
+        words := Gc.minor_words () -. w0);
+    Sim.Engine.run engine;
+    !words
+  in
+  Alcotest.(check (float 0.0)) "minor words across 1000 sleeps" 0.0
+    (words (Sim.Engine.create ()));
+  Alcotest.(check bool) "the shuffled engine parks" true
+    (words (Sim.Engine.create ~tie_seed:5L ()) > 0.0)
+
+(* A plain callback is no process: [sleep] there must still raise, also
+   when the queue is empty and a key set in the callback gave it a
+   process record (pid 0). *)
+let test_sleep_in_callback_unhandled () =
+  let raises setup =
+    let engine = Sim.Engine.create () in
+    Sim.Engine.schedule engine ~delay:0.0 (fun () ->
+        setup engine;
+        Sim.Engine.sleep 1.0);
+    match Sim.Engine.run engine with
+    | () -> false
+    | exception Effect.Unhandled _ -> true
+  in
+  Alcotest.(check bool) "bare callback" true (raises ignore);
+  let k = Sim.Engine.new_key () in
+  Alcotest.(check bool) "callback holding a key" true
+    (raises (fun e -> Sim.Engine.set e k (Some 1)))
+
 (* {1 Ivar} *)
 
 let test_ivar_fill_then_read () =
@@ -255,6 +482,17 @@ let test_ivar_timeout_beaten_by_fill () =
              Sim.Engine.sleep 1.0;
              Sim.Ivar.fill iv 11)));
   Alcotest.(check (option int)) "value before deadline" (Some 11) !got
+
+(* The fill cancels the 60 s timer: the run ends at the fill. *)
+let test_ivar_timeout_timer_cancelled () =
+  let engine =
+    run_sim (fun e ->
+        let iv = Sim.Ivar.create () in
+        Sim.Engine.spawn e (fun () ->
+            ignore (Sim.Ivar.read_timeout iv ~timeout:60.0));
+        Sim.Engine.schedule e ~delay:1.0 (fun () -> Sim.Ivar.fill iv 3))
+  in
+  check_float "run ends at the fill" 1.0 (Sim.Engine.now engine)
 
 (* {1 Semaphore} *)
 
@@ -359,6 +597,37 @@ let test_channel_recv_timeout () =
          Sim.Engine.spawn e (fun () ->
              got := Sim.Channel.recv_timeout ch ~timeout:1.0)));
   Alcotest.(check (option int)) "timed out" None !got
+
+(* The item cancels the 60 s timer: the run ends when it is read. *)
+let test_channel_recv_timeout_timer_cancelled () =
+  let got = ref None in
+  let engine =
+    run_sim (fun e ->
+        let ch = Sim.Channel.create () in
+        Sim.Engine.spawn e (fun () ->
+            got := Sim.Channel.recv_timeout ch ~timeout:60.0);
+        Sim.Engine.schedule e ~delay:1.0 (fun () -> Sim.Channel.send ch 8))
+  in
+  Alcotest.(check (option int)) "received" (Some 8) !got;
+  check_float "run ends at the send" 1.0 (Sim.Engine.now engine)
+
+(* A receive that timed out leaves its reader queued; the next send
+   must pass over it and wake the receiver parked behind it. *)
+let test_channel_timed_out_reader_passes_wakeup () =
+  let got = ref None in
+  let engine =
+    run_sim (fun e ->
+        let ch = Sim.Channel.create () in
+        Sim.Engine.spawn e (fun () ->
+            Alcotest.(check (option int)) "a times out" None
+              (Sim.Channel.recv_timeout ch ~timeout:1.0));
+        Sim.Engine.spawn e (fun () ->
+            Sim.Engine.sleep 2.0;
+            got := Some (Sim.Channel.recv ch));
+        Sim.Engine.schedule e ~delay:3.0 (fun () -> Sim.Channel.send ch 42))
+  in
+  Alcotest.(check (option int)) "b received" (Some 42) !got;
+  Alcotest.(check int) "nobody stranded" 0 (Sim.Engine.stuck_waiters engine)
 
 (* {1 Trace} *)
 
@@ -812,6 +1081,23 @@ let () =
           case "nested spawn" test_engine_nested_spawn;
           qcase engine_deterministic;
         ] );
+      ( "timers",
+        [
+          case "cancelled timer never fires" test_timer_cancelled_never_fires;
+          case "cancel after fire is a no-op" test_timer_cancel_after_fire;
+          case "cancel on a reused slot is a no-op"
+            test_timer_cancel_reused_slot;
+          qcase timers_match_sorted_reference;
+        ] );
+      ( "in-place",
+        [
+          case "fifo at an equal time" test_inplace_fifo_tie;
+          case "stops at run until" test_inplace_stops_at_until;
+          case "perf matches the slow path" test_inplace_perf_matches_slow_path;
+          case "allocates nothing" test_inplace_sleep_allocates_nothing;
+          case "sleep in a callback is unhandled"
+            test_sleep_in_callback_unhandled;
+        ] );
       ( "trace",
         [
           case "records spans" test_trace_records_spans;
@@ -850,6 +1136,8 @@ let () =
           case "many waiters" test_ivar_many_waiters;
           case "timeout expires" test_ivar_timeout_expires;
           case "timeout beaten by fill" test_ivar_timeout_beaten_by_fill;
+          case "fill cancels the timeout timer"
+            test_ivar_timeout_timer_cancelled;
         ] );
       ( "semaphore",
         [
@@ -863,6 +1151,10 @@ let () =
           case "send recv" test_channel_send_recv;
           case "multiple consumers" test_channel_multiple_consumers;
           case "recv timeout" test_channel_recv_timeout;
+          case "item cancels the timeout timer"
+            test_channel_recv_timeout_timer_cancelled;
+          case "timed-out reader passes the wakeup on"
+            test_channel_timed_out_reader_passes_wakeup;
         ] );
       ( "census",
         [
