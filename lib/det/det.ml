@@ -11,10 +11,12 @@
    [Hashtbl.add] shadowing are included like the raw iterators would —
    the codebase only uses [replace], so in practice keys are unique. *)
 
-let bindings tbl =
+let bindings_by cmp tbl =
   (* seusslint: allow hashtbl-order — this wrapper is the sanctioned sort point *)
   let raw = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
-  List.sort (fun (a, _) (b, _) -> compare a b) raw
+  List.sort (fun (a, _) (b, _) -> cmp a b) raw
+
+let bindings tbl = bindings_by compare tbl
 
 let keys tbl = List.map fst (bindings tbl)
 

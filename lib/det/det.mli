@@ -11,6 +11,11 @@
 val bindings : ('a, 'b) Hashtbl.t -> ('a * 'b) list
 (** All bindings, sorted by key ascending. *)
 
+val bindings_by : ('a -> 'a -> int) -> ('a, 'b) Hashtbl.t -> ('a * 'b) list
+(** [bindings_by cmp tbl] is {!bindings} ordered by [cmp] — a
+    monomorphic comparison such as [String.compare] that orders keys
+    as [compare] does, without its generic dispatch. *)
+
 val keys : ('a, 'b) Hashtbl.t -> 'a list
 (** All keys, sorted ascending. *)
 

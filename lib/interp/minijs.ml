@@ -2,6 +2,11 @@ type t = {
   compiled : Compile.t;
   env : Value.env;
   hooks : Eval.hooks;
+  mutable literal : (string * Ast.program) option;
+      (* The last literal [parse_literal] compiled, with its AST. A hot
+         call passes the same argument text every time; compiling charges
+         no simulated time and the AST is immutable, so reusing it
+         changes nothing but host time. Compile errors are not kept. *)
 }
 
 let load ?(hooks = Eval.default_hooks) ~host source =
@@ -14,7 +19,7 @@ let load ?(hooks = Eval.default_hooks) ~host source =
         (Builtins.install host);
       let env = Value.new_env ~parent:globals () in
       match Eval.exec_program hooks ~env compiled.Compile.ast with
-      | () -> Ok { compiled; env; hooks }
+      | () -> Ok { compiled; env; hooks; literal = None }
       | exception Eval.Runtime_error msg -> Error ("runtime error: " ^ msg)
       | exception Eval.Ops_exhausted -> Error "runtime error: step budget exhausted")
 
@@ -29,7 +34,12 @@ let clone ?hooks ~host t =
   let hooks = Option.value hooks ~default:t.hooks in
   let builtins = Builtins.install host in
   let rebind_builtin name = builtin_named name builtins in
-  { compiled = t.compiled; env = Value.deep_copy_env ~rebind_builtin t.env; hooks }
+  {
+    compiled = t.compiled;
+    env = Value.deep_copy_env ~rebind_builtin t.env;
+    hooks;
+    literal = t.literal;
+  }
 
 let call t ~fname args =
   match Value.lookup t.env fname with
@@ -40,19 +50,25 @@ let call t ~fname args =
       | exception Eval.Runtime_error msg -> Error ("runtime error: " ^ msg)
       | exception Eval.Ops_exhausted -> Error "runtime error: step budget exhausted")
 
+let eval_literal t = function
+  | [ Ast.Expr e ] -> (
+      match Eval.eval_expr t.hooks ~env:t.env e with
+      | v -> Ok v
+      | exception Eval.Runtime_error msg -> Error ("runtime error: " ^ msg)
+      | exception Eval.Ops_exhausted ->
+          Error "runtime error: step budget exhausted")
+  | [] -> Ok Value.Null
+  | _ -> Error "expected a single expression"
+
 let parse_literal t source =
-  match Compile.compile source with
-  | Error _ as e -> e
-  | Ok { Compile.ast; _ } -> (
-      match ast with
-      | [ Ast.Expr e ] -> (
-          match Eval.eval_expr t.hooks ~env:t.env e with
-          | v -> Ok v
-          | exception Eval.Runtime_error msg -> Error ("runtime error: " ^ msg)
-          | exception Eval.Ops_exhausted ->
-              Error "runtime error: step budget exhausted")
-      | [] -> Ok Value.Null
-      | _ -> Error "expected a single expression")
+  match t.literal with
+  | Some (text, ast) when String.equal text source -> eval_literal t ast
+  | _ -> (
+      match Compile.compile source with
+      | Error _ as e -> e
+      | Ok { Compile.ast; _ } ->
+          t.literal <- Some (source, ast);
+          eval_literal t ast)
 
 let run_main t ~args_literal =
   match parse_literal t args_literal with

@@ -35,4 +35,10 @@ val run_main : t -> args_literal:string -> (string, string) result
     JSON-rendered result. *)
 
 val parse_literal : t -> string -> (Value.t, string) result
-(** Evaluate a literal/expression string in the program's scope. *)
+(** Evaluate a literal/expression string in the program's scope.
+
+    The instance keeps the last text it compiled here with its AST (and
+    {!clone} carries it over), so a repeated text skips the compile but
+    is still evaluated: compiling charges no simulated time, while the
+    evaluation's steps and allocations are charged as on every call. A
+    text that fails to compile is never kept. *)

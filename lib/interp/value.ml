@@ -65,13 +65,17 @@ let type_name = function
   | Obj _ -> "object"
   | Closure _ | Builtin _ -> "function"
 
+(* Results render on every invocation, so [to_string] writes into one
+   buffer and keeps [Printf] off the common cases. An integer-valued
+   number below 1e15 is exact in an [int], and [string_of_int] prints
+   the digits [%.0f] would; only [-0.0] needs its sign put back. *)
 let number_to_string n =
   if Float.is_integer n && Float.abs n < 1e15 then
-    Printf.sprintf "%.0f" n
+    if n = 0.0 && Float.sign_bit n then "-0" else string_of_int (int_of_float n)
   else Printf.sprintf "%g" n
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
+let add_quoted buf s =
+  Buffer.add_char buf '"';
   String.iter
     (fun c ->
       match c with
@@ -81,23 +85,38 @@ let escape s =
       | '\t' -> Buffer.add_string buf "\\t"
       | c -> Buffer.add_char buf c)
     s;
-  Buffer.contents buf
+  Buffer.add_char buf '"'
 
-let rec to_string = function
-  | Null -> "null"
-  | Bool b -> if b then "true" else "false"
-  | Num n -> number_to_string n
-  | Str s -> Printf.sprintf "\"%s\"" (escape s)
+let rec render buf = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Num n -> Buffer.add_string buf (number_to_string n)
+  | Str s -> add_quoted buf s
   | Arr a ->
-      let body = List.map to_string (arr_items a) in
-      Printf.sprintf "[%s]" (String.concat ", " body)
+      Buffer.add_char buf '[';
+      for i = 0 to a.len - 1 do
+        if i > 0 then Buffer.add_string buf ", ";
+        render buf a.items.(i)
+      done;
+      Buffer.add_char buf ']'
   | Obj h ->
-      let fields =
-        Det.bindings h
-        |> List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" (escape k) (to_string v))
-      in
-      Printf.sprintf "{%s}" (String.concat ", " fields)
-  | Closure _ | Builtin _ -> "<function>"
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_string buf ", ";
+          add_quoted buf k;
+          Buffer.add_string buf ": ";
+          render buf v)
+        (Det.bindings_by String.compare h);
+      Buffer.add_char buf '}'
+  | Closure _ | Builtin _ -> Buffer.add_string buf "<function>"
+
+let to_string = function
+  | Num n -> number_to_string n
+  | v ->
+      let buf = Buffer.create 64 in
+      render buf v;
+      Buffer.contents buf
 
 let heap_bytes = function
   | Null | Bool _ | Num _ -> 0

@@ -27,6 +27,7 @@ let default =
 
 type result = {
   background : Stats.Series.t;
+  background_sent : int;
   bursts : Stats.Series.t;
   background_errors : int;
   burst_errors : int;
@@ -60,18 +61,30 @@ let run ~invoke cfg =
     Stats.Series.add series ~time:sent ~value:latency ~ok:(Result.is_ok outcome)
   in
   (* Background stream: a rate-limited token feed consumed by a pool of
-     worker threads (at most [background_threads] in flight). *)
+     worker threads (at most [background_threads] in flight). Every
+     token the feed sends is served: after [t_end] the feed has stopped,
+     and each worker drains what is still queued before it exits. *)
   let tokens = Sim.Channel.create () in
+  let sent = ref 0 in
   track (fun () ->
       let interval = 1.0 /. cfg.background_rate in
       let rec feed () =
         if Sim.Engine.now engine < t_end then begin
           Sim.Channel.send tokens ();
+          incr sent;
           Sim.Engine.sleep interval;
           feed ()
         end
       in
       feed ());
+  let serve () =
+    let fn_index = Sim.Prng.int rng cfg.background_fns in
+    record background
+      {
+        Controller.fn_id = Printf.sprintf "io-%d" fn_index;
+        action = Workloads.io_blocking ~url:cfg.io_url;
+      }
+  in
   for _ = 1 to cfg.background_threads do
     track (fun () ->
         let rec work () =
@@ -79,14 +92,15 @@ let run ~invoke cfg =
             match Sim.Channel.recv_timeout tokens ~timeout:1.0 with
             | None -> work ()
             | Some () ->
-                let fn_index = Sim.Prng.int rng cfg.background_fns in
-                record background
-                  {
-                    Controller.fn_id = Printf.sprintf "io-%d" fn_index;
-                    action = Workloads.io_blocking ~url:cfg.io_url;
-                  };
+                serve ();
                 work ()
           end
+          else
+            match Sim.Channel.try_recv tokens with
+            | None -> ()
+            | Some () ->
+                serve ();
+                work ()
         in
         work ())
   done;
@@ -114,6 +128,7 @@ let run ~invoke cfg =
   Sim.Ivar.read finished;
   {
     background;
+    background_sent = !sent;
     bursts;
     background_errors = Stats.Series.failures background;
     burst_errors = Stats.Series.failures bursts;

@@ -27,6 +27,9 @@ val default : config
 
 type result = {
   background : Stats.Series.t;
+      (** one point per background request: every token sent is served
+          or failed, even one still queued when the run ends *)
+  background_sent : int;  (** background tokens the feed sent *)
   bursts : Stats.Series.t;
   background_errors : int;
   burst_errors : int;

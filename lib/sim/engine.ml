@@ -603,16 +603,20 @@ let stranded_waiters t =
    heap high-water mark at [q_size + 1], and the clock at the due time.
    That holds only for a real process (a callback, pid 0, must still
    raise [Effect.Unhandled]), with the tie shuffler unarmed (each push
-   draws a priority), for a valid delay due within the run's [until]
-   cut and strictly before the heap root: at an equal time the queued
-   event was pushed first, so FIFO order runs it first. *)
+   draws a priority), for a wakeup due within the run's [until] cut and
+   strictly before the heap root: at an equal time the queued event was
+   pushed first, so FIFO order runs it first.
+
+   A bad delay is rejected here, in the sleeping process, before either
+   path: raised from the effect handler it would escape the process's
+   own handler, abort the whole run and bypass supervision. *)
 let sleep delay =
+  if not (delay >= 0.0 && delay < Float.infinity) then
+    invalid_arg "Engine.sleep: delay must be finite and non-negative";
   match !current with
   | Some t
     when (match t.proc with Some p -> p.p_id > 0 | None -> false)
          && Option.is_none t.tie
-         && delay >= 0.0
-         && delay < Float.infinity
          && t.clk.t_now +. delay <= t.clk.t_limit
          && (t.q_size = 0 || t.clk.t_now +. delay < t.q_time.(0)) ->
       t.seq <- t.seq + 1;

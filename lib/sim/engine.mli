@@ -184,7 +184,10 @@ val sleep : float -> unit
     {!run}'s [until], and the tie shuffler is unarmed — the process
     resumes in place, without a heap round trip; time, dispatch order
     and {!perf} are exactly as if it had parked. Called from a plain
-    {!schedule} callback, it raises [Effect.Unhandled]. *)
+    {!schedule} callback, it raises [Effect.Unhandled].
+    @raise Invalid_argument in the calling process when the delay is
+    negative or not finite, so a {!spawn_supervised} process dies of it
+    alone. *)
 
 val yield : unit -> unit
 (** [yield ()] is [sleep 0.]: lets other events at this timestamp run. *)

@@ -17,7 +17,7 @@ val profile_name : profile -> string
 
 val fn_id : int -> string
 (** ["zf-<i>"] — stable across runs, distinct from the closed-loop
-    experiments' ["fn-<i>"] namespace. *)
+    experiments' ["fn-<i>"] namespace. Memoized like {!source}. *)
 
 val work_ms : int -> float
 (** Modeled handler CPU time: 0 / 0.2 / 1.0 ms by profile — what the
@@ -26,4 +26,10 @@ val work_ms : int -> float
 val source : int -> string
 (** The function's MiniJS source: [profile]-many helper definitions (the
     import payload) plus a [main] that exercises them and burns
-    {!work_ms}. *)
+    {!work_ms}.
+
+    Results are memoized per index: the first call for a non-negative
+    [i] builds the string, and every later call returns that same
+    shared string. The memo keeps every index asked for, a few hundred
+    bytes each, for the life of the process. A negative [i] is built on
+    each call. *)

@@ -1,9 +1,7 @@
-(* Boundary fuzz: seeded byte mutations of valid inputs, fed to every
-   parser that reads bytes from outside the program. Each must return
-   Ok or Error and never raise. The corpus is valid input of each
-   format; a mutation applies a few random edits (overwrite, insert,
-   delete, truncate, or splice in a token of the format) so most cases
-   stay close to well-formed and reach deep into the parser.
+(* Boundary fuzz: seeded byte mutations of valid inputs (Mutate), fed
+   to every parser that reads bytes from outside the program. Each must
+   return Ok or Error and never raise. The corpus is valid input of each
+   format.
 
    The generator is seeded from the shared property seed, so a failure
    reproduces with the same SEUSS_PROP_SEED (see Prop_seed). *)
@@ -11,45 +9,12 @@
 let base_seed = Prop_seed.base ~default:31L
 let count = 5000
 
-let tokens =
-  [ "{"; "}"; "["; "]"; "\""; "\\"; ":"; ","; "."; "-"; "e"; "1e999";
-    "null"; "true"; "\\u00e9"; "\\ud800"; "\n"; "("; ")"; ";"; "/";
-    "function"; "return"; "while"; "0x"; "/*"; "k"; "m"; "g"; "1/"; " " ]
-
-let edit s =
-  let open QCheck.Gen in
-  let len = String.length s in
-  let* pos = int_bound len in
-  let* byte = char in
-  let* token = oneofl tokens in
-  let before = String.sub s 0 pos and after = String.sub s pos (len - pos) in
-  let rest_after k = String.sub after k (String.length after - k) in
-  oneofl
-    [
-      (if after = "" then s else before ^ String.make 1 byte ^ rest_after 1);
-      before ^ String.make 1 byte ^ after;
-      (if after = "" then s else before ^ rest_after 1);
-      before;
-      before ^ token ^ after;
-    ]
-
-let mutant corpus =
-  let open QCheck.Gen in
-  let* base = oneofl corpus in
-  let* edits = int_range 1 6 in
-  let rec go s k =
-    if k = 0 then return s else edit s >>= fun s -> go s (k - 1)
-  in
-  go base edits
-
 (* [parse] must not raise on any mutant of [corpus]. *)
 let never_raises name corpus parse =
-  let rand =
-    Random.State.make [| Int64.to_int base_seed; Hashtbl.hash name |]
-  in
+  let rand = Mutate.rand ~seed:base_seed name in
   QCheck_alcotest.to_alcotest ~rand
     (QCheck.Test.make ~name ~count
-       (QCheck.make ~print:(Printf.sprintf "%S") (mutant corpus))
+       (QCheck.make ~print:(Printf.sprintf "%S") (Mutate.mutant corpus))
        (fun s ->
          parse s;
          true))
@@ -90,19 +55,6 @@ let trace_corpus =
          ~horizon:4.0 ~seed:3L);
   ]
 
-let minijs_corpus =
-  [
-    "function main(args) { return {fn: 3}; }";
-    "function main(a) { let s = 0; let i = 0; while (i < 10) { s = s + i; \
-     i = i + 1; } return [s, \"x\" + s, a]; }";
-    "function f(n) { if (n < 2) { return n; } return f(n - 1) + f(n - 2); }\n\
-     function main(a) { return f(8); }";
-    "let o = {a: [1, 2], b: \"s\"}; function main(a) { o.c = o.a[1]; \
-     return o; }";
-    Workload.Fnset.source 0;
-    Workload.Fnset.source 7;
-  ]
-
 (* Small step budget: mutants may loop forever. *)
 let minijs_hooks =
   { Interp.Eval.default_hooks with Interp.Eval.max_ops = 2_000 }
@@ -137,7 +89,7 @@ let () =
               ignore_result (Obs.Log.parse_jsonl s));
           never_raises "Workload.Trace.of_jsonl" trace_corpus (fun s ->
               ignore_result (Workload.Trace.of_jsonl s));
-          never_raises "Minijs.load + run_main" minijs_corpus run_minijs;
+          never_raises Mutate.minijs_name Mutate.minijs_corpus run_minijs;
           never_raises "Run_config.parse + parse_bytes" run_config_values
             run_config;
         ] );

@@ -425,6 +425,194 @@ let test_clone_handles_cycles () =
   | Ok s -> Alcotest.(check string) "original unaffected" "2" s
   | Error e -> Alcotest.fail e
 
+(* {1 Rendering} *)
+
+module V = Interp.Value
+
+(* The [Printf] renderer [Value.to_string] replaced, kept as the
+   reference it must match byte for byte. *)
+let ref_number n =
+  if Float.is_integer n && Float.abs n < 1e15 then Printf.sprintf "%.0f" n
+  else Printf.sprintf "%g" n
+
+let ref_escape s =
+  let buf = Buffer.create (String.length s + 2) in
+  String.iter
+    (function
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let rec ref_to_string = function
+  | V.Null -> "null"
+  | V.Bool b -> if b then "true" else "false"
+  | V.Num n -> ref_number n
+  | V.Str s -> Printf.sprintf "\"%s\"" (ref_escape s)
+  | V.Arr a ->
+      Printf.sprintf "[%s]"
+        (String.concat ", " (List.map ref_to_string (V.arr_items a)))
+  | V.Obj h ->
+      let fields =
+        Hashtbl.fold (fun k v acc -> (k, v) :: acc) h []
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+        |> List.map (fun (k, v) ->
+               Printf.sprintf "\"%s\": %s" (ref_escape k) (ref_to_string v))
+      in
+      Printf.sprintf "{%s}" (String.concat ", " fields)
+  | V.Closure _ | V.Builtin _ -> "<function>"
+
+let edge_numbers =
+  [ 0.0; -0.0; 1.0; -1.0; 0.5; -2.5; 1e15; -1e15; 1e15 -. 1.; -.(1e15 -. 1.);
+    1e15 +. 2.; 999999999999999.5; 1e21; 1e-7; 123456789.; 4503599627370496.;
+    Float.nan; Float.infinity; Float.neg_infinity; Float.max_float;
+    Float.min_float; Float.epsilon ]
+
+let value_gen =
+  let open QCheck.Gen in
+  let text =
+    string_size ~gen:(oneofl [ 'a'; 'z'; ' '; '"'; '\\'; '\n'; '\t'; '\r';
+                               '\000'; '\xe9'; '{'; ':'; ',' ])
+      (int_bound 6)
+  in
+  let number =
+    frequency
+      [ (3, oneofl edge_numbers); (2, map float_of_int (int_range (-1000) 1000));
+        (1, float) ]
+  in
+  let leaf =
+    frequency
+      [
+        (1, return V.Null); (1, map (fun b -> V.Bool b) bool);
+        (4, map (fun n -> V.Num n) number); (3, map (fun s -> V.Str s) text);
+        (1, return (V.Builtin ("f", fun _ -> V.Null)));
+      ]
+  in
+  sized_size (int_bound 4)
+  @@ fix (fun self depth ->
+         if depth = 0 then leaf
+         else
+           frequency
+             [
+               (3, leaf);
+               (1, map V.arr_of_list (list_size (int_bound 4) (self (depth - 1))));
+               ( 1,
+                 map V.obj_of_list
+                   (list_size (int_bound 4) (pair text (self (depth - 1)))) );
+             ])
+
+let to_string_matches_printf =
+  QCheck.Test.make ~name:"to_string = Printf reference" ~count:2000
+    (QCheck.make ~print:ref_to_string value_gen)
+    (fun v -> String.equal (V.to_string v) (ref_to_string v))
+
+let test_to_string_edges () =
+  List.iter
+    (fun n ->
+      Alcotest.(check string) (ref_number n) (ref_number n) (V.to_string (V.Num n)))
+    edge_numbers;
+  Alcotest.(check string) "-0" "-0" (V.to_string (V.Num (-0.0)));
+  Alcotest.(check string) "escaped keys and strings"
+    {|{"a\"b": "x\\y\n", "k\t": [1, [], {}]}|}
+    (V.to_string
+       (V.obj_of_list
+          [
+            ("a\"b", V.Str "x\\y\n");
+            ("k\t", V.arr_of_list [ V.Num 1.; V.arr_of_list []; V.obj_of_list [] ]);
+          ]))
+
+(* {1 Argument literals} *)
+
+let parse p text =
+  match Interp.Minijs.parse_literal p text with
+  | Ok v -> V.to_string v
+  | Error e -> "error: " ^ e
+
+let test_literal_alternates () =
+  let p = load "function main(a) { return a; }" in
+  for _ = 1 to 3 do
+    Alcotest.(check string) "{}" "{}" (parse p "{}");
+    Alcotest.(check string) "{a: 1}" {|{"a": 1}|} (parse p "{a: 1}");
+    Alcotest.(check (result string string))
+      "run_main {a: 2}" (Ok {|{"a": 2}|})
+      (Interp.Minijs.run_main p ~args_literal:"{a: 2}");
+    Alcotest.(check (result string string))
+      "run_main {}" (Ok "{}")
+      (Interp.Minijs.run_main p ~args_literal:"{}")
+  done
+
+(* The AST is kept, never the value: a literal is evaluated in the
+   program's current scope on every call, and metered every time. *)
+let test_literal_evaluated_every_call () =
+  let allocated = ref 0 in
+  let hooks = { Interp.Eval.default_hooks with Interp.Eval.alloc = (fun b -> allocated := !allocated + b) } in
+  let p =
+    match
+      Interp.Minijs.load ~hooks ~host
+        "let n = 0; function bump() { n = n + 1; return n; }"
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let allocs text =
+    let before = !allocated in
+    let v = parse p text in
+    (v, !allocated - before)
+  in
+  let v0, a0 = allocs "{n: n, xs: [n]}" in
+  ignore (Interp.Minijs.call p ~fname:"bump" []);
+  let v1, a1 = allocs "{n: n, xs: [n]}" in
+  Alcotest.(check string) "first" {|{"n": 0, "xs": [0]}|} v0;
+  Alcotest.(check string) "sees the new scope" {|{"n": 1, "xs": [1]}|} v1;
+  Alcotest.(check bool) "allocations metered" true (a0 > 0);
+  Alcotest.(check int) "metered the same on a repeat" a0 a1
+
+let test_literal_clone () =
+  let p = load "let k = 7; function main(a) { return a; }" in
+  Alcotest.(check string) "cached" {|{"a": 1}|} (parse p "{a: 1}");
+  let c = Interp.Minijs.clone ~host p in
+  Alcotest.(check string) "clone, same text" {|{"a": 1}|} (parse c "{a: 1}");
+  Alcotest.(check string) "clone, new text" "[1, 7]" (parse c "[1, k]");
+  Alcotest.(check string) "original unaffected" {|{"a": 1}|} (parse p "{a: 1}");
+  Alcotest.(check string) "original, new text" "7" (parse p "k")
+
+let test_literal_error_not_cached () =
+  let p = load "function main(a) { return a; }" in
+  let bad = parse p "{a:" in
+  Alcotest.(check bool) "an error" true (String.starts_with ~prefix:"error: " bad);
+  Alcotest.(check string) "same error again" bad (parse p "{a:");
+  Alcotest.(check string) "good after bad" "{}" (parse p "{}");
+  Alcotest.(check string) "error after good" bad (parse p "{a:");
+  Alcotest.(check string) "good again" "{}" (parse p "{}");
+  Alcotest.(check string) "two expressions" "error: expected a single expression"
+    (parse p "1; 2");
+  Alcotest.(check string) "empty is null" "null" (parse p "")
+
+(* {1 Lexer golden} *)
+
+(* lexer_golden.txt holds the tokens, positions and errors of the lexer
+   that preceded the character-matching one, for every source it lists
+   (see lexer_golden.ml); the current lexer must reproduce it byte for
+   byte. *)
+let test_lexer_golden () =
+  let golden = Lexer_golden_text.text in
+  let sources = Lexdump.sources_of_dump golden in
+  Alcotest.(check bool) "dump has sources" true (List.length sources > 300);
+  let off =
+    List.fold_left
+      (fun off src ->
+        let block = Lexdump.render_source src in
+        let len = String.length block in
+        if off + len > String.length golden || String.sub golden off len <> block
+        then Alcotest.failf "tokens differ from the golden dump:\n%s" block;
+        off + len)
+      0 sources
+  in
+  Alcotest.(check int) "whole dump" (String.length golden) off
+
 (* {1 Metering} *)
 
 let test_metering_counts_work_and_allocs () =
@@ -502,6 +690,7 @@ let () =
           case "string escapes" test_lexer_string_escapes;
           case "block comment" test_lexer_block_comment;
           case "errors" test_lexer_errors;
+          case "golden dump" test_lexer_golden;
         ] );
       ( "semantics",
         [
@@ -534,6 +723,15 @@ let () =
           case "shares nothing mutable" test_clone_shares_nothing_mutable;
           case "rebinds host" test_clone_rebinds_host;
           case "handles cycles" test_clone_handles_cycles;
+        ] );
+      ( "render",
+        [ case "edges" test_to_string_edges; qcase to_string_matches_printf ] );
+      ( "literal",
+        [
+          case "alternating texts" test_literal_alternates;
+          case "evaluated every call" test_literal_evaluated_every_call;
+          case "clone after caching" test_literal_clone;
+          case "errors never cached" test_literal_error_not_cached;
         ] );
       ( "metering",
         [

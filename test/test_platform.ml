@@ -277,6 +277,37 @@ let test_burst_io_latency_dominated_by_block () =
             (p.Stats.Series.value >= 0.25))
         steady)
 
+(* Tokens still queued when the run ends are served, not dropped: two
+   workers fall behind a 20/s feed, so a backlog is left at [t_end]. *)
+let test_burst_serves_every_token () =
+  let cfg =
+    {
+      Platform.Burst.default with
+      Platform.Burst.duration = 10.0;
+      background_threads = 2;
+      background_rate = 20.0;
+      burst_period = 100.0 (* no bursts *);
+      first_burst_at = 50.0;
+      burst_size = 1;
+    }
+  in
+  List.iter
+    (fun (name, controller) ->
+      in_sim (fun engine ->
+          let ctl = controller engine in
+          let r = Platform.Burst.run ~invoke:(fun spec -> C.invoke ctl spec) cfg in
+          let sent = r.Platform.Burst.background_sent in
+          let failed = r.Platform.Burst.background_errors in
+          let served = Stats.Series.length r.Platform.Burst.background - failed in
+          Alcotest.(check bool) (name ^ ": tokens sent") true (sent >= 190);
+          Alcotest.(check int)
+            (name ^ ": sent = served + failed")
+            sent (served + failed)))
+    [
+      ("seuss", fun e -> seuss_controller e);
+      ("linux", fun e -> linux_controller e);
+    ]
+
 (* A zero period (or rate) used to spin at one instant, spawning a burst
    per turn without ever advancing time. *)
 let test_burst_rejects_zero_period () =
@@ -317,5 +348,6 @@ let () =
           case "seuss handles bursts" test_burst_on_seuss_no_errors;
           case "io latency floor" test_burst_io_latency_dominated_by_block;
           case "zero period rejected" test_burst_rejects_zero_period;
+          case "every token served" test_burst_serves_every_token;
         ] );
     ]

@@ -138,6 +138,34 @@ let test_engine_negative_delay_rejected () =
     (Invalid_argument "Engine.schedule: delay must be finite and non-negative")
     (fun () -> Sim.Engine.schedule engine ~delay:(-1.0) (fun () -> ()))
 
+(* A bad sleep delay kills only the supervised process that asked for
+   it: the run returns, and [failures] names the process. Raised from
+   the effect handler, it used to abort the whole run unnamed. *)
+let test_engine_bad_sleep_supervised () =
+  let engine = Sim.Engine.create () in
+  let survived = ref false and bystander = ref false in
+  List.iter
+    (fun (name, delay) ->
+      Sim.Engine.spawn_supervised engine ~name (fun () ->
+          Sim.Engine.sleep 1.0;
+          Sim.Engine.sleep delay;
+          survived := true))
+    [ ("negative", -1.0); ("nan", Float.nan); ("infinite", Float.infinity) ];
+  Sim.Engine.spawn engine ~name:"bystander" (fun () ->
+      Sim.Engine.sleep 2.0;
+      bystander := true);
+  Sim.Engine.run engine;
+  Alcotest.(check bool) "no sleeper went on" false !survived;
+  Alcotest.(check bool) "the run went on" true !bystander;
+  Alcotest.(check (list string))
+    "each sleeper failed of its delay"
+    [ "negative"; "nan"; "infinite" ]
+    (List.map
+       (function
+         | name, Invalid_argument _ -> name
+         | name, e -> name ^ ": " ^ Printexc.to_string e)
+       (Sim.Engine.failures engine))
+
 let test_engine_process_failure () =
   let engine = Sim.Engine.create () in
   Sim.Engine.spawn engine ~name:"boom" (fun () -> failwith "bad");
@@ -1078,6 +1106,7 @@ let () =
           case "run until" test_engine_until;
           case "negative delay rejected" test_engine_negative_delay_rejected;
           case "process failure" test_engine_process_failure;
+          case "bad sleep delay is supervised" test_engine_bad_sleep_supervised;
           case "nested spawn" test_engine_nested_spawn;
           qcase engine_deterministic;
         ] );

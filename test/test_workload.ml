@@ -396,6 +396,46 @@ let test_replay_counts_errors () =
       Alcotest.(check int) "errors counted, not propagated" 1
         r.Workload.Replay.errors
 
+(* The [Printf] builder the memoized one replaced, kept as the
+   reference it must match byte for byte. *)
+let ref_source i =
+  let module F = Workload.Fnset in
+  let helpers =
+    match F.profile_of_index i with F.Small -> 0 | F.Medium -> 6 | F.Large -> 24
+  in
+  let buf = Buffer.create 256 in
+  for h = 0 to helpers - 1 do
+    Buffer.add_string buf
+      (Printf.sprintf
+         "function h%d_%d(x) { let y = (x * %d + %d) %% 9973; return y + %d; }\n"
+         h i (h + 2) ((i + h) mod 251) (h mod 7))
+  done;
+  Buffer.add_string buf "function main(args) {\n";
+  if helpers = 0 then
+    Buffer.add_string buf (Printf.sprintf "  return {fn: %d};\n" i)
+  else begin
+    Buffer.add_string buf (Printf.sprintf "  let v = %d;\n" (i mod 1009));
+    for h = 0 to helpers - 1 do
+      Buffer.add_string buf (Printf.sprintf "  v = h%d_%d(v);\n" h i)
+    done;
+    Buffer.add_string buf (Printf.sprintf "  work(%.3f);\n" (F.work_ms i));
+    Buffer.add_string buf (Printf.sprintf "  return {fn: %d, v: v};\n" i)
+  end;
+  Buffer.add_string buf "}\n";
+  Buffer.contents buf
+
+(* Twice over, so the second pass reads the memo. *)
+let test_fnset_matches_printf () =
+  for _ = 1 to 2 do
+    for i = -20 to 2000 do
+      let id = Workload.Fnset.fn_id i and src = Workload.Fnset.source i in
+      if not (String.equal id (Printf.sprintf "zf-%d" i)) then
+        Alcotest.failf "fn_id %d = %S" i id;
+      if not (String.equal src (ref_source i)) then
+        Alcotest.failf "source %d differs:\n%s" i src
+    done
+  done
+
 let () =
   let case name f = Alcotest.test_case name `Quick f in
   let qcase = QCheck_alcotest.to_alcotest in
@@ -430,6 +470,7 @@ let () =
         [
           case "profile split" test_fnset_profile_split;
           case "sources parse and scale" test_fnset_sources_parse_and_scale;
+          case "strings match Printf" test_fnset_matches_printf;
         ] );
       ( "replay",
         [
