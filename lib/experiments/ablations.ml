@@ -11,69 +11,63 @@ type result = {
   specialized_base_mb : float;
   general_cold_ms : float;
   specialized_cold_ms : float;
+  failed : int;
 }
 
-let nop_source = Platform.Workloads.source_of_action Platform.Workloads.nop
-
-let nop_fn i =
-  {
-    Seuss.Node.fn_id = Printf.sprintf "nop-%d" i;
-    runtime = Unikernel.Image.Node;
-    source = nop_source;
-  }
-
 let budget = Int64.of_int (Mem.Mconfig.mib 8192)
+
+(* Every measurement below counts its calls not served on their path
+   into [failed] and reports its value over the served ones. *)
 
 (* Mean latency of the *second* invocation of each function with the
    idle cache disabled (isolates hot-cache value) or with function
    snapshots disabled (isolates snapshot-stack value). *)
-let repeat_latency ~seed ~invocations config =
+let repeat_latency ~failed ~seed ~invocations config =
   Harness.run_sim ~seed (fun engine ->
       let env = Harness.make_seuss_env ~budget_bytes:budget engine in
       let node = Harness.seuss_node ~config env in
+      let repeat_path =
+        if config.Seuss.Config.cache_function_snapshots then Seuss.Node.Warm
+        else Seuss.Node.Cold
+      in
       let s = Stats.Summary.create () in
       for i = 1 to invocations do
-        let fn = nop_fn i in
-        (match Seuss.Node.invoke node fn ~args:"{}" with
-        | Ok _, _ -> ()
-        | Error _, _ -> failwith "ablation: first invocation failed");
+        let fn = Harness.nop_fn i in
+        let call () = Seuss.Node.invoke node fn ~args:"{}" in
+        ignore (Harness.invoke engine ~failed ~expect:[ Seuss.Node.Cold ] call);
         if config.Seuss.Config.cache_idle_ucs then
           Seuss.Node.drop_idle node ~fn_id:fn.Seuss.Node.fn_id;
-        let t0 = Sim.Engine.now engine in
-        (match Seuss.Node.invoke node fn ~args:"{}" with
-        | Ok _, _ -> Stats.Summary.add s (Sim.Engine.now engine -. t0)
-        | Error _, _ -> failwith "ablation: repeat invocation failed");
+        ignore
+          (Harness.invoke engine ~failed ~latency:s ~expect:[ repeat_path ]
+             call);
         Seuss.Node.drop_idle node ~fn_id:fn.Seuss.Node.fn_id
       done;
       Stats.Summary.mean s *. 1e3)
 
 (* Hot latency with the idle cache on: invoke twice, time the second. *)
-let hot_latency ~seed ~invocations ~via_shim =
+let hot_latency ~failed ~seed ~invocations ~via_shim =
   Harness.run_sim ~seed (fun engine ->
       let env = Harness.make_seuss_env ~budget_bytes:budget engine in
       let node = Harness.seuss_node env in
       let shim = Seuss.Shim.create env node in
-      let invoke fn =
-        if via_shim then fst (Seuss.Shim.invoke shim fn ~args:"{}")
-        else fst (Seuss.Node.invoke node fn ~args:"{}")
-      in
       let s = Stats.Summary.create () in
       for i = 1 to invocations do
-        let fn = nop_fn i in
-        (match invoke fn with
-        | Ok _ -> ()
-        | Error _ -> failwith "ablation: warmup failed");
-        let t0 = Sim.Engine.now engine in
-        (match invoke fn with
-        | Ok _ -> Stats.Summary.add s (Sim.Engine.now engine -. t0)
-        | Error _ -> failwith "ablation: hot invocation failed");
+        let fn = Harness.nop_fn i in
+        let call () =
+          if via_shim then Seuss.Shim.invoke shim fn ~args:"{}"
+          else Seuss.Node.invoke node fn ~args:"{}"
+        in
+        ignore (Harness.invoke engine ~failed ~expect:[ Seuss.Node.Cold ] call);
+        ignore
+          (Harness.invoke engine ~failed ~latency:s ~expect:[ Seuss.Node.Hot ]
+             call);
         Seuss.Node.drop_idle node ~fn_id:fn.Seuss.Node.fn_id
       done;
       Stats.Summary.mean s *. 1e3)
 
 (* Boot-to-ready time, base snapshot size, and a cold start for one
    image choice. *)
-let image_profile ~seed image =
+let image_profile ~failed ~seed image =
   Harness.run_sim ~seed (fun engine ->
       let env = Harness.make_seuss_env ~budget_bytes:budget engine in
       let config =
@@ -89,21 +83,22 @@ let image_profile ~seed image =
       let base_mb =
         Int64.to_float (Seuss.Snapshot.total_bytes base) /. 1048576.0
       in
-      let t1 = Sim.Engine.now engine in
-      (match Seuss.Node.invoke node (nop_fn 0) ~args:"{}" with
-      | Ok _, _ -> ()
-      | Error _, _ -> failwith "ablation: cold invocation failed");
-      let cold = (Sim.Engine.now engine -. t1) *. 1e3 in
-      (boot, base_mb, cold))
+      let cold = Stats.Summary.create () in
+      ignore
+        (Harness.invoke engine ~failed ~latency:cold
+           ~expect:[ Seuss.Node.Cold ] (fun () ->
+             Seuss.Node.invoke node (Harness.nop_fn 0) ~args:"{}"));
+      (boot, base_mb, Stats.Summary.mean cold *. 1e3))
 
 let run ?(invocations = 30) ?(seed = 17L) () =
   let default = Seuss.Config.default in
+  let failed = ref 0 in
+  let repeat = repeat_latency ~failed ~seed ~invocations in
   let warm_with_stacks_ms =
-    repeat_latency ~seed ~invocations
-      { default with Seuss.Config.cache_idle_ucs = true }
+    repeat { default with Seuss.Config.cache_idle_ucs = true }
   in
   let miss_without_stacks_ms =
-    repeat_latency ~seed ~invocations
+    repeat
       {
         default with
         Seuss.Config.cache_function_snapshots = false;
@@ -111,16 +106,16 @@ let run ?(invocations = 30) ?(seed = 17L) () =
       }
   in
   let repeat_without_cache_ms =
-    repeat_latency ~seed ~invocations
-      { default with Seuss.Config.cache_idle_ucs = false }
+    repeat { default with Seuss.Config.cache_idle_ucs = false }
   in
-  let hot_with_cache_ms = hot_latency ~seed ~invocations ~via_shim:false in
-  let hot_via_shim_ms = hot_latency ~seed ~invocations ~via_shim:true in
+  let hot_latency = hot_latency ~failed ~seed ~invocations in
+  let hot_with_cache_ms = hot_latency ~via_shim:false in
+  let hot_via_shim_ms = hot_latency ~via_shim:true in
   let general_boot_s, general_base_mb, general_cold_ms =
-    image_profile ~seed Unikernel.Image.node
+    image_profile ~failed ~seed Unikernel.Image.node
   in
   let specialized_boot_s, specialized_base_mb, specialized_cold_ms =
-    image_profile ~seed Unikernel.Image.specialized_node
+    image_profile ~failed ~seed Unikernel.Image.specialized_node
   in
   {
     warm_with_stacks_ms;
@@ -135,6 +130,7 @@ let run ?(invocations = 30) ?(seed = 17L) () =
     specialized_base_mb;
     general_cold_ms;
     specialized_cold_ms;
+    failed = !failed;
   }
 
 let render r =
@@ -205,3 +201,4 @@ let render r =
         measured = f r.specialized_cold_ms;
       };
     ]
+  ^ Report.failed_calls r.failed

@@ -26,6 +26,9 @@ type result = {
   specialized_base_mb : float;
   general_cold_ms : float;
   specialized_cold_ms : float;
+  failed : int;
+      (** calls not served on their path, over every measurement (see
+          {!Harness.invoke}); each value is over the served calls *)
 }
 
 val run : ?invocations:int -> ?seed:int64 -> unit -> result

@@ -5,7 +5,11 @@ type component = {
   savings : string;
 }
 
-type result = { components : component list; max_relative_error : float }
+type result = {
+  components : component list;
+  max_relative_error : float;
+  failed : int;
+}
 
 (* The system of equations (see Unikernel.Gconst's interface):
      cold(no AO)   = cold_base + pool + send + compiler + exec
@@ -50,7 +54,7 @@ let run ?(invocations = 20) ?(seed = 41L) () =
         Float.max acc (Float.abs (c.inferred_ms -. c.actual_ms) /. c.actual_ms))
       0.0 components
   in
-  { components; max_relative_error }
+  { components; max_relative_error; failed = t2.Table2.failed }
 
 let render r =
   let table =
@@ -76,7 +80,8 @@ let render r =
   Printf.sprintf
     "%sBlack-box AO discovery (paper S9, tracing-free variant): first-use\n\
      costs recovered from cold/warm latencies across AO levels, checked\n\
-     against the model's ground truth.\n%s\nmax relative error: %.1f%%\n"
+     against the model's ground truth.\n%s\nmax relative error: %.1f%%\n%s"
     (Report.heading "Auto-AO: discovering what to prime")
     (Stats.Tablefmt.render table)
     (r.max_relative_error *. 100.0)
+    (Report.failed_calls r.failed)

@@ -21,6 +21,7 @@ type component = {
 type result = {
   components : component list;
   max_relative_error : float;
+  failed : int;  (** {!Table2.result.failed} of the measurement *)
 }
 
 val run : ?invocations:int -> ?seed:int64 -> unit -> result

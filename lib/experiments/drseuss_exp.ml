@@ -6,6 +6,7 @@ type result = {
   remote_fetches : int;
   cluster_colds : int;
   bytes_transferred : int64;
+  failed : int;
 }
 
 (* A realistically sized function (~80 helper functions): import and
@@ -23,7 +24,7 @@ let big_source =
     "function main(args) { let acc = 0; acc = helper0(1) + helper79(2);      return {acc: acc}; }\n";
   Buffer.contents buf
 
-let nop_fn i =
+let big_fn i =
   {
     Seuss.Node.fn_id = Printf.sprintf "fn-%d" i;
     runtime = Unikernel.Image.Node;
@@ -35,35 +36,25 @@ let nop_fn i =
    miss [nodes] times: once compiled, then fetched or re-compiled. *)
 let run ?(nodes = 4) ?(functions = 40) ?(seed = 29L) () =
   let gib = Int64.of_int (Mem.Mconfig.mib 1024) in
+  let failed = ref 0 in
   let run_variant ~registry_enabled =
     Harness.run_sim ~seed (fun engine ->
         let cluster =
           Cluster.Drseuss.create ~nodes ~budget_per_node:(Int64.mul 6L gib)
             engine
         in
+        List.iter Harness.arm_census (Cluster.Drseuss.nodes cluster);
         let misses = Stats.Summary.create () in
+        let invoke =
+          if registry_enabled then Cluster.Drseuss.invoke
+          else Cluster.Drseuss.invoke_unregistered
+        in
         for i = 1 to functions do
           for _round = 1 to nodes do
-            let t0 = Sim.Engine.now engine in
-            let result, source =
-              if registry_enabled then
-                Cluster.Drseuss.invoke cluster (nop_fn i) ~args:"{}"
-              else begin
-                (* Bypass the registry: route round-robin manually. *)
-                let members = Cluster.Drseuss.nodes cluster in
-                let node = List.nth members (i * 31 mod nodes) in
-                ignore node;
-                Cluster.Drseuss.invoke_unregistered cluster (nop_fn i)
-                  ~args:"{}"
-              end
-            in
-            (match result with
-            | Ok _ -> ()
-            | Error _ -> failwith "drseuss experiment: invocation failed");
-            (match source with
-            | Cluster.Drseuss.Local _ -> () (* hot/warm repeat: not a miss *)
-            | Cluster.Drseuss.Remote_fetch | Cluster.Drseuss.Cluster_cold ->
-                Stats.Summary.add misses (Sim.Engine.now engine -. t0))
+            ignore
+              (Harness.invoke engine ~failed ~latency:misses
+                 ~expect:Cluster.Drseuss.[ Remote_fetch; Cluster_cold ]
+                 (fun () -> invoke cluster (big_fn i) ~args:"{}"))
           done
         done;
         (Stats.Summary.mean misses, Cluster.Drseuss.stats cluster))
@@ -78,6 +69,7 @@ let run ?(nodes = 4) ?(functions = 40) ?(seed = 29L) () =
     remote_fetches = with_stats.Cluster.Drseuss.remote_fetches;
     cluster_colds = with_stats.Cluster.Drseuss.cluster_colds;
     bytes_transferred = with_stats.Cluster.Drseuss.bytes_transferred;
+    failed = !failed;
   }
 
 let render r =
@@ -115,3 +107,4 @@ let render r =
         measured = Report.mb r.bytes_transferred;
       };
     ]
+  ^ Report.failed_calls r.failed

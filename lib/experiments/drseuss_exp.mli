@@ -16,6 +16,9 @@ type result = {
   remote_fetches : int;
   cluster_colds : int;
   bytes_transferred : int64;
+  failed : int;
+      (** calls that failed or were not a miss, over both variants (see
+          {!Harness.invoke}); the miss means exclude them *)
 }
 
 val run : ?nodes:int -> ?functions:int -> ?seed:int64 -> unit -> result

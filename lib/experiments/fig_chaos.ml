@@ -72,6 +72,7 @@ let run_point ~nodes ~functions ~calls ~seed rate =
         Cluster.Drseuss.create ~nodes ~budget_per_node:(Int64.mul 4L gib)
           engine
       in
+      List.iter Harness.arm_census (Cluster.Drseuss.nodes cluster);
       (* Arm the plane only after boot: chaos measures steady-state
          serving, and injected SYN loss during the nodes' AO handshakes
          would abort startup rather than degrade service. *)

@@ -16,8 +16,9 @@
 
    Arms build their nodes directly (not via {!Harness.seuss_node}) so
    an armed SEUSS_SNAP_CACHE cannot collapse the ladder to a single
-   budget. Every arm runs in a fresh simulation from the same run seed,
-   so the whole sweep is deterministic. *)
+   budget; each registers its census with {!Harness.arm_census}, as
+   {!Harness.seuss_node} would. Every arm runs in a fresh simulation
+   from the same run seed, so the whole sweep is deterministic. *)
 
 type mix = { cold : int; warm : int; hot : int }
 
@@ -91,6 +92,7 @@ let run_arm ~seed ~policy trace cache_bytes =
         }
       in
       let node = Seuss.Node.create ~config env in
+      Harness.arm_census node;
       Seuss.Node.start node;
       let shim = Seuss.Shim.create env node in
       let controller =

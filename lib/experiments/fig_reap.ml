@@ -28,6 +28,7 @@ type arm = {
       (* per-warm-invocation fault-handling core time, microseconds:
          demand faults at full (trap-inclusive) cost plus the batched
          prefault charge *)
+  failed : int;  (* calls not served on their path (Harness.invoke) *)
 }
 
 type result = {
@@ -46,19 +47,6 @@ let reap_fn k =
     source = Printf.sprintf "function main(args) { return {fn: %d}; }" k;
   }
 
-let invoke_expect node fn ~path =
-  let result, got = Seuss.Node.invoke node fn ~args:"{}" in
-  (match result with
-  | Ok _ -> ()
-  | Error _ ->
-      failwith
-        (Printf.sprintf "fig_reap: invocation of %s failed"
-           fn.Seuss.Node.fn_id));
-  if got <> path then
-    failwith
-      (Printf.sprintf "fig_reap: %s took an unexpected path"
-         fn.Seuss.Node.fn_id)
-
 let run_arm ~functions ~rounds ~seed ~prefault =
   Harness.run_sim ~seed (fun engine ->
       let env = Harness.make_seuss_env engine in
@@ -71,12 +59,22 @@ let run_arm ~functions ~rounds ~seed ~prefault =
         }
       in
       let node = Seuss.Node.create ~config env in
+      Harness.arm_census node;
       Seuss.Node.start node;
       let fns = List.init functions reap_fn in
+      let failed = ref 0 in
+      let round ?latency path =
+        List.iter
+          (fun fn ->
+            ignore
+              (Harness.invoke engine ~failed ?latency ~expect:[ path ]
+                 (fun () -> Seuss.Node.invoke node fn ~args:"{}")))
+          fns
+      in
       (* Cold round: build the function snapshots. *)
-      List.iter (fun fn -> invoke_expect node fn ~path:Seuss.Node.Cold) fns;
+      round Seuss.Node.Cold;
       (* Recording round (a plain warm round when prefault is off). *)
-      List.iter (fun fn -> invoke_expect node fn ~path:Seuss.Node.Warm) fns;
+      round Seuss.Node.Warm;
       (* Measured rounds: snapshot the fault counters and collect the
          prefault batches emitted from here on. *)
       let m = env.Seuss.Osenv.metrics in
@@ -96,12 +94,7 @@ let run_arm ~functions ~rounds ~seed ~prefault =
           | _ -> ());
       let lat = Stats.Summary.create () in
       for _round = 1 to rounds do
-        List.iter
-          (fun fn ->
-            let t0 = Sim.Engine.now engine in
-            invoke_expect node fn ~path:Seuss.Node.Warm;
-            Stats.Summary.add lat (Sim.Engine.now engine -. t0))
-          fns
+        round ~latency:lat Seuss.Node.Warm
       done;
       let cow = Obs.Metrics.sum_counters m "mem_cow_faults_total" - cow0
       and zero = Obs.Metrics.sum_counters m "mem_zero_fills_total" - zero0 in
@@ -129,6 +122,7 @@ let run_arm ~functions ~rounds ~seed ~prefault =
         fault_us =
           (if warm = 0 then 0.0
            else (demand_time +. prefault_time) /. float_of_int warm *. 1e6);
+        failed = !failed;
       })
 
 let run ?(functions = 8) ?(rounds = 20) ?(seed = 7L) () =
@@ -144,7 +138,7 @@ let run ?(functions = 8) ?(rounds = 20) ?(seed = 7L) () =
 
 let arm_to_json a =
   Obs.Json.Obj
-    [
+    ([
       ("prefault", Obs.Json.Bool a.prefault);
       ("warm_invocations", Obs.Json.Int a.warm_invocations);
       ("mean_ms", Obs.Json.Float a.mean_ms);
@@ -158,6 +152,7 @@ let arm_to_json a =
       ("prefault_zero", Obs.Json.Int a.prefault_zero);
       ("fault_us", Obs.Json.Float a.fault_us);
     ]
+    @ if a.failed = 0 then [] else [ ("failed", Obs.Json.Int a.failed) ])
 
 let to_json r =
   Obs.Json.Obj
@@ -209,6 +204,7 @@ let render r =
     (Report.heading "fig_reap: warm-path working-set prefault (REAP)")
     r.functions r.rounds r.seed r.off.fault_us r.on_.fault_us r.reduction_pct
     (Stats.Tablefmt.render table)
+  ^ Report.failed_calls (r.off.failed + r.on_.failed)
 
 let write_csv ~path r =
   Report.write_csv ~path

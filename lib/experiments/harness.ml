@@ -110,15 +110,46 @@ let arm_config (run : Run_config.t) config =
   | None -> config
   | Some p -> { config with Seuss.Config.snapshot_cache_policy = p }
 
-let seuss_node ?(config = Seuss.Config.default) env =
-  let node = Seuss.Node.create ~config:(arm_config (resolve None) config) env in
+let arm_census node =
   let name = Printf.sprintf "node%d" !node_seq in
   incr node_seq;
   Seuss.Node.arm_census ~name
     ~on_leak:(fun c -> last_leaked := (name, c) :: !last_leaked)
-    node;
+    node
+
+let seuss_node ?(config = Seuss.Config.default) env =
+  let node = Seuss.Node.create ~config:(arm_config (resolve None) config) env in
+  arm_census node;
   Seuss.Node.start node;
   node
+
+let nop_source = Platform.Workloads.source_of_action Platform.Workloads.nop
+
+let nop_fn i =
+  {
+    Seuss.Node.fn_id = Printf.sprintf "nop-%d" i;
+    runtime = Unikernel.Image.Node;
+    source = nop_source;
+  }
+
+type 'path outcome =
+  | Served of float
+  | Off_path of 'path
+  | Failed of Seuss.Node.invoke_error
+
+let invoke engine ~failed ?latency ~expect call =
+  let t0 = Sim.Engine.now engine in
+  let outcome =
+    match call () with
+    | Error e, _ -> Failed e
+    | Ok _, path when List.mem path expect ->
+        Served (Sim.Engine.now engine -. t0)
+    | Ok _, path -> Off_path path
+  in
+  (match outcome with
+  | Served dt -> Option.iter (fun s -> Stats.Summary.add s dt) latency
+  | Off_path _ | Failed _ -> incr failed);
+  outcome
 
 let seuss_controller env =
   let node = seuss_node env in

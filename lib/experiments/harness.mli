@@ -61,11 +61,46 @@ val seuss_node : ?config:Seuss.Config.t -> Seuss.Osenv.t -> Seuss.Node.t
 (** Create and start a SEUSS node (blocking: boots the runtime). The
     enclosing run (see {!with_run}) can switch on working-set prefault
     and the snapshot store (with its policy) over [config], and the
-    node always registers the ownership census (inert unless the
-    engine armed it). Span capture and the resource timeline are
-    started by the command that prints them, not here. Experiments
-    needing fixed arms (e.g. [Fig_reap], [Fig_evict]) build their nodes
-    directly. *)
+    node is registered with {!arm_census}. Span capture and the
+    resource timeline are started by the command that prints them, not
+    here. Experiments needing fixed arms (e.g. [Fig_reap], [Fig_evict])
+    build their nodes directly and call {!arm_census} themselves. *)
+
+val arm_census : Seuss.Node.t -> unit
+(** Register the node's ownership census ({!Seuss.Node.arm_census})
+    under a process-unique name; a nonzero census at quiescence shows
+    up in {!last_leaked_resources}. Inert unless the engine armed the
+    census. For nodes built outside {!seuss_node}, such as a
+    {!Cluster.Drseuss} cluster's members. *)
+
+val nop_fn : int -> Seuss.Node.fn
+(** The NOP JavaScript function with id ["nop-<i>"]: the paper's
+    microbenchmark function. *)
+
+(** {1 One invocation}
+
+    The direct-node experiments time single calls. {!invoke} runs one,
+    classifies it, and keeps the driver's tally, so a call that fails
+    under the fault plan is counted instead of aborting the row. *)
+
+type 'path outcome =
+  | Served of float
+      (** on an expected path; simulated latency in seconds *)
+  | Off_path of 'path  (** served, but on another path *)
+  | Failed of Seuss.Node.invoke_error
+
+val invoke :
+  Sim.Engine.t ->
+  failed:int ref ->
+  ?latency:Stats.Summary.t ->
+  expect:'path list ->
+  (unit -> (string, Seuss.Node.invoke_error) result * 'path) ->
+  'path outcome
+(** [invoke engine ~failed ?latency ~expect call] runs [call] once and
+    times it on the engine clock. The path type is the caller's:
+    {!Seuss.Node.path} for a node or shim, {!Cluster.Drseuss.source}
+    for a cluster. Only a [Served] call adds its latency to [latency];
+    the other two outcomes increment [failed]. *)
 
 val seuss_controller : Seuss.Osenv.t -> Platform.Controller.t * Seuss.Node.t
 (** Node + shim + OpenWhisk controller, node as in {!seuss_node} with

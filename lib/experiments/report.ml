@@ -26,6 +26,14 @@ let mb bytes = Printf.sprintf "%.1f MB" (Int64.to_float bytes /. 1048576.0)
 
 let mb_of_pages pages = mb (Mem.Mconfig.bytes_of_pages pages)
 
+let failed_calls = function
+  | 0 -> ""
+  | n ->
+      Printf.sprintf
+        "failed calls: %d (an error or an unexpected path; not in the \
+         latencies above)\n"
+        n
+
 let per_s v = Printf.sprintf "%.1f/s" v
 
 let csv_field f =

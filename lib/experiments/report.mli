@@ -16,6 +16,11 @@ val mb_of_pages : int -> string
 
 val per_s : float -> string
 
+val failed_calls : int -> string
+(** The line a direct-node experiment appends for the calls that were
+    not served on their expected path (see {!Harness.invoke}); [""]
+    for 0, so a fault-free report is unchanged. *)
+
 val heading : string -> string
 (** Underlined section heading. *)
 

@@ -19,16 +19,8 @@ type result = {
   cold_tails : Obs.Breakdown.tails option;
   warm_tails : Obs.Breakdown.tails option;
   hot_tails : Obs.Breakdown.tails option;
+  failed : int;
 }
-
-let nop_source = Platform.Workloads.source_of_action Platform.Workloads.nop
-
-let nop_fn i =
-  {
-    Seuss.Node.fn_id = Printf.sprintf "nop-%d" i;
-    runtime = Unikernel.Image.Node;
-    source = nop_source;
-  }
 
 (* An armed fault plane can fail a NOP deploy or lose its snapshot
    capture; each retry deploys a fresh function id. *)
@@ -49,7 +41,7 @@ let snapshot_sizes ~seed ao =
         if i = snapshot_attempts then
           Printf.ksprintf failwith
             "Table1: no NOP function snapshot after %d deploys" i;
-        let fn = nop_fn i in
+        let fn = Harness.nop_fn i in
         match Seuss.Node.invoke node fn ~args:"{}" with
         | Error _, _ -> fn_snapshot (i + 1)
         | Ok _, _ -> (
@@ -78,36 +70,46 @@ let run ?(invocations = 475) ?(seed = 7L) () =
       let cold_pages = ref 0.0
       and warm_pages = ref 0.0
       and hot_pages = ref 0.0 in
-      let timed summary fn expected_path =
-        let t0 = Sim.Engine.now engine in
-        (match Seuss.Node.invoke node fn ~args:"{}" with
-        | Ok _, path when path = expected_path ->
-            Stats.Summary.add summary (Sim.Engine.now engine -. t0)
-        | Ok _, _ -> failwith "Table1: unexpected invocation path"
-        | Error _, _ -> failwith "Table1: invocation failed");
-        match Seuss.Node.last_served_uc node with
-        | Some uc when Seuss.Uc.status uc = Seuss.Uc.Running ->
-            float_of_int (Seuss.Uc.private_pages uc)
-        | _ -> 0.0
+      let failed = ref 0 in
+      (* Time one call; one served on [path] adds the pages private to
+         its UC, less [before], to [pages]. *)
+      let timed ?(before = 0.0) latency pages fn path =
+        match
+          Harness.invoke engine ~failed ~latency ~expect:[ path ] (fun () ->
+              Seuss.Node.invoke node fn ~args:"{}")
+        with
+        | Harness.Served _ ->
+            let after =
+              match Seuss.Node.last_served_uc node with
+              | Some uc when Seuss.Uc.status uc = Seuss.Uc.Running ->
+                  float_of_int (Seuss.Uc.private_pages uc)
+              | _ -> 0.0
+            in
+            pages := !pages +. (after -. before)
+        | Harness.Off_path _ | Harness.Failed _ -> ()
       in
       for i = 1 to invocations do
-        let fn = nop_fn i in
-        cold_pages := !cold_pages +. timed cold fn Seuss.Node.Cold;
+        let fn = Harness.nop_fn i in
+        timed cold cold_pages fn Seuss.Node.Cold;
         (* Hot: the cold invocation left an idle UC. *)
         let before =
           match Seuss.Node.last_served_uc node with
           | Some uc -> float_of_int (Seuss.Uc.private_pages uc)
           | None -> 0.0
         in
-        let after = timed hot fn Seuss.Node.Hot in
-        hot_pages := !hot_pages +. (after -. before);
+        timed ~before hot hot_pages fn Seuss.Node.Hot;
         (* Warm: force redeployment from the function snapshot. *)
         Seuss.Node.drop_idle node ~fn_id:fn.Seuss.Node.fn_id;
-        warm_pages := !warm_pages +. timed warm fn Seuss.Node.Warm;
+        timed warm warm_pages fn Seuss.Node.Warm;
         (* Keep the idle cache from accumulating 475 functions. *)
         Seuss.Node.drop_idle node ~fn_id:fn.Seuss.Node.fn_id
       done;
-      let n = float_of_int invocations in
+      (* Footprints are means over the calls each path served. *)
+      let per_served total summary =
+        match Stats.Summary.count summary with
+        | 0 -> 0.0
+        | n -> !total /. float_of_int n
+      in
       {
         invocations;
         base_no_ao_bytes;
@@ -117,15 +119,16 @@ let run ?(invocations = 475) ?(seed = 7L) () =
         cold = Stats.Summary.digest cold;
         warm = Stats.Summary.digest warm;
         hot = Stats.Summary.digest hot;
-        cold_pages = !cold_pages /. n;
-        warm_pages = !warm_pages /. n;
-        hot_pages = !hot_pages /. n;
+        cold_pages = per_served cold_pages cold;
+        warm_pages = per_served warm_pages warm;
+        hot_pages = per_served hot_pages hot;
         cold_phases = Obs.Breakdown.per_path bd Obs.Event.Cold;
         warm_phases = Obs.Breakdown.per_path bd Obs.Event.Warm;
         hot_phases = Obs.Breakdown.per_path bd Obs.Event.Hot;
         cold_tails = Obs.Breakdown.tails bd Obs.Event.Cold;
         warm_tails = Obs.Breakdown.tails bd Obs.Event.Warm;
         hot_tails = Obs.Breakdown.tails bd Obs.Event.Hot;
+        failed = !failed;
       })
 
 let phase_split = function
@@ -237,3 +240,4 @@ let render r =
         measured = Printf.sprintf "%.0f pages (%s)" r.hot_pages (mb_f r.hot_pages);
       };
     ]
+  ^ Report.failed_calls r.failed

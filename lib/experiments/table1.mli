@@ -27,6 +27,9 @@ type result = {
       (** per-path total-latency p50/p90/p99/p999, same provenance *)
   warm_tails : Obs.Breakdown.tails option;
   hot_tails : Obs.Breakdown.tails option;
+  failed : int;
+      (** calls not served on their path (see {!Harness.invoke}); the
+          latency and footprint rows are means over the served ones *)
 }
 
 val run : ?invocations:int -> ?seed:int64 -> unit -> result

@@ -1,10 +1,14 @@
 type cell = { cold_ms : float; warm_ms : float }
 
-type result = { no_ao : cell; network_ao : cell; full_ao : cell }
+type result = {
+  no_ao : cell;
+  network_ao : cell;
+  full_ao : cell;
+  failed : int;
+}
 
-let nop_source = Platform.Workloads.source_of_action Platform.Workloads.nop
-
-let measure ~seed ~invocations ao =
+(* One cell; calls not served on their path count into [failed]. *)
+let measure ~failed ~seed ~invocations ao =
   Harness.run_sim ~seed (fun engine ->
       let env =
         Harness.make_seuss_env
@@ -15,22 +19,15 @@ let measure ~seed ~invocations ao =
       let node = Harness.seuss_node ~config env in
       let cold = Stats.Summary.create () and warm = Stats.Summary.create () in
       for i = 1 to invocations do
-        let fn =
-          {
-            Seuss.Node.fn_id = Printf.sprintf "nop-%d" i;
-            runtime = Unikernel.Image.Node;
-            source = nop_source;
-          }
+        let fn = Harness.nop_fn i in
+        let timed latency path =
+          ignore
+            (Harness.invoke engine ~failed ~latency ~expect:[ path ] (fun () ->
+                 Seuss.Node.invoke node fn ~args:"{}"))
         in
-        let timed summary =
-          let t0 = Sim.Engine.now engine in
-          match Seuss.Node.invoke node fn ~args:"{}" with
-          | Ok _, _ -> Stats.Summary.add summary (Sim.Engine.now engine -. t0)
-          | Error _, _ -> failwith "Table2: invocation failed"
-        in
-        timed cold;
+        timed cold Seuss.Node.Cold;
         Seuss.Node.drop_idle node ~fn_id:fn.Seuss.Node.fn_id;
-        timed warm;
+        timed warm Seuss.Node.Warm;
         Seuss.Node.drop_idle node ~fn_id:fn.Seuss.Node.fn_id
       done;
       {
@@ -39,11 +36,12 @@ let measure ~seed ~invocations ao =
       })
 
 let run ?(invocations = 50) ?(seed = 7L) () =
-  {
-    no_ao = measure ~seed ~invocations Seuss.Config.Ao_none;
-    network_ao = measure ~seed ~invocations Seuss.Config.Ao_network;
-    full_ao = measure ~seed ~invocations Seuss.Config.Ao_full;
-  }
+  let failed = ref 0 in
+  let measure = measure ~failed ~seed ~invocations in
+  let no_ao = measure Seuss.Config.Ao_none in
+  let network_ao = measure Seuss.Config.Ao_network in
+  let full_ao = measure Seuss.Config.Ao_full in
+  { no_ao; network_ao; full_ao; failed = !failed }
 
 let render r =
   let f = Printf.sprintf "%.1f ms" in
@@ -56,3 +54,4 @@ let render r =
       { Report.label = "Warm start, network AO"; paper = "5.5 ms"; measured = f r.network_ao.warm_ms };
       { Report.label = "Warm start, network+interp AO"; paper = "3.5 ms"; measured = f r.full_ao.warm_ms };
     ]
+  ^ Report.failed_calls r.failed

@@ -10,6 +10,9 @@ type result = {
   no_ao : cell;
   network_ao : cell;
   full_ao : cell;
+  failed : int;
+      (** calls not served on their path, over all three cells (see
+          {!Harness.invoke}); the means exclude them *)
 }
 
 val run : ?invocations:int -> ?seed:int64 -> unit -> result

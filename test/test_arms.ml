@@ -7,7 +7,10 @@
      changes no byte;
    - inert until armed: the happens-before checker, the deadlock
      detector and the ownership census change no byte, alone or all
-     together.
+     together;
+   - survives the fault plan: at a 1% fault rate the row completes
+     with nothing stuck, stranded or leaked, and the sanitizers and a
+     tie shuffle change no byte of its output there either.
 
    "Off is the same as unset" needs no runs here: test_experiments's
    run_config parse table proves every off spelling of every variable
@@ -65,6 +68,26 @@ let render ?(extra = []) row seed () =
    must still be byte-identical. None does today. *)
 let tie_order_dependent : (string * string) list = []
 
+(* The fault arms run at each row's first seed. Under the fault plan a
+   row's output legitimately moves, so the two arms are compared with
+   each other, not with plain: arming every sanitizer and shuffling ties
+   on top of the same plan must change no byte, and the run must finish
+   with nothing stuck, stranded or leaked. A row that cannot pass them
+   goes on this list with its reason and skips them. None does today. *)
+let fault_exempt : (string * string) list = []
+
+let fault_plan = ("fault plan", { Rc.default with Rc.fault_rate = 0.01 })
+
+let fault_plan_all =
+  ( "fault plan, every sanitizer, tie seed 2",
+    {
+      (snd fault_plan) with
+      Rc.tie_seed = Some 2L;
+      hb = true;
+      deadlock = true;
+      own = true;
+    } )
+
 let arms : (string * Rc.t) list =
   let d = Rc.default in
   [
@@ -110,9 +133,10 @@ let armed_output cmd (label, run) render =
     (List.map fst (H.last_leaked_resources ()));
   out
 
-(* Compare every arm's output to [plain]; for a row on the tie-order
-   list, the shuffle arms are exempt and report whether any differed. *)
-let compare_arms ~cmd ~tie_dependent ~plain arms render =
+(* Compare every arm's output to [plain] (the output of the arm named
+   [base]); for a row on the tie-order list, the shuffle arms are exempt
+   and report whether any differed. *)
+let compare_arms ?(base = "plain") ~cmd ~tie_dependent ~plain arms render =
   List.fold_left
     (fun shuffled_differs ((label, run) as arm) ->
       let out = armed_output cmd arm render in
@@ -123,8 +147,8 @@ let compare_arms ~cmd ~tie_dependent ~plain arms render =
       else
         let line, want, got = first_difference plain out in
         Alcotest.failf
-          "%s [%s] differs from plain at line %d:\n  plain: %s\n  armed: %s"
-          cmd label line want got)
+          "%s [%s] differs from %s at line %d:\n  %s: %s\n  armed: %s"
+          cmd label base line base want got)
     false arms
 
 let sweep_row row () =
@@ -143,7 +167,15 @@ let sweep_row row () =
                 { Rc.default with Rc.tie_seed = Some seed } );
             ]
         in
-        compare_arms ~cmd ~tie_dependent ~plain arms render)
+        let shuffled_differs =
+          compare_arms ~cmd ~tie_dependent ~plain arms render
+        in
+        if i = 0 && not (List.mem_assoc row.name fault_exempt) then
+          ignore
+            (compare_arms ~base:(fst fault_plan) ~cmd ~tie_dependent
+               ~plain:(armed_output cmd fault_plan render)
+               [ fault_plan_all ] render);
+        shuffled_differs)
       row.seeds
   in
   if tie_dependent then
@@ -172,6 +204,11 @@ let rows_match_registry () =
       Alcotest.(check bool) (n ^ " on the tie-order list is a row") true
         (List.mem n swept))
     tie_order_dependent;
+  List.iter
+    (fun (n, _) ->
+      Alcotest.(check bool) (n ^ " on the fault-exempt list is a row") true
+        (List.mem n swept))
+    fault_exempt;
   List.iter
     (fun (r : Cli.row) ->
       Alcotest.(check bool) (r.name ^ " documented") true
