@@ -94,9 +94,12 @@ let table2 =
 let table3 =
   let mem_gib =
     Arg.(
-      value & opt pos_int 88
+      value
+      & opt (bounded int (fun n -> n >= 1 && n <= 256) "an integer in [1, 256]") 88
       & info [ "mem-gib" ] ~docv:"GIB"
-          ~doc:"Node memory budget in GiB (paper: 88; smaller runs faster).")
+          ~doc:
+            "Node memory budget in GiB, 1 to 256 (paper: 88; smaller runs \
+             faster).")
   in
   let rate_sample =
     Arg.(

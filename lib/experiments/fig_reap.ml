@@ -40,6 +40,20 @@ type result = {
   reduction_pct : float;
 }
 
+(* Fault counts and prefault batches of the measured calls: demand COW
+   copies and zero fills, then the batches' count, pages and how many of
+   those were copied or zero-filled. *)
+type tally = {
+  mutable cow : int;
+  mutable zero : int;
+  mutable batches : int;
+  mutable pages : int;
+  mutable p_cow : int;
+  mutable p_zero : int;
+}
+
+let tally () = { cow = 0; zero = 0; batches = 0; pages = 0; p_cow = 0; p_zero = 0 }
+
 let reap_fn k =
   {
     Seuss.Node.fn_id = Printf.sprintf "reap-%d" k;
@@ -63,49 +77,65 @@ let run_arm ~functions ~rounds ~seed ~prefault =
       Seuss.Node.start node;
       let fns = List.init functions reap_fn in
       let failed = ref 0 in
-      let round ?latency path =
+      let round ?latency ?(start = ignore) ?(served = ignore) path =
         List.iter
           (fun fn ->
-            ignore
-              (Harness.invoke engine ~failed ?latency ~expect:[ path ]
-                 (fun () -> Seuss.Node.invoke node fn ~args:"{}")))
+            start ();
+            match
+              Harness.invoke engine ~failed ?latency ~expect:[ path ]
+                (fun () -> Seuss.Node.invoke node fn ~args:"{}")
+            with
+            | Harness.Served _ -> served ()
+            | Harness.Off_path _ | Harness.Failed _ -> ())
           fns
       in
       (* Cold round: build the function snapshots. *)
       round Seuss.Node.Cold;
       (* Recording round (a plain warm round when prefault is off). *)
       round Seuss.Node.Warm;
-      (* Measured rounds: snapshot the fault counters and collect the
-         prefault batches emitted from here on. *)
+      (* Measured rounds: [call] holds the fault counters at the start of
+         the call in flight and the prefault batches emitted since; they
+         are added to [total] only when the call is served, so [fault_us]
+         divides the faults of exactly the calls it counts. *)
       let m = env.Seuss.Osenv.metrics in
-      let cow0 = Obs.Metrics.sum_counters m "mem_cow_faults_total"
-      and zero0 = Obs.Metrics.sum_counters m "mem_zero_fills_total" in
-      let batches = ref 0
-      and p_pages = ref 0
-      and p_cow = ref 0
-      and p_zero = ref 0 in
+      let cow_now () = Obs.Metrics.sum_counters m "mem_cow_faults_total"
+      and zero_now () = Obs.Metrics.sum_counters m "mem_zero_fills_total" in
+      let total = tally () and call = tally () in
       Obs.Log.subscribe env.Seuss.Osenv.log (fun r ->
           match r.Obs.Log.ev with
           | Obs.Event.Ws_prefault { pages; cow_copied; zero_filled; _ } ->
-              incr batches;
-              p_pages := !p_pages + pages;
-              p_cow := !p_cow + cow_copied;
-              p_zero := !p_zero + zero_filled
+              call.batches <- call.batches + 1;
+              call.pages <- call.pages + pages;
+              call.p_cow <- call.p_cow + cow_copied;
+              call.p_zero <- call.p_zero + zero_filled
           | _ -> ());
+      let start () =
+        call.cow <- cow_now ();
+        call.zero <- zero_now ();
+        call.batches <- 0;
+        call.pages <- 0;
+        call.p_cow <- 0;
+        call.p_zero <- 0
+      and served () =
+        total.cow <- total.cow + cow_now () - call.cow;
+        total.zero <- total.zero + zero_now () - call.zero;
+        total.batches <- total.batches + call.batches;
+        total.pages <- total.pages + call.pages;
+        total.p_cow <- total.p_cow + call.p_cow;
+        total.p_zero <- total.p_zero + call.p_zero
+      in
       let lat = Stats.Summary.create () in
       for _round = 1 to rounds do
-        round ~latency:lat Seuss.Node.Warm
+        round ~latency:lat ~start ~served Seuss.Node.Warm
       done;
-      let cow = Obs.Metrics.sum_counters m "mem_cow_faults_total" - cow0
-      and zero = Obs.Metrics.sum_counters m "mem_zero_fills_total" - zero0 in
       let warm = Stats.Summary.count lat in
       let demand_time =
-        (float_of_int cow *. Mem.Mconfig.page_copy_time)
-        +. (float_of_int zero *. Mem.Mconfig.zero_fill_time)
+        (float_of_int total.cow *. Mem.Mconfig.page_copy_time)
+        +. (float_of_int total.zero *. Mem.Mconfig.zero_fill_time)
       and prefault_time =
-        (float_of_int !batches *. Seuss.Cost.prefault_fixed)
-        +. (float_of_int !p_cow *. Seuss.Cost.prefault_cow_per_page)
-        +. (float_of_int !p_zero *. Seuss.Cost.prefault_zero_per_page)
+        (float_of_int total.batches *. Seuss.Cost.prefault_fixed)
+        +. (float_of_int total.p_cow *. Seuss.Cost.prefault_cow_per_page)
+        +. (float_of_int total.p_zero *. Seuss.Cost.prefault_zero_per_page)
       in
       {
         prefault;
@@ -113,12 +143,12 @@ let run_arm ~functions ~rounds ~seed ~prefault =
         mean_ms = Stats.Summary.mean lat *. 1e3;
         p99_ms = Stats.Summary.percentile lat 99.0 *. 1e3;
         p999_ms = Stats.Summary.percentile lat 99.9 *. 1e3;
-        cow_faults = cow;
-        zero_fills = zero;
-        prefault_batches = !batches;
-        prefault_pages = !p_pages;
-        prefault_cow = !p_cow;
-        prefault_zero = !p_zero;
+        cow_faults = total.cow;
+        zero_fills = total.zero;
+        prefault_batches = total.batches;
+        prefault_pages = total.pages;
+        prefault_cow = total.p_cow;
+        prefault_zero = total.p_zero;
         fault_us =
           (if warm = 0 then 0.0
            else (demand_time +. prefault_time) /. float_of_int warm *. 1e6);

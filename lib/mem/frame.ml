@@ -2,21 +2,27 @@ type frame = int
 
 exception Out_of_memory
 
+(* One word of host metadata per frame id: [refcounts.(id)] is the
+   frame's reference count while it is live (> 0), and while it is free
+   (< 0) the link of the free list threaded through the same cells, so
+   the allocator keeps no side stack. The content tags cost a second
+   word per id only once the snapshot store stamps its first frame. *)
 type t = {
   budget_frames : int;
-  (* refcounts.(id) = 0 means the slot is free (and sits on the free
-     stack). *)
+  (* A free id's cell holds [-2 - next], [next] being the id freed
+     before it or [-1] at the bottom of the list, so every free cell is
+     negative. Cells past [next_fresh] were never handed out and hold
+     0. *)
   mutable refcounts : int array;
-  (* tags.(id) = 0 means untagged; a nonzero tag is a content identity
+  (* The most recently freed id, or [-1] when the list is empty: [alloc]
+     pops it, so ids come back last-freed first. *)
+  mutable free_head : int;
+  (* [[||]] until the first [set_tag], then as long as [refcounts].
+     tags.(id) = 0 means untagged; a nonzero tag is a content identity
      stamped by the snapshot store and cleared when the frame is freed,
      so a recycled id can never masquerade as old content. *)
   mutable tags : int array;
   mutable next_fresh : int;
-  (* The free stack, unboxed: [free.(0 .. free_top - 1)], most recently
-     freed on top. Sized by the most frames ever free at once, not by
-     the id space. *)
-  mutable free : int array;
-  mutable free_top : int;
   mutable live : int;
   mutable peak : int;
 }
@@ -27,10 +33,9 @@ let create ?(budget_bytes = Mconfig.default_budget_bytes) () =
   {
     budget_frames = Int64.to_int frames;
     refcounts = Array.make 4096 0;
-    tags = Array.make 4096 0;
+    free_head = -1;
+    tags = [||];
     next_fresh = 0;
-    free = Array.make 256 0;
-    free_top = 0;
     live = 0;
     peak = 0;
   }
@@ -46,23 +51,20 @@ let ensure_capacity t id =
     let refcounts = Array.make cap 0 in
     Array.blit t.refcounts 0 refcounts 0 (Array.length t.refcounts);
     t.refcounts <- refcounts;
-    let tags = Array.make cap 0 in
-    Array.blit t.tags 0 tags 0 (Array.length t.tags);
-    t.tags <- tags
+    if Array.length t.tags > 0 then begin
+      let tags = Array.make cap 0 in
+      Array.blit t.tags 0 tags 0 (Array.length t.tags);
+      t.tags <- tags
+    end
   end
-
-(* seussheat: cold — amortized doubling: O(log frames) growths per allocator *)
-let grow_free t =
-  let free = Array.make (2 * Array.length t.free) 0 in
-  Array.blit t.free 0 free 0 t.free_top;
-  t.free <- free
 
 let alloc t =
   if t.live >= t.budget_frames then raise Out_of_memory;
+  let id = t.free_head in
   let id =
-    if t.free_top > 0 then begin
-      t.free_top <- t.free_top - 1;
-      t.free.(t.free_top)
+    if id >= 0 then begin
+      t.free_head <- -2 - t.refcounts.(id);
+      id
     end
     else begin
       let id = t.next_fresh in
@@ -81,7 +83,7 @@ let dead_frame name id =
   invalid_arg (Printf.sprintf "Frame.%s: dead frame %d" name id)
 
 let check_live t id name =
-  if id < 0 || id >= t.next_fresh || t.refcounts.(id) = 0 then
+  if id < 0 || id >= t.next_fresh || t.refcounts.(id) <= 0 then
     dead_frame name id
 
 let incref t id =
@@ -90,12 +92,12 @@ let incref t id =
 
 let[@inline] drop t id name =
   check_live t id name;
-  t.refcounts.(id) <- t.refcounts.(id) - 1;
-  if t.refcounts.(id) = 0 then begin
-    t.tags.(id) <- 0;
-    if t.free_top = Array.length t.free then grow_free t;
-    t.free.(t.free_top) <- id;
-    t.free_top <- t.free_top + 1;
+  let n = t.refcounts.(id) - 1 in
+  if n > 0 then t.refcounts.(id) <- n
+  else begin
+    if Array.length t.tags > 0 then t.tags.(id) <- 0;
+    t.refcounts.(id) <- -2 - t.free_head;
+    t.free_head <- id;
     t.live <- t.live - 1
   end
 
@@ -111,7 +113,7 @@ let incref_leaf t (ents : int array) ~pos =
     let e = ents.(i) in
     if e land 1 <> 0 then begin
       let id = e lsr Mconfig.pte_flag_bits in
-      if id >= t.next_fresh || rc.(id) = 0 then dead_frame "incref_leaf" id;
+      if id >= t.next_fresh || rc.(id) <= 0 then dead_frame "incref_leaf" id;
       rc.(id) <- rc.(id) + 1
     end
   done
@@ -128,14 +130,18 @@ let refcount t id =
 
 let is_live t id = id >= 0 && id < t.next_fresh && t.refcounts.(id) > 0
 
+(* seussheat: cold — one allocation per allocator, at its first tag; [ensure_capacity] grows it from then on *)
+let create_tags t = t.tags <- Array.make (Array.length t.refcounts) 0
+
 let set_tag t id tag =
   check_live t id "set_tag";
   if tag = 0 then invalid_arg "Frame.set_tag: tag must be nonzero";
+  if Array.length t.tags = 0 then create_tags t;
   t.tags.(id) <- tag
 
 let tag t id =
   check_live t id "tag";
-  t.tags.(id)
+  if Array.length t.tags = 0 then 0 else t.tags.(id)
 
 let used_frames t = t.live
 let used_bytes t = Mconfig.bytes_of_pages t.live

@@ -3,12 +3,16 @@
     Frames are metadata-only (an id plus a refcount): the simulation
     accounts 4 KiB per frame against the node budget without backing each
     frame with host memory, which is what makes the full 88 GB density
-    experiment (Table 3) runnable on a laptop.
+    experiment (Table 3) runnable on a laptop. The host cost is one word
+    per frame id, the refcount cell, which also carries the free list
+    while the frame is free; a second word per id (the content tag) is
+    allocated only once {!set_tag} is first called.
 
     Reference counts track *mappings*: a frame shared read-only between a
     snapshot and the UCs deployed from it has one reference per page-table
     leaf that names it, and is returned to the free list when the count
-    reaches zero. *)
+    reaches zero. The free list is LIFO: {!alloc} hands out the most
+    recently freed id first, and a fresh id only when none is free. *)
 
 type t
 
@@ -47,8 +51,8 @@ val incref_leaf : t -> int array -> pos:int -> unit
 
 val decref_leaf : t -> int array -> pos:int -> unit
 (** The release of {!incref_leaf}: one {!decref} per present entry, in
-    ascending entry order, so frames freed together go back on the free
-    stack in that order. @raise Invalid_argument on a dead frame. *)
+    ascending entry order, so frames freed together go on the free list
+    in that order (and come back off it in the reverse one). @raise Invalid_argument on a dead frame. *)
 
 val refcount : t -> frame -> int
 
@@ -65,7 +69,8 @@ val set_tag : t -> frame -> int -> unit
     @raise Invalid_argument on a dead frame or a zero tag. *)
 
 val tag : t -> frame -> int
-(** The frame's content tag ([0] = untagged).
+(** The frame's content tag ([0] = untagged, and every frame of an
+    allocator that has never tagged one).
     @raise Invalid_argument on a dead frame. *)
 
 val used_frames : t -> int

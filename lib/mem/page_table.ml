@@ -43,9 +43,9 @@ end
    [base slot], and its reference count and frozen bit sit in that
    chunk's [rc_col] and [frozen_col] columns. The slab grows a fixed
    chunk at a time and never moves entries; a released leaf's slot
-   returns to the [free] stack and a released table's root to the
-   [roots] stack, so a steady deploy/destroy cycle allocates only each
-   table's record.
+   returns to the free list threaded through [rc_col] and a released
+   table's root to the [roots] stack, so a steady deploy/destroy cycle
+   allocates only each table's record.
 
    The frozen bit caches "every present entry is already read-only +
    COW and clean", so a freeze can skip the leaf: [mark_all_cow_clean]
@@ -57,10 +57,11 @@ type family = {
   mutable rc_col : int array array;
   mutable frozen_col : bool array array;
   mutable chunks : int;
-  (* Free slots: [free.(0 .. nfree - 1)], sized to every slot the slab
-     holds, so a push never grows it. *)
-  mutable free : int array;
-  mutable nfree : int;
+  (* The most recently freed slot, or [no_leaf] when none is free. A
+     free slot's [rc_col] cell holds [-2 - next], [next] being the slot
+     below it on the list or [no_leaf], so the list needs no storage of
+     its own; a slot in use holds its reference count (> 0). *)
+  mutable free_head : int;
   (* Released roots: [roots.(0 .. nroots - 1)], sized to every root the
      family has made, so a push never grows it. *)
   mutable roots : int array array;
@@ -101,7 +102,7 @@ let fill_ints (dst : int array) d n v =
     dst.(i) <- v
   done
 
-(* seussheat: cold — slab growth: one fixed chunk per 64 leaves the family holds at once, plus the chunk directory and free stack doubling with it; entries are never copied *)
+(* seussheat: cold — slab growth: one fixed chunk per 64 leaves the family holds at once, plus the chunk directory doubling with it; entries are never copied *)
 let add_chunk fam =
   let c = fam.chunks in
   if c = Array.length fam.ents then begin
@@ -113,29 +114,29 @@ let add_chunk fam =
     in
     fam.ents <- grow fam.ents [||];
     fam.rc_col <- grow fam.rc_col [||];
-    fam.frozen_col <- grow fam.frozen_col [||];
-    let free = Array.make (cap * chunk_leaves) no_leaf in
-    Array.blit fam.free 0 free 0 fam.nfree;
-    fam.free <- free
+    fam.frozen_col <- grow fam.frozen_col [||]
   end;
   fam.ents.(c) <- Array.make (chunk_leaves * entries) Entry.absent;
-  fam.rc_col.(c) <- Array.make chunk_leaves 0;
+  (* Each slot links to the next one up and the last to the old head,
+     so the chunk's slots pop in ascending order. *)
+  let first = c * chunk_leaves in
+  fam.rc_col.(c) <-
+    Array.init chunk_leaves (fun k ->
+        if k = chunk_leaves - 1 then -2 - fam.free_head
+        else -2 - (first + k + 1));
   fam.frozen_col.(c) <- Array.make chunk_leaves false;
   fam.chunks <- c + 1;
-  (* Highest first, so the chunk's slots pop in ascending order. *)
-  for k = chunk_leaves - 1 downto 0 do
-    fam.free.(fam.nfree) <- (c * chunk_leaves) + k;
-    fam.nfree <- fam.nfree + 1
-  done
+  fam.free_head <- first
 
 let take_slot fam =
-  if fam.nfree = 0 then add_chunk fam;
-  fam.nfree <- fam.nfree - 1;
-  fam.free.(fam.nfree)
+  if fam.free_head = no_leaf then add_chunk fam;
+  let slot = fam.free_head in
+  fam.free_head <- -2 - rc fam slot;
+  slot
 
 let free_slot fam slot =
-  fam.free.(fam.nfree) <- slot;
-  fam.nfree <- fam.nfree + 1
+  set_rc fam slot (-2 - fam.free_head);
+  fam.free_head <- slot
 
 (* seussheat: cold — root-pool growth: a root is made only when no released one is waiting, and the root stack doubles with the roots made *)
 let fresh_root fam =
@@ -162,8 +163,7 @@ let create frames =
       rc_col = [||];
       frozen_col = [||];
       chunks = 0;
-      free = [||];
-      nfree = 0;
+      free_head = no_leaf;
       roots = [||];
       nroots = 0;
       made_roots = 0;
@@ -483,7 +483,8 @@ let shares_leaf a b ~vpn =
   && slot = b.dirs.(vpn / entries)
 
 (* Frames are released in ascending directory, then entry, order — the
-   order the frame allocator's free stack hands ids back out in. *)
+   order that fixes how the frame allocator's free list hands ids back
+   out (last freed first). *)
 let release t =
   check_alive t;
   let fam = t.fam in

@@ -199,6 +199,20 @@ let test_fig_reap_reduction () =
   Alcotest.(check bool) "warm mean latency improves" true
     (r.on_.mean_ms < r.off.mean_ms)
 
+(* Under the fault plan a measured call can fail or leave its path;
+   only served calls are credited, so with prefault on every served warm
+   call contributes exactly its one batch. Seed 7 at the default size
+   fails 3 calls per arm. *)
+let test_fig_reap_under_faults () =
+  let run = { Experiments.Run_config.default with fault_rate = 0.01 } in
+  let r = Experiments.Harness.with_run run (fun () -> Experiments.Fig_reap.run ()) in
+  let open Experiments.Fig_reap in
+  Alcotest.(check bool) "calls failed" true (r.on_.failed > 0);
+  Alcotest.(check int) "one batch per served call" r.on_.warm_invocations
+    r.on_.prefault_batches;
+  Alcotest.(check int) "batched COW copies match the off arm's faults"
+    r.off.cow_faults r.on_.prefault_cow
+
 let test_fig_load_shapes () =
   (* Trimmed sweep: every backend produces an arm at every load point,
      SEUSS stays fast and error-free, and the report artifacts render. *)
@@ -594,6 +608,7 @@ let () =
           case "burst contrast" test_burst_contrast;
           case "fig4 deterministic" test_fig4_deterministic;
           case "fig_reap reduction" test_fig_reap_reduction;
+          case "fig_reap under faults" test_fig_reap_under_faults;
           case "fig_load shapes" test_fig_load_shapes;
           case "fig_load same-seed identical" test_fig_load_same_seed_identical;
           case "fig_load replay equals synthesis"

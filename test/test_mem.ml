@@ -55,6 +55,50 @@ let test_frame_accounting () =
     (Int64.sub (F.budget_bytes f) 4096L)
     (F.free_bytes f)
 
+(* An allocator that never tags costs one word per frame id: the
+   refcount cells, which also carry the free list, plus a constant for
+   the record, whether every frame is live or every one is free. *)
+let test_frame_footprint_untagged () =
+  let f = F.create () in
+  let n = 100_000 in
+  (* The refcount capacity: 4096 cells, doubled until every id fits. *)
+  let rec capacity c = if c >= n then c else capacity (2 * c) in
+  let bound = capacity 4096 + 32 in
+  let check what =
+    let words = Obj.reachable_words (Obj.repr f) in
+    if words > bound then
+      Alcotest.failf "%s: %d words reachable, bound %d" what words bound
+  in
+  let ids = Array.init n (fun _ -> F.alloc f) in
+  check "after 100k allocations";
+  Array.iter (F.decref f) ids;
+  check "after freeing them all";
+  Alcotest.(check int) "all free" 0 (F.used_frames f)
+
+(* Tags appear with the first [set_tag] and grow with the allocator:
+   every other frame reads 0, and a tagged frame comes back untagged
+   when its id is recycled. *)
+let test_frame_tags_on_demand () =
+  let f = F.create () in
+  let ids = Array.init 5000 (fun _ -> F.alloc f) in
+  Array.iter (fun id -> Alcotest.(check int) "untagged" 0 (F.tag f id)) ids;
+  F.set_tag f ids.(17) 99;
+  Array.iteri
+    (fun i id ->
+      Alcotest.(check int) "only the tagged frame" (if i = 17 then 99 else 0)
+        (F.tag f id))
+    ids;
+  (* Past the first capacity: the tags grow with the refcounts. *)
+  let more = Array.init 10_000 (fun _ -> F.alloc f) in
+  F.set_tag f more.(9999) 5;
+  Alcotest.(check int) "tag past growth" 5 (F.tag f more.(9999));
+  Alcotest.(check int) "neighbour untagged" 0 (F.tag f more.(9998));
+  Alcotest.(check int) "earlier tag kept" 99 (F.tag f ids.(17));
+  F.decref f ids.(17);
+  let again = F.alloc f in
+  Alcotest.(check int) "id recycled" ids.(17) again;
+  Alcotest.(check int) "recycled id untagged" 0 (F.tag f again)
+
 let frame_refcount_conservation =
   QCheck.Test.make ~name:"random incref/decref keeps allocator consistent"
     ~count:100
@@ -415,6 +459,8 @@ let () =
           case "reuse after free" test_frame_reuse_after_free;
           case "dead frame rejected" test_frame_dead_frame_rejected;
           case "accounting" test_frame_accounting;
+          case "footprint untagged" test_frame_footprint_untagged;
+          case "tags on demand" test_frame_tags_on_demand;
           qcase frame_refcount_conservation;
         ] );
       ( "page_table",

@@ -32,7 +32,13 @@
    - freeze: the capture barrier, which skips leaves already frozen,
      leaves every entry of every live table exactly where a full walk
      over the frozen table's leaves would, across writes, clones
-     (frozen or not), dirty-bit clears and releases.
+     (frozen or not), dirty-bit clears and releases;
+
+   - free list: random alloc / incref / decref / decref_leaf / set_tag
+     schedules on a small allocator that runs dry, checked against a
+     LIFO-stack model of the free ids: alloc returns the id the model
+     pops, liveness, refcounts, tags and the live count agree, and every
+     per-frame entry point raises on a freed id.
 
    SEUSS_PROP_SEED overrides the base seed (see Prop_seed). *)
 
@@ -907,6 +913,164 @@ let test_slot_reuse_matches_model () =
     run_slot_schedule ~seed:base_seed ~sched
   done
 
+(* {1 Free list against a LIFO-stack model} *)
+
+(* The allocator's observable state, kept independently: the free ids
+   as a stack (most recently freed first), the next never-used id, and
+   each live id's refcount and tag. *)
+type alloc_model = {
+  mutable stack : int list;
+  mutable fresh : int;
+  counts : (int, int) Hashtbl.t;
+  tags : (int, int) Hashtbl.t;
+}
+
+let free_budget = 16
+
+let model_drop m id =
+  match Hashtbl.find m.counts id with
+  | 1 ->
+      Hashtbl.remove m.counts id;
+      Hashtbl.remove m.tags id;
+      m.stack <- id :: m.stack
+  | n -> Hashtbl.replace m.counts id (n - 1)
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+let check_alloc_model ~ctx frames m =
+  if F.used_frames frames <> Hashtbl.length m.counts then
+    Alcotest.failf "%s: used_frames %d, model %d" ctx (F.used_frames frames)
+      (Hashtbl.length m.counts);
+  for id = -1 to m.fresh + 1 do
+    let want = Hashtbl.mem m.counts id in
+    if F.is_live frames id <> want then
+      Alcotest.failf "%s: is_live %d = %b, model %b" ctx id (not want) want;
+    if want then begin
+      let rc = Hashtbl.find m.counts id and rc' = F.refcount frames id in
+      if rc <> rc' then Alcotest.failf "%s: refcount %d = %d, model %d" ctx id rc' rc;
+      let tg = Option.value ~default:0 (Hashtbl.find_opt m.tags id)
+      and tg' = F.tag frames id in
+      if tg <> tg' then Alcotest.failf "%s: tag %d = %d, model %d" ctx id tg' tg
+    end
+  done
+
+(* Every per-frame entry point on a dead id raises [Invalid_argument]
+   and leaves the allocator as it was. *)
+let check_dead ~ctx frames id =
+  List.iter
+    (fun (name, f) ->
+      if not (raises_invalid f) then
+        Alcotest.failf "%s: %s on dead frame %d did not raise" ctx name id)
+    [
+      ("incref", fun () -> F.incref frames id);
+      ("decref", fun () -> F.decref frames id);
+      ("refcount", fun () -> ignore (F.refcount frames id));
+      ("tag", fun () -> ignore (F.tag frames id));
+      ("set_tag", fun () -> F.set_tag frames id 7);
+    ]
+
+(* One schedule over a [free_budget]-frame allocator, so it runs dry
+   often: every [alloc] must return the id the model pops (or a fresh
+   one when the stack is empty), and after every step the allocator
+   agrees with the model on every id it has handed out. *)
+let run_free_list_schedule ~seed ~sched =
+  let prng = Sim.Prng.create (Int64.add seed (Int64.of_int (17000 + sched))) in
+  let frames =
+    F.create ~budget_bytes:(Int64.of_int (free_budget * Mem.Mconfig.page_size)) ()
+  in
+  let m =
+    { stack = []; fresh = 0; counts = Hashtbl.create 64; tags = Hashtbl.create 64 }
+  in
+  let live () = Hashtbl.fold (fun id _ acc -> id :: acc) m.counts [] |> List.sort compare in
+  let pick_live () =
+    match live () with
+    | [] -> None
+    | ids -> Some (List.nth ids (Sim.Prng.int prng (List.length ids)))
+  in
+  let steps = 80 + Sim.Prng.int prng 80 in
+  for step = 1 to steps do
+    let ctx = Printf.sprintf "seed %Ld sched %d step %d" seed sched step in
+    (match Sim.Prng.int prng 100 with
+    | r when r < 40 -> (
+        let want =
+          if Hashtbl.length m.counts >= free_budget then None
+          else
+            match m.stack with
+            | id :: rest ->
+                m.stack <- rest;
+                Some id
+            | [] ->
+                m.fresh <- m.fresh + 1;
+                Some (m.fresh - 1)
+        in
+        match (F.alloc frames, want) with
+        | id, Some w ->
+            if id <> w then Alcotest.failf "%s: alloc returned %d, model pops %d" ctx id w;
+            Hashtbl.replace m.counts id 1
+        | id, None -> Alcotest.failf "%s: alloc returned %d past the budget" ctx id
+        | exception F.Out_of_memory ->
+            if want <> None then Alcotest.failf "%s: Out_of_memory below the budget" ctx)
+    | r when r < 52 ->
+        Option.iter
+          (fun id ->
+            F.incref frames id;
+            Hashtbl.replace m.counts id (Hashtbl.find m.counts id + 1))
+          (pick_live ())
+    | r when r < 70 ->
+        Option.iter
+          (fun id ->
+            F.decref frames id;
+            model_drop m id)
+          (pick_live ())
+    | r when r < 80 ->
+        (* A leaf naming a few distinct live frames at random entries,
+           among non-present entries whose frame bits name dead ids. *)
+        let pos = if Sim.Prng.int prng 2 = 0 then 0 else entries_per_leaf in
+        let ents = Array.make (2 * entries_per_leaf) PT.Entry.absent in
+        for i = pos to pos + entries_per_leaf - 1 do
+          if Sim.Prng.int prng 8 = 0 then
+            (* The present bit is bit 0: clear it from a writable entry. *)
+            ents.(i) <-
+              PT.Entry.make ~frame:(m.fresh + i) ~writable:true ~cow:false
+                ~dirty:false ~accessed:false
+              lxor 1
+        done;
+        let ids = Array.of_list (live ()) in
+        Sim.Prng.shuffle prng ids;
+        let k = min (Array.length ids) (Sim.Prng.int prng 6) in
+        let at = Array.init entries_per_leaf (fun i -> pos + i) in
+        Sim.Prng.shuffle prng at;
+        let placed = Array.sub at 0 k in
+        Array.sort compare placed;
+        Array.iteri
+          (fun j i ->
+            ents.(i) <-
+              PT.Entry.make ~frame:ids.(j) ~writable:false ~cow:true ~dirty:false
+                ~accessed:false)
+          placed;
+        F.decref_leaf frames ents ~pos;
+        (* Ascending entry order, so the model's pushes follow it. *)
+        Array.iteri (fun j _ -> model_drop m ids.(j)) placed
+    | r when r < 90 ->
+        Option.iter
+          (fun id ->
+            let tg = 1 + Sim.Prng.int prng 1000 in
+            F.set_tag frames id tg;
+            Hashtbl.replace m.tags id tg)
+          (pick_live ())
+    | _ -> (
+        match m.stack with
+        | [] -> check_dead ~ctx frames m.fresh
+        | stack -> check_dead ~ctx frames (List.nth stack (Sim.Prng.int prng (List.length stack)))));
+    check_alloc_model ~ctx frames m
+  done
+
+let test_free_list_matches_stack_model () =
+  for sched = 0 to schedules - 1 do
+    run_free_list_schedule ~seed:base_seed ~sched
+  done
+
 (* {1 Trace recording} *)
 
 let test_trace_records_fault_order () =
@@ -992,6 +1156,13 @@ let () =
           case
             (Printf.sprintf "%d schedules: slot reuse == pure model" schedules)
             test_slot_reuse_matches_model;
+        ] );
+      ( "free list",
+        [
+          case
+            (Printf.sprintf "%d schedules: alloc order == LIFO stack model"
+               schedules)
+            test_free_list_matches_stack_model;
         ] );
       ( "trace",
         [ case "records fault order once" test_trace_records_fault_order ] );
