@@ -143,7 +143,7 @@ let crash_node t id =
 (* Fault plane: the [Node_crash] site kills a plan-chosen victim — never
    the last node standing, so the cluster degrades rather than dies. *)
 let maybe_inject_crash t fn_id =
-  if Faults.Fault.fire Node_crash ~detail:fn_id then
+  if Faults.Fault.fire Node_crash ~detail:(fun () -> fn_id) then
     match Faults.Fault.current () with
     | None -> ()
     | Some plan ->
@@ -224,7 +224,8 @@ let fetch_with_retry t member (fn : Seuss.Node.fn) =
             let stale =
               (* Fault plane: the registry entry is stale — the holder
                  no longer has the snapshot it advertised. *)
-              if Faults.Fault.fire Registry_stale ~detail:fn_id then begin
+              if Faults.Fault.fire Registry_stale ~detail:(fun () -> fn_id)
+              then begin
                 evict t ~fn_id ~node_id:holder.Registry.node_id ~reason:"stale";
                 true
               end

@@ -5,7 +5,13 @@ type row = {
   per_instance_bytes : int64;
 }
 
-type result = { firecracker : row; docker : row; process : row; seuss : row }
+type result = {
+  budget_bytes : int64;
+  firecracker : row;
+  docker : row;
+  process : row;
+  seuss : row;
+}
 
 let fill ~cap create =
   let n = ref 0 in
@@ -108,7 +114,7 @@ let run ?(budget_bytes = Harness.default_budget) ?rate_sample ?(seed = 13L) ()
         let shim = Seuss.Shim.create env node in
         fun () -> Seuss.Shim.deploy_idle shim Unikernel.Image.Node)
   in
-  { firecracker; docker; process; seuss }
+  { budget_bytes; firecracker; docker; process; seuss }
 
 let paper_rows =
   [
@@ -119,6 +125,7 @@ let paper_rows =
   ]
 
 let render r =
+  let gib = Printf.sprintf "%g" (Int64.to_float r.budget_bytes /. 1073741824.0) in
   let entries =
     List.concat_map
       (fun row ->
@@ -146,7 +153,10 @@ let render r =
   Report.comparison
     ~title:"Table 3: cache density and 16-way parallel creation rate"
     ~note:
-      "Idle Node.js runtime environments on an 88 GB / 16-VCPU node.\n\
-       SEUSS creations relayed through the shim (its single TCP\n\
-       connection bounds the rate, as in the paper).\n"
+      (Printf.sprintf
+         "Idle Node.js runtime environments on %s %s GB / 16-VCPU node.\n\
+          SEUSS creations relayed through the shim (its single TCP\n\
+          connection bounds the rate, as in the paper).\n"
+         (if gib.[0] = '8' || gib = "11" || gib = "18" then "an" else "a")
+         gib)
     entries

@@ -17,6 +17,7 @@ type row = {
 }
 
 type result = {
+  budget_bytes : int64;  (** the node memory budget every row measured *)
   firecracker : row;
   docker : row;
   process : row;

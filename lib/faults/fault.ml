@@ -91,7 +91,7 @@ let plan_fire plan site ~detail =
   r > 0.0
   && Sim.Prng.float plan.rng < r
   &&
-  (record plan site detail;
+  (record plan site (detail ());
    true)
 
 let fire site ~detail =
@@ -103,7 +103,8 @@ let delay () =
   match current () with
   | None -> 0.0
   | Some plan ->
-      if plan_fire plan Net_delay ~detail:"delay spike" then plan.delay_spike
+      if plan_fire plan Net_delay ~detail:(fun () -> "delay spike") then
+        plan.delay_spike
       else 0.0
 
 let pick plan n = Sim.Prng.int plan.rng n

@@ -77,11 +77,12 @@ val set_rate : plan -> site -> float -> unit
 (** Retune one site mid-run (e.g. force [Uc_kill] for exactly one
     invocation in a regression test). *)
 
-val fire : site -> detail:string -> bool
+val fire : site -> detail:(unit -> string) -> bool
 (** [fire site ~detail] decides whether the fault fires here: [false]
     (without drawing) when no plan is installed or the site's rate is 0;
     otherwise one draw from the plan's stream, recorded in {!history}
-    when it fires. [detail] labels the record. *)
+    when it fires. [detail ()] labels the record; it is called only when
+    the fault fires, so a check that does not fire builds no label. *)
 
 val delay : unit -> float
 (** Extra send stall: the plan's [delay_spike] when [Net_delay] fires,

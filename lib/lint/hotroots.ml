@@ -71,6 +71,15 @@ let registry =
     (* Trace-context propagation: per spawned/forked unit of work. *)
     { hr_file = "lib/sim/trace.ml"; hr_binding = "fork";
       hr_why = "span-context fork on every spawn" };
+    (* Trace synthesis: one draw per arrival, one sample per event. *)
+    { hr_file = "lib/sim/prng.ml"; hr_binding = "next";
+      hr_why = "every random draw of the simulator steps the state here" };
+    { hr_file = "lib/sim/prng.ml"; hr_binding = "bits53";
+      hr_why = "one per synthesized arrival gap and one per Zipf sample" };
+    { hr_file = "lib/sim/prng.ml"; hr_binding = "float";
+      hr_why = "every uniform draw outside trace synthesis" };
+    { hr_file = "lib/workload/zipf.ml"; hr_binding = "sample";
+      hr_why = "one rank draw per synthesized trace event" };
   ]
 
 let mem ~file ~binding =

@@ -39,7 +39,9 @@ let connect ?(admit = fun () -> true) ~link l =
   (* Fault plane: an injected drop loses this SYN exactly like an
      admission refusal — the client sleeps the retransmission timeout and
      spends one attempt of its retry budget. *)
-  let admit () = admit () && not (Faults.Fault.fire Net_drop ~detail:"syn") in
+  let admit () =
+    admit () && not (Faults.Fault.fire Net_drop ~detail:(fun () -> "syn"))
+  in
   let rec attempt tries =
     if admit () then begin
       (* Handshake: SYN, SYN/ACK, ACK before data can flow. *)

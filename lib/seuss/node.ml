@@ -364,18 +364,19 @@ let now t = Sim.Engine.now t.node_env.Osenv.engine
 (* Consult the fault plane at one of this node's injection sites; when
    the site fires, count and emit it so the failure timeline is visible
    in [seussctl events]. No plan installed (or rate 0) => always false,
-   with zero PRNG draws. *)
+   with zero PRNG draws, and [detail] is called only when the site
+   fires. *)
 let inject t site detail =
   if Faults.Fault.fire site ~detail then begin
     Osenv.emit t.node_env
       (Obs.Event.Fault_injected
-         { site = Faults.Fault.site_name site; detail });
+         { site = Faults.Fault.site_name site; detail = detail () });
     true
   end
   else false
 
 let headroom_check t =
-  if inject t Faults.Fault.Oom_storm "allocation spike" then
+  if inject t Faults.Fault.Oom_storm (fun () -> "allocation spike") then
     ignore (storm_reclaim t);
   if Int64.compare (free_bytes t) t.cfg.Config.oom_headroom_bytes < 0 then
     ignore (reclaim_idle_ucs t)
@@ -385,8 +386,8 @@ let run_on_uc t ph uc ~args =
   (* Fault plane: kill the guest just as the request is handed to it —
      the request then fails with a lost connection, exactly what a
      mid-request UC death looks like from the node side. *)
-  if inject t Faults.Fault.Uc_kill (Printf.sprintf "uc-%d" (Uc.id uc)) then
-    Uc.destroy uc;
+  if inject t Faults.Fault.Uc_kill (fun () -> Printf.sprintf "uc-%d" (Uc.id uc))
+  then Uc.destroy uc;
   let result =
     match
       Uc.request uc (Unikernel.Driver.Run args)
@@ -513,8 +514,8 @@ let cold_invoke t ph fn ~args =
                     (* Fault plane: a failed capture loses the function
                        snapshot (the invocation itself still succeeds);
                        the next miss pays the cold path again. *)
-                    if not (inject t Faults.Fault.Capture_fail fn.fn_id)
-                    then begin
+                    let detail () = fn.fn_id in
+                    if not (inject t Faults.Fault.Capture_fail detail) then begin
                       let snap =
                         Uc.capture uc ~env:t.node_env ~name:("fn-" ^ fn.fn_id)
                       in

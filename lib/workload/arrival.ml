@@ -61,7 +61,51 @@ let describe = function
 
 type sim = { arrivals : (float * int) array; dwell_time : float array }
 
-let simulate t rng ~horizon =
+(* The arrival loop writes each instant straight into a flat float
+   buffer (and, for [simulate] only, its phase into an int buffer)
+   rather than consing boxed (time, phase) pairs: [Trace.synthesize]
+   reads [at.(0 .. len - 1)] in one pass. *)
+type run = {
+  mutable at : float array;
+  mutable phase : int array;  (* [||] unless phases are recorded *)
+  mutable len : int;
+  dwell : float array;
+}
+
+(* Sized from the expected count plus four standard deviations, so a
+   Poisson horizon seldom grows the buffer at all. *)
+let initial_capacity t horizon =
+  let e = mean_rate t *. horizon in
+  if e < 1e7 then 16 + int_of_float (e +. (4.0 *. sqrt e)) else 1 lsl 23
+
+let[@inline] push r ~record at ph =
+  let cap = Array.length r.at in
+  if r.len = cap then begin
+    let at' = Array.create_float (2 * cap) in
+    Array.blit r.at 0 at' 0 cap;
+    r.at <- at';
+    if record then begin
+      let phase' = Array.make (2 * cap) 0 in
+      Array.blit r.phase 0 phase' 0 cap;
+      r.phase <- phase'
+    end
+  end;
+  r.at.(r.len) <- at;
+  if record then r.phase.(r.len) <- ph;
+  r.len <- r.len + 1
+
+(* An exponential draw over [Sim.Prng.bits53] ([Sim.Prng.float] written
+   out): a float returned from another unit would be boxed once per
+   arrival. *)
+let[@inline] exponential rng ~mean =
+  -.mean *. log (1.0 -. (Float.of_int (Sim.Prng.bits53 rng) *. 0x1p-53))
+
+let[@inline] dwell_of rng (ph : phase) =
+  if ph.dwell = infinity then infinity
+  else if ph.random_dwell then exponential rng ~mean:ph.dwell
+  else ph.dwell
+
+let run ~record t rng ~horizon =
   if not (Float.is_finite horizon) || horizon < 0.0 then
     invalid_arg "Arrival.simulate: horizon must be finite and non-negative";
   let phases =
@@ -70,46 +114,57 @@ let simulate t rng ~horizon =
     | Mmpp { phases } -> phases
   in
   let k = Array.length phases in
-  let dwell_time = Array.make k 0.0 in
-  let acc = ref [] in
-  let count = ref 0 in
+  let cap = initial_capacity t horizon in
+  let r =
+    {
+      at = Array.create_float cap;
+      phase = (if record then Array.make cap 0 else [||]);
+      len = 0;
+      dwell = Array.make k 0.0;
+    }
+  in
+  let dwell = r.dwell in
   let now = ref 0.0 in
   let p = ref 0 in
-  let dwell_of ph =
-    if ph.dwell = infinity then infinity
-    else if ph.random_dwell then Sim.Prng.exponential rng ~mean:ph.dwell
-    else ph.dwell
-  in
-  let phase_end = ref (dwell_of phases.(0)) in
+  let phase_end = ref (dwell_of rng phases.(0)) in
   while !now < horizon do
     let ph = phases.(!p) in
     let boundary = Float.min !phase_end horizon in
     if ph.rate <= 0.0 then begin
-      dwell_time.(!p) <- dwell_time.(!p) +. (boundary -. !now);
+      dwell.(!p) <- dwell.(!p) +. (boundary -. !now);
       now := boundary
     end
     else begin
-      let next = !now +. Sim.Prng.exponential rng ~mean:(1.0 /. ph.rate) in
+      let next = !now +. exponential rng ~mean:(1.0 /. ph.rate) in
       if next < boundary then begin
-        dwell_time.(!p) <- dwell_time.(!p) +. (next -. !now);
+        dwell.(!p) <- dwell.(!p) +. (next -. !now);
         now := next;
-        acc := (next, !p) :: !acc;
-        incr count
+        push r ~record next !p
       end
       else begin
         (* Poisson memorylessness makes redrawing at the boundary exact. *)
-        dwell_time.(!p) <- dwell_time.(!p) +. (boundary -. !now);
+        dwell.(!p) <- dwell.(!p) +. (boundary -. !now);
         now := boundary
       end
     end;
     if !now >= !phase_end && !now < horizon then begin
       p := (!p + 1) mod k;
-      phase_end := !now +. dwell_of phases.(!p)
+      phase_end := !now +. dwell_of rng phases.(!p)
     end
   done;
-  let arrivals = Array.make !count (0.0, 0) in
-  List.iteri (fun i a -> arrivals.(!count - 1 - i) <- a) !acc;
-  { arrivals; dwell_time }
+  r
+
+let simulate t rng ~horizon =
+  let r = run ~record:true t rng ~horizon in
+  {
+    arrivals = Array.init r.len (fun i -> (r.at.(i), r.phase.(i)));
+    dwell_time = r.dwell;
+  }
+
+let instants t rng ~horizon =
+  let r = run ~record:false t rng ~horizon in
+  (r.at, r.len)
 
 let times t rng ~horizon =
-  Array.map fst (simulate t rng ~horizon).arrivals
+  let at, len = instants t rng ~horizon in
+  Array.sub at 0 len

@@ -61,3 +61,8 @@ val simulate : t -> Sim.Prng.t -> horizon:float -> sim
 
 val times : t -> Sim.Prng.t -> horizon:float -> float array
 (** Just the arrival instants of {!simulate}. *)
+
+val instants : t -> Sim.Prng.t -> horizon:float -> float array * int
+(** [(at, len)]: the instants of {!times} in [at.(0 .. len - 1)] of the
+    loop's own buffer (its tail past [len] is unspecified), for a caller
+    that reads them once without a copy. *)

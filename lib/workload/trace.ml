@@ -17,7 +17,7 @@ let synthesize ~functions ~alpha ~arrival ~horizon ~seed =
   let arrival_rng = Sim.Prng.split root in
   let pop_rng = Sim.Prng.split root in
   let zipf = Zipf.create ~alpha ~n:functions in
-  let times = Arrival.times arrival ~horizon arrival_rng in
+  let at, len = Arrival.instants arrival ~horizon arrival_rng in
   {
     functions;
     alpha;
@@ -26,7 +26,7 @@ let synthesize ~functions ~alpha ~arrival ~horizon ~seed =
     rate = Arrival.mean_rate arrival;
     seed;
     events =
-      Array.map (fun at -> { at; fn = Zipf.sample zipf pop_rng }) times;
+      Array.init len (fun i -> { at = at.(i); fn = Zipf.sample zipf pop_rng });
   }
 
 let equal a b =

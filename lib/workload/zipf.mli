@@ -4,8 +4,12 @@
     with a long cold tail (the vHive/Azure trace characterization): rank
     [r]'s invocation probability is proportional to [1/(r+1)^α]. [α = 0]
     degenerates to uniform; larger [α] concentrates load on the head.
-    Sampling is a binary search over the precomputed CDF, drawing exactly
-    one [Sim.Prng.float] per sample, so traces are seed-deterministic. *)
+    A sample draws exactly one [Sim.Prng.float], so traces are
+    seed-deterministic, and returns the first rank whose cumulative
+    weight exceeds it. It starts at a cutpoint table of [n + 1] entries
+    built with the CDF (Chen & Asau, 1974) and walks forward about one
+    step on average, so its cost does not grow with [n]; it allocates
+    nothing of its own. *)
 
 type t
 
@@ -24,4 +28,5 @@ val weight : t -> int -> float
     @raise Invalid_argument if [r] is out of range. *)
 
 val sample : t -> Sim.Prng.t -> int
-(** One rank draw (one PRNG float). *)
+(** One rank draw (one PRNG float): the first rank whose cumulative
+    weight exceeds the draw, or [n - 1] if none does. *)

@@ -81,6 +81,17 @@ let test_table3_orderings () =
   Alcotest.(check bool) "seuss shim-bound near 128/s" true
     (r.seuss.rate > 100.0 && r.seuss.rate < 140.0)
 
+(* The note names the budget the rows were measured at, not the
+   paper's node ([seussctl table3 --mem-gib 2]). *)
+let test_table3_note_budget () =
+  let note =
+    Experiments.Table3.(
+      render
+        (run ~budget_bytes:(Int64.of_int (Mem.Mconfig.mib 2048)) ~rate_sample:20 ()))
+  in
+  let says = "on a 2 GB / 16-VCPU node" in
+  Alcotest.(check bool) says true (contains note says)
+
 let test_fig4_crossover () =
   let r =
     Experiments.Fig4.run ~set_sizes:[ 64; 1024 ] ~client_threads:16 ()
@@ -579,7 +590,7 @@ let test_run_config_parse () =
    variables Run_config reads, in its order (SEUSS_PROP_SEED is a test
    knob, described outside the table). *)
 let test_readme_env_table () =
-  let text = In_channel.with_open_bin "../README.md" In_channel.input_all in
+  let text = Readme_text.text in
   let var_of_row line =
     if String.starts_with ~prefix:"| `SEUSS_" line then
       let stop = String.index_from line 3 '=' in
@@ -600,6 +611,7 @@ let () =
           case "table1 note names its count" test_table1_note_count;
           case "table2 ladder" test_table2_ladder;
           case "table3 orderings" test_table3_orderings;
+          case "table3 note names its budget" test_table3_note_budget;
         ] );
       ( "figures",
         [

@@ -45,6 +45,55 @@ let test_prng_deterministic () =
     Alcotest.(check int64) "same stream" (Sim.Prng.next a) (Sim.Prng.next b)
   done
 
+(* splitmix64's reference outputs (Steele, Lea & Flood): the stream is
+   a contract, since every seeded trace and experiment derives from it. *)
+let test_prng_known_answers () =
+  let stream seed k =
+    let r = Sim.Prng.create seed in
+    List.init k (fun _ -> Printf.sprintf "%016Lx" (Sim.Prng.next r))
+  in
+  Alcotest.(check (list string)) "seed 0"
+    [ "e220a8397b1dcdaf"; "6e789e6aa1b965f4"; "06c45d188009454f" ]
+    (stream 0L 3);
+  Alcotest.(check (list string)) "seed 1234567"
+    [ "599ed017fb08fc85"; "2c73f08458540fa5" ]
+    (stream 1234567L 2)
+
+(* The generator's state is unboxed, so a draw allocates nothing of its
+   own: [bits53], [int] and [shuffle] return immediates and take 0
+   words. A draw that returns an [int64] or a [float] to another
+   compilation unit may still box that result (3 or 2 words) where the
+   build compiles units opaquely, as dune's dev profile does, since
+   [@inline] cannot cross the unit boundary there; under a release
+   build it is inlined and the count is 0 too. *)
+let test_prng_draws_allocate_nothing () =
+  let r = Sim.Prng.create 3L in
+  let words draw =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 1_000 do
+      draw ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  let zeros = ref 0 in
+  let result_only name ~box w =
+    if w <> 0.0 && w <> 1000.0 *. box then
+      Alcotest.failf "%s: %.0f minor words across 1000 draws" name w
+  in
+  result_only "next" ~box:3.0
+    (words (fun () -> if Int64.equal (Sim.Prng.next r) 0L then incr zeros));
+  result_only "float" ~box:2.0
+    (words (fun () -> if Sim.Prng.float r = 0.0 then incr zeros));
+  Alcotest.(check (float 0.0)) "bits53" 0.0
+    (words (fun () -> zeros := !zeros + Sim.Prng.bits53 r));
+  Alcotest.(check (float 0.0)) "int" 0.0
+    (words (fun () -> zeros := !zeros + Sim.Prng.int r 7));
+  let a = Array.init 1_000 Fun.id in
+  let w0 = Gc.minor_words () in
+  Sim.Prng.shuffle r a;
+  Alcotest.(check (float 0.0)) "shuffle of 1000" 0.0 (Gc.minor_words () -. w0);
+  ignore (Sys.opaque_identity !zeros)
+
 let test_prng_split_independent () =
   let a = Sim.Prng.create 42L in
   let c = Sim.Prng.split a in
@@ -1093,6 +1142,8 @@ let () =
       ( "prng",
         [
           case "deterministic" test_prng_deterministic;
+          case "known answers" test_prng_known_answers;
+          case "draws allocate nothing" test_prng_draws_allocate_nothing;
           case "split" test_prng_split_independent;
           case "shuffle permutation" test_prng_shuffle_permutation;
           qcase prng_float_in_range;

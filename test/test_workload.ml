@@ -51,6 +51,141 @@ let test_zipf_samples_in_range =
       done;
       !ok)
 
+(* A generator whose first [Sim.Prng.float] is exactly [bits / 2^53]:
+   splitmix64's output mix is a bijection, so the seed is its inverse
+   applied to [bits lsl 11], less one step. *)
+let rng_drawing bits =
+  let inv_mul c =
+    (* Newton's iteration for an odd c's inverse modulo 2^64. *)
+    let x = ref c in
+    for _ = 1 to 6 do
+      x := Int64.mul !x (Int64.sub 2L (Int64.mul c !x))
+    done;
+    !x
+  in
+  let unshift z k =
+    let r = ref z and s = ref k in
+    while !s < 64 do
+      r := Int64.logxor !r (Int64.shift_right_logical z !s);
+      s := !s + k
+    done;
+    !r
+  in
+  let z = Int64.shift_left (Int64.of_int bits) 11 in
+  let z = unshift z 31 in
+  let z = Int64.mul z (inv_mul 0x94D049BB133111EBL) in
+  let z = unshift z 27 in
+  let z = Int64.mul z (inv_mul 0xBF58476D1CE4E5B9L) in
+  let z = unshift z 30 in
+  Sim.Prng.create (Int64.sub z 0x9E3779B97F4A7C15L)
+
+(* The draws a property case starts from, as 53-bit values. *)
+type draw =
+  | Bits of int  (* this value: zero, the top, just below it, anywhere *)
+  | Near_weight of float * int
+      (* [off] past the cumulative weight of rank [frac * n] *)
+  | Near_cut of float * int  (* [off] past [frac] of the way up the CDF *)
+
+(* [Zipf.sample] against the binary search it replaced, written out
+   here: the first rank whose cumulative weight exceeds the draw, or the
+   last rank when none does. Each case checks one chosen draw and 200
+   streamed ones from the same generator. The chosen draws sit where a
+   sampler slips: at zero, at the top of the CDF, on and beside each
+   cumulative weight, and beside [k / (n + 1)] of the total, where a
+   table with a slot per rank would cut. *)
+let test_zipf_sample_matches_binary_search =
+  let top = (1 lsl 53) - 1 in
+  QCheck.Test.make ~name:"zipf sample equals a binary search of the CDF"
+    ~count:400
+    QCheck.(
+      triple
+        (oneof [ always 1; int_range 1 16; int_range 1 5_000; int_range 1 100_000 ])
+        (oneof [ always 0.0; float_range 0.0 2.5 ])
+        (oneof
+           [
+             always (Bits 0);
+             always (Bits top);
+             map (fun k -> Bits (top - k)) (int_range 0 100_000);
+             map (fun b -> Bits b) (int_range 0 top);
+             map (fun (f, o) -> Near_weight (f, o))
+               (pair (float_range 0.0 1.0) (int_range (-2) 2));
+             map (fun (f, o) -> Near_cut (f, o))
+               (pair (float_range 0.0 1.0) (int_range (-2) 2));
+           ]))
+    (fun (n, alpha, draw) ->
+      let z = Workload.Zipf.create ~alpha ~n in
+      let cdf = Array.make n 0.0 in
+      let acc = ref 0.0 in
+      for r = 0 to n - 1 do
+        acc := !acc +. (1.0 /. Float.pow (float_of_int (r + 1)) alpha);
+        cdf.(r) <- !acc
+      done;
+      let total = !acc in
+      let search u =
+        let lo = ref 0 and hi = ref (n - 1) in
+        while !lo < !hi do
+          let mid = (!lo + !hi) / 2 in
+          if cdf.(mid) > u then hi := mid else lo := mid + 1
+        done;
+        !lo
+      in
+      let of_share share off =
+        let b = int_of_float (Float.round (share *. 9007199254740992.0)) + off in
+        max 0 (min top b)
+      in
+      let bits =
+        match draw with
+        | Bits b -> b
+        | Near_weight (f, off) ->
+            let k = min (n - 1) (int_of_float (f *. float_of_int n)) in
+            of_share (cdf.(k) /. total) off
+        | Near_cut (f, off) ->
+            let k = int_of_float (f *. float_of_int (n + 1)) in
+            of_share (float_of_int k /. float_of_int (n + 1)) off
+      in
+      let a = rng_drawing bits and b = rng_drawing bits in
+      let ok =
+        ref
+          (Sim.Prng.float (rng_drawing bits)
+          = float_of_int bits *. (1.0 /. 9007199254740992.0))
+      in
+      for _ = 0 to 200 do
+        let got = Workload.Zipf.sample z a in
+        let want = search (Sim.Prng.float b *. total) in
+        if got <> want then ok := false
+      done;
+      !ok)
+
+(* Synthesis allocates per trace, not per draw: a Zipf sample takes no
+   words, and the arrival loop's minor allocation does not grow with
+   the number of arrivals (its instant buffer is one block). *)
+let test_draws_allocate_nothing () =
+  let z = Workload.Zipf.create ~alpha:1.1 ~n:1024 in
+  let rng = rng_for "zipf-alloc" in
+  let sum = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    sum := !sum + Workload.Zipf.sample z rng
+  done;
+  Alcotest.(check (float 0.0)) "minor words across 1000 samples" 0.0
+    (Gc.minor_words () -. w0);
+  let words horizon =
+    let rng = rng_for "arrival-alloc" in
+    let w0 = Gc.minor_words () in
+    let _, len =
+      Workload.Arrival.instants (Workload.Arrival.poisson ~rate:100.0) rng
+        ~horizon
+    in
+    (Gc.minor_words () -. w0, len)
+  in
+  let short, n_short = words 50.0 and long, n_long = words 200.0 in
+  if n_long < 3 * n_short then Alcotest.failf "%d vs %d arrivals" n_long n_short;
+  Alcotest.(check (float 0.0))
+    (Printf.sprintf "minor words for %d arrivals less those for %d" n_long
+       n_short)
+    0.0 (long -. short);
+  ignore (Sys.opaque_identity !sum)
+
 (* Empirical rank-frequency slope: draw many samples, least-squares fit
    log(freq) against log(rank+1) over the well-populated head ranks; the
    slope must recover -alpha. *)
@@ -446,6 +581,8 @@ let () =
           case "validation and uniform limit" test_zipf_validation;
           qcase test_zipf_weights_normalized;
           qcase test_zipf_samples_in_range;
+          qcase test_zipf_sample_matches_binary_search;
+          case "draws allocate nothing" test_draws_allocate_nothing;
           case "empirical rank-frequency slope" test_zipf_slope;
         ] );
       ( "arrival",
