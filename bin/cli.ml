@@ -234,14 +234,19 @@ let load =
   in
   let run hours functions alpha arrival rps json_out save_traces trace_in csv
       seed =
-    let r =
-      match trace_in with
-      | Some path -> (
+    let loaded =
+      Option.map
+        (fun path ->
           match Workload.Trace.load ~path with
-          | Ok trace -> E.Fig_load.run_trace ~seed trace
+          | Ok trace -> trace
           | Error msg ->
               Printf.eprintf "seussctl: cannot load trace %s: %s\n" path msg;
               exit 2)
+        trace_in
+    in
+    let r =
+      match loaded with
+      | Some trace -> E.Fig_load.run_trace ~seed trace
       | None -> E.Fig_load.run ~hours ~functions ~alpha ~arrival ~rps ~seed ()
     in
     Option.iter (fun path -> E.Fig_load.write_csv ~path r) csv;
@@ -249,15 +254,19 @@ let load =
       (fun prefix ->
         List.iter
           (fun (p : E.Fig_load.point) ->
-            (* Synthesis is pure, so the sweep's traces can be
-               rematerialized from the report parameters. *)
+            (* A replayed trace is saved as loaded. Synthesis is pure,
+               so a sweep's traces are rematerialized from the report
+               parameters. *)
             let trace =
-              Workload.Trace.synthesize ~functions:r.E.Fig_load.functions
-                ~alpha:r.E.Fig_load.alpha
-                ~arrival:
-                  (E.Fig_load.arrival_of_name r.E.Fig_load.arrival
-                     ~rate:p.E.Fig_load.offered_rps)
-                ~horizon:r.E.Fig_load.horizon ~seed:r.E.Fig_load.seed
+              match loaded with
+              | Some trace -> trace
+              | None ->
+                  Workload.Trace.synthesize ~functions:r.E.Fig_load.functions
+                    ~alpha:r.E.Fig_load.alpha
+                    ~arrival:
+                      (E.Fig_load.arrival_of_name r.E.Fig_load.arrival
+                         ~rate:p.E.Fig_load.offered_rps)
+                    ~horizon:r.E.Fig_load.horizon ~seed:r.E.Fig_load.seed
             in
             let path =
               Printf.sprintf "%s-%g.jsonl" prefix p.E.Fig_load.offered_rps

@@ -205,10 +205,11 @@ let events_cmd =
           let dropped = Obs.Log.dropped env.Seuss.Osenv.log in
           if dropped > 0 then
             Printf.eprintf
-              "seussctl: %d event%s evicted from the ring before this dump \
-               (raise log_capacity to keep them)\n"
+              "seussctl: %d event%s evicted from the %d-event ring before \
+               this dump (fewer --calls keep every event)\n"
               dropped
-              (if dropped = 1 then "" else "s");
+              (if dropped = 1 then "" else "s")
+              Obs.Log.default_capacity;
           traces)
     in
     Option.iter

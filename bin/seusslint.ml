@@ -43,8 +43,12 @@ let list_rules () =
     Lint.Rules.ambiguous_resolve;
   Printf.printf
     "  %-22s [meta] reported for a registered hot root whose file no \
-     longer defines it\n"
-    Lint.Rules.stale_root
+     longer defines it, or is gone\n"
+    Lint.Rules.stale_root;
+  Printf.printf
+    "  %-22s [meta] reported for an atomic-context registrar whose file no \
+     longer defines it, or is gone\n"
+    Lint.Rules.stale_registrar
 
 (* Minimal JSON string escaping: the report fields are ASCII paths and
    rule prose, but messages may carry quotes or em dashes. *)
@@ -130,7 +134,11 @@ let () =
       Printf.eprintf "seusslint: %s\n" msg;
       exit 2
   in
-  let prog = Lint.Passes.program sources in
+  let prog =
+    Lint.Passes.program
+      ~dirs:(Lint.Source.scanned_dirs ?strip_prefix roots)
+      sources
+  in
   let selected =
     List.filter
       (fun (p : Lint.Pass.t) -> !pass = "all" || p.name = !pass)

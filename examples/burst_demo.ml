@@ -50,8 +50,11 @@ let run_backend name make_controller =
       copy r.Platform.Burst.background;
       copy r.Platform.Burst.bursts;
       let points = Stats.Series.points all in
+      let last =
+        Array.fold_left (fun acc p -> Float.max acc p.Stats.Series.time) 0.0 points
+      in
       List.iter
-        (fun (start, _) ->
+        (fun start ->
           let in_window =
             Array.to_list points
             |> List.filter (fun p ->
@@ -70,13 +73,14 @@ let run_backend name make_controller =
               (Stats.Summary.percentile s 99.0 *. 1e3)
               failures
           end)
-        (Stats.Series.window_counts all ~width:window))
+        (List.init
+           (1 + int_of_float (last /. window))
+           (fun i -> float_of_int i *. window)))
 
 let () =
   run_backend "Linux" (fun env ->
       let config =
         {
-          Baselines.Linux_node.default_config with
           Baselines.Linux_node.stemcell_count = 32;
           container_cache_limit = 96;
         }

@@ -29,13 +29,7 @@ let () =
   Sim.Engine.spawn engine ~name:"multi-tenant" (fun () ->
       (* A deliberately small 4 GB node so the OOM daemon has work. *)
       let env = Seuss.Osenv.create ~budget_bytes:(Int64.mul 4L gib) engine in
-      let config =
-        {
-          Seuss.Config.default with
-          Seuss.Config.oom_headroom_bytes = Int64.of_int (Mem.Mconfig.mib 512);
-        }
-      in
-      let node = Seuss.Node.create ~config env in
+      let node = Seuss.Node.create env in
       Seuss.Node.start node;
 
       let fn i =

@@ -7,8 +7,6 @@ type region = {
 
 type t = {
   env : Seuss.Osenv.t;
-  scan_rate : float;
-  fraction : float;
   master : Mem.Frame.frame;
   pending : region Queue.t;
   mutable merged : int;
@@ -18,11 +16,14 @@ type t = {
 (* Cost of comparing + checksumming one candidate page during a scan. *)
 let scan_cpu_per_page = 2.0e-6
 
-let create ?(scan_rate_pages_per_s = 25_000.0) ?(dedup_fraction = 0.45) env =
+(* A generous `ksmd`, and the share of a fresh interpreter process's
+   private pages that duplicate the master image. *)
+let scan_rate_pages_per_s = 25_000.0
+let dedup_fraction = 0.45
+
+let create env =
   {
     env;
-    scan_rate = scan_rate_pages_per_s;
-    fraction = dedup_fraction;
     master = Mem.Frame.alloc env.Seuss.Osenv.frames;
     pending = Queue.create ();
     merged = 0;
@@ -30,7 +31,7 @@ let create ?(scan_rate_pages_per_s = 25_000.0) ?(dedup_fraction = 0.45) env =
   }
 
 let register t space ~private_base_vpn ~private_pages =
-  let dedupable = int_of_float (t.fraction *. float_of_int private_pages) in
+  let dedupable = int_of_float (dedup_fraction *. float_of_int private_pages) in
   if dedupable > 0 then begin
     Queue.add
       { space; base_vpn = private_base_vpn; to_merge = dedupable; cursor = 0 }
@@ -54,7 +55,7 @@ let merge_batch t budget =
         Mem.Frame.incref t.env.Seuss.Osenv.frames t.master;
         Mem.Page_table.set table ~vpn
           (Mem.Page_table.Entry.make ~frame:t.master ~writable:false ~cow:true
-             ~dirty:false ~accessed:true)
+             ~dirty:false)
       end
     done;
     region.cursor <- region.cursor + n;
@@ -83,7 +84,7 @@ let run_daemon t ~stop =
   let engine = t.env.Seuss.Osenv.engine in
   Sim.Engine.spawn engine ~name:"ksmd" (fun () ->
       let tick = 0.1 in
-      let budget_per_tick = int_of_float (t.scan_rate *. tick) in
+      let budget_per_tick = int_of_float (scan_rate_pages_per_s *. tick) in
       let rec loop () =
         if not (Sim.Ivar.is_full stop) then begin
           let n = merge_batch t budget_per_tick in

@@ -19,12 +19,8 @@
 
 type t
 
-val create :
-  ?scan_rate_pages_per_s:float ->
-  ?dedup_fraction:float ->
-  Seuss.Osenv.t ->
-  t
-(** Defaults: 25,000 pages/s scan rate (a generous `ksmd`), 45% of a
+val create : Seuss.Osenv.t -> t
+(** A 25,000 pages/s scan rate (a generous `ksmd`), with 45% of a
     process's private pages dedupable. *)
 
 val register : t -> Mem.Addr_space.t -> private_base_vpn:int -> private_pages:int -> unit

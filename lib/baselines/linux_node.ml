@@ -1,17 +1,11 @@
-type config = {
-  container_cache_limit : int;
-  stemcell_count : int;
-  invoke_timeout : float;
-  capacity_retry_interval : float;
-}
+type config = { container_cache_limit : int; stemcell_count : int }
 
-let default_config =
-  {
-    container_cache_limit = 1024;
-    stemcell_count = 0;
-    invoke_timeout = 60.0;
-    capacity_retry_interval = 0.1;
-  }
+let default_config = { container_cache_limit = 1024; stemcell_count = 0 }
+
+(* How long a request waits for its container, and how often it looks
+   for free capacity meanwhile. *)
+let invoke_timeout = 60.0
+let capacity_retry_interval = 0.1
 
 (* /init (importing function code into Node.js) and invocation-server
    request handling: the OpenWhisk operating point. *)
@@ -76,7 +70,6 @@ let create ?(config = default_config) env =
     s_errors = 0;
   }
 
-let bridge t = t.br
 let config t = t.cfg
 let container_count t = t.total
 
@@ -252,10 +245,10 @@ let run_in_container t c action =
           | Some listener -> (
               match
                 Net.Http.get ~link:Net.Netconf.lan listener ~path:url
-                  ~timeout:t.cfg.invoke_timeout
+                  ~timeout:invoke_timeout
               with
               | Ok _ | Error _ -> ())));
-      match Net.Tcp.recv_timeout conn ~timeout:t.cfg.invoke_timeout with
+      match Net.Tcp.recv_timeout conn ~timeout:invoke_timeout with
       | Some (Some _) ->
           Net.Tcp.close conn;
           finish (Ok ())
@@ -281,7 +274,7 @@ let rec acquire_capacity t ~deadline =
   else if evict_one_idle t then true
   else if Sim.Engine.now t.env.Seuss.Osenv.engine >= deadline then false
   else begin
-    Sim.Engine.sleep t.cfg.capacity_retry_interval;
+    Sim.Engine.sleep capacity_retry_interval;
     acquire_capacity t ~deadline
   end
 
@@ -299,7 +292,7 @@ let invoke t fn =
           (run_in_container t c fn.action, Stemcell)
       | _ ->
           let deadline =
-            Sim.Engine.now t.env.Seuss.Osenv.engine +. t.cfg.invoke_timeout
+            Sim.Engine.now t.env.Seuss.Osenv.engine +. invoke_timeout
           in
           if not (acquire_capacity t ~deadline) then begin
             t.s_errors <- t.s_errors + 1;

@@ -15,16 +15,12 @@
     errors; and when no capacity frees up within the timeout the request
     errors out. *)
 
-type config = {
-  container_cache_limit : int;
-  stemcell_count : int;
-  invoke_timeout : float;
-  capacity_retry_interval : float;
-}
+type config = { container_cache_limit : int; stemcell_count : int }
 
 val default_config : config
-(** Limit 1024, no stemcells, 60 s timeout. Every container pays 55 ms
-    of /init (importing function code into Node.js) and 1.2 ms of
+(** Limit 1024, no stemcells. Every request times out after 60 s,
+    waiting for capacity in 0.1 s steps; every container pays 55 ms of
+    /init (importing function code into Node.js) and 1.2 ms of
     invocation-server handling per request. *)
 
 type fn = { fn_id : string; action : Backend_intf.action }
@@ -45,8 +41,6 @@ type t
 
 val create : ?config:config -> Seuss.Osenv.t -> t
 (** Uses the env's frame allocator and core pool; builds its own bridge. *)
-
-val bridge : t -> Net.Bridge.t
 
 val config : t -> config
 

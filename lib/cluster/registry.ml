@@ -34,9 +34,6 @@ let locate t ~fn_id =
       end;
       live
 
-let holder_other_than t ~fn_id ~node_id =
-  List.find_opt (fun l -> l.node_id <> node_id) (locate t ~fn_id)
-
 let evict t ~fn_id ~node_id =
   Sim.Hb.write t.cell;
   match Hashtbl.find_opt t.table fn_id with
@@ -53,14 +50,6 @@ let held_by t ~node_id =
         acc @ [ fn_id ]
       else acc)
     t.table []
-
-let forget_node t ~node_id =
-  Sim.Hb.write t.cell;
-  Det.iter
-    (fun fn_id locations ->
-      Hashtbl.replace t.table fn_id
-        (List.filter (fun l -> l.node_id <> node_id) locations))
-    (Hashtbl.copy t.table)
 
 let entries t =
   Sim.Hb.read t.cell;

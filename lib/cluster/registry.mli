@@ -17,9 +17,6 @@ val publish : t -> fn_id:string -> node_id:int -> Seuss.Snapshot.t -> unit
 val locate : t -> fn_id:string -> location list
 (** All live holders (deleted snapshots are filtered and dropped). *)
 
-val holder_other_than : t -> fn_id:string -> node_id:int -> location option
-(** A live holder on some other node, if any. *)
-
 val evict : t -> fn_id:string -> node_id:int -> unit
 (** Drop one holder entry (the fault-plane path: the holder is dead or
     its entry is stale). Other holders of [fn_id] are untouched. *)
@@ -27,7 +24,5 @@ val evict : t -> fn_id:string -> node_id:int -> unit
 val held_by : t -> node_id:int -> string list
 (** The fn_ids [node_id] currently holds, sorted — the work-list for
     post-crash eviction and re-publication. *)
-
-val forget_node : t -> node_id:int -> unit
 
 val entries : t -> int

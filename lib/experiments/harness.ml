@@ -1,22 +1,19 @@
 let default_budget = Mem.Mconfig.default_budget_bytes
 
-(* Arming: every hook below is applied from one Run_config.t. A caller
-   that omits it gets the environment's, parsed here at the boundary — a
-   malformed variable fails the run instead of silently disarming it.
-   [active] is the configuration of the enclosing with_run (every
-   run_sim is one), so the nodes an experiment body builds agree with
-   the engine it runs on. *)
+(* Arming: every hook below is applied from one Run_config.t, the
+   enclosing with_run's (every run_sim is one), so the nodes an
+   experiment body builds agree with the engine it runs on. Outside any
+   with_run it is the environment's, parsed here at the boundary — a
+   malformed variable fails the run instead of silently disarming it. *)
 let active : Run_config.t option ref = ref None
 
-let resolve = function
+let resolve () =
+  match !active with
   | Some run -> run
   | None -> (
-      match !active with
-      | Some run -> run
-      | None -> (
-          match Run_config.of_env () with
-          | Ok run -> run
-          | Error msg -> invalid_arg ("Harness: " ^ msg)))
+      match Run_config.of_env () with
+      | Ok run -> run
+      | Error msg -> invalid_arg ("Harness: " ^ msg))
 
 (* Fault plane: a nonzero rate arms every injection site. The plan seed
    is derived from the run seed by a fixed xor (never split off the
@@ -56,8 +53,8 @@ let with_run run f =
   active := Some run;
   Fun.protect ~finally:(fun () -> active := outer) f
 
-let run_sim ?run ?(seed = 7L) body =
-  let run = resolve run in
+let run_sim ?(seed = 7L) body =
+  let run = resolve () in
   with_run run (fun () ->
       (* The tie shuffler, deadlock detector and ownership census are
          engine arguments; the happens-before checker is armed before
@@ -118,7 +115,7 @@ let arm_census node =
     node
 
 let seuss_node ?(config = Seuss.Config.default) env =
-  let node = Seuss.Node.create ~config:(arm_config (resolve None) config) env in
+  let node = Seuss.Node.create ~config:(arm_config (resolve ()) config) env in
   arm_census node;
   Seuss.Node.start node;
   node

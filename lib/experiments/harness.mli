@@ -3,25 +3,25 @@
     then run a body inside the simulation. One fresh deployment per
     trial, like the paper.
 
-    The harness is where a run is armed. {!run_sim} applies its [?run]
-    {!Run_config.t}; when it is omitted, and for every node
-    {!seuss_node} builds, the enclosing {!with_run}'s configuration is
-    used (every {!run_sim} is one), and outside any the environment's
-    ({!Run_config.of_env}).
+    The harness is where a run is armed. {!run_sim}, and every node
+    {!seuss_node} builds, use the enclosing {!with_run}'s
+    {!Run_config.t} (every {!run_sim} is one), and outside any the
+    environment's ({!Run_config.of_env}).
     @raise Invalid_argument when the configuration has to be read from
     a malformed environment. *)
 
 val with_run : Run_config.t -> (unit -> 'a) -> 'a
 (** [with_run run f] calls [f] with [run] as the enclosing
     configuration, restored on return or raise. Experiments called
-    inside it without an explicit [?run] are armed by [run], whatever
-    the environment says: a binary that parsed the environment once
-    wraps its commands in it, and a test compares arms in one process
-    without touching the environment. An explicit [?run] still wins. *)
+    inside it are armed by [run], whatever the environment says: a
+    binary that parsed the environment once wraps its commands in it,
+    and a test compares arms in one process without touching the
+    environment. *)
 
-val run_sim : ?run:Run_config.t -> ?seed:int64 -> (Sim.Engine.t -> 'a) -> 'a
+val run_sim : ?seed:int64 -> (Sim.Engine.t -> 'a) -> 'a
 (** Spawn the body as a simulation process on a fresh engine armed per
-    [run] and drive it until it completes, all inside {!with_run}. The
+    the enclosing configuration [run] (see {!with_run}) and drive it
+    until it completes, all inside {!with_run}. The
     engine carries the tie shuffler, deadlock detector and ownership
     census, and the happens-before checker ({!Sim.Hb}) is enabled
     before anything spawns; this is the only way to get an armed

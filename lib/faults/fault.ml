@@ -27,17 +27,12 @@ let site_name = function
   | Node_crash -> "node_crash"
   | Registry_stale -> "registry_stale"
 
-exception Injected_crash of string
-
-let crash detail = raise (Injected_crash detail)
-
 type record = { time : float; site : site; detail : string }
 
 type plan = {
   engine : Sim.Engine.t;
   rng : Sim.Prng.t;
   mutable rates : (site * float) list;
-  delay_spike : float;
   mutable history : record list; (* newest first *)
 }
 
@@ -50,14 +45,17 @@ let validate_rate site r =
       (Printf.sprintf "Fault: rate for %s must be in [0,1] (got %g)"
          (site_name site) r)
 
-let make ?seed ?(delay_spike = 0.02) ?(rates = []) engine =
+(* The send stall injected when [Net_delay] fires. *)
+let delay_spike = 0.02
+
+let make ?seed ?(rates = []) engine =
   List.iter (fun (site, r) -> validate_rate site r) rates;
   let rng =
     match seed with
     | Some s -> Sim.Prng.create s
     | None -> Sim.Prng.split (Sim.Engine.rng engine)
   in
-  { engine; rng; rates; delay_spike; history = [] }
+  { engine; rng; rates; history = [] }
 
 let install plan = Sim.Engine.set_global plan.engine key (Some plan)
 
@@ -104,7 +102,7 @@ let delay () =
   | None -> 0.0
   | Some plan ->
       if plan_fire plan Net_delay ~detail:(fun () -> "delay spike") then
-        plan.delay_spike
+        delay_spike
       else 0.0
 
 let pick plan n = Sim.Prng.int plan.rng n

@@ -27,7 +27,7 @@ type site =
   | Capture_fail  (** snapshot capture fails after compile ([Seuss.Node]) *)
   | Oom_storm  (** transient memory pressure evicts all idle UCs *)
   | Net_drop  (** a SYN is dropped ([Net.Tcp.connect]) *)
-  | Net_delay  (** a send stalls for [delay_spike] seconds *)
+  | Net_delay  (** a send stalls for 20 ms *)
   | Node_crash  (** a whole cluster node dies ([Cluster.Drseuss]) *)
   | Registry_stale  (** a registry holder entry is stale at fetch time *)
 
@@ -35,30 +35,16 @@ val all_sites : site list
 
 val site_name : site -> string
 
-exception Injected_crash of string
-(** The exception a deliberately-crashed process dies with; pair with
-    {!Sim.Engine.spawn_supervised} to kill one process without aborting
-    the run. *)
-
-val crash : string -> 'a
-(** [crash detail] raises {!Injected_crash}. *)
-
 type record = { time : float; site : site; detail : string }
 
 type plan
 
-val make :
-  ?seed:int64 ->
-  ?delay_spike:float ->
-  ?rates:(site * float) list ->
-  Sim.Engine.t ->
-  plan
+val make : ?seed:int64 -> ?rates:(site * float) list -> Sim.Engine.t -> plan
 (** [make engine] is a fresh plan. [seed] fixes the plan's private PRNG;
     by default it is split off the engine's stream (one draw, at
     creation only), so the engine seed alone determines the failure
     sequence. [rates] gives each site's per-check fire probability
-    (absent sites never fire); [delay_spike] (default 20 ms) is the
-    stall injected when [Net_delay] fires.
+    (absent sites never fire).
     @raise Invalid_argument if any rate is outside [0,1]. *)
 
 val install : plan -> unit
@@ -85,8 +71,7 @@ val fire : site -> detail:(unit -> string) -> bool
     the fault fires, so a check that does not fire builds no label. *)
 
 val delay : unit -> float
-(** Extra send stall: the plan's [delay_spike] when [Net_delay] fires,
-    [0.0] otherwise. *)
+(** Extra send stall: 20 ms when [Net_delay] fires, [0.0] otherwise. *)
 
 val pick : plan -> int -> int
 (** Deterministic victim choice in [\[0, n)] from the plan's stream. *)

@@ -27,6 +27,10 @@
    - unreleased-acquire: a bare acquire of a classified lock whose
      enclosing function never releases that class.
 
+   A {!Contexts} row whose registrar is gone from its scanned file, or
+   whose file is gone from a scanned directory, is a stale-registrar
+   finding.
+
    Suppressions use the pass's own marker so they never collide with the
    base pass: (* seussdead: allow <rule> — <reason> *). *)
 
@@ -172,12 +176,13 @@ let iterator fx st =
         | _ -> walk_args sub args)
     | None -> (
         match Contexts.registrar_of ~suffix:(Graph.suffix2 path) with
-        | Some (sfx, arg_spec, desc) -> (
-            match callback_arg_of arg_spec args with
+        | Some r -> (
+            match callback_arg_of r.arg args with
             | None -> walk_args sub args
             | Some cb ->
                 let rg =
-                  { rg_desc = Printf.sprintf "%s (callback of %s)" desc sfx;
+                  { rg_desc =
+                      Printf.sprintf "%s (callback of %s)" r.desc r.suffix;
                     rg_node = st.cur; rg_line = line; rg_refs = [] }
                 in
                 fx.regions <- rg :: fx.regions;
@@ -507,7 +512,22 @@ let check pass (prog : Pass.program) =
         fx.bare.(f.id))
     g.nodes;
   let surviving = Marker.suppress (Marker.with_verb "allow" markers) !hits in
-  surviving @ Marker.unused marker markers @ bad
+  (* A registrar whose binding or file is gone guards nothing: its
+     callbacks would lose the check without a word. *)
+  let stale =
+    List.filter_map
+      (fun (r : Contexts.registrar) ->
+        Option.map
+          (fun why ->
+            Source.violation r.file 1 0 Rules.stale_registrar
+              (Printf.sprintf
+                 "registrar %s is listed in Lint.Contexts but %s; update or \
+                  delete the entry"
+                 r.suffix why))
+          (Pass.stale_entry prog ~file:r.file ~binding:(Contexts.binding r)))
+      Contexts.registrars
+  in
+  surviving @ stale @ Marker.unused marker markers @ bad
   @ Graph.ambiguity g (Array.to_list g.nodes)
 
 let rec pass =

@@ -33,7 +33,8 @@
    Each violation carries the root-to-function chain that makes the
    site hot, so the report reads as a proof obligation: break the chain
    or fix the site. A registered root whose file is scanned but no
-   longer defines it is reported as stale-hot-root.
+   longer defines it, or is missing from a scanned directory, is
+   reported as stale-hot-root.
 
    Suppression is the pass's own marker with two verbs:
 
@@ -399,29 +400,19 @@ let check pass (prog : Pass.program) =
             f.refs)
       hot
   in
-  (* A registered root whose file was scanned but no longer defines it
-     seeds nothing: the hot set would shrink without a word. *)
+  (* A registered root whose binding or file is gone seeds nothing:
+     the hot set would shrink without a word. *)
   let stale =
     List.filter_map
       (fun (r : Hotroots.root) ->
-        match
-          List.find_opt
-            (fun ((src : Source.t), _) -> String.equal src.rel r.hr_file)
-            g.files
-        with
-        | Some (_, nodes)
-          when not
-                 (List.exists
-                    (fun (f : Graph.node) -> String.equal f.binding r.hr_binding)
-                    nodes) ->
-            Some
-              (Source.violation r.hr_file 1 0 Rules.stale_root
-                 (Printf.sprintf
-                    "hot root %s is registered in Lint.Hotroots but %s has \
-                     no top-level binding of that name; update or delete \
-                     the entry"
-                    r.hr_binding r.hr_file))
-        | _ -> None)
+        Option.map
+          (fun why ->
+            Source.violation r.hr_file 1 0 Rules.stale_root
+              (Printf.sprintf
+                 "hot root %s is registered in Lint.Hotroots but %s; update \
+                  or delete the entry"
+                 r.hr_binding why))
+          (Pass.stale_entry prog ~file:r.hr_file ~binding:r.hr_binding))
       Hotroots.registry
   in
   hits @ stale @ Marker.unused marker markers @ bad

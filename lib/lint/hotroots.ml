@@ -10,7 +10,7 @@
    root is a review-visible act — append here with a why, and expect to
    spend time placing (* seussheat: cold — ... *) markers on the code it
    newly drags into the hot set. Removing or renaming a root's binding
-   without updating its entry is a stale-hot-root finding. *)
+   or file without updating its entry is a stale-hot-root finding. *)
 
 type root = {
   hr_file : string;  (** repo-relative defining file *)
@@ -39,12 +39,6 @@ let registry =
       hr_why = "per-acquire on the semaphore path" };
     { hr_file = "lib/sim/engine.ml"; hr_binding = "wait_end";
       hr_why = "per-release on the semaphore path" };
-    (* The reference heap retired from the engine but still serving
-       Contexts' run queues; its push/pop are per-event there. *)
-    { hr_file = "lib/sim/heap.ml"; hr_binding = "push";
-      hr_why = "per-event insert for heap-backed queues" };
-    { hr_file = "lib/sim/heap.ml"; hr_binding = "pop";
-      hr_why = "per-event extract for heap-backed queues" };
     (* Observability: every emitted event crosses these. *)
     { hr_file = "lib/obs/log.ml"; hr_binding = "emit";
       hr_why = "every observed event is stamped and stored in the ring \

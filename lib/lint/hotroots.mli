@@ -4,8 +4,8 @@
     executed O(events) or O(samples) per run — the engine dispatch loop
     and queue operations, the observability emit path and latency
     breakdown fold, counter bumps and trace-context forks. An entry
-    whose file is scanned but no longer defines the binding is a
-    [stale-hot-root] finding. Everything transitively referenced from a
+    whose file is scanned but no longer defines the binding, or is
+    missing from a scanned directory, is a [stale-hot-root] finding. Everything transitively referenced from a
     root is analyzed under the allocation rules ({!Rules.heat}).
 
     The registry is curated by hand; fixtures and out-of-tree code seed

@@ -18,12 +18,21 @@ type t = {
 
 and program = {
   sources : Source.t list;
+  dirs : string list;
+      (** the directories walked in full ({!Source.scanned_dirs}) *)
   graph : Graph.t Lazy.t;  (** built on first use, once per run *)
   passes : t list;  (** the whole table, for cross-pass hints *)
 }
 
 val owner : program -> Rules.id -> t
 (** The pass enforcing a rule. *)
+
+val stale_entry : program -> file:string -> binding:string -> string option
+(** Why a hand-kept registry row naming top-level [binding] of
+    repo-relative [file] no longer holds: [file] was scanned but does
+    not define [binding], or [file] is missing from a directory that
+    was walked in full. [None] when the binding is there, or when
+    neither [file] nor its directory was scanned. *)
 
 val markers : program -> t -> Marker.t list * Source.violation list
 (** Every source's markers for the pass, and the [bad-allow]s. *)

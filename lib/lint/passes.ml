@@ -6,8 +6,8 @@ let all = [ Check.pass; Deadlock.pass; Heat.pass; Own.pass ]
 
 let pass_of r = (List.find (fun p -> List.mem r p.Pass.rules) all).name
 
-let program sources =
-  { Pass.sources; graph = lazy (Graph.build sources); passes = all }
+let program ~dirs sources =
+  { Pass.sources; dirs; graph = lazy (Graph.build sources); passes = all }
 
 (* Every pass reports a file that failed to parse. *)
 let check prog (pass : Pass.t) =
@@ -41,6 +41,8 @@ let merge results =
   dedup (List.sort (fun (_, a) (_, b) -> Source.compare_violation a b) tagged)
 
 let check_tree ?strip_prefix pass roots =
-  check (program (Source.load_tree ?strip_prefix roots)) pass
+  let sources = Source.load_tree ?strip_prefix roots in
+  check (program ~dirs:(Source.scanned_dirs ?strip_prefix roots) sources) pass
 
-let check_file ?rel path = check (program [ Source.load ?rel path ]) Check.pass
+let check_file ?rel path =
+  check (program ~dirs:[] [ Source.load ?rel path ]) Check.pass

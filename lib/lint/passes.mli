@@ -7,9 +7,10 @@ val all : Pass.t list
 val pass_of : Rules.id -> string
 (** The name of the pass enforcing a rule. *)
 
-val program : Source.t list -> Pass.program
-(** The shared state of one run over loaded sources: the call graph is
-    built at most once, by the first pass that needs it. *)
+val program : dirs:string list -> Source.t list -> Pass.program
+(** The shared state of one run over loaded sources and the directories
+    walked in full to find them ({!Source.scanned_dirs}): the call graph
+    is built at most once, by the first pass that needs it. *)
 
 val check : Pass.program -> Pass.t -> Source.violation list
 (** Run one pass; its violations plus a [parse-error] per unparsable

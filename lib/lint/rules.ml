@@ -196,3 +196,4 @@ let unused_allow = "unused-allow"
 let parse_error = "parse-error"
 let ambiguous_resolve = "ambiguous-resolve"
 let stale_root = "stale-hot-root"
+let stale_registrar = "stale-registrar"

@@ -89,5 +89,11 @@ val ambiguous_resolve : string
 
 val stale_root : string
 (** ["stale-hot-root"]: a {!Hotroots.registry} entry whose file was
-    scanned but defines no top-level binding of that name, so the root
-    seeds nothing. *)
+    scanned but defines no top-level binding of that name, or is
+    missing from a scanned directory, so the root seeds nothing. *)
+
+val stale_registrar : string
+(** ["stale-registrar"]: a {!Contexts.registrars} entry whose file was
+    scanned but defines no top-level binding of that name, or is
+    missing from a scanned directory, so the deadlock pass guards a
+    callback nothing registers. *)

@@ -71,6 +71,10 @@ let load ?rel path =
   in
   { rel; comments; ast }
 
+(* Build output and dot-directories are never scanned. *)
+let skipped entry =
+  String.equal entry "_build" || String.starts_with ~prefix:"." entry
+
 (* Every [.ml] under [root], sorted, skipping [_build] and dot-directories;
    a root that is itself an [.ml] file is its own only source. A root that
    cannot be read raises [Sys_error] naming it, so a mistyped root can
@@ -87,13 +91,23 @@ let rec files root =
     List.concat_map
       (fun entry ->
         let path = Filename.concat root entry in
-        if Sys.is_directory path then
-          if String.equal entry "_build" || String.starts_with ~prefix:"." entry
-          then []
-          else files path
+        if Sys.is_directory path then if skipped entry then [] else files path
         else if Filename.check_suffix entry ".ml" then [ path ]
         else [])
       (Array.to_list entries)
+
+(* Every directory [files] walks under [root], [root] included; none
+   for a file root. *)
+let rec walked root =
+  if not (Sys.file_exists root && Sys.is_directory root) then []
+  else
+    root
+    :: List.concat_map
+         (fun entry ->
+           let path = Filename.concat root entry in
+           if Sys.is_directory path && not (skipped entry) then walked path
+           else [])
+         (Array.to_list (Sys.readdir root))
 
 (* Drop a leading [prefix] (itself normalized of ./ and ../) from [rel],
    so a fixture tree like test/lint_fixtures/lib/... classifies as
@@ -110,13 +124,16 @@ let strip_rel_prefix ~prefix rel =
     String.sub rel n (String.length rel - n)
   else rel
 
+let rel_of ?strip_prefix path =
+  let rel = rel_of_path path in
+  match strip_prefix with
+  | None -> rel
+  | Some prefix -> strip_rel_prefix ~prefix rel
+
 let load_tree ?strip_prefix roots =
-  let rel_of path =
-    let rel = rel_of_path path in
-    match strip_prefix with
-    | None -> rel
-    | Some prefix -> strip_rel_prefix ~prefix rel
-  in
   (* Resolve every root before reading any file: a bad root fails fast. *)
   List.concat_map files roots
-  |> List.map (fun f -> load ~rel:(rel_of f) f)
+  |> List.map (fun f -> load ~rel:(rel_of ?strip_prefix f) f)
+
+let scanned_dirs ?strip_prefix roots =
+  List.concat_map walked roots |> List.map (rel_of ?strip_prefix)

@@ -41,3 +41,9 @@ val load_tree : ?strip_prefix:string -> string list -> t list
     [test/lint_fixtures/lib] is linted as [lib/].
     @raise Sys_error naming the root when a root is missing, unreadable,
     or neither a directory nor an [.ml] file. *)
+
+val scanned_dirs : ?strip_prefix:string -> string list -> string list
+(** The directories {!load_tree} walks for the same roots, relative
+    like its sources: every directory root and its subdirectories
+    (none for a file root). A registered file missing from one of them
+    is known to be gone. *)

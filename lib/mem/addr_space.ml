@@ -113,11 +113,6 @@ let touch_write t ~vpn =
   end
   else No_fault
 
-let touch_read t ~vpn =
-  let e = Page_table.get t.pt ~vpn in
-  if Page_table.Entry.present e && not (Page_table.Entry.accessed e) then
-    Page_table.set t.pt ~vpn (Page_table.Entry.with_flags ~accessed:true e)
-
 (* One hook call per fault kind for the whole range, with the count the
    lifetime counters moved by since [zero0]/[cow0]. *)
 let report_faults t ~zero0 ~cow0 =
@@ -141,15 +136,6 @@ let write_range t ~vpn ~pages =
       raise e);
   (* seussheat: cold — one 4-word result per range, not per page *)
   { pages; zero_fills = c.zero_fills - zero0; cow_copies = c.cow_copies - cow0 }
-
-let write_bytes t ~addr ~len =
-  if addr < 0 || len < 0 then invalid_arg "Addr_space.write_bytes: negative";
-  if len = 0 then { pages = 0; zero_fills = 0; cow_copies = 0 }
-  else begin
-    let first = addr / Mconfig.page_size in
-    let last = (addr + len - 1) / Mconfig.page_size in
-    write_range t ~vpn:first ~pages:(last - first + 1)
-  end
 
 (* The end of the run of consecutive vpns starting at [vpns.(i)]: the
    least [j > i] with [vpns.(j) <> vpns.(j - 1) + 1]. *)
@@ -196,10 +182,6 @@ let mapped_pages t = t.mapped_base + t.counts.zero_fills
 let mapped_pages_slow t = Page_table.count_present t.pt
 let dirty_pages t = t.counts.dirty
 let dirty_pages_slow t = Page_table.count_dirty t.pt
-
-let clear_dirty t =
-  Page_table.clear_dirty_all t.pt;
-  t.counts.dirty <- 0
 
 let freeze t =
   Page_table.mark_all_cow_clean t.pt;

@@ -62,9 +62,6 @@ val set_fault_hook : t -> (fault -> int -> unit) -> unit
     without [mem] depending on it. One hook per space; installing
     replaces the previous one. *)
 
-val touch_read : t -> vpn:int -> unit
-(** Sets the accessed bit on a present page; no-op on absent pages. *)
-
 (** {2 Working-set recording and batched prefault (REAP)}
 
     Recording the ordered set of vpns demand-faulted during a deploy's
@@ -89,7 +86,7 @@ val tracing : t -> bool
 val prefault : t -> vpns:int array -> prefault_stats
 (** Install a recorded working set in one batched page-table pass: each
     vpn ends in exactly the state a demand {!touch_write} would leave it
-    (zero-filled, COW-copied, or just dirty+accessed), lifetime and
+    (zero-filled, COW-copied, or just dirty), lifetime and
     mapped/dirty counters included, but the fault hook never fires — no
     faults occur; the caller charges one batched cost from the stats.
     Structural sharing is preserved: only leaves holding prefaulted vpns
@@ -106,22 +103,17 @@ val write_range : t -> vpn:int -> pages:int -> write_stats
     @raise Frame.Out_of_memory mid-range: pages before the failing one
     stay installed, and their faults are reported before the raise. *)
 
-val write_bytes : t -> addr:int -> len:int -> write_stats
-(** Byte-addressed convenience over {!write_range}. *)
-
 val mapped_pages : t -> int
 (** O(1), maintained incrementally (exact when [of_table]'s hint was). *)
 
 val dirty_pages : t -> int
-(** O(1): pages written since creation or the last {!clear_dirty} /
-    {!freeze} — the size of the diff a snapshot would capture. *)
+(** O(1): pages written since creation or the last {!freeze} — the
+    size of the diff a snapshot would capture. *)
 
 val mapped_pages_slow : t -> int
 (** Page-table walk; for tests cross-checking the counters. *)
 
 val dirty_pages_slow : t -> int
-
-val clear_dirty : t -> unit
 
 val freeze : t -> unit
 (** The capture barrier: every present mapping becomes read-only +

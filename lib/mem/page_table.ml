@@ -6,27 +6,24 @@ module Entry = struct
   let writable_bit = 2
   let cow_bit = 4
   let dirty_bit = 8
-  let accessed_bit = 16
   let flag_bits = Mconfig.pte_flag_bits
 
-  let make ~frame ~writable ~cow ~dirty ~accessed =
+  let make ~frame ~writable ~cow ~dirty =
     (frame lsl flag_bits)
     lor present_bit
     lor (if writable then writable_bit else 0)
     lor (if cow then cow_bit else 0)
-    lor (if dirty then dirty_bit else 0)
-    lor if accessed then accessed_bit else 0
+    lor if dirty then dirty_bit else 0
 
   let present e = e land present_bit <> 0
   let frame e = e lsr flag_bits
   let writable e = e land writable_bit <> 0
   let cow e = e land cow_bit <> 0
   let dirty e = e land dirty_bit <> 0
-  let accessed e = e land accessed_bit <> 0
 
-  let written e = e lor dirty_bit lor accessed_bit
+  let written e = e lor dirty_bit
 
-  let with_flags ?writable:w ?cow:c ?dirty:d ?accessed:a e =
+  let with_flags ?writable:w ?cow:c ?dirty:d e =
     let put bit value e =
       match value with
       | None -> e
@@ -34,7 +31,6 @@ module Entry = struct
       | Some false -> e land lnot bit
     in
     e |> put writable_bit w |> put cow_bit c |> put dirty_bit d
-    |> put accessed_bit a
 end
 
 (* A family is one [create] plus every clone of it. Its tables share
@@ -250,10 +246,10 @@ type write_counts = {
 }
 
 (* The entry of a page just written through a frame fresh from
-   [Frame.alloc]: private, writable, dirty and accessed. *)
+   [Frame.alloc]: private, writable and dirty. *)
 let fresh_written frame =
   (frame lsl Entry.flag_bits) lor Entry.present_bit lor Entry.writable_bit
-  lor Entry.dirty_bit lor Entry.accessed_bit
+  lor Entry.dirty_bit
 
 (* Resolve the writes to [vpn, stop), in vpn order. [slot] is the leaf
    of directory [dir] (-1 before the first page), [owned] when this
@@ -349,15 +345,6 @@ let mark_all_cow_clean t =
         map_leaf fam slot freeze_entry;
         set_frozen fam slot true
       end)
-    t.dirs
-
-(* Clearing dirty bits keeps a frozen leaf frozen. *)
-let clear_dirty_all t =
-  check_alive t;
-  Array.iter
-    (fun slot ->
-      if slot <> no_leaf then
-        map_leaf t.fam slot (fun e -> Entry.with_flags ~dirty:false e))
     t.dirs
 
 let fold_present t ~init ~f =

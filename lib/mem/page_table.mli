@@ -26,7 +26,6 @@ module Entry : sig
     writable:bool ->
     cow:bool ->
     dirty:bool ->
-    accessed:bool ->
     t
 
   val present : t -> bool
@@ -34,13 +33,11 @@ module Entry : sig
   val writable : t -> bool
   val cow : t -> bool
   val dirty : t -> bool
-  val accessed : t -> bool
 
   val written : t -> t
-  (** Same entry with the dirty and accessed bits set: a write's flags. *)
+  (** Same entry with the dirty bit set: a write's flags. *)
 
-  val with_flags :
-    ?writable:bool -> ?cow:bool -> ?dirty:bool -> ?accessed:bool -> t -> t
+  val with_flags : ?writable:bool -> ?cow:bool -> ?dirty:bool -> t -> t
   (** Same frame, updated flags. *)
 end
 
@@ -83,18 +80,17 @@ val write_pages :
     of [\[vpn, vpn + pages)], in vpn order, as x86 fault handling
     would:
 
-    - an absent page maps a fresh frame from [Frame.alloc], writable,
-      dirty and accessed (a zero fill);
+    - an absent page maps a fresh frame from [Frame.alloc], writable
+      and dirty (a zero fill);
     - a copy-on-write page maps a fresh frame the same way and drops
       its reference to the shared one (a private copy);
-    - a writable page gets the dirty and accessed bits.
+    - a writable page gets the dirty bit.
 
     [record] hears the vpn of every zero fill and private copy, in
     order. The walk goes a leaf at a time: a leaf shared with another
     table is privatized (see {!set}) on its first page whose entry
     changes, right after that page's [Frame.alloc], and at most once;
-    a leaf whose writable pages already carry both bits is never
-    copied. Every frame id, slab slot and reference therefore comes out
+    a leaf whose writable pages are already dirty is never copied. Every frame id, slab slot and reference therefore comes out
     exactly as from one {!get} and {!set} per page.
     @raise Frame.Out_of_memory when an allocation fails: the pages
     before it stay resolved and counted, the failing page is untouched.
@@ -114,13 +110,10 @@ val mark_all_cow_clean : t -> unit
     O(mapped pages). Each leaf carries a frozen bit with the invariant
     {e frozen ⇒ every present entry is already read-only + COW and
     clean}: this function sets it, every {!set} through the leaf clears
-    it, a privatized copy inherits it, and {!clear_dirty_all} keeps it.
+    it, and a privatized copy inherits it.
     A frozen leaf is a fixed point of the barrier and is skipped; an
     unfrozen one — shared or not — is rewritten in place and frozen for
     every table sharing it. *)
-
-val clear_dirty_all : t -> unit
-(** In-place dirty-bit reset (also applies to shared leaves). *)
 
 val fold_present : t -> init:'a -> f:('a -> vpn:int -> Entry.t -> 'a) -> 'a
 

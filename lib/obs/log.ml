@@ -3,7 +3,7 @@ type record = { time : float; ev : Event.t }
 (* The ring is two parallel arrays, so retaining an event costs one
    unboxed float and one pointer store — no per-event record. Slot
    [(head - len + i) mod capacity] holds the i-th oldest retained event;
-   vacant slots hold [vacant], so a cleared ring keeps no event alive. *)
+   vacant slots hold [vacant]. *)
 type t = {
   clock : unit -> float;
   times : float array;
@@ -20,12 +20,11 @@ let default_capacity = 16384
 (* Never read back: only slots outside the retained window hold it. *)
 let vacant = Event.Invoke_start { fn_id = "" }
 
-let create ?(capacity = default_capacity) ~clock () =
-  if capacity <= 0 then invalid_arg "Log.create: capacity must be positive";
+let create ~clock () =
   {
     clock;
-    times = Array.make capacity 0.0;
-    events = Array.make capacity vacant;
+    times = Array.make default_capacity 0.0;
+    events = Array.make default_capacity vacant;
     head = 0;
     len = 0;
     dropped = 0;
@@ -75,11 +74,6 @@ let records t =
 
 let emitted t = t.emitted
 let dropped t = t.dropped
-
-let clear t =
-  Array.fill t.events 0 (Array.length t.events) vacant;
-  t.head <- 0;
-  t.len <- 0
 
 let to_jsonl t =
   let buf = Buffer.create 4096 in

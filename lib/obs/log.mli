@@ -15,10 +15,9 @@ type record = { time : float; ev : Event.t }
 type t
 
 val default_capacity : int
-(** Ring size when [capacity] is not given (16384 events). *)
+(** Ring size of every log: 16384 events. *)
 
-val create : ?capacity:int -> clock:(unit -> float) -> unit -> t
-(** @raise Invalid_argument if [capacity <= 0]. *)
+val create : clock:(unit -> float) -> unit -> t
 
 val emit : t -> Event.t -> unit
 (** Stamp with [clock ()], retain, and deliver to subscribers (in
@@ -36,10 +35,6 @@ val emitted : t -> int
 
 val dropped : t -> int
 (** Events evicted from the ring so far. *)
-
-val clear : t -> unit
-(** Forget (and release) every retained event; {!emitted} and
-    {!dropped} are kept. *)
 
 val to_jsonl : t -> string
 (** One JSON object per line (trailing newline), oldest first. *)

@@ -6,8 +6,6 @@ type t = {
   ao : ao_level;
   cache_function_snapshots : bool;
   cache_idle_ucs : bool;
-  oom_headroom_bytes : int64;
-  invoke_timeout : float;
   prefault_working_set : bool;
   snapshot_cache_bytes : int64;
   snapshot_cache_policy : snap_policy;
@@ -19,13 +17,14 @@ let default =
     ao = Ao_full;
     cache_function_snapshots = true;
     cache_idle_ucs = true;
-    oom_headroom_bytes = Int64.of_int (Mem.Mconfig.mib 1024);
-    invoke_timeout = 60.0;
     prefault_working_set = false;
     snapshot_cache_bytes = 0L;
     snapshot_cache_policy = Snap_lru;
     runtimes = [ Unikernel.Image.node ];
   }
+
+let oom_headroom_bytes = Int64.of_int (Mem.Mconfig.mib 1024)
+let invoke_timeout = 60.0
 
 let policy_name = function Snap_lru -> "lru" | Snap_ws -> "ws"
 

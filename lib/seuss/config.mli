@@ -20,10 +20,6 @@ type t = {
       (** snapshot stacks on/off — ablation: off makes every miss a full
           cold path against the base snapshot *)
   cache_idle_ucs : bool;  (** hot-path cache on/off *)
-  oom_headroom_bytes : int64;
-      (** reclaim idle UCs when free memory drops below this floor (§6:
-          "a pre-defined threshold") *)
-  invoke_timeout : float;  (** seconds before an invocation errors out *)
   prefault_working_set : bool;
       (** REAP-style warm deploys: record the vpns demand-faulted by the
           first invocation from each function snapshot and batch-install
@@ -47,8 +43,15 @@ type t = {
 }
 
 val default : t
-(** Full AO, both caches on, 1 GiB OOM headroom, 60 s timeout, no
-    snapshot store, Node.js runtime. *)
+(** Full AO, both caches on, no snapshot store, Node.js runtime. *)
+
+val oom_headroom_bytes : int64
+(** 1 GiB: every node reclaims idle UCs when free memory drops below
+    this floor (§6: "a pre-defined threshold"). *)
+
+val invoke_timeout : float
+(** 60 s: how long a node waits on a UC before an invocation errors
+    out. *)
 
 val policy_name : snap_policy -> string
 (** ["lru"] / ["ws"] — the spelling used in events and the

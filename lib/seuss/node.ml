@@ -265,7 +265,7 @@ let reclaim_oldest t =
 let reclaim_idle_ucs t =
   let reclaimed = ref 0 in
   let continue_ () =
-    Int64.compare (free_bytes t) t.cfg.Config.oom_headroom_bytes < 0
+    Int64.compare (free_bytes t) Config.oom_headroom_bytes < 0
     && not (Queue.is_empty t.idle_order)
   in
   if continue_ () then begin
@@ -294,7 +294,7 @@ let storm_reclaim t =
 (* {1 Node startup: boot, AO, base snapshot capture} *)
 
 let apply_ao t uc =
-  let timeout = t.cfg.Config.invoke_timeout in
+  let timeout = Config.invoke_timeout in
   match t.cfg.Config.ao with
   | Config.Ao_none ->
       (* Capture right at driver start: no connection has ever touched
@@ -378,7 +378,7 @@ let inject t site detail =
 let headroom_check t =
   if inject t Faults.Fault.Oom_storm (fun () -> "allocation spike") then
     ignore (storm_reclaim t);
-  if Int64.compare (free_bytes t) t.cfg.Config.oom_headroom_bytes < 0 then
+  if Int64.compare (free_bytes t) Config.oom_headroom_bytes < 0 then
     ignore (reclaim_idle_ucs t)
 
 let run_on_uc t ph uc ~args =
@@ -391,7 +391,7 @@ let run_on_uc t ph uc ~args =
   let result =
     match
       Uc.request uc (Unikernel.Driver.Run args)
-        ~timeout:t.cfg.Config.invoke_timeout
+        ~timeout:Config.invoke_timeout
     with
     | Ok (Unikernel.Driver.Ok_reply result) -> Ok result
     | Ok (Unikernel.Driver.Err_reply msg) -> Error (`Runtime_error msg)
@@ -502,7 +502,7 @@ let cold_invoke t ph fn ~args =
             else begin
               match
                 Sim.Trace.span "node.await compile breakpoint" (fun () ->
-                    Uc.await_breakpoint uc ~timeout:t.cfg.Config.invoke_timeout)
+                    Uc.await_breakpoint uc ~timeout:Config.invoke_timeout)
               with
               | Some "compile-ok" ->
                   (* The guest is parked at the post-compile breakpoint:

@@ -17,12 +17,8 @@ type t = {
 
 let default_cores = 16
 
-let create ?budget_bytes ?log_capacity engine =
-  let log =
-    Obs.Log.create ?capacity:log_capacity
-      ~clock:(fun () -> Sim.Engine.now engine)
-      ()
-  in
+let create ?budget_bytes engine =
+  let log = Obs.Log.create ~clock:(fun () -> Sim.Engine.now engine) () in
   (* When the schedule sanitizer is armed, surface its race reports on
      this node's event log so they land in exported timelines. Reporters
      accumulate on the shared checker, so in a multi-node cluster every

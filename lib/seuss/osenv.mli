@@ -26,7 +26,7 @@ type t = {
 val default_cores : int
 (** Cores of every modeled compute node: the paper's VM has 16. *)
 
-val create : ?budget_bytes:int64 -> ?log_capacity:int -> Sim.Engine.t -> t
+val create : ?budget_bytes:int64 -> Sim.Engine.t -> t
 (** Defaults: the paper's 88 GB VM with {!default_cores} cores, event
     ring of {!Obs.Log.default_capacity}. *)
 

@@ -197,8 +197,7 @@ let adopt_canonical frames table ~vpn entry frame =
     (Mem.Page_table.Entry.make ~frame
        ~writable:(Mem.Page_table.Entry.writable entry)
        ~cow:(Mem.Page_table.Entry.cow entry)
-       ~dirty:(Mem.Page_table.Entry.dirty entry)
-       ~accessed:(Mem.Page_table.Entry.accessed entry))
+       ~dirty:(Mem.Page_table.Entry.dirty entry))
 
 (* {1 Membership} *)
 

@@ -104,8 +104,6 @@ type t = {
   (* Engine-wide key values (the fault plan, the happens-before
      checker's state), indexed by key id like [p_vals]. *)
   mutable globals : exn array;
-  (* Supervised processes that died, newest first. *)
-  mutable crashed : (string * exn) list;
   (* Deadlock sanitizer. The wait counters are always on (integer
      bumps only — no draws, no allocation, no schedule effect), so
      [stuck_waiters] is meaningful even with the detector off; the
@@ -199,7 +197,6 @@ let create ?(seed = 1L) ?tie_seed ?(deadlock = false) ?(own = false) () =
       max_heap = 0;
       self_some = None;
       globals = [||];
-      crashed = [];
       deadlock;
       own;
       census_hooks = [];
@@ -494,8 +491,6 @@ let fork_vals t =
   let parent = match t.proc with None -> [||] | Some p -> p.p_vals in
   fork_keys t parent [||] !keys
 
-let failures t = List.rev t.crashed
-
 (* {1 Deadlock sanitizer} *)
 
 let deadlock_armed t = t.deadlock
@@ -609,7 +604,7 @@ let stranded_waiters t =
 
    A bad delay is rejected here, in the sleeping process, before either
    path: raised from the effect handler it would escape the process's
-   own handler, abort the whole run and bypass supervision. *)
+   own handler and abort the run without naming the process. *)
 let sleep delay =
   if not (delay >= 0.0 && delay < Float.infinity) then
     invalid_arg "Engine.sleep: delay must be finite and non-negative";
@@ -631,9 +626,9 @@ let suspend register = Effect.perform (Suspend register)
 
 (* Run [f] as a process: a deep handler interprets Sleep/Suspend by parking
    the continuation in the event arena or with the caller's registrar. The
-   handler stays attached when the continuation is resumed later, so a
-   supervised process that crashes after a suspension is still caught. *)
-let exec ?supervise ?(daemon = false) t name vals f =
+   handler stays attached when the continuation is resumed later, so an
+   exception raised after a suspension still names the process. *)
+let exec ~daemon t name vals f =
   t.next_pid <- t.next_pid + 1;
   t.proc <-
     Some
@@ -650,14 +645,9 @@ let exec ?supervise ?(daemon = false) t name vals f =
       retc = (fun () -> ());
       exnc =
         (fun exn ->
-          match supervise with
-          | Some on_crash ->
-              t.crashed <- (name, exn) :: t.crashed;
-              on_crash name exn
-          | None ->
-              (* Keep the trace of the raise inside the process. *)
-              let bt = Printexc.get_raw_backtrace () in
-              Printexc.raise_with_backtrace (Process_failure (name, exn)) bt);
+          (* Keep the trace of the raise inside the process. *)
+          let bt = Printexc.get_raw_backtrace () in
+          Printexc.raise_with_backtrace (Process_failure (name, exn)) bt);
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
@@ -691,12 +681,6 @@ let spawn t ?(name = "process") ?(daemon = false) f =
      own trace. *)
   let vals = fork_vals t in
   schedule t ~delay:0.0 (fun () -> exec ~daemon t name vals f)
-
-let spawn_supervised t ?(name = "process") ?(daemon = false)
-    ?(on_crash = fun _ _ -> ()) f =
-  let vals = fork_vals t in
-  schedule t ~delay:0.0 (fun () ->
-      exec ~supervise:on_crash ~daemon t name vals f)
 
 let restore_idle t =
   t.running <- false;

@@ -79,23 +79,6 @@ val spawn : t -> ?name:string -> ?daemon:bool -> (unit -> unit) -> unit
     from {!stuck_waiters} and from the deadlock report unless they sit
     on an actual wait cycle. *)
 
-val spawn_supervised :
-  t ->
-  ?name:string ->
-  ?daemon:bool ->
-  ?on_crash:(string -> exn -> unit) ->
-  (unit -> unit) ->
-  unit
-(** Like {!spawn}, but an exception escaping [f] — including an injected
-    crash from the fault plane — kills only this process: the failure is
-    recorded in {!failures}, [on_crash] (default: nothing) is notified,
-    and the run continues. The supervision survives suspensions: a crash
-    after any number of {!sleep}s or {!suspend}s is still contained. *)
-
-val failures : t -> (string * exn) list
-(** Supervised processes that died so far, oldest first, with the
-    exception that killed each. *)
-
 val run : ?until:float -> t -> unit
 (** [run t] executes events in timestamp order until the queue drains, or
     until simulated time would exceed [until] (remaining events are left
@@ -186,8 +169,8 @@ val sleep : float -> unit
     and {!perf} are exactly as if it had parked. Called from a plain
     {!schedule} callback, it raises [Effect.Unhandled].
     @raise Invalid_argument in the calling process when the delay is
-    negative or not finite, so a {!spawn_supervised} process dies of it
-    alone. *)
+    negative or not finite, so {!run} fails with {!Process_failure}
+    naming that process. *)
 
 val yield : unit -> unit
 (** [yield ()] is [sleep 0.]: lets other events at this timestamp run. *)

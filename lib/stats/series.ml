@@ -21,28 +21,3 @@ let points t =
       decr i)
     t.rev_points;
   a
-
-let window_counts t ~width =
-  if width <= 0.0 then invalid_arg "Series.window_counts: width";
-  if t.n = 0 then []
-  else begin
-    let pts = points t in
-    (* Windows are anchored at multiples of [width] so bin edges are
-       predictable regardless of when the first event lands. *)
-    let tmin =
-      Array.fold_left (fun acc p -> Float.min acc p.time) Float.infinity pts
-    in
-    let tmin = Float.of_int (int_of_float (floor (tmin /. width))) *. width in
-    let tmax =
-      Array.fold_left (fun acc p -> Float.max acc p.time) Float.neg_infinity pts
-    in
-    let nwin = 1 + int_of_float ((tmax -. tmin) /. width) in
-    let counts = Array.make nwin 0 in
-    Array.iter
-      (fun p ->
-        let i = int_of_float ((p.time -. tmin) /. width) in
-        let i = min i (nwin - 1) in
-        counts.(i) <- counts.(i) + 1)
-      pts;
-    List.init nwin (fun i -> (tmin +. (float_of_int i *. width), counts.(i)))
-  end

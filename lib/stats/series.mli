@@ -1,8 +1,7 @@
 (** Timestamped event series.
 
     The burst figures (6-8) are scatter plots of (send time, latency,
-    outcome) per request; this module records them and provides
-    time-window aggregation for throughput-over-time views. *)
+    outcome) per request; this module records them. *)
 
 type point = { time : float; value : float; ok : bool }
 
@@ -18,7 +17,3 @@ val points : t -> point array
 (** Copy, in insertion order. *)
 
 val failures : t -> int
-
-val window_counts : t -> width:float -> (float * int) list
-(** [(window_start, events_in_window)] covering the series span. Empty
-    list when the series is empty. *)

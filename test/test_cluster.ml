@@ -36,14 +36,20 @@ let test_registry_publish_locate () =
       Alcotest.(check int) "one entry" 1 (Cluster.Registry.entries reg);
       Alcotest.(check int) "one holder" 1
         (List.length (Cluster.Registry.locate reg ~fn_id:"f"));
-      Alcotest.(check bool) "no other holder than 0" true
-        (Option.is_none (Cluster.Registry.holder_other_than reg ~fn_id:"f" ~node_id:0));
+      let holders () =
+        List.sort compare
+          (List.map
+             (fun l -> l.Cluster.Registry.node_id)
+             (Cluster.Registry.locate reg ~fn_id:"f"))
+      in
       Cluster.Registry.publish reg ~fn_id:"f" ~node_id:1 snap;
-      Alcotest.(check bool) "holder other than 0 now" true
-        (Option.is_some (Cluster.Registry.holder_other_than reg ~fn_id:"f" ~node_id:0));
-      Cluster.Registry.forget_node reg ~node_id:1;
-      Alcotest.(check int) "back to one holder" 1
-        (List.length (Cluster.Registry.locate reg ~fn_id:"f")))
+      Alcotest.(check (list int)) "held by 0 and 1" [ 0; 1 ] (holders ());
+      Alcotest.(check (list string)) "node 1 holds f" [ "f" ]
+        (Cluster.Registry.held_by reg ~node_id:1);
+      Cluster.Registry.evict reg ~fn_id:"f" ~node_id:1;
+      Alcotest.(check (list int)) "back to one holder" [ 0 ] (holders ());
+      Alcotest.(check (list string)) "node 1 holds nothing" []
+        (Cluster.Registry.held_by reg ~node_id:1))
 
 let test_registry_filters_deleted () =
   with_cluster ~nodes:1 (fun _engine c ->

@@ -136,7 +136,8 @@ let check_env_arms () =
   | Error e -> Alcotest.fail e
   | Ok run ->
       Alcotest.(check bool) "SEUSS_DEADLOCK=1 arms the harness engine" true
-        (Experiments.Harness.run_sim ~run ~seed:3L Sim.Engine.deadlock_armed)
+        (Experiments.Harness.with_run run (fun () ->
+             Experiments.Harness.run_sim ~seed:3L Sim.Engine.deadlock_armed))
 
 (* {1 The San_deadlock event} *)
 

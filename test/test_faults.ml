@@ -1,5 +1,5 @@
 (* Tests for the fault-injection plane: plan mechanics and determinism,
-   crash supervision, the node/cluster injection sites, retry/backoff
+   the node/cluster injection sites, retry/backoff
    resilience, and a 100-seed property sweep over node invariants. *)
 
 module Fault = Faults.Fault
@@ -116,39 +116,21 @@ let test_same_seed_same_failure_sequence () =
   Alcotest.(check bool) "identical stats" true (s1 = s2);
   Alcotest.(check (float 0.0)) "identical clocks" t1 t2
 
-(* {1 Crash supervision} *)
+(* {1 Supervision}
 
-let test_supervised_crash_is_contained () =
-  in_sim (fun engine ->
-      let notified = ref None in
-      let bystander_done = ref false in
-      Sim.Engine.spawn_supervised engine ~name:"victim"
-        ~on_crash:(fun name exn -> notified := Some (name, exn))
-        (fun () ->
-          Sim.Engine.sleep 0.1;
-          Fault.crash "boom");
-      Sim.Engine.spawn engine ~name:"bystander" (fun () ->
-          Sim.Engine.sleep 0.5;
-          bystander_done := true);
-      Sim.Engine.sleep 1.0;
-      Alcotest.(check bool) "bystander unharmed" true !bystander_done;
-      (match Sim.Engine.failures engine with
-      | [ ("victim", Fault.Injected_crash "boom") ] -> ()
-      | _ -> Alcotest.fail "failures should record exactly the victim");
-      match !notified with
-      | Some ("victim", Fault.Injected_crash "boom") -> ()
-      | _ -> Alcotest.fail "on_crash not notified")
+   No process is supervised: one that raises, also after a suspension,
+   ends the run as [Process_failure] with its name and its own
+   exception. *)
 
 let test_unsupervised_crash_aborts_run () =
   let engine = Sim.Engine.create ~seed:5L () in
   Sim.Engine.spawn engine ~name:"doomed" (fun () ->
       Sim.Engine.sleep 0.05;
-      Fault.crash "fatal");
+      failwith "fatal");
   match Sim.Engine.run engine with
   | () -> Alcotest.fail "expected Process_failure"
-  | exception Sim.Engine.Process_failure ("doomed", Fault.Injected_crash "fatal")
-    ->
-      ()
+  | exception Sim.Engine.Process_failure ("doomed", Failure msg) ->
+      Alcotest.(check string) "its own exception" "fatal" msg
   | exception _ -> Alcotest.fail "wrong exception"
 
 (* {1 Node injection sites} *)
@@ -526,10 +508,8 @@ let () =
           case "zero-rate plan transparent" test_zero_rate_plan_is_transparent;
         ] );
       ( "supervision",
-        [
-          case "supervised crash contained" test_supervised_crash_is_contained;
-          case "unsupervised crash aborts" test_unsupervised_crash_aborts_run;
-        ] );
+        [ case "unsupervised crash aborts" test_unsupervised_crash_aborts_run ]
+      );
       ( "node sites",
         [
           case "uc_kill hot retry" test_uc_kill_hot_retry;

@@ -258,7 +258,12 @@ let check_pass_all_shared_parse () =
   let sources =
     Lint.Source.load_tree ~strip_prefix:"lint_fixtures" [ "lint_fixtures" ]
   in
-  let prog = Lint.Passes.program sources in
+  let prog =
+    Lint.Passes.program
+      ~dirs:(Lint.Source.scanned_dirs ~strip_prefix:"lint_fixtures"
+               [ "lint_fixtures" ])
+      sources
+  in
   let base = Lint.Passes.check prog Lint.Check.pass in
   let dl = Lint.Passes.check prog Lint.Deadlock.pass in
   let heat = Lint.Passes.check prog Lint.Heat.pass in
@@ -273,25 +278,55 @@ let check_pass_all_shared_parse () =
 
 (* {1 Roots} *)
 
-(* A registry root must name a binding its file still defines. Lint a
-   scratch lib/obs/log.ml (a registered root's file) twice: without an
-   [emit] binding the heat pass reports the stale root, with one it
-   does not. *)
-let lint_as_log code =
+(* Lint a scratch tree of [(repo-relative path, code)] files with
+   [pass]; [file_roots] lints each file as a root of its own instead
+   of walking the tree. *)
+let lint_scratch ?(file_roots = false) (pass : Lint.Pass.t) files =
   let root = Filename.temp_dir "seusslint" "" in
-  let dirs = [ "lib"; "lib/obs" ] in
-  List.iter (fun d -> Sys.mkdir (Filename.concat root d) 0o755) dirs;
-  let path = Filename.concat root "lib/obs/log.ml" in
-  Out_channel.with_open_bin path (fun oc -> output_string oc code);
+  let rec mkdirs dir =
+    if not (Sys.file_exists dir) then begin
+      mkdirs (Filename.dirname dir);
+      Sys.mkdir dir 0o755
+    end
+  in
+  let paths = List.map (fun (rel, _) -> Filename.concat root rel) files in
+  List.iter2
+    (fun path (_, code) ->
+      mkdirs (Filename.dirname path);
+      Out_channel.with_open_bin path (fun oc -> output_string oc code))
+    paths files;
+  let rec remove path =
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> remove (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
   Fun.protect
-    ~finally:(fun () ->
-      Sys.remove path;
-      List.iter (fun d -> Sys.rmdir (Filename.concat root d)) (List.rev dirs);
-      Sys.rmdir root)
-    (fun () -> Lint.Passes.check_tree ~strip_prefix:root Lint.Heat.pass [ root ])
+    ~finally:(fun () -> remove root)
+    (fun () ->
+      Lint.Passes.check_tree ~strip_prefix:root pass
+        (if file_roots then paths else [ root ]))
+
+let found vs =
+  List.map
+    (fun (v : Lint.Source.violation) -> (v.rule, v.file, v.message))
+    vs
+
+(* A registry root must name a binding its file still defines. Lint a
+   scratch lib/obs/ holding the three registered roots' files: with
+   log.ml lacking [emit] the heat pass reports that root stale, with
+   [emit] defined it reports nothing. *)
+let lint_obs log_code =
+  lint_scratch Lint.Heat.pass
+    [
+      ("lib/obs/log.ml", log_code);
+      ("lib/obs/breakdown.ml", "let fold_record x = x\n");
+      ("lib/obs/metrics.ml", "let inc x = x\n");
+    ]
 
 let check_stale_hot_root () =
-  (match lint_as_log "let record x = x\n" with
+  (match lint_obs "let record x = x\n" with
   | [ v ] ->
       Alcotest.(check string) "rule" Lint.Rules.stale_root v.Lint.Source.rule;
       Alcotest.(check string) "file" "lib/obs/log.ml" v.Lint.Source.file;
@@ -299,7 +334,63 @@ let check_stale_hot_root () =
         (contains v.Lint.Source.message "hot root emit")
   | vs -> Alcotest.failf "expected one stale root, got %d" (List.length vs));
   Alcotest.(check int) "a defined root is not stale" 0
-    (List.length (lint_as_log "let emit x = x\n"))
+    (List.length (lint_obs "let emit x = x\n"))
+
+(* A root whose file is gone from a scanned directory is stale too;
+   linting the surviving file on its own says nothing about its
+   siblings. *)
+let check_deleted_hot_root_file () =
+  let missing file =
+    ( Lint.Rules.stale_root,
+      "lib/obs/" ^ file,
+      Printf.sprintf
+        "hot root %s is registered in Lint.Hotroots but lib/obs/%s is \
+         missing from the scanned lib/obs/; update or delete the entry"
+        (if file = "metrics.ml" then "inc" else "fold_record")
+        file )
+  in
+  let files = [ ("lib/obs/log.ml", "let emit x = x\n") ] in
+  Alcotest.(check (list (triple string string string)))
+    "both missing roots reported"
+    [ missing "breakdown.ml"; missing "metrics.ml" ]
+    (found (lint_scratch Lint.Heat.pass files));
+  Alcotest.(check int) "a file root walks no directory" 0
+    (List.length (lint_scratch ~file_roots:true Lint.Heat.pass files))
+
+(* The deadlock pass's registrars follow the same rule: Log.create's
+   row goes stale when lib/obs/log.ml stops defining [create], and
+   Hb.add_reporter's when lib/sim/hb.ml is gone from a scanned
+   lib/sim/. *)
+let check_stale_registrar () =
+  let log code = lint_scratch Lint.Deadlock.pass [ ("lib/obs/log.ml", code) ] in
+  Alcotest.(check (list (triple string string string)))
+    "a registrar without its binding"
+    [
+      ( Lint.Rules.stale_registrar,
+        "lib/obs/log.ml",
+        "registrar Log.create is listed in Lint.Contexts but lib/obs/log.ml \
+         has no top-level binding create; update or delete the entry" );
+    ]
+    (found (log "let emit x = x\n"));
+  Alcotest.(check int) "a defined registrar is not stale" 0
+    (List.length (log "let create ~clock () = clock ()\n"))
+
+let check_deleted_registrar_file () =
+  let files =
+    [ ("lib/sim/engine.ml", "let add_deadlock_reporter t f = ignore (t, f)\n") ]
+  in
+  Alcotest.(check (list (triple string string string)))
+    "a registrar whose file is gone"
+    [
+      ( Lint.Rules.stale_registrar,
+        "lib/sim/hb.ml",
+        "registrar Hb.add_reporter is listed in Lint.Contexts but \
+         lib/sim/hb.ml is missing from the scanned lib/sim/; update or \
+         delete the entry" );
+    ]
+    (found (lint_scratch Lint.Deadlock.pass files));
+  Alcotest.(check int) "a file root walks no directory" 0
+    (List.length (lint_scratch ~file_roots:true Lint.Deadlock.pass files))
 
 let check_missing_root () =
   match Lint.Source.load_tree [ "lint_fixtures"; "no/such/dir" ] with
@@ -342,22 +433,16 @@ let marker_rows =
 (* Lint [comment] followed by [code] (the deadlock row's semaphore is
    declared first) as lib/m.ml; its meta-diagnostics as (rule, message). *)
 let lint_marker (pass : Lint.Pass.t) comment code =
-  let root = Filename.temp_dir "seusslint" "" in
-  Sys.mkdir (Filename.concat root "lib") 0o755;
-  let path = Filename.concat root "lib/m.ml" in
-  Out_channel.with_open_bin path (fun oc ->
-      Printf.fprintf oc
-        "let s = Sim.Semaphore.create 1 (* seussdead: lock t.s *)\n\n\
-         (* %s *)\n\
-         %s\n"
-        comment code);
   let vs =
-    Fun.protect
-      ~finally:(fun () ->
-        Sys.remove path;
-        Sys.rmdir (Filename.concat root "lib");
-        Sys.rmdir root)
-      (fun () -> Lint.Passes.check_tree ~strip_prefix:root pass [ root ])
+    lint_scratch pass
+      [
+        ( "lib/m.ml",
+          Printf.sprintf
+            "let s = Sim.Semaphore.create 1 (* seussdead: lock t.s *)\n\n\
+             (* %s *)\n\
+             %s\n"
+            comment code );
+      ]
   in
   List.filter_map
     (fun v ->
@@ -465,6 +550,12 @@ let () =
           Alcotest.test_case "file root lints as itself" `Quick check_file_root;
           Alcotest.test_case "stale hot root is a finding" `Quick
             check_stale_hot_root;
+          Alcotest.test_case "deleted hot root file is a finding" `Quick
+            check_deleted_hot_root_file;
+          Alcotest.test_case "stale registrar is a finding" `Quick
+            check_stale_registrar;
+          Alcotest.test_case "deleted registrar file is a finding" `Quick
+            check_deleted_registrar_file;
         ] );
       ( "tree",
         [

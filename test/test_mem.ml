@@ -124,12 +124,11 @@ let frame_refcount_conservation =
 (* {1 Page table} *)
 
 let entry_rw f =
-  PT.Entry.make ~frame:f ~writable:true ~cow:false ~dirty:false ~accessed:false
+  PT.Entry.make ~frame:f ~writable:true ~cow:false ~dirty:false
 
 let test_entry_roundtrip () =
   let e =
     PT.Entry.make ~frame:123456 ~writable:true ~cow:false ~dirty:true
-      ~accessed:false
   in
   Alcotest.(check bool) "present" true (PT.Entry.present e);
   Alcotest.(check int) "frame" 123456 (PT.Entry.frame e);
@@ -144,12 +143,12 @@ let test_entry_roundtrip () =
 let entry_roundtrip_prop =
   QCheck.Test.make ~name:"entry encodes any frame/flag combination" ~count:300
     QCheck.(
-      tup5 (int_range 0 10_000_000) bool bool bool bool)
-    (fun (frame, w, c, d, a) ->
-      let e = PT.Entry.make ~frame ~writable:w ~cow:c ~dirty:d ~accessed:a in
+      quad (int_range 0 10_000_000) bool bool bool)
+    (fun (frame, w, c, d) ->
+      let e = PT.Entry.make ~frame ~writable:w ~cow:c ~dirty:d in
       PT.Entry.present e && PT.Entry.frame e = frame
       && PT.Entry.writable e = w && PT.Entry.cow e = c
-      && PT.Entry.dirty e = d && PT.Entry.accessed e = a)
+      && PT.Entry.dirty e = d)
 
 let test_pt_set_get () =
   let f = small_frames () in
@@ -326,11 +325,14 @@ let test_as_zero_fill () =
   Alcotest.(check int) "mapped" 1 (AS.mapped_pages a);
   Alcotest.(check int) "dirty" 1 (AS.dirty_pages a)
 
+(* A read resolves through the table and never faults: an absent page
+   reads as absent, and nothing is mapped or allocated for it. *)
 let test_as_read_does_not_allocate () =
   let f = small_frames () in
   let a = AS.create f in
-  AS.touch_read a ~vpn:50;
-  Alcotest.(check int) "no allocation" 0 (AS.mapped_pages a)
+  Alcotest.(check int) "absent" PT.Entry.absent (PT.get (AS.table a) ~vpn:50);
+  Alcotest.(check int) "no mapping" 0 (AS.mapped_pages a);
+  Alcotest.(check int) "no frame" 0 (F.used_frames f)
 
 let test_as_cow_isolation () =
   let f = small_frames () in
@@ -359,20 +361,12 @@ let test_as_write_stats () =
   Alcotest.(check int) "zero fills" 4 stats.AS.zero_fills;
   Alcotest.(check int) "lifetime counters" 4 (AS.lifetime_cow_copies child)
 
-let test_as_write_bytes_spans_pages () =
-  let f = small_frames () in
-  let a = AS.create f in
-  let stats = AS.write_bytes a ~addr:4090 ~len:10 in
-  Alcotest.(check int) "two pages touched" 2 stats.AS.pages;
-  let stats2 = AS.write_bytes a ~addr:0 ~len:0 in
-  Alcotest.(check int) "empty write" 0 stats2.AS.pages
-
 let test_as_dirty_tracking_resets () =
   let f = small_frames () in
   let a = AS.create f in
   ignore (AS.write_range a ~vpn:0 ~pages:5);
   Alcotest.(check int) "dirty" 5 (AS.dirty_pages a);
-  AS.clear_dirty a;
+  AS.freeze a;
   Alcotest.(check int) "clean" 0 (AS.dirty_pages a);
   ignore (AS.write_range a ~vpn:2 ~pages:1);
   Alcotest.(check int) "re-dirtied" 1 (AS.dirty_pages a)
@@ -410,13 +404,12 @@ let as_counters_match_walk =
       let f = F.create ~budget_bytes:(Int64.of_int (Mem.Mconfig.mib 64)) () in
       let parent = AS.create f in
       ignore (AS.write_range parent ~vpn:0 ~pages:32);
-      AS.clear_dirty parent;
       let space = ref parent in
       List.iter
         (fun (op, vpn) ->
           match op with
           | 0 -> ignore (AS.touch_write !space ~vpn)
-          | 1 -> AS.clear_dirty !space
+          | 1 -> ignore (AS.write_range !space ~vpn ~pages:2)
           | 2 -> AS.freeze !space
           | 3 ->
               AS.freeze !space;
@@ -484,7 +477,6 @@ let () =
           case "read no alloc" test_as_read_does_not_allocate;
           case "cow isolation" test_as_cow_isolation;
           case "write stats" test_as_write_stats;
-          case "write bytes" test_as_write_bytes_spans_pages;
           case "dirty tracking" test_as_dirty_tracking_resets;
           case "oom propagates" test_as_oom_propagates;
           qcase as_family_conservation;

@@ -5,7 +5,7 @@
 
    Families:
 
-   - schedules: random interleavings of touch_read / touch_write /
+   - schedules: random interleavings of touch_write /
      write_range / freeze / COW-clone / release / prefault over a family
      of address spaces, asserting after EVERY operation that the O(1)
      counters match full page-table walks and that the frame allocator's
@@ -100,9 +100,8 @@ let run_schedule ~seed ~sched =
   for step = 1 to steps do
     let ctx = Printf.sprintf "seed %Ld sched %d step %d" seed sched step in
     (match Sim.Prng.int prng 100 with
-    | r when r < 30 ->
+    | r when r < 40 ->
         ignore (AS.touch_write (pick ()) ~vpn:(Sim.Prng.int prng vpn_span))
-    | r when r < 40 -> AS.touch_read (pick ()) ~vpn:(Sim.Prng.int prng vpn_span)
     | r when r < 55 ->
         ignore
           (AS.write_range (pick ())
@@ -162,8 +161,7 @@ let entries_of space =
            PT.Entry.frame e,
            PT.Entry.writable e,
            PT.Entry.cow e,
-           PT.Entry.dirty e,
-           PT.Entry.accessed e )
+           PT.Entry.dirty e )
          :: acc))
 
 let state_of space =
@@ -229,8 +227,7 @@ let test_prefault_rejects_read_only () =
   let space = AS.create frames in
   let fr = F.alloc frames in
   PT.set (AS.table space) ~vpn:7
-    (PT.Entry.make ~frame:fr ~writable:false ~cow:false ~dirty:false
-       ~accessed:false);
+    (PT.Entry.make ~frame:fr ~writable:false ~cow:false ~dirty:false);
   Alcotest.(check bool) "protection violation raises" true
     (match AS.prefault space ~vpns:[| 7 |] with
     | _ -> false
@@ -392,7 +389,7 @@ type model = {
 
 let model_write frames m pt ~vpn =
   let written frame =
-    PT.Entry.make ~frame ~writable:true ~cow:false ~dirty:true ~accessed:true
+    PT.Entry.make ~frame ~writable:true ~cow:false ~dirty:true
   in
   let e = PT.get pt ~vpn in
   if not (PT.Entry.present e) then begin
@@ -403,7 +400,7 @@ let model_write frames m pt ~vpn =
   end
   else if PT.Entry.writable e then begin
     if not (PT.Entry.dirty e) then m.m_dirty <- m.m_dirty + 1;
-    if not (PT.Entry.dirty e && PT.Entry.accessed e) then
+    if not (PT.Entry.dirty e) then
       PT.set pt ~vpn (PT.Entry.written e)
   end
   else if PT.Entry.cow e then begin
@@ -492,7 +489,7 @@ let check_twins ~ctx ~frames_r ~frames_m twins =
     (ctx ^ ": live frames") (F.used_frames frames_m) (F.used_frames frames_r);
   let refs_of frames space =
     List.map
-      (fun (vpn, fr, _, _, _, _) -> (vpn, F.refcount frames fr))
+      (fun (vpn, fr, _, _, _) -> (vpn, F.refcount frames fr))
       (entries_of space)
   in
   List.iteri
@@ -535,13 +532,9 @@ let run_model_schedule ~seed ~sched =
   for step = 1 to steps do
     let ctx = Printf.sprintf "seed %Ld sched %d step %d" seed sched step in
     (match Sim.Prng.int prng 100 with
-    | r when r < 30 ->
+    | r when r < 40 ->
         write_twin ~ctx ~frames_m (pick ()) Pages
           [| Sim.Prng.int prng vpn_span |]
-    | r when r < 40 ->
-        let tw = pick () and vpn = Sim.Prng.int prng vpn_span in
-        AS.touch_read tw.real ~vpn;
-        AS.touch_read tw.model ~vpn
     | r when r < 55 ->
         let vpn = Sim.Prng.int prng (vpn_span - 16) in
         let pages = 1 + Sim.Prng.int prng 16 in
@@ -727,10 +720,9 @@ let run_freeze_schedule ~seed ~sched =
           freeze_and_check ~ctx:(ctx ^ " of_table") frames !family source;
           family := Space (AS.of_table frames source) :: !family
         end
-    | r when r < 82 ->
+    | r when r < 90 ->
         freeze_and_check ~ctx:(ctx ^ " freeze") frames !family
           (table_of (pick ()))
-    | r when r < 90 -> Option.iter AS.clear_dirty (pick_space ())
     | _ -> (
         match !family with
         | _ :: _ :: _ ->
@@ -844,7 +836,7 @@ let run_slot_schedule ~seed ~sched =
         (* A fresh frame, the caller's reference handed to the table. *)
         let e =
           PT.Entry.make ~frame:(F.alloc frames) ~writable:(flag ())
-            ~cow:(flag ()) ~dirty:(flag ()) ~accessed:(flag ())
+            ~cow:(flag ()) ~dirty:(flag ())
         in
         set (snd (pick ())) ~vpn:(random_vpn ()) e
     | r when r < 40 -> (
@@ -861,7 +853,7 @@ let run_slot_schedule ~seed ~sched =
             | Some _ | None -> F.incref frames fr);
             set m ~vpn
               (PT.Entry.make ~frame:fr ~writable:(flag ()) ~cow:(flag ())
-                 ~dirty:(flag ()) ~accessed:(flag ())))
+                 ~dirty:(flag ())))
     | r when r < 48 ->
         (* A flag change in place (same frame), or a clear. *)
         let _, m = pick () in
@@ -1033,7 +1025,7 @@ let run_free_list_schedule ~seed ~sched =
             (* The present bit is bit 0: clear it from a writable entry. *)
             ents.(i) <-
               PT.Entry.make ~frame:(m.fresh + i) ~writable:true ~cow:false
-                ~dirty:false ~accessed:false
+                ~dirty:false
               lxor 1
         done;
         let ids = Array.of_list (live ()) in
@@ -1046,8 +1038,7 @@ let run_free_list_schedule ~seed ~sched =
         Array.iteri
           (fun j i ->
             ents.(i) <-
-              PT.Entry.make ~frame:ids.(j) ~writable:false ~cow:true ~dirty:false
-                ~accessed:false)
+              PT.Entry.make ~frame:ids.(j) ~writable:false ~cow:true ~dirty:false)
           placed;
         F.decref_leaf frames ents ~pos;
         (* Ascending entry order, so the model's pushes follow it. *)

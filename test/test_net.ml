@@ -164,15 +164,14 @@ let test_tcp_injected_drop_below_one_can_succeed () =
   Alcotest.(check bool) "some were dropped" true
     (Faults.Fault.fired plan > 0)
 
-let test_injected_delay_spike_stalls_send () =
+let send_time ~spike =
   let elapsed = ref 0.0 in
   let engine = Sim.Engine.create () in
-  let plan =
-    Faults.Fault.make ~seed:3L ~delay_spike:0.5
-      ~rates:[ (Faults.Fault.Net_delay, 1.0) ]
-      engine
-  in
-  Faults.Fault.install plan;
+  if spike then
+    Faults.Fault.install
+      (Faults.Fault.make ~seed:3L
+         ~rates:[ (Faults.Fault.Net_delay, 1.0) ]
+         engine);
   let l = Net.Tcp.listener ~port:1 in
   Sim.Engine.spawn engine (fun () -> ignore (Net.Tcp.accept l));
   Sim.Engine.spawn engine (fun () ->
@@ -183,7 +182,12 @@ let test_injected_delay_spike_stalls_send () =
           Net.Tcp.send conn "x";
           elapsed := Sim.Engine.now engine -. t0);
   Sim.Engine.run engine;
-  Alcotest.(check bool) "send stalled by the spike" true (!elapsed >= 0.5)
+  !elapsed
+
+let test_injected_delay_spike_stalls_send () =
+  let plain = send_time ~spike:false in
+  Alcotest.(check (float 1e-12)) "send stalled by the 20 ms spike"
+    (plain +. 0.02) (send_time ~spike:true)
 
 let test_http_roundtrip () =
   let status = ref 0 and body = ref "" in

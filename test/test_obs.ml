@@ -148,58 +148,28 @@ let free_bytes_of (r : Obs.Log.record) =
   | Obs.Event.Oom_wake { free_bytes } -> Int64.to_int free_bytes
   | ev -> Alcotest.failf "unexpected %s" (Obs.Event.type_name ev)
 
+let cap = Obs.Log.default_capacity
+
 let test_ring_overwrites_oldest () =
   let clock, set = fake_clock () in
-  let log = Obs.Log.create ~capacity:3 ~clock () in
-  List.iter
-    (fun i ->
-      set (float_of_int i);
-      Obs.Log.emit log (oom_ev i))
-    [ 1; 2; 3; 4; 5 ];
+  let log = Obs.Log.create ~clock () in
+  for i = 1 to cap + 2 do
+    set (float_of_int i);
+    Obs.Log.emit log (oom_ev i)
+  done;
   let records = Obs.Log.records log in
-  Alcotest.(check (list int)) "keeps newest" [ 3; 4; 5 ]
+  Alcotest.(check (list int)) "keeps newest" (List.init cap (fun i -> i + 3))
     (List.map free_bytes_of records);
-  Alcotest.(check (list (float 0.0))) "with their times" [ 3.; 4.; 5. ]
+  Alcotest.(check (list (float 0.0))) "with their times"
+    (List.init cap (fun i -> float_of_int (i + 3)))
     (List.map (fun r -> r.Obs.Log.time) records);
   Alcotest.(check int) "dropped counted" 2 (Obs.Log.dropped log);
-  Obs.Log.clear log;
-  Alcotest.(check (list int)) "clear empties" []
-    (List.map free_bytes_of (Obs.Log.records log));
-  Alcotest.(check int) "clear keeps the drop count" 2 (Obs.Log.dropped log);
-  (* The ring restarts cleanly after a clear. *)
-  List.iter (fun i -> Obs.Log.emit log (oom_ev i)) [ 6; 7 ];
-  Alcotest.(check (list int)) "refills after clear" [ 6; 7 ]
-    (List.map free_bytes_of (Obs.Log.records log));
-  Alcotest.(check int) "emitted counts everything" 7 (Obs.Log.emitted log)
-
-let test_ring_rejects_bad_capacity () =
-  Alcotest.check_raises "zero capacity"
-    (Invalid_argument "Log.create: capacity must be positive") (fun () ->
-      ignore (Obs.Log.create ~capacity:0 ~clock:(fun () -> 0.0) ()))
-
-(* Emit one event whose payload is a fresh heap string and return a weak
-   pointer to that payload; nothing else keeps it reachable. *)
-let emit_watched log =
-  let weak = Weak.create 1 in
-  let fn_id = String.init 64 (fun i -> Char.chr (97 + (i mod 26))) in
-  Weak.set weak 0 (Some fn_id);
-  Obs.Log.emit log (Obs.Event.Invoke_start { fn_id });
-  weak
-
-let test_ring_clear_releases_events () =
-  let log = Obs.Log.create ~capacity:4 ~clock:(fun () -> 0.0) () in
-  let weak = emit_watched log in
-  Gc.full_major ();
-  Alcotest.(check bool) "retained while in the ring" true (Weak.check weak 0);
-  Obs.Log.clear log;
-  Gc.full_major ();
-  Alcotest.(check bool) "released by clear" false (Weak.check weak 0);
-  (* The log itself stayed reachable across the collection. *)
-  Alcotest.(check int) "log still counts the event" 1 (Obs.Log.emitted log)
+  Alcotest.(check int) "emitted counts everything" (cap + 2)
+    (Obs.Log.emitted log)
 
 let test_log_jsonl_roundtrip () =
   let clock, set = fake_clock () in
-  let log = Obs.Log.create ~capacity:64 ~clock () in
+  let log = Obs.Log.create ~clock () in
   for i = 1 to 10 do
     set (float_of_int i);
     Obs.Log.emit log (finish_ev i)
@@ -228,7 +198,7 @@ let test_log_parse_reports_line () =
       Alcotest.(check bool) "names the line" true (contains "line 2" msg)
 
 let test_log_cow_fault_pages_roundtrip () =
-  let log = Obs.Log.create ~capacity:8 ~clock:(fun () -> 2.5) () in
+  let log = Obs.Log.create ~clock:(fun () -> 2.5) () in
   let ev = Obs.Event.Cow_fault { uc_id = 3; pages = 487 } in
   Obs.Log.emit log ev;
   let text = Obs.Log.to_jsonl log in
@@ -251,20 +221,21 @@ let test_log_cow_fault_needs_pages () =
 
 let test_log_subscriber_outlives_ring () =
   let clock, set = fake_clock () in
-  let log = Obs.Log.create ~capacity:2 ~clock () in
+  let log = Obs.Log.create ~clock () in
   let seen = ref [] in
   Obs.Log.subscribe log (fun r -> seen := r.Obs.Log.time :: !seen);
-  for i = 1 to 50 do
+  let n = cap + 48 in
+  for i = 1 to n do
     set (float_of_int i);
     Obs.Log.emit log (finish_ev i)
   done;
   Alcotest.(check (list (float 0.0)))
     "subscriber saw every event, stamped, in order"
-    (List.init 50 (fun i -> float_of_int (i + 1)))
+    (List.init n (fun i -> float_of_int (i + 1)))
     (List.rev !seen);
-  Alcotest.(check int) "ring kept only capacity" 2
+  Alcotest.(check int) "ring kept only capacity" cap
     (List.length (Obs.Log.records log));
-  Alcotest.(check int) "emitted counts all" 50 (Obs.Log.emitted log);
+  Alcotest.(check int) "emitted counts all" n (Obs.Log.emitted log);
   Alcotest.(check int) "dropped counts evictions" 48 (Obs.Log.dropped log)
 
 (* {1 Metrics} *)
@@ -363,14 +334,20 @@ let test_chrome_document_structure () =
 
 let test_breakdown_aggregates_beyond_ring () =
   let clock, set = fake_clock () in
-  (* Tiny ring: the aggregator must still see everything (it subscribes
-     to the bus instead of reading the ring). *)
-  let log = Obs.Log.create ~capacity:2 ~clock () in
+  (* The ring overwrites all 40 invocations: the aggregator must still
+     see everything (it subscribes to the bus instead of reading the
+     ring). *)
+  let log = Obs.Log.create ~clock () in
   let bd = Obs.Breakdown.attach log in
   for i = 1 to 40 do
     set (float_of_int i);
     Obs.Log.emit log (finish_ev i)
   done;
+  for i = 1 to cap do
+    Obs.Log.emit log (oom_ev i)
+  done;
+  Alcotest.(check int) "the ring dropped every invocation" 40
+    (Obs.Log.dropped log);
   (match Obs.Breakdown.overall bd with
   | None -> Alcotest.fail "no overall breakdown"
   | Some o ->
@@ -404,7 +381,7 @@ let finish ~path ~total ~ok =
 
 let fresh_breakdown () =
   let clock, set = fake_clock () in
-  let log = Obs.Log.create ~capacity:16 ~clock () in
+  let log = Obs.Log.create ~clock () in
   (Obs.Breakdown.attach log, log, set)
 
 (* Property: the tail columns track exact order statistics within the
@@ -600,8 +577,6 @@ let () =
       ( "ring",
         [
           case "overwrites oldest" test_ring_overwrites_oldest;
-          case "rejects bad capacity" test_ring_rejects_bad_capacity;
-          case "clear releases events" test_ring_clear_releases_events;
         ] );
       ( "log",
         [

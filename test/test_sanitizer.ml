@@ -207,7 +207,8 @@ let experiments_race_free () =
     { Experiments.Run_config.default with Experiments.Run_config.hb = true }
   in
   let races =
-    Experiments.Harness.run_sim ~run ~seed:5L (fun engine ->
+    Experiments.Harness.with_run run @@ fun () ->
+    Experiments.Harness.run_sim ~seed:5L (fun engine ->
         let env = Experiments.Harness.make_seuss_env engine in
         let controller, _node = Experiments.Harness.seuss_controller env in
         let live = ref 8 in

@@ -256,13 +256,7 @@ let test_idle_uc_footprint_small () =
 let test_oom_reclaims_idle_ucs () =
   (* A small node: deploy idle runtime UCs until memory runs low, then
      check the reclaimer frees memory without touching snapshots. *)
-  let config =
-    {
-      Seuss.Config.default with
-      Seuss.Config.oom_headroom_bytes = Int64.of_int (Mem.Mconfig.mib 256);
-    }
-  in
-  with_node ~config ~budget_gib:1 (fun _env node ->
+  with_node ~budget_gib:2 (fun _env node ->
       let deployed = ref 0 in
       let continue_ = ref true in
       while !continue_ do
@@ -275,9 +269,8 @@ let test_oom_reclaims_idle_ucs () =
       let reclaimed = N.reclaim_idle_ucs node in
       ignore before_free;
       if
-        Int64.compare (N.free_bytes node)
-          config.Seuss.Config.oom_headroom_bytes
-          >= 0
+        Int64.compare (N.free_bytes node) Seuss.Config.oom_headroom_bytes
+        >= 0
       then ()
       else Alcotest.(check bool) "reclaimer made progress" true (reclaimed > 0);
       (* The base snapshot survived. *)
@@ -533,10 +526,10 @@ let test_concurrent_cold_same_function () =
 (* {1 Failure injection} *)
 
 let test_invoke_timeout_recovers () =
-  let config = { Seuss.Config.default with Seuss.Config.invoke_timeout = 1.0 } in
-  with_node ~config (fun _env node ->
+  with_node (fun _env node ->
+      (* Two minutes of guest work outlasts the 60 s timeout. *)
       let stuck =
-        fn ~id:"stuck" "function main(args) { work(30000); return {}; }"
+        fn ~id:"stuck" "function main(args) { work(120000); return {}; }"
       in
       (match N.invoke node stuck ~args:"{}" with
       | Error `Timeout, _ -> ()
@@ -580,14 +573,7 @@ let test_guest_oom_surfaces_as_error () =
   in
   let outcome = ref None in
   Sim.Engine.spawn engine ~name:"experiment" (fun () ->
-      let config =
-        {
-          Seuss.Config.default with
-          Seuss.Config.invoke_timeout = 5.0;
-          oom_headroom_bytes = 0L;
-        }
-      in
-      let node = N.create ~config env in
+      let node = N.create env in
       N.start node;
       outcome := Some (N.invoke node nop_fn ~args:"{}"));
   Sim.Engine.run engine;
@@ -825,15 +811,19 @@ let test_timeline_sampler_emits_and_quiesces () =
   Alcotest.(check bool) "render draws both canvases" true
     (String.length rendering > 0)
 
-(* The sampler keeps its own samples, so a small event ring that drops
-   most of the run's events loses none of the timeline: every period
-   from the first on is there. *)
+(* Overwrite every event the ring holds. *)
+let flood_ring env =
+  for _ = 1 to Obs.Log.default_capacity do
+    Seuss.Osenv.emit env (Obs.Event.Oom_wake { free_bytes = 0L })
+  done
+
+(* The sampler keeps its own samples, so a ring that dropped all of the
+   run's events loses none of the timeline: every period from the
+   first on is there. *)
 let test_timeline_survives_ring_eviction () =
   let period = 0.05 in
   let engine = Sim.Engine.create ~seed:11L () in
-  let env =
-    Seuss.Osenv.create ~budget_bytes:(gib 8) ~log_capacity:64 engine
-  in
+  let env = Seuss.Osenv.create ~budget_bytes:(gib 8) engine in
   let read = ref (fun () -> []) and started = ref 0.0 in
   Sim.Engine.spawn engine ~name:"experiment" (fun () ->
       let node = N.create env in
@@ -843,7 +833,8 @@ let test_timeline_survives_ring_eviction () =
       for k = 0 to 39 do
         invoke_k node (k mod 3);
         Sim.Engine.sleep period
-      done);
+      done;
+      flood_ring env);
   Sim.Engine.run engine;
   Alcotest.(check bool) "the ring overflowed" true
     (Obs.Log.dropped env.Seuss.Osenv.log > 0);
@@ -934,17 +925,21 @@ let test_chrome_export_of_traced_calls () =
    truncated log. *)
 let test_ring_drops_surface_in_metrics () =
   let engine = Sim.Engine.create ~seed:11L () in
-  let env = Seuss.Osenv.create ~budget_bytes:(gib 8) ~log_capacity:4 engine in
+  let env = Seuss.Osenv.create ~budget_bytes:(gib 8) engine in
+  let run_events = ref 0 in
   Sim.Engine.spawn engine ~name:"experiment" (fun () ->
       let node = N.create env in
       N.start node;
       for k = 1 to 8 do
         invoke_k node k
-      done);
+      done;
+      run_events := Obs.Log.emitted env.Seuss.Osenv.log;
+      flood_ring env);
   Sim.Engine.run engine;
   let log = env.Seuss.Osenv.log in
-  let dropped = Obs.Log.dropped log in
-  Alcotest.(check bool) "tiny ring overflowed" true (dropped > 0)
+  Alcotest.(check bool) "the run emitted events" true (!run_events > 0);
+  Alcotest.(check int) "the ring dropped exactly the run's events"
+    !run_events (Obs.Log.dropped log)
 
 (* {1 Ownership census (SEUSS_OWN)} *)
 

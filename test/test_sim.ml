@@ -8,34 +8,50 @@ let run_sim f =
   Sim.Engine.run engine;
   engine
 
-(* {1 Heap} *)
+(* {1 Heap}
+
+   The engine's event heap: callbacks fire in time order, ties in push
+   order. *)
+
+(* The order in which callbacks scheduled at [delays] fire, as indices
+   into [delays]. *)
+let fire_order delays =
+  let engine = Sim.Engine.create () in
+  let fired = ref [] in
+  List.iteri
+    (fun i d ->
+      Sim.Engine.schedule engine ~delay:(float_of_int d) (fun () ->
+          fired := i :: !fired))
+    delays;
+  Sim.Engine.run engine;
+  List.rev !fired
 
 let test_heap_ordering () =
-  let h = Sim.Heap.create ~cmp:compare in
-  List.iter (Sim.Heap.push h) [ 5; 3; 9; 1; 7; 3; 0 ];
-  let rec drain acc =
-    match Sim.Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  Alcotest.(check (list int)) "sorted" [ 0; 1; 3; 3; 5; 7; 9 ] (drain [])
+  Alcotest.(check (list int)) "sorted, ties in push order"
+    [ 6; 3; 1; 5; 0; 4; 2 ]
+    (fire_order [ 5; 3; 9; 1; 7; 3; 0 ])
 
 let test_heap_empty () =
-  let h = Sim.Heap.create ~cmp:compare in
-  Alcotest.(check bool) "empty" true (Sim.Heap.is_empty h);
-  Alcotest.(check (option int)) "pop" None (Sim.Heap.pop h);
-  Alcotest.(check (option int)) "peek" None (Sim.Heap.peek h)
+  let engine = Sim.Engine.create () in
+  Alcotest.(check int) "nothing pending" 0 (Sim.Engine.pending engine);
+  Sim.Engine.run engine;
+  let perf = Sim.Engine.perf engine in
+  Alcotest.(check (pair int int)) "nothing scheduled or dispatched" (0, 0)
+    (perf.Sim.Engine.scheduled, perf.Sim.Engine.dispatched);
+  check_float "clock unmoved" 0.0 (Sim.Engine.now engine)
 
+(* Up to 1,000 events, so the heap also grows past its initial 256
+   slots. *)
 let heap_sorts_like_list =
   QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
-    QCheck.(list small_int)
+    QCheck.(list_of_size Gen.(0 -- 1000) small_int)
     (fun xs ->
-      let h = Sim.Heap.create ~cmp:compare in
-      List.iter (Sim.Heap.push h) xs;
-      let rec drain acc =
-        match Sim.Heap.pop h with
-        | None -> List.rev acc
-        | Some x -> drain (x :: acc)
+      let expected =
+        List.mapi (fun i x -> (x, i)) xs
+        |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+        |> List.map snd
       in
-      drain [] = List.sort compare xs)
+      fire_order xs = expected)
 
 (* {1 Prng} *)
 
@@ -187,33 +203,27 @@ let test_engine_negative_delay_rejected () =
     (Invalid_argument "Engine.schedule: delay must be finite and non-negative")
     (fun () -> Sim.Engine.schedule engine ~delay:(-1.0) (fun () -> ()))
 
-(* A bad sleep delay kills only the supervised process that asked for
-   it: the run returns, and [failures] names the process. Raised from
-   the effect handler, it used to abort the whole run unnamed. *)
-let test_engine_bad_sleep_supervised () =
-  let engine = Sim.Engine.create () in
-  let survived = ref false and bystander = ref false in
+(* A bad sleep delay fails the run in the process that asked for it:
+   [Process_failure] names that process, also after a suspension.
+   Raised from the effect handler, it used to abort the run unnamed. *)
+let test_engine_bad_sleep () =
   List.iter
     (fun (name, delay) ->
-      Sim.Engine.spawn_supervised engine ~name (fun () ->
+      let engine = Sim.Engine.create () in
+      let went_on = ref false in
+      Sim.Engine.spawn engine ~name (fun () ->
           Sim.Engine.sleep 1.0;
           Sim.Engine.sleep delay;
-          survived := true))
-    [ ("negative", -1.0); ("nan", Float.nan); ("infinite", Float.infinity) ];
-  Sim.Engine.spawn engine ~name:"bystander" (fun () ->
-      Sim.Engine.sleep 2.0;
-      bystander := true);
-  Sim.Engine.run engine;
-  Alcotest.(check bool) "no sleeper went on" false !survived;
-  Alcotest.(check bool) "the run went on" true !bystander;
-  Alcotest.(check (list string))
-    "each sleeper failed of its delay"
-    [ "negative"; "nan"; "infinite" ]
-    (List.map
-       (function
-         | name, Invalid_argument _ -> name
-         | name, e -> name ^ ": " ^ Printexc.to_string e)
-       (Sim.Engine.failures engine))
+          went_on := true);
+      (match Sim.Engine.run engine with
+      | () -> Alcotest.failf "%s: the run returned" name
+      | exception Sim.Engine.Process_failure (failed, Invalid_argument msg) ->
+          Alcotest.(check string) "names the sleeper" name failed;
+          Alcotest.(check string) "with the sleep's own message"
+            "Engine.sleep: delay must be finite and non-negative" msg
+      | exception e -> Alcotest.failf "%s: %s" name (Printexc.to_string e));
+      Alcotest.(check bool) (name ^ " did not go on") false !went_on)
+    [ ("negative", -1.0); ("nan", Float.nan); ("infinite", Float.infinity) ]
 
 let test_engine_process_failure () =
   let engine = Sim.Engine.create () in
@@ -1122,7 +1132,9 @@ let test_census_env_arms () =
   let armed value =
     match Experiments.Run_config.parse [ ("SEUSS_OWN", value) ] with
     | Error e -> Alcotest.fail e
-    | Ok run -> Experiments.Harness.run_sim ~run ~seed:3L Sim.Engine.own_armed
+    | Ok run ->
+        Experiments.Harness.with_run run (fun () ->
+            Experiments.Harness.run_sim ~seed:3L Sim.Engine.own_armed)
   in
   Alcotest.(check bool) "SEUSS_OWN=1 arms the harness engine" true (armed "1");
   Alcotest.(check bool) "SEUSS_OWN=0 behaves as unset" false (armed "0");
@@ -1157,7 +1169,7 @@ let () =
           case "run until" test_engine_until;
           case "negative delay rejected" test_engine_negative_delay_rejected;
           case "process failure" test_engine_process_failure;
-          case "bad sleep delay is supervised" test_engine_bad_sleep_supervised;
+          case "bad sleep delay fails the run" test_engine_bad_sleep;
           case "nested spawn" test_engine_nested_spawn;
           qcase engine_deterministic;
         ] );

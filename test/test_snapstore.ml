@@ -254,8 +254,7 @@ let table_shape snap =
          ( vpn,
            PT.Entry.writable e,
            PT.Entry.cow e,
-           PT.Entry.dirty e,
-           PT.Entry.accessed e )
+           PT.Entry.dirty e )
          :: acc))
 
 let run_differential_world ~armed ~ops =

@@ -117,20 +117,6 @@ let test_series_basics () =
   check_float "insertion order preserved" 0.0 pts.(0).Stats.Series.time;
   check_float "last point" 2.5 pts.(2).Stats.Series.time
 
-let test_series_windows () =
-  let s = Stats.Series.create () in
-  List.iter
-    (fun t -> Stats.Series.add s ~time:t ~value:0.0 ~ok:true)
-    [ 0.1; 0.2; 0.9; 1.1; 2.05 ];
-  let windows = Stats.Series.window_counts s ~width:1.0 in
-  Alcotest.(check (list int)) "per-window counts" [ 3; 1; 1 ]
-    (List.map snd windows)
-
-let test_series_empty_windows () =
-  let s = Stats.Series.create () in
-  Alcotest.(check int) "no windows" 0
-    (List.length (Stats.Series.window_counts s ~width:1.0))
-
 let test_tablefmt_renders () =
   let t =
     Stats.Tablefmt.create
@@ -210,8 +196,6 @@ let () =
       ( "series",
         [
           case "basics" test_series_basics;
-          case "windows" test_series_windows;
-          case "empty windows" test_series_empty_windows;
         ] );
       ( "render",
         [
