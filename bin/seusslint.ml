@@ -1,5 +1,5 @@
-(* The seusslint driver — determinism, resource-safety, hot-path and
-   ownership linter.
+(* The seusslint driver — determinism, resource-safety, deadlock and
+   hot-path linter.
 
    Runs over every .ml under the given roots (default: lib bin; a root
    may also be a single .ml file), one pass of the table in Lint.Passes

@@ -41,30 +41,13 @@ type id =
   | Heat_partial
       (** partial application on a hot path: allocates a closure per
           call *)
-  | Own_escape
-      (** an acquired resource (frame ref, snapshot ref, UC) that no
-          reachable path ever releases, at a site not registered as an
-          ownership transfer *)
-  | Own_exn_leak
-      (** a raise/failwith/invalid_arg while a resource acquired in the
-          same function is still owned on that path *)
-  | Own_double_release
-      (** a second release of a resource already released on the same
-          path *)
-  | Own_use_after_destroy
-      (** a liveness-requiring UC operation after [Uc.destroy] on the
-          same path *)
-  | Own_unbalanced
-      (** branch arms that disagree about whether a resource owned
-          before the branch is released *)
 
 let all =
   [
     Bare_random; Wallclock; Hashtbl_order; Physical_eq; Stdout_print;
     Frame_site; Ambient_env; Block_in_handler; Lock_order; Unreleased_acquire;
     Heat_closure; Heat_alloc; Heat_string; Heat_float_box; Heat_poly_cmp;
-    Heat_partial; Own_escape; Own_exn_leak; Own_double_release;
-    Own_use_after_destroy; Own_unbalanced;
+    Heat_partial;
   ]
 
 let name = function
@@ -84,11 +67,6 @@ let name = function
   | Heat_float_box -> "heat-float-box"
   | Heat_poly_cmp -> "heat-poly-cmp"
   | Heat_partial -> "heat-partial-apply"
-  | Own_escape -> "own-escape"
-  | Own_exn_leak -> "own-exn-leak"
-  | Own_double_release -> "own-double-release"
-  | Own_use_after_destroy -> "own-use-after-destroy"
-  | Own_unbalanced -> "own-unbalanced"
 
 let of_name n = List.find_opt (fun r -> String.equal (name r) n) all
 
@@ -163,30 +141,6 @@ let describe = function
       "applying a known function to fewer arguments than its definition \
        takes allocates a closure per call on a hot path; apply it fully \
        or eta-expand at the call site"
-  | Own_escape ->
-      "a resource acquired here (Frame.alloc/incref, Snapshot.addref, \
-       Uc.boot/deploy) is never released on any reachable path and the \
-       site is not in the Lint.Sites transfer registry; release it, \
-       register the transfer, or justify with (* seussown: transfer — \
-       ... *)"
-  | Own_exn_leak ->
-      "this raise / failwith / invalid_arg fires while a resource \
-       acquired in the same function is still owned on the path, so the \
-       exception leaks it; release before raising or wrap in \
-       Fun.protect"
-  | Own_double_release ->
-      "the resource was already released earlier on this path; a second \
-       Frame.decref / Snapshot.decref / Uc.destroy either underflows \
-       the refcount or double-frees"
-  | Own_use_after_destroy ->
-      "a liveness-requiring UC operation (connect, send, request, \
-       resume, capture, prefault, ...) after Uc.destroy on the same \
-       path reads resources destroy already released"
-  | Own_unbalanced ->
-      "one branch arm releases a resource owned before the branch while \
-       a sibling arm keeps it owned, so ownership after the branch \
-       depends on which arm ran; release on every arm or transfer \
-       explicitly"
 
 (* Meta-diagnostics the checker itself can emit. They are not
    suppressible — an allow comment that is wrong or dead is itself the

@@ -42,19 +42,6 @@ type id =
           path *)
   | Heat_partial
       (** partial application on a hot path: a closure per call *)
-  | Own_escape
-      (** an acquired resource never released on any reachable path, at
-          a site not registered as an ownership transfer *)
-  | Own_exn_leak
-      (** a raise while a resource acquired in the same function is
-          still owned on that path *)
-  | Own_double_release
-      (** a second release of a resource already released on the path *)
-  | Own_use_after_destroy
-      (** a liveness-requiring UC operation after [Uc.destroy] *)
-  | Own_unbalanced
-      (** branch arms that disagree about releasing a pre-branch
-          resource *)
 
 val all : id list
 (** The catalogue, in [--list-rules] order. *)

@@ -640,13 +640,13 @@ let shutdown t =
 
 (* {1 Ownership census}
 
-   The dynamic half of the seussown static pass: at engine quiescence,
-   count every resource the node still holds beyond its deliberate
-   caches. The static pass proves each acquire has a release on every
-   path; the census checks the same invariant against the runtime
-   ground truth — the frame allocator, snapshot dependent counts, the
-   UC create/destroy ledger — so a leak the analysis missed (or a
-   suppression that lied) still surfaces. *)
+   At engine quiescence, count every resource the node still holds
+   beyond its deliberate caches, against the runtime ground truth — the
+   frame allocator, snapshot dependent counts, the UC create/destroy
+   ledger — so every acquire without its release surfaces. With
+   Frame.check_live, Snapshot.decref's dependents check and
+   Page_table.check_alive (which catch double releases and uses after
+   release where they happen) it is the ownership guarantee. *)
 
 type census = {
   leaked_frames : int;

@@ -124,12 +124,11 @@ val last_served_uc : t -> Uc.t option
 
 (** {1 Ownership census}
 
-    The dynamic half of the [seussown] static pass: where the lint
-    proves each acquire is released on every path, the census checks
-    the same invariant against the runtime ground truth at engine
-    quiescence. Armed with [~own:true] at [Sim.Engine.create];
-    unarmed, {!arm_census} registers nothing and
-    every output is byte-identical. *)
+    Checks that every acquire was released, against the runtime
+    ground truth at engine quiescence: live frames, snapshot dependent
+    counts, open pin windows and the UC create/destroy ledger. Armed
+    with [~own:true] at [Sim.Engine.create]; unarmed, {!arm_census}
+    registers nothing and every output is byte-identical. *)
 
 type census = {
   leaked_frames : int;

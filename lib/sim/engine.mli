@@ -224,12 +224,11 @@ val add_deadlock_reporter : t -> (stranded -> unit) -> unit
 
 (** {1 Ownership census}
 
-    The dynamic half of the [seussown] static pass: with the census
-    armed ([?own] at {!create}), hooks registered via
+    With the census armed ([?own] at {!create}), hooks registered via
     {!add_census_hook} run once when {!run} reaches natural quiescence,
     after the stranded-waiter report. Each node registers a hook that
     counts the resources still held beyond its caches — the runtime
-    ground truth for the statically-proven acquire/release pairing. *)
+    ground truth for acquire/release pairing. *)
 
 val own_armed : t -> bool
 

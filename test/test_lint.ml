@@ -47,7 +47,7 @@ let check_no_parse_errors () =
            (fun (src : Lint.Source.t) ->
              String.starts_with ~prefix:("lint_fixtures/" ^ dir ^ "/") src.rel)
            sources))
-    [ "lib"; "deadlock"; "heat"; "own" ];
+    [ "lib"; "deadlock"; "heat" ];
   List.iter
     (fun (src : Lint.Source.t) ->
       match src.ast with
@@ -198,63 +198,10 @@ let check_heat_fixture_tree () =
        (Lint.Passes.check_tree ~strip_prefix:"lint_fixtures" Lint.Heat.pass
           [ "lint_fixtures/lib"; "lint_fixtures/deadlock" ]))
 
-let check_own_fixture_tree () =
-  (* Mirror CI's "Own fixtures still fail" step: every ownership rule
-     fires on its fixture with the planted count, the marker meta-rules
-     fire, and the justified-transfer fixture stays clean. *)
-  let vs =
-    Lint.Passes.check_tree ~strip_prefix:"lint_fixtures" Lint.Own.pass
-      [ "lint_fixtures/own" ]
-  in
-  check_planted vs "own/"
-    [
-      ("leak_escape.ml", "own-escape", 1);
-      ("exn_leak.ml", "own-exn-leak", 1);
-      ("double_release.ml", "own-double-release", 1);
-      ("use_after_destroy.ml", "own-use-after-destroy", 1);
-      ("unbalanced.ml", "own-unbalanced", 1);
-      ("bad_marker.ml", Lint.Rules.bad_allow, 2);
-      ("unused_marker.ml", Lint.Rules.unused_allow, 1);
-    ];
-  Alcotest.(check (list string)) "transfer_ok clean under seussown" []
-    (rules_hit (in_file vs "own/transfer_ok.ml"));
-  Alcotest.(check int) "whole own fixture tree: only the planted hits" 8
-    (List.length vs);
-  (* Every ownership finding must carry its root-to-site chain — the
-     report doubles as the ownership-flow proof. *)
-  List.iter
-    (fun v ->
-      if String.starts_with ~prefix:"own-" v.Lint.Source.rule then
-        Alcotest.(check bool)
-          (v.Lint.Source.rule ^ " message carries an ownership chain") true
-          (contains v.Lint.Source.message " -> "))
-    vs;
-  (* Cross-pass isolation: the own fixtures are invisible to the other
-     three passes (their markers are not seussown's and vice versa),
-     and the own pass sees nothing in the deadlock fixtures. *)
-  Alcotest.(check int) "base pass ignores the own fixtures" 0
-    (List.length
-       (List.filter
-          (fun v -> String.starts_with ~prefix:"own/" v.Lint.Source.file)
-          (Lint.Passes.check_tree ~strip_prefix:"lint_fixtures" Lint.Check.pass
-             [ "lint_fixtures" ])));
-  List.iter
-    (fun ((pass : Lint.Pass.t), dir) ->
-      Alcotest.(check int)
-        (Printf.sprintf "%s pass ignores the %s fixtures" pass.name dir)
-        0
-        (List.length
-           (Lint.Passes.check_tree ~strip_prefix:"lint_fixtures" pass
-              [ "lint_fixtures/" ^ dir ])))
-    [
-      (Lint.Deadlock.pass, "own"); (Lint.Heat.pass, "own");
-      (Lint.Own.pass, "deadlock");
-    ]
-
 let check_pass_all_shared_parse () =
-  (* --pass all must equal the union of the four passes over the same
-     tree, deduplicated: the three interprocedural passes all surface
-     the same suffix-2 collision, which must be reported once. *)
+  (* --pass all must equal the union of the three passes over the same
+     tree, deduplicated: both interprocedural passes surface the same
+     suffix-2 collision, which must be reported once. *)
   let sources =
     Lint.Source.load_tree ~strip_prefix:"lint_fixtures" [ "lint_fixtures" ]
   in
@@ -267,14 +214,49 @@ let check_pass_all_shared_parse () =
   let base = Lint.Passes.check prog Lint.Check.pass in
   let dl = Lint.Passes.check prog Lint.Deadlock.pass in
   let heat = Lint.Passes.check prog Lint.Heat.pass in
-  let own = Lint.Passes.check prog Lint.Own.pass in
   let merged =
-    List.sort_uniq Lint.Source.compare_violation (base @ dl @ heat @ own)
+    List.sort_uniq Lint.Source.compare_violation (base @ dl @ heat)
   in
-  Alcotest.(check int) "dedup removes the triply-reported collision"
-    (List.length base + List.length dl + List.length heat + List.length own
-   - 2)
+  Alcotest.(check int) "dedup removes the doubly-reported collision"
+    (List.length base + List.length dl + List.length heat - 1)
     (List.length merged)
+
+(* {1 The catch ledger}
+
+   test/lint_ledger.txt gives every rule its fixture, the shipped defect
+   it caught and the run-time check covering its class, as
+   `rule — fixture — caught — dynamic cover`. The ledger and the rule
+   catalogue must name the same rules. *)
+
+let check_ledger () =
+  let entries =
+    In_channel.with_open_text "lint_ledger.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && not (String.starts_with ~prefix:"#" l))
+    |> List.map (fun line ->
+           match String.split_on_char ' ' line with
+           | rule :: "—" :: fixture :: "—" :: rest when List.mem "—" rest ->
+               (rule, fixture)
+           | _ -> Alcotest.failf "ledger line without four fields: %s" line)
+  in
+  let ledger = List.map fst entries in
+  let catalogue = List.map Lint.Rules.name Lint.Rules.all in
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) (r ^ " has a ledger line") true
+        (List.mem r ledger))
+    catalogue;
+  List.iter
+    (fun (r, fixture) ->
+      Alcotest.(check bool) (r ^ " is a catalogued rule") true
+        (List.mem r catalogue);
+      Alcotest.(check bool)
+        (r ^ "'s fixture " ^ fixture ^ " exists")
+        true
+        (Sys.file_exists (Filename.concat "lint_fixtures" fixture)))
+    entries;
+  Alcotest.(check int) "one line per rule" (List.length catalogue)
+    (List.length ledger)
 
 (* {1 Roots} *)
 
@@ -426,8 +408,21 @@ let marker_rows =
       "allowance for unreleased-acquire suppresses nothing; delete it" );
     ( Lint.Heat.pass, "seussheat: cold", "let f x = x + 1",
       "cold marker covers no binding and silences nothing; delete it" );
-    ( Lint.Own.pass, "seussown: transfer", "let f () = Frame.alloc ()",
-      "transfer marker covers no acquire and silences nothing; delete it" );
+  ]
+
+(* One rule per pass, and the hint a marker of another pass gets when it
+   names that rule. *)
+let foreign_rules =
+  [
+    ( "base", "physical-eq",
+      "rule physical-eq belongs to the base pass; suppress it with a \
+       seusslint: allow comment" );
+    ( "deadlock", "lock-order",
+      "rule lock-order belongs to the deadlock pass; suppress it with a \
+       seussdead: allow comment" );
+    ( "heat", "heat-alloc",
+      "rule heat-alloc belongs to the heat pass; suppress it with a \
+       seussheat: cold marker" );
   ]
 
 (* Lint [comment] followed by [code] (the deadlock row's semaphore is
@@ -457,16 +452,6 @@ let check_marker_grammar () =
     (fun ((pass : Lint.Pass.t), head, code, unused) ->
       let word = List.hd (String.split_on_char ' ' head) in
       let verb = List.nth (String.split_on_char ' ' head) 1 in
-      let foreign, foreign_msg =
-        if pass.name = "own" then
-          ( "heat-alloc",
-            "rule heat-alloc belongs to the heat pass; suppress it with a \
-             seussheat: cold marker" )
-        else
-          ( "own-escape",
-            "rule own-escape belongs to the own pass; suppress it with a \
-             seussown: transfer marker" )
-      in
       let malformed = [ (Lint.Rules.bad_allow, pass.marker.malformed) ] in
       let missing =
         let arg = String.concat " " (List.tl (String.split_on_char ' ' head)) in
@@ -479,28 +464,37 @@ let check_marker_grammar () =
           (fun (v : Lint.Marker.verb) -> v.verb = "allow")
           pass.marker.verbs
       in
+      let foreign =
+        List.filter_map
+          (fun (owner, rule, hint) ->
+            if owner = pass.name then None
+            else
+              Some
+                ( "rule of the " ^ owner ^ " pass",
+                  Printf.sprintf "%s allow %s — a reason" word rule,
+                  code,
+                  if has_allow then [ (Lint.Rules.bad_allow, hint) ]
+                  else malformed ))
+          foreign_rules
+      in
       List.iter
         (fun (case, comment, code, expected) ->
           Alcotest.(check (list (pair string string)))
             (Printf.sprintf "%s: %s" pass.name case)
             expected (lint_marker pass comment code))
-        [
-          ("valid", head ^ " — a reason", code, []);
-          ("missing reason", head, code, [ (Lint.Rules.bad_allow, missing) ]);
-          ("unknown verb", word ^ " frobnicate — a reason", code, malformed);
-          ( "rule of another pass",
-            Printf.sprintf "%s allow %s — a reason" word foreign,
-            code,
-            if has_allow then [ (Lint.Rules.bad_allow, foreign_msg) ]
-            else malformed );
-          ("reason after --", head ^ " -- a reason", code, []);
-          ("reason after -", head ^ " - a reason", code, []);
-          ("reason without a dash", head ^ " a reason", code, []);
-          ( "unused",
-            head ^ " — a reason",
-            "\n\n" ^ code,
-            [ (Lint.Rules.unused_allow, unused) ] );
-        ])
+        ([
+           ("valid", head ^ " — a reason", code, []);
+           ("missing reason", head, code, [ (Lint.Rules.bad_allow, missing) ]);
+           ("unknown verb", word ^ " frobnicate — a reason", code, malformed);
+           ("reason after --", head ^ " -- a reason", code, []);
+           ("reason after -", head ^ " - a reason", code, []);
+           ("reason without a dash", head ^ " a reason", code, []);
+           ( "unused",
+             head ^ " — a reason",
+             "\n\n" ^ code,
+             [ (Lint.Rules.unused_allow, unused) ] );
+         ]
+        @ foreign))
     marker_rows
 
 (* The shipped sources (copied into the build sandbox as our library
@@ -535,6 +529,8 @@ let () =
           Alcotest.test_case "each fixture fires its rule" `Quick check_fires;
           Alcotest.test_case "fixtures parse" `Quick check_no_parse_errors;
           Alcotest.test_case "positions reported" `Quick check_positions;
+          Alcotest.test_case "catch ledger matches the catalogue" `Quick
+            check_ledger;
         ] );
       ( "allow",
         [
@@ -565,8 +561,6 @@ let () =
             check_deadlock_fixture_tree;
           Alcotest.test_case "heat fixture tree" `Quick
             check_heat_fixture_tree;
-          Alcotest.test_case "own fixture tree" `Quick
-            check_own_fixture_tree;
           Alcotest.test_case "--pass all shares one parse" `Quick
             check_pass_all_shared_parse;
         ]

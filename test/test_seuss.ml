@@ -1042,6 +1042,57 @@ let test_experiments_own_zero_is_unset () =
       Alcotest.(check int) "fig4 with SEUSS_OWN=0: census stays dark" 0
         (List.length (Experiments.Harness.last_leaked_resources ())))
 
+(* [body] on a harness-built node with the census armed; its result and
+   the census's leak reports. *)
+let with_armed_census ?budget_bytes body =
+  let module H = Experiments.Harness in
+  H.with_run { Experiments.Run_config.default with own = true } (fun () ->
+      let v =
+        H.run_sim (fun engine ->
+            body (H.seuss_node (H.make_seuss_env ?budget_bytes engine)))
+      in
+      (v, List.map fst (H.last_leaked_resources ())))
+
+let test_census_errored_uc_released () =
+  (* A failed call leaves its UC as [last_uc], which the census counts
+     as held; the next call replaces it, so the errored UC is accounted
+     for only if [finish] destroyed it. *)
+  let (), leaks =
+    with_armed_census (fun node ->
+        (match
+           N.invoke node
+             (fn ~id:"boom" "function main(args) { return 1 / 0; }")
+             ~args:"null"
+         with
+        | Error (`Runtime_error _), _ -> ()
+        | _ -> Alcotest.fail "expected runtime error");
+        ignore (expect_ok (N.invoke node nop_fn ~args:"null")))
+  in
+  Alcotest.(check (list string)) "no leaked resources" [] leaks
+
+let test_census_compile_oom_released () =
+  (* Compiling allocates 4 bytes of guest heap per source byte: on a
+     node with ~13 MiB free after startup, a 4 MiB comment runs the
+     guest out of frames before it reaches its compile breakpoint. The
+     cold path times out, destroys the dead UC, and the next call is
+     served from the memory it freed. *)
+  let padded =
+    fn ~id:"padded"
+      ("function main(args) { return {}; } /*"
+      ^ String.make (Mem.Mconfig.mib 4) 'x'
+      ^ "*/")
+  in
+  let (), leaks =
+    with_armed_census
+      ~budget_bytes:(Int64.of_int (Mem.Mconfig.mib 128))
+      (fun node ->
+        (match N.invoke node padded ~args:"null" with
+        | Error `Timeout, N.Cold -> ()
+        | _ -> Alcotest.fail "expected a cold-path timeout");
+        ignore (expect_ok (N.invoke node nop_fn ~args:"null")))
+  in
+  Alcotest.(check (list string)) "no leaked resources" [] leaks
+
 let test_census_unarmed_is_silent () =
   (* Same planted leak, census unarmed: nothing observes, nothing emits —
      the hook must be observation-only. *)
@@ -1133,6 +1184,8 @@ let () =
           case "armed clean run is all-zero" test_census_clean_when_armed;
           case "planted leak detected" test_census_detects_planted_leak;
           case "unarmed census is silent" test_census_unarmed_is_silent;
+          case "errored call's UC released" test_census_errored_uc_released;
+          case "compile OOM's UC released" test_census_compile_oom_released;
           case "shipped experiments leak-free armed"
             test_experiments_zero_leaks_armed;
           case "SEUSS_OWN=0 behaves as unset" test_experiments_own_zero_is_unset;
