@@ -99,30 +99,36 @@ let new_container t ~fn_id =
         }
       in
       (* The container's invocation server answers requests arriving over
-         the bridge. *)
-      (* The invocation server parks in accept between requests (and
-         forever after destroy, which only marks [dead]) — a daemon by
-         design, not a stranded waiter. *)
+         the bridge. It parks in accept between requests, and past the
+         end of a run that keeps the container cached — a daemon by
+         design, not a stranded waiter. It ends once [destroy_container]
+         shuts its listener. *)
       Sim.Engine.spawn t.env.Seuss.Osenv.engine
         ~name:(Printf.sprintf "container-%d" c.c_id)
         ~daemon:true
         (fun () ->
           let rec loop () =
-            let conn = Net.Tcp.accept c.listener in
-            (match Net.Tcp.recv conn with
-            | Some _ -> if not c.dead then Net.Tcp.send conn "OK"
-            | None -> ());
-            Net.Tcp.close conn;
-            if not c.dead then loop ()
+            match Net.Tcp.accept_opt c.listener with
+            | None -> ()
+            | Some conn ->
+                (match Net.Tcp.recv conn with
+                | Some _ -> if not c.dead then Net.Tcp.send conn "OK"
+                | None -> ());
+                Net.Tcp.close conn;
+                loop ()
           in
           loop ());
       t.total <- t.total + 1;
       t.s_creates <- t.s_creates + 1;
       Some c
 
+(* Shutting the listener ends the invocation server: at once if it is
+   between requests (the one engine event this path adds), else after
+   the request in hand. *)
 let destroy_container t c =
   if not c.dead then begin
     c.dead <- true;
+    Net.Tcp.shutdown c.listener;
     Docker_backend.destroy_container_raw t.docker (Some c.space);
     t.total <- t.total - 1
   end

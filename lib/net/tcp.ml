@@ -25,9 +25,15 @@ type conn = {
   mutable closed_remote : bool;
 }
 
-type listener = { port : int; accepts : conn Sim.Channel.t }
+(* [None] on the accept queue is a shutdown's wakeup for a parked
+   acceptor; [shut] is what every later accept reads. *)
+type listener = {
+  port : int;
+  accepts : conn option Sim.Channel.t;
+  mutable shut : bool;
+}
 
-let listener ~port = { port; accepts = Sim.Channel.create () }
+let listener ~port = { port; accepts = Sim.Channel.create (); shut = false }
 
 let port l = l.port
 
@@ -54,7 +60,7 @@ let connect ?(admit = fun () -> true) ~link l =
         { out = b2a; inc = a2b; link; closed_local = false; closed_remote = false }
       in
       Sim.Engine.schedule engine ~delay:link.Netconf.latency (fun () ->
-          Sim.Channel.send l.accepts server);
+          Sim.Channel.send l.accepts (Some server));
       Some client
     end
     else if tries >= syn_retries then None
@@ -65,7 +71,27 @@ let connect ?(admit = fun () -> true) ~link l =
   in
   attempt 0
 
-let accept l = Sim.Channel.recv l.accepts
+(* A connection queued before the shutdown is never handed out: the
+   acceptor's owner has gone away. *)
+let accept_opt l =
+  if l.shut then None
+  else
+    match Sim.Channel.recv l.accepts with
+    | Some _ as conn when not l.shut -> conn
+    | _ -> None
+
+let accept l =
+  match accept_opt l with
+  | Some conn -> conn
+  | None -> invalid_arg "Tcp.accept: listener shut"
+
+(* The [None] wakes an acceptor parked on the queue; with none parked it
+   only sits in the queue, and no event is scheduled. *)
+let shutdown l =
+  if not l.shut then begin
+    l.shut <- true;
+    Sim.Channel.send l.accepts None
+  end
 
 (* Put a frame on the wire: claim the next sequence number now (sender
    program order), deliver one link latency later. *)

@@ -32,7 +32,18 @@ val connect : ?admit:(unit -> bool) -> link:Netconf.link -> listener -> conn opt
     behind the paper's container connection timeouts. *)
 
 val accept : listener -> conn
-(** Blocks until a peer connects. *)
+(** Blocks until a peer connects.
+    @raise Invalid_argument if the listener is shut. *)
+
+val accept_opt : listener -> conn option
+(** [accept] that ends with the listener: [None] at once on a shut
+    listener, and [None] to an acceptor parked when {!shutdown} runs. *)
+
+val shutdown : listener -> unit
+(** Idempotent. Every later {!accept_opt} returns [None], a parked
+    acceptor is woken with [None], and connections still queued are
+    never accepted. Costs one engine event only when an acceptor is
+    parked. *)
 
 val send : conn -> ?size:int -> string -> unit
 (** Blocks the sender for serialization + overhead; the peer receives the

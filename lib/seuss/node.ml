@@ -656,20 +656,12 @@ type census = {
 }
 
 (* Every UC the node knowingly holds and has not released: the idle
-   cache plus the last-served UC (which may alias an idle entry, hence
-   the id-keyed dedup; dead-but-undrained cache entries count as held —
-   the node still owns their release). *)
+   cache (dead-but-undrained entries count as held — the node still owns
+   their release). The last-served UC is not counted: at quiescence it
+   is either in the cache or released, so counting it would only hide a
+   served UC that was never destroyed. *)
 let accounted_ucs t =
-  let seen = Hashtbl.create 64 in
-  let add acc uc =
-    if Uc.is_released uc || Hashtbl.mem seen (Uc.id uc) then acc
-    else begin
-      Hashtbl.add seen (Uc.id uc) ();
-      uc :: acc
-    end
-  in
-  let acc = List.fold_left add [] (idle_ucs t) in
-  match t.last_uc with Some uc -> add acc uc | None -> acc
+  List.filter (fun uc -> not (Uc.is_released uc)) (idle_ucs t)
 
 let census t =
   let env = t.node_env in
@@ -718,8 +710,11 @@ let census t =
       (fun acc s -> acc + (Snapshot.dependents s - expected_deps s))
       0 snaps
   in
+  (* A released UC whose guest process has not ended leaks too: the
+     process holds its stack until it ends. *)
   let leaked_ucs =
     env.Osenv.ucs_created - env.Osenv.ucs_released - List.length ucs
+    + env.Osenv.orphan_guests
   in
   {
     leaked_frames;

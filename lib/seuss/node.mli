@@ -140,7 +140,8 @@ type census = {
           snapshots *)
   pinned_windows : int;  (** warm-invocation pin windows still open *)
   leaked_ucs : int;
-      (** UCs created but neither destroyed nor held in a node cache *)
+      (** UCs created but neither destroyed nor held in a node cache,
+          plus released UCs whose guest process has not ended *)
 }
 
 val census : t -> census

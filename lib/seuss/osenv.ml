@@ -12,6 +12,7 @@ type t = {
   metrics : Obs.Metrics.t;
   mutable ucs_created : int;
   mutable ucs_released : int;
+  mutable orphan_guests : int;
   mutable pins : int;
 }
 
@@ -65,6 +66,7 @@ let create ?budget_bytes engine =
     metrics = Obs.Metrics.create ();
     ucs_created = 0;
     ucs_released = 0;
+    orphan_guests = 0;
     pins = 0;
   }
 
@@ -72,6 +74,8 @@ let create ?budget_bytes engine =
    window open/close, not per-invocation dispatch. *)
 let note_uc_created t = t.ucs_created <- t.ucs_created + 1
 let note_uc_released t = t.ucs_released <- t.ucs_released + 1
+let note_orphan_started t = t.orphan_guests <- t.orphan_guests + 1
+let note_orphan_ended t = t.orphan_guests <- t.orphan_guests - 1
 let note_pin t = t.pins <- t.pins + 1
 let note_unpin t = t.pins <- t.pins - 1
 

@@ -20,6 +20,8 @@ type t = {
   mutable ucs_created : int;
       (** ownership-census ledger: UCs booted on this OS instance *)
   mutable ucs_released : int;  (** UCs whose [Uc.destroy] released *)
+  mutable orphan_guests : int;
+      (** guest processes of released UCs that have not ended yet *)
   mutable pins : int;  (** snapshot pin windows currently open *)
 }
 
@@ -59,6 +61,12 @@ val outbound : t -> string -> Net.Tcp.conn option
 
 val note_uc_created : t -> unit
 val note_uc_released : t -> unit
+
+val note_orphan_started : t -> unit
+(** A UC was released while its guest process had not ended. *)
+
+val note_orphan_ended : t -> unit
+(** ... and that guest process has now ended. *)
 
 val note_pin : t -> unit
 (** A warm invocation opened its snapshot pin window. *)

@@ -14,6 +14,7 @@ type t = {
   mutable conn : Net.Tcp.conn option;
   mutable st : status;
   mutable released : bool;
+  mutable guest_live : bool;  (* the guest process has not ended *)
   mutable used_at : float;
 }
 
@@ -35,10 +36,14 @@ let hypercalls env t =
     net_outbound = (fun url -> Osenv.outbound env url);
     breakpoint =
       (fun label ->
-        let gate = Sim.Ivar.create () in
-        t.resume_gate <- gate;
-        Sim.Channel.send t.breakpoints label;
-        Sim.Ivar.read gate);
+        (* A released UC's host never resumes it: run on, to the shut
+           listener. *)
+        if not t.released then begin
+          let gate = Sim.Ivar.create () in
+          t.resume_gate <- gate;
+          Sim.Channel.send t.breakpoints label;
+          Sim.Ivar.read gate
+        end);
     halt = (fun _reason -> ());
   }
 
@@ -70,6 +75,7 @@ let make env ~image ~space ~source =
       conn = None;
       st = Running;
       released = false;
+      guest_live = false;
       used_at = Sim.Engine.now env.Osenv.engine;
     }
   in
@@ -95,21 +101,27 @@ let make env ~image ~space ~source =
 
 (* The guest runs as its own simulation process. A guest that exhausts
    node memory mid-write simply halts: the invocation waiting on it
-   observes a timeout, the node destroys the UC, memory is reclaimed. *)
+   observes a timeout, the node destroys the UC, memory is reclaimed.
+   Otherwise it ends once [destroy] has shut its listener: OCaml frees a
+   process's stack only when the process ends, so a guest left parked
+   would hold its stack for the rest of the host process. *)
 let spawn_guest t body =
-  (* The guest's serve loop parks awaiting requests for the UC's whole
-     lifetime (and stays parked after the UC is reclaimed) — a daemon by
-     design, not a stranded waiter. *)
+  t.guest_live <- true;
+  (* An idle UC's guest parks awaiting requests until the UC is
+     destroyed, or past the end of a run that keeps the UC cached — a
+     daemon by design, not a stranded waiter. *)
   Sim.Engine.spawn t.env.Osenv.engine
     ~name:(Printf.sprintf "uc-%d-guest" t.uc_id)
     ~daemon:true
     (fun () ->
-      try body () with
+      (try body () with
       | Mem.Frame.Out_of_memory -> t.st <- Dead
       | Invalid_argument _ when t.st = Dead ->
           (* The UC was destroyed out from under the guest (its address
              space is gone); the guest simply stops. *)
-          ())
+          ());
+      t.guest_live <- false;
+      if t.released then Osenv.note_orphan_ended t.env)
 
 let boot env image =
   Sim.Trace.mark "uc.boot";
@@ -249,8 +261,14 @@ let destroy t =
     Net.Proxy.unregister t.env.Osenv.proxy ~port:t.uc_port;
     Mem.Addr_space.release t.space;
     (match t.source with Some snap -> Snapshot.decref snap | None -> ());
-    (* The guest process stays parked on a dead listener/connection and
-       is collected with the simulation. *)
+    (* End the guest process. A guest parked on its connection is woken
+       by the FIN sent above and returns at its next accept. One parked
+       in accept is woken by the shutdown, and one parked at a
+       breakpoint by the gate's fill, each an engine event only then;
+       being released, it parks at no later breakpoint. *)
+    Net.Tcp.shutdown t.listener;
+    ignore (Sim.Ivar.try_fill t.resume_gate ());
+    if t.guest_live then Osenv.note_orphan_started t.env;
     t.guest <- None
   end
 

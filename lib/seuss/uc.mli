@@ -75,7 +75,11 @@ val prefault : t -> vpns:int array -> Mem.Addr_space.prefault_stats
 
 val destroy : t -> unit
 (** Kill the UC: close the connection, unmap the proxy port, release
-    all private frames, drop the snapshot reference. Idempotent, and
+    all private frames, drop the snapshot reference, and end the guest
+    process (shut its listener, release it from a breakpoint). A guest
+    parked on its connection ends when the FIN arrives; waking one
+    parked in accept or at a breakpoint is the only engine event
+    [destroy] adds. Idempotent, and
     safe on a UC whose guest already died on its own (OOM): resources
     are released exactly once regardless of how the UC reached [Dead];
     the {!Cost.destroy} charge applies only on the [Running] -> [Dead]

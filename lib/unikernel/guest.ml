@@ -252,9 +252,11 @@ let handle t conn = function
 
 let serve t =
   let rec accept_loop () =
-    let conn = Net.Tcp.accept t.env.listener in
-    on_accept t;
-    msg_loop conn
+    match Net.Tcp.accept_opt t.env.listener with
+    | None -> ()
+    | Some conn ->
+        on_accept t;
+        msg_loop conn
   and msg_loop conn =
     match Net.Tcp.recv conn with
     | None -> accept_loop ()

@@ -51,8 +51,9 @@ val boot : ?on_ready:(state -> unit) -> env -> state
 
 val serve : state -> unit
 (** The invocation-driver loop: accept a connection, handle
-    {!Driver.command}s, repeat. Runs until the UC is destroyed (the
-    process is abandoned while blocked on accept/recv). *)
+    {!Driver.command}s, repeat. Returns once the listener is shut
+    ({!Net.Tcp.shutdown}) and the current connection, if any, has
+    closed. *)
 
 val capture : state -> snapshot_state
 (** Freeze the current guest state (deep-copies the interpreter world). *)

@@ -1,7 +1,10 @@
-(* The arm sweep: every registered experiment, run in this one process
-   under every arm that must be inert, against its own plain output.
+(* The arm sweep: every registered experiment, run under every arm that
+   must be inert, against its own plain output, and that plain output
+   against the row's committed golden.
 
-   Two guarantees hold for every experiment row of seussctl (Cli.rows):
+   These guarantees hold for every experiment row of seussctl (Cli.rows):
+   - the contract: at the row's first seed, the plain output is the one
+     committed in test/arms_golden/<row>.txt;
    - determinism: the plain run repeats byte for byte in one process,
      and shuffling the order of same-timestamp events (tie seeds 1-3)
      changes no byte;
@@ -151,6 +154,26 @@ let compare_arms ?(base = "plain") ~cmd ~tie_dependent ~plain arms render =
           cmd label base line base want got)
     false arms
 
+(* With ARMS_GOLDEN_DIR set, each row's plain output at its first seed
+   is also written to <dir>/arms-<row>.out. The runtest action in
+   test/dune sets it to its own directory and diffs those files against
+   the committed test/arms_golden/<row>.txt, so each golden is checked
+   on the run the sweep makes anyway. A row whose golden that action
+   does not depend on (a row added here but not there) fails. *)
+let write_golden row text =
+  match Sys.getenv_opt "ARMS_GOLDEN_DIR" with
+  | None | Some "" -> ()
+  | Some dir ->
+      let golden =
+        Filename.concat dir (Filename.concat "arms_golden" (row.name ^ ".txt"))
+      in
+      if not (Sys.file_exists golden) then
+        Alcotest.failf "%s: no golden %s (list it in test/dune)" row.name
+          golden;
+      Out_channel.with_open_bin
+        (Filename.concat dir ("arms-" ^ row.name ^ ".out"))
+        (fun oc -> Out_channel.output_string oc text)
+
 let sweep_row row () =
   let tie_dependent = List.mem_assoc row.name tie_order_dependent in
   let shuffled_differs =
@@ -159,6 +182,7 @@ let sweep_row row () =
         let cmd = Printf.sprintf "%s %s --seed %Ld" row.name row.args seed in
         let render = render row seed in
         let plain = armed_output cmd ("plain", Rc.default) render in
+        if i = 0 then write_golden row plain;
         let arms =
           if i = 0 then arms
           else

@@ -32,6 +32,68 @@ let test_tcp_connect_and_roundtrip () =
                  Net.Tcp.close conn))));
   Alcotest.(check string) "reply" "pong:ping" !got
 
+(* {2 Listener shutdown} *)
+
+let test_tcp_shut_accept_returns_at_once () =
+  let got = ref (Some ()) and at = ref (-1.0) in
+  let engine =
+    run (fun e ->
+        let l = Net.Tcp.listener ~port:1 in
+        Net.Tcp.shutdown l;
+        Net.Tcp.shutdown l;
+        Sim.Engine.spawn e (fun () ->
+            got := Option.map ignore (Net.Tcp.accept_opt l);
+            at := Sim.Engine.now e;
+            Alcotest.check_raises "accept raises"
+              (Invalid_argument "Tcp.accept: listener shut") (fun () ->
+                ignore (Net.Tcp.accept l))))
+  in
+  Alcotest.(check bool) "no connection" true (Option.is_none !got);
+  check_float "no time passed" 0.0 !at;
+  (* The spawn's event only: the accept neither parked nor woke. *)
+  Alcotest.(check int) "one event" 1 (Sim.Engine.perf engine).dispatched
+
+let test_tcp_shutdown_wakes_parked_acceptor () =
+  (* The acceptor serves one connection, parks again, and the shutdown
+     a second later ends it. *)
+  let results = ref [] in
+  let engine =
+    run (fun e ->
+        let l = Net.Tcp.listener ~port:1 in
+        Sim.Engine.spawn e ~name:"acceptor" (fun () ->
+            let rec loop () =
+              match Net.Tcp.accept_opt l with
+              | Some conn ->
+                  results := `Conn :: !results;
+                  Net.Tcp.close conn;
+                  loop ()
+              | None -> results := `Shut (Sim.Engine.now e) :: !results
+            in
+            loop ());
+        Sim.Engine.spawn e (fun () ->
+            ignore (Net.Tcp.connect ~link:Net.Netconf.lan l);
+            Sim.Engine.sleep 1.0;
+            Net.Tcp.shutdown l))
+  in
+  (match List.rev !results with
+  | [ `Conn; `Shut t ] ->
+      Alcotest.(check bool) "woken by the shutdown" true (t >= 1.0)
+  | _ -> Alcotest.fail "want one connection, then the shutdown");
+  Alcotest.(check int) "nothing left parked" 0 (Sim.Engine.stuck_waiters engine)
+
+let test_tcp_shut_unregistered_port_refused () =
+  let connected = ref true in
+  ignore
+    (run (fun e ->
+         let proxy = Net.Proxy.create () in
+         let l = Net.Tcp.listener ~port:7 in
+         Net.Proxy.register proxy ~port:7 l;
+         Sim.Engine.spawn e (fun () ->
+             Net.Tcp.shutdown l;
+             Net.Proxy.unregister proxy ~port:7;
+             connected := Option.is_some (Net.Proxy.connect proxy ~port:7))));
+  Alcotest.(check bool) "refused" false !connected
+
 let test_tcp_costs_accumulate () =
   (* One connect + send + reply over the LAN link should take at least
      the handshake plus two one-way latencies. *)
@@ -498,6 +560,12 @@ let () =
           case "close wakes receiver" test_tcp_close_wakes_receiver;
           case "refusal fails after retries" test_tcp_admit_refusal_fails_after_retries;
           case "send on closed" test_tcp_send_on_closed_rejected;
+          case "shut listener accepts nothing"
+            test_tcp_shut_accept_returns_at_once;
+          case "shutdown wakes parked acceptor"
+            test_tcp_shutdown_wakes_parked_acceptor;
+          case "shut and unregistered port refused"
+            test_tcp_shut_unregistered_port_refused;
           qcase tcp_preserves_order;
         ] );
       ( "faults",

@@ -562,28 +562,42 @@ let test_uc_destroyed_under_connection () =
       Seuss.Uc.destroy uc2)
 
 let test_guest_oom_surfaces_as_error () =
-  (* A node so small the cold path cannot complete: the guest dies on
-     allocation, the invocation times out, and the platform reports an
-     error instead of wedging. *)
+  (* At 115 MiB the node starts, but the first cold call's guest runs
+     the allocator dry: the guest dies, the cold path times out waiting
+     for its compile breakpoint, reports an error instead of wedging,
+     and releases the dead UC. *)
   let engine = Sim.Engine.create ~seed:11L () in
   let env =
     Seuss.Osenv.create
-      ~budget_bytes:(Int64.of_int (Mem.Mconfig.mib 140))
+      ~budget_bytes:(Int64.of_int (Mem.Mconfig.mib 115))
       engine
   in
-  let outcome = ref None in
+  let outcome = ref None and node_ref = ref None in
   Sim.Engine.spawn engine ~name:"experiment" (fun () ->
       let node = N.create env in
       N.start node;
-      outcome := Some (N.invoke node nop_fn ~args:"{}"));
+      node_ref := Some node;
+      let (r, _), elapsed =
+        timed (fun () -> N.invoke node nop_fn ~args:"{}")
+      in
+      outcome := Some (r, elapsed));
   Sim.Engine.run engine;
-  match !outcome with
-  | Some (Error (`Timeout | `Overloaded), _) -> ()
-  | Some (Ok _, _) ->
-      (* 140 MB may just barely fit; acceptable, but memory must be low. *)
-      ()
-  | Some (Error _, _) -> ()
-  | None -> Alcotest.fail "simulation did not complete"
+  let frames = env.Seuss.Osenv.frames in
+  Alcotest.(check int) "the guest reached the budget"
+    (Mem.Frame.budget_frames frames) (Mem.Frame.peak_frames frames);
+  (match !outcome with
+  | Some (Error `Timeout, elapsed) ->
+      Alcotest.(check bool) "waited out the invoke timeout" true
+        (elapsed >= Seuss.Config.invoke_timeout)
+  | Some _ -> Alcotest.fail "expected a timeout from the dead guest"
+  | None -> Alcotest.fail "simulation did not complete");
+  Alcotest.(check int) "the base-boot UC and the dead UC released"
+    env.Seuss.Osenv.ucs_created env.Seuss.Osenv.ucs_released;
+  Alcotest.(check int) "both created" 2 env.Seuss.Osenv.ucs_created;
+  match !node_ref with
+  | Some node ->
+      Alcotest.(check bool) "census clean" true (N.census_clean (N.census node))
+  | None -> Alcotest.fail "node did not start"
 
 (* {1 Shim} *)
 
@@ -1070,6 +1084,49 @@ let test_census_errored_uc_released () =
   in
   Alcotest.(check (list string)) "no leaked resources" [] leaks
 
+let test_census_errored_only_call_released () =
+  (* The same failed call, alone: its UC is the last one served when the
+     run ends, and the census must not count it as held. *)
+  let (), leaks =
+    with_armed_census (fun node ->
+        match
+          N.invoke node
+            (fn ~id:"boom" "function main(args) { return 1 / 0; }")
+            ~args:"null"
+        with
+        | Error (`Runtime_error _), _ -> ()
+        | _ -> Alcotest.fail "expected runtime error")
+  in
+  Alcotest.(check (list string)) "no leaked resources" [] leaks
+
+let test_census_destroyed_guests_end () =
+  (* 200 UCs deployed and destroyed: half of them served a request
+     first, so their guests are parked on a connection when destroyed,
+     the rest in accept. Each guest process must end with its UC. *)
+  let env, leaks =
+    with_armed_census (fun node ->
+        let env = N.env node in
+        let base =
+          match N.base_snapshot node Unikernel.Image.Node with
+          | Some b -> b
+          | None -> Alcotest.fail "no base snapshot"
+        in
+        for i = 1 to 200 do
+          let uc = Seuss.Uc.deploy env base in
+          if i mod 2 = 0 then begin
+            Alcotest.(check bool) "connects" true (Seuss.Uc.connect uc);
+            match Seuss.Uc.request uc Unikernel.Driver.Ping ~timeout:10.0 with
+            | Ok Unikernel.Driver.Pong -> ()
+            | _ -> Alcotest.fail "ping"
+          end;
+          Seuss.Uc.destroy uc
+        done;
+        env)
+  in
+  Alcotest.(check (list string)) "no leaked resources" [] leaks;
+  Alcotest.(check int) "every guest process ended" 0
+    env.Seuss.Osenv.orphan_guests
+
 let test_census_compile_oom_released () =
   (* Compiling allocates 4 bytes of guest heap per source byte: on a
      node with ~13 MiB free after startup, a 4 MiB comment runs the
@@ -1186,6 +1243,9 @@ let () =
           case "unarmed census is silent" test_census_unarmed_is_silent;
           case "errored call's UC released" test_census_errored_uc_released;
           case "compile OOM's UC released" test_census_compile_oom_released;
+          case "errored only call's UC released"
+            test_census_errored_only_call_released;
+          case "destroyed UCs' guests end" test_census_destroyed_guests_end;
           case "shipped experiments leak-free armed"
             test_experiments_zero_leaks_armed;
           case "SEUSS_OWN=0 behaves as unset" test_experiments_own_zero_is_unset;
