@@ -43,7 +43,6 @@ let run ?(nodes = 4) ?(functions = 40) ?(seed = 29L) () =
           Cluster.Drseuss.create ~nodes ~budget_per_node:(Int64.mul 6L gib)
             engine
         in
-        List.iter Harness.arm_census (Cluster.Drseuss.nodes cluster);
         let misses = Stats.Summary.create () in
         let invoke =
           if registry_enabled then Cluster.Drseuss.invoke

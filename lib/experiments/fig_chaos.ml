@@ -1,14 +1,3 @@
-(* fig_chaos (extension): tail latency and availability of a DR-SEUSS
-   cluster as the injected failure rate rises.
-
-   For each rate the same workload runs on a fresh 4-node cluster with
-   every fault-plane site armed (crashes much rarer than transients, as
-   in production): the figure reports availability — the fraction of
-   invocations served, counting degraded local cold starts as served —
-   and latency percentiles, plus the recovery actions the cluster took.
-   Rate 0.0 is the control arm: no plan draws, identical to a fault-free
-   build. The whole sweep is deterministic per seed. *)
-
 type point = {
   rate : float;
   invocations : int;
@@ -35,7 +24,6 @@ type result = {
   seed : int64;
   points : point list;
   timeline : string;
-      (* the highest-rate run's cluster recovery log, as JSONL *)
 }
 
 let default_rates = [ 0.0; 0.01; 0.05; 0.1 ]
@@ -72,7 +60,6 @@ let run_point ~nodes ~functions ~calls ~seed rate =
         Cluster.Drseuss.create ~nodes ~budget_per_node:(Int64.mul 4L gib)
           engine
       in
-      List.iter Harness.arm_census (Cluster.Drseuss.nodes cluster);
       (* Arm the plane only after boot: chaos measures steady-state
          serving, and injected SYN loss during the nodes' AO handshakes
          would abort startup rather than degrade service. *)

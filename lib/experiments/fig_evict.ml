@@ -1,30 +1,6 @@
-(* fig_evict (extension): snapshot-store hit rate and tail latency vs
-   cache budget.
-
-   One Zipf-popularity trace ({!Workload.Trace}) is replayed open-loop
-   against a ladder of SEUSS nodes that differ only in
-   [Config.snapshot_cache_bytes]: a disarmed baseline (the pre-store
-   node, label "off"), several byte budgets small enough that the
-   content-addressed store must evict under the configured policy, and
-   an effectively unbounded budget that shows pure dedup with no
-   eviction pressure. The idle-UC cache is off so every repeat
-   invocation redeploys from its function snapshot — a store miss is a
-   full cold compile, which is exactly the cliff the sweep measures.
-   Per arm the figure reports the store hit rate, dedup ratio, resident
-   and peak bytes, eviction count, and client-observed latency
-   percentiles; the curves plot hit rate and p99 against the budget.
-
-   Arms build their nodes directly (not via {!Harness.seuss_node}) so
-   an armed SEUSS_SNAP_CACHE cannot collapse the ladder to a single
-   budget; each registers its census with {!Harness.arm_census}, as
-   {!Harness.seuss_node} would. Every arm runs in a fresh simulation
-   from the same run seed, so the whole sweep is deterministic. *)
-
-type mix = { cold : int; warm : int; hot : int }
-
 type arm = {
-  label : string;  (* "off" or the budget, e.g. "4m" *)
-  cache_bytes : int64;  (* 0 = store disarmed (baseline) *)
+  label : string;
+  cache_bytes : int64;
   invocations : int;
   ok : int;
   errors : int;
@@ -33,18 +9,15 @@ type arm = {
   p99_ms : float;
   p999_ms : float;
   hit_rate : float;
-      (* armed: store hits / lookups; off: warm / (warm + cold), the
-         same quantity measured at the node since every lookup miss is
-         served cold *)
   hits : int;
   misses : int;
   evictions : int;
-  dedup_ratio : float;  (* 1.0 when the store is off *)
+  dedup_ratio : float;
   resident_bytes : int64;
   peak_bytes : int64;
   members : int;
   index_pages : int;
-  mix : mix;
+  mix : Harness.mix;
 }
 
 type result = {
@@ -70,92 +43,57 @@ let label_of_bytes b =
 
 (* {1 One arm} *)
 
-let fn_action fn =
-  let ms = Workload.Fnset.work_ms fn in
-  if ms = 0.0 then Baselines.Backend_intf.Nop
-  else Baselines.Backend_intf.Cpu_ms ms
-
-let percentile_ms lat p =
-  if Stats.Summary.count lat = 0 then 0.0
-  else Stats.Summary.percentile lat p *. 1e3
-
 let run_arm ~seed ~policy trace cache_bytes =
-  Harness.run_sim ~seed (fun engine ->
-      let env = Harness.make_seuss_env engine in
-      let config =
-        {
-          Seuss.Config.default with
-          (* every repeat must redeploy from the function snapshot *)
-          Seuss.Config.cache_idle_ucs = false;
-          snapshot_cache_bytes = cache_bytes;
-          snapshot_cache_policy = policy;
-        }
-      in
-      let node = Seuss.Node.create ~config env in
-      Harness.arm_census node;
-      Seuss.Node.start node;
-      let shim = Seuss.Shim.create env node in
-      let controller =
-        Platform.Controller.create env.Seuss.Osenv.engine
-          (Platform.Controller.Seuss_backend shim)
-      in
-      let r =
-        Workload.Replay.run
-          ~invoke:(fun ~fn ->
-            Platform.Controller.invoke_custom controller
-              ~fn_id:(Workload.Fnset.fn_id fn) ~action:(fn_action fn)
-              ~source:(Workload.Fnset.source fn))
-          trace
-      in
-      let lat = r.Workload.Replay.latencies in
-      let st = Seuss.Node.stats node in
-      let mix =
-        {
-          cold = st.Seuss.Node.cold;
-          warm = st.Seuss.Node.warm;
-          hot = st.Seuss.Node.hot;
-        }
-      in
-      let hits, misses, evictions, dedup, resident, peak, members, index_pages
-          =
-        match Seuss.Node.snapstore node with
-        | Some store ->
-            ( Seuss.Snapstore.hits store,
-              Seuss.Snapstore.misses store,
-              Seuss.Snapstore.evictions store,
-              Seuss.Snapstore.dedup_ratio store,
-              Seuss.Snapstore.resident_bytes store,
-              Seuss.Snapstore.peak_resident_bytes store,
-              Seuss.Snapstore.member_count store,
-              Seuss.Snapstore.index_pages store )
-        | None -> (mix.warm, mix.cold, 0, 1.0, 0L, 0L, 0, 0)
-      in
-      let hit_rate =
-        let lookups = hits + misses in
-        if lookups = 0 then 0.0
-        else float_of_int hits /. float_of_int lookups
-      in
-      {
-        label = label_of_bytes cache_bytes;
-        cache_bytes;
-        invocations = r.Workload.Replay.invocations;
-        ok = r.Workload.Replay.ok;
-        errors = r.Workload.Replay.errors;
-        mean_ms = Stats.Summary.mean lat *. 1e3;
-        p50_ms = percentile_ms lat 50.0;
-        p99_ms = percentile_ms lat 99.0;
-        p999_ms = percentile_ms lat 99.9;
-        hit_rate;
-        hits;
-        misses;
-        evictions;
-        dedup_ratio = dedup;
-        resident_bytes = resident;
-        peak_bytes = peak;
-        members;
-        index_pages;
-        mix;
-      })
+  let config =
+    {
+      Seuss.Config.default with
+      (* every repeat must redeploy from the function snapshot *)
+      Seuss.Config.cache_idle_ucs = false;
+      snapshot_cache_bytes = cache_bytes;
+      snapshot_cache_policy = policy;
+    }
+  in
+  let r = Harness.replay ~seed (Harness.Seuss config) trace in
+  let res = r.Harness.result and mix = r.Harness.mix in
+  let lat = res.Workload.Replay.latencies in
+  let hits, misses, evictions, dedup, resident, peak, members, index_pages =
+    match Option.bind r.Harness.node Seuss.Node.snapstore with
+    | Some store ->
+        ( Seuss.Snapstore.hits store,
+          Seuss.Snapstore.misses store,
+          Seuss.Snapstore.evictions store,
+          Seuss.Snapstore.dedup_ratio store,
+          Seuss.Snapstore.resident_bytes store,
+          Seuss.Snapstore.peak_resident_bytes store,
+          Seuss.Snapstore.member_count store,
+          Seuss.Snapstore.index_pages store )
+    | None -> (mix.Harness.warm, mix.Harness.cold, 0, 1.0, 0L, 0L, 0, 0)
+  in
+  let hit_rate =
+    let lookups = hits + misses in
+    if lookups = 0 then 0.0 else float_of_int hits /. float_of_int lookups
+  in
+  {
+    label = label_of_bytes cache_bytes;
+    cache_bytes;
+    invocations = res.Workload.Replay.invocations;
+    ok = res.Workload.Replay.ok;
+    errors = res.Workload.Replay.errors;
+    mean_ms = Stats.Summary.mean lat *. 1e3;
+    p50_ms = Harness.percentile_ms lat 50.0;
+    p99_ms = Harness.percentile_ms lat 99.0;
+    p999_ms = Harness.percentile_ms lat 99.9;
+    hit_rate;
+    hits;
+    misses;
+    evictions;
+    dedup_ratio = dedup;
+    resident_bytes = resident;
+    peak_bytes = peak;
+    members;
+    index_pages;
+    mix;
+  }
 
 (* {1 The sweep} *)
 
@@ -234,9 +172,9 @@ let arm_to_json a =
       ("peak_bytes", Obs.Json.String (Int64.to_string a.peak_bytes));
       ("members", Obs.Json.Int a.members);
       ("index_pages", Obs.Json.Int a.index_pages);
-      ("cold", Obs.Json.Int a.mix.cold);
-      ("warm", Obs.Json.Int a.mix.warm);
-      ("hot", Obs.Json.Int a.mix.hot);
+      ("cold", Obs.Json.Int a.mix.Harness.cold);
+      ("warm", Obs.Json.Int a.mix.Harness.warm);
+      ("hot", Obs.Json.Int a.mix.Harness.hot);
     ]
 
 let to_json r =
@@ -290,7 +228,7 @@ let render r =
           Printf.sprintf "%.2f" a.p50_ms;
           Printf.sprintf "%.2f" a.p99_ms;
           Printf.sprintf "%.2f" a.p999_ms;
-          Printf.sprintf "%d/%d/%d" a.mix.cold a.mix.warm a.mix.hot;
+          Printf.sprintf "%d/%d/%d" a.mix.Harness.cold a.mix.Harness.warm a.mix.Harness.hot;
         ])
     r.arms;
   (* The curves only make sense over the finite armed rungs. *)
@@ -358,8 +296,8 @@ let write_csv ~path r =
            Int64.to_string a.peak_bytes;
            string_of_int a.members;
            string_of_int a.index_pages;
-           string_of_int a.mix.cold;
-           string_of_int a.mix.warm;
-           string_of_int a.mix.hot;
+           string_of_int a.mix.Harness.cold;
+           string_of_int a.mix.Harness.warm;
+           string_of_int a.mix.Harness.hot;
          ])
        r.arms)

@@ -1,21 +1,3 @@
-(* fig_load (extension): open-loop tail latency vs offered load.
-
-   The closed-loop figures (4, 5) let a saturated backend slow its
-   clients down; this sweep does not. For each offered rate a Zipf-
-   popularity trace is synthesized over a synthetic MiniJS corpus
-   ({!Workload.Trace}) and replayed open-loop — arrivals fire on
-   schedule no matter how deep the backlog gets — through the same
-   OpenWhisk control plane against four backends: SEUSS, the Linux
-   container node, and warm-instance caches over the Firecracker and
-   process backends. The figure reports client-observed latency
-   percentiles per arm (plus the event-log breakdown tails and the
-   cold/warm/hot serving mix), the open-loop backlog depth, and — on
-   the SEUSS arm at the highest offered load — the node's resource
-   timeline. Every arm of every point runs in a fresh simulation from
-   the same run seed, so the whole sweep is deterministic. *)
-
-type mix = { cold : int; warm : int; hot : int }
-
 type arm = {
   backend : string;
   invocations : int;
@@ -27,11 +9,10 @@ type arm = {
   p99_ms : float;
   p999_ms : float;
   bd_p99_ms : float;
-      (* Obs.Breakdown histogram tails (SEUSS arm only; 0 elsewhere) *)
   bd_p999_ms : float;
   achieved_rps : float;
   max_in_flight : int;
-  mix : mix;
+  mix : Harness.mix;
 }
 
 type point = { offered_rps : float; trace_events : int; arms : arm list }
@@ -44,10 +25,7 @@ type result = {
   seed : int64;
   points : point list;
   timeline : string;
-      (* resource timeline of the highest-load SEUSS arm, rendered *)
 }
-
-let backends = [ "seuss"; "linux"; "firecracker"; "process" ]
 
 let arrival_names = [ "poisson"; "bursty"; "diurnal" ]
 
@@ -63,110 +41,49 @@ let arrival_of_name name ~rate =
 
 (* {1 One arm} *)
 
-let fn_action fn =
-  let ms = Workload.Fnset.work_ms fn in
-  if ms = 0.0 then Baselines.Backend_intf.Nop
-  else Baselines.Backend_intf.Cpu_ms ms
-
-let percentile_ms lat p =
-  if Stats.Summary.count lat = 0 then 0.0
-  else Stats.Summary.percentile lat p *. 1e3
+(* The four arms by name; the SEUSS node takes the run's overrides. *)
+let backends () =
+  [
+    ("seuss", Harness.Seuss (Harness.armed_config Seuss.Config.default));
+    ("linux", Harness.Linux);
+    ("firecracker", Harness.Pool Baselines.Pool_node.Firecracker);
+    ("process", Harness.Pool Baselines.Pool_node.Process);
+  ]
 
 (* Replay [trace] against one backend in a fresh simulation. With
    [timeline] the resource sampler runs for the whole replay (it draws
    nothing, so arming it perturbs no measured quantity) and the rendered
    timeline is returned alongside the arm. *)
-let run_arm ~seed ~timeline trace backend_name =
-  Harness.run_sim ~seed (fun engine ->
-      let env = Harness.make_seuss_env engine in
-      let bd = Obs.Breakdown.attach env.Seuss.Osenv.log in
-      let controller, mix_of, samples =
-        match backend_name with
-        | "seuss" ->
-            let controller, node = Harness.seuss_controller env in
-            let samples =
-              if timeline then
-                Some
-                  (Seuss.Timeline.start
-                     ~period:(trace.Workload.Trace.horizon /. 256.0)
-                     node)
-              else None
-            in
-            ( controller,
-              (fun () ->
-                let st = Seuss.Node.stats node in
-                {
-                  cold = st.Seuss.Node.cold;
-                  warm = st.Seuss.Node.warm;
-                  hot = st.Seuss.Node.hot;
-                }),
-              samples )
-        | "linux" ->
-            let controller, node = Harness.linux_controller env in
-            ( controller,
-              (fun () ->
-                let st = Baselines.Linux_node.stats node in
-                {
-                  cold = st.Baselines.Linux_node.creates;
-                  warm = st.Baselines.Linux_node.stemcell_hits;
-                  hot = st.Baselines.Linux_node.warm_hits;
-                }),
-              None )
-        | "firecracker" | "process" ->
-            let kind =
-              if backend_name = "firecracker" then
-                Baselines.Pool_node.Firecracker
-              else Baselines.Pool_node.Process
-            in
-            let controller, node = Harness.pool_controller ~kind env in
-            ( controller,
-              (fun () ->
-                let st = Baselines.Pool_node.stats node in
-                {
-                  cold = st.Baselines.Pool_node.creates;
-                  warm = 0;
-                  hot = st.Baselines.Pool_node.warm_hits;
-                }),
-              None )
-        | s -> invalid_arg (Printf.sprintf "Fig_load: unknown backend %S" s)
-      in
-      let r =
-        Workload.Replay.run
-          ~invoke:(fun ~fn ->
-            Platform.Controller.invoke_custom controller
-              ~fn_id:(Workload.Fnset.fn_id fn) ~action:(fn_action fn)
-              ~source:(Workload.Fnset.source fn))
-          trace
-      in
-      let lat = r.Workload.Replay.latencies in
-      let bd_p99_ms, bd_p999_ms =
-        match Obs.Breakdown.overall_tails bd with
-        | None -> (0.0, 0.0)
-        | Some t ->
-            (t.Obs.Breakdown.p99 *. 1e3, t.Obs.Breakdown.p999 *. 1e3)
-      in
-      let rendered_timeline =
-        match samples with
-        | Some read -> Seuss.Timeline.render (read ())
-        | None -> ""
-      in
-      ( {
-          backend = backend_name;
-          invocations = r.Workload.Replay.invocations;
-          ok = r.Workload.Replay.ok;
-          errors = r.Workload.Replay.errors;
-          mean_ms = Stats.Summary.mean lat *. 1e3;
-          p50_ms = percentile_ms lat 50.0;
-          p90_ms = percentile_ms lat 90.0;
-          p99_ms = percentile_ms lat 99.0;
-          p999_ms = percentile_ms lat 99.9;
-          bd_p99_ms;
-          bd_p999_ms;
-          achieved_rps = r.Workload.Replay.achieved_rps;
-          max_in_flight = r.Workload.Replay.max_in_flight;
-          mix = mix_of ();
-        },
-        rendered_timeline ))
+let run_arm ~seed ~timeline trace (backend_name, backend) =
+  let timeline =
+    if timeline then Some (trace.Workload.Trace.horizon /. 256.0) else None
+  in
+  let r = Harness.replay ~seed ?timeline backend trace in
+  let res = r.Harness.result in
+  let lat = res.Workload.Replay.latencies in
+  let bd_p99_ms, bd_p999_ms =
+    match r.Harness.tails with
+    | None -> (0.0, 0.0)
+    | Some t -> (t.Obs.Breakdown.p99 *. 1e3, t.Obs.Breakdown.p999 *. 1e3)
+  in
+  ( {
+      backend = backend_name;
+      invocations = res.Workload.Replay.invocations;
+      ok = res.Workload.Replay.ok;
+      errors = res.Workload.Replay.errors;
+      mean_ms = Stats.Summary.mean lat *. 1e3;
+      p50_ms = Harness.percentile_ms lat 50.0;
+      p90_ms = Harness.percentile_ms lat 90.0;
+      p99_ms = Harness.percentile_ms lat 99.0;
+      p999_ms = Harness.percentile_ms lat 99.9;
+      bd_p99_ms;
+      bd_p999_ms;
+      achieved_rps = res.Workload.Replay.achieved_rps;
+      max_in_flight = res.Workload.Replay.max_in_flight;
+      mix = r.Harness.mix;
+    },
+    if Option.is_some timeline then Seuss.Timeline.render r.Harness.timeline
+    else "" )
 
 (* {1 The sweep} *)
 
@@ -195,6 +112,7 @@ let run ?(functions = default_functions) ?(alpha = default_alpha)
     ignore (arrival_of_name arrival ~rate:1.0);
   let horizon = hours *. 3600.0 in
   let top_rps = List.fold_left Float.max neg_infinity rps in
+  let backends = backends () in
   let timeline = ref "" in
   let points =
     List.map
@@ -206,8 +124,8 @@ let run ?(functions = default_functions) ?(alpha = default_alpha)
         in
         let arms =
           List.map
-            (fun backend ->
-              let want_timeline = backend = "seuss" && offered = top_rps in
+            (fun ((name, _) as backend) ->
+              let want_timeline = name = "seuss" && offered = top_rps in
               let arm, tl = run_arm ~seed ~timeline:want_timeline trace backend in
               if want_timeline then timeline := tl;
               arm)
@@ -234,7 +152,9 @@ let run ?(functions = default_functions) ?(alpha = default_alpha)
    single sweep point against every backend. *)
 let run_trace ?(seed = 11L) trace =
   let arms =
-    List.map (fun b -> fst (run_arm ~seed ~timeline:false trace b)) backends
+    List.map
+      (fun b -> fst (run_arm ~seed ~timeline:false trace b))
+      (backends ())
   in
   {
     functions = trace.Workload.Trace.functions;
@@ -271,9 +191,9 @@ let arm_to_json a =
       ("bd_p999_ms", Obs.Json.Float a.bd_p999_ms);
       ("achieved_rps", Obs.Json.Float a.achieved_rps);
       ("max_in_flight", Obs.Json.Int a.max_in_flight);
-      ("cold", Obs.Json.Int a.mix.cold);
-      ("warm", Obs.Json.Int a.mix.warm);
-      ("hot", Obs.Json.Int a.mix.hot);
+      ("cold", Obs.Json.Int a.mix.Harness.cold);
+      ("warm", Obs.Json.Int a.mix.Harness.warm);
+      ("hot", Obs.Json.Int a.mix.Harness.hot);
     ]
 
 let point_to_json p =
@@ -330,7 +250,7 @@ let render r =
               Printf.sprintf "%.2f" a.p999_ms;
               Printf.sprintf "%.2f" a.achieved_rps;
               string_of_int a.max_in_flight;
-              Printf.sprintf "%d/%d/%d" a.mix.cold a.mix.warm a.mix.hot;
+              Printf.sprintf "%d/%d/%d" a.mix.Harness.cold a.mix.Harness.warm a.mix.Harness.hot;
             ])
         p.arms;
       Stats.Tablefmt.add_separator table)
@@ -395,9 +315,9 @@ let write_csv ~path r =
                Printf.sprintf "%.6f" a.bd_p999_ms;
                Printf.sprintf "%.6f" a.achieved_rps;
                string_of_int a.max_in_flight;
-               string_of_int a.mix.cold;
-               string_of_int a.mix.warm;
-               string_of_int a.mix.hot;
+               string_of_int a.mix.Harness.cold;
+               string_of_int a.mix.Harness.warm;
+               string_of_int a.mix.Harness.hot;
              ])
            p.arms)
        r.points)

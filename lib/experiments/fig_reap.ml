@@ -1,17 +1,3 @@
-(* fig_reap (extension): REAP-style working-set prefault on the warm
-   path (Ustiugov et al., ASPLOS '21, applied to SEUSS snapshot deploys).
-
-   Two arms run the same workload on a fresh node from the same seed:
-   prefault off (every warm deploy demand-faults its pages one trap at a
-   time) and prefault on (the first warm invocation per function records
-   its faulted vpns; every later deploy batch-installs them). The idle-UC
-   cache is disabled so every repeat takes the warm path. Per arm the
-   figure reports warm latency, demand-fault counts, prefault batch
-   sizes, and the per-invocation fault-handling core time; the headline
-   number is the on-vs-off reduction of that fault-handling time. The
-   first warm round (the recording round) is excluded from measurement
-   in both arms so the arms stay comparable. *)
-
 type arm = {
   prefault : bool;
   warm_invocations : int;
@@ -25,10 +11,7 @@ type arm = {
   prefault_cow : int;
   prefault_zero : int;
   fault_us : float;
-      (* per-warm-invocation fault-handling core time, microseconds:
-         demand faults at full (trap-inclusive) cost plus the batched
-         prefault charge *)
-  failed : int;  (* calls not served on their path (Harness.invoke) *)
+  failed : int;
 }
 
 type result = {
@@ -73,7 +56,6 @@ let run_arm ~functions ~rounds ~seed ~prefault =
         }
       in
       let node = Seuss.Node.create ~config env in
-      Harness.arm_census node;
       Seuss.Node.start node;
       let fns = List.init functions reap_fn in
       let failed = ref 0 in

@@ -42,11 +42,7 @@ let last_stuck_waiters () = !last_stuck
 let last_stranded_waiters () = !last_stranded
 
 let last_leaked : (string * Seuss.Node.census) list ref = ref []
-let last_leaked_resources () = List.rev !last_leaked
-
-(* Distinguish the nodes of one process in census reports; leaks are
-   exceptional, so the numbering never reaches healthy output. *)
-let node_seq = ref 0
+let last_leaked_resources () = !last_leaked
 
 let with_run run f =
   let outer = !active in
@@ -76,6 +72,7 @@ let run_sim ?(seed = 7L) body =
       Sim.Engine.run engine;
       last_stuck := Sim.Engine.stuck_waiters engine;
       last_stranded := Sim.Engine.stranded_waiters engine;
+      last_leaked := Seuss.Node.leaks engine;
       match !result with
       | Some v -> v
       | None -> failwith "experiment did not complete")
@@ -92,7 +89,8 @@ let make_seuss_env ?(budget_bytes = default_budget) engine =
 (* Node hooks only ever switch something on: prefault and a nonzero
    store budget override the config, and an off value leaves it alone,
    so an off run is bit-identical to an unhooked one. *)
-let arm_config (run : Run_config.t) config =
+let armed_config config =
+  let run = resolve () in
   let config =
     if run.prefault then
       { config with Seuss.Config.prefault_working_set = true }
@@ -107,16 +105,8 @@ let arm_config (run : Run_config.t) config =
   | None -> config
   | Some p -> { config with Seuss.Config.snapshot_cache_policy = p }
 
-let arm_census node =
-  let name = Printf.sprintf "node%d" !node_seq in
-  incr node_seq;
-  Seuss.Node.arm_census ~name
-    ~on_leak:(fun c -> last_leaked := (name, c) :: !last_leaked)
-    node
-
 let seuss_node ?(config = Seuss.Config.default) env =
-  let node = Seuss.Node.create ~config:(arm_config (resolve ()) config) env in
-  arm_census node;
+  let node = Seuss.Node.create ~config:(armed_config config) env in
   Seuss.Node.start node;
   node
 
@@ -148,12 +138,13 @@ let invoke engine ~failed ?latency ~expect call =
   | Off_path _ | Failed _ -> incr failed);
   outcome
 
+let shim_controller env node =
+  Platform.Controller.create env.Seuss.Osenv.engine
+    (Platform.Controller.Seuss_backend (Seuss.Shim.create env node))
+
 let seuss_controller env =
   let node = seuss_node env in
-  let shim = Seuss.Shim.create env node in
-  (Platform.Controller.create env.Seuss.Osenv.engine
-     (Platform.Controller.Seuss_backend shim),
-   node)
+  (shim_controller env node, node)
 
 let linux_controller ?config env =
   let node = Baselines.Linux_node.create ?config env in
@@ -162,8 +153,97 @@ let linux_controller ?config env =
      (Platform.Controller.Linux_backend node),
    node)
 
-let pool_controller ~kind env =
-  let node = Baselines.Pool_node.create ~kind env in
-  (Platform.Controller.create env.Seuss.Osenv.engine
-     (Platform.Controller.Pool_backend node),
-   node)
+(* {1 One open-loop replay} *)
+
+type backend =
+  | Seuss of Seuss.Config.t
+  | Linux
+  | Pool of Baselines.Pool_node.kind
+
+type mix = { cold : int; warm : int; hot : int }
+
+type replay = {
+  result : Workload.Replay.result;
+  mix : mix;
+  tails : Obs.Breakdown.tails option;
+  node : Seuss.Node.t option;
+  timeline : Seuss.Timeline.sample list;
+}
+
+let fn_action fn =
+  let ms = Workload.Fnset.work_ms fn in
+  if ms = 0.0 then Baselines.Backend_intf.Nop
+  else Baselines.Backend_intf.Cpu_ms ms
+
+let replay ?seed ?timeline backend trace =
+  run_sim ?seed (fun engine ->
+      let env = make_seuss_env engine in
+      let bd = Obs.Breakdown.attach env.Seuss.Osenv.log in
+      let controller, mix, node, samples =
+        match backend with
+        | Seuss config ->
+            let node = Seuss.Node.create ~config env in
+            Seuss.Node.start node;
+            let controller = shim_controller env node in
+            (* The sampler's daemon spawns last, after the control
+               plane; it draws nothing, so it perturbs no measured
+               quantity. *)
+            let samples =
+              Option.map (fun period -> Seuss.Timeline.start ~period node)
+                timeline
+            in
+            ( controller,
+              (fun () ->
+                let st = Seuss.Node.stats node in
+                {
+                  cold = st.Seuss.Node.cold;
+                  warm = st.Seuss.Node.warm;
+                  hot = st.Seuss.Node.hot;
+                }),
+              Some node,
+              samples )
+        | Linux ->
+            let controller, node = linux_controller env in
+            ( controller,
+              (fun () ->
+                let st = Baselines.Linux_node.stats node in
+                {
+                  cold = st.Baselines.Linux_node.creates;
+                  warm = st.Baselines.Linux_node.stemcell_hits;
+                  hot = st.Baselines.Linux_node.warm_hits;
+                }),
+              None,
+              None )
+        | Pool kind ->
+            let node = Baselines.Pool_node.create ~kind env in
+            ( Platform.Controller.create engine
+                (Platform.Controller.Pool_backend node),
+              (fun () ->
+                let st = Baselines.Pool_node.stats node in
+                {
+                  cold = st.Baselines.Pool_node.creates;
+                  warm = 0;
+                  hot = st.Baselines.Pool_node.warm_hits;
+                }),
+              None,
+              None )
+      in
+      let result =
+        Workload.Replay.run
+          ~invoke:(fun ~fn ->
+            Platform.Controller.invoke_custom controller
+              ~fn_id:(Workload.Fnset.fn_id fn) ~action:(fn_action fn)
+              ~source:(Workload.Fnset.source fn))
+          trace
+      in
+      {
+        result;
+        mix = mix ();
+        tails = Obs.Breakdown.overall_tails bd;
+        node;
+        timeline = (match samples with Some read -> read () | None -> []);
+      })
+
+let percentile_ms lat p =
+  if Stats.Summary.count lat = 0 then 0.0
+  else Stats.Summary.percentile lat p *. 1e3

@@ -39,9 +39,10 @@ val last_stuck_waiters : unit -> int
     for a clean experiment. *)
 
 val last_leaked_resources : unit -> (string * Seuss.Node.census) list
-(** Per-node nonzero censuses of the most recent {!run_sim}, in node
-    creation order. Always [[]] unless [run.own] armed the census —
-    and, on a leak-free tree, also [[]] when it did. *)
+(** {!Seuss.Node.leaks} of the most recent {!run_sim} engine: per-node
+    nonzero censuses, in node creation order. Always [[]] unless
+    [run.own] armed the census — and, on a leak-free tree, also [[]]
+    when it did. *)
 
 val last_stranded_waiters : unit -> Sim.Engine.stranded list
 (** {!Sim.Engine.stranded_waiters} of the most recent {!run_sim} run —
@@ -57,21 +58,19 @@ val make_seuss_env : ?budget_bytes:int64 -> Sim.Engine.t -> Seuss.Osenv.t
     endpoint registered as ["http://io-server"], which answers after
     250 ms. *)
 
-val seuss_node : ?config:Seuss.Config.t -> Seuss.Osenv.t -> Seuss.Node.t
-(** Create and start a SEUSS node (blocking: boots the runtime). The
-    enclosing run (see {!with_run}) can switch on working-set prefault
-    and the snapshot store (with its policy) over [config], and the
-    node is registered with {!arm_census}. Span capture and the
-    resource timeline are started by the command that prints them, not
-    here. Experiments needing fixed arms (e.g. [Fig_reap], [Fig_evict])
-    build their nodes directly and call {!arm_census} themselves. *)
+val armed_config : Seuss.Config.t -> Seuss.Config.t
+(** [config] with the enclosing run's node overrides applied (see
+    {!with_run}): working-set prefault and the snapshot store with its
+    policy. An off override leaves its field alone. *)
 
-val arm_census : Seuss.Node.t -> unit
-(** Register the node's ownership census ({!Seuss.Node.arm_census})
-    under a process-unique name; a nonzero census at quiescence shows
-    up in {!last_leaked_resources}. Inert unless the engine armed the
-    census. For nodes built outside {!seuss_node}, such as a
-    {!Cluster.Drseuss} cluster's members. *)
+val seuss_node : ?config:Seuss.Config.t -> Seuss.Osenv.t -> Seuss.Node.t
+(** Create a node from {!armed_config} [config] and start it (blocking:
+    boots the runtime). Span capture and the resource timeline are
+    started by the command that prints them, not here. Experiments
+    needing fixed arms (e.g. [Fig_reap], [Fig_evict]) pass their exact
+    config to {!Seuss.Node.create} or {!replay} instead. Every node
+    registers its own ownership census on an armed engine (see
+    {!Seuss.Node.create}). *)
 
 val nop_fn : int -> Seuss.Node.fn
 (** The NOP JavaScript function with id ["nop-<i>"]: the paper's
@@ -111,13 +110,47 @@ val linux_controller :
   Seuss.Osenv.t ->
   Platform.Controller.t * Baselines.Linux_node.t
 
-val pool_controller :
-  kind:Baselines.Pool_node.kind ->
-  Seuss.Osenv.t ->
-  Platform.Controller.t * Baselines.Pool_node.t
-(** Warm-instance-cache node over the Firecracker or Process backend
-    behind the same OpenWhisk control plane — the microVM and process
-    arms of the load experiments. *)
+(** {1 One open-loop replay}
+
+    The open-loop rows replay a trace through the OpenWhisk control
+    plane against one backend per fresh simulation. *)
+
+type backend =
+  | Seuss of Seuss.Config.t
+      (** a SEUSS node from exactly this config, behind the shim; pass
+          {!armed_config} of a config to apply the run's overrides *)
+  | Linux  (** the Linux container node *)
+  | Pool of Baselines.Pool_node.kind
+      (** a warm-instance cache over the Firecracker or Process backend *)
+
+type mix = { cold : int; warm : int; hot : int }
+(** How the backend served the calls. Linux counts creations, stemcell
+    hits and warm hits; a pool counts creations and warm hits. *)
+
+type replay = {
+  result : Workload.Replay.result;
+  mix : mix;
+  tails : Obs.Breakdown.tails option;
+      (** event-log breakdown tails over every path; only a SEUSS node
+          logs its calls, so [None] for the other backends *)
+  node : Seuss.Node.t option;  (** the SEUSS node, read after the run *)
+  timeline : Seuss.Timeline.sample list;
+      (** resource samples, with [?timeline] on a SEUSS backend *)
+}
+
+val replay :
+  ?seed:int64 ->
+  ?timeline:float ->
+  backend ->
+  Workload.Trace.t ->
+  replay
+(** Replay [trace] open-loop against [backend] in a fresh {!run_sim}
+    from [seed]. Each call's action is [Fnset.work_ms] of CPU (a NOP
+    at 0). With [timeline] (a sampling period) on a SEUSS backend, the
+    resource sampler runs for the whole replay. *)
+
+val percentile_ms : Stats.Summary.t -> float -> float
+(** A latency percentile in milliseconds, [0.0] for no samples. *)
 
 val default_budget : int64
 (** 88 GiB — the paper's compute node VM. *)

@@ -68,39 +68,6 @@ let obs_path = function
   | Warm -> Obs.Event.Warm
   | Hot -> Obs.Event.Hot
 
-let create ?(config = Config.default) node_env =
-  let m = node_env.Osenv.metrics in
-  let errors p = Obs.Metrics.counter m ~labels:[ ("path", p) ] "node_errors_total" in
-  let t =
-  {
-    node_env;
-    cfg = config;
-    in_flight = 0;
-    bases = [];
-    store = None;
-    fn_snapshots = Hashtbl.create 1024;
-    idle = Hashtbl.create 1024;
-    idle_order = Queue.create ();
-    idle_total = 0;
-    last_uc = None;
-    c_errors_cold = errors "cold";
-    c_errors_warm = errors "warm";
-    c_errors_hot = errors "hot";
-    c_retried = Obs.Metrics.counter m "node_invoke_retries_total";
-    c_reclaimed = Obs.Metrics.counter m "node_ucs_reclaimed_total";
-    c_oom_wakes = Obs.Metrics.counter m "node_oom_wakes_total";
-    c_captured = Obs.Metrics.counter m "node_snapshots_captured_total";
-  }
-  in
-  if Int64.compare config.Config.snapshot_cache_bytes 0L > 0 then
-    t.store <-
-      Some
-        (Snapstore.create ~env:node_env
-           ~budget_bytes:config.Config.snapshot_cache_bytes
-           ~policy:config.Config.snapshot_cache_policy
-           ~on_evict:(fun ~fn_id -> Hashtbl.remove t.fn_snapshots fn_id));
-  t
-
 let config t = t.cfg
 let env t = t.node_env
 
@@ -729,9 +696,34 @@ let census_clean c =
   && c.pinned_windows = 0
   && c.leaked_ucs = 0
 
-let arm_census ?(name = "node") ?on_leak t =
+(* One engine's census ledger: how many nodes it has named, and the
+   nonzero censuses found at quiescence, newest first. It exists only
+   on an armed engine. *)
+type ledger = { mutable named : int; mutable leaks : (string * census) list }
+
+let ledger_key : ledger Sim.Engine.key = Sim.Engine.new_key ()
+
+let leaks engine =
+  match Sim.Engine.get_global engine ledger_key with
+  | Some l -> List.rev l.leaks
+  | None -> []
+
+(* On an armed engine, name the node by its creation order there (so a
+   report does not depend on the runs before it) and register its
+   quiescence hook. *)
+let arm_census t =
   let engine = t.node_env.Osenv.engine in
-  if Sim.Engine.own_armed engine then
+  if Sim.Engine.own_armed engine then begin
+    let ledger =
+      match Sim.Engine.get_global engine ledger_key with
+      | Some l -> l
+      | None ->
+          let l = { named = 0; leaks = [] } in
+          Sim.Engine.set_global engine ledger_key (Some l);
+          l
+    in
+    let name = Printf.sprintf "node%d" ledger.named in
+    ledger.named <- ledger.named + 1;
     Sim.Engine.add_census_hook engine (fun () ->
         let c = census t in
         (* Emit only on a nonzero count: a healthy armed run's event
@@ -747,8 +739,44 @@ let arm_census ?(name = "node") ?on_leak t =
                  pinned = c.pinned_windows;
                  ucs = c.leaked_ucs;
                });
-          match on_leak with Some f -> f c | None -> ()
+          ledger.leaks <- (name, c) :: ledger.leaks
         end)
+  end
+
+(* Here, below the census: every node registers its own. *)
+let create ?(config = Config.default) node_env =
+  let m = node_env.Osenv.metrics in
+  let errors p = Obs.Metrics.counter m ~labels:[ ("path", p) ] "node_errors_total" in
+  let t =
+  {
+    node_env;
+    cfg = config;
+    in_flight = 0;
+    bases = [];
+    store = None;
+    fn_snapshots = Hashtbl.create 1024;
+    idle = Hashtbl.create 1024;
+    idle_order = Queue.create ();
+    idle_total = 0;
+    last_uc = None;
+    c_errors_cold = errors "cold";
+    c_errors_warm = errors "warm";
+    c_errors_hot = errors "hot";
+    c_retried = Obs.Metrics.counter m "node_invoke_retries_total";
+    c_reclaimed = Obs.Metrics.counter m "node_ucs_reclaimed_total";
+    c_oom_wakes = Obs.Metrics.counter m "node_oom_wakes_total";
+    c_captured = Obs.Metrics.counter m "node_snapshots_captured_total";
+  }
+  in
+  if Int64.compare config.Config.snapshot_cache_bytes 0L > 0 then
+    t.store <-
+      Some
+        (Snapstore.create ~env:node_env
+           ~budget_bytes:config.Config.snapshot_cache_bytes
+           ~policy:config.Config.snapshot_cache_policy
+           ~on_evict:(fun ~fn_id -> Hashtbl.remove t.fn_snapshots fn_id));
+  arm_census t;
+  t
 
 let deploy_idle t runtime =
   match base_snapshot t runtime with

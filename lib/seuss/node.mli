@@ -55,6 +55,9 @@ type stats = {
 }
 
 val create : ?config:Config.t -> Osenv.t -> t
+(** A node over [env], not yet started. On an engine with the ownership
+    census armed, the node registers its census (see {!leaks}) under
+    ["node<k>"], [k] its creation order on that engine. *)
 
 val config : t -> Config.t
 
@@ -127,8 +130,9 @@ val last_served_uc : t -> Uc.t option
     Checks that every acquire was released, against the runtime
     ground truth at engine quiescence: live frames, snapshot dependent
     counts, open pin windows and the UC create/destroy ledger. Armed
-    with [~own:true] at [Sim.Engine.create]; unarmed, {!arm_census}
-    registers nothing and every output is byte-identical. *)
+    with [~own:true] at [Sim.Engine.create], where every node {!create}
+    builds registers its census; unarmed, nothing is registered and
+    every output is byte-identical. *)
 
 type census = {
   leaked_frames : int;
@@ -151,11 +155,11 @@ val census : t -> census
 
 val census_clean : census -> bool
 
-val arm_census : ?name:string -> ?on_leak:(census -> unit) -> t -> unit
-(** When the engine's ownership census is armed, register a quiescence
-    hook that runs {!census} and — only if some count is nonzero —
-    emits an [Obs.Event.San_leak] tagged [name] on the node's log and
-    calls [on_leak]. No-op on an unarmed engine. *)
+val leaks : Sim.Engine.t -> (string * census) list
+(** The nonzero censuses of the engine's nodes at quiescence, in
+    registration order, each under its node's name; each also emitted
+    an [Obs.Event.San_leak] on its node's log. [[]] on an unarmed
+    engine, before quiescence and on a leak-free run. *)
 
 val drop_idle : t -> fn_id:string -> unit
 (** Evict the idle UCs of one function (used by experiments to force

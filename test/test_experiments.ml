@@ -367,6 +367,50 @@ let test_fig_evict_same_seed_identical () =
     (Obs.Json.to_string (Experiments.Fig_evict.to_json r1))
     (Obs.Json.to_string (Experiments.Fig_evict.to_json r2))
 
+(* The run's node overrides (store budget and policy, prefault) reach
+   load's SEUSS arm, but never the evict and reap ladders, which fix
+   those fields per arm. Sizes and seeds are test_arms'. *)
+let test_node_overrides_reach_load_only () =
+  let module E = Experiments in
+  let overrides =
+    {
+      E.Run_config.default with
+      snap_cache_bytes = Int64.of_int (Mem.Mconfig.mib 4);
+      prefault = true;
+      snap_policy = Some Seuss.Config.Snap_ws;
+    }
+  in
+  let json run f =
+    E.Harness.with_run run (fun () -> Obs.Json.to_string (f ()))
+  in
+  let plain_and_armed f = (json E.Run_config.default f, json overrides f) in
+  let load_plain, load_armed =
+    plain_and_armed (fun () ->
+        E.Fig_load.to_json
+          (E.Fig_load.run ~functions:32 ~hours:0.02 ~rps:[ 2.0; 8.0 ]
+             ~arrival:"bursty" ~seed:1L ()))
+  in
+  Alcotest.(check bool) "load's SEUSS arm takes the overrides" false
+    (String.equal load_plain load_armed);
+  let evict_plain, evict_armed =
+    plain_and_armed (fun () ->
+        E.Fig_evict.to_json
+          (E.Fig_evict.run ~functions:24 ~hours:0.02 ~rate:8.0
+             ~sizes:
+               [
+                 0L;
+                 Int64.of_int (Mem.Mconfig.mib 3);
+                 Int64.of_int (Mem.Mconfig.mib 64);
+               ]
+             ~seed:5L ()))
+  in
+  Alcotest.(check string) "the evict ladder ignores them" evict_plain
+    evict_armed;
+  let reap_plain, reap_armed =
+    plain_and_armed (fun () -> E.Fig_reap.to_json (E.Fig_reap.run ~seed:7L ()))
+  in
+  Alcotest.(check string) "the reap arms ignore them" reap_plain reap_armed
+
 (* {1 Pool_node edge cases} *)
 
 let pool_config ~cache_limit =
@@ -627,6 +671,8 @@ let () =
             test_fig_load_replay_equals_synthesis;
           case "fig_evict shapes" test_fig_evict_shapes;
           case "fig_evict same-seed identical" test_fig_evict_same_seed_identical;
+          case "node overrides reach load only"
+            test_node_overrides_reach_load_only;
         ] );
       ( "pool-node",
         [

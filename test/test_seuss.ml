@@ -960,32 +960,32 @@ let test_ring_drops_surface_in_metrics () =
 (* A small mixed workload (cold + hot per function), optionally followed
    by a deliberately leaked UC: deployed from the base snapshot and then
    dropped on the floor — never destroyed, never cached. *)
+let census_workload node ~leak =
+  N.start node;
+  for k = 1 to 3 do
+    let f =
+      fn ~id:(Printf.sprintf "own-%d" k) "function main(args) { return {}; }"
+    in
+    ignore (expect_ok (N.invoke node f ~args:"{}"));
+    ignore (expect_ok (N.invoke node f ~args:"{}"))
+  done;
+  if leak then
+    match N.base_snapshot node Unikernel.Image.Node with
+    | Some base -> ignore (Seuss.Uc.deploy (N.env node) base)
+    | None -> Alcotest.fail "no base snapshot to leak from"
+
+(* [census_workload] on a plain [N.create] node: nothing but the engine
+   arms its census. *)
 let census_run ~own ~leak =
   let engine = Sim.Engine.create ~seed:11L ~own () in
   let env = Seuss.Osenv.create ~budget_bytes:(gib 8) engine in
-  let leaks = ref [] in
   let node_ref = ref None in
   Sim.Engine.spawn engine ~name:"experiment" (fun () ->
       let node = N.create env in
-      N.arm_census ~name:"census-node"
-        ~on_leak:(fun c -> leaks := c :: !leaks)
-        node;
-      N.start node;
       node_ref := Some node;
-      for k = 1 to 3 do
-        let f =
-          fn
-            ~id:(Printf.sprintf "own-%d" k)
-            "function main(args) { return {}; }"
-        in
-        ignore (expect_ok (N.invoke node f ~args:"{}"));
-        ignore (expect_ok (N.invoke node f ~args:"{}"))
-      done;
-      if leak then
-        match N.base_snapshot node Unikernel.Image.Node with
-        | Some base -> ignore (Seuss.Uc.deploy env base)
-        | None -> Alcotest.fail "no base snapshot to leak from");
+      census_workload node ~leak);
   Sim.Engine.run engine;
+  let leaks = List.map snd (N.leaks engine) in
   let node =
     match !node_ref with
     | Some n -> n
@@ -997,7 +997,7 @@ let census_run ~own ~leak =
         match r.Obs.Log.ev with Obs.Event.San_leak _ -> true | _ -> false)
       (Obs.Log.records env.Seuss.Osenv.log)
   in
-  (node, !leaks, san_leaks)
+  (node, leaks, san_leaks)
 
 let test_census_clean_when_armed () =
   let node, leaks, san_leaks = census_run ~own:true ~leak:false in
@@ -1019,7 +1019,7 @@ let test_census_detects_planted_leak () =
   | l -> Alcotest.failf "expected one leak callback, got %d" (List.length l));
   match san_leaks with
   | [ { Obs.Log.ev = Obs.Event.San_leak { node; ucs; _ }; _ } ] ->
-      Alcotest.(check string) "event names the node" "census-node" node;
+      Alcotest.(check string) "event names the node" "node0" node;
       Alcotest.(check int) "event carries the UC count" 1 ucs
   | l -> Alcotest.failf "expected one San_leak event, got %d" (List.length l)
 
@@ -1055,6 +1055,29 @@ let test_experiments_own_zero_is_unset () =
         (Experiments.Fig4.run ~set_sizes:[ 16 ] ~client_threads:8 ~seed:7L ());
       Alcotest.(check int) "fig4 with SEUSS_OWN=0: census stays dark" 0
         (List.length (Experiments.Harness.last_leaked_resources ())))
+
+let test_census_covers_plain_nodes () =
+  (* A node built with a plain [Seuss.Node.create] inside an armed run,
+     with no call to arm anything: the census still reports its leak,
+     and names it by creation order on its own engine, so the second
+     run reports the same name as the first. *)
+  let module H = Experiments.Harness in
+  let run () =
+    H.with_run { Experiments.Run_config.default with own = true } (fun () ->
+        H.run_sim (fun engine ->
+            ignore (N.create (Seuss.Osenv.create ~budget_bytes:(gib 8) engine));
+            census_workload (N.create (H.make_seuss_env engine)) ~leak:true);
+        H.last_leaked_resources ())
+  in
+  List.iter
+    (fun leaks ->
+      match leaks with
+      | [ (name, c) ] ->
+          Alcotest.(check string) "the leaking node, by creation order"
+            "node1" name;
+          Alcotest.(check int) "exactly the dropped UC" 1 c.N.leaked_ucs
+      | l -> Alcotest.failf "expected one leak report, got %d" (List.length l))
+    [ run (); run () ]
 
 (* [body] on a harness-built node with the census armed; its result and
    the census's leak reports. *)
@@ -1246,6 +1269,8 @@ let () =
           case "errored only call's UC released"
             test_census_errored_only_call_released;
           case "destroyed UCs' guests end" test_census_destroyed_guests_end;
+          case "covers a node built outside the harness"
+            test_census_covers_plain_nodes;
           case "shipped experiments leak-free armed"
             test_experiments_zero_leaks_armed;
           case "SEUSS_OWN=0 behaves as unset" test_experiments_own_zero_is_unset;
