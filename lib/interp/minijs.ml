@@ -30,9 +30,7 @@ let rec builtin_named name = function
   | (n, v) :: rest ->
       if String.equal n name then Some v else builtin_named name rest
 
-let clone ?hooks ~host t =
-  let hooks = Option.value hooks ~default:t.hooks in
-  let builtins = Builtins.install host in
+let copy ~hooks ~builtins t =
   let rebind_builtin name = builtin_named name builtins in
   {
     compiled = t.compiled;
@@ -40,6 +38,17 @@ let clone ?hooks ~host t =
     hooks;
     literal = t.literal;
   }
+
+let clone ?hooks ~host t =
+  let hooks = Option.value hooks ~default:t.hooks in
+  copy ~hooks ~builtins:(Builtins.install host) t
+
+(* Every frozen template shares one null-host builtin set, built here
+   once: [clone] rebinds a template's builtins by name and never calls
+   them. *)
+let frozen_builtins = Builtins.install Builtins.null_host
+
+let freeze t = copy ~hooks:Eval.default_hooks ~builtins:frozen_builtins t
 
 let call t ~fname args =
   match Value.lookup t.env fname with

@@ -24,8 +24,15 @@ val compiled : t -> Compile.t
 val clone : ?hooks:Eval.hooks -> host:Builtins.host -> t -> t
 (** An isolated copy of the program instance: the environment graph is
     deep-copied ({!Value.deep_copy_env}) and builtins are rebound to the
-    new [host]/[hooks]. Used on snapshot capture (freeze a template) and
-    on deploy (give each UC its own mutable world). *)
+    new [host]/[hooks]. Used on deploy (give each UC its own mutable
+    world). *)
+
+val freeze : t -> t
+(** An isolated copy to keep as a deploy template ({!clone} it to run
+    it): like {!clone}, but it keeps nothing of [t]'s host or hooks —
+    its builtins are one null-host set shared by every template, its
+    hooks {!Eval.default_hooks}. A template therefore holds no closure
+    over the instance it was frozen from. Used on snapshot capture. *)
 
 val call : t -> fname:string -> Value.t list -> (Value.t, string) result
 (** Call a global function by name. *)

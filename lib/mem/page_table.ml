@@ -46,7 +46,14 @@ end
    The frozen bit caches "every present entry is already read-only +
    COW and clean", so a freeze can skip the leaf: [mark_all_cow_clean]
    sets it, every [set] through the leaf clears it, and a privatized
-   copy inherits it along with the entries. *)
+   copy inherits it along with the entries.
+
+   Roots hold columns, not directories. A directory gets the family's
+   next column the first time any of its tables writes to it, so a root
+   is as wide as the directories the family uses (a guest's address
+   space uses 62 of the 512), and [dirs] lists the used directories in
+   ascending order: the walks that free frames or report pages follow
+   it, in the order a 512-slot root would give. *)
 type family = {
   frames : Frame.t;
   mutable ents : int array array;
@@ -63,15 +70,26 @@ type family = {
   mutable roots : int array array;
   mutable nroots : int;
   mutable made_roots : int;
+  (* [col_of_dir.(d)] is directory [d]'s column, or [no_col];
+     [dirs.(0 .. ncols - 1)] the directories that have one, ascending. *)
+  col_of_dir : int array;
+  dirs : int array;
+  mutable ncols : int;
+  (* The length of a root made now: a power of two, at least [ncols]. *)
+  mutable root_len : int;
 }
 
-(* [dirs.(d)] is the slot of directory [d]'s leaf, or [no_leaf]. *)
-type t = { fam : family; dirs : int array; mutable released : bool }
+(* [root.(c)] is the slot of column [c]'s leaf, or [no_leaf]; a root
+   shorter than the family's [ncols] reads the columns past its end as
+   [no_leaf], and grows on its first write to one of them. *)
+type t = { fam : family; mutable root : int array; mutable released : bool }
 
 let entries = Mconfig.entries_per_table
 let root_size = 512
 let max_vpn = root_size * entries
 let no_leaf = -1
+let no_col = -1
+let min_root_len = 64
 let chunk_shift = 6
 let chunk_leaves = 1 lsl chunk_shift
 
@@ -142,13 +160,20 @@ let fresh_root fam =
     fam.roots <- roots
   end;
   fam.made_roots <- fam.made_roots + 1;
-  Array.make root_size no_leaf
+  Array.make fam.root_len no_leaf
 
-let take_root fam =
+(* seussheat: cold — a released root narrower than the one being copied is dropped for one of the family's current width, once per root after the family outgrows it *)
+let widened_root fam =
+  fam.roots.(fam.nroots) <- [||];
+  Array.make fam.root_len no_leaf
+
+(* A root at least [len] wide, its contents stale. *)
+let take_root fam len =
   if fam.nroots = 0 then fresh_root fam
   else begin
     fam.nroots <- fam.nroots - 1;
-    fam.roots.(fam.nroots)
+    let root = fam.roots.(fam.nroots) in
+    if Array.length root >= len then root else widened_root fam
   end
 
 let create frames =
@@ -163,42 +188,81 @@ let create frames =
       roots = [||];
       nroots = 0;
       made_roots = 0;
+      col_of_dir = Array.make root_size no_col;
+      dirs = Array.make root_size 0;
+      ncols = 0;
+      root_len = min_root_len;
     }
   in
-  { fam; dirs = fresh_root fam; released = false }
+  { fam; root = fresh_root fam; released = false }
 
 let check_alive t = if t.released then invalid_arg "Page_table: use after release"
 
 let clone_shallow t =
   check_alive t;
   let fam = t.fam in
-  let dirs = take_root fam in
-  blit_ints t.dirs 0 dirs 0 root_size;
-  for dir = 0 to root_size - 1 do
-    let slot = dirs.(dir) in
+  let src = t.root in
+  let len = Array.length src in
+  let root = take_root fam len in
+  blit_ints src 0 root 0 len;
+  fill_ints root len (Array.length root - len) no_leaf;
+  for c = 0 to len - 1 do
+    let slot = root.(c) in
     if slot <> no_leaf then set_rc fam slot (rc fam slot + 1)
   done;
   (* seussheat: cold — the table record is the product: one per clone, retained by its owner *)
-  { fam; dirs; released = false }
+  { fam; root; released = false }
 
 let check_vpn vpn =
   if vpn < 0 || vpn >= max_vpn then invalid_arg "Page_table: vpn out of range"
 
+(* The slot of directory [dir]'s leaf in [t], or [no_leaf]. *)
+let[@inline] slot_of t dir =
+  let c = t.fam.col_of_dir.(dir) in
+  if c = no_col || c >= Array.length t.root then no_leaf else t.root.(c)
+
 let get t ~vpn =
   check_alive t;
   check_vpn vpn;
-  let slot = t.dirs.(vpn / entries) in
+  let slot = slot_of t (vpn / entries) in
   if slot = no_leaf then Entry.absent
   else t.fam.ents.(chunk slot).(base slot + (vpn mod entries))
+
+(* seussheat: cold — a directory's first write in its family: at most 512 per family, each an insertion into the ascending directory list *)
+let[@inline never] add_column fam dir =
+  let c = fam.ncols in
+  let k = ref c in
+  while !k > 0 && fam.dirs.(!k - 1) > dir do
+    fam.dirs.(!k) <- fam.dirs.(!k - 1);
+    decr k
+  done;
+  fam.dirs.(!k) <- dir;
+  fam.col_of_dir.(dir) <- c;
+  fam.ncols <- c + 1;
+  if fam.ncols > fam.root_len then fam.root_len <- 2 * fam.root_len;
+  c
+
+(* seussheat: cold — a root's first write to a column its family gained after the root was made: once per root per doubling of the family's width *)
+let[@inline never] grow_root t =
+  let fam = t.fam in
+  let len = Array.length t.root in
+  let root = Array.make fam.root_len no_leaf in
+  blit_ints t.root 0 root 0 len;
+  t.root <- root
 
 (* Give [dir] a leaf of its own in a free slot: a zeroed one if it has
    none, else a copy of the shared one, taking a frame reference for
    every present entry the copy names. *)
 let privatize t dir =
   let fam = t.fam in
+  let c =
+    let c = fam.col_of_dir.(dir) in
+    if c = no_col then add_column fam dir else c
+  in
+  if c >= Array.length t.root then grow_root t;
   let slot = take_slot fam in
   let dst = fam.ents.(chunk slot) and d = base slot in
-  let src = t.dirs.(dir) in
+  let src = t.root.(c) in
   if src = no_leaf then begin
     fill_ints dst d entries Entry.absent;
     set_frozen fam slot false
@@ -210,13 +274,13 @@ let privatize t dir =
     set_frozen fam slot (frozen fam src)
   end;
   set_rc fam slot 1;
-  t.dirs.(dir) <- slot;
+  t.root.(c) <- slot;
   slot
 
 (* A leaf this table is about to write through must be exclusively
    owned. *)
 let private_leaf t dir =
-  let slot = t.dirs.(dir) in
+  let slot = slot_of t dir in
   if slot <> no_leaf && rc t.fam slot = 1 then slot
   else privatize t dir
 
@@ -267,7 +331,7 @@ let rec write_run t c record dir slot owned vpn stop =
     if vpn / entries <> dir then begin
       let dir = vpn / entries in
       if dir >= root_size then check_vpn vpn;
-      let slot = t.dirs.(dir) in
+      let slot = slot_of t dir in
       write_run t c record dir slot
         (slot <> no_leaf && rc t.fam slot = 1)
         vpn stop
@@ -345,21 +409,25 @@ let mark_all_cow_clean t =
         map_leaf fam slot freeze_entry;
         set_frozen fam slot true
       end)
-    t.dirs
+    t.root
 
+(* Both folds walk the family's directories in ascending order, so they
+   report pages in vpn order. *)
 let fold_present t ~init ~f =
   check_alive t;
+  let fam = t.fam in
   let acc = ref init in
-  Array.iteri
-    (fun dir slot ->
-      if slot <> no_leaf then begin
-        let leaf = t.fam.ents.(chunk slot) and b = base slot in
-        for i = 0 to entries - 1 do
-          let e = leaf.(b + i) in
-          if Entry.present e then acc := f !acc ~vpn:((dir * entries) + i) e
-        done
-      end)
-    t.dirs;
+  for k = 0 to fam.ncols - 1 do
+    let dir = fam.dirs.(k) in
+    let slot = slot_of t dir in
+    if slot <> no_leaf then begin
+      let leaf = fam.ents.(chunk slot) and b = base slot in
+      for i = 0 to entries - 1 do
+        let e = leaf.(b + i) in
+        if Entry.present e then acc := f !acc ~vpn:((dir * entries) + i) e
+      done
+    end
+  done;
   !acc
 
 (* Walk the pages [t] maps through a different frame than [parent] (or
@@ -367,31 +435,33 @@ let fold_present t ~init ~f =
    snapshot. Leaves physically shared with the parent are skipped
    outright: structural sharing guarantees their entries are identical,
    which is what keeps the walk proportional to the diff's leaves, not
-   the whole address space. *)
+   the whole address space. The parent's leaf is found by directory, so
+   a parent of another family (other columns) works too. *)
 let fold_delta ~parent t ~init ~f =
   check_alive t;
   check_alive parent;
   (* seusslint: allow physical-eq — slots name the same leaf only within one family's slab *)
   let same_family = parent.fam == t.fam in
+  let fam = t.fam in
   let acc = ref init in
-  Array.iteri
-    (fun dir slot ->
-      let p = parent.dirs.(dir) in
-      if slot <> no_leaf && not (same_family && p = slot) then begin
-        let leaf = t.fam.ents.(chunk slot) and b = base slot in
-        for i = 0 to entries - 1 do
-          let e = leaf.(b + i) in
-          if Entry.present e then
-            let same =
-              p <> no_leaf
-              &&
-              let pe = parent.fam.ents.(chunk p).(base p + i) in
-              Entry.present pe && Entry.frame pe = Entry.frame e
-            in
-            if not same then acc := f !acc ~vpn:((dir * entries) + i) e
-        done
-      end)
-    t.dirs;
+  for k = 0 to fam.ncols - 1 do
+    let dir = fam.dirs.(k) in
+    let slot = slot_of t dir and p = slot_of parent dir in
+    if slot <> no_leaf && not (same_family && p = slot) then begin
+      let leaf = fam.ents.(chunk slot) and b = base slot in
+      for i = 0 to entries - 1 do
+        let e = leaf.(b + i) in
+        if Entry.present e then
+          let same =
+            p <> no_leaf
+            &&
+            let pe = parent.fam.ents.(chunk p).(base p + i) in
+            Entry.present pe && Entry.frame pe = Entry.frame e
+          in
+          if not same then acc := f !acc ~vpn:((dir * entries) + i) e
+      done
+    end
+  done;
   !acc
 
 let count_present t = fold_present t ~init:0 ~f:(fun n ~vpn:_ _ -> n + 1)
@@ -402,14 +472,14 @@ let count_dirty t =
 
 let leaf_tables t =
   check_alive t;
-  Array.fold_left (fun n slot -> if slot <> no_leaf then n + 1 else n) 0 t.dirs
+  Array.fold_left (fun n slot -> if slot <> no_leaf then n + 1 else n) 0 t.root
 
 let private_leaf_tables t =
   check_alive t;
   Array.fold_left
     (fun n slot ->
       if slot <> no_leaf && rc t.fam slot = 1 then n + 1 else n)
-    0 t.dirs
+    0 t.root
 
 let structure_bytes t =
   let word = 8 in
@@ -442,20 +512,21 @@ let expected_refcounts tables =
             seen := (t.fam, slots) :: !seen;
             slots
       in
-      Array.iter
-        (fun slot ->
-          if slot <> no_leaf && not counted.(slot) then begin
-            counted.(slot) <- true;
-            let leaf = t.fam.ents.(chunk slot) and b = base slot in
-            for i = b to b + entries - 1 do
-              let e = leaf.(i) in
-              if Entry.present e then
-                let f = Entry.frame e in
-                Hashtbl.replace counts f
-                  (1 + Option.value ~default:0 (Hashtbl.find_opt counts f))
-            done
-          end)
-        t.dirs)
+      let fam = t.fam in
+      for k = 0 to fam.ncols - 1 do
+        let slot = slot_of t fam.dirs.(k) in
+        if slot <> no_leaf && not counted.(slot) then begin
+          counted.(slot) <- true;
+          let leaf = fam.ents.(chunk slot) and b = base slot in
+          for i = b to b + entries - 1 do
+            let e = leaf.(i) in
+            if Entry.present e then
+              let f = Entry.frame e in
+              Hashtbl.replace counts f
+                (1 + Option.value ~default:0 (Hashtbl.find_opt counts f))
+          done
+        end
+      done)
     tables;
   counts
 
@@ -463,11 +534,11 @@ let shares_leaf a b ~vpn =
   check_alive a;
   check_alive b;
   check_vpn vpn;
-  let slot = a.dirs.(vpn / entries) in
+  let slot = slot_of a (vpn / entries) in
   slot <> no_leaf
   (* seusslint: allow physical-eq — the question asked is leaf identity, and slots name the same leaf only within one family's slab *)
   && a.fam == b.fam
-  && slot = b.dirs.(vpn / entries)
+  && slot = slot_of b (vpn / entries)
 
 (* Frames are released in ascending directory, then entry, order — the
    order that fixes how the frame allocator's free list hands ids back
@@ -475,8 +546,8 @@ let shares_leaf a b ~vpn =
 let release t =
   check_alive t;
   let fam = t.fam in
-  for dir = 0 to root_size - 1 do
-    let slot = t.dirs.(dir) in
+  for k = 0 to fam.ncols - 1 do
+    let slot = slot_of t fam.dirs.(k) in
     if slot <> no_leaf then begin
       set_rc fam slot (rc fam slot - 1);
       if rc fam slot = 0 then begin
@@ -486,5 +557,5 @@ let release t =
     end
   done;
   t.released <- true;
-  fam.roots.(fam.nroots) <- t.dirs;
+  fam.roots.(fam.nroots) <- t.root;
   fam.nroots <- fam.nroots + 1

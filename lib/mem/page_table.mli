@@ -52,8 +52,12 @@ val create : Frame.t -> t
     allocator. *)
 
 val clone_shallow : t -> t
-(** Share all leaves with the source; O(root size). This is the deploy
-    and snapshot-freeze primitive. *)
+(** Share all leaves with the source. This is the deploy and
+    snapshot-freeze primitive. It costs O(directories the family has
+    used), not O(512): a family ({!create} and every clone of it) gives
+    a directory a root slot the first time one of its tables writes to
+    it, so a root is only as wide as the directories in use (a power of
+    two, at least 64). *)
 
 val get : t -> vpn:int -> Entry.t
 
@@ -116,6 +120,7 @@ val mark_all_cow_clean : t -> unit
     every table sharing it. *)
 
 val fold_present : t -> init:'a -> f:('a -> vpn:int -> Entry.t -> 'a) -> 'a
+(** Fold over the present entries in ascending vpn order. *)
 
 val fold_delta :
   parent:t -> t -> init:'a -> f:('a -> vpn:int -> Entry.t -> 'a) -> 'a
@@ -124,7 +129,8 @@ val fold_delta :
     layer a stacked snapshot stores beyond structural sharing. Leaves
     physically shared with [parent] are skipped wholesale (structural
     sharing makes their entries identical), so the walk costs
-    O(privatized leaves), not O(address space). *)
+    O(privatized leaves), not O(address space). Pages come in ascending
+    vpn order; [parent] may belong to another family. *)
 
 val count_present : t -> int
 
@@ -139,7 +145,9 @@ val private_leaf_tables : t -> int
 val structure_bytes : t -> int
 (** Host-page-table overhead accounted to this table: the root plus the
     leaves only it reaches (reference count 1). A leaf shared between
-    tables is charged to none of them. *)
+    tables is charged to none of them. The root is charged as the
+    modelled x86 512-entry (4 KiB) directory, whatever width this
+    table's root has on the host. *)
 
 val expected_refcounts : t list -> (int, int) Hashtbl.t
 (** Validation helper for tests: per-frame reference counts implied by a
@@ -156,4 +164,6 @@ val shares_leaf : t -> t -> vpn:int -> bool
 
 val release : t -> unit
 (** Drop this table: unshare every leaf, releasing frame references for
-    leaves whose count reaches zero. The table must not be used after. *)
+    leaves whose count reaches zero, in ascending vpn order (which fixes
+    the frame ids the allocator hands out next). The table must not be
+    used after. *)

@@ -282,13 +282,10 @@ let boot ?(on_ready = ignore) env =
   t
 
 let freeze_program loaded =
-  (* Keep the original builtins in the template; [restore] rebinds them
-     to the deploying UC's host. *)
-  {
-    loaded with
-    instance =
-      Interp.Minijs.clone ~host:Interp.Builtins.null_host loaded.instance;
-  }
+  (* The template keeps nothing of this UC's host or hooks, which close
+     over its whole guest state; [restore] rebinds both to the deploying
+     UC's. *)
+  { loaded with instance = Interp.Minijs.freeze loaded.instance }
 
 let capture t =
   {

@@ -290,6 +290,39 @@ let test_pt_zero_alloc_deploy_cycle () =
   Alcotest.(check int) "only the base's frames and the shared one live"
     ((leaves * 8) + 1) (F.used_frames f)
 
+(* A clone that finds no released root makes one, as wide as the
+   directories its family uses rather than all 512: in a family with the
+   guest layout's 62 directories (0-54, 72, 76, 80, 81, 128, 129, 256)
+   that is a 64-slot root (65 words), the table record (4) and the root
+   stack's doubling (3). Words are counted as the GC does (minor + major
+   - promoted), less what reading the counters allocates. On OCaml 5
+   [Gc.quick_stat] sums only what the last collection recorded and
+   [Gc.counters]' minor count is not in words, so the minor words come
+   from [Gc.minor_words], the rest from [Gc.counters]. *)
+let test_pt_fresh_root_clone_words () =
+  let f = small_frames () in
+  let entries = Mem.Mconfig.entries_per_table in
+  let base = PT.create f in
+  List.iter
+    (fun dir -> PT.set base ~vpn:(dir * entries) (entry_rw (F.alloc f)))
+    (List.init 55 Fun.id @ [ 72; 76; 80; 81; 128; 129; 256 ]);
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let w0 = words () in
+  let w1 = words () in
+  let clone = PT.clone_shallow base in
+  let w2 = words () in
+  let clone_words = w2 -. w1 -. (w1 -. w0) in
+  if clone_words >= 100.0 then
+    Alcotest.failf "a clone making a fresh root allocated %.0f words" clone_words;
+  Alcotest.(check bool) "the clone shares the base's leaves" true
+    (PT.shares_leaf base clone ~vpn:(256 * entries));
+  PT.release clone;
+  PT.release base;
+  Alcotest.(check int) "drained" 0 (F.used_frames f)
+
 (* Property: an arbitrary interleaving of table operations never breaks
    frame conservation — releasing every table returns the allocator to
    zero live frames. *)
@@ -468,6 +501,7 @@ let () =
           case "use after release" test_pt_use_after_release_rejected;
           case "vpn bounds" test_pt_vpn_bounds;
           case "zero-alloc deploy cycle" test_pt_zero_alloc_deploy_cycle;
+          case "fresh-root clone words" test_pt_fresh_root_clone_words;
           qcase entry_roundtrip_prop;
           qcase pt_frame_conservation;
         ] );

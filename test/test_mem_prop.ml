@@ -905,6 +905,263 @@ let test_slot_reuse_matches_model () =
     run_slot_schedule ~seed:base_seed ~sched
   done
 
+(* {2 Every directory: roots that widen}
+
+   The guest layout uses 62 directories, which fit a root's first 64
+   slots; this schedule writes all 512 of two families on one
+   allocator, each family in its own shuffled first-use order, so roots
+   widen past 64, 128 and 256 slots, and clones taken along the way keep
+   roots narrower than their family before a write widens them. The
+   slab model above stands in for the tables; from it this schedule also
+   derives every frame's reference count, the vpn order of
+   [fold_present] and [fold_delta] (within a family and across the
+   two), and the frames a [release] frees, in the order that ascending
+   directories free them: [Frame.alloc] must hand exactly those back,
+   last freed first. *)
+
+let wide_schedules = 8
+
+(* [(vpn, entry)] of [m]'s mapped pages, ascending. *)
+let model_pages m =
+  List.sort compare (Hashtbl.fold (fun vpn e acc -> (vpn, e) :: acc) m.map [])
+
+(* Reference counts the live tables imply: one per present entry per
+   distinct leaf token. *)
+let model_refcounts tables =
+  let seen = Hashtbl.create 256 and counts = Hashtbl.create 1024 in
+  List.iter
+    (fun m ->
+      let fresh = Hashtbl.create 64 in
+      Hashtbl.iter
+        (fun dir tok ->
+          if not (Hashtbl.mem seen tok) then begin
+            Hashtbl.replace seen tok ();
+            Hashtbl.replace fresh dir ()
+          end)
+        m.leaves;
+      Hashtbl.iter
+        (fun vpn e ->
+          if Hashtbl.mem fresh (vpn / entries_per_leaf) then
+            let f = PT.Entry.frame e in
+            Hashtbl.replace counts f
+              (1 + Option.value ~default:0 (Hashtbl.find_opt counts f)))
+        m.map)
+    tables;
+  counts
+
+let check_pages ~ctx what got want =
+  if got <> want then begin
+    let show l =
+      String.concat " " (List.map (fun (v, e) -> Printf.sprintf "%d:%#x" v e) l)
+    in
+    Alcotest.failf "%s: %s [%s], model [%s]" ctx what (show got) (show want)
+  end
+
+let folded fold = List.rev (fold ~init:[] ~f:(fun acc ~vpn e -> (vpn, e) :: acc))
+
+let run_wide_schedule ~seed ~sched =
+  let prng = Sim.Prng.create (Int64.add seed (Int64.of_int (23000 + sched))) in
+  let frames = F.create ~budget_bytes:(mib 512) () in
+  let ndirs = PT.max_vpn / entries_per_leaf in
+  let tokens = ref 0 in
+  let fresh_token () =
+    incr tokens;
+    !tokens
+  in
+  let first_use =
+    Array.init 2 (fun _ ->
+        let a = Array.init ndirs Fun.id in
+        Sim.Prng.shuffle prng a;
+        a)
+  and used = Array.make 2 0 in
+  let create fam =
+    (fam, { pt = PT.create frames; leaves = Hashtbl.create 64;
+            map = Hashtbl.create 256 })
+  in
+  let live = ref [ create 0; create 1 ] in
+  let pick () = List.nth !live (Sim.Prng.int prng (List.length !live)) in
+  let tables () = List.map snd !live in
+  (* The next directory in the family's first-use order, or one it has
+     used already. *)
+  let pick_vpn fam =
+    let dir =
+      if used.(fam) < ndirs && (used.(fam) = 0 || Sim.Prng.int prng 4 > 0)
+      then begin
+        used.(fam) <- used.(fam) + 1;
+        first_use.(fam).(used.(fam) - 1)
+      end
+      else first_use.(fam).(Sim.Prng.int prng used.(fam))
+    in
+    let i =
+      if Sim.Prng.int prng 8 = 0 then entries_per_leaf - 1
+      else Sim.Prng.int prng 8
+    in
+    (dir * entries_per_leaf) + i
+  in
+  let shared_elsewhere m dir tok =
+    List.exists
+      (fun (_, o) -> o != m && Hashtbl.find_opt o.leaves dir = Some tok)
+      !live
+  in
+  let set m ~vpn e =
+    let dir = vpn / entries_per_leaf in
+    (match Hashtbl.find_opt m.leaves dir with
+    | Some tok when not (shared_elsewhere m dir tok) -> ()
+    | None | Some _ -> Hashtbl.replace m.leaves dir (fresh_token ()));
+    PT.set m.pt ~vpn e;
+    if PT.Entry.present e then Hashtbl.replace m.map vpn e
+    else Hashtbl.remove m.map vpn
+  in
+  let check ~ctx =
+    List.iter
+      (fun (_, m) ->
+        check_model ~ctx m;
+        check_pages ~ctx "fold_present" (folded (PT.fold_present m.pt))
+          (model_pages m);
+        for _ = 1 to 32 do
+          let vpn = Sim.Prng.int prng PT.max_vpn in
+          let want =
+            Option.value ~default:PT.Entry.absent (Hashtbl.find_opt m.map vpn)
+          in
+          if PT.get m.pt ~vpn <> want then
+            Alcotest.failf "%s: get %d = %#x, model %#x" ctx vpn
+              (PT.get m.pt ~vpn) want
+        done)
+      !live;
+    (* Every ordered pair, same family or not. *)
+    List.iter
+      (fun (fp, p) ->
+        List.iter
+          (fun (fc, c) ->
+            let want =
+              List.filter
+                (fun (vpn, e) ->
+                  match Hashtbl.find_opt p.map vpn with
+                  | Some pe -> PT.Entry.frame pe <> PT.Entry.frame e
+                  | None -> true)
+                (model_pages c)
+            in
+            check_pages ~ctx
+              (Printf.sprintf "fold_delta (family %d over %d)" fc fp)
+              (folded (PT.fold_delta ~parent:p.pt c.pt))
+              want;
+            let dir = Sim.Prng.int prng ndirs in
+            let want =
+              fp = fc
+              &&
+              match
+                (Hashtbl.find_opt p.leaves dir, Hashtbl.find_opt c.leaves dir)
+              with
+              | Some a, Some b -> a = b
+              | _ -> false
+            in
+            if PT.shares_leaf p.pt c.pt ~vpn:(dir * entries_per_leaf) <> want
+            then Alcotest.failf "%s: shares_leaf dir %d <> model" ctx dir)
+          !live)
+      !live;
+    let want = model_refcounts (tables ()) in
+    let got = PT.expected_refcounts (List.map (fun m -> m.pt) (tables ())) in
+    if Hashtbl.length got <> Hashtbl.length want then
+      Alcotest.failf "%s: expected_refcounts names %d frames, model %d" ctx
+        (Hashtbl.length got) (Hashtbl.length want);
+    Hashtbl.iter
+      (fun f n ->
+        if Hashtbl.find_opt got f <> Some n then
+          Alcotest.failf "%s: frame %d: expected_refcounts disagrees with %d"
+            ctx f n)
+      want;
+    check_refcounts ~ctx frames (List.map (fun m -> m.pt) (tables ()))
+  in
+  (* Release [m], predicting from the model the frames it frees: its
+     unshared leaves in ascending directory order, each leaf's entries
+     in ascending order, a frame freed when its last reference goes. *)
+  let release ~ctx ((_, m) as victim) =
+    let counts = model_refcounts (tables ()) in
+    let freed = ref [] in
+    List.iter
+      (fun (vpn, e) ->
+        let dir = vpn / entries_per_leaf in
+        if not (shared_elsewhere m dir (Hashtbl.find m.leaves dir)) then begin
+          let f = PT.Entry.frame e in
+          let n = Hashtbl.find counts f - 1 in
+          Hashtbl.replace counts f n;
+          if n = 0 then freed := f :: !freed
+        end)
+      (model_pages m);
+    PT.release m.pt;
+    live := List.filter (fun v -> v != victim) !live;
+    let handed = List.map (fun _ -> F.alloc frames) !freed in
+    if handed <> !freed then
+      Alcotest.failf "%s: alloc after release hands out [%s], model [%s]" ctx
+        (String.concat " " (List.map string_of_int handed))
+        (String.concat " " (List.map string_of_int !freed));
+    (* Free them again in their release order, restoring the list. *)
+    List.iter (F.decref frames) (List.rev handed)
+  in
+  let step = ref 0 in
+  let extra = 100 + Sim.Prng.int prng 100 in
+  let finished = ref 0 in
+  while !finished < extra do
+    incr step;
+    if used.(0) = ndirs && used.(1) = ndirs then incr finished;
+    let ctx = Printf.sprintf "seed %Ld sched %d step %d" seed sched !step in
+    (match Sim.Prng.int prng 100 with
+    | r when r < 55 ->
+        let fam, m = pick () in
+        set m ~vpn:(pick_vpn fam)
+          (PT.Entry.make ~frame:(F.alloc frames) ~writable:true ~cow:false
+             ~dirty:true)
+    | r when r < 65 -> (
+        (* A frame any table maps, possibly the other family's, shared
+           by reference. *)
+        match
+          List.concat_map
+            (fun (_, o) -> Hashtbl.fold (fun _ e acc -> PT.Entry.frame e :: acc) o.map [])
+            !live
+        with
+        | [] -> ()
+        | frs ->
+            let fr = List.nth frs (Sim.Prng.int prng (List.length frs)) in
+            let fam, m = pick () in
+            let vpn = pick_vpn fam in
+            (match Hashtbl.find_opt m.map vpn with
+            | Some old when PT.Entry.frame old = fr -> ()
+            | Some _ | None -> F.incref frames fr);
+            set m ~vpn
+              (PT.Entry.make ~frame:fr ~writable:false ~cow:true ~dirty:false))
+    | r when r < 70 -> (
+        let _, m = pick () in
+        match model_pages m with
+        | [] -> ()
+        | pages ->
+            let vpn, _ = List.nth pages (Sim.Prng.int prng (List.length pages)) in
+            set m ~vpn PT.Entry.absent)
+    | r when r < 85 ->
+        if List.length !live < max_spaces then begin
+          let fam, m = pick () in
+          live :=
+            ( fam,
+              { pt = PT.clone_shallow m.pt; leaves = Hashtbl.copy m.leaves;
+                map = Hashtbl.copy m.map } )
+            :: !live
+        end
+    | _ ->
+        (* Each family keeps one table, so both stay in play. *)
+        let ((fam, _) as victim) = pick () in
+        if List.length (List.filter (fun (f, _) -> f = fam) !live) > 1 then
+          release ~ctx victim);
+    if !step mod 64 = 0 then check ~ctx
+  done;
+  let ctx = Printf.sprintf "seed %Ld sched %d end" seed sched in
+  check ~ctx;
+  List.iter (release ~ctx) !live;
+  Alcotest.(check int) (ctx ^ ": drained") 0 (F.used_frames frames)
+
+let test_wide_roots_match_model () =
+  for sched = 0 to wide_schedules - 1 do
+    run_wide_schedule ~seed:base_seed ~sched
+  done
+
 (* {1 Free list against a LIFO-stack model} *)
 
 (* The allocator's observable state, kept independently: the free ids
@@ -1147,6 +1404,11 @@ let () =
           case
             (Printf.sprintf "%d schedules: slot reuse == pure model" schedules)
             test_slot_reuse_matches_model;
+          case
+            (Printf.sprintf
+               "%d schedules: every directory, roots widening == pure model"
+               wide_schedules)
+            test_wide_roots_match_model;
         ] );
       ( "free list",
         [

@@ -428,6 +428,43 @@ let test_hot_footprint_bounded () =
       Alcotest.(check bool) "bounded growth" true
         (after_many < after_one + 700))
 
+(* A function snapshot is a deploy template: once the UC that captured
+   it is destroyed, nothing of that UC's guest state may stay reachable
+   through it (its hooks and host close over the guest's heaps, address
+   space and hypercalls). *)
+let watch_guest weak uc = Weak.set weak 0 (Some (Seuss.Uc.guest_state uc))
+[@@inline never]
+
+let test_template_drops_capturing_guest () =
+  with_node (fun env node ->
+      let base = Option.get (N.base_snapshot node Unikernel.Image.Node) in
+      let weak = Weak.create 1 in
+      let uc = Seuss.Uc.deploy env base in
+      Alcotest.(check bool) "connects" true (Seuss.Uc.connect uc);
+      Alcotest.(check bool) "init sent" true
+        (Seuss.Uc.send uc
+           (Unikernel.Driver.Init
+              "let n = 0; function main(a) { n = n + 1; return n; }"));
+      Alcotest.(check (option string)) "compiled" (Some "compile-ok")
+        (Seuss.Uc.await_breakpoint uc ~timeout:10.0);
+      watch_guest weak uc;
+      let snap = Seuss.Uc.capture uc ~env ~name:"fn-template" in
+      Seuss.Uc.resume uc;
+      Seuss.Uc.destroy uc;
+      (* Let the guest process see its listener shut and end. *)
+      Sim.Engine.sleep 1.0;
+      Gc.full_major ();
+      Alcotest.(check bool) "capturing guest state collected" false
+        (Weak.check weak 0);
+      (* The template still deploys. *)
+      let uc2 = Seuss.Uc.deploy env snap in
+      Alcotest.(check bool) "deploys" true (Seuss.Uc.connect uc2);
+      (match Seuss.Uc.request uc2 (Unikernel.Driver.Run "null") ~timeout:10.0 with
+      | Ok (Unikernel.Driver.Ok_reply r) ->
+          Alcotest.(check string) "template state" "1" r
+      | _ -> Alcotest.fail "run from template");
+      Seuss.Uc.destroy uc2)
+
 (* Property: arbitrary interleavings of deploy / capture / destroy /
    delete over a snapshot stack conserve memory — tearing everything
    down returns the allocator to its post-start level. This is the
@@ -1213,6 +1250,8 @@ let () =
           case "deploy references" test_uc_deploy_references_snapshot;
           case "deleted rejected" test_deleted_snapshot_rejected;
           case "sharing example" test_snapshot_sharing_example;
+          case "template drops capturing guest"
+            test_template_drops_capturing_guest;
         ] );
       ( "memory",
         [
