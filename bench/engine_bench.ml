@@ -5,7 +5,7 @@
    Two passes:
    - synthetic: a pure scheduler workload (many processes trading
      sleeps) sized so the event count dwarfs everything else — reports
-     events/sec, host allocations per event (Gc word deltas) and the
+     events/sec, host words allocated per event and the
      engine's own perf counters (dispatched / scheduled / max heap);
    - experiments: wall time of a trimmed fig4, chaos, reap and load
      run — the figures the observability plane instruments — so a
@@ -28,9 +28,18 @@ type synthetic = {
   max_heap : int;
 }
 
+(* Words allocated so far, counted as the GC does (minor + major -
+   promoted). On OCaml 5 [Gc.quick_stat] sums only what the last
+   collection recorded and [Gc.counters]' minor count is not in words,
+   so the minor words come from [Gc.minor_words], the rest from
+   [Gc.counters]. *)
+let words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
 let run_synthetic () =
   let engine = Sim.Engine.create ~seed:1L () in
-  let g0 = Gc.quick_stat () in
+  let w0 = words () in
   let t0 = Unix.gettimeofday () in
   for p = 1 to synthetic_procs do
     Sim.Engine.spawn engine
@@ -44,12 +53,7 @@ let run_synthetic () =
   done;
   Sim.Engine.run engine;
   let wall_s = Unix.gettimeofday () -. t0 in
-  let g1 = Gc.quick_stat () in
-  let words =
-    g1.Gc.minor_words -. g0.Gc.minor_words
-    +. (g1.Gc.major_words -. g0.Gc.major_words)
-    -. (g1.Gc.promoted_words -. g0.Gc.promoted_words)
-  in
+  let words = words () -. w0 in
   let perf = Sim.Engine.perf engine in
   let events = perf.Sim.Engine.dispatched in
   {

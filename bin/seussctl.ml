@@ -61,25 +61,25 @@ let write_file path body =
    experiment: [body] gets a plain environment (no io-server) and a
    harness-built SEUSS node. Stuck waiters surface on stderr — stdout
    stays byte-identical, which the sanitizer-transparency checks depend
-   on. With SEUSS_DEADLOCK=1 the wait-for-graph detector adds one
-   provenance line per stranded process. *)
+   on. With SEUSS_DEADLOCK=1 the detector adds one provenance line per
+   stranded process and per lock-order cycle; a cycle can be found on
+   a run that parks nobody. *)
 let report_stuck () =
   let stuck = H.last_stuck_waiters () in
-  if stuck > 0 then begin
+  if stuck > 0 then
     Printf.eprintf
       "seussctl: %d process%s still parked at quiescence (set \
        SEUSS_DEADLOCK=1 for a wait-for-graph report)\n"
       stuck
       (if stuck = 1 then "" else "es");
-    List.iter
-      (fun (s : Sim.Engine.stranded) ->
-        Printf.eprintf
-          "seussctl:   %s (pid %d, spawned %.6f) stuck on %s since %.6f%s\n"
-          s.Sim.Engine.proc s.Sim.Engine.pid s.Sim.Engine.spawned_at
-          s.Sim.Engine.resource s.Sim.Engine.waiting_since
-          (if s.Sim.Engine.in_cycle then " [wait cycle]" else ""))
-      (H.last_stranded_waiters ())
-  end
+  List.iter
+    (fun (s : Sim.Engine.stranded) ->
+      Printf.eprintf
+        "seussctl:   %s (pid %d, spawned %.6f) stuck on %s since %.6f%s\n"
+        s.Sim.Engine.proc s.Sim.Engine.pid s.Sim.Engine.spawned_at
+        s.Sim.Engine.resource s.Sim.Engine.waiting_since
+        (if s.Sim.Engine.in_cycle then " [wait cycle]" else ""))
+    (H.last_stranded_waiters ())
 
 let inspect ~seed body =
   Fun.protect ~finally:report_stuck (fun () ->

@@ -14,7 +14,6 @@ type t = {
 }
 
 let create env =
-  (* seussdead: lock firecracker.setup *)
   { env; setup = Sim.Semaphore.create device_parallelism; count = 0; spaces = [] }
 
 let create_instance t () =

@@ -34,8 +34,9 @@ let install_faults (run : Run_config.t) ~seed engine =
            (List.map (fun site -> (site, run.fault_rate)) Faults.Fault.all_sites)
          engine)
 
-(* Post-mortems of the most recent run_sim, recorded before the
-   completion check so a stuck experiment still leaves them behind. *)
+(* Post-mortems of every run_sim inside the outermost with_run (a
+   multi-run row is one), recorded before the completion check so a
+   stuck experiment still leaves them behind. *)
 let last_stuck = ref 0
 let last_stranded : Sim.Engine.stranded list ref = ref []
 let last_stuck_waiters () = !last_stuck
@@ -46,6 +47,11 @@ let last_leaked_resources () = !last_leaked
 
 let with_run run f =
   let outer = !active in
+  if Option.is_none outer then begin
+    last_stuck := 0;
+    last_stranded := [];
+    last_leaked := []
+  end;
   active := Some run;
   Fun.protect ~finally:(fun () -> active := outer) f
 
@@ -65,14 +71,13 @@ let run_sim ?(seed = 7L) body =
       in
       if run.Run_config.hb then ignore (Sim.Hb.enable engine);
       install_faults run ~seed engine;
-      last_leaked := [];
       let result = ref None in
       Sim.Engine.spawn engine ~name:"experiment" (fun () ->
           result := Some (body engine));
       Sim.Engine.run engine;
-      last_stuck := Sim.Engine.stuck_waiters engine;
-      last_stranded := Sim.Engine.stranded_waiters engine;
-      last_leaked := Seuss.Node.leaks engine;
+      last_stuck := !last_stuck + Sim.Engine.stuck_waiters engine;
+      last_stranded := !last_stranded @ Sim.Engine.stranded_waiters engine;
+      last_leaked := !last_leaked @ Seuss.Node.leaks engine;
       match !result with
       | Some v -> v
       | None -> failwith "experiment did not complete")

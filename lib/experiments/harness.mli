@@ -29,24 +29,31 @@ val run_sim : ?seed:int64 -> (Sim.Engine.t -> 'a) -> 'a
     plan with every site at that rate is installed first, seeded by
     [seed xor fault_seed_xor] (or [run.fault_seed]): the derivation
     never draws from the engine stream. After the run the engine's
-    stuck-waiter count and stranded report are recorded and readable
-    via {!last_stuck_waiters} / {!last_stranded_waiters}. *)
+    stuck-waiter count, stranded report and leak census are added to
+    the post-mortems below. *)
+
+(** {1 Post-mortems}
+
+    Each covers every {!run_sim} since the outermost {!with_run} began
+    (a {!run_sim} outside any is its own outermost scope), so a row
+    that runs several simulations reports all of them, not only the
+    last. *)
 
 val last_stuck_waiters : unit -> int
-(** {!Sim.Engine.stuck_waiters} of the most recent {!run_sim} engine at
+(** The sum of {!Sim.Engine.stuck_waiters} over those engines at
     quiescence: non-daemon processes that were still parked when the
     event queue drained. Meaningful even with the detector off; [0]
     for a clean experiment. *)
 
 val last_leaked_resources : unit -> (string * Seuss.Node.census) list
-(** {!Seuss.Node.leaks} of the most recent {!run_sim} engine: per-node
+(** {!Seuss.Node.leaks} of those engines, in run order: per-node
     nonzero censuses, in node creation order. Always [[]] unless
     [run.own] armed the census — and, on a leak-free tree, also [[]]
     when it did. *)
 
 val last_stranded_waiters : unit -> Sim.Engine.stranded list
-(** {!Sim.Engine.stranded_waiters} of the most recent {!run_sim} run —
-    [[]] unless [run.deadlock] armed the detector. *)
+(** {!Sim.Engine.stranded_waiters} of those runs, in run order — [[]]
+    unless [run.deadlock] armed the detector. *)
 
 val fault_seed_xor : int64
 (** The fixed constant mixed into the run seed to derive a fault-plan

@@ -1,11 +1,14 @@
 (* The audited atomic-context list for the seussdead pass.
 
-   An "atomic context" is code the engine runs outside any effect
-   handler: fault hooks fire under a page-table update, reporter
-   callbacks fire during quiescence analysis, and a log's clock runs
-   inside every emit, wherever it is called from. Performing
-   Sleep/Suspend there is an unhandled effect — the simulation aborts —
-   so no may-block call may be reachable from one.
+   An "atomic context" is a callback invoked in the middle of an
+   update: a memory fault hook fires under a page-table update, a log's
+   clock runs inside every emit, a race reporter runs inside the access
+   it reports, and a deadlock reporter runs during quiescence analysis.
+   Reached from a process, which runs under the engine's effect
+   handler, a Sleep/Suspend there parks the process mid-update and lets
+   other processes run against the half-done state; reached outside
+   any process (a deadlock reporter), it is an unhandled effect and the
+   run aborts. Either way, no may-block call may be reachable from one.
 
    [registrars] are the functions whose callback argument becomes
    atomic. The deadlock pass treats the callback expression at every

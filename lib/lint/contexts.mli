@@ -1,10 +1,11 @@
 (** The audited atomic-context list for the seussdead pass.
 
-    Atomic contexts are callbacks the engine invokes outside any effect
-    handler (memory fault hooks, reporter callbacks, log clocks): a
-    [Sleep]/[Suspend] performed there is an unhandled effect and aborts
-    the simulation, so {!Deadlock} reports any may-block call reachable
-    from one as [block-in-handler]. *)
+    Atomic contexts are callbacks invoked in the middle of an update
+    (memory fault hooks, log clocks, race and deadlock reporters). A
+    [Sleep]/[Suspend] there parks a process mid-update, or, outside any
+    process, is an unhandled effect that aborts the run, so {!Deadlock}
+    reports any may-block call reachable from one as
+    [block-in-handler]. *)
 
 type callback_arg =
   | Label of string  (** the (possibly optional) labelled argument *)

@@ -62,20 +62,8 @@ let shadowed node = function [ x ] -> List.mem x node.params | _ -> false
 
 let last path = match List.rev path with [] -> "" | x :: _ -> x
 
-let in_module node path m =
-  match List.rev path with
-  | _ :: q :: _ -> String.equal q m
-  | [ _ ] -> String.equal node.modname m
-  | [] -> false
-
 let positional args =
   List.filter_map (function Asttypes.Nolabel, e -> Some e | _ -> None) args
-
-let name_of (e : Parsetree.expression) =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } | Pexp_field (_, { txt; _ }) ->
-      last (Longident.flatten txt)
-  | _ -> ""
 
 let rec pat_vars acc (p : Parsetree.pattern) =
   match p.ppat_desc with

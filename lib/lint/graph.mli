@@ -57,17 +57,9 @@ val shadowed : node -> string list -> bool
 val last : string list -> string
 (** The last component of a path ([""] for none). *)
 
-val in_module : node -> string list -> string -> bool
-(** [in_module node path m]: the path names a member of module [m] —
-    qualified through [m], or unqualified inside [m] itself. *)
-
 val positional :
   (Asttypes.arg_label * Parsetree.expression) list -> Parsetree.expression list
 (** The unlabelled arguments of an application. *)
-
-val name_of : Parsetree.expression -> string
-(** The last component of an identifier or field access — the name a
-    pass classifies a lock or resource by; [""] for anything else. *)
 
 val build : Source.t list -> t
 

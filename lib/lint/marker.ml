@@ -6,7 +6,7 @@
    and a verb table; everything else — parsing, validation, coverage,
    suppression and the bad-allow/unused-allow meta-rules — lives here. *)
 
-type arg = No_arg | Rule | Word
+type arg = No_arg | Rule
 
 type verb = {
   verb : string;
@@ -76,7 +76,7 @@ let scan g ~rules ~foreign (src : Source.t) =
           let spec = List.find_opt (fun s -> String.equal s.verb v) g.verbs in
           let arg, rest =
             match spec with
-            | Some { arg = Rule | Word; _ } -> split payload
+            | Some { arg = Rule; _ } -> split payload
             | _ -> ("", payload)
           in
           let reason = strip_sep rest in

@@ -10,7 +10,6 @@
 type arg =
   | No_arg
   | Rule  (** a rule id, which must belong to the scanning pass *)
-  | Word  (** any single word, e.g. a lock class *)
 
 type verb = {
   verb : string;

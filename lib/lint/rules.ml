@@ -18,13 +18,7 @@ type id =
           run configuration *)
   | Block_in_handler
       (** a may-block call reachable from an atomic context (fault hook,
-          reporter callback, heap comparator, crash handler) *)
-  | Lock_order
-      (** semaphore lock classes acquired in a cyclic order, or a
-          [Semaphore.create] missing its [seussdead: lock] annotation *)
-  | Unreleased_acquire
-      (** a bare [Semaphore.acquire] whose function never releases the
-          same lock class *)
+          log clock, reporter callback) *)
   | Heat_closure  (** a closure allocated inside a hot function body *)
   | Heat_alloc
       (** tuple/record/array/constructor/ref construction, or a call to
@@ -45,9 +39,8 @@ type id =
 let all =
   [
     Bare_random; Wallclock; Hashtbl_order; Physical_eq; Stdout_print;
-    Frame_site; Ambient_env; Block_in_handler; Lock_order; Unreleased_acquire;
-    Heat_closure; Heat_alloc; Heat_string; Heat_float_box; Heat_poly_cmp;
-    Heat_partial;
+    Frame_site; Ambient_env; Block_in_handler; Heat_closure; Heat_alloc;
+    Heat_string; Heat_float_box; Heat_poly_cmp; Heat_partial;
   ]
 
 let name = function
@@ -59,8 +52,6 @@ let name = function
   | Frame_site -> "frame-site"
   | Ambient_env -> "ambient-env"
   | Block_in_handler -> "block-in-handler"
-  | Lock_order -> "lock-order"
-  | Unreleased_acquire -> "unreleased-acquire"
   | Heat_closure -> "heat-closure"
   | Heat_alloc -> "heat-alloc"
   | Heat_string -> "heat-string"
@@ -102,18 +93,12 @@ let describe = function
   | Block_in_handler ->
       "a call that may suspend the current process (Semaphore.acquire, \
        Channel.recv/send, Ivar.read, Engine.sleep, transitively) is \
-       reachable from an atomic context — a fault hook, reporter \
-       callback, heap comparator or crash handler that runs outside the \
-       effect handler and cannot suspend"
-  | Lock_order ->
-      "semaphore lock classes (named with (* seussdead: lock <class> *) \
-       at each Semaphore.create) form a cycle in the static \
-       acquired-while-holding graph, or a create site is missing its \
-       class annotation"
-  | Unreleased_acquire ->
-      "a bare Semaphore.acquire of a named lock class whose enclosing \
-       function contains no matching release: a path to return leaks the \
-       permit unless ownership is transferred (justify with an allow)"
+       reachable from an atomic context — a memory fault hook, log clock \
+       or reporter callback, invoked in the middle of an update. Reached \
+       from a process, the suspension parks it there and lets other \
+       processes run against the half-done update; reached at \
+       quiescence (a deadlock reporter), it is outside any effect \
+       handler and aborts the run"
   | Heat_closure ->
       "a closure (fun/function outside the binding's own parameter list) \
        is allocated every time this hot function runs; lift it to the top \

@@ -20,13 +20,7 @@ type id =
           run configuration *)
   | Block_in_handler
       (** a may-block call reachable from an atomic context (fault hook,
-          reporter callback, heap comparator, crash handler) *)
-  | Lock_order
-      (** semaphore lock classes acquired in a cyclic order, or a
-          [Semaphore.create] missing its [seussdead: lock] annotation *)
-  | Unreleased_acquire
-      (** a bare [Semaphore.acquire] whose function never releases the
-          same lock class *)
+          log clock, reporter callback) *)
   | Heat_closure  (** a closure allocated inside a hot function body *)
   | Heat_alloc
       (** tuple/record/array/constructor/ref construction, or a call to
@@ -61,7 +55,8 @@ val describe : id -> string
     annotation that is wrong or dead is itself the defect reported. *)
 
 val bad_allow : string
-(** ["bad-allow"]: malformed/unknown allow, lock or atomic comment. *)
+(** ["bad-allow"]: a malformed marker comment, or one naming an unknown
+    verb or rule. *)
 
 val unused_allow : string
 (** ["unused-allow"]: an annotation that suppresses or names nothing. *)

@@ -21,7 +21,7 @@ let create ?(config = default_config) ~rng () =
   {
     cfg = config;
     rng;
-    kernel = Sim.Semaphore.create 1; (* seussdead: lock bridge.kernel *)
+    kernel = Sim.Semaphore.create 1;
     n_endpoints = 0;
     inflight_connects = 0;
     dropped = 0;

@@ -85,7 +85,9 @@ type t =
           a registered shared cell with no happens-before edge between
           the owning processes. Only emitted when {!Sim.Hb} is armed. *)
   | San_deadlock of {
-      resource : string;  (** e.g. ["semaphore#3"], ["ivar#12"] *)
+      resource : string;
+          (** e.g. ["semaphore#3"], ["ivar#12"], or a lock-order cycle
+              ["lock order semaphore#1 -> semaphore#2 -> semaphore#1"] *)
       proc : string;  (** process name at spawn — the waiter's provenance *)
       pid : int;
       spawned_at : float;  (** simulated time the waiter was spawned *)
@@ -94,7 +96,9 @@ type t =
                             stranded (lost wakeup) *)
     }
       (** The deadlock sanitizer found this process still parked when
-          the simulation quiesced: nobody can ever wake it. Only
+          the simulation quiesced, so nobody can ever wake it, or found
+          it taking a lock in an order that closes a cycle (the
+          resource then names the cycle, [waiting_since] is when). Only
           emitted when the engine's detector is armed
           ([SEUSS_DEADLOCK=1] or [~deadlock:true] at
           [Sim.Engine.create]). *)

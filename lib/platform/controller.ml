@@ -14,7 +14,6 @@ type t = {
 let control_plane_overhead = 6.5e-3
 
 let create _engine backend =
-  (* seussdead: lock controller.pipeline *)
   { backend; pipeline = Sim.Semaphore.create 1; count = 0 }
 
 let backend t = t.backend

@@ -36,9 +36,10 @@ let create ?budget_bytes engine =
                second_pid = r.second_pid;
              }));
   (* Same surfacing for the deadlock sanitizer: each stranded waiter the
-     engine finds at quiescence becomes a San_deadlock event on this
-     node's log. The reporter runs outside any process (the seussdead
-     static pass keeps it block-free). *)
+     engine finds at quiescence, and each lock-order cycle its
+     semaphores found, becomes a San_deadlock event on this node's log.
+     The reporter runs outside any process, where a suspension would
+     abort the run (the deadlock lint pass keeps it block-free). *)
   if Sim.Engine.deadlock_armed engine then
     Sim.Engine.add_deadlock_reporter engine
       (fun (s : Sim.Engine.stranded) ->
@@ -56,7 +57,7 @@ let create ?budget_bytes engine =
     engine;
     frames = Mem.Frame.create ?budget_bytes ();
     proxy = Net.Proxy.create ();
-    cpu = Sim.Semaphore.create default_cores; (* seussdead: lock osenv.cpu *)
+    cpu = Sim.Semaphore.create default_cores;
     rng = Sim.Prng.split (Sim.Engine.rng engine);
     next_port = 10_000;
     next_id = 0;

@@ -6,7 +6,6 @@ type t = {
 }
 
 let create env target =
-  (* seussdead: lock shim.conn *)
   { env; target; conn_lock = Sim.Semaphore.create 1 }
 
 let transfer t =

@@ -127,6 +127,9 @@ type t = {
   mutable next_token : int;
   mutable next_resource : int;
   mutable deadlock_reporters : (stranded -> unit) list;
+  (* Lock-order cycles found by {!Semaphore}'s acquisition-order check,
+     newest first; armed only. *)
+  mutable order_cycles : stranded list;
 }
 
 exception Process_failure of string * exn
@@ -208,6 +211,7 @@ let create ?(seed = 1L) ?tie_seed ?(deadlock = false) ?(own = false) () =
       next_token = 0;
       next_resource = 0;
       deadlock_reporters = [];
+      order_cycles = [];
     }
   in
   t.self_some <- Some t;
@@ -510,13 +514,15 @@ let fresh_resource t kind =
   t.next_resource <- t.next_resource + 1;
   Printf.sprintf "%s#%d" kind t.next_resource
 
+(* The current process's pid, name and spawn time. *)
+let provenance t =
+  match t.proc with
+  | Some p -> (p.p_id, p.p_name, p.p_born)
+  | None -> (0, "callback", t.clk.t_now)
+
 (* seussheat: cold — waiter provenance is recorded only when the detector is armed *)
 let record_waiter t token daemon ~resource ~holders =
-  let pid, name, born =
-    match t.proc with
-    | Some p -> (p.p_id, p.p_name, p.p_born)
-    | None -> (0, "callback", t.clk.t_now)
-  in
+  let pid, name, born = provenance t in
   Hashtbl.replace t.waits token
     {
       w_resource = resource ();
@@ -540,6 +546,20 @@ let wait_begin t ~resource ~holders =
   if t.deadlock then record_waiter t token daemon ~resource ~holders;
   token
 
+let note_order_cycle t cycle =
+  let pid, name, born = provenance t in
+  t.order_cycles <-
+    {
+      resource = cycle;
+      proc = name;
+      pid;
+      spawned_at = born;
+      waiting_since = t.clk.t_now;
+      holders = [];
+      in_cycle = true;
+    }
+    :: t.order_cycles
+
 let wait_end t token =
   if token land 1 = 1 then t.parked_daemon <- t.parked_daemon - 1
   else t.parked <- t.parked - 1;
@@ -548,7 +568,9 @@ let wait_end t token =
 (* Walk the wait-for graph over parked processes: an edge goes from a
    waiter to each holder of the resource it waits on that is itself
    parked. Non-daemon waiters are stranded outright at quiescence;
-   daemons are reported only when they sit on a cycle. *)
+   daemons are reported only when they sit on a cycle. The lock-order
+   cycles follow, except one closed by a process already reported on
+   a wait-for cycle: that is the same deadlock, seen twice. *)
 (* seussheat: cold — quiescence analysis, runs once per drained armed run *)
 let stranded_waiters t =
   if not t.deadlock then []
@@ -574,22 +596,31 @@ let stranded_waiters t =
       in
       go [] (succs p0)
     in
-    List.filter_map
-      (fun (_, w) ->
-        let in_cycle = reaches_self w.w_pid in
-        if w.w_daemon && not in_cycle then None
-        else
-          Some
-            {
-              resource = w.w_resource;
-              proc = w.w_name;
-              pid = w.w_pid;
-              spawned_at = w.w_born;
-              waiting_since = w.w_since;
-              holders = w.w_holders ();
-              in_cycle;
-            })
-      entries
+    let parked =
+      List.filter_map
+        (fun (_, w) ->
+          let in_cycle = reaches_self w.w_pid in
+          if w.w_daemon && not in_cycle then None
+          else
+            Some
+              {
+                resource = w.w_resource;
+                proc = w.w_name;
+                pid = w.w_pid;
+                spawned_at = w.w_born;
+                waiting_since = w.w_since;
+                holders = w.w_holders ();
+                in_cycle;
+              })
+        entries
+    in
+    let on_wait_cycle pid =
+      List.exists (fun s -> s.in_cycle && s.pid = pid) parked
+    in
+    parked
+    @ List.filter
+        (fun s -> not (on_wait_cycle s.pid))
+        (List.rev t.order_cycles)
   end
 
 (* A sleep that would be the very next event resumes in place: no

@@ -22,10 +22,11 @@ val create :
     randomness.
 
     [deadlock] arms the deadlock sanitizer: blocking primitives register
-    their parked waiters with the engine, and at natural quiescence the
-    wait-for graph is walked — every stranded waiter (and every daemon
-    on a wait cycle) is handed to the {!add_deadlock_reporter}
-    callbacks (default off). An armed engine whose run strands nobody
+    their parked waiters with the engine, semaphores check the order
+    their permits are taken in, and at natural quiescence the wait-for
+    graph is walked — every stranded waiter (and every daemon on a wait
+    cycle) and every lock-order cycle is handed to the
+    {!add_deadlock_reporter} callbacks (default off). An armed engine whose run strands nobody
     makes no extra PRNG draws, schedules nothing extra, and prints
     nothing, so its outputs stay byte-identical to an unarmed run.
 
@@ -183,15 +184,17 @@ val suspend : ((unit -> unit) -> unit) -> unit
 
 (** {1 Deadlock sanitizer}
 
-    The dynamic cross-check of the static [seussdead] pass. Blocking
-    primitives bracket every park with {!wait_begin} / {!wait_end};
-    the engine counts parked processes always (so {!stuck_waiters} is
-    meaningful even with the detector off) and, when armed
-    ([?deadlock] at {!create}), keeps a wait
-    table it walks at natural quiescence: a run that ends with parked
-    non-daemon processes — or daemons on a wait cycle — leaked them,
-    whether by lost wakeup (a forgotten [Ivar.fill]) or by genuine
-    deadlock (a lock cycle). *)
+    The run-time deadlock check. Blocking primitives bracket every park
+    with {!wait_begin} / {!wait_end}; the engine counts parked
+    processes always (so {!stuck_waiters} is meaningful even with the
+    detector off) and, when armed ([?deadlock] at {!create}), keeps a
+    wait table it walks at natural quiescence: a run that ends with
+    parked non-daemon processes — or daemons on a wait cycle — leaked
+    them, whether by lost wakeup (a forgotten [Ivar.fill]) or by
+    genuine deadlock (a lock cycle). Armed, {!Semaphore} also checks
+    the order in which each process takes its permits
+    ({!note_order_cycle}), which catches two opposite lock orders even
+    on a schedule where they never deadlock. *)
 
 val deadlock_armed : t -> bool
 
@@ -202,7 +205,9 @@ val stuck_waiters : t -> int
     silent-quiescence bug even when the detector is off. *)
 
 type stranded = {
-  resource : string;  (** e.g. ["semaphore#3"], ["ivar#12"] *)
+  resource : string;
+      (** e.g. ["semaphore#3"], ["ivar#12"], or the cycle of a
+          {!note_order_cycle} entry *)
   proc : string;  (** process name at {!spawn} *)
   pid : int;
   spawned_at : float;  (** simulated time the process started *)
@@ -212,15 +217,27 @@ type stranded = {
 }
 
 val stranded_waiters : t -> stranded list
-(** The stranded-waiter report, sorted by park order: every parked
-    non-daemon waiter plus every daemon on a wait-for cycle. [[]] when
-    the detector is unarmed (use {!stuck_waiters} for the raw count). *)
+(** The stranded-waiter report: every parked non-daemon waiter plus
+    every daemon on a wait-for cycle, sorted by park order, then every
+    lock-order cycle ({!note_order_cycle}) whose process is not already
+    on a wait-for cycle, in the order found. [[]] when the detector is
+    unarmed (use {!stuck_waiters} for the raw count). *)
 
 val add_deadlock_reporter : t -> (stranded -> unit) -> unit
-(** Register a callback invoked once per stranded waiter when {!run}
-    reaches natural quiescence with the detector armed. Reporters run
-    outside any process — they must not block (the [seussdead] static
-    pass enforces this). *)
+(** Register a callback invoked once per {!stranded_waiters} entry when
+    {!run} reaches natural quiescence with the detector armed.
+    Reporters run outside any process, so a suspension there is an
+    unhandled effect that aborts the run; the deadlock lint pass's
+    [block-in-handler] rule keeps them block-free. *)
+
+val note_order_cycle : t -> string -> unit
+(** [note_order_cycle t cycle] adds a {!stranded_waiters} entry for the
+    current process: it is about to take a lock that some process took
+    while holding one this process holds now, so the two lock orders
+    form a cycle. {!Semaphore} calls it, armed only; [cycle] names the
+    locks (["lock order semaphore#1 -> semaphore#2 -> semaphore#1"]).
+    The entry has [in_cycle = true], no holders, and the current time
+    as [waiting_since]. *)
 
 (** {1 Ownership census}
 

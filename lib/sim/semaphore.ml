@@ -6,9 +6,9 @@ type t = {
      acquire observes (no-op unless the schedule sanitizer is armed). *)
   hb : Hb.sync;
   (* Deadlock-sanitizer bookkeeping, maintained only when the engine's
-     detector is armed: [rname] is assigned on first wait, [holders]
-     tracks the pids currently owning permits so the wait-for graph can
-     find lock cycles. *)
+     detector is armed: [rname] is assigned on first acquire or wait,
+     [holders] tracks the pids currently owning permits so the wait-for
+     graph can find lock cycles. *)
   mutable rname : string;
   mutable holders : int list;
 }
@@ -32,20 +32,82 @@ let resource t e =
   if String.equal t.rname "" then t.rname <- Engine.fresh_resource e "semaphore";
   t.rname
 
-let rec remove_once x = function
+let rec remove_once eq x = function
   | [] -> []
-  | y :: rest -> if x = y then rest else y :: remove_once x rest
+  | y :: rest -> if eq x y then rest else y :: remove_once eq x rest
+
+(* {1 Acquisition order}
+
+   Kept only when the detector is armed, after the Linux kernel's
+   lockdep: each process's held semaphores (by resource name, newest
+   first; a spawned child starts holding none) and the engine's
+   held -> wanted edges. An acquire records its edges when it is
+   attempted, before it can park, so two processes that take the same
+   two semaphores in opposite orders are caught whether or not their
+   critical sections ever overlap; a real ABBA deadlock closes the
+   cycle too. The edge that closes a cycle becomes an entry of the
+   stranded report ({!Engine.note_order_cycle}). *)
+
+let held : string list Engine.key = Engine.new_key ~fork:(fun _ _ -> None) ()
+let edges : (string, string list) Hashtbl.t Engine.key = Engine.new_key ()
+let held_by e = Option.value ~default:[] (Engine.get e held)
+let succs g n = Option.value ~default:[] (Hashtbl.find_opt g n)
+
+(* The shortest edge path [src; ...; dst], if [dst] is reachable. *)
+let path g src dst =
+  let rec bfs seen = function
+    | [] -> None
+    | [] :: rest -> bfs seen rest
+    | (n :: _ as p) :: rest ->
+        if String.equal n dst then Some (List.rev p)
+        else if List.exists (String.equal n) seen then bfs seen rest
+        else bfs (n :: seen) (rest @ List.map (fun m -> m :: p) (succs g n))
+  in
+  bfs [] [ [ src ] ]
+
+let note_wanted t e =
+  let want = resource t e in
+  let g =
+    match Engine.get_global e edges with
+    | Some g -> g
+    | None ->
+        let g = Hashtbl.create 8 in
+        Engine.set_global e edges (Some g);
+        g
+  in
+  List.iter
+    (fun h ->
+      let out = succs g h in
+      if not (String.equal h want || List.exists (String.equal want) out)
+      then begin
+        Option.iter
+          (fun back ->
+            Engine.note_order_cycle e
+              ("lock order " ^ String.concat " -> " (h :: back)))
+          (path g want h);
+        Hashtbl.replace g h (want :: out)
+      end)
+    (held_by e)
+
+(* The armed bookkeeping lives in functions of its own, so the unarmed
+   path keeps its stack frames: guest processes run on fiber stacks,
+   where one deeper frame grows many of them. *)
+let took t e =
+  t.holders <- Engine.current_pid e :: t.holders;
+  Engine.set e held (Some (resource t e :: held_by e))
+
+let gave t e =
+  t.holders <- remove_once Int.equal (Engine.current_pid e) t.holders;
+  Engine.set e held (Some (remove_once String.equal t.rname (held_by e)))
 
 let note_acquire t =
   match Engine.self_opt () with
-  | Some e when Engine.deadlock_armed e ->
-      t.holders <- Engine.current_pid e :: t.holders
+  | Some e when Engine.deadlock_armed e -> took t e
   | _ -> ()
 
 let note_release t =
   match Engine.self_opt () with
-  | Some e when Engine.deadlock_armed e ->
-      t.holders <- remove_once (Engine.current_pid e) t.holders
+  | Some e when Engine.deadlock_armed e -> gave t e
   | _ -> ()
 
 let try_acquire t =
@@ -58,6 +120,9 @@ let try_acquire t =
   else false
 
 let acquire t =
+  (match Engine.self_opt () with
+  | Some e when Engine.deadlock_armed e -> note_wanted t e
+  | _ -> ());
   if not (try_acquire t) then begin
     let e = Engine.self () in
     let tok =

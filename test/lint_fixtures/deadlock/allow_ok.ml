@@ -1,6 +1,4 @@
 (* Fixture: a justified seussdead suppression — must lint clean. *)
 
-let gate = Sim.Semaphore.create 1 (* seussdead: lock fixture.allowok *)
-
-(* seussdead: allow unreleased-acquire — ownership transfers to the consumer *)
-let hand_off () = Sim.Semaphore.acquire gate
+(* seussdead: allow block-in-handler — the clock is read only from a process that owns the log *)
+let log () = Obs.Log.create ~clock:(fun () -> Sim.Engine.yield (); 0.0) ()

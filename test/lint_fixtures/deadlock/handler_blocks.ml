@@ -1,7 +1,7 @@
 (* Fixture: may-block calls reachable from atomic contexts — every
    region here must trip block-in-handler. *)
 
-let lock = Sim.Semaphore.create 1 (* seussdead: lock fixture.handler *)
+let lock = Sim.Semaphore.create 1
 
 (* Blocks transitively: with_permit suspends when the permit is taken. *)
 let slow_clock () = Sim.Semaphore.with_permit lock (fun () -> 0.0)

@@ -12,8 +12,9 @@
      detector and the ownership census change no byte, alone or all
      together;
    - survives the fault plan: at a 1% fault rate the row completes
-     with nothing stuck, stranded or leaked, and the sanitizers and a
-     tie shuffle change no byte of its output there either.
+     with nothing stuck, stranded or leaked, its output is the one
+     committed in test/arms_golden/<row>.fault.txt, and the sanitizers
+     and a tie shuffle change no byte of it.
 
    "Off is the same as unset" needs no runs here: test_experiments's
    run_config parse table proves every off spelling of every variable
@@ -155,23 +156,25 @@ let compare_arms ?(base = "plain") ~cmd ~tie_dependent ~plain arms render =
     false arms
 
 (* With ARMS_GOLDEN_DIR set, each row's plain output at its first seed
-   is also written to <dir>/arms-<row>.out. The runtest action in
-   test/dune sets it to its own directory and diffs those files against
-   the committed test/arms_golden/<row>.txt, so each golden is checked
-   on the run the sweep makes anyway. A row whose golden that action
-   does not depend on (a row added here but not there) fails. *)
-let write_golden row text =
+   is also written to <dir>/arms-<row>.out, and its fault-plan output
+   to <dir>/arms-<row>.fault.out. The runtest action in test/dune sets
+   it to its own directory and diffs those files against the committed
+   test/arms_golden/<row>.txt and <row>.fault.txt, so each golden is
+   checked on the run the sweep makes anyway. A row whose golden that
+   action does not depend on (a row added here but not there) fails. *)
+let write_golden ?(kind = "") row text =
   match Sys.getenv_opt "ARMS_GOLDEN_DIR" with
   | None | Some "" -> ()
   | Some dir ->
+      let name = row.name ^ kind in
       let golden =
-        Filename.concat dir (Filename.concat "arms_golden" (row.name ^ ".txt"))
+        Filename.concat dir (Filename.concat "arms_golden" (name ^ ".txt"))
       in
       if not (Sys.file_exists golden) then
         Alcotest.failf "%s: no golden %s (list it in test/dune)" row.name
           golden;
       Out_channel.with_open_bin
-        (Filename.concat dir ("arms-" ^ row.name ^ ".out"))
+        (Filename.concat dir ("arms-" ^ name ^ ".out"))
         (fun oc -> Out_channel.output_string oc text)
 
 let sweep_row row () =
@@ -194,11 +197,13 @@ let sweep_row row () =
         let shuffled_differs =
           compare_arms ~cmd ~tie_dependent ~plain arms render
         in
-        if i = 0 && not (List.mem_assoc row.name fault_exempt) then
+        if i = 0 && not (List.mem_assoc row.name fault_exempt) then begin
+          let faulted = armed_output cmd fault_plan render in
+          write_golden ~kind:".fault" row faulted;
           ignore
             (compare_arms ~base:(fst fault_plan) ~cmd ~tie_dependent
-               ~plain:(armed_output cmd fault_plan render)
-               [ fault_plan_all ] render);
+               ~plain:faulted [ fault_plan_all ] render)
+        end;
         shuffled_differs)
       row.seeds
   in

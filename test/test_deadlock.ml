@@ -117,6 +117,90 @@ let check_daemon_on_cycle_reported () =
           (fun (s : Sim.Engine.stranded) -> s.Sim.Engine.proc)
           (Sim.Engine.stranded_waiters engine)))
 
+(* {1 Acquisition order}
+
+   Armed, every semaphore acquire records held -> wanted edges, and an
+   edge that closes a cycle is a stranded-report entry of its own, even
+   when the two orders never overlap in time. *)
+
+(* One process takes a then b, releases both, and later takes b then a:
+   a schedule that can never deadlock, with an order that could. *)
+let opposite_orders ~deadlock =
+  let engine = Sim.Engine.create ~seed:3L ~deadlock () in
+  let a = Sim.Semaphore.create 1 and b = Sim.Semaphore.create 1 in
+  let nest x y =
+    Sim.Semaphore.with_permit x (fun () ->
+        Sim.Semaphore.with_permit y (fun () -> Sim.Engine.sleep 1.0))
+  in
+  Sim.Engine.spawn engine ~name:"orders" (fun () ->
+      nest a b;
+      Sim.Engine.sleep 1.0;
+      nest b a);
+  Sim.Engine.run engine;
+  engine
+
+let check_opposite_orders () =
+  let engine = opposite_orders ~deadlock:true in
+  Alcotest.(check int) "nothing parked" 0 (Sim.Engine.stuck_waiters engine);
+  match Sim.Engine.stranded_waiters engine with
+  | [ s ] ->
+      Alcotest.(check string) "the process that closed the cycle" "orders"
+        s.Sim.Engine.proc;
+      Alcotest.(check bool) "an order cycle" true s.Sim.Engine.in_cycle;
+      Alcotest.(check string) "the cycle is named"
+        "lock order semaphore#2 -> semaphore#1 -> semaphore#2"
+        s.Sim.Engine.resource;
+      Alcotest.(check (float 0.0)) "found when b -> a was attempted" 2.0
+        s.Sim.Engine.waiting_since
+  | ss ->
+      Alcotest.failf "expected exactly one order cycle, got %d"
+        (List.length ss)
+
+let check_opposite_orders_unarmed () =
+  let engine = opposite_orders ~deadlock:false in
+  Alcotest.(check int) "nothing parked" 0 (Sim.Engine.stuck_waiters engine);
+  Alcotest.(check int) "no report unarmed" 0
+    (List.length (Sim.Engine.stranded_waiters engine))
+
+(* The one nesting lib/ has: Firecracker's setup permit, then a core
+   inside Osenv.burn. Sixteen creators contend for both, in one order. *)
+let check_one_order_silent () =
+  let stranded =
+    with_deadlock true (fun () ->
+        Experiments.Harness.run_sim ~seed:3L (fun engine ->
+            let env = Seuss.Osenv.create engine in
+            let backend =
+              Baselines.Firecracker_backend.backend
+                (Baselines.Firecracker_backend.create env)
+            in
+            let finished = ref 0 in
+            for _ = 1 to 16 do
+              Sim.Engine.spawn engine ~name:"creator" (fun () ->
+                  if backend.Baselines.Backend_intf.create_instance () then
+                    incr finished)
+            done;
+            Sim.Engine.sleep 60.0;
+            Alcotest.(check int) "every creator finished" 16 !finished);
+        Experiments.Harness.last_stranded_waiters ())
+  in
+  Alcotest.(check (list string)) "setup -> cpu is no cycle" []
+    (List.map (fun s -> s.Sim.Engine.resource) stranded)
+
+(* A with_permit whose body raises still releases: the process holds
+   nothing afterwards, so b -> a later is an order of its own. *)
+let check_raise_releases () =
+  let engine = Sim.Engine.create ~seed:3L ~deadlock:true () in
+  let a = Sim.Semaphore.create 1 and b = Sim.Semaphore.create 1 in
+  Sim.Engine.spawn engine ~name:"raiser" (fun () ->
+      (try Sim.Semaphore.with_permit a (fun () -> raise Exit)
+       with Exit -> ());
+      Sim.Semaphore.with_permit b (fun () ->
+          Sim.Semaphore.with_permit a (fun () -> Sim.Engine.sleep 1.0)));
+  Sim.Engine.run engine;
+  Alcotest.(check int) "a was released" 1 (Sim.Semaphore.available a);
+  Alcotest.(check int) "no stale held entry, so no cycle" 0
+    (List.length (Sim.Engine.stranded_waiters engine))
+
 (* {1 Unarmed behaviour} *)
 
 let check_unarmed_still_counts () =
@@ -177,6 +261,26 @@ let check_experiments_clean () =
       check_run "reap" (fun () ->
           Experiments.Fig_reap.run ~functions:4 ~rounds:5 ~seed:7L ()))
 
+(* The harness keeps the post-mortems of every run_sim inside one
+   with_run, so a multi-run row cannot hide an earlier run's findings
+   behind a clean last one. *)
+let check_every_run_reported () =
+  with_deadlock true (fun () ->
+      Experiments.Harness.run_sim ~seed:3L (fun engine ->
+          Sim.Engine.spawn engine ~name:"forgotten" (fun () ->
+              Sim.Ivar.read (Sim.Ivar.create ())));
+      Experiments.Harness.run_sim ~seed:3L ignore;
+      Alcotest.(check int) "the first run's stuck waiter" 1
+        (Experiments.Harness.last_stuck_waiters ());
+      Alcotest.(check (list string)) "and its stranded report" [ "forgotten" ]
+        (List.map
+           (fun s -> s.Sim.Engine.proc)
+           (Experiments.Harness.last_stranded_waiters ())));
+  with_deadlock true (fun () ->
+      Experiments.Harness.run_sim ~seed:3L ignore;
+      Alcotest.(check int) "a new with_run starts clean" 0
+        (List.length (Experiments.Harness.last_stranded_waiters ())))
+
 let check_quiescence_counted_unarmed () =
   (* The counter is not gated on the detector: a detector-off run still
      proves its quiescence was genuine, closing the silent-quiescence
@@ -200,6 +304,17 @@ let () =
           Alcotest.test_case "daemon on a cycle reported" `Quick
             check_daemon_on_cycle_reported;
         ] );
+      ( "lock order",
+        [
+          Alcotest.test_case "opposite orders at different times" `Quick
+            check_opposite_orders;
+          Alcotest.test_case "unarmed order check is silent" `Quick
+            check_opposite_orders_unarmed;
+          Alcotest.test_case "setup then cpu is one order" `Quick
+            check_one_order_silent;
+          Alcotest.test_case "a raising with_permit leaves nothing held"
+            `Quick check_raise_releases;
+        ] );
       ( "arming",
         [
           Alcotest.test_case "unarmed engine still counts" `Quick
@@ -217,5 +332,7 @@ let () =
             check_experiments_clean;
           Alcotest.test_case "quiescence counted detector-off" `Quick
             check_quiescence_counted_unarmed;
+          Alcotest.test_case "post-mortems cover every run" `Quick
+            check_every_run_reported;
         ] );
     ]

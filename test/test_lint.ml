@@ -127,8 +127,6 @@ let check_deadlock_fixture_tree () =
   check_planted vs "deadlock/"
     [
       ("handler_blocks.ml", "block-in-handler", 3);
-      ("lock_cycle.ml", "lock-order", 2);
-      ("leaked_acquire.ml", "unreleased-acquire", 1);
     ];
   Alcotest.(check (list string)) "allow_ok clean under seussdead" []
     (rules_hit (in_file vs "deadlock/allow_ok.ml"));
@@ -139,7 +137,7 @@ let check_deadlock_fixture_tree () =
     Lint.Passes.check_tree ~strip_prefix:"lint_fixtures" Lint.Deadlock.pass
       [ "lint_fixtures" ]
   in
-  Alcotest.(check int) "whole fixture tree: planted hits + the collision" 7
+  Alcotest.(check int) "whole fixture tree: planted hits + the collision" 4
     (List.length whole);
   Alcotest.(check (list string))
     "the one extra is the suffix-2 collision"
@@ -403,9 +401,9 @@ let marker_rows =
   [
     ( Lint.Check.pass, "seusslint: allow physical-eq", "let f a b = a == b",
       "allowance for physical-eq suppresses nothing; delete it" );
-    ( Lint.Deadlock.pass, "seussdead: allow unreleased-acquire",
-      "let f () = Sim.Semaphore.acquire s",
-      "allowance for unreleased-acquire suppresses nothing; delete it" );
+    ( Lint.Deadlock.pass, "seussdead: allow block-in-handler",
+      "let f () = Obs.Log.create ~clock:(fun () -> Sim.Engine.yield (); 0.) ()",
+      "allowance for block-in-handler suppresses nothing; delete it" );
     ( Lint.Heat.pass, "seussheat: cold", "let f x = x + 1",
       "cold marker covers no binding and silences nothing; delete it" );
   ]
@@ -417,27 +415,20 @@ let foreign_rules =
     ( "base", "physical-eq",
       "rule physical-eq belongs to the base pass; suppress it with a \
        seusslint: allow comment" );
-    ( "deadlock", "lock-order",
-      "rule lock-order belongs to the deadlock pass; suppress it with a \
-       seussdead: allow comment" );
+    ( "deadlock", "block-in-handler",
+      "rule block-in-handler belongs to the deadlock pass; suppress it with \
+       a seussdead: allow comment" );
     ( "heat", "heat-alloc",
       "rule heat-alloc belongs to the heat pass; suppress it with a \
        seussheat: cold marker" );
   ]
 
-(* Lint [comment] followed by [code] (the deadlock row's semaphore is
-   declared first) as lib/m.ml; its meta-diagnostics as (rule, message). *)
+(* Lint [comment] followed by [code] as lib/m.ml; its meta-diagnostics
+   as (rule, message). *)
 let lint_marker (pass : Lint.Pass.t) comment code =
   let vs =
     lint_scratch pass
-      [
-        ( "lib/m.ml",
-          Printf.sprintf
-            "let s = Sim.Semaphore.create 1 (* seussdead: lock t.s *)\n\n\
-             (* %s *)\n\
-             %s\n"
-            comment code );
-      ]
+      [ ("lib/m.ml", Printf.sprintf "(* %s *)\n%s\n" comment code) ]
   in
   List.filter_map
     (fun v ->
