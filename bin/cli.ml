@@ -36,22 +36,20 @@ let seed_arg =
   let doc = "PRNG seed (experiments are deterministic per seed)." in
   Arg.(value & opt int64 7L & info [ "seed" ] ~docv:"SEED" ~doc)
 
+(* Every row takes --json and --csv: its experiment's term evaluates to
+   the result's Report.t, and [row] prints it with Report's writers. *)
 let csv_arg =
   Arg.(
     value
     & opt (some string) None
-    & info [ "csv" ] ~docv:"PATH" ~doc:"Also write the data as CSV.")
+    & info [ "csv" ] ~docv:"PATH" ~doc:"Also write the result's table as CSV.")
 
-let json_arg what =
+let json_arg =
   let doc =
-    Printf.sprintf
-      "Emit the %s as one canonical JSON object (bit-identical across runs \
-       of the same seed) instead of a table."
-      what
+    "Emit the result as one canonical JSON object (bit-identical across \
+     runs of the same seed) instead of text."
   in
   Arg.(value & flag & info [ "json" ] ~doc)
-
-let json j = Obs.Json.to_string j ^ "\n"
 
 type row = {
   name : string;
@@ -63,7 +61,16 @@ type row = {
 
 (* By default both scales run the subcommand's own defaults, which are
    the paper's parameters. *)
-let row name ?(quick = [ "" ]) ?(full = [ "" ]) doc term =
+let row name ?(quick = [ "" ]) ?(full = [ "" ]) doc report =
+  let print report json csv =
+    Option.iter
+      (fun path ->
+        Out_channel.with_open_bin path (fun oc ->
+            Out_channel.output_string oc (E.Report.to_csv report)))
+      csv;
+    if json then E.Report.to_json report else E.Report.to_text report
+  in
+  let term = Term.(const print $ report $ json_arg $ csv_arg) in
   { name; doc; term; quick; full }
 
 let table1 =
@@ -74,7 +81,7 @@ let table1 =
           ~doc:"Invocations per path (paper: 475).")
   in
   let run invocations seed =
-    E.Table1.render (E.Table1.run ~invocations ~seed ())
+    E.Table1.report (E.Table1.run ~invocations ~seed ())
   in
   row "table1" ~quick:[ "-n 60" ]
     "Table 1: SEUSS microbenchmarks"
@@ -85,7 +92,7 @@ let table2 =
     Arg.(value & opt nonneg_int 50 & info [ "n" ] ~docv:"N" ~doc:"Invocations per cell.")
   in
   let run invocations seed =
-    E.Table2.render (E.Table2.run ~invocations ~seed ())
+    E.Table2.report (E.Table2.run ~invocations ~seed ())
   in
   row "table2" ~quick:[ "-n 15" ]
     "Table 2: latency across AO levels"
@@ -114,7 +121,7 @@ let table3 =
     let budget_bytes =
       Int64.mul (Int64.of_int mem_gib) (Int64.of_int (Mem.Mconfig.mib 1024))
     in
-    E.Table3.render (E.Table3.run ~budget_bytes ?rate_sample ~seed ())
+    E.Table3.report (E.Table3.run ~budget_bytes ?rate_sample ~seed ())
   in
   row "table3" ~quick:[ "--mem-gib 6 --rate-sample 200" ]
     "Table 3: cache density and creation rates"
@@ -131,14 +138,12 @@ let fig4 =
   let threads =
     Arg.(value & opt pos_int 32 & info [ "threads" ] ~docv:"C" ~doc:"Client threads.")
   in
-  let run sizes threads csv seed =
-    let r = E.Fig4.run ~set_sizes:sizes ~client_threads:threads ~seed () in
-    Option.iter (fun path -> E.Fig4.write_csv ~path r) csv;
-    E.Fig4.render r
+  let run sizes threads seed =
+    E.Fig4.report (E.Fig4.run ~set_sizes:sizes ~client_threads:threads ~seed ())
   in
   row "fig4" ~quick:[ "--sizes 64,256,1024,4096" ]
     "Figure 4: platform throughput vs set size"
-    Term.(const run $ sizes $ threads $ csv_arg $ seed_arg)
+    Term.(const run $ sizes $ threads $ seed_arg)
 
 let fig5 =
   let sizes =
@@ -149,14 +154,12 @@ let fig5 =
   let requests =
     Arg.(value & opt pos_int 2048 & info [ "requests" ] ~docv:"N" ~doc:"Measured requests per panel.")
   in
-  let run sizes requests csv seed =
-    let panels = E.Fig5.run ~set_sizes:sizes ~requests ~seed () in
-    Option.iter (fun path -> E.Fig5.write_csv ~path panels) csv;
-    E.Fig5.render panels
+  let run sizes requests seed =
+    E.Fig5.report (E.Fig5.run ~set_sizes:sizes ~requests ~seed ())
   in
   row "fig5" ~quick:[ "--sizes 64,2048 --requests 768" ]
     "Figure 5: end-to-end latency percentiles"
-    Term.(const run $ sizes $ requests $ csv_arg $ seed_arg)
+    Term.(const run $ sizes $ requests $ seed_arg)
 
 let burst =
   let period =
@@ -170,15 +173,14 @@ let burst =
   let size =
     Arg.(value & opt nonneg_int 64 & info [ "burst-size" ] ~docv:"N" ~doc:"Concurrent requests per burst.")
   in
-  let run period duration size csv seed =
-    let r = E.Fig_burst.run ~period ~duration ~burst_size:size ~seed () in
-    Option.iter (fun path -> E.Fig_burst.write_csv ~path r) csv;
-    E.Fig_burst.render r
+  let run period duration size seed =
+    E.Fig_burst.report
+      (E.Fig_burst.run ~period ~duration ~burst_size:size ~seed ())
   in
   row "burst" ~quick:[ "--period 16 --duration 96" ]
     ~full:[ "--period 32"; "--period 16"; "--period 8" ]
     "Figures 6-8: burst resiliency"
-    Term.(const run $ period $ duration $ size $ csv_arg $ seed_arg)
+    Term.(const run $ period $ duration $ size $ seed_arg)
 
 let load =
   let hours =
@@ -232,8 +234,7 @@ let load =
             "Replay a saved trace (JSONL) as a single sweep point instead \
              of synthesizing; shape flags are ignored.")
   in
-  let run hours functions alpha arrival rps json_out save_traces trace_in csv
-      seed =
+  let run hours functions alpha arrival rps save_traces trace_in seed =
     let loaded =
       Option.map
         (fun path ->
@@ -249,7 +250,6 @@ let load =
       | Some trace -> E.Fig_load.run_trace ~seed trace
       | None -> E.Fig_load.run ~hours ~functions ~alpha ~arrival ~rps ~seed ()
     in
-    Option.iter (fun path -> E.Fig_load.write_csv ~path r) csv;
     Option.iter
       (fun prefix ->
         List.iter
@@ -276,23 +276,22 @@ let load =
               (Array.length trace.Workload.Trace.events))
           r.E.Fig_load.points)
       save_traces;
-    if json_out then json (E.Fig_load.to_json r) else E.Fig_load.render r
+    E.Fig_load.report r
   in
   row "load"
     ~quick:[ "--functions 64 --hours 0.05 --rps 2,8 --arrival bursty" ]
     "Extension: open-loop tail latency vs offered load (Zipf/MMPP trace \
      replay against SEUSS and the container baselines)"
     Term.(
-      const run $ hours $ functions $ alpha $ arrival $ rps
-      $ json_arg "sweep"
-      $ save_traces $ trace_in $ csv_arg $ seed_arg)
+      const run $ hours $ functions $ alpha $ arrival $ rps $ save_traces
+      $ trace_in $ seed_arg)
 
 let ablations =
   let invocations =
     Arg.(value & opt nonneg_int 30 & info [ "n" ] ~docv:"N" ~doc:"Invocations per cell.")
   in
   let run invocations seed =
-    E.Ablations.render (E.Ablations.run ~invocations ~seed ())
+    E.Ablations.report (E.Ablations.run ~invocations ~seed ())
   in
   row "ablations" ~quick:[ "-n 10" ]
     "Design-choice ablations (DESIGN.md)"
@@ -306,7 +305,7 @@ let drseuss =
     Arg.(value & opt nonneg_int 40 & info [ "functions" ] ~docv:"M" ~doc:"Unique functions.")
   in
   let run nodes functions seed =
-    E.Drseuss_exp.render (E.Drseuss_exp.run ~nodes ~functions ~seed ())
+    E.Drseuss_exp.report (E.Drseuss_exp.run ~nodes ~functions ~seed ())
   in
   row "drseuss" ~quick:[ "--functions 12" ]
     "Extension: distributed snapshot cache (paper S9)"
@@ -341,19 +340,21 @@ let chaos =
           ~doc:"Also dump the highest-rate run's failure/recovery timeline \
                 as JSONL (crashes, evictions, retries, failovers).")
   in
-  let run nodes functions calls rates json_out events csv seed =
+  let run nodes functions calls rates events seed =
     let r = E.Fig_chaos.run ~nodes ~functions ~calls ~rates ~seed () in
-    Option.iter (fun path -> E.Fig_chaos.write_csv ~path r) csv;
-    (if json_out then json (E.Fig_chaos.to_json r) else E.Fig_chaos.render r)
-    ^ if events then r.E.Fig_chaos.timeline else ""
+    let report = E.Fig_chaos.report r in
+    if events then
+      {
+        report with
+        sections = report.sections @ [ E.Report.raw r.E.Fig_chaos.timeline ];
+      }
+    else report
   in
   row "chaos"
     "Extension: DR-SEUSS availability and tail latency under \
      deterministic fault injection"
     Term.(
-      const run $ nodes $ functions $ calls $ rates
-      $ json_arg "sweep"
-      $ events $ csv_arg $ seed_arg)
+      const run $ nodes $ functions $ calls $ rates $ events $ seed_arg)
 
 let reap =
   let functions =
@@ -369,18 +370,13 @@ let reap =
             "Measured warm rounds per arm (the recording round is \
              excluded).")
   in
-  let run functions rounds json_out csv seed =
-    let r = E.Fig_reap.run ~functions ~rounds ~seed () in
-    Option.iter (fun path -> E.Fig_reap.write_csv ~path r) csv;
-    if json_out then json (E.Fig_reap.to_json r) else E.Fig_reap.render r
+  let run functions rounds seed =
+    E.Fig_reap.report (E.Fig_reap.run ~functions ~rounds ~seed ())
   in
   row "reap" ~quick:[ "--functions 4 --rounds 8" ]
     "Extension: REAP-style working-set record & prefault on warm \
      snapshot deploys, on vs off"
-    Term.(
-      const run $ functions $ rounds
-      $ json_arg "comparison"
-      $ csv_arg $ seed_arg)
+    Term.(const run $ functions $ rounds $ seed_arg)
 
 let evict =
   let cache_bytes =
@@ -440,27 +436,22 @@ let evict =
       & opt policy E.Fig_evict.default_policy
       & info [ "policy" ] ~docv:"POLICY" ~doc:"Eviction policy: lru or ws.")
   in
-  let run hours functions alpha rate sizes policy json_out csv seed =
-    let r =
-      E.Fig_evict.run ~hours ~functions ~alpha ~rate ~sizes ~policy ~seed ()
-    in
-    Option.iter (fun path -> E.Fig_evict.write_csv ~path r) csv;
-    if json_out then json (E.Fig_evict.to_json r) else E.Fig_evict.render r
+  let run hours functions alpha rate sizes policy seed =
+    E.Fig_evict.report
+      (E.Fig_evict.run ~hours ~functions ~alpha ~rate ~sizes ~policy ~seed ())
   in
   row "evict"
     ~quick:[ "--functions 24 --hours 0.02 --rate 8 --sizes 0,3m,64m" ]
     "Extension: content-addressed snapshot store under memory pressure — \
      hit rate, dedup ratio and tail latency vs cache budget"
     Term.(
-      const run $ hours $ functions $ alpha $ rate $ sizes $ policy
-      $ json_arg "sweep"
-      $ csv_arg $ seed_arg)
+      const run $ hours $ functions $ alpha $ rate $ sizes $ policy $ seed_arg)
 
 let ksm =
   let mem =
     Arg.(value & opt pos_int 3072 & info [ "mem-mib" ] ~docv:"MIB" ~doc:"Node memory budget.")
   in
-  let run mem seed = E.Ksm_exp.render (E.Ksm_exp.run ~budget_mib:mem ~seed ()) in
+  let run mem seed = E.Ksm_exp.report (E.Ksm_exp.run ~budget_mib:mem ~seed ()) in
   row "ksm" ~quick:[ "--mem-mib 1536" ] ~full:[ "--mem-mib 4096" ]
     "Ablation: retroactive dedup (KSM) vs snapshot stacks"
     Term.(const run $ mem $ seed_arg)
@@ -470,7 +461,7 @@ let autoao =
     Arg.(value & opt nonneg_int 20 & info [ "n" ] ~docv:"N" ~doc:"Invocations per cell.")
   in
   let run invocations seed =
-    E.Auto_ao.render (E.Auto_ao.run ~invocations ~seed ())
+    E.Auto_ao.report (E.Auto_ao.run ~invocations ~seed ())
   in
   row "autoao" ~quick:[ "-n 8" ]
     "Extension: black-box discovery of AO opportunities (paper S9)"

@@ -12,7 +12,10 @@ val seed_arg : int64 Term.t
 type row = {
   name : string;  (** the subcommand *)
   doc : string;
-  term : string Term.t;  (** its flags; evaluates to what it prints *)
+  term : string Term.t;
+      (** its flags, plus [--json] and [--csv PATH], which every row
+          takes; evaluates to what it prints: the experiment's report as
+          text, or as JSON with [--json] *)
   quick : string list;
       (** argument lines (without [--seed]) that [seussctl all] runs and
           joins with ["\n"] into the row's section *)

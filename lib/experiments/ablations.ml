@@ -133,72 +133,39 @@ let run ?(invocations = 30) ?(seed = 17L) () =
     failed = !failed;
   }
 
-let render r =
-  let f = Printf.sprintf "%.1f ms" in
-  Report.comparison ~title:"Ablations: what each mechanism buys"
-    ~note:
-      "Second invocation of a function under selectively disabled\n\
-       mechanisms (node-side unless noted).\n"
-    [
-      {
-        Report.label = "repeat miss, snapshot stacks ON (warm)";
-        paper = "3.5 ms";
-        measured = f r.warm_with_stacks_ms;
-      };
-      {
-        Report.label = "repeat miss, snapshot stacks OFF (re-cold)";
-        paper = "-";
-        measured = f r.miss_without_stacks_ms;
-      };
-      {
-        Report.label = "repeat, idle-UC cache ON (hot)";
-        paper = "0.8 ms";
-        measured = f r.hot_with_cache_ms;
-      };
-      {
-        Report.label = "repeat, idle-UC cache OFF (warm)";
-        paper = "-";
-        measured = f r.repeat_without_cache_ms;
-      };
-      {
-        Report.label = "hot invocation, node-direct";
-        paper = "-";
-        measured = f r.hot_direct_ms;
-      };
-      {
-        Report.label = "hot invocation, through the shim";
-        paper = "+~8 ms vs direct";
-        measured = f r.hot_via_shim_ms;
-      };
-      {
-        Report.label = "node boot, general-purpose unikernel";
-        paper = "(seconds; once per node)";
-        measured = Printf.sprintf "%.2f s" r.general_boot_s;
-      };
-      {
-        Report.label = "node boot, specialized unikernel";
-        paper = "-";
-        measured = Printf.sprintf "%.2f s" r.specialized_boot_s;
-      };
-      {
-        Report.label = "base snapshot, general-purpose";
-        paper = "109.6 MB";
-        measured = Printf.sprintf "%.1f MB" r.general_base_mb;
-      };
-      {
-        Report.label = "base snapshot, specialized";
-        paper = "-";
-        measured = Printf.sprintf "%.1f MB" r.specialized_base_mb;
-      };
-      {
-        Report.label = "cold start, general-purpose";
-        paper = "7.5 ms";
-        measured = f r.general_cold_ms;
-      };
-      {
-        Report.label = "cold start, specialized (same snapshots)";
-        paper = "~= general";
-        measured = f r.specialized_cold_ms;
-      };
-    ]
-  ^ Report.failed_calls r.failed
+let report r =
+  let open Report in
+  let msec v = f ~unit:"ms" 1 v and sec v = f ~unit:"s" 2 v in
+  let megs v = f ~unit:"MB" 1 v and none = Absent in
+  {
+    title = "Ablations: what each mechanism buys";
+    sections =
+      [
+        params [ ("figure", Text "ablations") ];
+        text
+          "Second invocation of a function under selectively disabled\n\
+           mechanisms (node-side unless noted).\n\n";
+        comparison
+          [
+            ("repeat miss, snapshot stacks ON (warm)", msec 3.5, msec r.warm_with_stacks_ms);
+            ("repeat miss, snapshot stacks OFF (re-cold)", none, msec r.miss_without_stacks_ms);
+            ("repeat, idle-UC cache ON (hot)", msec 0.8, msec r.hot_with_cache_ms);
+            ("repeat, idle-UC cache OFF (warm)", none, msec r.repeat_without_cache_ms);
+            ("hot invocation, node-direct", none, msec r.hot_direct_ms);
+            ( "hot invocation, through the shim",
+              Text "+~8 ms vs direct",
+              msec r.hot_via_shim_ms );
+            ( "node boot, general-purpose unikernel",
+              Text "(seconds; once per node)",
+              sec r.general_boot_s );
+            ("node boot, specialized unikernel", none, sec r.specialized_boot_s);
+            ("base snapshot, general-purpose", megs 109.6, megs r.general_base_mb);
+            ("base snapshot, specialized", none, megs r.specialized_base_mb);
+            ("cold start, general-purpose", msec 7.5, msec r.general_cold_ms);
+            ( "cold start, specialized (same snapshots)",
+              Text "~= general",
+              msec r.specialized_cold_ms );
+          ];
+        failed_calls r.failed;
+      ];
+  }

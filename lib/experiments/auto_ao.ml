@@ -56,32 +56,30 @@ let run ?(invocations = 20) ?(seed = 41L) () =
   in
   { components; max_relative_error; failed = t2.Table2.failed }
 
-let render r =
-  let table =
-    Stats.Tablefmt.create
-      ~columns:
-        [
-          ("Warmable component", Stats.Tablefmt.Left);
-          ("Inferred", Stats.Tablefmt.Right);
-          ("Actual", Stats.Tablefmt.Right);
-          ("Priming accelerates", Stats.Tablefmt.Left);
-        ]
-  in
-  List.iter
-    (fun c ->
-      Stats.Tablefmt.add_row table
-        [
-          c.comp_name;
-          Printf.sprintf "%.1f ms" c.inferred_ms;
-          Printf.sprintf "%.1f ms" c.actual_ms;
-          c.savings;
-        ])
-    r.components;
-  Printf.sprintf
-    "%sBlack-box AO discovery (paper S9, tracing-free variant): first-use\n\
-     costs recovered from cold/warm latencies across AO levels, checked\n\
-     against the model's ground truth.\n%s\nmax relative error: %.1f%%\n%s"
-    (Report.heading "Auto-AO: discovering what to prime")
-    (Stats.Tablefmt.render table)
-    (r.max_relative_error *. 100.0)
-    (Report.failed_calls r.failed)
+let report r =
+  let open Report in
+  let msec v = f ~unit:"ms" 1 v in
+  {
+    title = "Auto-AO: discovering what to prime";
+    sections =
+      [
+        params [ ("figure", Text "autoao") ];
+        text
+          "Black-box AO discovery (paper S9, tracing-free variant): first-use\n\
+           costs recovered from cold/warm latencies across AO levels, checked\n\
+           against the model's ground truth.\n";
+        table "components"
+          [
+            col ~head:"Warmable component" ~align:Left "component" (fun c -> Text c.comp_name);
+            col ~head:"Inferred" "inferred_ms" (fun c -> msec c.inferred_ms);
+            col ~head:"Actual" "actual_ms" (fun c -> msec c.actual_ms);
+            col ~head:"Priming accelerates" ~align:Left "savings" (fun c -> Text c.savings);
+          ]
+          r.components;
+        params [ ("max_relative_error", f 3 r.max_relative_error) ];
+        text
+          (Printf.sprintf "\nmax relative error: %.1f%%\n"
+             (r.max_relative_error *. 100.0));
+        failed_calls r.failed;
+      ];
+  }

@@ -26,4 +26,4 @@ type result = {
 
 val run : ?invocations:int -> ?seed:int64 -> unit -> result
 
-val render : result -> string
+val report : result -> Report.t

@@ -71,39 +71,35 @@ let run ?(nodes = 4) ?(functions = 40) ?(seed = 29L) () =
     failed = !failed;
   }
 
-let render r =
-  Report.comparison
-    ~title:
-      (Printf.sprintf
-         "DR-SEUSS (extension): %d-node distributed snapshot cache" r.nodes)
-    ~note:
-      (Printf.sprintf
-         "%d unique functions, each needed on every node. Paper (S9):\n\
-          snapshots are \"read-only and deploy-anywhere\"; fetching a\n\
-          function diff should beat replaying import+compile.\n"
-         r.functions)
-    [
-      {
-        Report.label = "mean miss latency, registry ON";
-        paper = "< cold";
-        measured = Report.ms r.with_registry_mean_miss;
-      };
-      {
-        Report.label = "mean miss latency, registry OFF";
-        paper = "(full cold start)";
-        measured = Report.ms r.without_registry_mean_miss;
-      };
-      {
-        Report.label = "misses served by remote fetch";
-        paper = "-";
-        measured =
-          Printf.sprintf "%d of %d" r.remote_fetches
-            (r.remote_fetches + r.cluster_colds);
-      };
-      {
-        Report.label = "snapshot bytes moved";
-        paper = "-";
-        measured = Report.mb r.bytes_transferred;
-      };
-    ]
-  ^ Report.failed_calls r.failed
+let report r =
+  let open Report in
+  {
+    title =
+      Printf.sprintf "DR-SEUSS (extension): %d-node distributed snapshot cache"
+        r.nodes;
+    sections =
+      [
+        params
+          [ ("figure", Text "drseuss"); ("nodes", Int r.nodes); ("functions", Int r.functions) ];
+        text
+          (Printf.sprintf
+             "%d unique functions, each needed on every node. Paper (S9):\n\
+              snapshots are \"read-only and deploy-anywhere\"; fetching a\n\
+              function diff should beat replaying import+compile.\n\n"
+             r.functions);
+        comparison
+          [
+            ("mean miss latency, registry ON", Text "< cold", ms r.with_registry_mean_miss);
+            ( "mean miss latency, registry OFF",
+              Text "(full cold start)",
+              ms r.without_registry_mean_miss );
+            ( "misses served by remote fetch",
+              Absent,
+              Text
+                (Printf.sprintf "%d of %d" r.remote_fetches
+                   (r.remote_fetches + r.cluster_colds)) );
+            ("snapshot bytes moved", Absent, mb r.bytes_transferred);
+          ];
+        failed_calls r.failed;
+      ];
+  }

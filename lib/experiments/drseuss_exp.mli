@@ -23,4 +23,4 @@ type result = {
 
 val run : ?nodes:int -> ?functions:int -> ?seed:int64 -> unit -> result
 
-val render : result -> string
+val report : result -> Report.t

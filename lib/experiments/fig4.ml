@@ -66,105 +66,68 @@ let run ?(set_sizes = default_set_sizes) ?(client_threads = 32) ?(seed = 21L)
   in
   { seuss; linux }
 
-let phase_ms sel = function
-  | None -> "-"
-  | Some (p : Obs.Breakdown.phase_means) -> Printf.sprintf "%.2f" (sel p *. 1e3)
-
-let tail_ms sel = function
-  | None -> "-"
-  | Some (t : Obs.Breakdown.tails) -> Printf.sprintf "%.2f" (sel t *. 1e3)
-
-let render r =
-  let table =
-    Stats.Tablefmt.create
-      ~columns:
-        [
-          ("Set size", Stats.Tablefmt.Right);
-          ("SEUSS req/s", Stats.Tablefmt.Right);
-          ("Linux req/s", Stats.Tablefmt.Right);
-          ("Speedup", Stats.Tablefmt.Right);
-          ("deploy ms", Stats.Tablefmt.Right);
-          ("import ms", Stats.Tablefmt.Right);
-          ("run ms", Stats.Tablefmt.Right);
-          ("queue ms", Stats.Tablefmt.Right);
-          ("p99 ms", Stats.Tablefmt.Right);
-          ("p999 ms", Stats.Tablefmt.Right);
-          ("SEUSS err", Stats.Tablefmt.Right);
-          ("Linux err", Stats.Tablefmt.Right);
-        ]
+let report r =
+  let open Report in
+  (* A trial whose node logged no invocation has no breakdown: "-". *)
+  let ms_of sel = function None -> Absent | Some x -> f 2 (sel x *. 1e3) in
+  let phase head key sel =
+    col ~head ("seuss_" ^ key) (fun (s, _) -> ms_of sel s.breakdown)
+  and tail ?head key sel =
+    col ?head ("seuss_" ^ key) (fun (s, _) -> ms_of sel s.tails)
   in
-  List.iter2
-    (fun s l ->
-      Stats.Tablefmt.add_row table
-        [
-          string_of_int s.set_size;
-          Printf.sprintf "%.1f" s.throughput;
-          Printf.sprintf "%.1f" l.throughput;
-          Printf.sprintf "%.1fx" (s.throughput /. Float.max 0.01 l.throughput);
-          phase_ms (fun p -> p.Obs.Breakdown.deploy) s.breakdown;
-          phase_ms (fun p -> p.Obs.Breakdown.import) s.breakdown;
-          phase_ms (fun p -> p.Obs.Breakdown.run) s.breakdown;
-          phase_ms (fun p -> p.Obs.Breakdown.queue) s.breakdown;
-          tail_ms (fun t -> t.Obs.Breakdown.p99) s.tails;
-          tail_ms (fun t -> t.Obs.Breakdown.p999) s.tails;
-          string_of_int s.errors;
-          string_of_int l.errors;
-        ])
-    r.seuss r.linux;
+  let columns =
+    [
+      col ~head:"Set size" "set_size" (fun (s, _) -> Int s.set_size);
+      col ~head:"SEUSS req/s" "seuss_rps" (fun (s, _) -> f 1 s.throughput);
+      col ~head:"Linux req/s" "linux_rps" (fun (_, l) -> f 1 l.throughput);
+      col ~head:"Speedup" "" (fun (s, l) ->
+          Text (Printf.sprintf "%.1fx" (s.throughput /. Float.max 0.01 l.throughput)));
+      col "seuss_errors" (fun (s, _) -> Int s.errors);
+      col "linux_errors" (fun (_, l) -> Int l.errors);
+      phase "deploy ms" "deploy_ms" (fun p -> p.Obs.Breakdown.deploy);
+      phase "import ms" "import_ms" (fun p -> p.Obs.Breakdown.import);
+      phase "run ms" "run_ms" (fun p -> p.Obs.Breakdown.run);
+      phase "queue ms" "queue_ms" (fun p -> p.Obs.Breakdown.queue);
+      tail "p50_ms" (fun t -> t.Obs.Breakdown.p50);
+      tail "p90_ms" (fun t -> t.Obs.Breakdown.p90);
+      tail ~head:"p99 ms" "p99_ms" (fun t -> t.Obs.Breakdown.p99);
+      tail ~head:"p999 ms" "p999_ms" (fun t -> t.Obs.Breakdown.p999);
+      col ~head:"SEUSS err" "" (fun (s, _) -> Int s.errors);
+      col ~head:"Linux err" "" (fun (_, l) -> Int l.errors);
+    ]
+  in
   let plot =
     Stats.Asciiplot.create ~xscale:Stats.Asciiplot.Log
       ~yscale:Stats.Asciiplot.Log
       ~title:"Figure 4: OpenWhisk throughput vs unique-function set size"
       ~xlabel:"set size" ~ylabel:"req/s" ()
   in
-  let pts sel series =
-    List.map (fun p -> (float_of_int p.set_size, sel p)) series
+  let pts series =
+    List.map (fun p -> (float_of_int p.set_size, p.throughput)) series
   in
-  Stats.Asciiplot.add_series plot ~label:"SEUSS" ~mark:'s'
-    (pts (fun p -> p.throughput) r.seuss);
-  Stats.Asciiplot.add_series plot ~label:"Linux" ~mark:'L'
-    (pts (fun p -> p.throughput) r.linux);
+  Stats.Asciiplot.add_series plot ~label:"SEUSS" ~mark:'s' (pts r.seuss);
+  Stats.Asciiplot.add_series plot ~label:"Linux" ~mark:'L' (pts r.linux);
   let last_ratio =
     match (List.rev r.seuss, List.rev r.linux) with
     | s :: _, l :: _ -> s.throughput /. Float.max 0.01 l.throughput
     | _ -> 0.0
   in
-  Printf.sprintf
-    "%s%s\n%s\nPaper: Linux ~21%% faster at the smallest sets (shim hop);\n\
-     SEUSS up to 52x faster on the mostly-unique workload.\n\
-     Phase columns: SEUSS node-side per-invocation means derived from\n\
-     the structured event log (deploy+import+run = service; queue is the\n\
-     residual); p99/p999 are total-latency tails from the same log\n\
-     (log-binned, ~8%% quantisation). Measured speedup at the largest\n\
-     set: %.1fx\n"
-    (Report.heading "Figure 4: platform throughput")
-    (Stats.Tablefmt.render table)
-    (Stats.Asciiplot.render plot)
-    last_ratio
-
-let write_csv ~path r =
-  Report.write_csv ~path
-    ~header:
+  {
+    title = "Figure 4: platform throughput";
+    sections =
       [
-        "set_size"; "seuss_rps"; "linux_rps"; "seuss_errors"; "linux_errors";
-        "seuss_deploy_ms"; "seuss_import_ms"; "seuss_run_ms"; "seuss_queue_ms";
-        "seuss_p50_ms"; "seuss_p90_ms"; "seuss_p99_ms"; "seuss_p999_ms";
-      ]
-    (List.map2
-       (fun s l ->
-         [
-           string_of_int s.set_size;
-           Printf.sprintf "%.2f" s.throughput;
-           Printf.sprintf "%.2f" l.throughput;
-           string_of_int s.errors;
-           string_of_int l.errors;
-           phase_ms (fun p -> p.Obs.Breakdown.deploy) s.breakdown;
-           phase_ms (fun p -> p.Obs.Breakdown.import) s.breakdown;
-           phase_ms (fun p -> p.Obs.Breakdown.run) s.breakdown;
-           phase_ms (fun p -> p.Obs.Breakdown.queue) s.breakdown;
-           tail_ms (fun t -> t.Obs.Breakdown.p50) s.tails;
-           tail_ms (fun t -> t.Obs.Breakdown.p90) s.tails;
-           tail_ms (fun t -> t.Obs.Breakdown.p99) s.tails;
-           tail_ms (fun t -> t.Obs.Breakdown.p999) s.tails;
-         ])
-       r.seuss r.linux)
+        params [ ("figure", Text "fig4") ];
+        table "points" columns (List.combine r.seuss r.linux);
+        text
+          (Printf.sprintf
+             "\n%s\nPaper: Linux ~21%% faster at the smallest sets (shim hop);\n\
+              SEUSS up to 52x faster on the mostly-unique workload.\n\
+              Phase columns: SEUSS node-side per-invocation means derived from\n\
+              the structured event log (deploy+import+run = service; queue is the\n\
+              residual); p99/p999 are total-latency tails from the same log\n\
+              (log-binned, ~8%% quantisation). Measured speedup at the largest\n\
+              set: %.1fx\n"
+             (Stats.Asciiplot.render plot)
+             last_ratio);
+      ];
+  }

@@ -34,10 +34,7 @@ val run :
   unit ->
   result
 
-val render : result -> string
-(** Comparison table plus an ASCII plot of both throughput curves. *)
-
-val write_csv : path:string -> result -> unit
-(** Columns: set_size, seuss_rps, linux_rps, seuss_errors, linux_errors,
-    plus the SEUSS deploy/import/run/queue means and p50/p90/p99/p999
-    tails (ms). *)
+val report : result -> Report.t
+(** Comparison table plus an ASCII plot of both throughput curves. The
+    data (JSON/CSV) adds each trial's error counts and the SEUSS
+    p50/p90 tails (ms). *)

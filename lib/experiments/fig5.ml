@@ -62,68 +62,41 @@ let run ?(set_sizes = [ 64; 2048; 65536 ]) ?(requests = 2048)
       { set_size = m; seuss; linux; seuss_errors; linux_errors })
     set_sizes
 
-let render panels =
-  let table =
-    Stats.Tablefmt.create
-      ~columns:
-        [
-          ("Set size", Stats.Tablefmt.Right);
-          ("Backend", Stats.Tablefmt.Left);
-          ("p1", Stats.Tablefmt.Right);
-          ("p25", Stats.Tablefmt.Right);
-          ("p50", Stats.Tablefmt.Right);
-          ("p75", Stats.Tablefmt.Right);
-          ("p99", Stats.Tablefmt.Right);
-          ("mean", Stats.Tablefmt.Right);
-          ("errors", Stats.Tablefmt.Right);
-        ]
+let report panels =
+  let open Report in
+  let pct head key sel =
+    col ~head key (fun (_, _, (d : Stats.Summary.digest), _) -> f 1 (sel d *. 1e3))
   in
-  let row m name (d : Stats.Summary.digest) errors =
-    let f v = Printf.sprintf "%.1f" (v *. 1e3) in
-    Stats.Tablefmt.add_row table
-      [
-        string_of_int m;
-        name;
-        f d.Stats.Summary.p01;
-        f d.Stats.Summary.p25;
-        f d.Stats.Summary.p50;
-        f d.Stats.Summary.p75;
-        f d.Stats.Summary.p99;
-        f d.Stats.Summary.mean;
-        string_of_int errors;
-      ]
-  in
-  List.iter
-    (fun p ->
-      row p.set_size "SEUSS" p.seuss p.seuss_errors;
-      row p.set_size "Linux" p.linux p.linux_errors;
-      Stats.Tablefmt.add_separator table)
-    panels;
-  Printf.sprintf
-    "%s(latencies in ms)\n%s\nPaper shape: comparable at 64 functions (Linux \
-     slightly ahead);\nLinux median and p99 explode once its container cache \
-     saturates,\nwhile SEUSS stays in single-digit milliseconds.\n"
-    (Report.heading "Figure 5: end-to-end latency percentiles")
-    (Stats.Tablefmt.render table)
-
-let write_csv ~path panels =
-  let row m backend (d : Stats.Summary.digest) errors =
-    let f v = Printf.sprintf "%.2f" (v *. 1e3) in
+  let backends p =
     [
-      string_of_int m; backend;
-      f d.Stats.Summary.p01; f d.Stats.Summary.p25; f d.Stats.Summary.p50;
-      f d.Stats.Summary.p75; f d.Stats.Summary.p99; f d.Stats.Summary.mean;
-      string_of_int errors;
+      ("SEUSS", "seuss", p.seuss, p.seuss_errors);
+      ("Linux", "linux", p.linux, p.linux_errors);
     ]
   in
-  Report.write_csv ~path
-    ~header:
-      [ "set_size"; "backend"; "p1_ms"; "p25_ms"; "p50_ms"; "p75_ms";
-        "p99_ms"; "mean_ms"; "errors" ]
-    (List.concat_map
-       (fun p ->
-         [
-           row p.set_size "seuss" p.seuss p.seuss_errors;
-           row p.set_size "linux" p.linux p.linux_errors;
-         ])
-       panels)
+  {
+    title = "Figure 5: end-to-end latency percentiles";
+    sections =
+      [
+        params [ ("figure", Text "fig5") ];
+        text "(latencies in ms)\n";
+        nested "panels"
+          [ col ~head:"Set size" "set_size" (fun p -> Int p.set_size) ]
+          "backends"
+          [
+            col ~head:"Backend" ~align:Left "" (fun (name, _, _, _) -> Text name);
+            col "backend" (fun (_, key, _, _) -> Text key);
+            pct "p1" "p1_ms" (fun d -> d.Stats.Summary.p01);
+            pct "p25" "p25_ms" (fun d -> d.Stats.Summary.p25);
+            pct "p50" "p50_ms" (fun d -> d.Stats.Summary.p50);
+            pct "p75" "p75_ms" (fun d -> d.Stats.Summary.p75);
+            pct "p99" "p99_ms" (fun d -> d.Stats.Summary.p99);
+            pct "mean" "mean_ms" (fun d -> d.Stats.Summary.mean);
+            col ~head:"errors" "errors" (fun (_, _, _, errors) -> Int errors);
+          ]
+          backends panels;
+        text
+          "\nPaper shape: comparable at 64 functions (Linux slightly ahead);\n\
+           Linux median and p99 explode once its container cache saturates,\n\
+           while SEUSS stays in single-digit milliseconds.\n";
+      ];
+  }

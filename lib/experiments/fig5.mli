@@ -24,7 +24,5 @@ val run :
   panel list
 (** Defaults: sizes [64; 2048; 65536], 2048 measured requests each. *)
 
-val render : panel list -> string
-
-val write_csv : path:string -> panel list -> unit
-(** Columns: set_size, backend, p1..p99, mean, errors (ms). *)
+val report : panel list -> Report.t
+(** Per panel, one row per backend: p1..p99, mean (ms) and errors. *)

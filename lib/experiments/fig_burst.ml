@@ -63,41 +63,43 @@ let scatter ~title side =
     (bg_bad @ b_bad);
   Stats.Asciiplot.render plot
 
-let render r =
+let report r =
+  let open Report in
   let errors side =
     Stats.Series.failures side.background + Stats.Series.failures side.bursts
   in
   let count side =
     Stats.Series.length side.background + Stats.Series.length side.bursts
   in
-  Printf.sprintf
-    "%s\n%s\n%s\nLinux:  %d requests, %d failed\nSEUSS:  %d requests, %d \
-     failed\nPaper shape: Linux errors once its container cache saturates \
-     and\nshows 10-60 s cold starts; SEUSS serves every request with the\n\
-     background stream barely disturbed.\n"
-    (Report.heading
-       (Printf.sprintf "Figures 6-8: burst every %.0f s" r.period))
-    (scatter ~title:"Linux node" r.linux)
-    (scatter ~title:"SEUSS node" r.seuss)
-    (count r.linux) (errors r.linux) (count r.seuss) (errors r.seuss)
-
-let write_csv ~path r =
-  let rows_of backend stream series =
+  let points backend stream series =
     Array.to_list
-      (Array.map
-         (fun p ->
-           [
-             backend;
-             stream;
-             Printf.sprintf "%.4f" p.Stats.Series.time;
-             Printf.sprintf "%.5f" p.Stats.Series.value;
-             (if p.Stats.Series.ok then "1" else "0");
-           ])
-         (Stats.Series.points series))
+      (Array.map (fun p -> (backend, stream, p)) (Stats.Series.points series))
   in
-  Report.write_csv ~path
-    ~header:[ "backend"; "stream"; "send_time_s"; "latency_s"; "ok" ]
-    (rows_of "linux" "background" r.linux.background
-    @ rows_of "linux" "burst" r.linux.bursts
-    @ rows_of "seuss" "background" r.seuss.background
-    @ rows_of "seuss" "burst" r.seuss.bursts)
+  {
+    title = Printf.sprintf "Figures 6-8: burst every %.0f s" r.period;
+    sections =
+      [
+        params [ ("figure", Text "burst"); ("period_s", f (-1) r.period) ];
+        text
+          (Printf.sprintf
+             "\n%s\n%s\nLinux:  %d requests, %d failed\nSEUSS:  %d requests, %d \
+              failed\nPaper shape: Linux errors once its container cache \
+              saturates and\nshows 10-60 s cold starts; SEUSS serves every \
+              request with the\nbackground stream barely disturbed.\n"
+             (scatter ~title:"Linux node" r.linux)
+             (scatter ~title:"SEUSS node" r.seuss)
+             (count r.linux) (errors r.linux) (count r.seuss) (errors r.seuss));
+        table "requests"
+          [
+            col "backend" (fun (b, _, _) -> Text b);
+            col "stream" (fun (_, s, _) -> Text s);
+            col "send_time_s" (fun (_, _, p) -> f 4 p.Stats.Series.time);
+            col "latency_s" (fun (_, _, p) -> f 5 p.Stats.Series.value);
+            col "ok" (fun (_, _, p) -> Bool p.Stats.Series.ok);
+          ]
+          (points "linux" "background" r.linux.background
+          @ points "linux" "burst" r.linux.bursts
+          @ points "seuss" "background" r.seuss.background
+          @ points "seuss" "burst" r.seuss.bursts);
+      ];
+  }

@@ -28,9 +28,7 @@ val run :
   result
 (** Defaults: 32 s period, 300 s duration, 64-request bursts. *)
 
-val render : result -> string
+val report : result -> Report.t
 (** Two log-scale scatter plots (Linux top, SEUSS bottom, like the
-    figures) plus error counts. *)
-
-val write_csv : path:string -> result -> unit
-(** The raw scatter: backend, stream, send_time_s, latency_s, ok. *)
+    figures) plus error counts; the data is the raw scatter: backend,
+    stream, send_time_s, latency_s, ok. *)

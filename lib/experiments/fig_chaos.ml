@@ -129,110 +129,49 @@ let run ?(nodes = 4) ?(functions = 25) ?(calls = 200) ?(rates = default_rates)
       (match List.rev results with [] -> "" | (_, tl) :: _ -> tl);
   }
 
-let point_to_json p =
-  Obs.Json.Obj
-    [
-      ("rate", Obs.Json.Float p.rate);
-      ("invocations", Obs.Json.Int p.invocations);
-      ("served", Obs.Json.Int p.served);
-      ("errors", Obs.Json.Int p.errors);
-      ("availability", Obs.Json.Float p.availability);
-      ("p50_ms", Obs.Json.Float p.p50_ms);
-      ("p99_ms", Obs.Json.Float p.p99_ms);
-      ("p999_ms", Obs.Json.Float p.p999_ms);
-      ("remote_fetches", Obs.Json.Int p.remote_fetches);
-      ("cluster_colds", Obs.Json.Int p.cluster_colds);
-      ("fetch_retries", Obs.Json.Int p.fetch_retries);
-      ("failovers", Obs.Json.Int p.failovers);
-      ("degraded_colds", Obs.Json.Int p.degraded_colds);
-      ("node_crashes", Obs.Json.Int p.node_crashes);
-      ("registry_evictions", Obs.Json.Int p.registry_evictions);
-      ("faults_fired", Obs.Json.Int p.faults_fired);
-    ]
-
-let to_json r =
-  Obs.Json.Obj
-    [
-      ("figure", Obs.Json.String "chaos");
-      ("nodes", Obs.Json.Int r.nodes);
-      ("functions", Obs.Json.Int r.functions);
-      ("calls", Obs.Json.Int r.calls);
-      ("seed", Obs.Json.String (Int64.to_string r.seed));
-      ("points", Obs.Json.List (List.map point_to_json r.points));
-    ]
-
-let render r =
-  let table =
-    Stats.Tablefmt.create
-      ~columns:
-        [
-          ("fault rate", Stats.Tablefmt.Right);
-          ("avail", Stats.Tablefmt.Right);
-          ("p50 ms", Stats.Tablefmt.Right);
-          ("p99 ms", Stats.Tablefmt.Right);
-          ("p999 ms", Stats.Tablefmt.Right);
-          ("fetches", Stats.Tablefmt.Right);
-          ("retries", Stats.Tablefmt.Right);
-          ("failover", Stats.Tablefmt.Right);
-          ("degraded", Stats.Tablefmt.Right);
-          ("crashes", Stats.Tablefmt.Right);
-          ("evicted", Stats.Tablefmt.Right);
-          ("fired", Stats.Tablefmt.Right);
-        ]
-  in
-  List.iter
-    (fun p ->
-      Stats.Tablefmt.add_row table
-        [
-          Printf.sprintf "%.3f" p.rate;
-          Printf.sprintf "%.2f%%" (100.0 *. p.availability);
-          Printf.sprintf "%.2f" p.p50_ms;
-          Printf.sprintf "%.2f" p.p99_ms;
-          Printf.sprintf "%.2f" p.p999_ms;
-          string_of_int p.remote_fetches;
-          string_of_int p.fetch_retries;
-          string_of_int p.failovers;
-          string_of_int p.degraded_colds;
-          string_of_int p.node_crashes;
-          string_of_int p.registry_evictions;
-          string_of_int p.faults_fired;
-        ])
-    r.points;
-  Printf.sprintf
-    "%s%d-node DR-SEUSS under injected failures: %d calls over %d functions \
-     per rate\n(availability counts degraded local cold starts as served; \
-     seed %Ld)\n\n%s"
-    (Report.heading "fig_chaos: availability and tail latency vs fault rate")
-    r.nodes r.calls r.functions r.seed
-    (Stats.Tablefmt.render table)
-
-let write_csv ~path r =
-  Report.write_csv ~path
-    ~header:
+let report r =
+  let open Report in
+  let count ?head key sel = col ?head key (fun p -> Int (sel p)) in
+  let ms2 head key sel = col ~head key (fun p -> f 2 (sel p)) in
+  {
+    title = "fig_chaos: availability and tail latency vs fault rate";
+    sections =
       [
-        "rate"; "invocations"; "served"; "errors"; "availability"; "p50_ms";
-        "p99_ms"; "p999_ms"; "remote_fetches"; "cluster_colds"; "fetch_retries";
-        "failovers"; "degraded_colds"; "node_crashes"; "registry_evictions";
-        "faults_fired";
-      ]
-    (List.map
-       (fun p ->
-         [
-           Printf.sprintf "%g" p.rate;
-           string_of_int p.invocations;
-           string_of_int p.served;
-           string_of_int p.errors;
-           Printf.sprintf "%.6f" p.availability;
-           Printf.sprintf "%.6f" p.p50_ms;
-           Printf.sprintf "%.6f" p.p99_ms;
-           Printf.sprintf "%.6f" p.p999_ms;
-           string_of_int p.remote_fetches;
-           string_of_int p.cluster_colds;
-           string_of_int p.fetch_retries;
-           string_of_int p.failovers;
-           string_of_int p.degraded_colds;
-           string_of_int p.node_crashes;
-           string_of_int p.registry_evictions;
-           string_of_int p.faults_fired;
-         ])
-       r.points)
+        params
+          [
+            ("figure", Text "chaos");
+            ("nodes", Int r.nodes);
+            ("functions", Int r.functions);
+            ("calls", Int r.calls);
+            ("seed", Int64 r.seed);
+          ];
+        text
+          (Printf.sprintf
+             "%d-node DR-SEUSS under injected failures: %d calls over %d \
+              functions per rate\n\
+              (availability counts degraded local cold starts as served; seed \
+              %Ld)\n\n"
+             r.nodes r.calls r.functions r.seed);
+        table "points"
+          [
+            col ~head:"fault rate" "rate" (fun p -> f 3 p.rate);
+            count "invocations" (fun p -> p.invocations);
+            count "served" (fun p -> p.served);
+            count "errors" (fun p -> p.errors);
+            col "availability" (fun p -> f 4 p.availability);
+            col ~head:"avail" "" (fun p -> f ~unit:"%" 2 (100.0 *. p.availability));
+            ms2 "p50 ms" "p50_ms" (fun p -> p.p50_ms);
+            ms2 "p99 ms" "p99_ms" (fun p -> p.p99_ms);
+            ms2 "p999 ms" "p999_ms" (fun p -> p.p999_ms);
+            count ~head:"fetches" "remote_fetches" (fun p -> p.remote_fetches);
+            count "cluster_colds" (fun p -> p.cluster_colds);
+            count ~head:"retries" "fetch_retries" (fun p -> p.fetch_retries);
+            count ~head:"failover" "failovers" (fun p -> p.failovers);
+            count ~head:"degraded" "degraded_colds" (fun p -> p.degraded_colds);
+            count ~head:"crashes" "node_crashes" (fun p -> p.node_crashes);
+            count ~head:"evicted" "registry_evictions" (fun p -> p.registry_evictions);
+            count ~head:"fired" "faults_fired" (fun p -> p.faults_fired);
+          ]
+          r.points;
+      ];
+  }

@@ -52,8 +52,5 @@ val run :
 (** Defaults: 4 nodes, 25 functions, 200 calls per rate, seed 7.
     @raise Invalid_argument with no node or a rate outside [\[0, 1\]]. *)
 
-val to_json : result -> Obs.Json.t
-val render : result -> string
-
-val write_csv : path:string -> result -> unit
-(** One row per rate. *)
+val report : result -> Report.t
+(** One row per rate; the timeline is not part of it. *)

@@ -151,86 +151,48 @@ let run ?(functions = default_functions) ?(alpha = default_alpha)
 
 (* {1 Reporting} *)
 
-let arm_to_json a =
-  Obs.Json.Obj
-    [
-      ("cache", Obs.Json.String a.label);
-      ("cache_bytes", Obs.Json.String (Int64.to_string a.cache_bytes));
-      ("invocations", Obs.Json.Int a.invocations);
-      ("ok", Obs.Json.Int a.ok);
-      ("errors", Obs.Json.Int a.errors);
-      ("mean_ms", Obs.Json.Float a.mean_ms);
-      ("p50_ms", Obs.Json.Float a.p50_ms);
-      ("p99_ms", Obs.Json.Float a.p99_ms);
-      ("p999_ms", Obs.Json.Float a.p999_ms);
-      ("hit_rate", Obs.Json.Float a.hit_rate);
-      ("hits", Obs.Json.Int a.hits);
-      ("misses", Obs.Json.Int a.misses);
-      ("evictions", Obs.Json.Int a.evictions);
-      ("dedup_ratio", Obs.Json.Float a.dedup_ratio);
-      ("resident_bytes", Obs.Json.String (Int64.to_string a.resident_bytes));
-      ("peak_bytes", Obs.Json.String (Int64.to_string a.peak_bytes));
-      ("members", Obs.Json.Int a.members);
-      ("index_pages", Obs.Json.Int a.index_pages);
-      ("cold", Obs.Json.Int a.mix.Harness.cold);
-      ("warm", Obs.Json.Int a.mix.Harness.warm);
-      ("hot", Obs.Json.Int a.mix.Harness.hot);
-    ]
-
-let to_json r =
-  Obs.Json.Obj
-    [
-      ("figure", Obs.Json.String "evict");
-      ("functions", Obs.Json.Int r.functions);
-      ("alpha", Obs.Json.Float r.alpha);
-      ("rate_rps", Obs.Json.Float r.rate);
-      ("horizon_s", Obs.Json.Float r.horizon);
-      ("policy", Obs.Json.String (Seuss.Config.policy_name r.policy));
-      ("seed", Obs.Json.String (Int64.to_string r.seed));
-      ("trace_events", Obs.Json.Int r.trace_events);
-      ("arms", Obs.Json.List (List.map arm_to_json r.arms));
-    ]
-
 let mib_of_bytes b = Int64.to_float b /. (1024.0 *. 1024.0)
 
-let render r =
-  let table =
-    Stats.Tablefmt.create
-      ~columns:
-        [
-          ("cache", Stats.Tablefmt.Left);
-          ("hit %", Stats.Tablefmt.Right);
-          ("dedup", Stats.Tablefmt.Right);
-          ("resident MiB", Stats.Tablefmt.Right);
-          ("peak MiB", Stats.Tablefmt.Right);
-          ("members", Stats.Tablefmt.Right);
-          ("evict", Stats.Tablefmt.Right);
-          ("p50 ms", Stats.Tablefmt.Right);
-          ("p99 ms", Stats.Tablefmt.Right);
-          ("p999 ms", Stats.Tablefmt.Right);
-          ("cold/warm/hot", Stats.Tablefmt.Right);
-        ]
+let report r =
+  let open Report in
+  (* The store's figures mean nothing on the disarmed baseline. *)
+  let armed sel a =
+    if Int64.equal a.cache_bytes 0L then Absent else f 2 (sel a)
   in
-  List.iter
-    (fun a ->
-      Stats.Tablefmt.add_row table
-        [
-          a.label;
-          Printf.sprintf "%.1f" (a.hit_rate *. 100.0);
-          (if Int64.equal a.cache_bytes 0L then "-"
-           else Printf.sprintf "%.2f" a.dedup_ratio);
-          (if Int64.equal a.cache_bytes 0L then "-"
-           else Printf.sprintf "%.2f" (mib_of_bytes a.resident_bytes));
-          (if Int64.equal a.cache_bytes 0L then "-"
-           else Printf.sprintf "%.2f" (mib_of_bytes a.peak_bytes));
-          string_of_int a.members;
-          string_of_int a.evictions;
-          Printf.sprintf "%.2f" a.p50_ms;
-          Printf.sprintf "%.2f" a.p99_ms;
-          Printf.sprintf "%.2f" a.p999_ms;
-          Printf.sprintf "%d/%d/%d" a.mix.Harness.cold a.mix.Harness.warm a.mix.Harness.hot;
-        ])
-    r.arms;
+  let shown head cell = col ~head "" cell in
+  let arms =
+    [
+      col ~head:"cache" ~align:Left "cache" (fun a -> Text a.label);
+      shown "hit %" (fun a -> f 1 (a.hit_rate *. 100.0));
+      shown "dedup" (armed (fun a -> a.dedup_ratio));
+      shown "resident MiB" (armed (fun a -> mib_of_bytes a.resident_bytes));
+      shown "peak MiB" (armed (fun a -> mib_of_bytes a.peak_bytes));
+      shown "members" (fun a -> Int a.members);
+      shown "evict" (fun a -> Int a.evictions);
+      col "cache_bytes" (fun a -> Int64 a.cache_bytes);
+      col "invocations" (fun a -> Int a.invocations);
+      col "ok" (fun a -> Int a.ok);
+      col "errors" (fun a -> Int a.errors);
+      col "mean_ms" (fun a -> f 2 a.mean_ms);
+      col ~head:"p50 ms" "p50_ms" (fun a -> f 2 a.p50_ms);
+      col ~head:"p99 ms" "p99_ms" (fun a -> f 2 a.p99_ms);
+      col ~head:"p999 ms" "p999_ms" (fun a -> f 2 a.p999_ms);
+      shown "cold/warm/hot" (fun { mix = m; _ } ->
+          Text (Printf.sprintf "%d/%d/%d" m.Harness.cold m.warm m.hot));
+      col "hit_rate" (fun a -> f 3 a.hit_rate);
+      col "hits" (fun a -> Int a.hits);
+      col "misses" (fun a -> Int a.misses);
+      col "evictions" (fun a -> Int a.evictions);
+      col "dedup_ratio" (fun a -> f 2 a.dedup_ratio);
+      col "resident_bytes" (fun a -> Int64 a.resident_bytes);
+      col "peak_bytes" (fun a -> Int64 a.peak_bytes);
+      col "members" (fun a -> Int a.members);
+      col "index_pages" (fun a -> Int a.index_pages);
+      col "cold" (fun a -> Int a.mix.Harness.cold);
+      col "warm" (fun a -> Int a.mix.Harness.warm);
+      col "hot" (fun a -> Int a.mix.Harness.hot);
+    ]
+  in
   (* The curves only make sense over the finite armed rungs. *)
   let finite = List.filter (fun a -> Int64.compare a.cache_bytes 0L > 0) r.arms in
   let curves =
@@ -253,51 +215,31 @@ let render r =
         (List.map (fun a -> (mib_of_bytes a.cache_bytes, a.p99_ms)) finite);
       Stats.Asciiplot.render hit_plot ^ "\n" ^ Stats.Asciiplot.render p99_plot
   in
-  Printf.sprintf
-    "%sOpen-loop Zipf(%.2f) trace over %d functions at %g req/s, %.2f \
-     simulated hours per arm\n\
-     (idle-UC cache off: a store miss is a full cold compile; policy %s; \
-     \"off\" = store disarmed; seed %Ld)\n\n\
-     %s\n%s"
-    (Report.heading "fig_evict: snapshot-store eviction sweep")
-    r.alpha r.functions r.rate (r.horizon /. 3600.0)
-    (Seuss.Config.policy_name r.policy)
-    r.seed
-    (Stats.Tablefmt.render table)
-    curves
-
-let write_csv ~path r =
-  Report.write_csv ~path
-    ~header:
+  {
+    title = "fig_evict: snapshot-store eviction sweep";
+    sections =
       [
-        "cache"; "cache_bytes"; "invocations"; "ok"; "errors"; "mean_ms";
-        "p50_ms"; "p99_ms"; "p999_ms"; "hit_rate"; "hits"; "misses";
-        "evictions"; "dedup_ratio"; "resident_bytes"; "peak_bytes"; "members";
-        "index_pages"; "cold"; "warm"; "hot";
-      ]
-    (List.map
-       (fun a ->
-         [
-           a.label;
-           Int64.to_string a.cache_bytes;
-           string_of_int a.invocations;
-           string_of_int a.ok;
-           string_of_int a.errors;
-           Printf.sprintf "%.6f" a.mean_ms;
-           Printf.sprintf "%.6f" a.p50_ms;
-           Printf.sprintf "%.6f" a.p99_ms;
-           Printf.sprintf "%.6f" a.p999_ms;
-           Printf.sprintf "%.6f" a.hit_rate;
-           string_of_int a.hits;
-           string_of_int a.misses;
-           string_of_int a.evictions;
-           Printf.sprintf "%.6f" a.dedup_ratio;
-           Int64.to_string a.resident_bytes;
-           Int64.to_string a.peak_bytes;
-           string_of_int a.members;
-           string_of_int a.index_pages;
-           string_of_int a.mix.Harness.cold;
-           string_of_int a.mix.Harness.warm;
-           string_of_int a.mix.Harness.hot;
-         ])
-       r.arms)
+        params
+          [
+            ("figure", Text "evict");
+            ("functions", Int r.functions);
+            ("alpha", f 2 r.alpha);
+            ("rate_rps", f (-1) r.rate);
+            ("horizon_s", f 0 r.horizon);
+            ("policy", Text (Seuss.Config.policy_name r.policy));
+            ("seed", Int64 r.seed);
+            ("trace_events", Int r.trace_events);
+          ];
+        text
+          (Printf.sprintf
+             "Open-loop Zipf(%.2f) trace over %d functions at %g req/s, %.2f \
+              simulated hours per arm\n\
+              (idle-UC cache off: a store miss is a full cold compile; policy \
+              %s; \"off\" = store disarmed; seed %Ld)\n\n"
+             r.alpha r.functions r.rate (r.horizon /. 3600.0)
+             (Seuss.Config.policy_name r.policy)
+             r.seed);
+        table "arms" arms r.arms;
+        text ("\n" ^ curves);
+      ];
+  }

@@ -80,8 +80,5 @@ val run :
     Poisson trace. Seed 13 by default.
     @raise Invalid_argument on an empty or negative shape. *)
 
-val to_json : result -> Obs.Json.t
-val render : result -> string
-
-val write_csv : path:string -> result -> unit
+val report : result -> Report.t
 (** One row per arm. *)

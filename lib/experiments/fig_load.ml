@@ -175,86 +175,31 @@ let run_trace ?(seed = 11L) trace =
 
 (* {1 Reporting} *)
 
-let arm_to_json a =
-  Obs.Json.Obj
+let report r =
+  let open Report in
+  let ms2 ?head key sel = col ?head key (fun a -> f 2 (sel a)) in
+  let arms =
     [
-      ("backend", Obs.Json.String a.backend);
-      ("invocations", Obs.Json.Int a.invocations);
-      ("ok", Obs.Json.Int a.ok);
-      ("errors", Obs.Json.Int a.errors);
-      ("mean_ms", Obs.Json.Float a.mean_ms);
-      ("p50_ms", Obs.Json.Float a.p50_ms);
-      ("p90_ms", Obs.Json.Float a.p90_ms);
-      ("p99_ms", Obs.Json.Float a.p99_ms);
-      ("p999_ms", Obs.Json.Float a.p999_ms);
-      ("bd_p99_ms", Obs.Json.Float a.bd_p99_ms);
-      ("bd_p999_ms", Obs.Json.Float a.bd_p999_ms);
-      ("achieved_rps", Obs.Json.Float a.achieved_rps);
-      ("max_in_flight", Obs.Json.Int a.max_in_flight);
-      ("cold", Obs.Json.Int a.mix.Harness.cold);
-      ("warm", Obs.Json.Int a.mix.Harness.warm);
-      ("hot", Obs.Json.Int a.mix.Harness.hot);
+      col ~head:"backend" ~align:Left "backend" (fun a -> Text a.backend);
+      col "invocations" (fun a -> Int a.invocations);
+      col ~head:"ok" "ok" (fun a -> Int a.ok);
+      col ~head:"err" "errors" (fun a -> Int a.errors);
+      ms2 "mean_ms" (fun a -> a.mean_ms);
+      ms2 ~head:"p50 ms" "p50_ms" (fun a -> a.p50_ms);
+      ms2 ~head:"p90 ms" "p90_ms" (fun a -> a.p90_ms);
+      ms2 ~head:"p99 ms" "p99_ms" (fun a -> a.p99_ms);
+      ms2 ~head:"p999 ms" "p999_ms" (fun a -> a.p999_ms);
+      ms2 "bd_p99_ms" (fun a -> a.bd_p99_ms);
+      ms2 "bd_p999_ms" (fun a -> a.bd_p999_ms);
+      ms2 ~head:"ach rps" "achieved_rps" (fun a -> a.achieved_rps);
+      col ~head:"depth" "max_in_flight" (fun a -> Int a.max_in_flight);
+      col ~head:"cold/warm/hot" "" (fun { mix = m; _ } ->
+          Text (Printf.sprintf "%d/%d/%d" m.Harness.cold m.warm m.hot));
+      col "cold" (fun a -> Int a.mix.Harness.cold);
+      col "warm" (fun a -> Int a.mix.Harness.warm);
+      col "hot" (fun a -> Int a.mix.Harness.hot);
     ]
-
-let point_to_json p =
-  Obs.Json.Obj
-    [
-      ("offered_rps", Obs.Json.Float p.offered_rps);
-      ("trace_events", Obs.Json.Int p.trace_events);
-      ("arms", Obs.Json.List (List.map arm_to_json p.arms));
-    ]
-
-let to_json r =
-  Obs.Json.Obj
-    [
-      ("figure", Obs.Json.String "load");
-      ("functions", Obs.Json.Int r.functions);
-      ("alpha", Obs.Json.Float r.alpha);
-      ("arrival", Obs.Json.String r.arrival);
-      ("horizon_s", Obs.Json.Float r.horizon);
-      ("seed", Obs.Json.String (Int64.to_string r.seed));
-      ("points", Obs.Json.List (List.map point_to_json r.points));
-    ]
-
-let render r =
-  let table =
-    Stats.Tablefmt.create
-      ~columns:
-        [
-          ("rps", Stats.Tablefmt.Right);
-          ("backend", Stats.Tablefmt.Left);
-          ("ok", Stats.Tablefmt.Right);
-          ("err", Stats.Tablefmt.Right);
-          ("p50 ms", Stats.Tablefmt.Right);
-          ("p90 ms", Stats.Tablefmt.Right);
-          ("p99 ms", Stats.Tablefmt.Right);
-          ("p999 ms", Stats.Tablefmt.Right);
-          ("ach rps", Stats.Tablefmt.Right);
-          ("depth", Stats.Tablefmt.Right);
-          ("cold/warm/hot", Stats.Tablefmt.Right);
-        ]
   in
-  List.iter
-    (fun p ->
-      List.iter
-        (fun a ->
-          Stats.Tablefmt.add_row table
-            [
-              Printf.sprintf "%g" p.offered_rps;
-              a.backend;
-              string_of_int a.ok;
-              string_of_int a.errors;
-              Printf.sprintf "%.2f" a.p50_ms;
-              Printf.sprintf "%.2f" a.p90_ms;
-              Printf.sprintf "%.2f" a.p99_ms;
-              Printf.sprintf "%.2f" a.p999_ms;
-              Printf.sprintf "%.2f" a.achieved_rps;
-              string_of_int a.max_in_flight;
-              Printf.sprintf "%d/%d/%d" a.mix.Harness.cold a.mix.Harness.warm a.mix.Harness.hot;
-            ])
-        p.arms;
-      Stats.Tablefmt.add_separator table)
-    r.points;
   let curve =
     let plot =
       Stats.Asciiplot.create ~yscale:Stats.Asciiplot.Log
@@ -275,49 +220,38 @@ let render r =
       marks;
     Stats.Asciiplot.render plot
   in
-  Printf.sprintf
-    "%sOpen-loop Zipf(%.2f) trace over %d functions, %s arrivals, %.1f \
-     simulated hours per arm\n\
-     (client-observed latency; depth = peak open-loop backlog; seed %Ld)\n\n\
-     %s\n%s%s"
-    (Report.heading "fig_load: tail latency vs offered load")
-    r.alpha r.functions r.arrival (r.horizon /. 3600.0) r.seed
-    (Stats.Tablefmt.render table)
-    curve
-    (if r.timeline = "" then ""
-     else "\nSEUSS resource timeline at the highest offered load:\n"
-          ^ r.timeline)
-
-let write_csv ~path r =
-  Report.write_csv ~path
-    ~header:
+  {
+    title = "fig_load: tail latency vs offered load";
+    sections =
       [
-        "offered_rps"; "backend"; "invocations"; "ok"; "errors"; "mean_ms";
-        "p50_ms"; "p90_ms"; "p99_ms"; "p999_ms"; "bd_p99_ms"; "bd_p999_ms";
-        "achieved_rps"; "max_in_flight"; "cold"; "warm"; "hot";
-      ]
-    (List.concat_map
-       (fun p ->
-         List.map
-           (fun a ->
-             [
-               Printf.sprintf "%g" p.offered_rps;
-               a.backend;
-               string_of_int a.invocations;
-               string_of_int a.ok;
-               string_of_int a.errors;
-               Printf.sprintf "%.6f" a.mean_ms;
-               Printf.sprintf "%.6f" a.p50_ms;
-               Printf.sprintf "%.6f" a.p90_ms;
-               Printf.sprintf "%.6f" a.p99_ms;
-               Printf.sprintf "%.6f" a.p999_ms;
-               Printf.sprintf "%.6f" a.bd_p99_ms;
-               Printf.sprintf "%.6f" a.bd_p999_ms;
-               Printf.sprintf "%.6f" a.achieved_rps;
-               string_of_int a.max_in_flight;
-               string_of_int a.mix.Harness.cold;
-               string_of_int a.mix.Harness.warm;
-               string_of_int a.mix.Harness.hot;
-             ])
-           p.arms)
-       r.points)
+        params
+          [
+            ("figure", Text "load");
+            ("functions", Int r.functions);
+            ("alpha", f 2 r.alpha);
+            ("arrival", Text r.arrival);
+            ("horizon_s", f 0 r.horizon);
+            ("seed", Int64 r.seed);
+          ];
+        text
+          (Printf.sprintf
+             "Open-loop Zipf(%.2f) trace over %d functions, %s arrivals, %.1f \
+              simulated hours per arm\n\
+              (client-observed latency; depth = peak open-loop backlog; seed \
+              %Ld)\n\n"
+             r.alpha r.functions r.arrival (r.horizon /. 3600.0) r.seed);
+        nested "points"
+          [
+            col ~head:"rps" "offered_rps" (fun p -> f (-1) p.offered_rps);
+            col ~csv:false "trace_events" (fun p -> Int p.trace_events);
+          ]
+          "arms" arms
+          (fun p -> p.arms)
+          r.points;
+        text ("\n" ^ curve);
+        text
+          (if r.timeline = "" then ""
+           else "\nSEUSS resource timeline at the highest offered load:\n"
+                ^ r.timeline);
+      ];
+  }

@@ -75,8 +75,6 @@ val run_trace : ?seed:int64 -> Workload.Trace.t -> result
 (** Replay an externally supplied trace (e.g. loaded from JSONL) as a
     single sweep point against every backend, without a timeline. *)
 
-val to_json : result -> Obs.Json.t
-val render : result -> string
-
-val write_csv : path:string -> result -> unit
-(** One row per (offered rate, backend). *)
+val report : result -> Report.t
+(** One text row and one CSV record per (offered rate, backend); the
+    JSON nests each point's arms under it. *)

@@ -148,98 +148,53 @@ let run ?(functions = 8) ?(rounds = 20) ?(seed = 7L) () =
   in
   { functions; rounds; seed; off; on_; reduction_pct }
 
-let arm_to_json a =
-  Obs.Json.Obj
-    ([
-      ("prefault", Obs.Json.Bool a.prefault);
-      ("warm_invocations", Obs.Json.Int a.warm_invocations);
-      ("mean_ms", Obs.Json.Float a.mean_ms);
-      ("p99_ms", Obs.Json.Float a.p99_ms);
-      ("p999_ms", Obs.Json.Float a.p999_ms);
-      ("cow_faults", Obs.Json.Int a.cow_faults);
-      ("zero_fills", Obs.Json.Int a.zero_fills);
-      ("prefault_batches", Obs.Json.Int a.prefault_batches);
-      ("prefault_pages", Obs.Json.Int a.prefault_pages);
-      ("prefault_cow", Obs.Json.Int a.prefault_cow);
-      ("prefault_zero", Obs.Json.Int a.prefault_zero);
-      ("fault_us", Obs.Json.Float a.fault_us);
-    ]
-    @ if a.failed = 0 then [] else [ ("failed", Obs.Json.Int a.failed) ])
-
-let to_json r =
-  Obs.Json.Obj
-    [
-      ("figure", Obs.Json.String "reap");
-      ("functions", Obs.Json.Int r.functions);
-      ("rounds", Obs.Json.Int r.rounds);
-      ("seed", Obs.Json.String (Int64.to_string r.seed));
-      ("off", arm_to_json r.off);
-      ("on", arm_to_json r.on_);
-      ("reduction_pct", Obs.Json.Float r.reduction_pct);
-    ]
-
-let render r =
-  let table =
-    Stats.Tablefmt.create
-      ~columns:
-        [
-          ("prefault", Stats.Tablefmt.Left);
-          ("warm", Stats.Tablefmt.Right);
-          ("mean ms", Stats.Tablefmt.Right);
-          ("p99 ms", Stats.Tablefmt.Right);
-          ("p999 ms", Stats.Tablefmt.Right);
-          ("cow", Stats.Tablefmt.Right);
-          ("zero", Stats.Tablefmt.Right);
-          ("batched pages", Stats.Tablefmt.Right);
-          ("fault us/inv", Stats.Tablefmt.Right);
-        ]
-  in
-  List.iter
-    (fun a ->
-      Stats.Tablefmt.add_row table
-        [
-          (if a.prefault then "on" else "off");
-          string_of_int a.warm_invocations;
-          Printf.sprintf "%.3f" a.mean_ms;
-          Printf.sprintf "%.3f" a.p99_ms;
-          Printf.sprintf "%.3f" a.p999_ms;
-          string_of_int a.cow_faults;
-          string_of_int a.zero_fills;
-          string_of_int a.prefault_pages;
-          Printf.sprintf "%.1f" a.fault_us;
-        ])
-    [ r.off; r.on_ ];
-  Printf.sprintf
-    "%s%d functions x %d measured warm rounds per arm (idle-UC cache off; \
-     seed %Ld)\nfault-handling time per warm invocation: %.1f us -> %.1f us \
-     (%.1f%% reduction)\n\n%s"
-    (Report.heading "fig_reap: warm-path working-set prefault (REAP)")
-    r.functions r.rounds r.seed r.off.fault_us r.on_.fault_us r.reduction_pct
-    (Stats.Tablefmt.render table)
-  ^ Report.failed_calls (r.off.failed + r.on_.failed)
-
-let write_csv ~path r =
-  Report.write_csv ~path
-    ~header:
+let report r =
+  let open Report in
+  let count ?head key sel = col ?head key (fun a -> Int (sel a)) in
+  let ms3 head key sel = col ~head key (fun a -> f 3 (sel a)) in
+  {
+    title = "fig_reap: warm-path working-set prefault (REAP)";
+    sections =
       [
-        "prefault"; "warm_invocations"; "mean_ms"; "p99_ms"; "p999_ms"; "cow_faults";
-        "zero_fills"; "prefault_batches"; "prefault_pages"; "prefault_cow";
-        "prefault_zero"; "fault_us";
-      ]
-    (List.map
-       (fun a ->
-         [
-           (if a.prefault then "on" else "off");
-           string_of_int a.warm_invocations;
-           Printf.sprintf "%.6f" a.mean_ms;
-           Printf.sprintf "%.6f" a.p99_ms;
-           Printf.sprintf "%.6f" a.p999_ms;
-           string_of_int a.cow_faults;
-           string_of_int a.zero_fills;
-           string_of_int a.prefault_batches;
-           string_of_int a.prefault_pages;
-           string_of_int a.prefault_cow;
-           string_of_int a.prefault_zero;
-           Printf.sprintf "%.6f" a.fault_us;
-         ])
-       [ r.off; r.on_ ])
+        params
+          [
+            ("figure", Text "reap");
+            ("functions", Int r.functions);
+            ("rounds", Int r.rounds);
+            ("seed", Int64 r.seed);
+          ];
+        text
+          (Printf.sprintf
+             "%d functions x %d measured warm rounds per arm (idle-UC cache \
+              off; seed %Ld)\n\
+              fault-handling time per warm invocation: %.1f us -> %.1f us \
+              (%.1f%% reduction)\n\n"
+             r.functions r.rounds r.seed r.off.fault_us r.on_.fault_us
+             r.reduction_pct);
+        named
+          [
+            (* on/off in text and CSV, a bool in JSON *)
+            col ~head:"prefault" ~align:Left ~json:false "prefault" (fun a ->
+                Text (if a.prefault then "on" else "off"));
+            col ~csv:false "prefault" (fun a -> Bool a.prefault);
+            count ~head:"warm" "warm_invocations" (fun a -> a.warm_invocations);
+            ms3 "mean ms" "mean_ms" (fun a -> a.mean_ms);
+            ms3 "p99 ms" "p99_ms" (fun a -> a.p99_ms);
+            ms3 "p999 ms" "p999_ms" (fun a -> a.p999_ms);
+            count ~head:"cow" "cow_faults" (fun a -> a.cow_faults);
+            count ~head:"zero" "zero_fills" (fun a -> a.zero_fills);
+            count "prefault_batches" (fun a -> a.prefault_batches);
+            count ~head:"batched pages" "prefault_pages" (fun a -> a.prefault_pages);
+            count "prefault_cow" (fun a -> a.prefault_cow);
+            count "prefault_zero" (fun a -> a.prefault_zero);
+            col ~head:"fault us/inv" "fault_us" (fun a -> f 1 a.fault_us);
+            (* JSON only, and only when nonzero, so a fault-free report is
+               unchanged *)
+            col ~csv:false "failed" (fun a ->
+                if a.failed = 0 then Absent else Int a.failed);
+          ]
+          [ ("off", r.off); ("on", r.on_) ];
+        params [ ("reduction_pct", f 1 r.reduction_pct) ];
+        failed_calls (r.off.failed + r.on_.failed);
+      ];
+  }

@@ -47,8 +47,5 @@ val run : ?functions:int -> ?rounds:int -> ?seed:int64 -> unit -> result
 (** Defaults: 8 functions, 20 rounds, seed 7.
     @raise Invalid_argument with no function or no round. *)
 
-val to_json : result -> Obs.Json.t
-val render : result -> string
-
-val write_csv : path:string -> result -> unit
-(** One row per arm. *)
+val report : result -> Report.t
+(** One row per arm, named [off] and [on] in the JSON. *)

@@ -111,43 +111,28 @@ let run ?(budget_mib = 3072) ?(seed = 37L) () =
     merge_lag_seconds;
   }
 
-let render r =
-  Report.comparison ~title:"Ablation: KSM (retroactive dedup) vs snapshot stacks"
-    ~note:
-      (Printf.sprintf
-         "Idle Node.js instances in %s. KSM merges duplicate pages after\n\
-          the fact; snapshot stacks never duplicate them (S5: sharing in\n\
-          SEUSS \"is not applied retroactively\").\n"
-         (Report.mb r.budget_bytes))
-    [
-      {
-        Report.label = "process density, no KSM";
-        paper = "-";
-        measured = string_of_int r.process_density;
-      };
-      {
-        Report.label = "process density, KSM";
-        paper = "-";
-        measured = string_of_int r.process_ksm_density;
-      };
-      {
-        Report.label = "SEUSS UC density";
-        paper = "-";
-        measured = string_of_int r.seuss_density;
-      };
-      {
-        Report.label = "pages merged by ksmd";
-        paper = "-";
-        measured = string_of_int r.merged_pages;
-      };
-      {
-        Report.label = "scanning CPU burned";
-        paper = "-";
-        measured = Printf.sprintf "%.1f core-seconds" r.scan_cpu_seconds;
-      };
-      {
-        Report.label = "merge lag for one fresh instance";
-        paper = "-";
-        measured = Printf.sprintf "%.2f s" r.merge_lag_seconds;
-      };
-    ]
+let report r =
+  let open Report in
+  {
+    title = "Ablation: KSM (retroactive dedup) vs snapshot stacks";
+    sections =
+      [
+        params [ ("figure", Text "ksm"); ("budget_bytes", Int64 r.budget_bytes) ];
+        text
+          (Printf.sprintf
+             "Idle Node.js instances in %.1f MB. KSM merges duplicate pages \
+              after\n\
+              the fact; snapshot stacks never duplicate them (S5: sharing in\n\
+              SEUSS \"is not applied retroactively\").\n\n"
+             (Int64.to_float r.budget_bytes /. 1048576.0));
+        comparison
+          [
+            ("process density, no KSM", Absent, Int r.process_density);
+            ("process density, KSM", Absent, Int r.process_ksm_density);
+            ("SEUSS UC density", Absent, Int r.seuss_density);
+            ("pages merged by ksmd", Absent, Int r.merged_pages);
+            ("scanning CPU burned", Absent, f ~unit:"core-seconds" 1 r.scan_cpu_seconds);
+            ("merge lag for one fresh instance", Absent, f ~unit:"s" 2 r.merge_lag_seconds);
+          ];
+      ];
+  }

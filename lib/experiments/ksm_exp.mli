@@ -19,4 +19,4 @@ type result = {
 
 val run : ?budget_mib:int -> ?seed:int64 -> unit -> result
 
-val render : result -> string
+val report : result -> Report.t

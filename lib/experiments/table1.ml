@@ -132,112 +132,64 @@ let run ?(invocations = 475) ?(seed = 7L) () =
       })
 
 let phase_split = function
-  | None -> "n/a"
+  | None -> Report.Text "n/a"
   | Some (p : Obs.Breakdown.phase_means) ->
-      Printf.sprintf "%.2f / %.2f / %.2f / %.2f ms"
-        (p.Obs.Breakdown.deploy *. 1e3)
-        (p.Obs.Breakdown.import *. 1e3)
-        (p.Obs.Breakdown.run *. 1e3)
-        (p.Obs.Breakdown.queue *. 1e3)
+      Report.Text
+        (Printf.sprintf "%.2f / %.2f / %.2f / %.2f ms"
+           (p.Obs.Breakdown.deploy *. 1e3)
+           (p.Obs.Breakdown.import *. 1e3)
+           (p.Obs.Breakdown.run *. 1e3)
+           (p.Obs.Breakdown.queue *. 1e3))
 
 let tail_split = function
-  | None -> "n/a"
+  | None -> Report.Text "n/a"
   | Some (t : Obs.Breakdown.tails) ->
-      Printf.sprintf "%.2f / %.2f / %.2f ms"
-        (t.Obs.Breakdown.p50 *. 1e3)
-        (t.Obs.Breakdown.p99 *. 1e3)
-        (t.Obs.Breakdown.p999 *. 1e3)
+      Report.Text
+        (Printf.sprintf "%.2f / %.2f / %.2f ms"
+           (t.Obs.Breakdown.p50 *. 1e3)
+           (t.Obs.Breakdown.p99 *. 1e3)
+           (t.Obs.Breakdown.p999 *. 1e3))
 
-let render r =
-  let mb_f pages = Report.mb_of_pages (int_of_float pages) in
-  Report.comparison ~title:"Table 1: SEUSS microbenchmarks"
-    ~note:
-      (Printf.sprintf
-         "Latency/footprint rows measured over %d NOP invocations per path\n\
-          (node-side, shim and control plane excluded, AO enabled).\n\
-          Phase splits (deploy / import / run / queue) are per-invocation\n\
-          means derived from the node's structured event log.\n"
-         r.invocations)
-    [
-      {
-        Report.label = "Node.js driver snapshot (no AO)";
-        paper = "109.6 MB";
-        measured = Report.mb r.base_no_ao_bytes;
-      };
-      {
-        Report.label = "Node.js driver snapshot (after AO)";
-        paper = "114.5 MB";
-        measured = Report.mb r.base_ao_bytes;
-      };
-      {
-        Report.label = "NOP function snapshot (no AO)";
-        paper = "4.8 MB";
-        measured = Report.mb r.fn_no_ao_bytes;
-      };
-      {
-        Report.label = "NOP function snapshot (after AO)";
-        paper = "2.0 MB";
-        measured = Report.mb r.fn_ao_bytes;
-      };
-      {
-        Report.label = "Cold start latency";
-        paper = "7.5 ms";
-        measured = Report.ms r.cold.Stats.Summary.mean;
-      };
-      {
-        Report.label = "Warm start latency";
-        paper = "3.5 ms";
-        measured = Report.ms r.warm.Stats.Summary.mean;
-      };
-      {
-        Report.label = "Hot start latency";
-        paper = "0.8 ms";
-        measured = Report.ms r.hot.Stats.Summary.mean;
-      };
-      {
-        Report.label = "Cold phase split (deploy/import/run/queue)";
-        paper = "(event log)";
-        measured = phase_split r.cold_phases;
-      };
-      {
-        Report.label = "Warm phase split (deploy/import/run/queue)";
-        paper = "(event log)";
-        measured = phase_split r.warm_phases;
-      };
-      {
-        Report.label = "Hot phase split (deploy/import/run/queue)";
-        paper = "(event log)";
-        measured = phase_split r.hot_phases;
-      };
-      {
-        Report.label = "Cold latency tails (p50/p99/p999)";
-        paper = "(event log)";
-        measured = tail_split r.cold_tails;
-      };
-      {
-        Report.label = "Warm latency tails (p50/p99/p999)";
-        paper = "(event log)";
-        measured = tail_split r.warm_tails;
-      };
-      {
-        Report.label = "Hot latency tails (p50/p99/p999)";
-        paper = "(event log)";
-        measured = tail_split r.hot_tails;
-      };
-      {
-        Report.label = "Cold start footprint (pages copied)";
-        paper = "(Table 1)";
-        measured = Printf.sprintf "%.0f pages (%s)" r.cold_pages (mb_f r.cold_pages);
-      };
-      {
-        Report.label = "Warm start footprint (pages copied)";
-        paper = "(Table 1)";
-        measured = Printf.sprintf "%.0f pages (%s)" r.warm_pages (mb_f r.warm_pages);
-      };
-      {
-        Report.label = "Hot start footprint (pages copied)";
-        paper = "(Table 1)";
-        measured = Printf.sprintf "%.0f pages (%s)" r.hot_pages (mb_f r.hot_pages);
-      };
-    ]
-  ^ Report.failed_calls r.failed
+let footprint pages =
+  Report.Text
+    (Printf.sprintf "%.0f pages (%.1f MB)" pages
+       (Int64.to_float (Mem.Mconfig.bytes_of_pages (int_of_float pages))
+       /. 1048576.0))
+
+let report r =
+  let open Report in
+  let log = Text "(event log)" and table1 = Text "(Table 1)" in
+  {
+    title = "Table 1: SEUSS microbenchmarks";
+    sections =
+      [
+        params [ ("figure", Text "table1"); ("invocations", Int r.invocations) ];
+        text
+          (Printf.sprintf
+             "Latency/footprint rows measured over %d NOP invocations per path\n\
+              (node-side, shim and control plane excluded, AO enabled).\n\
+              Phase splits (deploy / import / run / queue) are per-invocation\n\
+              means derived from the node's structured event log.\n\n"
+             r.invocations);
+        comparison
+          [
+            ("Node.js driver snapshot (no AO)", f ~unit:"MB" 1 109.6, mb r.base_no_ao_bytes);
+            ("Node.js driver snapshot (after AO)", f ~unit:"MB" 1 114.5, mb r.base_ao_bytes);
+            ("NOP function snapshot (no AO)", f ~unit:"MB" 1 4.8, mb r.fn_no_ao_bytes);
+            ("NOP function snapshot (after AO)", f ~unit:"MB" 1 2.0, mb r.fn_ao_bytes);
+            ("Cold start latency", f ~unit:"ms" 1 7.5, ms r.cold.Stats.Summary.mean);
+            ("Warm start latency", f ~unit:"ms" 1 3.5, ms r.warm.Stats.Summary.mean);
+            ("Hot start latency", f ~unit:"ms" 1 0.8, ms r.hot.Stats.Summary.mean);
+            ("Cold phase split (deploy/import/run/queue)", log, phase_split r.cold_phases);
+            ("Warm phase split (deploy/import/run/queue)", log, phase_split r.warm_phases);
+            ("Hot phase split (deploy/import/run/queue)", log, phase_split r.hot_phases);
+            ("Cold latency tails (p50/p99/p999)", log, tail_split r.cold_tails);
+            ("Warm latency tails (p50/p99/p999)", log, tail_split r.warm_tails);
+            ("Hot latency tails (p50/p99/p999)", log, tail_split r.hot_tails);
+            ("Cold start footprint (pages copied)", table1, footprint r.cold_pages);
+            ("Warm start footprint (pages copied)", table1, footprint r.warm_pages);
+            ("Hot start footprint (pages copied)", table1, footprint r.hot_pages);
+          ];
+        failed_calls r.failed;
+      ];
+  }

@@ -35,4 +35,4 @@ type result = {
 val run : ?invocations:int -> ?seed:int64 -> unit -> result
 (** Default 475 invocations per path. *)
 
-val render : result -> string
+val report : result -> Report.t

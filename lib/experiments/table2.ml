@@ -43,15 +43,23 @@ let run ?(invocations = 50) ?(seed = 7L) () =
   let full_ao = measure Seuss.Config.Ao_full in
   { no_ao; network_ao; full_ao; failed = !failed }
 
-let render r =
-  let f = Printf.sprintf "%.1f ms" in
-  Report.comparison ~title:"Table 2: latency across AO levels" ~note:""
-    [
-      { Report.label = "Cold start, no AO"; paper = "42.0 ms"; measured = f r.no_ao.cold_ms };
-      { Report.label = "Cold start, network AO"; paper = "16.8 ms"; measured = f r.network_ao.cold_ms };
-      { Report.label = "Cold start, network+interp AO"; paper = "7.5 ms"; measured = f r.full_ao.cold_ms };
-      { Report.label = "Warm start, no AO"; paper = "7.6 ms"; measured = f r.no_ao.warm_ms };
-      { Report.label = "Warm start, network AO"; paper = "5.5 ms"; measured = f r.network_ao.warm_ms };
-      { Report.label = "Warm start, network+interp AO"; paper = "3.5 ms"; measured = f r.full_ao.warm_ms };
-    ]
-  ^ Report.failed_calls r.failed
+let report r =
+  let open Report in
+  let msec v = f ~unit:"ms" 1 v in
+  {
+    title = "Table 2: latency across AO levels";
+    sections =
+      [
+        params [ ("figure", Text "table2") ];
+        comparison
+          [
+            ("Cold start, no AO", msec 42.0, msec r.no_ao.cold_ms);
+            ("Cold start, network AO", msec 16.8, msec r.network_ao.cold_ms);
+            ("Cold start, network+interp AO", msec 7.5, msec r.full_ao.cold_ms);
+            ("Warm start, no AO", msec 7.6, msec r.no_ao.warm_ms);
+            ("Warm start, network AO", msec 5.5, msec r.network_ao.warm_ms);
+            ("Warm start, network+interp AO", msec 3.5, msec r.full_ao.warm_ms);
+          ];
+        failed_calls r.failed;
+      ];
+  }

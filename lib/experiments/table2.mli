@@ -19,4 +19,4 @@ val run : ?invocations:int -> ?seed:int64 -> unit -> result
 (** Default 50 invocations per cell (means are tight: the simulation is
     deterministic up to scheduling). *)
 
-val render : result -> string
+val report : result -> Report.t

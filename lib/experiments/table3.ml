@@ -117,46 +117,47 @@ let run ?(budget_bytes = Harness.default_budget) ?rate_sample ?(seed = 13L) ()
   { budget_bytes; firecracker; docker; process; seuss }
 
 let paper_rows =
+  let rate dp v = Report.f ~unit:"/s" dp v in
   [
-    ("Firecracker microVM", "450", "1.3/s");
-    ("Docker w/ overlay2 fs", "3000", "5.3/s");
-    ("Linux process", "4200", "45/s");
-    ("SEUSS UC", "54000", "128.6/s");
+    ("Firecracker microVM", 450, rate 1 1.3);
+    ("Docker w/ overlay2 fs", 3000, rate 1 5.3);
+    ("Linux process", 4200, rate 0 45.0);
+    ("SEUSS UC", 54000, rate 1 128.6);
   ]
 
-let render r =
+let report r =
+  let open Report in
   let gib = Printf.sprintf "%g" (Int64.to_float r.budget_bytes /. 1073741824.0) in
-  let entries =
+  let rows =
     List.concat_map
       (fun row ->
         let paper_density, paper_rate =
-          match List.assoc_opt row.name (List.map (fun (a, b, c) -> (a, (b, c))) paper_rows) with
-          | Some p -> p
-          | None -> ("?", "?")
+          match List.find_opt (fun (n, _, _) -> n = row.name) paper_rows with
+          | Some (_, density, rate) -> (Int density, rate)
+          | None -> (Text "?", Text "?")
         in
         [
-          {
-            Report.label = row.name ^ " — cache density";
-            paper = paper_density;
-            measured =
-              Printf.sprintf "%d (%s each)" row.density
-                (Report.mb row.per_instance_bytes);
-          };
-          {
-            Report.label = row.name ^ " — creation rate";
-            paper = paper_rate;
-            measured = Report.per_s row.rate;
-          };
+          ( row.name ^ " — cache density",
+            paper_density,
+            Text
+              (Printf.sprintf "%d (%.1f MB each)" row.density
+                 (Int64.to_float row.per_instance_bytes /. 1048576.0)) );
+          (row.name ^ " — creation rate", paper_rate, per_s row.rate);
         ])
       [ r.firecracker; r.docker; r.process; r.seuss ]
   in
-  Report.comparison
-    ~title:"Table 3: cache density and 16-way parallel creation rate"
-    ~note:
-      (Printf.sprintf
-         "Idle Node.js runtime environments on %s %s GB / 16-VCPU node.\n\
-          SEUSS creations relayed through the shim (its single TCP\n\
-          connection bounds the rate, as in the paper).\n"
-         (if gib.[0] = '8' || gib = "11" || gib = "18" then "an" else "a")
-         gib)
-    entries
+  {
+    title = "Table 3: cache density and 16-way parallel creation rate";
+    sections =
+      [
+        params [ ("figure", Text "table3"); ("budget_bytes", Int64 r.budget_bytes) ];
+        text
+          (Printf.sprintf
+             "Idle Node.js runtime environments on %s %s GB / 16-VCPU node.\n\
+              SEUSS creations relayed through the shim (its single TCP\n\
+              connection bounds the rate, as in the paper).\n\n"
+             (if gib.[0] = '8' || gib = "11" || gib = "18" then "an" else "a")
+             gib);
+        comparison rows;
+      ];
+  }

@@ -36,4 +36,4 @@ val run :
     observed density, capped at 4000 for SEUSS whose shim-bound rate is
     constant). *)
 
-val render : result -> string
+val report : result -> Report.t

@@ -156,26 +156,33 @@ let compare_arms ?(base = "plain") ~cmd ~tie_dependent ~plain arms render =
     false arms
 
 (* With ARMS_GOLDEN_DIR set, each row's plain output at its first seed
-   is also written to <dir>/arms-<row>.out, and its fault-plan output
-   to <dir>/arms-<row>.fault.out. The runtest action in test/dune sets
-   it to its own directory and diffs those files against the committed
-   test/arms_golden/<row>.txt and <row>.fault.txt, so each golden is
-   checked on the run the sweep makes anyway. A row whose golden that
-   action does not depend on (a row added here but not there) fails. *)
-let write_golden ?(kind = "") row text =
+   must equal <dir>/arms-<row>.out, and its fault-plan output
+   <dir>/arms-<row>.fault.out: the seussctl binary's output at the same
+   arguments, which test/dune writes and diffs against the committed
+   test/arms_golden/<row>.txt and <row>.fault.txt. So each golden is
+   checked on the run the sweep makes anyway. A row with no golden, or
+   no rule in test/dune that writes its output, fails. *)
+let check_golden ?(kind = "") row text =
   match Sys.getenv_opt "ARMS_GOLDEN_DIR" with
   | None | Some "" -> ()
   | Some dir ->
       let name = row.name ^ kind in
       let golden =
         Filename.concat dir (Filename.concat "arms_golden" (name ^ ".txt"))
-      in
-      if not (Sys.file_exists golden) then
-        Alcotest.failf "%s: no golden %s (list it in test/dune)" row.name
-          golden;
-      Out_channel.with_open_bin
-        (Filename.concat dir ("arms-" ^ name ^ ".out"))
-        (fun oc -> Out_channel.output_string oc text)
+      and binary = Filename.concat dir ("arms-" ^ name ^ ".out") in
+      List.iter
+        (fun path ->
+          if not (Sys.file_exists path) then
+            Alcotest.failf "%s: no %s (list it in test/dune)" row.name path)
+        [ golden; binary ];
+      let want = In_channel.with_open_bin binary In_channel.input_all in
+      if not (String.equal want text) then
+        let line, w, g = first_difference want text in
+        Alcotest.failf
+          "%s: in-process output differs from %s at line %d:\n\
+          \  binary: %s\n\
+          \  in-process: %s"
+          name binary line w g
 
 let sweep_row row () =
   let tie_dependent = List.mem_assoc row.name tie_order_dependent in
@@ -185,7 +192,7 @@ let sweep_row row () =
         let cmd = Printf.sprintf "%s %s --seed %Ld" row.name row.args seed in
         let render = render row seed in
         let plain = armed_output cmd ("plain", Rc.default) render in
-        if i = 0 then write_golden row plain;
+        if i = 0 then check_golden row plain;
         let arms =
           if i = 0 then arms
           else
@@ -199,7 +206,7 @@ let sweep_row row () =
         in
         if i = 0 && not (List.mem_assoc row.name fault_exempt) then begin
           let faulted = armed_output cmd fault_plan render in
-          write_golden ~kind:".fault" row faulted;
+          check_golden ~kind:".fault" row faulted;
           ignore
             (compare_arms ~base:(fst fault_plan) ~cmd ~tie_dependent
                ~plain:faulted [ fault_plan_all ] render)
@@ -269,18 +276,46 @@ let csv_records text =
     text;
   List.rev !records
 
-(* Every --csv writer, run at its sweep arguments: a header, at least
-   one data row, and every row as wide as the header. *)
+(* What [row] prints at its sweep arguments and first seed, with
+   [extra] after the arguments. *)
+let output ~extra row =
+  H.with_run Rc.default (render ~extra row (List.hd row.seeds))
+
+let sweep_row_named name = List.find (fun row -> row.name = name) rows
+
+(* What [row] prints at its sweep arguments with --csv, and the CSV's
+   records. *)
+let csv_of row =
+  let path = Filename.temp_file ("seuss-" ^ row.name) ".csv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let out = output ~extra:[ "--csv"; path ] row in
+      (out, csv_records (In_channel.with_open_bin path In_channel.input_all)))
+
+(* The JSON object of a --json output: its first line (chaos's --events
+   lines follow it). *)
+let json_object name out =
+  match Obs.Json.of_string (List.hd (String.split_on_char '\n' out)) with
+  | Ok j -> j
+  | Error msg -> Alcotest.failf "%s --json: %s" name msg
+
+(* What [row] prints with --json at its sweep arguments, and its JSON
+   object. *)
+let json_of row =
+  let args = List.filter (( <> ) "--json") (Cli.words row.args) in
+  let out =
+    output { row with args = String.concat " " args } ~extra:[ "--json" ]
+  in
+  (out, json_object row.name out)
+
+(* Every row's --csv, run at its sweep arguments: a header, at least one
+   data row, and every row as wide as the header. *)
 let csv_writers () =
   List.iter
-    (fun name ->
-      let row = List.find (fun row -> row.name = name) rows in
-      let path = Filename.temp_file ("seuss-" ^ name) ".csv" in
-      let extra = [ "--csv"; path ] in
-      ignore (H.with_run Rc.default (render ~extra row (List.hd row.seeds)));
-      let text = In_channel.with_open_bin path In_channel.input_all in
-      Sys.remove path;
-      match csv_records text with
+    (fun (r : Cli.row) ->
+      let name = r.name in
+      match snd (csv_of (sweep_row_named name)) with
       | header :: (_ :: _ as data) when List.for_all (( <> ) "") header ->
           List.iteri
             (fun i r ->
@@ -289,7 +324,75 @@ let csv_writers () =
                 (List.length header) (List.length r))
             data
       | _ -> Alcotest.failf "%s: want a named header and a data row" name)
-    [ "fig4"; "fig5"; "burst"; "chaos"; "reap"; "load"; "evict" ]
+    Cli.rows
+
+(* Every row's --json, run at its sweep arguments, parses and repeats
+   byte for byte. *)
+let json_writers () =
+  List.iter
+    (fun (r : Cli.row) ->
+      let row = sweep_row_named r.name in
+      let first, _ = json_of row and again, _ = json_of row in
+      Alcotest.(check string) (r.name ^ " --json repeats") first again)
+    Cli.rows
+
+let member_exn key j =
+  match Obs.Json.member key j with
+  | Some v -> v
+  | None -> Alcotest.failf "no member %s" key
+
+(* The writers read one table: each evict arm's p99_ms in the JSON is the
+   CSV's p99_ms cell at CSV precision. evict's sweep arguments include
+   --json, so one run prints the JSON and writes the CSV. *)
+let writers_agree () =
+  let row = sweep_row_named "evict" in
+  let out, records = csv_of row in
+  let arms =
+    match member_exn "arms" (json_object row.name out) with
+    | Obs.Json.List arms -> arms
+    | _ -> Alcotest.fail "arms is not a list"
+  in
+  match records with
+  | header :: data ->
+      let index =
+        let rec go i = function
+          | [] -> Alcotest.fail "no p99_ms column"
+          | "p99_ms" :: _ -> i
+          | _ :: rest -> go (i + 1) rest
+        in
+        go 0 header
+      in
+      Alcotest.(check int) "one record per arm" (List.length arms)
+        (List.length data);
+      List.iter2
+        (fun arm record ->
+          match Obs.Json.to_float (member_exn "p99_ms" arm) with
+          | Some p99 ->
+              Alcotest.(check string) "p99_ms" (Printf.sprintf "%.6f" p99)
+                (List.nth record index)
+          | None -> Alcotest.fail "p99_ms is not a number")
+        arms data
+  | [] -> Alcotest.fail "empty CSV"
+
+(* A table's numbers are numbers: Table 2's paper value for the
+   network+interp AO cold start is 7.5 in the JSON. *)
+let paper_is_numeric () =
+  let _, json = json_of (sweep_row_named "table2") in
+  let quantity = "Cold start, network+interp AO" in
+  let row =
+    match member_exn "quantities" json with
+    | Obs.Json.List rows -> (
+        match
+          List.find_opt
+            (fun q -> Obs.Json.to_str (member_exn "quantity" q) = Some quantity)
+            rows
+        with
+        | Some row -> row
+        | None -> Alcotest.failf "no %S row" quantity)
+    | _ -> Alcotest.fail "quantities is not a list"
+  in
+  Alcotest.(check (option (float 0.0))) "paper" (Some 7.5)
+    (Obs.Json.to_float (member_exn "paper" row))
 
 let () =
   Alcotest.run "arms"
@@ -297,6 +400,12 @@ let () =
       ( "registry",
         [ Alcotest.test_case "rows match" `Quick rows_match_registry ] );
       ("csv", [ Alcotest.test_case "every writer" `Slow csv_writers ]);
+      ( "json",
+        [
+          Alcotest.test_case "every writer" `Slow json_writers;
+          Alcotest.test_case "writers share one table" `Slow writers_agree;
+          Alcotest.test_case "paper values are numbers" `Slow paper_is_numeric;
+        ] );
       ( "sweep",
         List.map
           (fun row -> Alcotest.test_case row.name `Slow (sweep_row row))

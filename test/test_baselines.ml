@@ -90,10 +90,9 @@ let parallel_creation_rate make ~count =
             in
             go ())
       done;
-      (* Wait until the target count is reached. *)
-      while !done_ < count do
-        Sim.Engine.sleep 0.5
-      done;
+      Bounded_wait.until ~poll:0.5 ~within:600.0
+        ~what:(Printf.sprintf "%d parallel creations" count)
+        (fun () -> !done_ >= count);
       float_of_int count /. (Sim.Engine.now engine -. started))
 
 let test_process_creation_rate () =

@@ -21,7 +21,7 @@ let test_table1_shapes () =
   (* Footprints: cold leaves the most private pages, hot the fewest. *)
   Alcotest.(check bool) "footprint ordering" true
     (r.cold_pages > r.warm_pages && r.warm_pages > r.hot_pages);
-  let render = Experiments.Table1.render r in
+  let render = Experiments.(Report.to_text (Table1.report r)) in
   Alcotest.(check bool) "renders" true (String.length render > 100)
 
 (* Under an armed fault plane a NOP deploy can lose its snapshot
@@ -41,7 +41,9 @@ let contains hay needle =
 (* The note names the count the rows were measured over, not the
    paper's 475. *)
 let test_table1_note_count () =
-  let note = Experiments.Table1.(render (run ~invocations:3 ())) in
+  let note =
+    Experiments.(Report.to_text (Table1.report (Table1.run ~invocations:3 ())))
+  in
   let says = "measured over 3 NOP invocations per path" in
   Alcotest.(check bool) says true (contains note says)
 
@@ -85,9 +87,11 @@ let test_table3_orderings () =
    paper's node ([seussctl table3 --mem-gib 2]). *)
 let test_table3_note_budget () =
   let note =
-    Experiments.Table3.(
-      render
-        (run ~budget_bytes:(Int64.of_int (Mem.Mconfig.mib 2048)) ~rate_sample:20 ()))
+    Experiments.(
+      Report.to_text
+        (Table3.report
+           (Table3.run ~budget_bytes:(Int64.of_int (Mem.Mconfig.mib 2048))
+              ~rate_sample:20 ())))
   in
   let says = "on a 2 GB / 16-VCPU node" in
   Alcotest.(check bool) says true (contains note says)
@@ -187,8 +191,8 @@ let test_fig4_deterministic () =
   let r1 = run () and r2 = run () in
   Alcotest.(check bool) "same-seed runs identical" true (r1 = r2);
   Alcotest.(check string) "rendered output identical"
-    (Experiments.Fig4.render r1)
-    (Experiments.Fig4.render r2)
+    Experiments.(Report.to_text (Fig4.report r1))
+    Experiments.(Report.to_text (Fig4.report r2))
 
 let test_fig_reap_reduction () =
   let r = Experiments.Fig_reap.run ~functions:4 ~rounds:6 () in
@@ -258,7 +262,7 @@ let test_fig_load_shapes () =
     r.points;
   Alcotest.(check bool) "timeline captured" true
     (String.length r.timeline > 0);
-  let rendered = render r in
+  let rendered = Experiments.Report.to_text (report r) in
   Alcotest.(check bool) "render mentions every backend" true
     (List.for_all (contains rendered) [ "seuss"; "linux"; "firecracker"; "process" ])
 
@@ -270,8 +274,8 @@ let test_fig_load_same_seed_identical () =
   let r1 = run () and r2 = run () in
   Alcotest.(check bool) "same-seed runs identical" true (r1 = r2);
   Alcotest.(check string) "JSON identical"
-    (Obs.Json.to_string (Experiments.Fig_load.to_json r1))
-    (Obs.Json.to_string (Experiments.Fig_load.to_json r2))
+    Experiments.(Report.to_json (Fig_load.report r1))
+    Experiments.(Report.to_json (Fig_load.report r2))
 
 (* A saved trace replays to the numbers of the sweep that synthesized
    it: save and load through JSONL, replay with run_trace, and the point
@@ -304,8 +308,8 @@ let test_fig_load_replay_equals_synthesis () =
         (replayed.Experiments.Fig_load.points
         = synthesized.Experiments.Fig_load.points);
       Alcotest.(check string) "replayed JSON equals the synthesized JSON"
-        (Obs.Json.to_string (Experiments.Fig_load.to_json synthesized))
-        (Obs.Json.to_string (Experiments.Fig_load.to_json replayed))
+        Experiments.(Report.to_json (Fig_load.report synthesized))
+        Experiments.(Report.to_json (Fig_load.report replayed))
 
 let evict_sizes =
   (* 2 MiB is below even the first member's indexed-runtime footprint,
@@ -352,7 +356,7 @@ let test_fig_evict_shapes () =
   Alcotest.(check bool) "roomy arm stays within budget" true
     (Int64.compare roomy.peak_bytes roomy.cache_bytes <= 0);
   Alcotest.(check bool) "roomy mix = baseline mix" true (roomy.mix = off.mix);
-  let rendered = render r in
+  let rendered = Experiments.Report.to_text (report r) in
   Alcotest.(check bool) "renders with curves" true
     (String.length rendered > 200)
 
@@ -364,8 +368,8 @@ let test_fig_evict_same_seed_identical () =
   let r1 = run () and r2 = run () in
   Alcotest.(check bool) "same-seed runs identical" true (r1 = r2);
   Alcotest.(check string) "JSON identical"
-    (Obs.Json.to_string (Experiments.Fig_evict.to_json r1))
-    (Obs.Json.to_string (Experiments.Fig_evict.to_json r2))
+    Experiments.(Report.to_json (Fig_evict.report r1))
+    Experiments.(Report.to_json (Fig_evict.report r2))
 
 (* The run's node overrides (store budget and policy, prefault) reach
    load's SEUSS arm, but never the evict and reap ladders, which fix
@@ -381,12 +385,12 @@ let test_node_overrides_reach_load_only () =
     }
   in
   let json run f =
-    E.Harness.with_run run (fun () -> Obs.Json.to_string (f ()))
+    E.Harness.with_run run (fun () -> E.Report.to_json (f ()))
   in
   let plain_and_armed f = (json E.Run_config.default f, json overrides f) in
   let load_plain, load_armed =
     plain_and_armed (fun () ->
-        E.Fig_load.to_json
+        E.Fig_load.report
           (E.Fig_load.run ~functions:32 ~hours:0.02 ~rps:[ 2.0; 8.0 ]
              ~arrival:"bursty" ~seed:1L ()))
   in
@@ -394,7 +398,7 @@ let test_node_overrides_reach_load_only () =
     (String.equal load_plain load_armed);
   let evict_plain, evict_armed =
     plain_and_armed (fun () ->
-        E.Fig_evict.to_json
+        E.Fig_evict.report
           (E.Fig_evict.run ~functions:24 ~hours:0.02 ~rate:8.0
              ~sizes:
                [
@@ -407,7 +411,7 @@ let test_node_overrides_reach_load_only () =
   Alcotest.(check string) "the evict ladder ignores them" evict_plain
     evict_armed;
   let reap_plain, reap_armed =
-    plain_and_armed (fun () -> E.Fig_reap.to_json (E.Fig_reap.run ~seed:7L ()))
+    plain_and_armed (fun () -> E.Fig_reap.report (E.Fig_reap.run ~seed:7L ()))
   in
   Alcotest.(check string) "the reap arms ignore them" reap_plain reap_armed
 
@@ -560,27 +564,57 @@ let test_invoke_outcomes () =
 let test_failed_line () =
   let cell = { Experiments.Table2.cold_ms = 7.5; warm_ms = 3.5 } in
   let render failed =
-    Experiments.Table2.render
-      { no_ao = cell; network_ao = cell; full_ao = cell; failed }
+    Experiments.(
+      Report.to_text
+        (Table2.report { no_ao = cell; network_ao = cell; full_ao = cell; failed }))
   in
   Alcotest.(check string) "count 3 appends Report's line"
-    (render 0 ^ Experiments.Report.failed_calls 3)
+    (render 0
+    ^ "failed calls: 3 (an error or an unexpected path; not in the latencies \
+       above)\n")
     (render 3);
   Alcotest.(check bool) "the line names the count" true
     (contains (render 3) "failed calls: 3 ");
   Alcotest.(check bool) "count 0 omits it" false
     (contains (render 0) "failed calls")
 
+(* One table through the three writers: text formats each cell with its
+   decimals and unit, CSV prints six decimals and no unit, and JSON
+   prints numbers as numbers and leaves an absent cell out. *)
 let test_report_rendering () =
-  let text =
-    Experiments.Report.comparison ~title:"T" ~note:"n"
-      [ { Experiments.Report.label = "a"; paper = "1"; measured = "2" } ]
+  let module R = Experiments.Report in
+  let report =
+    {
+      R.title = "T";
+      sections =
+        [
+          R.text "n\n";
+          R.comparison
+            [
+              ("a", R.Int 1, R.ms 7.5e-3);
+              ("b", R.Absent, R.mb (Int64.of_int (2 * 1024 * 1024)));
+            ];
+        ];
+    }
   in
+  let text = R.to_text report in
   Alcotest.(check bool) "contains fields" true
     (String.length text > 10);
-  Alcotest.(check string) "ms format" "7.5 ms" (Experiments.Report.ms 7.5e-3);
-  Alcotest.(check string) "mb format" "2.0 MB"
-    (Experiments.Report.mb (Int64.of_int (2 * 1024 * 1024)))
+  Alcotest.(check bool) "ms format" true (contains text " 7.5 ms |");
+  Alcotest.(check bool) "mb format" true (contains text " 2.0 MB |");
+  Alcotest.(check string) "csv"
+    "quantity,paper,measured,unit\na,1,7.500000,ms\nb,-,2.000000,MB\n"
+    (R.to_csv report);
+  match Obs.Json.of_string (R.to_json report) with
+  | Ok json -> (
+      match Obs.Json.member "quantities" json with
+      | Some (Obs.Json.List [ a; b ]) ->
+          Alcotest.(check (option int)) "paper is a number" (Some 1)
+            (Option.bind (Obs.Json.member "paper" a) Obs.Json.to_int);
+          Alcotest.(check bool) "absent paper left out" true
+            (Obs.Json.member "paper" b = None)
+      | _ -> Alcotest.fail "want two quantities")
+  | Error msg -> Alcotest.fail msg
 
 (* {1 Run configuration}
 

@@ -376,8 +376,8 @@ let test_fig_chaos_deterministic () =
   in
   let r1 = run () and r2 = run () in
   Alcotest.(check string) "identical JSON"
-    (Obs.Json.to_string (Experiments.Fig_chaos.to_json r1))
-    (Obs.Json.to_string (Experiments.Fig_chaos.to_json r2));
+    Experiments.(Report.to_json (Fig_chaos.report r1))
+    Experiments.(Report.to_json (Fig_chaos.report r2));
   Alcotest.(check string) "identical timelines"
     r1.Experiments.Fig_chaos.timeline r2.Experiments.Fig_chaos.timeline;
   match r1.Experiments.Fig_chaos.points with

@@ -68,8 +68,9 @@ let assert_shuffle_identical name render =
 
 let fig4_identity () =
   assert_shuffle_identical "fig4" (fun () ->
-      Experiments.Fig4.render
-        (Experiments.Fig4.run ~set_sizes:[ 64 ] ~client_threads:8 ~seed:5L ()))
+      Experiments.(
+        Report.to_text
+          (Fig4.report (Fig4.run ~set_sizes:[ 64 ] ~client_threads:8 ~seed:5L ()))))
 
 let chaos_identity () =
   assert_shuffle_identical "fig_chaos" (fun () ->
@@ -77,14 +78,13 @@ let chaos_identity () =
         Experiments.Fig_chaos.run ~nodes:2 ~functions:5 ~calls:30
           ~rates:[ 0.0; 0.05 ] ~seed:5L ()
       in
-      Obs.Json.to_string (Experiments.Fig_chaos.to_json r)
+      Experiments.(Report.to_json (Fig_chaos.report r))
       ^ r.Experiments.Fig_chaos.timeline)
 
 let reap_identity () =
   assert_shuffle_identical "fig_reap" (fun () ->
-      Obs.Json.to_string
-        (Experiments.Fig_reap.to_json
-           (Experiments.Fig_reap.run ~functions:4 ~rounds:6 ~seed:5L ())))
+      Experiments.(
+        Report.to_json (Fig_reap.report (Fig_reap.run ~functions:4 ~rounds:6 ~seed:5L ()))))
 
 (* A trimmed fig_load sweep (the timeline lands on the top point's
    SEUSS arm, so the shuffled render must reproduce it byte-for-byte
@@ -94,8 +94,8 @@ let fig_load_small () =
     Experiments.Fig_load.run ~functions:24 ~hours:0.02 ~rps:[ 2.0; 6.0 ]
       ~arrival:"bursty" ~seed:5L ()
   in
-  Obs.Json.to_string (Experiments.Fig_load.to_json r)
-  ^ Experiments.Fig_load.render r
+  let report = Experiments.Fig_load.report r in
+  Experiments.Report.to_json report ^ Experiments.Report.to_text report
 
 let fig_load_identity () =
   assert_shuffle_identical "fig_load" fig_load_small

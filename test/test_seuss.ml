@@ -663,10 +663,8 @@ let test_shim_serializes () =
             ignore (Seuss.Shim.invoke shim nop_fn ~args:"null");
             incr done_count)
       done;
-      (* Wait for all to finish. *)
-      while !done_count < 10 do
-        Sim.Engine.sleep 0.01
-      done;
+      Bounded_wait.until ~what:"10 shim calls to finish" ~within:10.0
+        (fun () -> !done_count = 10);
       let elapsed = Sim.Engine.now engine -. t0 in
       (* 10 requests x 2 transfers x 3.9 ms of serialized lock time. *)
       Alcotest.(check bool) "rate limited by the single connection" true

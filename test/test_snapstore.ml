@@ -326,8 +326,8 @@ let test_env_hook_zero_is_identity () =
   Alcotest.(check bool) "SEUSS_SNAP_CACHE=0 run structurally identical" true
     (baseline = zeroed);
   Alcotest.(check string) "rendered output identical"
-    (Experiments.Fig4.render baseline)
-    (Experiments.Fig4.render zeroed)
+    Experiments.(Report.to_text (Fig4.report baseline))
+    Experiments.(Report.to_text (Fig4.report zeroed))
 
 (* {1 Dedup and eviction scenarios} *)
 
