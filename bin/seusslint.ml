@@ -1,5 +1,5 @@
-(* The seusslint driver — determinism, resource-safety, deadlock and
-   hot-path linter.
+(* The seusslint driver — determinism, resource-safety and hot-path
+   linter.
 
    Runs over every .ml under the given roots (default: lib bin; a root
    may also be a single .ml file), one pass of the table in Lint.Passes
@@ -44,11 +44,7 @@ let list_rules () =
   Printf.printf
     "  %-22s [meta] reported for a registered hot root whose file no \
      longer defines it, or is gone\n"
-    Lint.Rules.stale_root;
-  Printf.printf
-    "  %-22s [meta] reported for an atomic-context registrar whose file no \
-     longer defines it, or is gone\n"
-    Lint.Rules.stale_registrar
+    Lint.Rules.stale_root
 
 (* Minimal JSON string escaping: the report fields are ASCII paths and
    rule prose, but messages may carry quotes or em dashes. *)

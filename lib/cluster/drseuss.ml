@@ -59,7 +59,7 @@ let create ?(nodes = 4) ?(budget_per_node = Int64.mul 16L gib) ?config engine
     engine;
     reg = Registry.create ();
     members;
-    log = Obs.Log.create ~clock:(fun () -> Sim.Engine.now engine) ();
+    log = Seuss.Osenv.create_log engine;
     cursor = 0;
     s_local = 0;
     s_fetches = 0;

@@ -1,4 +1,5 @@
-(* The call graph the interprocedural passes share, built once per run.
+(* The call graph, built once per run: the heat pass walks it, and the
+   base pass borrows its structure walk.
 
    Each top-level binding becomes a node keyed "Module.binding" (module =
    capitalized file basename), plus one "<toplevel>" node per file for
@@ -13,8 +14,8 @@
    resolves to every definition keyed by its last two components
    ("Semaphore.acquire"), and an unqualified reference resolves within
    its own module. Two files with one basename merge under one key —
-   passes analyze the whole candidate set, and [ambiguity] surfaces the
-   collision instead of silently conflating modules. *)
+   the heat pass analyzes the whole candidate set, and [ambiguity]
+   surfaces the collision instead of silently conflating modules. *)
 
 type ref_ = {
   path : string list;
@@ -224,28 +225,7 @@ let build sources =
 
 (* {1 Analyses} *)
 
-let fixpoint g ~init ~join ~equal =
-  let s = Array.map init g.nodes in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Array.iter
-      (fun n ->
-        let acc =
-          List.fold_left
-            (fun acc r ->
-              List.fold_left (fun acc t -> join acc s.(t.id)) acc r.targets)
-            s.(n.id) n.refs
-        in
-        if not (equal acc s.(n.id)) then begin
-          s.(n.id) <- acc;
-          changed := true
-        end)
-      g.nodes
-  done;
-  s
-
-let reach g roots ~follow ?(stop = fun _ -> false) () =
+let reach g roots ~follow =
   let parent = Array.make (Array.length g.nodes) (-1) in
   let queue = Queue.create () in
   let visit p n =
@@ -257,8 +237,7 @@ let reach g roots ~follow ?(stop = fun _ -> false) () =
   List.iter (fun n -> visit n.id n) roots;
   let rec drain () =
     match Queue.take_opt queue with
-    | None -> None
-    | Some n when stop n -> Some n
+    | None -> ()
     | Some n ->
         List.iter
           (fun r ->
@@ -266,7 +245,8 @@ let reach g roots ~follow ?(stop = fun _ -> false) () =
           n.refs;
         drain ()
   in
-  (parent, drain ())
+  drain ();
+  parent
 
 let chain g parent n =
   let rec up acc id =

@@ -1,5 +1,5 @@
-(** The call graph shared by the interprocedural passes, built once per
-    run from the loaded sources.
+(** The call graph of the heat pass, built once per run from the loaded
+    sources (the base pass borrows {!traverse}).
 
     One node per top-level binding (keyed ["Module.binding"]) plus one
     ["<toplevel>"] node per file, each with the identifiers it
@@ -63,10 +63,6 @@ val positional :
 
 val build : Source.t list -> t
 
-val find : t -> node -> string list -> node list
-(** The definitions a path referenced from [node] may denote ([[]] for
-    stdlib, parameters and anything outside the tree). *)
-
 val ambiguous : t -> node -> string list -> bool
 (** Whether the path's key is defined in two or more files. *)
 
@@ -96,20 +92,10 @@ val walk :
 (** {!traverse} one file of the graph, its nodes standing for its
     bindings. A source that failed to parse is skipped. *)
 
-val fixpoint :
-  t -> init:(node -> 'a) -> join:('a -> 'a -> 'a) -> equal:('a -> 'a -> bool) ->
-  'a array
-(** The least summaries, indexed by node id, with every node's summary
-    absorbing those of its references' targets: starts from [init] and
-    repeats until nothing changes. [join] must be monotone. *)
-
-val reach :
-  t -> node list -> follow:(node -> bool) -> ?stop:(node -> bool) -> unit ->
-  int array * node option
+val reach : t -> node list -> follow:(node -> bool) -> int array
 (** Breadth-first reach from the roots over reference targets that
-    satisfy [follow], in reference order. Returns the parent of every
-    reached node ([-1] if unreached; a root is its own parent) and the
-    first dequeued node satisfying [stop], where the search ends. *)
+    satisfy [follow], in reference order: the parent of every reached
+    node ([-1] if unreached; a root is its own parent). *)
 
 val chain : t -> int array -> node -> string list
 (** The keys from a root down to a reached node along {!reach}'s

@@ -1,11 +1,10 @@
 (* seussheat — the hot-path allocation/boxing pass.
 
-   Where {!Deadlock} asks "can this block?", this pass asks "does the
-   per-event path allocate?". It seeds a reach over the shared call
-   graph ({!Graph}) with the registered hot roots ({!Hotroots.registry}
-   — the engine dispatch loop and queue ops, the observability emit
-   path and breakdown fold, counter bumps, trace forks) plus any
-   binding marked
+   This pass asks "does the per-event path allocate?". It seeds a reach
+   over the call graph ({!Graph}) with the registered hot roots
+   ({!Hotroots.registry} — the engine dispatch loop and queue ops, the
+   observability emit path and breakdown fold, counter bumps, trace
+   forks) plus any binding marked
    (* seussheat: hot — <reason> *), and marks everything reachable as
    hot. Only a binding with its own parameter chain re-executes its body
    per reference, so hotness does not propagate into values. Inside hot
@@ -347,8 +346,8 @@ let check pass (prog : Pass.program) =
         && (hot_marked || Hotroots.mem ~file:f.file ~binding:f.binding))
       (Array.to_list g.nodes)
   in
-  let parent, _ =
-    Graph.reach g roots ~follow:(fun t -> t.is_fun && not cold.(t.id)) ()
+  let parent =
+    Graph.reach g roots ~follow:(fun t -> t.is_fun && not cold.(t.id))
   in
   let hot =
     List.filter

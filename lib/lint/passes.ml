@@ -2,7 +2,7 @@
    seusslint's --pass values, --list-rules sections, --time labels and
    dispatch — reads it from here. *)
 
-let all = [ Check.pass; Deadlock.pass; Heat.pass ]
+let all = [ Check.pass; Heat.pass ]
 
 let pass_of r = (List.find (fun p -> List.mem r p.Pass.rules) all).name
 

@@ -1,4 +1,4 @@
-(** The pass table: base, deadlock and heat, in that order. Rule
+(** The pass table: base and heat, in that order. Rule
     ownership, seusslint's [--pass] values, [--list-rules] sections,
     [--time] labels and dispatch all derive from it. *)
 

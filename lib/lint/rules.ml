@@ -16,9 +16,6 @@ type id =
   | Ambient_env
       (** [Sys.getenv] / [Unix.environment] inside lib/, outside the
           run configuration *)
-  | Block_in_handler
-      (** a may-block call reachable from an atomic context (fault hook,
-          log clock, reporter callback) *)
   | Heat_closure  (** a closure allocated inside a hot function body *)
   | Heat_alloc
       (** tuple/record/array/constructor/ref construction, or a call to
@@ -39,7 +36,7 @@ type id =
 let all =
   [
     Bare_random; Wallclock; Hashtbl_order; Physical_eq; Stdout_print;
-    Frame_site; Ambient_env; Block_in_handler; Heat_closure; Heat_alloc;
+    Frame_site; Ambient_env; Heat_closure; Heat_alloc;
     Heat_string; Heat_float_box; Heat_poly_cmp; Heat_partial;
   ]
 
@@ -51,7 +48,6 @@ let name = function
   | Stdout_print -> "stdout-print"
   | Frame_site -> "frame-site"
   | Ambient_env -> "ambient-env"
-  | Block_in_handler -> "block-in-handler"
   | Heat_closure -> "heat-closure"
   | Heat_alloc -> "heat-alloc"
   | Heat_string -> "heat-string"
@@ -90,15 +86,6 @@ let describe = function
       "Sys.getenv / Unix.environment read process state the run never \
        declared; library code takes its arming from an explicit \
        Run_config, which is the one place the environment is parsed"
-  | Block_in_handler ->
-      "a call that may suspend the current process (Semaphore.acquire, \
-       Channel.recv/send, Ivar.read, Engine.sleep, transitively) is \
-       reachable from an atomic context — a memory fault hook, log clock \
-       or reporter callback, invoked in the middle of an update. Reached \
-       from a process, the suspension parks it there and lets other \
-       processes run against the half-done update; reached at \
-       quiescence (a deadlock reporter), it is outside any effect \
-       handler and aborts the run"
   | Heat_closure ->
       "a closure (fun/function outside the binding's own parameter list) \
        is allocated every time this hot function runs; lift it to the top \
@@ -135,4 +122,3 @@ let unused_allow = "unused-allow"
 let parse_error = "parse-error"
 let ambiguous_resolve = "ambiguous-resolve"
 let stale_root = "stale-hot-root"
-let stale_registrar = "stale-registrar"

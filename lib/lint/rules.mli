@@ -18,9 +18,6 @@ type id =
   | Ambient_env
       (** [Sys.getenv] / [Unix.environment] inside lib/, outside the
           run configuration *)
-  | Block_in_handler
-      (** a may-block call reachable from an atomic context (fault hook,
-          log clock, reporter callback) *)
   | Heat_closure  (** a closure allocated inside a hot function body *)
   | Heat_alloc
       (** tuple/record/array/constructor/ref construction, or a call to
@@ -73,9 +70,3 @@ val stale_root : string
 (** ["stale-hot-root"]: a {!Hotroots.registry} entry whose file was
     scanned but defines no top-level binding of that name, or is
     missing from a scanned directory, so the root seeds nothing. *)
-
-val stale_registrar : string
-(** ["stale-registrar"]: a {!Contexts.registrars} entry whose file was
-    scanned but defines no top-level binding of that name, or is
-    missing from a scanned directory, so the deadlock pass guards a
-    callback nothing registers. *)

@@ -18,13 +18,22 @@ type t = {
 
 let default_cores = 16
 
+(* The clock runs inside every emit, mid-update, so in an atomic
+   section. *)
+let create_log engine =
+  Obs.Log.create
+    ~clock:(fun () ->
+      Sim.Engine.atomic engine ~what:"log clock" Sim.Engine.now engine)
+    ()
+
 let create ?budget_bytes engine =
-  let log = Obs.Log.create ~clock:(fun () -> Sim.Engine.now engine) () in
+  let log = create_log engine in
   (* When the schedule sanitizer is armed, surface its race reports on
      this node's event log so they land in exported timelines. Reporters
      accumulate on the shared checker, so in a multi-node cluster every
      node's log receives every race — a race is a cross-node fact and no
-     single node owns it. *)
+     single node owns it. The reporter runs in Hb's race-reporter
+     section, so the emit must not suspend. *)
   if Sim.Hb.enabled engine then
     Sim.Hb.add_reporter engine (fun (r : Sim.Hb.race) ->
         Obs.Log.emit log
@@ -38,8 +47,8 @@ let create ?budget_bytes engine =
   (* Same surfacing for the deadlock sanitizer: each stranded waiter the
      engine finds at quiescence, and each lock-order cycle its
      semaphores found, becomes a San_deadlock event on this node's log.
-     The reporter runs outside any process, where a suspension would
-     abort the run (the deadlock lint pass keeps it block-free). *)
+     The reporter runs outside any process, in the engine's
+     deadlock-reporter section, so the emit must not suspend. *)
   if Sim.Engine.deadlock_armed engine then
     Sim.Engine.add_deadlock_reporter engine
       (fun (s : Sim.Engine.stranded) ->

@@ -32,6 +32,11 @@ val create : ?budget_bytes:int64 -> Sim.Engine.t -> t
 (** Defaults: the paper's 88 GB VM with {!default_cores} cores, event
     ring of {!Obs.Log.default_capacity}. *)
 
+val create_log : Sim.Engine.t -> Obs.Log.t
+(** An event log stamped with the engine's simulated time. The clock
+    reads it inside an atomic section ({!Sim.Engine.atomic}),
+    since it runs in the middle of every emit. *)
+
 val emit : t -> Obs.Event.t -> unit
 (** Emit onto the node's event log (zero simulated-time cost). *)
 

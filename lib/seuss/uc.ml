@@ -82,19 +82,29 @@ let make env ~image ~space ~source =
   (* Feed the node's telemetry from the fault handler: counters for
      both fault kinds, and one event per faulting write range that
      copied shared frames (the snapshot-stack signal; zero-fills are
-     boot noise at event granularity). *)
+     boot noise at event granularity). The hook runs inside the
+     faulting write, mid-update, so in an atomic section. *)
   let cow_faults =
     Obs.Metrics.counter env.Osenv.metrics "mem_cow_faults_total"
   and zero_fills =
     Obs.Metrics.counter env.Osenv.metrics "mem_zero_fills_total"
   in
   Mem.Addr_space.set_fault_hook space (fun fault pages ->
-      match fault with
-      | Mem.Addr_space.Cow_copy ->
-          Obs.Metrics.inc ~by:pages cow_faults;
-          Osenv.emit env (Obs.Event.Cow_fault { uc_id = t.uc_id; pages })
-      | Mem.Addr_space.Zero_fill -> Obs.Metrics.inc ~by:pages zero_fills
-      | Mem.Addr_space.No_fault -> ());
+      (* No closure per fault for [Engine.atomic]: enter and leave by
+         hand, also on the exception path. *)
+      Sim.Engine.atomic_enter env.Osenv.engine ~what:"Uc fault hook";
+      match
+        match fault with
+        | Mem.Addr_space.Cow_copy ->
+            Obs.Metrics.inc ~by:pages cow_faults;
+            Osenv.emit env (Obs.Event.Cow_fault { uc_id = t.uc_id; pages })
+        | Mem.Addr_space.Zero_fill -> Obs.Metrics.inc ~by:pages zero_fills
+        | Mem.Addr_space.No_fault -> ()
+      with
+      | () -> Sim.Engine.atomic_leave env.Osenv.engine
+      | exception exn ->
+          Sim.Engine.atomic_leave env.Osenv.engine;
+          raise exn);
   Net.Proxy.register env.Osenv.proxy ~port:uc_port listener;
   Osenv.note_uc_created env;
   t

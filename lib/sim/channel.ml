@@ -30,7 +30,11 @@ let rec wake_one readers =
   | Some take -> if not (take ()) then wake_one readers
   | None -> ()
 
+(* [send] never parks today, but it is checked like the receives: an
+   atomic callback holds no channel traffic at all, so bounding a
+   channel later cannot turn a quiet section into a suspension. *)
 let send t x =
+  Engine.may_block "Channel.send";
   Hb.signal t.hb;
   Queue.add x t.items;
   wake_one t.readers
@@ -42,7 +46,7 @@ let try_recv t =
       Some x
   | None -> None
 
-let rec recv t =
+let rec recv_loop t =
   match try_recv t with
   | Some x -> x
   | None ->
@@ -61,9 +65,14 @@ let rec recv t =
             t.readers);
       (* An item can be stolen at the same timestamp; re-parking takes a
          fresh wait token. *)
-      recv t
+      recv_loop t
+
+let recv t =
+  Engine.may_block "Channel.recv";
+  recv_loop t
 
 let recv_timeout t ~timeout =
+  Engine.may_block "Channel.recv_timeout";
   match try_recv t with
   | Some x -> Some x
   | None ->

@@ -130,6 +130,11 @@ type t = {
   (* Lock-order cycles found by {!Semaphore}'s acquisition-order check,
      newest first; armed only. *)
   mutable order_cycles : stranded list;
+  (* Atomic sections: the nesting depth and the outermost section's
+     name. Engine-wide rather than per process: code inside a section
+     cannot suspend, so no other process runs until it is left. *)
+  mutable atomic_depth : int;
+  mutable atomic_what : string;
 }
 
 exception Process_failure of string * exn
@@ -212,6 +217,8 @@ let create ?(seed = 1L) ?tie_seed ?(deadlock = false) ?(own = false) () =
       next_resource = 0;
       deadlock_reporters = [];
       order_cycles = [];
+      atomic_depth = 0;
+      atomic_what = "";
     }
   in
   t.self_some <- Some t;
@@ -408,6 +415,40 @@ let self () =
   | None -> invalid_arg "Engine.self: no simulation is running"
 
 let self_opt () = !current
+
+(* {1 Atomic sections} *)
+
+let atomic_enter t ~what =
+  if t.atomic_depth = 0 then t.atomic_what <- what;
+  t.atomic_depth <- t.atomic_depth + 1
+
+let atomic_leave t =
+  if t.atomic_depth = 0 then
+    invalid_arg "Engine.atomic_leave: no atomic section to leave";
+  t.atomic_depth <- t.atomic_depth - 1
+
+(* An exception leaves the section too: cleanup code further up (a
+   [with_permit] release, an interpreter's billing flush) may block. *)
+let atomic t ~what f x =
+  atomic_enter t ~what;
+  match f x with
+  | v ->
+      atomic_leave t;
+      v
+  | exception exn ->
+      atomic_leave t;
+      raise exn
+
+(* seussheat: cold — the failure path of a section: the message is built only to raise *)
+let in_atomic t prim =
+  invalid_arg
+    (Printf.sprintf "%s inside atomic section %S, which must not suspend" prim
+       t.atomic_what)
+
+let may_block prim =
+  match !current with
+  | Some t when t.atomic_depth > 0 -> in_atomic t prim
+  | _ -> ()
 
 (* {1 Keys} *)
 
@@ -631,15 +672,17 @@ let stranded_waiters t =
    raise [Effect.Unhandled]), with the tie shuffler unarmed (each push
    draws a priority), for a wakeup due within the run's [until] cut and
    strictly before the heap root: at an equal time the queued event was
-   pushed first, so FIFO order runs it first.
+   pushed first, so FIFO order runs it first. Inside an atomic section
+   neither path is taken: the sleep fails, naming [prim].
 
    A bad delay is rejected here, in the sleeping process, before either
    path: raised from the effect handler it would escape the process's
    own handler and abort the run without naming the process. *)
-let sleep delay =
+let sleep_as prim delay =
   if not (delay >= 0.0 && delay < Float.infinity) then
     invalid_arg "Engine.sleep: delay must be finite and non-negative";
   match !current with
+  | Some t when t.atomic_depth > 0 -> in_atomic t prim
   | Some t
     when (match t.proc with Some p -> p.p_id > 0 | None -> false)
          && Option.is_none t.tie
@@ -652,8 +695,13 @@ let sleep delay =
   | _ ->
       (* seussheat: cold — the effect payload: performing Sleep boxes its argument by construction *)
       Effect.perform (Sleep delay)
-let yield () = sleep 0.0
-let suspend register = Effect.perform (Suspend register)
+
+let sleep delay = sleep_as "Engine.sleep" delay
+let yield () = sleep_as "Engine.yield" 0.0
+
+let suspend register =
+  may_block "Engine.suspend";
+  Effect.perform (Suspend register)
 
 (* Run [f] as a process: a deep handler interprets Sleep/Suspend by parking
    the continuation in the event arena or with the caller's registrar. The
@@ -715,17 +763,27 @@ let spawn t ?(name = "process") ?(daemon = false) f =
 
 let restore_idle t =
   t.running <- false;
+  t.atomic_depth <- 0;
   t.proc <- None;
   current := None
 
+(* Reporters and census hooks run outside any process, so each runs in
+   an atomic section: a suspension there fails naming the section
+   instead of escaping as an unhandled effect. *)
 (* seussheat: cold — runs once per drained armed run, off the dispatch path *)
 let report_stranded t =
   List.iter
-    (fun s -> List.iter (fun f -> f s) (List.rev t.deadlock_reporters))
+    (fun s ->
+      List.iter
+        (fun f -> atomic t ~what:"deadlock reporter" f s)
+        (List.rev t.deadlock_reporters))
     (stranded_waiters t)
 
 (* seussheat: cold — runs once per drained armed run, off the dispatch path *)
-let run_census t = List.iter (fun f -> f ()) (List.rev t.census_hooks)
+let run_census t =
+  List.iter
+    (fun f -> atomic t ~what:"census hook" f ())
+    (List.rev t.census_hooks)
 
 (* The dispatch loop, as a tail-recursive drain so an unarmed run
    allocates nothing at all: no option per peek/pop (slot columns are

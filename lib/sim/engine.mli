@@ -171,7 +171,7 @@ val sleep : float -> unit
     {!schedule} callback, it raises [Effect.Unhandled].
     @raise Invalid_argument in the calling process when the delay is
     negative or not finite, so {!run} fails with {!Process_failure}
-    naming that process. *)
+    naming that process, and inside an atomic section. *)
 
 val yield : unit -> unit
 (** [yield ()] is [sleep 0.]: lets other events at this timestamp run. *)
@@ -180,7 +180,45 @@ val suspend : ((unit -> unit) -> unit) -> unit
 (** [suspend register] parks the current process. [register resume] is
     called immediately with a one-shot [resume] function; calling
     [resume ()] re-schedules the process at the then-current time. This is
-    the primitive from which all blocking structures are built. *)
+    the primitive from which all blocking structures are built.
+    @raise Invalid_argument inside an atomic section. *)
+
+(** {1 Atomic sections}
+
+    A callback that runs in the middle of an update (a memory fault
+    hook, a log clock, a race or deadlock reporter, a census hook) must
+    not suspend. Inside a process a suspension would park it mid-update
+    and let other processes run against the half-done state; outside
+    one there is no handler to park it. Such a callback runs in a
+    section ({!atomic}). While a section is open, {!sleep}, {!yield}
+    and {!suspend} raise [Invalid_argument] naming the primitive and
+    the section, and so does every blocking primitive on entry
+    ({!may_block}), also when the call would not have blocked this
+    time. The depth lives in the engine, not in a process: code inside
+    a section cannot suspend, so nothing else runs until it is left.
+    Entering, leaving and the checks allocate nothing, schedule nothing
+    and draw nothing. *)
+
+val atomic : t -> what:string -> ('a -> 'b) -> 'a -> 'b
+(** [atomic t ~what f x] is [f x] inside a section named [what], which
+    is left also when [f] raises. Sections nest; a failure names the
+    outermost open one. *)
+
+val atomic_enter : t -> what:string -> unit
+(** Open a section without a closure, for a callback of two arguments
+    that must not allocate per call. Pair it with {!atomic_leave}, also
+    on the exception path; {!run} resets the depth when it returns or
+    raises. *)
+
+val atomic_leave : t -> unit
+(** Close the innermost section.
+    @raise Invalid_argument when no section is open. *)
+
+val may_block : string -> unit
+(** [may_block prim] is called on entry by every primitive that can
+    suspend; [prim] names it (["Semaphore.acquire"]).
+    @raise Invalid_argument naming [prim] and the section when the
+    running engine is inside an atomic section. *)
 
 (** {1 Deadlock sanitizer}
 
@@ -226,9 +264,9 @@ val stranded_waiters : t -> stranded list
 val add_deadlock_reporter : t -> (stranded -> unit) -> unit
 (** Register a callback invoked once per {!stranded_waiters} entry when
     {!run} reaches natural quiescence with the detector armed.
-    Reporters run outside any process, so a suspension there is an
-    unhandled effect that aborts the run; the deadlock lint pass's
-    [block-in-handler] rule keeps them block-free. *)
+    Reporters run outside any process, each in an atomic section, so
+    one that suspends fails the run with [Invalid_argument] naming the
+    ["deadlock reporter"] section. *)
 
 val note_order_cycle : t -> string -> unit
 (** [note_order_cycle t cycle] adds a {!stranded_waiters} entry for the
@@ -251,8 +289,10 @@ val own_armed : t -> bool
 
 val add_census_hook : t -> (unit -> unit) -> unit
 (** Register a quiescence census hook (registration order preserved).
-    Hooks run outside any process — they must not block. Never invoked
-    when the census is unarmed. *)
+    Hooks run outside any process, each in an atomic section, so one
+    that suspends fails the run with [Invalid_argument] naming the
+    ["census hook"] section. Never invoked when the census is
+    unarmed. *)
 
 val current_pid : t -> int
 (** Pid of the currently-dispatching process, [0] outside one. *)

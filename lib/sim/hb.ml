@@ -208,9 +208,13 @@ type cell = {
 
 let cell ~name = { name; atime = neg_infinity; accs = [] }
 
+(* A reporter runs inside the access it reports, so in an atomic
+   section: one that suspends fails naming it. *)
 let report st race =
   st.races <- race :: st.races;
-  List.iter (fun f -> f race) st.reporters
+  List.iter
+    (fun f -> Engine.atomic st.engine ~what:"race reporter" f race)
+    st.reporters
 
 let access c ~write =
   with_state (fun st ->

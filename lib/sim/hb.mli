@@ -40,7 +40,9 @@ val add_reporter : Engine.t -> (race -> unit) -> unit
     event). Reporters accumulate: every registered reporter receives
     every subsequent race, so each node env on a shared engine can log
     races to its own timeline. Races found before any reporter is
-    registered remain visible via {!races} only.
+    registered remain visible via {!races} only. A reporter runs
+    inside the access it reports, in an atomic section
+    (["race reporter"]), so it must not suspend.
     @raise Invalid_argument if the checker is not enabled. *)
 
 val races : Engine.t -> race list

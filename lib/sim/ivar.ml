@@ -38,6 +38,7 @@ let peek t =
   | Empty _ -> None
 
 let read t =
+  Engine.may_block "Ivar.read";
   match t.state with
   | Full v ->
       Hb.observe t.hb;
@@ -62,6 +63,7 @@ let read t =
       | Empty _ -> assert false)
 
 let read_timeout t ~timeout =
+  Engine.may_block "Ivar.read_timeout";
   match t.state with
   | Full v ->
       Hb.observe t.hb;

@@ -21,8 +21,11 @@ val is_full : 'a t -> bool
 val peek : 'a t -> 'a option
 
 val read : 'a t -> 'a
-(** Blocks the current process until the ivar is filled. *)
+(** Blocks the current process until the ivar is filled.
+    @raise Invalid_argument inside an atomic section
+    ({!Engine.atomic}), also when the ivar is already full. *)
 
 val read_timeout : 'a t -> timeout:float -> 'a option
 (** [read_timeout t ~timeout] is [Some v] if [t] fills within [timeout]
-    simulated seconds, [None] otherwise. *)
+    simulated seconds, [None] otherwise.
+    @raise Invalid_argument inside an atomic section, as {!read}. *)

@@ -119,7 +119,9 @@ let try_acquire t =
   end
   else false
 
-let acquire t =
+(* [acquire] and [with_permit] check for an atomic section on entry,
+   each under its own name, then take the permit here. *)
+let take t =
   (match Engine.self_opt () with
   | Some e when Engine.deadlock_armed e -> note_wanted t e
   | _ -> ());
@@ -141,6 +143,11 @@ let acquire t =
        holder from the moment we run again. *)
     note_acquire t
   end
+
+let acquire t =
+  Engine.may_block "Semaphore.acquire";
+  take t
+
 (* The permit is handed directly to the woken waiter: [release] does not
    increment [avail] when a waiter is pending, so no third party can steal
    the permit between release and wakeup. *)
@@ -156,7 +163,8 @@ let release t =
       t.avail <- t.avail + 1
 
 let with_permit t f =
-  acquire t;
+  Engine.may_block "Semaphore.with_permit";
+  take t;
   match f () with
   | v ->
       release t;

@@ -17,7 +17,9 @@ val in_use : t -> int
 (** [capacity t - available t]. *)
 
 val acquire : t -> unit
-(** Blocks the current process until a permit is available. *)
+(** Blocks the current process until a permit is available.
+    @raise Invalid_argument inside an atomic section
+    ({!Engine.atomic}), also when a permit is free. *)
 
 val try_acquire : t -> bool
 
@@ -25,4 +27,5 @@ val release : t -> unit
 (** @raise Invalid_argument if releasing above capacity. *)
 
 val with_permit : t -> (unit -> 'a) -> 'a
-(** Acquire, run, release (also on exception). *)
+(** Acquire, run, release (also on exception).
+    @raise Invalid_argument inside an atomic section, as {!acquire}. *)

@@ -47,7 +47,7 @@ let check_no_parse_errors () =
            (fun (src : Lint.Source.t) ->
              String.starts_with ~prefix:("lint_fixtures/" ^ dir ^ "/") src.rel)
            sources))
-    [ "lib"; "deadlock"; "heat" ];
+    [ "lib"; "heat" ];
   List.iter
     (fun (src : Lint.Source.t) ->
       match src.ast with
@@ -116,44 +116,6 @@ let check_planted vs dir cases =
       Alcotest.(check int) (file ^ " count") expected (List.length hits))
     cases
 
-let check_deadlock_fixture_tree () =
-  (* Mirror CI's "Deadlock fixtures still fail" step: each fixture file
-     trips exactly its rule family, with the planted counts, and the
-     seussdead allow fixture stays clean. *)
-  let vs =
-    Lint.Passes.check_tree ~strip_prefix:"lint_fixtures" Lint.Deadlock.pass
-      [ "lint_fixtures/deadlock" ]
-  in
-  check_planted vs "deadlock/"
-    [
-      ("handler_blocks.ml", "block-in-handler", 3);
-    ];
-  Alcotest.(check (list string)) "allow_ok clean under seussdead" []
-    (rules_hit (in_file vs "deadlock/allow_ok.ml"));
-  (* The base/heat fixtures must not confuse the deadlock pass — except
-     for the heat ambiguity fixture, whose suffix-2 collision the
-     deadlock pass also surfaces (at every reference site, hot or not). *)
-  let whole =
-    Lint.Passes.check_tree ~strip_prefix:"lint_fixtures" Lint.Deadlock.pass
-      [ "lint_fixtures" ]
-  in
-  Alcotest.(check int) "whole fixture tree: planted hits + the collision" 4
-    (List.length whole);
-  Alcotest.(check (list string))
-    "the one extra is the suffix-2 collision"
-    [ Lint.Rules.ambiguous_resolve ]
-    (rules_hit
-       (List.filter
-          (fun v -> String.starts_with ~prefix:"heat/" v.Lint.Source.file)
-          whole));
-  Alcotest.(check bool) "base pass ignores deadlock/heat fixtures" false
-    (List.exists
-       (fun v ->
-         String.starts_with ~prefix:"deadlock/" v.Lint.Source.file
-         || String.starts_with ~prefix:"heat/" v.Lint.Source.file)
-       (Lint.Passes.check_tree ~strip_prefix:"lint_fixtures" Lint.Check.pass
-          [ "lint_fixtures" ]))
-
 let check_heat_fixture_tree () =
   (* Mirror CI's "Heat fixtures still fail" step: every heat rule fires
      on its fixture with the planted count, the marker meta-rules fire,
@@ -188,18 +150,23 @@ let check_heat_fixture_tree () =
           (v.Lint.Source.rule ^ " message carries a hot chain") true
           (contains v.Lint.Source.message "hot path ("))
     vs;
-  (* Cross-pass isolation: the heat pass sees nothing in the base and
-     deadlock fixtures (their markers are not seussheat's), and the heat
-     markers are invisible to the other two scanners. *)
-  Alcotest.(check int) "heat pass ignores the base/deadlock fixtures" 0
+  (* Cross-pass isolation: the heat pass sees nothing in the base
+     fixtures (their markers are not seussheat's), and the base pass
+     nothing in the heat fixtures. *)
+  Alcotest.(check int) "heat pass ignores the base fixtures" 0
     (List.length
        (Lint.Passes.check_tree ~strip_prefix:"lint_fixtures" Lint.Heat.pass
-          [ "lint_fixtures/lib"; "lint_fixtures/deadlock" ]))
+          [ "lint_fixtures/lib" ]));
+  Alcotest.(check bool) "base pass ignores the heat fixtures" false
+    (List.exists
+       (fun v -> String.starts_with ~prefix:"heat/" v.Lint.Source.file)
+       (Lint.Passes.check_tree ~strip_prefix:"lint_fixtures" Lint.Check.pass
+          [ "lint_fixtures" ]))
 
 let check_pass_all_shared_parse () =
-  (* --pass all must equal the union of the three passes over the same
-     tree, deduplicated: both interprocedural passes surface the same
-     suffix-2 collision, which must be reported once. *)
+  (* --pass all over one shared parse must report exactly the union of
+     the two passes over the same tree, each finding attributed to the
+     pass that produced it. *)
   let sources =
     Lint.Source.load_tree ~strip_prefix:"lint_fixtures" [ "lint_fixtures" ]
   in
@@ -210,14 +177,19 @@ let check_pass_all_shared_parse () =
       sources
   in
   let base = Lint.Passes.check prog Lint.Check.pass in
-  let dl = Lint.Passes.check prog Lint.Deadlock.pass in
   let heat = Lint.Passes.check prog Lint.Heat.pass in
   let merged =
-    List.sort_uniq Lint.Source.compare_violation (base @ dl @ heat)
+    Lint.Passes.merge [ (Lint.Check.pass, base); (Lint.Heat.pass, heat) ]
   in
-  Alcotest.(check int) "dedup removes the doubly-reported collision"
-    (List.length base + List.length dl + List.length heat - 1)
-    (List.length merged)
+  Alcotest.(check int) "the union of both passes"
+    (List.length base + List.length heat)
+    (List.length merged);
+  Alcotest.(check int) "heat findings attributed to the heat pass"
+    (List.length heat)
+    (List.length
+       (List.filter
+          (fun ((p : Lint.Pass.t), _) -> String.equal p.name "heat")
+          merged))
 
 (* {1 The catch ledger}
 
@@ -337,41 +309,6 @@ let check_deleted_hot_root_file () =
   Alcotest.(check int) "a file root walks no directory" 0
     (List.length (lint_scratch ~file_roots:true Lint.Heat.pass files))
 
-(* The deadlock pass's registrars follow the same rule: Log.create's
-   row goes stale when lib/obs/log.ml stops defining [create], and
-   Hb.add_reporter's when lib/sim/hb.ml is gone from a scanned
-   lib/sim/. *)
-let check_stale_registrar () =
-  let log code = lint_scratch Lint.Deadlock.pass [ ("lib/obs/log.ml", code) ] in
-  Alcotest.(check (list (triple string string string)))
-    "a registrar without its binding"
-    [
-      ( Lint.Rules.stale_registrar,
-        "lib/obs/log.ml",
-        "registrar Log.create is listed in Lint.Contexts but lib/obs/log.ml \
-         has no top-level binding create; update or delete the entry" );
-    ]
-    (found (log "let emit x = x\n"));
-  Alcotest.(check int) "a defined registrar is not stale" 0
-    (List.length (log "let create ~clock () = clock ()\n"))
-
-let check_deleted_registrar_file () =
-  let files =
-    [ ("lib/sim/engine.ml", "let add_deadlock_reporter t f = ignore (t, f)\n") ]
-  in
-  Alcotest.(check (list (triple string string string)))
-    "a registrar whose file is gone"
-    [
-      ( Lint.Rules.stale_registrar,
-        "lib/sim/hb.ml",
-        "registrar Hb.add_reporter is listed in Lint.Contexts but \
-         lib/sim/hb.ml is missing from the scanned lib/sim/; update or \
-         delete the entry" );
-    ]
-    (found (lint_scratch Lint.Deadlock.pass files));
-  Alcotest.(check int) "a file root walks no directory" 0
-    (List.length (lint_scratch ~file_roots:true Lint.Deadlock.pass files))
-
 let check_missing_root () =
   match Lint.Source.load_tree [ "lint_fixtures"; "no/such/dir" ] with
   | _ -> Alcotest.fail "a missing root loaded"
@@ -401,9 +338,6 @@ let marker_rows =
   [
     ( Lint.Check.pass, "seusslint: allow physical-eq", "let f a b = a == b",
       "allowance for physical-eq suppresses nothing; delete it" );
-    ( Lint.Deadlock.pass, "seussdead: allow block-in-handler",
-      "let f () = Obs.Log.create ~clock:(fun () -> Sim.Engine.yield (); 0.) ()",
-      "allowance for block-in-handler suppresses nothing; delete it" );
     ( Lint.Heat.pass, "seussheat: cold", "let f x = x + 1",
       "cold marker covers no binding and silences nothing; delete it" );
   ]
@@ -415,9 +349,6 @@ let foreign_rules =
     ( "base", "physical-eq",
       "rule physical-eq belongs to the base pass; suppress it with a \
        seusslint: allow comment" );
-    ( "deadlock", "block-in-handler",
-      "rule block-in-handler belongs to the deadlock pass; suppress it with \
-       a seussdead: allow comment" );
     ( "heat", "heat-alloc",
       "rule heat-alloc belongs to the heat pass; suppress it with a \
        seussheat: cold marker" );
@@ -539,17 +470,11 @@ let () =
             check_stale_hot_root;
           Alcotest.test_case "deleted hot root file is a finding" `Quick
             check_deleted_hot_root_file;
-          Alcotest.test_case "stale registrar is a finding" `Quick
-            check_stale_registrar;
-          Alcotest.test_case "deleted registrar file is a finding" `Quick
-            check_deleted_registrar_file;
         ] );
       ( "tree",
         [
           Alcotest.test_case "fixture tree under --strip-prefix" `Quick
             check_strip_prefix_tree;
-          Alcotest.test_case "deadlock fixture tree" `Quick
-            check_deadlock_fixture_tree;
           Alcotest.test_case "heat fixture tree" `Quick
             check_heat_fixture_tree;
           Alcotest.test_case "--pass all shares one parse" `Quick

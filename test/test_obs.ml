@@ -564,6 +564,39 @@ let test_node_event_stream_roundtrips () =
       in
       Alcotest.(check bool) "timestamps monotone" true mono
 
+(* {1 Word budgets}
+
+   Exact minor-word counts for the obs hot roots, in the style of
+   test_sim's zero-alloc dispatch: once the ring is allocated, an emit
+   with no subscriber stores the stamp unboxed and the event by pointer,
+   and a counter bump is one integer store. Passing [~by] boxes it into
+   a 2-word [Some] at the call site (Uc's fault hook pays it per fault
+   range); the bump's own body allocates nothing. *)
+
+let words_per n f =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let test_log_emit_word_budget () =
+  let log = Obs.Log.create ~clock:(fun () -> 1.5) () in
+  let ev = Obs.Event.Invoke_start { fn_id = "f" } in
+  Alcotest.(check (float 0.0)) "minor words per emit, no subscriber" 0.0
+    (words_per 10_000 (fun () -> Obs.Log.emit log ev))
+
+let test_metrics_inc_word_budget () =
+  let m = Obs.Metrics.create () in
+  let c = Obs.Metrics.counter m "hits" in
+  let pages = ref 3 in
+  Alcotest.(check (float 0.0)) "minor words per inc" 0.0
+    (words_per 10_000 (fun () -> Obs.Metrics.inc c));
+  Alcotest.(check (float 0.0)) "minor words per inc ~by" 2.0
+    (words_per 10_000 (fun () -> Obs.Metrics.inc ~by:!pages c));
+  Alcotest.(check int) "every bump counted" (10_000 + (3 * 10_000))
+    (Obs.Metrics.value c)
+
 let () =
   let case name f = Alcotest.test_case name `Quick f in
   Alcotest.run "obs"
@@ -586,10 +619,12 @@ let () =
           case "cow_fault pages roundtrip" test_log_cow_fault_pages_roundtrip;
           case "cow_fault without pages rejected"
             test_log_cow_fault_needs_pages;
+          case "emit word budget" test_log_emit_word_budget;
         ] );
       ( "metrics",
         [
           case "counters and labels" test_metrics_counters_and_labels;
+          case "inc word budget" test_metrics_inc_word_budget;
         ] );
       ("chrome", [ case "document structure" test_chrome_document_structure ]);
       ( "breakdown",

@@ -197,6 +197,25 @@ let hb_dormant_is_free () =
   Alcotest.(check int) "no checker, no races" 0 (List.length (Sim.Hb.races engine));
   Alcotest.(check bool) "not enabled" false (Sim.Hb.enabled engine)
 
+(* A race reporter runs inside the access it reports, in an atomic
+   section: one that yields fails the racing process, naming the
+   section. *)
+let hb_reporter_must_not_suspend () =
+  let cell = Sim.Hb.cell ~name:"toy.reported" in
+  let engine = Sim.Engine.create ~seed:1L () in
+  ignore (Sim.Hb.enable engine);
+  Sim.Hb.add_reporter engine (fun _ -> Sim.Engine.yield ());
+  Sim.Engine.spawn engine ~name:"w1" (fun () -> Sim.Hb.write cell);
+  Sim.Engine.spawn engine ~name:"w2" (fun () -> Sim.Hb.write cell);
+  match Sim.Engine.run engine with
+  | () -> Alcotest.fail "a yielding reporter went unnoticed"
+  | exception Sim.Engine.Process_failure (name, Invalid_argument msg) ->
+      Alcotest.(check string) "the second writer fails" "w2" name;
+      Alcotest.(check string) "message"
+        "Engine.yield inside atomic section \"race reporter\", which must \
+         not suspend"
+        msg
+
 let experiments_race_free () =
   (* The acceptance gate: shipped workloads report zero unsynchronized
      pairs with the checker armed. Single-node: drive concurrent
@@ -428,6 +447,8 @@ let () =
           Alcotest.test_case "time separation" `Quick hb_time_separation_orders;
           Alcotest.test_case "spawn edge" `Quick hb_spawn_edge_orders;
           Alcotest.test_case "dormant free" `Quick hb_dormant_is_free;
+          Alcotest.test_case "reporter must not suspend" `Quick
+            hb_reporter_must_not_suspend;
           QCheck_alcotest.to_alcotest hb_pruned_matches_reference;
           Alcotest.test_case "experiments race-free" `Slow experiments_race_free;
         ] );

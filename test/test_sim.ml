@@ -1003,6 +1003,197 @@ let test_engine_zero_alloc_dispatch () =
     (Printf.sprintf "minor words allocated across %d dispatches" (measured + 1))
     0.0 (w1 -. w0)
 
+(* Word budgets for the other engine hot roots, counted the same way
+   inside a process. A timer handle is one two-field record (3 words);
+   the cancel that drops it allocates nothing. An uncontended
+   acquire/release pair takes 8 words with every sanitizer unarmed:
+   [Hb.observe] and [Hb.signal] each build a 4-word closure for
+   [Hb.with_state] before finding the checker off. *)
+let words_in_process n f =
+  let engine = Sim.Engine.create ~seed:1L () in
+  let words = ref (-1.0) in
+  Sim.Engine.spawn engine (fun () ->
+      f engine;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        f engine
+      done;
+      words := (Gc.minor_words () -. w0) /. float_of_int n);
+  Sim.Engine.run engine;
+  !words
+
+let test_timer_word_budget () =
+  Alcotest.(check (float 0.0)) "minor words per schedule_timer + cancel" 3.0
+    (words_in_process 10_000 (fun e ->
+         Sim.Engine.cancel e (Sim.Engine.schedule_timer e ~delay:1.0 ignore)))
+
+let test_semaphore_word_budget () =
+  let sem = Sim.Semaphore.create 1 in
+  Alcotest.(check (float 0.0)) "minor words per acquire + release" 8.0
+    (words_in_process 10_000 (fun _ ->
+         Sim.Semaphore.acquire sem;
+         Sim.Semaphore.release sem))
+
+(* {1 Atomic sections} *)
+
+(* [f] run by process "p" inside a section named "probe section": the
+   message of the [Invalid_argument] it fails with, if any. *)
+let section_failure f =
+  let engine = Sim.Engine.create () in
+  Sim.Engine.spawn engine ~name:"p" (fun () ->
+      Sim.Engine.atomic engine ~what:"probe section" f engine);
+  match Sim.Engine.run engine with
+  | () -> None
+  | exception Sim.Engine.Process_failure ("p", Invalid_argument msg) -> Some msg
+
+let in_section prim section =
+  Some (Printf.sprintf "%s inside atomic section %S, which must not suspend"
+          prim section)
+
+(* Every primitive that can suspend fails on entry, also where this call
+   would not have blocked: a free permit, a full ivar, a queued item. *)
+let test_atomic_primitives_raise () =
+  let full () =
+    let iv = Sim.Ivar.create () in
+    Sim.Ivar.fill iv ();
+    iv
+  in
+  (* Filled outside the section: a send inside one fails too. *)
+  let queued () =
+    let ch = Sim.Channel.create () in
+    Sim.Channel.send ch ();
+    ch
+  in
+  let ch1 = queued () and ch2 = queued () in
+  List.iter
+    (fun (prim, f) ->
+      Alcotest.(check (option string)) prim (in_section prim "probe section")
+        (section_failure f))
+    [
+      ("Engine.sleep", fun _ -> Sim.Engine.sleep 1.0);
+      ("Engine.yield", fun _ -> Sim.Engine.yield ());
+      ("Engine.suspend", fun _ -> Sim.Engine.suspend (fun resume -> resume ()));
+      ( "Semaphore.acquire",
+        fun _ -> Sim.Semaphore.acquire (Sim.Semaphore.create 1) );
+      ( "Semaphore.with_permit",
+        fun _ -> Sim.Semaphore.with_permit (Sim.Semaphore.create 1) ignore );
+      ("Ivar.read", fun _ -> Sim.Ivar.read (full ()));
+      ( "Ivar.read_timeout",
+        fun _ -> ignore (Sim.Ivar.read_timeout (full ()) ~timeout:1.0) );
+      ("Channel.send", fun _ -> Sim.Channel.send (Sim.Channel.create ()) ());
+      ("Channel.recv", fun _ -> Sim.Channel.recv ch1);
+      ( "Channel.recv_timeout",
+        fun _ -> ignore (Sim.Channel.recv_timeout ch2 ~timeout:1.0) );
+    ];
+  Alcotest.(check (option string)) "non-blocking calls pass" None
+    (section_failure (fun e ->
+         let iv = Sim.Ivar.create () in
+         Sim.Ivar.fill iv ();
+         ignore (Sim.Ivar.peek iv);
+         ignore (Sim.Semaphore.try_acquire (Sim.Semaphore.create 1));
+         ignore (Sim.Channel.try_recv (Sim.Channel.create ()));
+         Sim.Engine.schedule e ~delay:1.0 ignore))
+
+(* Sections nest: leaving the inner one keeps the outer open, and a
+   failure names the outermost. *)
+let test_atomic_nested () =
+  Alcotest.(check (option string)) "still inside the outer section"
+    (in_section "Engine.yield" "probe section")
+    (section_failure (fun e ->
+         Sim.Engine.atomic_enter e ~what:"inner";
+         Sim.Engine.atomic_leave e;
+         Sim.Engine.yield ()));
+  Alcotest.(check (option string)) "a nested failure names the outermost"
+    (in_section "Engine.sleep" "probe section")
+    (section_failure (fun e ->
+         Sim.Engine.atomic_enter e ~what:"inner";
+         Sim.Engine.sleep 1.0));
+  let engine = Sim.Engine.create () in
+  Sim.Engine.spawn engine (fun () ->
+      Sim.Engine.atomic_enter engine ~what:"outer";
+      Sim.Engine.atomic_enter engine ~what:"inner";
+      Sim.Engine.atomic_leave engine;
+      Sim.Engine.atomic_leave engine;
+      Sim.Engine.sleep 1.0);
+  Sim.Engine.run engine;
+  Alcotest.(check (float 0.0)) "sleeps once both are left" 1.0
+    (Sim.Engine.now engine);
+  Alcotest.check_raises "a leave without a section"
+    (Invalid_argument "Engine.atomic_leave: no atomic section to leave")
+    (fun () -> Sim.Engine.atomic_leave engine)
+
+(* An exception leaves [atomic]'s section, so cleanup code that
+   catches it may block again; a raw [atomic_enter] an exception skips
+   is reset when the run it aborts ends. *)
+let test_atomic_depth_after_exception () =
+  let engine = Sim.Engine.create () in
+  let caught = ref "" in
+  Sim.Engine.spawn engine (fun () ->
+      (match
+         Sim.Engine.atomic engine ~what:"probe section" Sim.Engine.yield ()
+       with
+      | () -> ()
+      | exception Invalid_argument msg -> caught := msg);
+      Sim.Semaphore.with_permit (Sim.Semaphore.create 1) (fun () ->
+          Sim.Engine.sleep 1.0));
+  Sim.Engine.run engine;
+  Alcotest.(check (option string)) "the violation"
+    (in_section "Engine.yield" "probe section")
+    (Some !caught);
+  Alcotest.(check (float 0.0)) "blocks again after the catch" 1.0
+    (Sim.Engine.now engine);
+  Sim.Engine.spawn engine ~name:"raiser" (fun () ->
+      Sim.Engine.atomic_enter engine ~what:"probe section";
+      failwith "boom");
+  (match Sim.Engine.run engine with
+  | () -> Alcotest.fail "the raise was lost"
+  | exception Sim.Engine.Process_failure ("raiser", Failure _) -> ());
+  Sim.Engine.spawn engine (fun () -> Sim.Engine.sleep 1.0);
+  Sim.Engine.run engine;
+  Alcotest.(check (float 0.0)) "the next run sleeps" 2.0
+    (Sim.Engine.now engine)
+
+(* Deadlock reporters and census hooks run at quiescence, outside any
+   process: one that yields fails the run naming its section, not with
+   a bare [Effect.Unhandled]. *)
+let test_atomic_quiescence_callbacks () =
+  let failure engine =
+    match Sim.Engine.run engine with
+    | () -> None
+    | exception Invalid_argument msg -> Some msg
+  in
+  let engine = Sim.Engine.create ~deadlock:true () in
+  Sim.Engine.add_deadlock_reporter engine (fun _ -> Sim.Engine.yield ());
+  Sim.Engine.spawn engine (fun () -> Sim.Ivar.read (Sim.Ivar.create ()));
+  Alcotest.(check (option string)) "deadlock reporter"
+    (in_section "Engine.yield" "deadlock reporter")
+    (failure engine);
+  let engine = Sim.Engine.create ~own:true () in
+  Sim.Engine.add_census_hook engine (fun () -> Sim.Engine.yield ());
+  Sim.Engine.spawn engine (fun () -> Sim.Engine.sleep 1.0);
+  Alcotest.(check (option string)) "census hook"
+    (in_section "Engine.yield" "census hook")
+    (failure engine)
+
+(* Entering and leaving a section, with or without [atomic], and the
+   entry check of a primitive outside one, allocate nothing. *)
+let test_atomic_zero_alloc () =
+  let engine = Sim.Engine.create () in
+  let words = ref (-1.0) in
+  Sim.Engine.spawn engine (fun () ->
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 10_000 do
+        Sim.Engine.atomic_enter engine ~what:"probe section";
+        Sim.Engine.atomic_leave engine;
+        ignore
+          (Sim.Engine.atomic engine ~what:"probe section" Sim.Engine.pending
+             engine);
+        Sim.Engine.may_block "probe"
+      done;
+      words := Gc.minor_words () -. w0);
+  Sim.Engine.run engine;
+  Alcotest.(check (float 0.0)) "minor words across 10000 sections" 0.0 !words
+
 (* {1 Engine keys} *)
 
 let opt_int = Alcotest.(option int)
@@ -1207,6 +1398,16 @@ let () =
         [
           case "engine counters" test_engine_perf_counters;
           case "zero-alloc dispatch" test_engine_zero_alloc_dispatch;
+          case "timer word budget" test_timer_word_budget;
+          case "semaphore word budget" test_semaphore_word_budget;
+        ] );
+      ( "atomic",
+        [
+          case "blocking primitives raise" test_atomic_primitives_raise;
+          case "sections nest" test_atomic_nested;
+          case "depth after an exception" test_atomic_depth_after_exception;
+          case "quiescence callbacks" test_atomic_quiescence_callbacks;
+          case "zero-alloc sections" test_atomic_zero_alloc;
         ] );
       ( "keys",
         [
