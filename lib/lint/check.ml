@@ -1,13 +1,8 @@
-(* The base pass: per-file syntactic rules. Parses nothing itself — it
-   walks each shared Parsetree for rule hits, then reconciles them
-   against the file's [seusslint: allow] markers. No typing pass — every
-   rule is decidable (conservatively) on names alone, which keeps the
-   linter dependency-free and fast enough to run on every build. *)
-
-let rules =
-  Rules.
-    [ Bare_random; Wallclock; Hashtbl_order; Physical_eq; Stdout_print;
-      Frame_site; Ambient_env ]
+(* The linter: per-file syntactic rules. It walks each file's Parsetree
+   for rule hits, then reconciles them against the file's
+   [seusslint: allow] comments. No typing pass — every rule is decidable
+   (conservatively) on names alone, which keeps the linter
+   dependency-free and fast enough to run on every build. *)
 
 (* {1 The Parsetree walk} *)
 
@@ -16,9 +11,12 @@ type ctx = {
   in_lib : bool;
   random_exempt : bool;
   env_exempt : bool;
+  poly_scoped : bool;
   mutable binding : string;  (** enclosing top-level binding name *)
   mutable hits : Source.violation list;
 }
+
+let toplevel = "<toplevel>"
 
 let first_segment rel =
   match String.index_opt rel '/' with
@@ -37,7 +35,12 @@ let make_ctx rel =
       || String.starts_with ~prefix:"lib/faults/" rel;
     (* The run configuration is the one sanctioned environment reader. *)
     env_exempt = String.equal rel "lib/experiments/run_config.ml";
-    binding = Graph.toplevel;
+    (* The layers every simulated event crosses. *)
+    poly_scoped =
+      List.exists
+        (fun dir -> String.starts_with ~prefix:dir rel)
+        [ "lib/sim/"; "lib/mem/"; "lib/obs/"; "lib/workload/" ];
+    binding = toplevel;
     hits = [];
   }
 
@@ -94,6 +97,17 @@ let check_ident ctx loc parts =
              (List.hd parts))
   | _ -> ());
   (match parts with
+  | [ ("compare" | "min" | "max") ]
+  | [ "Stdlib"; ("compare" | "min" | "max") ]
+  | [ "Hashtbl"; "hash" ]
+    when ctx.poly_scoped ->
+      report ctx loc Rules.Poly_cmp
+        (Printf.sprintf
+           "polymorphic %s walks the representation; use the monomorphic \
+            Int/Float/String comparison"
+           (String.concat "." parts))
+  | _ -> ());
+  (match parts with
   | [ p ] when ctx.in_lib && List.mem p stdout_printers ->
       report ctx loc Rules.Stdout_print
         (Printf.sprintf "%s writes to stdout from library code; emit through Obs instead" p)
@@ -115,58 +129,77 @@ let check_ident ctx loc parts =
       | _ -> ())
   | _ -> ()
 
+(* An operand whose (=)/(<>) comparison cannot have specialized away
+   the representation walk: structured literals and payload carriers. *)
+let structured (e : Parsetree.expression) =
+  match e.pexp_desc with
+  | Pexp_tuple _ | Pexp_record _ | Pexp_array _
+  | Pexp_construct (_, Some _)
+  | Pexp_variant (_, Some _)
+  | Pexp_constant (Pconst_string _ | Pconst_float _) ->
+      true
+  | _ -> false
+
 let iterator ctx =
   let open Ast_iterator in
   let expr sub (e : Parsetree.expression) =
     (match e.pexp_desc with
     | Pexp_ident { txt; loc } -> check_ident ctx loc (Longident.flatten txt)
+    | Pexp_apply
+        ({ pexp_desc = Pexp_ident { txt = Lident (("=" | "<>") as op); loc }; _ },
+         args)
+      when ctx.poly_scoped
+           && List.exists
+                (fun (l, a) -> l = Asttypes.Nolabel && structured a)
+                args ->
+        report ctx loc Rules.Poly_cmp
+          (Printf.sprintf
+             "polymorphic (%s) against a structured operand walks the \
+              representation; use the monomorphic Int/Float/String comparison"
+             op)
     | _ -> ());
     default_iterator.expr sub e
   in
   { default_iterator with expr }
 
-(* (* seusslint: allow <rule> — <reason> *) suppresses hits of <rule> on
-   the comment's own line(s) or the line immediately after it. *)
-let marker =
-  {
-    Marker.word = "seusslint:";
-    verbs =
-      [
-        {
-          verb = "allow";
-          arg = Rule;
-          reason = true;
-          unused =
-            Printf.sprintf "allowance for %s suppresses nothing; delete it";
-        };
-      ];
-    malformed =
-      "malformed seusslint comment; expected: seusslint: allow <rule> — \
-       <reason>";
-  }
+let binding_name (vb : Parsetree.value_binding) =
+  match vb.pvb_pat.ppat_desc with Ppat_var { txt; _ } -> txt | _ -> toplevel
 
-let rec pass =
-  {
-    Pass.name = "base";
-    rules;
-    marker;
-    hint = "a seusslint: allow comment";
-    check =
-      (fun prog ->
-        let allows, bad = Pass.markers prog pass in
-        let hits =
-          List.concat_map
-            (fun (src : Source.t) ->
-              match src.ast with
-              | Ok ast ->
-                  let ctx = make_ctx src.rel in
-                  Graph.traverse ~top:Graph.toplevel ~next:Graph.binding_name
-                    ~enter:(fun b -> ctx.binding <- b)
-                    (iterator ctx) ast;
-                  ctx.hits
-              | Error _ -> [])
-            prog.sources
-        in
-        let surviving = Marker.suppress allows hits in
-        surviving @ Marker.unused marker allows @ bad);
-  }
+(* Walk a structure with the rule iterator, keeping [ctx.binding] on
+   the enclosing top-level binding (nested modules included). *)
+let traverse ctx ast =
+  let it = iterator ctx in
+  let structure_item sub (item : Parsetree.structure_item) =
+    match item.pstr_desc with
+    | Pstr_value (_, vbs) ->
+        let saved = ctx.binding in
+        List.iter
+          (fun vb ->
+            ctx.binding <- binding_name vb;
+            sub.Ast_iterator.value_binding sub vb;
+            ctx.binding <- saved)
+          vbs
+    | _ -> it.structure_item sub item
+  in
+  let it = { it with structure_item } in
+  it.structure it ast
+
+let check_source (src : Source.t) =
+  let allows, bad = Marker.scan src in
+  let hits =
+    match src.ast with
+    | Ok ast ->
+        let ctx = make_ctx src.rel in
+        traverse ctx ast;
+        ctx.hits
+    | Error exn ->
+        [ Source.violation src.rel 1 0 Rules.parse_error (Printexc.to_string exn) ]
+  in
+  let surviving = Marker.suppress allows hits in
+  surviving @ Marker.unused allows @ bad
+
+let check sources =
+  List.sort Source.compare_violation (List.concat_map check_source sources)
+
+let check_tree ?strip_prefix roots = check (Source.load_tree ?strip_prefix roots)
+let check_file ?rel path = check [ Source.load ?rel path ]

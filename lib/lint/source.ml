@@ -1,9 +1,4 @@
-(* Loaded sources and the violations every pass reports against them.
-
-   Reading, comment-lexing and parsing one file is the bulk of a lint
-   run's wall time, and every pass needs the identical products — so a
-   tree is loaded once into [t]s that all passes share ([seusslint --pass
-   all] parses each file exactly once). *)
+(* Loaded sources and the violations reported against them. *)
 
 type violation = {
   file : string;  (** repo-relative path *)
@@ -96,19 +91,6 @@ let rec files root =
         else [])
       (Array.to_list entries)
 
-(* Every directory [files] walks under [root], [root] included; none
-   for a file root. *)
-let rec walked root =
-  if not (Sys.file_exists root && Sys.is_directory root) then []
-  else
-    root
-    :: List.concat_map
-         (fun entry ->
-           let path = Filename.concat root entry in
-           if Sys.is_directory path && not (skipped entry) then walked path
-           else [])
-         (Array.to_list (Sys.readdir root))
-
 (* Drop a leading [prefix] (itself normalized of ./ and ../) from [rel],
    so a fixture tree like test/lint_fixtures/lib/... classifies as
    lib/... — lets the lib-only rules fire on known-bad fixtures. *)
@@ -134,6 +116,3 @@ let load_tree ?strip_prefix roots =
   (* Resolve every root before reading any file: a bad root fails fast. *)
   List.concat_map files roots
   |> List.map (fun f -> load ~rel:(rel_of ?strip_prefix f) f)
-
-let scanned_dirs ?strip_prefix roots =
-  List.concat_map walked roots |> List.map (rel_of ?strip_prefix)

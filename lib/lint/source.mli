@@ -1,9 +1,4 @@
-(** Loaded sources and the violations every pass reports against them.
-
-    Reading, comment-lexing and parsing dominate a lint run's wall time
-    and every pass needs the identical products, so a tree is loaded
-    once into [t]s that all passes share ([seusslint --pass all] parses
-    each file exactly once). *)
+(** Loaded sources and the violations reported against them. *)
 
 type violation = {
   file : string;  (** repo-relative path *)
@@ -41,9 +36,3 @@ val load_tree : ?strip_prefix:string -> string list -> t list
     [test/lint_fixtures/lib] is linted as [lib/].
     @raise Sys_error naming the root when a root is missing, unreadable,
     or neither a directory nor an [.ml] file. *)
-
-val scanned_dirs : ?strip_prefix:string -> string list -> string list
-(** The directories {!load_tree} walks for the same roots, relative
-    like its sources: every directory root and its subdirectories
-    (none for a file root). A registered file missing from one of them
-    is known to be gone. *)

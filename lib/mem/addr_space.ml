@@ -68,9 +68,8 @@ let set_fault_hook t f = t.on_fault <- f
 
 let trace_limit = 65_536
 
-(* seussheat: cold — amortized doubling: O(log pages) growths per armed trace *)
 let grow_trace t =
-  let buf = Array.make (max 256 (2 * t.trace_len)) 0 in
+  let buf = Array.make (Int.max 256 (2 * t.trace_len)) 0 in
   Array.blit t.trace_buf 0 buf 0 t.trace_len;
   t.trace_buf <- buf
 
@@ -134,7 +133,6 @@ let write_range t ~vpn ~pages =
   | exception e ->
       report_faults t ~zero0 ~cow0;
       raise e);
-  (* seussheat: cold — one 4-word result per range, not per page *)
   { pages; zero_fills = c.zero_fills - zero0; cow_copies = c.cow_copies - cow0 }
 
 (* The end of the run of consecutive vpns starting at [vpns.(i)]: the
@@ -166,7 +164,6 @@ let rec prefault_runs t vpns i ~zero0 ~cow0 =
   else begin
     let c = t.counts in
     let zero = c.zero_fills - zero0 and cow = c.cow_copies - cow0 in
-    (* seussheat: cold — one 4-word result per batch, not per page *)
     {
       requested = i;
       prefault_zero_fills = zero;

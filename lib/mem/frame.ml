@@ -43,11 +43,10 @@ let create ?(budget_bytes = Mconfig.default_budget_bytes) () =
 let budget_frames t = t.budget_frames
 let budget_bytes t = Mconfig.bytes_of_pages t.budget_frames
 
-(* seussheat: cold — amortized doubling: O(log frames) growths per allocator *)
 let ensure_capacity t id =
   if id >= Array.length t.refcounts then begin
-    let cap = max (id + 1) (2 * Array.length t.refcounts) in
-    let cap = min cap (max (id + 1) t.budget_frames) in
+    let cap = Int.max (id + 1) (2 * Array.length t.refcounts) in
+    let cap = Int.min cap (Int.max (id + 1) t.budget_frames) in
     let refcounts = Array.make cap 0 in
     Array.blit t.refcounts 0 refcounts 0 (Array.length t.refcounts);
     t.refcounts <- refcounts;
@@ -78,7 +77,6 @@ let alloc t =
   if t.live > t.peak then t.peak <- t.live;
   id
 
-(* seussheat: cold — raises: the message is built only on a refcount bug *)
 let dead_frame name id =
   invalid_arg (Printf.sprintf "Frame.%s: dead frame %d" name id)
 
@@ -130,7 +128,6 @@ let refcount t id =
 
 let is_live t id = id >= 0 && id < t.next_fresh && t.refcounts.(id) > 0
 
-(* seussheat: cold — one allocation per allocator, at its first tag; [ensure_capacity] grows it from then on *)
 let create_tags t = t.tags <- Array.make (Array.length t.refcounts) 0
 
 let set_tag t id tag =

@@ -116,11 +116,10 @@ let fill_ints (dst : int array) d n v =
     dst.(i) <- v
   done
 
-(* seussheat: cold — slab growth: one fixed chunk per 64 leaves the family holds at once, plus the chunk directory doubling with it; entries are never copied *)
 let add_chunk fam =
   let c = fam.chunks in
   if c = Array.length fam.ents then begin
-    let cap = max 1 (2 * c) in
+    let cap = Int.max 1 (2 * c) in
     let grow a empty =
       let b = Array.make cap empty in
       Array.blit a 0 b 0 c;
@@ -152,17 +151,15 @@ let free_slot fam slot =
   set_rc fam slot (-2 - fam.free_head);
   fam.free_head <- slot
 
-(* seussheat: cold — root-pool growth: a root is made only when no released one is waiting, and the root stack doubles with the roots made *)
 let fresh_root fam =
   if fam.made_roots = Array.length fam.roots then begin
-    let roots = Array.make (max 1 (2 * fam.made_roots)) [||] in
+    let roots = Array.make (Int.max 1 (2 * fam.made_roots)) [||] in
     Array.blit fam.roots 0 roots 0 fam.nroots;
     fam.roots <- roots
   end;
   fam.made_roots <- fam.made_roots + 1;
   Array.make fam.root_len no_leaf
 
-(* seussheat: cold — a released root narrower than the one being copied is dropped for one of the family's current width, once per root after the family outgrows it *)
 let widened_root fam =
   fam.roots.(fam.nroots) <- [||];
   Array.make fam.root_len no_leaf
@@ -210,7 +207,6 @@ let clone_shallow t =
     let slot = root.(c) in
     if slot <> no_leaf then set_rc fam slot (rc fam slot + 1)
   done;
-  (* seussheat: cold — the table record is the product: one per clone, retained by its owner *)
   { fam; root; released = false }
 
 let check_vpn vpn =
@@ -228,7 +224,6 @@ let get t ~vpn =
   if slot = no_leaf then Entry.absent
   else t.fam.ents.(chunk slot).(base slot + (vpn mod entries))
 
-(* seussheat: cold — a directory's first write in its family: at most 512 per family, each an insertion into the ascending directory list *)
 let[@inline never] add_column fam dir =
   let c = fam.ncols in
   let k = ref c in
@@ -242,7 +237,6 @@ let[@inline never] add_column fam dir =
   if fam.ncols > fam.root_len then fam.root_len <- 2 * fam.root_len;
   c
 
-(* seussheat: cold — a root's first write to a column its family gained after the root was made: once per root per doubling of the family's width *)
 let[@inline never] grow_root t =
   let fam = t.fam in
   let len = Array.length t.root in
@@ -498,7 +492,7 @@ let expected_refcounts tables =
   let counts =
     Hashtbl.create
       (match tables with
-      | t :: _ -> max 64 (Frame.used_frames t.fam.frames)
+      | t :: _ -> Int.max 64 (Frame.used_frames t.fam.frames)
       | [] -> 64)
   in
   List.iter

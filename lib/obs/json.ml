@@ -170,7 +170,7 @@ let of_string s =
     | Some '{' ->
         advance ();
         skip_ws ();
-        if peek () = Some '}' then begin
+        if Option.equal Char.equal (peek ()) (Some '}') then begin
           advance ();
           Obj []
         end
@@ -192,7 +192,7 @@ let of_string s =
     | Some '[' ->
         advance ();
         skip_ws ();
-        if peek () = Some ']' then begin
+        if Option.equal Char.equal (peek ()) (Some ']') then begin
           advance ();
           List []
         end

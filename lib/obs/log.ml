@@ -51,7 +51,6 @@ let emit t ev =
   match t.subscribers with
   | [] -> ()
   | subscribers ->
-      (* seussheat: cold — the record is built only when a subscriber is attached; the ring stores time and event unboxed *)
       notify { time; ev } subscribers
 
 let subscribe t f =
@@ -89,7 +88,7 @@ let parse_jsonl text =
   let rec go lineno acc = function
     | [] -> Ok (List.rev acc)
     | line :: rest ->
-        if String.trim line = "" then go (lineno + 1) acc rest
+        if String.equal (String.trim line) "" then go (lineno + 1) acc rest
         else begin
           match Json.of_string line with
           | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)

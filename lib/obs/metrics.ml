@@ -6,8 +6,12 @@ type t = { table : (string * labels, counter) Hashtbl.t }
 
 let create () = { table = Hashtbl.create 64 }
 
+(* By key, then value: the order polymorphic [compare] gives the pairs. *)
+let compare_label (k1, v1) (k2, v2) =
+  match String.compare k1 k2 with 0 -> String.compare v1 v2 | c -> c
+
 let counter t ?(labels = []) name =
-  let key = (name, List.sort compare labels) in
+  let key = (name, List.sort compare_label labels) in
   match Hashtbl.find_opt t.table key with
   | Some c -> c
   | None ->
@@ -15,9 +19,11 @@ let counter t ?(labels = []) name =
       Hashtbl.replace t.table key c;
       c
 
-let inc ?(by = 1) counter =
-  if by < 0 then invalid_arg "Metrics.inc: counters only go up";
-  counter.c <- counter.c + by
+let inc counter = counter.c <- counter.c + 1
+
+let add counter n =
+  if n < 0 then invalid_arg "Metrics.add: counters only go up";
+  counter.c <- counter.c + n
 
 let value counter = counter.c
 

@@ -21,8 +21,12 @@ val create : unit -> t
 
 val counter : t -> ?labels:labels -> string -> counter
 
-val inc : ?by:int -> counter -> unit
-(** @raise Invalid_argument if [by] is negative (counters only go up). *)
+val inc : counter -> unit
+(** Add one. *)
+
+val add : counter -> int -> unit
+(** [add c n] adds [n].
+    @raise Invalid_argument if [n] is negative (counters only go up). *)
 
 val value : counter -> int
 

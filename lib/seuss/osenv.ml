@@ -80,8 +80,6 @@ let create ?budget_bytes engine =
     pins = 0;
   }
 
-(* seussheat: cold — ledger bumps sit on UC create/destroy and the pin
-   window open/close, not per-invocation dispatch. *)
 let note_uc_created t = t.ucs_created <- t.ucs_created + 1
 let note_uc_released t = t.ucs_released <- t.ucs_released + 1
 let note_orphan_started t = t.orphan_guests <- t.orphan_guests + 1

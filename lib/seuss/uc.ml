@@ -96,9 +96,9 @@ let make env ~image ~space ~source =
       match
         match fault with
         | Mem.Addr_space.Cow_copy ->
-            Obs.Metrics.inc ~by:pages cow_faults;
+            Obs.Metrics.add cow_faults pages;
             Osenv.emit env (Obs.Event.Cow_fault { uc_id = t.uc_id; pages })
-        | Mem.Addr_space.Zero_fill -> Obs.Metrics.inc ~by:pages zero_fills
+        | Mem.Addr_space.Zero_fill -> Obs.Metrics.add zero_fills pages
         | Mem.Addr_space.No_fault -> ()
       with
       | () -> Sim.Engine.atomic_leave env.Osenv.engine

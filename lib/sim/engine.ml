@@ -156,7 +156,6 @@ type _ Effect.t +=
 
 let dummy_thunk () = ()
 
-(* seussheat: cold — one-time module initialisation, never on a dispatch path *)
 let dummy_kont : kont =
   (* A real continuation that is never resumed: it fills the vacant
      slots of the [a_kont] array so pops can clear their slot without an
@@ -287,7 +286,6 @@ let rec sift_down t i =
     sift_down t s
   end
 
-(* seussheat: cold — amortized arena doubling, off the per-event path *)
 let grow t =
   (* Only called when the queue is full, so every arena slot is live
      ([free_top] = 0): heap columns copy the live prefix, arena columns
@@ -439,7 +437,6 @@ let atomic t ~what f x =
       atomic_leave t;
       raise exn
 
-(* seussheat: cold — the failure path of a section: the message is built only to raise *)
 let in_atomic t prim =
   invalid_arg
     (Printf.sprintf "%s inside atomic section %S, which must not suspend" prim
@@ -561,7 +558,6 @@ let provenance t =
   | Some p -> (p.p_id, p.p_name, p.p_born)
   | None -> (0, "callback", t.clk.t_now)
 
-(* seussheat: cold — waiter provenance is recorded only when the detector is armed *)
 let record_waiter t token daemon ~resource ~holders =
   let pid, name, born = provenance t in
   Hashtbl.replace t.waits token
@@ -612,7 +608,6 @@ let wait_end t token =
    daemons are reported only when they sit on a cycle. The lock-order
    cycles follow, except one closed by a process already reported on
    a wait-for cycle: that is the same deadlock, seen twice. *)
-(* seussheat: cold — quiescence analysis, runs once per drained armed run *)
 let stranded_waiters t =
   if not t.deadlock then []
   else begin
@@ -693,7 +688,6 @@ let sleep_as prim delay =
       t.executed <- t.executed + 1;
       t.clk.t_now <- t.clk.t_now +. delay
   | _ ->
-      (* seussheat: cold — the effect payload: performing Sleep boxes its argument by construction *)
       Effect.perform (Sleep delay)
 
 let sleep delay = sleep_as "Engine.sleep" delay
@@ -770,7 +764,6 @@ let restore_idle t =
 (* Reporters and census hooks run outside any process, so each runs in
    an atomic section: a suspension there fails naming the section
    instead of escaping as an unhandled effect. *)
-(* seussheat: cold — runs once per drained armed run, off the dispatch path *)
 let report_stranded t =
   List.iter
     (fun s ->
@@ -779,7 +772,6 @@ let report_stranded t =
         (List.rev t.deadlock_reporters))
     (stranded_waiters t)
 
-(* seussheat: cold — runs once per drained armed run, off the dispatch path *)
 let run_census t =
   List.iter
     (fun f -> atomic t ~what:"census hook" f ())

@@ -48,7 +48,7 @@ let rec vc_join a b =
   | (pa, ca) :: ta, (pb, cb) :: tb ->
       if pa < pb then (pa, ca) :: vc_join ta b
       else if pb < pa then (pb, cb) :: vc_join a tb
-      else (pa, max ca cb) :: vc_join ta tb
+      else (pa, Int.max ca cb) :: vc_join ta tb
 
 let vc_set vc pid n =
   let rec go = function
@@ -171,30 +171,34 @@ type sync = { mutable svc : published }
 let make_sync () = { svc = Unsignalled }
 
 (* Hooks are ambient: they find the running engine (if any) and its
-   checker state (if armed), and otherwise cost two reads and a match. *)
-let with_state f =
-  match Engine.self_opt () with
-  | None -> ()
-  | Some engine -> ( match state_of engine with None -> () | Some st -> f st)
+   checker state (if armed). Unarmed that is two reads and a match, and
+   nothing is allocated: the armed work takes the state as an argument,
+   so no closure is built to reach it. *)
+let armed () =
+  match Engine.self_opt () with None -> None | Some engine -> state_of engine
+
+let signal_in st sync =
+  let p = pstate st in
+  let joined =
+    match sync.svc with
+    | At (t, vc) when t = p.vtime -> vc_join vc p.vc
+    | At _ | Unsignalled -> p.vc
+  in
+  sync.svc <- At (p.vtime, joined);
+  p.vc <- vc_set p.vc p.pid (vc_get p.vc p.pid + 1)
 
 let signal sync =
-  with_state (fun st ->
+  match armed () with None -> () | Some st -> signal_in st sync
+
+let observe_in st sync =
+  match sync.svc with
+  | Unsignalled -> ()
+  | At (t, vc) ->
       let p = pstate st in
-      let joined =
-        match sync.svc with
-        | At (t, vc) when t = p.vtime -> vc_join vc p.vc
-        | At _ | Unsignalled -> p.vc
-      in
-      sync.svc <- At (p.vtime, joined);
-      p.vc <- vc_set p.vc p.pid (vc_get p.vc p.pid + 1))
+      if t = p.vtime then p.vc <- vc_join p.vc vc
 
 let observe sync =
-  with_state (fun st ->
-      match sync.svc with
-      | Unsignalled -> ()
-      | At (t, vc) ->
-          let p = pstate st in
-          if t = p.vtime then p.vc <- vc_join p.vc vc)
+  match armed () with None -> () | Some st -> observe_in st sync
 
 (* {1 Registered shared cells} *)
 
@@ -216,42 +220,44 @@ let report st race =
     (fun f -> Engine.atomic st.engine ~what:"race reporter" f race)
     st.reporters
 
+let access_in st c ~write =
+  let engine = st.engine in
+  let now = Engine.now engine in
+  if now > c.atime then begin
+    (* The clock moved: everything earlier is serialized by time. *)
+    c.atime <- now;
+    c.accs <- []
+  end;
+  let p = pstate st in
+  let own = vc_get p.vc p.pid in
+  (* An equal-or-stronger access by this process at this instant was
+     already checked; re-recording it would only duplicate reports. *)
+  let covered =
+    List.exists
+      (fun a -> a.pid = p.pid && a.own = own && (a.write || not write))
+      c.accs
+  in
+  if not covered then begin
+    List.iter
+      (fun a ->
+        if a.pid <> p.pid && (a.write || write) then
+          (* [a] happened-before us iff its own-clock value at the
+             access is covered by our view of its component. *)
+          if a.own > vc_get p.vc a.pid then
+            report st
+              {
+                cell = c.name;
+                kind = (if a.write && write then Write_write else Read_write);
+                time = now;
+                first_pid = a.pid;
+                second_pid = p.pid;
+              })
+      c.accs;
+    c.accs <- { pid = p.pid; write; own } :: c.accs
+  end
+
 let access c ~write =
-  with_state (fun st ->
-      let engine = st.engine in
-      let now = Engine.now engine in
-      if now > c.atime then begin
-        (* The clock moved: everything earlier is serialized by time. *)
-        c.atime <- now;
-        c.accs <- []
-      end;
-      let p = pstate st in
-      let own = vc_get p.vc p.pid in
-      (* An equal-or-stronger access by this process at this instant was
-         already checked; re-recording it would only duplicate reports. *)
-      let covered =
-        List.exists
-          (fun a -> a.pid = p.pid && a.own = own && (a.write || not write))
-          c.accs
-      in
-      if not covered then begin
-        List.iter
-          (fun a ->
-            if a.pid <> p.pid && (a.write || write) then
-              (* [a] happened-before us iff its own-clock value at the
-                 access is covered by our view of its component. *)
-              if a.own > vc_get p.vc a.pid then
-                report st
-                  {
-                    cell = c.name;
-                    kind = (if a.write && write then Write_write else Read_write);
-                    time = now;
-                    first_pid = a.pid;
-                    second_pid = p.pid;
-                  })
-          c.accs;
-        c.accs <- { pid = p.pid; write; own } :: c.accs
-      end)
+  match armed () with None -> () | Some st -> access_in st c ~write
 
 let read c = access c ~write:false
 let write c = access c ~write:true

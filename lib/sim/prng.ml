@@ -12,14 +12,12 @@ let create seed =
   Bytes.set_int64_ne t 0 seed;
   t
 
-(* seussheat: cold — inlined into [next], its Int64 steps stay unboxed in registers *)
 let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 let[@inline] next t =
-  (* seussheat: cold — read from and written back to the bytes unboxed *)
   let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
   Bytes.set_int64_ne t 0 s;
   mix s
@@ -29,7 +27,6 @@ let split t = create (next t)
 (* 53 high-quality bits. Below 2^53 they convert to a float exactly
    through [int], which skips [Int64.to_float]'s C call. *)
 let[@inline] bits53 t =
-  (* seussheat: cold — [next] is inlined here, so no int64 is boxed *)
   Int64.to_int (Int64.shift_right_logical (next t) 11)
 
 let[@inline] float t = Float.of_int (bits53 t) *. 0x1p-53
@@ -37,7 +34,6 @@ let[@inline] float t = Float.of_int (bits53 t) *. 0x1p-53
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
   (* 62 bits so the value fits OCaml's 63-bit native int non-negatively. *)
-  (* seussheat: cold — [next] is inlined here, so no int64 is boxed *)
   let bits = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   bits mod bound
 

@@ -26,7 +26,6 @@ type ctx = {
   inherit_depth : int;
 }
 
-(* seussheat: cold — the option is retained as the child's inherited parent link *)
 let parent_of c =
   match c.stack with s :: _ -> Some s | [] -> c.inherit_parent
 
@@ -38,7 +37,6 @@ let depth_of c = c.inherit_depth + List.length c.stack
 let fork _ parent =
   match parent with
   | Some c when c.tr.active ->
-      (* seussheat: cold — the forked context is the product: one per spawn, retained by the child *)
       Some
         {
           tr = c.tr;
@@ -70,9 +68,11 @@ let sorted_spans t =
      deterministically. *)
   List.sort
     (fun a b ->
-      match compare a.t_start b.t_start with
+      match Float.compare a.t_start b.t_start with
       | 0 -> (
-          match compare a.depth b.depth with 0 -> compare a.id b.id | c -> c)
+          match Int.compare a.depth b.depth with
+          | 0 -> Int.compare a.id b.id
+          | c -> c)
       | c -> c)
     (List.rev t.rev_spans)
 

@@ -27,7 +27,7 @@ let memo build =
       if i < Array.length cached && String.length cached.(i) > 0 then cached.(i)
       else begin
         if i >= Array.length cached then begin
-          let grown = Array.make (max (i + 1) (2 * Array.length cached)) "" in
+          let grown = Array.make (Int.max (i + 1) (2 * Array.length cached)) "" in
           Array.blit cached 0 grown 0 (Array.length cached);
           tbl := grown
         end;

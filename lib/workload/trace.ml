@@ -77,7 +77,8 @@ let field name conv j =
 
 let of_jsonl s =
   let lines =
-    String.split_on_char '\n' s |> List.filter (fun l -> String.trim l <> "")
+    String.split_on_char '\n' s
+    |> List.filter (fun l -> not (String.equal (String.trim l) ""))
   in
   match lines with
   | [] -> Error "trace: empty document"

@@ -55,7 +55,6 @@ let sample t rng =
   let last = Array.length cdf - 1 in
   let top = Array.length t.guide - 1 in
   let j = int_of_float (u *. t.scale) in
-  (* seussheat: cold — a local ref that never escapes lives in a register *)
   let r = ref t.guide.(if j > top then top else j) in
   while !r < last && cdf.(!r) <= u do
     incr r

@@ -245,7 +245,7 @@ let test_metrics_counters_and_labels () =
   let a = Obs.Metrics.counter m ~labels:[ ("path", "cold") ] "inv" in
   let b = Obs.Metrics.counter m ~labels:[ ("path", "hot") ] "inv" in
   Obs.Metrics.inc a;
-  Obs.Metrics.inc ~by:4 b;
+  Obs.Metrics.add b 4;
   (* Same (name, labels) returns the same instrument; label order is
      canonicalised. *)
   let a' = Obs.Metrics.counter m ~labels:[ ("path", "cold") ] "inv" in
@@ -256,8 +256,8 @@ let test_metrics_counters_and_labels () =
     (Obs.Metrics.sum_counters m ~where:[ ("path", "hot") ] "inv");
   Alcotest.(check int) "sum missing" 0 (Obs.Metrics.sum_counters m "nope");
   Alcotest.check_raises "negative inc"
-    (Invalid_argument "Metrics.inc: counters only go up") (fun () ->
-      Obs.Metrics.inc ~by:(-1) a)
+    (Invalid_argument "Metrics.add: counters only go up") (fun () ->
+      Obs.Metrics.add a (-1))
 
 (* {1 Chrome trace-event encoding} *)
 
@@ -569,9 +569,8 @@ let test_node_event_stream_roundtrips () =
    Exact minor-word counts for the obs hot roots, in the style of
    test_sim's zero-alloc dispatch: once the ring is allocated, an emit
    with no subscriber stores the stamp unboxed and the event by pointer,
-   and a counter bump is one integer store. Passing [~by] boxes it into
-   a 2-word [Some] at the call site (Uc's fault hook pays it per fault
-   range); the bump's own body allocates nothing. *)
+   and a counter bump is one integer store, also by a count ([add], the
+   form Uc's fault hook uses per fault range). *)
 
 let words_per n f =
   let w0 = Gc.minor_words () in
@@ -592,10 +591,31 @@ let test_metrics_inc_word_budget () =
   let pages = ref 3 in
   Alcotest.(check (float 0.0)) "minor words per inc" 0.0
     (words_per 10_000 (fun () -> Obs.Metrics.inc c));
-  Alcotest.(check (float 0.0)) "minor words per inc ~by" 2.0
-    (words_per 10_000 (fun () -> Obs.Metrics.inc ~by:!pages c));
+  Alcotest.(check (float 0.0)) "minor words per add" 0.0
+    (words_per 10_000 (fun () -> Obs.Metrics.add c !pages));
   Alcotest.(check int) "every bump counted" (10_000 + (3 * 10_000))
     (Obs.Metrics.value c)
+
+(* [Breakdown.fold_record] on its invocation-finish arm, reached as the
+   log's subscriber. Every word is the record [emit] hands its
+   subscribers: a header, the stamp (the clock's own float, by pointer)
+   and the event (3). Folding it into the path's all-float sums and its
+   histogram allocates nothing. *)
+let test_breakdown_fold_word_budget () =
+  let log = Obs.Log.create ~clock:(fun () -> 1.5) () in
+  let b = Obs.Breakdown.attach log in
+  let ev =
+    Obs.Event.Invoke_finish
+      { fn_id = "f"; path = Obs.Event.Hot; queue = 0.001; deploy = 0.002;
+        import = 0.0; run = 0.004; total = 0.007; ok = true }
+  in
+  Obs.Log.emit log ev;
+  Alcotest.(check (float 0.0)) "minor words per emit + fold_record" 3.0
+    (words_per 10_000 (fun () -> Obs.Log.emit log ev));
+  Alcotest.(check (option int)) "every finish folded" (Some 10_001)
+    (Option.map
+       (fun (m : Obs.Breakdown.phase_means) -> m.n)
+       (Obs.Breakdown.per_path b Obs.Event.Hot))
 
 let () =
   let case name f = Alcotest.test_case name `Quick f in
@@ -635,6 +655,7 @@ let () =
           case "single-sample tails" test_breakdown_single_sample_tails;
           case "tails ordered and clamped" test_breakdown_tails_ordered;
           QCheck_alcotest.to_alcotest tails_track_exact;
+          case "fold word budget" test_breakdown_fold_word_budget;
         ] );
       ("end_to_end", [ case "node JSONL roundtrip" test_node_event_stream_roundtrips ]);
     ]

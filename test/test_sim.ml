@@ -76,12 +76,13 @@ let test_prng_known_answers () =
     (stream 1234567L 2)
 
 (* The generator's state is unboxed, so a draw allocates nothing of its
-   own: [bits53], [int] and [shuffle] return immediates and take 0
-   words. A draw that returns an [int64] or a [float] to another
-   compilation unit may still box that result (3 or 2 words) where the
-   build compiles units opaquely, as dune's dev profile does, since
-   [@inline] cannot cross the unit boundary there; under a release
-   build it is inlined and the count is 0 too. *)
+   own: [bits53], [int] and [shuffle] inline [next] within the unit and
+   return immediates, 0 words each. A draw that returns an [int64] or a
+   [float] to another compilation unit boxes that result (3 or 2 words)
+   where the build compiles units opaquely, as dune's dev profile does,
+   since [@inline] cannot cross the unit boundary there; under a release
+   build both are inlined and take 0 words too. Which build this is
+   reads off [next], and [float] must match it exactly. *)
 let test_prng_draws_allocate_nothing () =
   let r = Sim.Prng.create 3L in
   let words draw =
@@ -92,13 +93,14 @@ let test_prng_draws_allocate_nothing () =
     Gc.minor_words () -. w0
   in
   let zeros = ref 0 in
-  let result_only name ~box w =
-    if w <> 0.0 && w <> 1000.0 *. box then
-      Alcotest.failf "%s: %.0f minor words across 1000 draws" name w
+  let next =
+    words (fun () -> if Int64.equal (Sim.Prng.next r) 0L then incr zeros)
   in
-  result_only "next" ~box:3.0
-    (words (fun () -> if Int64.equal (Sim.Prng.next r) 0L then incr zeros));
-  result_only "float" ~box:2.0
+  if next <> 0.0 && next <> 3000.0 then
+    Alcotest.failf "next: %.0f minor words across 1000 draws" next;
+  let boxed = next > 0.0 in
+  Alcotest.(check (float 0.0)) "float"
+    (if boxed then 2000.0 else 0.0)
     (words (fun () -> if Sim.Prng.float r = 0.0 then incr zeros));
   Alcotest.(check (float 0.0)) "bits53" 0.0
     (words (fun () -> zeros := !zeros + Sim.Prng.bits53 r));
@@ -974,7 +976,7 @@ let test_engine_perf_counters () =
   Alcotest.(check bool) "pending observed mid-run" true (!mid_pending >= 0);
   Alcotest.(check int) "pending drained" 0 (Sim.Engine.pending engine)
 
-(* The zero-alloc contract behind the seussheat pass: once the event
+(* The zero-alloc contract of the engine's hot roots: once the event
    heap and payload arena have grown to size, the steady-state dispatch
    loop — pop, dispatch, re-schedule, all through scalar columns — must
    not allocate a single minor word per event. A warm-up run grows the
@@ -1004,13 +1006,9 @@ let test_engine_zero_alloc_dispatch () =
     0.0 (w1 -. w0)
 
 (* Word budgets for the other engine hot roots, counted the same way
-   inside a process. A timer handle is one two-field record (3 words);
-   the cancel that drops it allocates nothing. An uncontended
-   acquire/release pair takes 8 words with every sanitizer unarmed:
-   [Hb.observe] and [Hb.signal] each build a 4-word closure for
-   [Hb.with_state] before finding the checker off. *)
-let words_in_process n f =
-  let engine = Sim.Engine.create ~seed:1L () in
+   inside a process: [f] runs once to warm up, then [n] times measured,
+   and the result is the minor words per run of [f]. *)
+let words_in_process ?(engine = Sim.Engine.create ~seed:1L ()) n f =
   let words = ref (-1.0) in
   Sim.Engine.spawn engine (fun () ->
       f engine;
@@ -1022,17 +1020,127 @@ let words_in_process n f =
   Sim.Engine.run engine;
   !words
 
+(* A timer handle is one two-field record (3 words); the cancel that
+   drops it allocates nothing. *)
 let test_timer_word_budget () =
   Alcotest.(check (float 0.0)) "minor words per schedule_timer + cancel" 3.0
     (words_in_process 10_000 (fun e ->
          Sim.Engine.cancel e (Sim.Engine.schedule_timer e ~delay:1.0 ignore)))
 
+(* With every sanitizer unarmed, [Hb.observe]/[Hb.signal] find the
+   checker off without building anything, so an uncontended
+   acquire/release pair allocates nothing. *)
 let test_semaphore_word_budget () =
   let sem = Sim.Semaphore.create 1 in
-  Alcotest.(check (float 0.0)) "minor words per acquire + release" 8.0
+  Alcotest.(check (float 0.0)) "minor words per acquire + release" 0.0
     (words_in_process 10_000 (fun _ ->
          Sim.Semaphore.acquire sem;
          Sim.Semaphore.release sem))
+
+(* A send queues the item in one [Queue] cell (3 words); the receive
+   that takes it is handed it in [Queue.take_opt]'s [Some] (2) and
+   returns it from [try_recv] in a [Some] of its own (2). The [Hb]
+   hooks on both sides add nothing. *)
+let test_channel_word_budget () =
+  let ch = Sim.Channel.create () in
+  Alcotest.(check (float 0.0)) "minor words per send + recv" 7.0
+    (words_in_process 10_000 (fun _ ->
+         Sim.Channel.send ch 1;
+         ignore (Sys.opaque_identity (Sim.Channel.recv ch))))
+
+(* An ivar is its record (4 words), its [Empty] state (2) over an empty
+   waiter [Queue] (4) and its [Hb.sync] (2); the fill boxes the value
+   in [Full] (2), and reading a full ivar allocates nothing. The [Hb]
+   hooks on both sides add nothing. *)
+let test_ivar_word_budget () =
+  Alcotest.(check (float 0.0)) "minor words per create + fill + read" 14.0
+    (words_in_process 10_000 (fun _ ->
+         let iv = Sim.Ivar.create () in
+         Sim.Ivar.fill iv 1;
+         ignore (Sys.opaque_identity (Sim.Ivar.read iv))))
+
+(* [sleep] on the heap path: a zero-alloc callback chain keeps an event
+   queued ahead of every wakeup, so each sleep parks through
+   [push_resume]. Performing [Sleep] builds its payload (2 words) and
+   the continuation (3); the handler returns [Some] (2) of a closure
+   over the engine and the delay (5) that parks it. The in-place path
+   is the [in-place] group's: no word at all. *)
+let test_sleep_heap_word_budget () =
+  let engine = Sim.Engine.create ~seed:1L () in
+  let remaining = ref 25_000 in
+  let rec cb () =
+    if !remaining > 0 then begin
+      decr remaining;
+      Sim.Engine.schedule engine ~delay:0.5 cb
+    end
+  in
+  Sim.Engine.schedule engine ~delay:0.25 cb;
+  Alcotest.(check (float 0.0)) "minor words per parked sleep" 12.0
+    (words_in_process ~engine 10_000 (fun _ -> Sim.Engine.sleep 1.0))
+
+(* The parking path: [wait_begin], a suspension, [push_resume] and
+   [wait_end], through a contended semaphore. The holder takes the
+   permit, sleeps in place and releases it to the parked measured
+   process, whose own release hands it back to the holder, parked on
+   its next acquire; so each measured iteration parks two acquires.
+   One parked acquire is 47 words:
+   - [wait_begin]'s [~resource] closure over the semaphore and the
+     engine (5) and its [~holders] closure over the semaphore (4);
+   - the registrar handed to [suspend], over the engine, the wait token
+     and the semaphore (6);
+   - performing [Suspend]: its payload (2) and the continuation (3);
+   - the handler's [Some] (2) of a closure over the engine and the
+     registrar (5), its [resumed] ref (2) and the [resume] closure over
+     the ref, the engine, the continuation and the process record (7);
+   - the waiter's [Queue] cell (3) and its closure over the engine,
+     the token and [resume] (6);
+   - and, in the release that wakes it, [Queue.take_opt]'s [Some] (2).
+   [wait_end] and [push_resume] allocate nothing. *)
+let test_parking_word_budget () =
+  let engine = Sim.Engine.create ~seed:1L () in
+  let sem = Sim.Semaphore.create 1 in
+  Sim.Engine.spawn engine (fun () ->
+      for _ = 1 to 10_002 do
+        Sim.Semaphore.acquire sem;
+        Sim.Engine.sleep 1.0;
+        Sim.Semaphore.release sem
+      done);
+  Alcotest.(check (float 0.0)) "minor words per two parked acquires" 94.0
+    (words_in_process ~engine 10_000 (fun _ ->
+         Sim.Semaphore.acquire sem;
+         Sim.Semaphore.release sem))
+
+(* [Trace.fork] runs at every spawn: a spawn from a process holding a
+   trace context costs exactly 12 words more than one from a process
+   holding only another key's value. The fork builds the child's
+   context (5) in a [Some] (2); the key plumbing reads the parent's
+   value out in a [Some] (2) and stores the child's as its exception
+   payload (3). The other key's value already made the child's value
+   array, and the arena is grown first, so neither run grows anything
+   else. *)
+let test_trace_fork_word_budget () =
+  let other : int Sim.Engine.key = Sim.Engine.new_key () in
+  let spawn_words ~traced =
+    let engine = Sim.Engine.create ~seed:1L () in
+    for _ = 1 to 20_000 do
+      Sim.Engine.schedule engine ~delay:0.0 ignore
+    done;
+    Sim.Engine.run engine;
+    let words = ref (-1.0) in
+    Sim.Engine.spawn engine (fun () ->
+        Sim.Engine.set engine other (Some 1);
+        if traced then ignore (Sim.Trace.start_ctx engine);
+        let w0 = Gc.minor_words () in
+        for _ = 1 to 10_000 do
+          Sim.Engine.spawn engine ignore
+        done;
+        words := (Gc.minor_words () -. w0) /. 10_000.0);
+    Sim.Engine.run engine;
+    !words
+  in
+  Alcotest.(check (float 0.0)) "minor words a trace context adds per spawn"
+    12.0
+    (spawn_words ~traced:true -. spawn_words ~traced:false)
 
 (* {1 Atomic sections} *)
 
@@ -1400,6 +1508,11 @@ let () =
           case "zero-alloc dispatch" test_engine_zero_alloc_dispatch;
           case "timer word budget" test_timer_word_budget;
           case "semaphore word budget" test_semaphore_word_budget;
+          case "channel word budget" test_channel_word_budget;
+          case "ivar word budget" test_ivar_word_budget;
+          case "parked sleep word budget" test_sleep_heap_word_budget;
+          case "parking word budget" test_parking_word_budget;
+          case "trace fork word budget" test_trace_fork_word_budget;
         ] );
       ( "atomic",
         [
