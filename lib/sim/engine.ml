@@ -17,9 +17,10 @@ type proc = {
   mutable p_vals : exn array;  (* indexed by key id; [||] holds nothing *)
 }
 
-(* One parked waiter, keyed by its wait token. [w_holders] is a thunk so
-   the current holder set is read at quiescence, not at park time. *)
-type waiter = {
+(* The armed detector's record of one parked waiter, keyed by its wait
+   token. [w_holders] is the queue's holders function, so the current
+   holder set is read at quiescence, not at park time. *)
+type wait_record = {
   w_resource : string;
   w_holders : unit -> int list;
   w_pid : int;
@@ -40,6 +41,38 @@ type stranded = {
 }
 
 type kont = (unit, unit) Effect.Deep.continuation
+
+(* A queued callback's arena slot and the [seq] it was pushed with:
+   [seq] is unique per push, so once the event fires or is cancelled —
+   and even after its slot is reused — the handle matches nothing. *)
+type timer = { tm_slot : int; tm_seq : int }
+
+(* The handle of no event: no push has [seq] 0. *)
+let no_timer = { tm_slot = 0; tm_seq = 0 }
+
+(* One parked process, linked through [w_next] ([nil] ends a list).
+   The [Park] handler stores its continuation [w_k]. One that timed out
+   stays linked until a wake-one passes over it. *)
+type wstate = Parked | Woken | Timed_out
+
+type waiter = {
+  mutable w_k : kont;
+  w_proc : proc option;
+  w_token : int;
+  mutable w_state : wstate;
+  mutable w_timer : timer;
+  mutable w_next : waiter;
+}
+
+(* A waiter queue: FIFO from [wq_head] to [wq_tail], both [nil] when
+   empty. [wq_name] is [""] until first asked for. *)
+type waitq = {
+  wq_kind : string;
+  wq_holders : unit -> int list;
+  mutable wq_name : string;
+  mutable wq_head : waiter;
+  mutable wq_tail : waiter;
+}
 
 (* The simulated clock lives in its own all-float record: float fields
    of a flat float record read and write unboxed, so advancing the clock
@@ -123,7 +156,8 @@ type t = {
   mutable next_pid : int;
   mutable parked : int;  (* non-daemon processes currently suspended *)
   mutable parked_daemon : int;
-  waits : (int, waiter) Hashtbl.t;  (* wait token -> waiter, armed only *)
+  mutable parking : waiter;  (* for the [Park] handler to fill in *)
+  waits : (int, wait_record) Hashtbl.t;  (* wait token -> record, armed only *)
   mutable next_token : int;
   mutable next_resource : int;
   mutable deadlock_reporters : (stranded -> unit) list;
@@ -151,7 +185,7 @@ let () =
 
 type _ Effect.t +=
   | Sleep : float -> unit Effect.t
-  | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
+  | Park : unit Effect.t
   | Never : unit Effect.t  (* performed exactly once, to mint [dummy_kont] *)
 
 let dummy_thunk () = ()
@@ -177,6 +211,20 @@ let dummy_kont : kont =
           | _ -> None);
     };
   match !stash with Some k -> k | None -> assert false
+
+(* The end of every list, and the one waiter with a negative token. *)
+let rec nil =
+  {
+    w_k = dummy_kont;
+    w_proc = None;
+    w_token = -1;
+    w_state = Parked;
+    w_timer = no_timer;
+    w_next = nil;
+  }
+
+let is_nil w = w.w_token < 0
+let is_daemon w = match w.w_proc with Some p -> p.p_daemon | None -> false
 
 let initial_capacity = 256
 
@@ -211,6 +259,7 @@ let create ?(seed = 1L) ?tie_seed ?(deadlock = false) ?(own = false) () =
       next_pid = 0;
       parked = 0;
       parked_daemon = 0;
+      parking = nil;
       waits = Hashtbl.create 16;
       next_token = 0;
       next_resource = 0;
@@ -344,11 +393,6 @@ let schedule t ~delay thunk =
   let slot = push_event t ~delay in
   (* Vacated slots are pre-cleared, so only the thunk column is set. *)
   t.a_thunk.(slot) <- thunk
-
-(* A queued callback's arena slot and the [seq] it was pushed with:
-   [seq] is unique per push, so once the event fires or is cancelled —
-   and even after its slot is reused — the handle matches nothing. *)
-type timer = { tm_slot : int; tm_seq : int }
 
 let schedule_timer t ~delay thunk =
   let slot = push_event t ~delay in
@@ -548,9 +592,12 @@ let own_armed t = t.own
 
 let add_census_hook t f = t.census_hooks <- f :: t.census_hooks
 
-let fresh_resource t kind =
-  t.next_resource <- t.next_resource + 1;
-  Printf.sprintf "%s#%d" kind t.next_resource
+let waitq_name t q =
+  if String.equal q.wq_name "" then begin
+    t.next_resource <- t.next_resource + 1;
+    q.wq_name <- Printf.sprintf "%s#%d" q.wq_kind t.next_resource
+  end;
+  q.wq_name
 
 (* The current process's pid, name and spawn time. *)
 let provenance t =
@@ -558,30 +605,18 @@ let provenance t =
   | Some p -> (p.p_id, p.p_name, p.p_born)
   | None -> (0, "callback", t.clk.t_now)
 
-let record_waiter t token daemon ~resource ~holders =
+let record_waiter t w q =
   let pid, name, born = provenance t in
-  Hashtbl.replace t.waits token
+  Hashtbl.replace t.waits w.w_token
     {
-      w_resource = resource ();
-      w_holders = holders;
+      w_resource = waitq_name t q;
+      w_holders = q.wq_holders;
       w_pid = pid;
       w_name = name;
       w_born = born;
-      w_daemon = daemon;
+      w_daemon = is_daemon w;
       w_since = t.clk.t_now;
     }
-
-(* The wait token encodes the waiter's daemon bit in its low bit so
-   [wait_end] — which runs in the *resumer's* context, where [t.proc]
-   is the resumer, not the waiter — can decrement the right counter. *)
-let wait_begin t ~resource ~holders =
-  let daemon = match t.proc with Some p -> p.p_daemon | None -> false in
-  let token = (t.next_token lsl 1) lor Bool.to_int daemon in
-  t.next_token <- t.next_token + 1;
-  if daemon then t.parked_daemon <- t.parked_daemon + 1
-  else t.parked <- t.parked + 1;
-  if t.deadlock then record_waiter t token daemon ~resource ~holders;
-  token
 
 let note_order_cycle t cycle =
   let pid, name, born = provenance t in
@@ -596,11 +631,6 @@ let note_order_cycle t cycle =
       in_cycle = true;
     }
     :: t.order_cycles
-
-let wait_end t token =
-  if token land 1 = 1 then t.parked_daemon <- t.parked_daemon - 1
-  else t.parked <- t.parked - 1;
-  if t.deadlock then Hashtbl.remove t.waits token
 
 (* Walk the wait-for graph over parked processes: an edge goes from a
    waiter to each holder of the resource it waits on that is itself
@@ -693,14 +723,103 @@ let sleep_as prim delay =
 let sleep delay = sleep_as "Engine.sleep" delay
 let yield () = sleep_as "Engine.yield" 0.0
 
-let suspend register =
-  may_block "Engine.suspend";
-  Effect.perform (Suspend register)
+(* {1 Waiter queues}
 
-(* Run [f] as a process: a deep handler interprets Sleep/Suspend by parking
-   the continuation in the event arena or with the caller's registrar. The
-   handler stays attached when the continuation is resumed later, so an
-   exception raised after a suspension still names the process. *)
+   The parking process builds, links, counts and (armed) records its
+   waiter, then performs [Park], whose handler only stores the
+   continuation in it. A wake pushes that continuation at the current
+   time, in the waker's context. *)
+
+let resume t w state =
+  if w.w_state <> Parked then invalid_arg "Engine: process resumed twice";
+  w.w_state <- state;
+  if is_daemon w then t.parked_daemon <- t.parked_daemon - 1
+  else t.parked <- t.parked - 1;
+  if t.deadlock then Hashtbl.remove t.waits w.w_token;
+  (* Resumed, then its deadline cancelled: a no-op once it fired. *)
+  push_resume t ~delay:0.0 w.w_k w.w_proc;
+  cancel t w.w_timer
+
+(* The deadline fires only on a parked waiter: a wake cancels it. *)
+let expire w = resume (self ()) w Timed_out
+
+(* Park on [q], [timed] with a deadline [delay] from now, which is
+   queued first: a bad [delay] fails before anything is linked. *)
+let park_for t q ~timed delay =
+  let w =
+    {
+      w_k = dummy_kont;
+      w_proc = t.proc;
+      w_token = t.next_token;
+      w_state = Parked;
+      w_timer = no_timer;
+      w_next = nil;
+    }
+  in
+  t.next_token <- t.next_token + 1;
+  if timed then w.w_timer <- schedule_timer t ~delay (fun () -> expire w);
+  if is_nil q.wq_head then q.wq_head <- w else q.wq_tail.w_next <- w;
+  q.wq_tail <- w;
+  if is_daemon w then t.parked_daemon <- t.parked_daemon + 1
+  else t.parked <- t.parked + 1;
+  if t.deadlock then record_waiter t w q;
+  t.parking <- w;
+  Effect.perform Park;
+  w.w_state
+
+(* The [Park] handler, built once. *)
+let park_handler : (kont -> unit) option =
+  Some
+    (fun k ->
+      match !current with
+      | Some t ->
+          t.parking.w_k <- k;
+          t.parking <- nil
+      | None -> assert false)
+
+module Waitq = struct
+  type t = waitq
+
+  let create ?(holders = fun () -> []) kind =
+    { wq_kind = kind; wq_holders = holders; wq_name = ""; wq_head = nil;
+      wq_tail = nil }
+
+  let name = waitq_name
+  let park q = ignore (park_for (self ()) q ~timed:false 0.0)
+
+  let park_until q ~deadline =
+    let t = self () in
+    let delay = deadline -. t.clk.t_now in
+    if delay < 0.0 then false else park_for t q ~timed:true delay = Woken
+
+  (* Unlink and return the head waiter, [nil] when there is none. *)
+  let pop q =
+    let w = q.wq_head in
+    q.wq_head <- w.w_next;
+    if is_nil q.wq_head then q.wq_tail <- nil;
+    w
+
+  let rec wake_one q =
+    let w = pop q in
+    if is_nil w then false
+    else if w.w_state = Timed_out then wake_one q
+    else begin
+      resume (self ()) w Woken;
+      true
+    end
+
+  let rec wake_all q =
+    let w = pop q in
+    if not (is_nil w) then begin
+      if w.w_state <> Timed_out then resume (self ()) w Woken;
+      wake_all q
+    end
+end
+
+(* Run [f] as a process: a deep handler parks a Sleep's continuation in
+   the event arena and a Park's in its waiter. The handler stays
+   attached when the continuation is resumed later, so an exception
+   raised after a suspension still names the process. *)
 let exec ~daemon t name vals f =
   t.next_pid <- t.next_pid + 1;
   t.proc <-
@@ -731,20 +850,7 @@ let exec ~daemon t name vals f =
                      still belongs to the parking process: park it with
                      the continuation, no closure needed. *)
                   push_resume t ~delay k t.proc)
-          | Suspend register ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  let saved_proc = t.proc in
-                  let resumed = ref false in
-                  let resume () =
-                    if !resumed then
-                      invalid_arg "Engine: process resumed twice"
-                    else begin
-                      resumed := true;
-                      push_resume t ~delay:0.0 k saved_proc
-                    end
-                  in
-                  register resume)
+          | Park -> park_handler
           | _ -> None);
     }
 

@@ -6,7 +6,7 @@
 
     Processes are cooperative coroutines built on OCaml 5 effect handlers.
     Inside a process, {!sleep} advances simulated time and blocking
-    primitives ({!Ivar}, {!Semaphore}, {!Channel}) suspend via {!suspend}.
+    primitives ({!Ivar}, {!Semaphore}, {!Channel}) park on a {!Waitq}.
     Events at equal timestamps fire in FIFO order (a monotonic sequence
     number breaks ties), which makes whole-experiment runs reproducible.
     The schedule sanitizer ([tie_seed] below, plus the {!Hb} checker)
@@ -135,7 +135,7 @@ val self_opt : unit -> t option
     {!set}) and one engine-wide value ({!get_global} / {!set_global});
     every value starts unset.
 
-    A process's value is preserved across {!sleep} / {!suspend}. At
+    A process's value is preserved across {!sleep} and a park. At
     {!spawn}, the child starts with [fork t parent_value] for every key,
     computed when [spawn] is called, in key-creation order — also when
     the parent holds no value. A plain {!schedule} callback starts with
@@ -176,13 +176,6 @@ val sleep : float -> unit
 val yield : unit -> unit
 (** [yield ()] is [sleep 0.]: lets other events at this timestamp run. *)
 
-val suspend : ((unit -> unit) -> unit) -> unit
-(** [suspend register] parks the current process. [register resume] is
-    called immediately with a one-shot [resume] function; calling
-    [resume ()] re-schedules the process at the then-current time. This is
-    the primitive from which all blocking structures are built.
-    @raise Invalid_argument inside an atomic section. *)
-
 (** {1 Atomic sections}
 
     A callback that runs in the middle of an update (a memory fault
@@ -190,12 +183,12 @@ val suspend : ((unit -> unit) -> unit) -> unit
     not suspend. Inside a process a suspension would park it mid-update
     and let other processes run against the half-done state; outside
     one there is no handler to park it. Such a callback runs in a
-    section ({!atomic}). While a section is open, {!sleep}, {!yield}
-    and {!suspend} raise [Invalid_argument] naming the primitive and
-    the section, and so does every blocking primitive on entry
-    ({!may_block}), also when the call would not have blocked this
-    time. The depth lives in the engine, not in a process: code inside
-    a section cannot suspend, so nothing else runs until it is left.
+    section ({!atomic}). While a section is open, {!sleep} and {!yield}
+    raise [Invalid_argument] naming the primitive and the section, and
+    so does every blocking primitive on entry ({!may_block}), also when
+    the call would not have blocked this time. The depth lives in the
+    engine, not in a process: code inside a section cannot suspend, so
+    nothing else runs until it is left.
     Entering, leaving and the checks allocate nothing, schedule nothing
     and draw nothing. *)
 
@@ -222,17 +215,17 @@ val may_block : string -> unit
 
 (** {1 Deadlock sanitizer}
 
-    The run-time deadlock check. Blocking primitives bracket every park
-    with {!wait_begin} / {!wait_end}; the engine counts parked
-    processes always (so {!stuck_waiters} is meaningful even with the
-    detector off) and, when armed ([?deadlock] at {!create}), keeps a
-    wait table it walks at natural quiescence: a run that ends with
-    parked non-daemon processes — or daemons on a wait cycle — leaked
-    them, whether by lost wakeup (a forgotten [Ivar.fill]) or by
-    genuine deadlock (a lock cycle). Armed, {!Semaphore} also checks
-    the order in which each process takes its permits
-    ({!note_order_cycle}), which catches two opposite lock orders even
-    on a schedule where they never deadlock. *)
+    The run-time deadlock check. Every park goes through a {!Waitq},
+    which counts parked processes always (so {!stuck_waiters} is
+    meaningful even with the detector off) and, when armed ([?deadlock]
+    at {!create}), records each waiter in a wait table the engine walks
+    at natural quiescence: a run that ends with parked non-daemon
+    processes — or daemons on a wait cycle — leaked them, whether by
+    lost wakeup (a forgotten [Ivar.fill]) or by genuine deadlock (a lock
+    cycle). Armed, {!Semaphore} also checks the order in which each
+    process takes its permits ({!note_order_cycle}), which catches two
+    opposite lock orders even on a schedule where they never
+    deadlock. *)
 
 val deadlock_armed : t -> bool
 
@@ -297,19 +290,40 @@ val add_census_hook : t -> (unit -> unit) -> unit
 val current_pid : t -> int
 (** Pid of the currently-dispatching process, [0] outside one. *)
 
-val fresh_resource : t -> string -> string
-(** [fresh_resource t kind] is a unique display name ["kind#N"] for a
-    blocking resource, assigned on first wait so unarmed runs never
-    pay for naming. *)
+(** {1 Waiter queues}
 
-val wait_begin : t -> resource:(unit -> string) -> holders:(unit -> int list) -> int
-(** Called by a blocking primitive as the current process parks.
-    Returns the wait token to hand back to {!wait_end}. The [resource]
-    and [holders] thunks are consulted only when the detector is
-    armed; [holders] is re-read at quiescence so it should report the
-    resource's *current* holder pids. *)
+    The one park-and-wake mechanism under every blocking primitive,
+    made once per primitive. Each wake pushes one resume event at the
+    current time, in FIFO order. A park with a deadline queues one
+    cancellable event: a wake first pushes the resume, then cancels it;
+    the deadline firing resumes the waiter and leaves it linked for a
+    wake-one to pass over. Unarmed, a park allocates only its waiter and
+    its continuation; armed, it is recorded for the deadlock report. *)
 
-val wait_end : t -> int -> unit
-(** Close a wait begun with {!wait_begin}. Runs in the resumer's
-    context, so primitives must call it from the wakeup path they
-    enqueue, not rely on the parked process itself. *)
+module Waitq : sig
+  type engine := t
+  type t
+
+  val create : ?holders:(unit -> int list) -> string -> t
+  (** [create ~holders kind] is an empty queue. [holders] (default
+      none) reports the pids holding the resource, re-read at
+      quiescence. *)
+
+  val name : engine -> t -> string
+  (** ["kind#N"], [N] numbered on the engine's first call. *)
+
+  val park : t -> unit
+  (** Park the current process until a wake. Unchecked: primitives call
+      {!may_block} on entry. *)
+
+  val park_until : t -> deadline:float -> bool
+  (** Park until a wake ([true]) or simulated time [deadline] ([false]);
+      a past deadline returns [false] at once.
+      @raise Invalid_argument if [deadline] is [infinity] or NaN. *)
+
+  val wake_one : t -> bool
+  (** Resume the first waiter not timed out; [false] if none is left. *)
+
+  val wake_all : t -> unit
+  (** Resume every waiter not timed out, in FIFO order. *)
+end

@@ -1,36 +1,31 @@
 type t = {
   capacity : int;
   mutable avail : int;
-  waiters : (unit -> unit) Queue.t;
+  waiters : Engine.Waitq.t;
   (* Happens-before edge carrier: release publishes, a successful
      acquire observes (no-op unless the schedule sanitizer is armed). *)
   hb : Hb.sync;
-  (* Deadlock-sanitizer bookkeeping, maintained only when the engine's
-     detector is armed: [rname] is assigned on first acquire or wait,
-     [holders] tracks the pids currently owning permits so the wait-for
-     graph can find lock cycles. *)
-  mutable rname : string;
-  mutable holders : int list;
+  (* Pids owning permits, kept only when the engine's deadlock detector
+     is armed: [waiters] reports them to the wait-for graph. *)
+  holders : int list ref;
 }
 
 let create n =
   if n < 0 then invalid_arg "Semaphore.create: negative capacity";
+  let holders = ref [] in
   {
     capacity = n;
     avail = n;
-    waiters = Queue.create ();
+    waiters = Engine.Waitq.create ~holders:(fun () -> !holders) "semaphore";
     hb = Hb.make_sync ();
-    rname = "";
-    holders = [];
+    holders;
   }
 
 let capacity t = t.capacity
 let available t = t.avail
 let in_use t = t.capacity - t.avail
 
-let resource t e =
-  if String.equal t.rname "" then t.rname <- Engine.fresh_resource e "semaphore";
-  t.rname
+let resource t e = Engine.Waitq.name e t.waiters
 
 let rec remove_once eq x = function
   | [] -> []
@@ -93,12 +88,12 @@ let note_wanted t e =
    path keeps its stack frames: guest processes run on fiber stacks,
    where one deeper frame grows many of them. *)
 let took t e =
-  t.holders <- Engine.current_pid e :: t.holders;
+  t.holders := Engine.current_pid e :: !(t.holders);
   Engine.set e held (Some (resource t e :: held_by e))
 
 let gave t e =
-  t.holders <- remove_once Int.equal (Engine.current_pid e) t.holders;
-  Engine.set e held (Some (remove_once String.equal t.rname (held_by e)))
+  t.holders := remove_once Int.equal (Engine.current_pid e) !(t.holders);
+  Engine.set e held (Some (remove_once String.equal (resource t e) (held_by e)))
 
 let note_acquire t =
   match Engine.self_opt () with
@@ -126,18 +121,7 @@ let take t =
   | Some e when Engine.deadlock_armed e -> note_wanted t e
   | _ -> ());
   if not (try_acquire t) then begin
-    let e = Engine.self () in
-    let tok =
-      Engine.wait_begin e
-        ~resource:(fun () -> resource t e)
-        ~holders:(fun () -> t.holders)
-    in
-    Engine.suspend (fun resume ->
-        Queue.add
-          (fun () ->
-            Engine.wait_end e tok;
-            resume ())
-          t.waiters);
+    Engine.Waitq.park t.waiters;
     Hb.observe t.hb;
     (* The permit was handed to us directly by [release]; we are the
        holder from the moment we run again. *)
@@ -155,12 +139,11 @@ let acquire t =
 let release t =
   Hb.signal t.hb;
   note_release t;
-  match Queue.take_opt t.waiters with
-  | Some resume -> resume ()
-  | None ->
-      if t.avail >= t.capacity then
-        invalid_arg "Semaphore.release: released above capacity";
-      t.avail <- t.avail + 1
+  if not (Engine.Waitq.wake_one t.waiters) then begin
+    if t.avail >= t.capacity then
+      invalid_arg "Semaphore.release: released above capacity";
+    t.avail <- t.avail + 1
+  end
 
 let with_permit t f =
   Engine.may_block "Semaphore.with_permit";

@@ -149,21 +149,38 @@ let hb_reads_never_race () =
   in
   Alcotest.(check int) "read/read is no race" 0 (List.length races)
 
+(* A writer publishes through a blocking primitive; the reader's write
+   is ordered after it even though both land at t=0. The channel
+   receivers run first and park, so the send wakes them: the timed
+   receive's edge is carried by the channel's own sync alone. *)
 let hb_sync_edge_orders () =
-  (* Writer publishes through an ivar; the reader's write is ordered
-     after it even though both land at t=0. *)
-  let cell = Sim.Hb.cell ~name:"toy.sync" in
-  let races =
-    hb_run (fun engine ->
-        let iv = Sim.Ivar.create () in
-        Sim.Engine.spawn engine ~name:"first" (fun () ->
-            Sim.Hb.write cell;
-            Sim.Ivar.fill iv ());
-        Sim.Engine.spawn engine ~name:"second" (fun () ->
-            Sim.Ivar.read iv;
-            Sim.Hb.write cell))
+  let edge name ~publish ~await =
+    (* A cell per run: a cell keeps its accesses at an instant across
+       engines, and every run here is at t=0. *)
+    let cell = Sim.Hb.cell ~name:"toy.sync" in
+    let races =
+      hb_run (fun engine ->
+          Sim.Engine.spawn engine ~name:"second" (fun () ->
+              await ();
+              Sim.Hb.write cell);
+          Sim.Engine.spawn engine ~name:"first" (fun () ->
+              Sim.Hb.write cell;
+              publish ()))
+    in
+    Alcotest.(check int) (name ^ " edge synchronizes") 0 (List.length races)
   in
-  Alcotest.(check int) "ivar edge synchronizes" 0 (List.length races)
+  let iv = Sim.Ivar.create () in
+  edge "ivar" ~publish:(fun () -> Sim.Ivar.fill iv ()) ~await:(fun () ->
+      Sim.Ivar.read iv);
+  let ch = Sim.Channel.create () in
+  edge "channel recv" ~publish:(fun () -> Sim.Channel.send ch ()) ~await:(fun () ->
+      Sim.Channel.recv ch);
+  let ch = Sim.Channel.create () in
+  edge "channel recv_timeout"
+    ~publish:(fun () -> Sim.Channel.send ch ())
+    ~await:(fun () ->
+      Alcotest.(check (option unit)) "received" (Some ())
+        (Sim.Channel.recv_timeout ch ~timeout:1.0))
 
 let hb_time_separation_orders () =
   let cell = Sim.Hb.cell ~name:"toy.time" in

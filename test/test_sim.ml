@@ -530,7 +530,7 @@ let test_ivar_double_fill_rejected () =
          Sim.Engine.spawn e (fun () ->
              Sim.Ivar.fill iv 1;
              Alcotest.(check bool) "try_fill fails" false (Sim.Ivar.try_fill iv 2))));
-  Alcotest.(check (option int)) "kept first" (Some 1) (Sim.Ivar.peek iv)
+  Alcotest.(check int) "kept first" 1 (Sim.Ivar.read iv)
 
 let test_ivar_many_waiters () =
   let woken = ref [] in
@@ -549,39 +549,6 @@ let test_ivar_many_waiters () =
     "all woken in fifo order"
     [ (1, 9); (2, 9); (3, 9); (4, 9) ]
     (List.rev !woken)
-
-let test_ivar_timeout_expires () =
-  let got = ref (Some 1) in
-  ignore
-    (run_sim (fun e ->
-         let iv = Sim.Ivar.create () in
-         Sim.Engine.spawn e (fun () ->
-             got := Sim.Ivar.read_timeout iv ~timeout:2.0;
-             check_float "woke at deadline" 2.0 (Sim.Engine.now e))));
-  Alcotest.(check (option int)) "timed out" None !got
-
-let test_ivar_timeout_beaten_by_fill () =
-  let got = ref None in
-  ignore
-    (run_sim (fun e ->
-         let iv = Sim.Ivar.create () in
-         Sim.Engine.spawn e (fun () ->
-             got := Sim.Ivar.read_timeout iv ~timeout:5.0);
-         Sim.Engine.spawn e (fun () ->
-             Sim.Engine.sleep 1.0;
-             Sim.Ivar.fill iv 11)));
-  Alcotest.(check (option int)) "value before deadline" (Some 11) !got
-
-(* The fill cancels the 60 s timer: the run ends at the fill. *)
-let test_ivar_timeout_timer_cancelled () =
-  let engine =
-    run_sim (fun e ->
-        let iv = Sim.Ivar.create () in
-        Sim.Engine.spawn e (fun () ->
-            ignore (Sim.Ivar.read_timeout iv ~timeout:60.0));
-        Sim.Engine.schedule e ~delay:1.0 (fun () -> Sim.Ivar.fill iv 3))
-  in
-  check_float "run ends at the fill" 1.0 (Sim.Engine.now engine)
 
 (* {1 Semaphore} *)
 
@@ -684,7 +651,8 @@ let test_channel_recv_timeout () =
     (run_sim (fun e ->
          let ch = Sim.Channel.create () in
          Sim.Engine.spawn e (fun () ->
-             got := Sim.Channel.recv_timeout ch ~timeout:1.0)));
+             got := Sim.Channel.recv_timeout ch ~timeout:1.0;
+             check_float "woke at deadline" 1.0 (Sim.Engine.now e))));
   Alcotest.(check (option int)) "timed out" None !got
 
 (* The item cancels the 60 s timer: the run ends when it is read. *)
@@ -699,6 +667,56 @@ let test_channel_recv_timeout_timer_cancelled () =
   in
   Alcotest.(check (option int)) "received" (Some 8) !got;
   check_float "run ends at the send" 1.0 (Sim.Engine.now engine)
+
+(* An item sent at the very instant of a reader's deadline. Sent
+   before the deadline event fires, it wakes the reader and cancels the
+   deadline; sent after it fires but before the reader resumes, the
+   wake passes over the timed-out reader, which then takes the item
+   itself. Sent after the reader has resumed empty-handed, it waits for
+   the next receive. Each reader resumes exactly once. *)
+let test_channel_item_at_deadline () =
+  let at_deadline ~order ~events =
+    let engine = Sim.Engine.create () in
+    let ch = Sim.Channel.create () in
+    let resumed = ref 0 and first = ref None and next = ref None in
+    let send () = Sim.Channel.send ch 7 in
+    (* Queued before the reader's deadline event, at the same time. *)
+    if order = `Item_first then Sim.Engine.schedule engine ~delay:1.0 send;
+    Sim.Engine.spawn engine (fun () ->
+        first := Sim.Channel.recv_timeout ch ~timeout:1.0;
+        incr resumed;
+        if Option.is_none !first then next := Some (Sim.Channel.recv ch));
+    (* Spawned after the reader parks, so queued after its deadline. *)
+    let after_deadline f =
+      Sim.Engine.spawn engine (fun () -> Sim.Engine.schedule engine ~delay:1.0 f)
+    in
+    (match order with
+    | `Item_first -> ()
+    | `Deadline_first -> after_deadline send
+    | `Reader_first ->
+        (* Queued behind the resume the deadline pushed. *)
+        after_deadline (fun () -> Sim.Engine.schedule engine ~delay:0.0 send));
+    Sim.Engine.run engine;
+    check_float "ends at the deadline" 1.0 (Sim.Engine.now engine);
+    Alcotest.(check int) "resumed once" 1 !resumed;
+    Alcotest.(check int) "nobody parked" 0 (Sim.Engine.stuck_waiters engine);
+    Alcotest.(check int) "events dispatched" events
+      (Sim.Engine.perf engine).Sim.Engine.dispatched;
+    (!first, !next)
+  in
+  let got = Alcotest.(pair (option int) (option int)) in
+  (* The spawn, the send and the resume: the deadline never fires. *)
+  Alcotest.check got "item first: the send wakes the reader" (Some 7, None)
+    (at_deadline ~order:`Item_first ~events:3);
+  (* Two spawns, the deadline, the send and the resume. *)
+  Alcotest.check got "deadline first: the reader takes the item"
+    (Some 7, None)
+    (at_deadline ~order:`Deadline_first ~events:5);
+  (* Two spawns, the deadline, the callback, the resume, the send and
+     the second receive's resume. *)
+  Alcotest.check got "reader first: the next receive takes the item"
+    (None, Some 7)
+    (at_deadline ~order:`Reader_first ~events:7)
 
 (* A receive that timed out leaves its reader queued; the next send
    must pass over it and wake the receiver parked behind it. *)
@@ -1038,20 +1056,19 @@ let test_semaphore_word_budget () =
          Sim.Semaphore.release sem))
 
 (* A send queues the item in one [Queue] cell (3 words); the receive
-   that takes it is handed it in [Queue.take_opt]'s [Some] (2) and
-   returns it from [try_recv] in a [Some] of its own (2). The [Hb]
-   hooks on both sides add nothing. *)
+   takes it out with [Queue.take] and returns it bare. The [Hb] hooks
+   on both sides add nothing. *)
 let test_channel_word_budget () =
   let ch = Sim.Channel.create () in
-  Alcotest.(check (float 0.0)) "minor words per send + recv" 7.0
+  Alcotest.(check (float 0.0)) "minor words per send + recv" 3.0
     (words_in_process 10_000 (fun _ ->
          Sim.Channel.send ch 1;
          ignore (Sys.opaque_identity (Sim.Channel.recv ch))))
 
-(* An ivar is its record (4 words), its [Empty] state (2) over an empty
-   waiter [Queue] (4) and its [Hb.sync] (2); the fill boxes the value
-   in [Full] (2), and reading a full ivar allocates nothing. The [Hb]
-   hooks on both sides add nothing. *)
+(* An ivar is its record (4 words), its waiter queue (6) and its
+   [Hb.sync] (2); the fill boxes the value in a [Some] (2), and reading
+   a full ivar allocates nothing. The [Hb] hooks on both sides add
+   nothing. *)
 let test_ivar_word_budget () =
   Alcotest.(check (float 0.0)) "minor words per create + fill + read" 14.0
     (words_in_process 10_000 (fun _ ->
@@ -1061,8 +1078,8 @@ let test_ivar_word_budget () =
 
 (* [sleep] on the heap path: a zero-alloc callback chain keeps an event
    queued ahead of every wakeup, so each sleep parks through
-   [push_resume]. Performing [Sleep] builds its payload (2 words) and
-   the continuation (3); the handler returns [Some] (2) of a closure
+   [push_resume]. Performing [Sleep] builds its payload (3 words) and
+   the continuation (2); the handler returns [Some] (2) of a closure
    over the engine and the delay (5) that parks it. The in-place path
    is the [in-place] group's: no word at all. *)
 let test_sleep_heap_word_budget () =
@@ -1078,24 +1095,15 @@ let test_sleep_heap_word_budget () =
   Alcotest.(check (float 0.0)) "minor words per parked sleep" 12.0
     (words_in_process ~engine 10_000 (fun _ -> Sim.Engine.sleep 1.0))
 
-(* The parking path: [wait_begin], a suspension, [push_resume] and
-   [wait_end], through a contended semaphore. The holder takes the
-   permit, sleeps in place and releases it to the parked measured
+(* The parking path: [Waitq.park], the [Park] handler, [Waitq.wake_one]
+   and [push_resume], through a contended semaphore. The holder takes
+   the permit, sleeps in place and releases it to the parked measured
    process, whose own release hands it back to the holder, parked on
    its next acquire; so each measured iteration parks two acquires.
-   One parked acquire is 47 words:
-   - [wait_begin]'s [~resource] closure over the semaphore and the
-     engine (5) and its [~holders] closure over the semaphore (4);
-   - the registrar handed to [suspend], over the engine, the wait token
-     and the semaphore (6);
-   - performing [Suspend]: its payload (2) and the continuation (3);
-   - the handler's [Some] (2) of a closure over the engine and the
-     registrar (5), its [resumed] ref (2) and the [resume] closure over
-     the ref, the engine, the continuation and the process record (7);
-   - the waiter's [Queue] cell (3) and its closure over the engine,
-     the token and [resume] (6);
-   - and, in the release that wakes it, [Queue.take_opt]'s [Some] (2).
-   [wait_end] and [push_resume] allocate nothing. *)
+   One parked acquire is 9 words: the waiter record (7) and the
+   continuation that performing [Park] captures (2). The handler is
+   built once, and the wake, [push_resume] and the waiter counters
+   allocate nothing. *)
 let test_parking_word_budget () =
   let engine = Sim.Engine.create ~seed:1L () in
   let sem = Sim.Semaphore.create 1 in
@@ -1105,10 +1113,37 @@ let test_parking_word_budget () =
         Sim.Engine.sleep 1.0;
         Sim.Semaphore.release sem
       done);
-  Alcotest.(check (float 0.0)) "minor words per two parked acquires" 94.0
+  Alcotest.(check (float 0.0)) "minor words per two parked acquires" 18.0
     (words_in_process ~engine 10_000 (fun _ ->
          Sim.Semaphore.acquire sem;
          Sim.Semaphore.release sem))
+
+(* The per-request reply wait: a [Channel.recv_timeout] that a send
+   satisfies before its deadline. A zero-alloc callback chain sends one
+   item a second, so each measured receive parks with its deadline
+   queued and is woken by the send, which cancels the deadline. One
+   send and timed receive is 27 words:
+   - the send's [Queue] cell (3);
+   - the deadline: [Engine.now]'s boxed result (2), the boxed sum (2)
+     and the boxed delay [Waitq.park_until] queues its event at (2);
+   - the waiter record (7), the continuation (2), and the deadline's
+     timer handle (3) and closure over the waiter (4);
+   - the [Some] the item is returned in (2).
+   The wake, the cancel and the [Hb] hooks allocate nothing. *)
+let test_timed_receive_word_budget () =
+  let engine = Sim.Engine.create ~seed:1L () in
+  let ch = Sim.Channel.create () in
+  let remaining = ref 10_001 in
+  let rec send () =
+    Sim.Channel.send ch 1;
+    decr remaining;
+    if !remaining > 0 then Sim.Engine.schedule engine ~delay:1.0 send
+  in
+  Sim.Engine.schedule engine ~delay:0.5 send;
+  Alcotest.(check (float 0.0)) "minor words per send + timed receive" 27.0
+    (words_in_process ~engine 10_000 (fun _ ->
+         ignore
+           (Sys.opaque_identity (Sim.Channel.recv_timeout ch ~timeout:10.0))))
 
 (* [Trace.fork] runs at every spawn: a spawn from a process holding a
    trace context costs exactly 12 words more than one from a process
@@ -1180,14 +1215,11 @@ let test_atomic_primitives_raise () =
     [
       ("Engine.sleep", fun _ -> Sim.Engine.sleep 1.0);
       ("Engine.yield", fun _ -> Sim.Engine.yield ());
-      ("Engine.suspend", fun _ -> Sim.Engine.suspend (fun resume -> resume ()));
       ( "Semaphore.acquire",
         fun _ -> Sim.Semaphore.acquire (Sim.Semaphore.create 1) );
       ( "Semaphore.with_permit",
         fun _ -> Sim.Semaphore.with_permit (Sim.Semaphore.create 1) ignore );
       ("Ivar.read", fun _ -> Sim.Ivar.read (full ()));
-      ( "Ivar.read_timeout",
-        fun _ -> ignore (Sim.Ivar.read_timeout (full ()) ~timeout:1.0) );
       ("Channel.send", fun _ -> Sim.Channel.send (Sim.Channel.create ()) ());
       ("Channel.recv", fun _ -> Sim.Channel.recv ch1);
       ( "Channel.recv_timeout",
@@ -1197,7 +1229,7 @@ let test_atomic_primitives_raise () =
     (section_failure (fun e ->
          let iv = Sim.Ivar.create () in
          Sim.Ivar.fill iv ();
-         ignore (Sim.Ivar.peek iv);
+         ignore (Sim.Ivar.is_full iv);
          ignore (Sim.Semaphore.try_acquire (Sim.Semaphore.create 1));
          ignore (Sim.Channel.try_recv (Sim.Channel.create ()));
          Sim.Engine.schedule e ~delay:1.0 ignore))
@@ -1353,12 +1385,14 @@ let test_keys_survive_sleep_and_suspend () =
   let engine = Sim.Engine.create () in
   let k = Sim.Engine.new_key () in
   let after_sleep = ref None and after_suspend = ref None in
+  let iv = Sim.Ivar.create () in
+  Sim.Engine.schedule engine ~delay:3.0 (fun () -> Sim.Ivar.fill iv ());
   Sim.Engine.spawn engine (fun () ->
       Sim.Engine.set engine k (Some 7);
       Sim.Engine.sleep 1.0;
       after_sleep := Sim.Engine.get engine k;
-      Sim.Engine.suspend (fun resume ->
-          Sim.Engine.schedule engine ~delay:2.0 resume);
+      (* Parks on the ivar's waiter queue until the fill. *)
+      Sim.Ivar.read iv;
       after_suspend := Sim.Engine.get engine k);
   (* A second process in between holds nothing of the first's. *)
   Sim.Engine.spawn engine (fun () ->
@@ -1512,6 +1546,7 @@ let () =
           case "ivar word budget" test_ivar_word_budget;
           case "parked sleep word budget" test_sleep_heap_word_budget;
           case "parking word budget" test_parking_word_budget;
+          case "timed receive word budget" test_timed_receive_word_budget;
           case "trace fork word budget" test_trace_fork_word_budget;
         ] );
       ( "atomic",
@@ -1540,10 +1575,6 @@ let () =
           case "read blocks" test_ivar_read_blocks;
           case "double fill rejected" test_ivar_double_fill_rejected;
           case "many waiters" test_ivar_many_waiters;
-          case "timeout expires" test_ivar_timeout_expires;
-          case "timeout beaten by fill" test_ivar_timeout_beaten_by_fill;
-          case "fill cancels the timeout timer"
-            test_ivar_timeout_timer_cancelled;
         ] );
       ( "semaphore",
         [
@@ -1561,6 +1592,7 @@ let () =
             test_channel_recv_timeout_timer_cancelled;
           case "timed-out reader passes the wakeup on"
             test_channel_timed_out_reader_passes_wakeup;
+          case "item at the deadline instant" test_channel_item_at_deadline;
         ] );
       ( "census",
         [
