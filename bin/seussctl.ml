@@ -61,7 +61,7 @@ let write_file path body =
    experiment: [body] gets a plain environment (no io-server) and a
    harness-built SEUSS node. Stuck waiters surface on stderr — stdout
    stays byte-identical, which the sanitizer-transparency checks depend
-   on. With SEUSS_DEADLOCK=1 the detector adds one provenance line per
+   on. With SEUSS_CHECK=1 the detector adds one provenance line per
    stranded process and per lock-order cycle; a cycle can be found on
    a run that parks nobody. *)
 let report_stuck () =
@@ -69,7 +69,7 @@ let report_stuck () =
   if stuck > 0 then
     Printf.eprintf
       "seussctl: %d process%s still parked at quiescence (set \
-       SEUSS_DEADLOCK=1 for a wait-for-graph report)\n"
+       SEUSS_CHECK=1 for a wait-for-graph report)\n"
       stuck
       (if stuck = 1 then "" else "es");
   List.iter

@@ -58,18 +58,15 @@ let with_run run f =
 let run_sim ?(seed = 7L) body =
   let run = resolve () in
   with_run run (fun () ->
-      (* The tie shuffler, deadlock detector and ownership census are
-         engine arguments; the happens-before checker is armed before
-         anything spawns, so spawn edges are tracked from the root
-         process down. Race, deadlock and leak reports surface as San_*
-         events on the env log (see Osenv.create); a healthy armed run
-         emits nothing, so it stays byte-identical to an unarmed one —
-         test_arms's sweep depends on this. *)
+      (* The tie shuffler and the checkers are engine arguments. Race,
+         deadlock and leak reports surface as San_* events on the env
+         log (see Osenv.create); a healthy checked run emits nothing,
+         so it stays byte-identical to an unchecked one — test_arms's
+         sweep depends on this. *)
       let engine =
         Sim.Engine.create ~seed ?tie_seed:run.Run_config.tie_seed
-          ~deadlock:run.Run_config.deadlock ~own:run.Run_config.own ()
+          ~check:run.Run_config.check ()
       in
-      if run.Run_config.hb then ignore (Sim.Hb.enable engine);
       install_faults run ~seed engine;
       let result = ref None in
       Sim.Engine.spawn engine ~name:"experiment" (fun () ->

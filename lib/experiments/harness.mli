@@ -21,11 +21,9 @@ val with_run : Run_config.t -> (unit -> 'a) -> 'a
 val run_sim : ?seed:int64 -> (Sim.Engine.t -> 'a) -> 'a
 (** Spawn the body as a simulation process on a fresh engine armed per
     the enclosing configuration [run] (see {!with_run}) and drive it
-    until it completes, all inside {!with_run}. The
-    engine carries the tie shuffler, deadlock detector and ownership
-    census, and the happens-before checker ({!Sim.Hb}) is enabled
-    before anything spawns; this is the only way to get an armed
-    engine. With a nonzero [run.fault_rate], a fault
+    until it completes, all inside {!with_run}; this is the only way to
+    get an armed engine. It carries the tie shuffler and, with
+    [run.check], every checker. With a nonzero [run.fault_rate], a fault
     plan with every site at that rate is installed first, seeded by
     [seed xor fault_seed_xor] (or [run.fault_seed]): the derivation
     never draws from the engine stream. After the run the engine's
@@ -48,12 +46,12 @@ val last_stuck_waiters : unit -> int
 val last_leaked_resources : unit -> (string * Seuss.Node.census) list
 (** {!Seuss.Node.leaks} of those engines, in run order: per-node
     nonzero censuses, in node creation order. Always [[]] unless
-    [run.own] armed the census — and, on a leak-free tree, also [[]]
+    [run.check] armed the census — and, on a leak-free tree, also [[]]
     when it did. *)
 
 val last_stranded_waiters : unit -> Sim.Engine.stranded list
 (** {!Sim.Engine.stranded_waiters} of those runs, in run order — [[]]
-    unless [run.deadlock] armed the detector. *)
+    unless [run.check] armed the detector. *)
 
 val fault_seed_xor : int64
 (** The fixed constant mixed into the run seed to derive a fault-plan
@@ -75,9 +73,8 @@ val seuss_node : ?config:Seuss.Config.t -> Seuss.Osenv.t -> Seuss.Node.t
     boots the runtime). Span capture and the resource timeline are
     started by the command that prints them, not here. Experiments
     needing fixed arms (e.g. [Fig_reap], [Fig_evict]) pass their exact
-    config to {!Seuss.Node.create} or {!replay} instead. Every node
-    registers its own ownership census on an armed engine (see
-    {!Seuss.Node.create}). *)
+    config to {!Seuss.Node.create} or {!replay} instead. On a checked
+    engine every node registers its census ({!Seuss.Node.create}). *)
 
 val nop_fn : int -> Seuss.Node.fn
 (** The NOP JavaScript function with id ["nop-<i>"]: the paper's

@@ -1,8 +1,6 @@
 type t = {
   tie_seed : int64 option;
-  hb : bool;
-  deadlock : bool;
-  own : bool;
+  check : bool;
   fault_rate : float;
   fault_seed : int64 option;
   prefault : bool;
@@ -13,9 +11,7 @@ type t = {
 let default =
   {
     tie_seed = None;
-    hb = false;
-    deadlock = false;
-    own = false;
+    check = false;
     fault_rate = 0.0;
     fault_seed = None;
     prefault = false;
@@ -25,10 +21,14 @@ let default =
 
 let vars =
   [
-    "SEUSS_SHUFFLE_SEED"; "SEUSS_HB"; "SEUSS_DEADLOCK"; "SEUSS_OWN";
-    "SEUSS_FAULT_RATE"; "SEUSS_FAULT_SEED"; "SEUSS_PREFAULT";
-    "SEUSS_SNAP_CACHE"; "SEUSS_SNAP_POLICY";
+    "SEUSS_SHUFFLE_SEED"; "SEUSS_CHECK"; "SEUSS_FAULT_RATE";
+    "SEUSS_FAULT_SEED"; "SEUSS_PREFAULT"; "SEUSS_SNAP_CACHE";
+    "SEUSS_SNAP_POLICY";
   ]
+
+(* The per-checker switches SEUSS_CHECK replaced: an off value still
+   parses, any other fails, so an old script cannot run unchecked. *)
+let retired = [ "SEUSS_HB"; "SEUSS_DEADLOCK"; "SEUSS_OWN" ]
 
 (* {1 Value parsers} *)
 
@@ -87,12 +87,14 @@ let parse env =
                     (Printf.sprintf "malformed %s=%S (expected %s)" var raw
                        expected)))
   in
+  let retired_field acc var =
+    field var (fun _ -> None) "0; it is retired: set SEUSS_CHECK=1"
+      (fun r () -> r) acc
+  in
   Ok default
   |> field "SEUSS_SHUFFLE_SEED" seed "an integer seed" (fun r v ->
          { r with tie_seed = Some v })
-  |> field "SEUSS_HB" switch "1 or 0" (fun r v -> { r with hb = v })
-  |> field "SEUSS_DEADLOCK" switch "1 or 0" (fun r v -> { r with deadlock = v })
-  |> field "SEUSS_OWN" switch "1 or 0" (fun r v -> { r with own = v })
+  |> field "SEUSS_CHECK" switch "1 or 0" (fun r v -> { r with check = v })
   |> field "SEUSS_FAULT_RATE" rate "a rate in [0, 1]" (fun r v ->
          { r with fault_rate = v })
   |> field "SEUSS_FAULT_SEED" seed "an integer seed" (fun r v ->
@@ -102,9 +104,10 @@ let parse env =
        (fun r v -> { r with snap_cache_bytes = v })
   |> field "SEUSS_SNAP_POLICY" policy "lru or ws" (fun r v ->
          { r with snap_policy = Some v })
+  |> fun acc -> List.fold_left retired_field acc retired
 
 let of_env () =
   parse
     (List.filter_map
        (fun var -> Option.map (fun v -> (var, v)) (Sys.getenv_opt var))
-       vars)
+       (vars @ retired))

@@ -1,10 +1,10 @@
-(** How one run is armed: the sanitizers, the fault plane, working-set
+(** How one run is armed: the checkers, the fault plane, working-set
     prefault and the snapshot store, as one typed record.
 
     This is the only place the library reads the environment. A binary
     parses the [SEUSS_*] variables ({!of_env}) and hands the record to
     {!Harness}, which applies it through the explicit arguments of
-    [Sim.Engine.create], [Sim.Hb], [Faults.Fault] and [Seuss.Config].
+    [Sim.Engine.create], [Faults.Fault] and [Seuss.Config].
     Harness entry points called without a record parse the environment
     themselves.
 
@@ -17,9 +17,9 @@ type t = {
   tie_seed : int64 option;
       (** [SEUSS_SHUFFLE_SEED]: seeds the engine's same-timestamp tie
           shuffler *)
-  hb : bool;  (** [SEUSS_HB]: the happens-before race checker *)
-  deadlock : bool;  (** [SEUSS_DEADLOCK]: the wait-for-graph detector *)
-  own : bool;  (** [SEUSS_OWN]: the engine-exit ownership census *)
+  check : bool;
+      (** [SEUSS_CHECK]: the happens-before race checker, the deadlock
+          detector and the ownership census, armed together *)
   fault_rate : float;
       (** [SEUSS_FAULT_RATE]: every injection site at this rate, in
           [\[0, 1\]]; [0] installs no plan *)
@@ -41,12 +41,14 @@ val default : t
 (** Nothing armed. *)
 
 val vars : string list
-(** The 9 variable names {!parse} reads, in record order. *)
+(** The 7 variable names {!parse} reads, in record order. *)
 
 val parse : (string * string) list -> (t, string) result
 (** Build a run configuration from [(variable, value)] bindings.
     Bindings for other names are ignored. Values are trimmed and
-    case-insensitive. [Error] names the first malformed variable. *)
+    case-insensitive. [Error] names the first malformed variable; an on
+    value of a retired per-checker switch ([SEUSS_HB], [SEUSS_DEADLOCK],
+    [SEUSS_OWN]) is one, naming [SEUSS_CHECK]. *)
 
 val of_env : unit -> (t, string) result
 (** {!parse} over the process environment. *)

@@ -83,7 +83,8 @@ type t =
     }
       (** The schedule sanitizer observed two same-timestamp accesses to
           a registered shared cell with no happens-before edge between
-          the owning processes. Only emitted when {!Sim.Hb} is armed. *)
+          the owning processes. Only emitted on a checked engine
+          ([SEUSS_CHECK=1] or [~check:true] at [Sim.Engine.create]). *)
   | San_deadlock of {
       resource : string;
           (** e.g. ["semaphore#3"], ["ivar#12"], or a lock-order cycle
@@ -99,9 +100,8 @@ type t =
           the simulation quiesced, so nobody can ever wake it, or found
           it taking a lock in an order that closes a cycle (the
           resource then names the cycle, [waiting_since] is when). Only
-          emitted when the engine's detector is armed
-          ([SEUSS_DEADLOCK=1] or [~deadlock:true] at
-          [Sim.Engine.create]). *)
+          emitted on a checked engine ([SEUSS_CHECK=1] or [~check:true]
+          at [Sim.Engine.create]). *)
   | Snap_dedup of {
       snapshot : string;
       delta_pages : int;  (** pages in the snapshot's delta layer *)
@@ -140,7 +140,7 @@ type t =
     }
       (** The ownership census counted resources still held at engine
           quiescence beyond the node's deliberate caches. Only emitted
-          when the census is armed ([SEUSS_OWN=1] or [~own:true] at
+          on a checked engine ([SEUSS_CHECK=1] or [~check:true] at
           [Sim.Engine.create]) {e and} at least one count is nonzero —
           a healthy armed run emits nothing, keeping its event stream
           byte-identical to an unarmed one. *)

@@ -698,7 +698,7 @@ let census_clean c =
 
 (* One engine's census ledger: how many nodes it has named, and the
    nonzero censuses found at quiescence, newest first. It exists only
-   on an armed engine. *)
+   on a checked engine. *)
 type ledger = { mutable named : int; mutable leaks : (string * census) list }
 
 let ledger_key : ledger Sim.Engine.key = Sim.Engine.new_key ()
@@ -708,12 +708,12 @@ let leaks engine =
   | Some l -> List.rev l.leaks
   | None -> []
 
-(* On an armed engine, name the node by its creation order there (so a
+(* On a checked engine, name the node by its creation order there (so a
    report does not depend on the runs before it) and register its
    quiescence hook. *)
 let arm_census t =
   let engine = t.node_env.Osenv.engine in
-  if Sim.Engine.own_armed engine then begin
+  if Sim.Engine.checked engine then begin
     let ledger =
       match Sim.Engine.get_global engine ledger_key with
       | Some l -> l
@@ -724,7 +724,7 @@ let arm_census t =
     in
     let name = Printf.sprintf "node%d" ledger.named in
     ledger.named <- ledger.named + 1;
-    Sim.Engine.add_census_hook engine (fun () ->
+    Sim.Engine.at_quiescence engine (fun () ->
         let c = census t in
         (* Emit only on a nonzero count: a healthy armed run's event
            stream stays byte-identical to an unarmed one (an

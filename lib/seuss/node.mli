@@ -55,9 +55,9 @@ type stats = {
 }
 
 val create : ?config:Config.t -> Osenv.t -> t
-(** A node over [env], not yet started. On an engine with the ownership
-    census armed, the node registers its census (see {!leaks}) under
-    ["node<k>"], [k] its creation order on that engine. *)
+(** A node over [env], not yet started. On a checked engine the node
+    registers its census (see {!leaks}) under ["node<k>"], [k] its
+    creation order on that engine. *)
 
 val config : t -> Config.t
 
@@ -130,9 +130,10 @@ val last_served_uc : t -> Uc.t option
     Checks that every acquire was released, against the runtime
     ground truth at engine quiescence: live frames, snapshot dependent
     counts, open pin windows and the UC create/destroy ledger. Armed
-    with [~own:true] at [Sim.Engine.create], where every node {!create}
-    builds registers its census; unarmed, nothing is registered and
-    every output is byte-identical. *)
+    on a checked engine ([~check:true] at [Sim.Engine.create]), where
+    every node {!create} builds registers its census as a quiescence
+    hook; unchecked, nothing is registered and every output is
+    byte-identical. *)
 
 type census = {
   leaked_frames : int;
@@ -158,7 +159,7 @@ val census_clean : census -> bool
 val leaks : Sim.Engine.t -> (string * census) list
 (** The nonzero censuses of the engine's nodes at quiescence, in
     registration order, each under its node's name; each also emitted
-    an [Obs.Event.San_leak] on its node's log. [[]] on an unarmed
+    an [Obs.Event.San_leak] on its node's log. [[]] on an unchecked
     engine, before quiescence and on a leak-free run. *)
 
 val drop_idle : t -> fn_id:string -> unit

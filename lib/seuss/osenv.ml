@@ -28,13 +28,17 @@ let create_log engine =
 
 let create ?budget_bytes engine =
   let log = create_log engine in
-  (* When the schedule sanitizer is armed, surface its race reports on
-     this node's event log so they land in exported timelines. Reporters
+  (* On a checked engine, surface the checkers' findings on this node's
+     event log so they land in exported timelines. Race reporters
      accumulate on the shared checker, so in a multi-node cluster every
-     node's log receives every race — a race is a cross-node fact and no
-     single node owns it. The reporter runs in Hb's race-reporter
-     section, so the emit must not suspend. *)
-  if Sim.Hb.enabled engine then
+     node's log receives every race — a race is a cross-node fact and
+     no single node owns it. Each stranded waiter the engine finds at
+     quiescence, and each lock-order cycle its semaphores found, becomes
+     a San_deadlock event; this hook is registered before any node of
+     this env registers its census, so the log reads them first. The
+     reporter runs in Hb's race-reporter section and the hook in the
+     engine's quiescence-hook section, so neither emit may suspend. *)
+  if Sim.Engine.checked engine then begin
     Sim.Hb.add_reporter engine (fun (r : Sim.Hb.race) ->
         Obs.Log.emit log
           (Obs.Event.San_race
@@ -44,24 +48,21 @@ let create ?budget_bytes engine =
                first_pid = r.first_pid;
                second_pid = r.second_pid;
              }));
-  (* Same surfacing for the deadlock sanitizer: each stranded waiter the
-     engine finds at quiescence, and each lock-order cycle its
-     semaphores found, becomes a San_deadlock event on this node's log.
-     The reporter runs outside any process, in the engine's
-     deadlock-reporter section, so the emit must not suspend. *)
-  if Sim.Engine.deadlock_armed engine then
-    Sim.Engine.add_deadlock_reporter engine
-      (fun (s : Sim.Engine.stranded) ->
-        Obs.Log.emit log
-          (Obs.Event.San_deadlock
-             {
-               resource = s.resource;
-               proc = s.proc;
-               pid = s.pid;
-               spawned_at = s.spawned_at;
-               waiting_since = s.waiting_since;
-               in_cycle = s.in_cycle;
-             }));
+    Sim.Engine.at_quiescence engine (fun () ->
+        List.iter
+          (fun (s : Sim.Engine.stranded) ->
+            Obs.Log.emit log
+              (Obs.Event.San_deadlock
+                 {
+                   resource = s.resource;
+                   proc = s.proc;
+                   pid = s.pid;
+                   spawned_at = s.spawned_at;
+                   waiting_since = s.waiting_since;
+                   in_cycle = s.in_cycle;
+                 }))
+          (Sim.Engine.stranded_waiters engine))
+  end;
   {
     engine;
     frames = Mem.Frame.create ?budget_bytes ();

@@ -62,7 +62,8 @@ val outbound : t -> string -> Net.Tcp.conn option
 
     Bump-only bookkeeping read by [Node.census] at engine quiescence.
     Maintained unconditionally (an int increment, no allocation) so
-    arming [SEUSS_OWN] changes observation, never behaviour. *)
+    arming the census ([SEUSS_CHECK]) changes observation, never
+    behaviour. *)
 
 val note_uc_created : t -> unit
 val note_uc_released : t -> unit

@@ -4,7 +4,7 @@ type 'a t = {
      over it. *)
   readers : Engine.Waitq.t;
   (* Happens-before edge carrier: send publishes, a successful receive
-     observes (no-op unless the schedule sanitizer is armed). *)
+     observes (no-op unless the engine is checked). *)
   hb : Hb.sync;
 }
 

@@ -17,7 +17,7 @@ type proc = {
   mutable p_vals : exn array;  (* indexed by key id; [||] holds nothing *)
 }
 
-(* The armed detector's record of one parked waiter, keyed by its wait
+(* A checked engine's record of one parked waiter, keyed by its wait
    token. [w_holders] is the queue's holders function, so the current
    holder set is read at quiescence, not at park time. *)
 type wait_record = {
@@ -79,8 +79,14 @@ type waitq = {
    on every dispatch allocates nothing. Inlined into the engine record it
    would be a boxed store per event. [t_limit] is the current run's
    [until] cut, read by the dispatch loop and by {!sleep}'s in-place
-   resume. *)
-type clockbox = { mutable t_now : float; mutable t_limit : float }
+   resume. [t_due] is the time of the event being pushed: passed here,
+   not as an argument, it reaches the push unboxed also from the
+   [Sleep] handler, so the effect a sleep performs is a constant. *)
+type clockbox = {
+  mutable t_now : float;
+  mutable t_limit : float;
+  mutable t_due : float;
+}
 
 type t = {
   clk : clockbox;
@@ -137,19 +143,14 @@ type t = {
   (* Engine-wide key values (the fault plan, the happens-before
      checker's state), indexed by key id like [p_vals]. *)
   mutable globals : exn array;
-  (* Deadlock sanitizer. The wait counters are always on (integer
-     bumps only — no draws, no allocation, no schedule effect), so
-     [stuck_waiters] is meaningful even with the detector off; the
-     [waits] table and resource naming are populated only when
-     [deadlock] is armed. *)
-  deadlock : bool;
-  (* Ownership census: when armed, the registered census hooks run at
-     natural quiescence (after the stranded-waiter report) so each node
-     can count resources still held — leaked frames, snapshot refs,
-     pinned snapshots, undestroyed UCs. Off, nothing registers and the
-     run is byte-identical to a build without the hook. *)
-  own : bool;
-  mutable census_hooks : (unit -> unit) list;
+  (* The checkers' one switch: the race checker ({!Hb}), the deadlock
+     detector and the quiescence hooks (the ownership census) all read
+     it. The wait counters are always on (integer bumps only — no
+     draws, no allocation, no schedule effect), so [stuck_waiters] is
+     meaningful unchecked; the [waits] table, resource naming and the
+     hooks are used only when [check] is set. *)
+  check : bool;
+  mutable hooks : (unit -> unit) list;  (* newest first *)
   (* The dispatching process; [None] in a plain callback until a key is
      set there. *)
   mutable proc : proc option;
@@ -157,12 +158,11 @@ type t = {
   mutable parked : int;  (* non-daemon processes currently suspended *)
   mutable parked_daemon : int;
   mutable parking : waiter;  (* for the [Park] handler to fill in *)
-  waits : (int, wait_record) Hashtbl.t;  (* wait token -> record, armed only *)
+  waits : (int, wait_record) Hashtbl.t;  (* token -> record; checked only *)
   mutable next_token : int;
   mutable next_resource : int;
-  mutable deadlock_reporters : (stranded -> unit) list;
   (* Lock-order cycles found by {!Semaphore}'s acquisition-order check,
-     newest first; armed only. *)
+     newest first; checked only. *)
   mutable order_cycles : stranded list;
   (* Atomic sections: the nesting depth and the outermost section's
      name. Engine-wide rather than per process: code inside a section
@@ -184,7 +184,7 @@ let () =
     | _ -> None)
 
 type _ Effect.t +=
-  | Sleep : float -> unit Effect.t
+  | Sleep : unit Effect.t
   | Park : unit Effect.t
   | Never : unit Effect.t  (* performed exactly once, to mint [dummy_kont] *)
 
@@ -228,10 +228,10 @@ let is_daemon w = match w.w_proc with Some p -> p.p_daemon | None -> false
 
 let initial_capacity = 256
 
-let create ?(seed = 1L) ?tie_seed ?(deadlock = false) ?(own = false) () =
+let create ?(seed = 1L) ?tie_seed ?(check = false) () =
   let t =
     {
-      clk = { t_now = 0.0; t_limit = Float.infinity };
+      clk = { t_now = 0.0; t_limit = Float.infinity; t_due = 0.0 };
       seq = 0;
       q_size = 0;
       q_time = Array.make initial_capacity 0.0;
@@ -252,9 +252,8 @@ let create ?(seed = 1L) ?tie_seed ?(deadlock = false) ?(own = false) () =
       max_heap = 0;
       self_some = None;
       globals = [||];
-      deadlock;
-      own;
-      census_hooks = [];
+      check;
+      hooks = [];
       proc = None;
       next_pid = 0;
       parked = 0;
@@ -263,7 +262,6 @@ let create ?(seed = 1L) ?tie_seed ?(deadlock = false) ?(own = false) () =
       waits = Hashtbl.create 16;
       next_token = 0;
       next_resource = 0;
-      deadlock_reporters = [];
       order_cycles = [];
       atomic_depth = 0;
       atomic_what = "";
@@ -368,18 +366,16 @@ let grow t =
   t.free <- Array.init cap (fun i -> if i < old then old + i else 0);
   t.free_top <- old
 
-(* Push a heap entry for an event [delay] from now and return the fresh
+(* Push a heap entry for an event at [t.clk.t_due] and return the fresh
    arena slot; the caller fills the slot's payload columns. *)
-let push_event t ~delay =
-  if not (Float.is_finite delay) || delay < 0.0 then
-    invalid_arg "Engine.schedule: delay must be finite and non-negative";
+let push_due t =
   t.seq <- t.seq + 1;
   let pri = match t.tie with None -> 0 | Some p -> Prng.int p 0x4000_0000 in
   if t.q_size = Array.length t.q_time then grow t;
   let slot = t.free.(t.free_top - 1) in
   t.free_top <- t.free_top - 1;
   let i = t.q_size in
-  t.q_time.(i) <- t.clk.t_now +. delay;
+  t.q_time.(i) <- t.clk.t_due;
   t.q_pri.(i) <- pri;
   t.q_seq.(i) <- t.seq;
   t.q_slot.(i) <- slot;
@@ -388,6 +384,13 @@ let push_event t ~delay =
   sift_up t i;
   if t.q_size > t.max_heap then t.max_heap <- t.q_size;
   slot
+
+(* [push_due] for an event [delay] from now. *)
+let push_event t ~delay =
+  if not (Float.is_finite delay) || delay < 0.0 then
+    invalid_arg "Engine.schedule: delay must be finite and non-negative";
+  t.clk.t_due <- t.clk.t_now +. delay;
+  push_due t
 
 let schedule t ~delay thunk =
   let slot = push_event t ~delay in
@@ -440,9 +443,10 @@ let cancel t tm =
     free_slot t tm.tm_slot
   end
 
-(* Park a process continuation with its process record. *)
-let push_resume t ~delay k saved_proc =
-  let slot = push_event t ~delay in
+(* Park a process continuation with its process record, due at
+   [t.clk.t_due]. *)
+let push_resume t k saved_proc =
+  let slot = push_due t in
   t.a_kind.(slot) <- 1;
   t.a_kont.(slot) <- k;
   t.a_proc.(slot) <- saved_proc
@@ -577,20 +581,12 @@ let fork_vals t =
   let parent = match t.proc with None -> [||] | Some p -> p.p_vals in
   fork_keys t parent [||] !keys
 
-(* {1 Deadlock sanitizer} *)
+(* {1 Checkers} *)
 
-let deadlock_armed t = t.deadlock
+let checked t = t.check
+let at_quiescence t f = t.hooks <- f :: t.hooks
 let stuck_waiters t = t.parked
 let current_pid t = match t.proc with Some p -> p.p_id | None -> 0
-
-let add_deadlock_reporter t f =
-  t.deadlock_reporters <- f :: t.deadlock_reporters
-
-(* {1 Ownership census} *)
-
-let own_armed t = t.own
-
-let add_census_hook t f = t.census_hooks <- f :: t.census_hooks
 
 let waitq_name t q =
   if String.equal q.wq_name "" then begin
@@ -639,7 +635,7 @@ let note_order_cycle t cycle =
    cycles follow, except one closed by a process already reported on
    a wait-for cycle: that is the same deadlock, seen twice. *)
 let stranded_waiters t =
-  if not t.deadlock then []
+  if not t.check then []
   else begin
     let entries = Det.bindings t.waits in
     let waiting = List.map (fun (_, w) -> w.w_pid) entries in
@@ -717,15 +713,17 @@ let sleep_as prim delay =
       if t.q_size >= t.max_heap then t.max_heap <- t.q_size + 1;
       t.executed <- t.executed + 1;
       t.clk.t_now <- t.clk.t_now +. delay
-  | _ ->
-      Effect.perform (Sleep delay)
+  | Some t ->
+      t.clk.t_due <- t.clk.t_now +. delay;
+      Effect.perform Sleep
+  | None -> Effect.perform Sleep
 
 let sleep delay = sleep_as "Engine.sleep" delay
 let yield () = sleep_as "Engine.yield" 0.0
 
 (* {1 Waiter queues}
 
-   The parking process builds, links, counts and (armed) records its
+   The parking process builds, links, counts and (checked) records its
    waiter, then performs [Park], whose handler only stores the
    continuation in it. A wake pushes that continuation at the current
    time, in the waker's context. *)
@@ -735,9 +733,10 @@ let resume t w state =
   w.w_state <- state;
   if is_daemon w then t.parked_daemon <- t.parked_daemon - 1
   else t.parked <- t.parked - 1;
-  if t.deadlock then Hashtbl.remove t.waits w.w_token;
-  (* Resumed, then its deadline cancelled: a no-op once it fired. *)
-  push_resume t ~delay:0.0 w.w_k w.w_proc;
+  if t.check then Hashtbl.remove t.waits w.w_token;
+  (* Resumed now, then its deadline cancelled: a no-op once it fired. *)
+  t.clk.t_due <- t.clk.t_now;
+  push_resume t w.w_k w.w_proc;
   cancel t w.w_timer
 
 (* The deadline fires only on a parked waiter: a wake cancels it. *)
@@ -762,12 +761,22 @@ let park_for t q ~timed delay =
   q.wq_tail <- w;
   if is_daemon w then t.parked_daemon <- t.parked_daemon + 1
   else t.parked <- t.parked + 1;
-  if t.deadlock then record_waiter t w q;
+  if t.check then record_waiter t w q;
   t.parking <- w;
   Effect.perform Park;
   w.w_state
 
-(* The [Park] handler, built once. *)
+(* The [Sleep] and [Park] handlers, built once. Each runs at suspension
+   time, so [t.proc] still belongs to the suspending process: a sleep
+   parks it with its continuation at the time [sleep] left in
+   [t.clk.t_due], no closure needed. *)
+let sleep_handler : (kont -> unit) option =
+  Some
+    (fun k ->
+      match !current with
+      | Some t -> push_resume t k t.proc
+      | None -> assert false)
+
 let park_handler : (kont -> unit) option =
   Some
     (fun k ->
@@ -841,15 +850,10 @@ let exec ~daemon t name vals f =
           let bt = Printexc.get_raw_backtrace () in
           Printexc.raise_with_backtrace (Process_failure (name, exn)) bt);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) continuation -> unit) option ->
           match eff with
-          | Sleep delay ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  (* The handler runs at suspension time, so [t.proc]
-                     still belongs to the parking process: park it with
-                     the continuation, no closure needed. *)
-                  push_resume t ~delay k t.proc)
+          | Sleep -> sleep_handler
           | Park -> park_handler
           | _ -> None);
     }
@@ -867,21 +871,11 @@ let restore_idle t =
   t.proc <- None;
   current := None
 
-(* Reporters and census hooks run outside any process, so each runs in
-   an atomic section: a suspension there fails naming the section
-   instead of escaping as an unhandled effect. *)
-let report_stranded t =
-  List.iter
-    (fun s ->
-      List.iter
-        (fun f -> atomic t ~what:"deadlock reporter" f s)
-        (List.rev t.deadlock_reporters))
-    (stranded_waiters t)
-
-let run_census t =
-  List.iter
-    (fun f -> atomic t ~what:"census hook" f ())
-    (List.rev t.census_hooks)
+(* Quiescence hooks run outside any process, so each runs in an atomic
+   section: a suspension there fails naming the section instead of
+   escaping as an unhandled effect. *)
+let run_hooks t =
+  List.iter (fun f -> atomic t ~what:"quiescence hook" f ()) (List.rev t.hooks)
 
 (* The dispatch loop, as a tail-recursive drain so an unarmed run
    allocates nothing at all: no option per peek/pop (slot columns are
@@ -921,10 +915,10 @@ let run ?until t =
   | drained ->
       if not drained then t.clk.t_now <- t.clk.t_limit;
       (* Natural quiescence (the queue drained, not an [until] cut):
-         anything still parked can never be woken — walk the wait-for
-         graph and hand each stranded waiter to the reporters. *)
-      if drained && t.deadlock then report_stranded t;
-      if drained && t.own then run_census t;
+         anything still parked can never be woken, and nothing held
+         can still be released — the hooks read the wait-for graph and
+         the censuses now. *)
+      if drained && t.check then run_hooks t;
       restore_idle t
   | exception exn ->
       restore_idle t;

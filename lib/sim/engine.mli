@@ -15,27 +15,22 @@
 
 type t
 
-val create :
-  ?seed:int64 -> ?tie_seed:int64 -> ?deadlock:bool -> ?own:bool -> unit -> t
+val create : ?seed:int64 -> ?tie_seed:int64 -> ?check:bool -> unit -> t
 (** [create ?seed ()] is a fresh engine at time [0.0]. [seed] (default
     [1L]) initialises the engine's PRNG, from which experiments derive all
     randomness.
 
-    [deadlock] arms the deadlock sanitizer: blocking primitives register
-    their parked waiters with the engine, semaphores check the order
-    their permits are taken in, and at natural quiescence the wait-for
-    graph is walked — every stranded waiter (and every daemon on a wait
-    cycle) and every lock-order cycle is handed to the
-    {!add_deadlock_reporter} callbacks (default off). An armed engine whose run strands nobody
-    makes no extra PRNG draws, schedules nothing extra, and prints
-    nothing, so its outputs stay byte-identical to an unarmed run.
-
-    [own] arms the ownership census: callbacks registered with
-    {!add_census_hook} run once at natural quiescence (after the
-    stranded-waiter report) so each node can count resources still held
-    — leaked frames, snapshot references, pinned snapshots, undestroyed
-    UCs (default off). Unarmed, nothing registers and outputs stay
-    byte-identical to a build without the hook.
+    [check] (default off) arms every run-time checker at once:
+    - the {!Hb} race checker;
+    - the deadlock detector: blocking primitives register their parked
+      waiters with the engine, and semaphores check the order their
+      permits are taken in ({!stranded_waiters});
+    - the {!at_quiescence} hooks, through which each node counts the
+      resources it still holds (the ownership census) and each env logs
+      the stranded waiters.
+    A checked engine whose run races, strands and leaks nothing makes
+    no extra PRNG draws, schedules nothing extra and prints nothing, so
+    its outputs stay byte-identical to an unchecked run.
 
     [tie_seed] arms the schedule sanitizer's tie shuffler: events at
     equal timestamps fire in a seeded-random order instead of FIFO
@@ -179,7 +174,7 @@ val yield : unit -> unit
 (** {1 Atomic sections}
 
     A callback that runs in the middle of an update (a memory fault
-    hook, a log clock, a race or deadlock reporter, a census hook) must
+    hook, a log clock, a race reporter, a quiescence hook) must
     not suspend. Inside a process a suspension would park it mid-update
     and let other processes run against the half-done state; outside
     one there is no handler to park it. Such a callback runs in a
@@ -213,27 +208,38 @@ val may_block : string -> unit
     @raise Invalid_argument naming [prim] and the section when the
     running engine is inside an atomic section. *)
 
-(** {1 Deadlock sanitizer}
+(** {1 Checkers}
 
-    The run-time deadlock check. Every park goes through a {!Waitq},
-    which counts parked processes always (so {!stuck_waiters} is
-    meaningful even with the detector off) and, when armed ([?deadlock]
-    at {!create}), records each waiter in a wait table the engine walks
+    The run-time deadlock check and the quiescence hooks. Every park
+    goes through a {!Waitq}, which counts parked processes always (so
+    {!stuck_waiters} is meaningful unchecked) and, on a checked engine
+    ([?check] at {!create}), records each waiter in a wait table walked
     at natural quiescence: a run that ends with parked non-daemon
     processes — or daemons on a wait cycle — leaked them, whether by
     lost wakeup (a forgotten [Ivar.fill]) or by genuine deadlock (a lock
-    cycle). Armed, {!Semaphore} also checks the order in which each
+    cycle). Checked, {!Semaphore} also checks the order in which each
     process takes its permits ({!note_order_cycle}), which catches two
     opposite lock orders even on a schedule where they never
     deadlock. *)
 
-val deadlock_armed : t -> bool
+val checked : t -> bool
+(** Whether [?check] armed the checkers at {!create}. *)
+
+val at_quiescence : t -> (unit -> unit) -> unit
+(** Register a hook that runs once when {!run} reaches natural
+    quiescence (the queue drained, not an [until] cut) on a checked
+    engine, after the last event: an env logs {!stranded_waiters}
+    there, and a node counts the resources it still holds. Hooks run
+    in registration order, outside any process, each in an atomic
+    section, so one that suspends fails the run with
+    [Invalid_argument] naming the ["quiescence hook"] section. Never
+    run on an unchecked engine. *)
 
 val stuck_waiters : t -> int
 (** Non-daemon processes currently parked in a blocking primitive.
     After {!run} returns having drained its queue, a nonzero count
     means the simulation quiesced with live processes stranded — a
-    silent-quiescence bug even when the detector is off. *)
+    silent-quiescence bug also on an unchecked engine. *)
 
 type stranded = {
   resource : string;
@@ -251,41 +257,17 @@ val stranded_waiters : t -> stranded list
 (** The stranded-waiter report: every parked non-daemon waiter plus
     every daemon on a wait-for cycle, sorted by park order, then every
     lock-order cycle ({!note_order_cycle}) whose process is not already
-    on a wait-for cycle, in the order found. [[]] when the detector is
-    unarmed (use {!stuck_waiters} for the raw count). *)
-
-val add_deadlock_reporter : t -> (stranded -> unit) -> unit
-(** Register a callback invoked once per {!stranded_waiters} entry when
-    {!run} reaches natural quiescence with the detector armed.
-    Reporters run outside any process, each in an atomic section, so
-    one that suspends fails the run with [Invalid_argument] naming the
-    ["deadlock reporter"] section. *)
+    on a wait-for cycle, in the order found. [[]] on an unchecked
+    engine (use {!stuck_waiters} for the raw count). *)
 
 val note_order_cycle : t -> string -> unit
 (** [note_order_cycle t cycle] adds a {!stranded_waiters} entry for the
     current process: it is about to take a lock that some process took
     while holding one this process holds now, so the two lock orders
-    form a cycle. {!Semaphore} calls it, armed only; [cycle] names the
+    form a cycle. {!Semaphore} calls it, checked only; [cycle] names the
     locks (["lock order semaphore#1 -> semaphore#2 -> semaphore#1"]).
     The entry has [in_cycle = true], no holders, and the current time
     as [waiting_since]. *)
-
-(** {1 Ownership census}
-
-    With the census armed ([?own] at {!create}), hooks registered via
-    {!add_census_hook} run once when {!run} reaches natural quiescence,
-    after the stranded-waiter report. Each node registers a hook that
-    counts the resources still held beyond its caches — the runtime
-    ground truth for acquire/release pairing. *)
-
-val own_armed : t -> bool
-
-val add_census_hook : t -> (unit -> unit) -> unit
-(** Register a quiescence census hook (registration order preserved).
-    Hooks run outside any process, each in an atomic section, so one
-    that suspends fails the run with [Invalid_argument] naming the
-    ["census hook"] section. Never invoked when the census is
-    unarmed. *)
 
 val current_pid : t -> int
 (** Pid of the currently-dispatching process, [0] outside one. *)
@@ -297,8 +279,9 @@ val current_pid : t -> int
     current time, in FIFO order. A park with a deadline queues one
     cancellable event: a wake first pushes the resume, then cancels it;
     the deadline firing resumes the waiter and leaves it linked for a
-    wake-one to pass over. Unarmed, a park allocates only its waiter and
-    its continuation; armed, it is recorded for the deadlock report. *)
+    wake-one to pass over. Unchecked, a park allocates only its waiter
+    and its continuation; checked, it is recorded for the deadlock
+    report. *)
 
 module Waitq : sig
   type engine := t

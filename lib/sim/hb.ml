@@ -32,9 +32,10 @@
    growing with every process the run ever spawned, and reports exactly
    the races an unpruned checker would.
 
-   The checker is dormant unless {!enable}d on an engine. Dormant, every
-   hook is a cheap no-op that draws nothing and allocates nothing, so an
-   unsanitized run is bit-identical to a build without this module. *)
+   The checker is armed exactly on a checked engine ([Engine.create
+   ~check:true]). Elsewhere every hook is a cheap no-op that draws
+   nothing and allocates nothing, so an unchecked run is bit-identical
+   to a build without this module. *)
 
 (* Vector clocks as sorted association lists (pid -> count). Pruned to
    one instant, they hold only the processes that synchronized at it. *)
@@ -83,7 +84,11 @@ type race = {
   second_pid : int;
 }
 
+(* [id] tells one engine's state from another's: a cell outlives an
+   engine, and what it recorded under another state must not race
+   against this one's pids. *)
 type state = {
+  id : int;
   engine : Engine.t;
   mutable next_pid : int;
   mutable races : race list; (* newest first *)
@@ -91,14 +96,30 @@ type state = {
 }
 
 let state_key : state Engine.key = Engine.new_key ()
-let state_of engine = Engine.get_global engine state_key
-let enabled engine = Option.is_some (state_of engine)
+let states_made = ref 0
+
+(* A checked engine's state, made on first use: at the first spawn fork
+   (so spawn edges from the root process down are tracked) or hook. *)
+let state_of engine =
+  if not (Engine.checked engine) then None
+  else
+    match Engine.get_global engine state_key with
+    | Some _ as st -> st
+    | None ->
+        incr states_made;
+        let st =
+          Some
+            { id = !states_made; engine; next_pid = 0; races = [];
+              reporters = [] }
+        in
+        Engine.set_global engine state_key st;
+        st
 
 let fresh_pid st =
   st.next_pid <- st.next_pid + 1;
   st.next_pid
 
-(* The spawn fork, with the checker enabled: the child gets a fresh pid
+(* The spawn fork, on a checked engine: the child gets a fresh pid
    — also when the spawner has no state yet — and is ordered after the
    spawner's history at the spawn point; bumping the spawner's own
    component afterwards keeps its *later* accesses concurrent with the
@@ -140,17 +161,9 @@ let pstate st =
       Engine.set engine pstate_key (Some p);
       p
 
-let enable engine =
-  match state_of engine with
-  | Some st -> st
-  | None ->
-      let st = { engine; next_pid = 0; races = []; reporters = [] } in
-      Engine.set_global engine state_key (Some st);
-      st
-
 let add_reporter engine f =
   match state_of engine with
-  | None -> invalid_arg "Hb.add_reporter: sanitizer not enabled"
+  | None -> invalid_arg "Hb.add_reporter: engine not checked"
   | Some st -> st.reporters <- st.reporters @ [ f ]
 
 let races engine =
@@ -163,8 +176,8 @@ let race_count engine =
 
 (* One per blocking primitive instance. [svc] holds the joined clocks
    of every signaller at one instant; observers at that instant join it
-   into their own clock, and a later one sees nothing. Dormant, it stays
-   [Unsignalled], so an unsanitized sync record is one word. *)
+   into their own clock, and a later one sees nothing. Unchecked, it
+   stays [Unsignalled], so an unsanitized sync record is one word. *)
 type published = Unsignalled | At of float * vc
 type sync = { mutable svc : published }
 
@@ -204,13 +217,16 @@ let observe sync =
 
 type access = { pid : int; write : bool; own : int (* accessor's clock *) }
 
+(* [owner] is the id of the state [accs] were recorded under, [0] for
+   none. *)
 type cell = {
   name : string;
+  mutable owner : int;
   mutable atime : float;
   mutable accs : access list; (* accesses at [atime] only *)
 }
 
-let cell ~name = { name; atime = neg_infinity; accs = [] }
+let cell ~name = { name; owner = 0; atime = neg_infinity; accs = [] }
 
 (* A reporter runs inside the access it reports, so in an atomic
    section: one that suspends fails naming it. *)
@@ -223,8 +239,11 @@ let report st race =
 let access_in st c ~write =
   let engine = st.engine in
   let now = Engine.now engine in
-  if now > c.atime then begin
-    (* The clock moved: everything earlier is serialized by time. *)
+  if now > c.atime || c.owner <> st.id then begin
+    (* The clock moved, so everything earlier is serialized by time; or
+       the accesses are another engine's, whose pids mean nothing
+       here. *)
+    c.owner <- st.id;
     c.atime <- now;
     c.accs <- []
   end;

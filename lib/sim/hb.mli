@@ -11,16 +11,11 @@
     primitives ({!Semaphore}, {!Channel}, {!Ivar}), which each carry a
     {!sync} record. Edges compose via vector clocks.
 
-    Dormant (the default — no {!enable} on the engine), every hook is a
-    no-op and the run is bit-identical to a build without the checker. *)
-
-type state
-
-val enable : Engine.t -> state
-(** Arm the checker on [engine] (idempotent). Must be called before the
-    processes under test are spawned so spawn edges are recorded. *)
-
-val enabled : Engine.t -> bool
+    The checker is armed exactly on a checked engine
+    ([Engine.create ~check:true]); its state is made at the first spawn
+    or hook there, so spawn edges are tracked from the root process
+    down. On an unchecked engine every hook is a no-op and the run is
+    bit-identical to a build without the checker. *)
 
 type kind = Write_write | Read_write
 
@@ -43,10 +38,10 @@ val add_reporter : Engine.t -> (race -> unit) -> unit
     registered remain visible via {!races} only. A reporter runs
     inside the access it reports, in an atomic section
     (["race reporter"]), so it must not suspend.
-    @raise Invalid_argument if the checker is not enabled. *)
+    @raise Invalid_argument if the engine is not checked. *)
 
 val races : Engine.t -> race list
-(** Races found so far, oldest first; [[]] when not enabled. *)
+(** Races found so far, oldest first; [[]] on an unchecked engine. *)
 
 val race_count : Engine.t -> int
 
@@ -56,8 +51,9 @@ type cell
 
 val cell : name:string -> cell
 (** A shared cell under watch. Creation is engine-independent and free;
-    accesses only record when the running engine has the checker
-    enabled. *)
+    accesses only record when the running engine is checked. A cell
+    used on several engines in turn forgets what it recorded under
+    another engine's checker. *)
 
 val read : cell -> unit
 (** Record that the calling process read the cell. *)

@@ -2,7 +2,7 @@ type 'a t = {
   mutable value : 'a option;
   readers : Engine.Waitq.t;
   (* Happens-before edge carrier: the fill publishes, readers observe
-     (no-op unless the schedule sanitizer is armed). *)
+     (no-op unless the engine is checked). *)
   hb : Hb.sync;
 }
 

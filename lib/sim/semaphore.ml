@@ -3,10 +3,10 @@ type t = {
   mutable avail : int;
   waiters : Engine.Waitq.t;
   (* Happens-before edge carrier: release publishes, a successful
-     acquire observes (no-op unless the schedule sanitizer is armed). *)
+     acquire observes (no-op unless the engine is checked). *)
   hb : Hb.sync;
-  (* Pids owning permits, kept only when the engine's deadlock detector
-     is armed: [waiters] reports them to the wait-for graph. *)
+  (* Pids owning permits, kept only on a checked engine: [waiters]
+     reports them to the wait-for graph. *)
   holders : int list ref;
 }
 
@@ -33,7 +33,7 @@ let rec remove_once eq x = function
 
 (* {1 Acquisition order}
 
-   Kept only when the detector is armed, after the Linux kernel's
+   Kept only on a checked engine, after the Linux kernel's
    lockdep: each process's held semaphores (by resource name, newest
    first; a spawned child starts holding none) and the engine's
    held -> wanted edges. An acquire records its edges when it is
@@ -84,7 +84,7 @@ let note_wanted t e =
       end)
     (held_by e)
 
-(* The armed bookkeeping lives in functions of its own, so the unarmed
+(* The checked bookkeeping lives in functions of its own, so the unchecked
    path keeps its stack frames: guest processes run on fiber stacks,
    where one deeper frame grows many of them. *)
 let took t e =
@@ -97,12 +97,12 @@ let gave t e =
 
 let note_acquire t =
   match Engine.self_opt () with
-  | Some e when Engine.deadlock_armed e -> took t e
+  | Some e when Engine.checked e -> took t e
   | _ -> ()
 
 let note_release t =
   match Engine.self_opt () with
-  | Some e when Engine.deadlock_armed e -> gave t e
+  | Some e when Engine.checked e -> gave t e
   | _ -> ()
 
 let try_acquire t =
@@ -118,7 +118,7 @@ let try_acquire t =
    each under its own name, then take the permit here. *)
 let take t =
   (match Engine.self_opt () with
-  | Some e when Engine.deadlock_armed e -> note_wanted t e
+  | Some e when Engine.checked e -> note_wanted t e
   | _ -> ());
   if not (try_acquire t) then begin
     Engine.Waitq.park t.waiters;

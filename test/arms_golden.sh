@@ -9,8 +9,8 @@ set -e
 seussctl=$1
 row=$2
 shift 2
-for v in SHUFFLE_SEED HB DEADLOCK OWN FAULT_RATE FAULT_SEED PREFAULT \
-  SNAP_CACHE SNAP_POLICY; do
+for v in SHUFFLE_SEED CHECK FAULT_RATE FAULT_SEED PREFAULT SNAP_CACHE \
+  SNAP_POLICY; do
   export SEUSS_$v=0
 done
 "$seussctl" "$row" "$@" > "arms-$row.out"

@@ -8,12 +8,12 @@
    - determinism: the plain run repeats byte for byte in one process,
      and shuffling the order of same-timestamp events (tie seeds 1-3)
      changes no byte;
-   - inert until armed: the happens-before checker, the deadlock
-     detector and the ownership census change no byte, alone or all
-     together;
+   - inert until armed: the checkers (SEUSS_CHECK: the happens-before
+     checker, the deadlock detector and the ownership census, armed
+     together) and a tie shuffle on top change no byte;
    - survives the fault plan: at a 1% fault rate the row completes
      with nothing stuck, stranded or leaked, its output is the one
-     committed in test/arms_golden/<row>.fault.txt, and the sanitizers
+     committed in test/arms_golden/<row>.fault.txt, and the checkers
      and a tie shuffle change no byte of it.
 
    "Off is the same as unset" needs no runs here: test_experiments's
@@ -84,13 +84,7 @@ let fault_plan = ("fault plan", { Rc.default with Rc.fault_rate = 0.01 })
 
 let fault_plan_all =
   ( "fault plan, every sanitizer, tie seed 2",
-    {
-      (snd fault_plan) with
-      Rc.tie_seed = Some 2L;
-      hb = true;
-      deadlock = true;
-      own = true;
-    } )
+    { (snd fault_plan) with Rc.tie_seed = Some 2L; check = true } )
 
 let arms : (string * Rc.t) list =
   let d = Rc.default in
@@ -99,17 +93,7 @@ let arms : (string * Rc.t) list =
     ("tie seed 1", { d with Rc.tie_seed = Some 1L });
     ("tie seed 2", { d with Rc.tie_seed = Some 2L });
     ("tie seed 3", { d with Rc.tie_seed = Some 3L });
-    ("hb", { d with Rc.hb = true });
-    ("deadlock", { d with Rc.deadlock = true });
-    ("own", { d with Rc.own = true });
-    ( "all, tie seed 2",
-      {
-        d with
-        Rc.tie_seed = Some 2L;
-        hb = true;
-        deadlock = true;
-        own = true;
-      } );
+    ("all, tie seed 2", { d with Rc.tie_seed = Some 2L; check = true });
   ]
 
 (* The first line where two outputs part, for a readable failure. *)

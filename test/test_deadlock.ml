@@ -6,9 +6,9 @@
 
 (* Experiments take their arming from the enclosing run configuration,
    which wins over the environment. *)
-let with_deadlock on f =
+let with_check on f =
   Experiments.Harness.with_run
-    { Experiments.Run_config.default with Experiments.Run_config.deadlock = on }
+    { Experiments.Run_config.default with Experiments.Run_config.check = on }
     f
 
 let starts_with ~prefix s =
@@ -18,10 +18,11 @@ let starts_with ~prefix s =
 (* {1 The ABBA toy} *)
 
 let abba () =
-  let engine = Sim.Engine.create ~seed:3L ~deadlock:true () in
+  let engine = Sim.Engine.create ~seed:3L ~check:true () in
   let a = Sim.Semaphore.create 1 and b = Sim.Semaphore.create 1 in
   let reported = ref [] in
-  Sim.Engine.add_deadlock_reporter engine (fun s -> reported := s :: !reported);
+  Sim.Engine.at_quiescence engine (fun () ->
+      reported := Sim.Engine.stranded_waiters engine);
   Sim.Engine.spawn engine ~name:"forward" (fun () ->
       Sim.Semaphore.acquire a;
       Sim.Engine.sleep 1.0;
@@ -31,7 +32,7 @@ let abba () =
       Sim.Engine.sleep 1.0;
       Sim.Semaphore.acquire a);
   Sim.Engine.run engine;
-  (engine, List.rev !reported)
+  (engine, !reported)
 
 let check_abba_detected () =
   let engine, reported = abba () in
@@ -39,7 +40,7 @@ let check_abba_detected () =
     (Sim.Engine.stuck_waiters engine);
   let stranded = Sim.Engine.stranded_waiters engine in
   Alcotest.(check int) "both stranded" 2 (List.length stranded);
-  Alcotest.(check int) "reporter fired per stranded process" 2
+  Alcotest.(check int) "a quiescence hook reads both" 2
     (List.length reported);
   List.iter
     (fun (s : Sim.Engine.stranded) ->
@@ -59,7 +60,7 @@ let check_abba_detected () =
 (* {1 The lost wakeup} *)
 
 let check_lost_wakeup () =
-  let engine = Sim.Engine.create ~seed:3L ~deadlock:true () in
+  let engine = Sim.Engine.create ~seed:3L ~check:true () in
   let ready = Sim.Ivar.create () in
   Sim.Engine.spawn engine ~name:"reader" (fun () ->
       (* Nobody ever fills [ready]. *)
@@ -84,7 +85,7 @@ let check_lost_wakeup () =
 (* {1 Daemon exemption} *)
 
 let check_daemon_exempt () =
-  let engine = Sim.Engine.create ~seed:3L ~deadlock:true () in
+  let engine = Sim.Engine.create ~seed:3L ~check:true () in
   let ch = Sim.Channel.create () in
   Sim.Engine.spawn engine ~name:"accept-loop" ~daemon:true (fun () ->
       ignore (Sim.Channel.recv ch));
@@ -97,7 +98,7 @@ let check_daemon_exempt () =
 let check_daemon_on_cycle_reported () =
   (* A daemon that participates in an ABBA cycle loses its exemption:
      the cycle starves the non-daemon half of the pair. *)
-  let engine = Sim.Engine.create ~seed:3L ~deadlock:true () in
+  let engine = Sim.Engine.create ~seed:3L ~check:true () in
   let a = Sim.Semaphore.create 1 and b = Sim.Semaphore.create 1 in
   Sim.Engine.spawn engine ~name:"fg" (fun () ->
       Sim.Semaphore.acquire a;
@@ -125,8 +126,8 @@ let check_daemon_on_cycle_reported () =
 
 (* One process takes a then b, releases both, and later takes b then a:
    a schedule that can never deadlock, with an order that could. *)
-let opposite_orders ~deadlock =
-  let engine = Sim.Engine.create ~seed:3L ~deadlock () in
+let opposite_orders ~check =
+  let engine = Sim.Engine.create ~seed:3L ~check () in
   let a = Sim.Semaphore.create 1 and b = Sim.Semaphore.create 1 in
   let nest x y =
     Sim.Semaphore.with_permit x (fun () ->
@@ -140,7 +141,7 @@ let opposite_orders ~deadlock =
   engine
 
 let check_opposite_orders () =
-  let engine = opposite_orders ~deadlock:true in
+  let engine = opposite_orders ~check:true in
   Alcotest.(check int) "nothing parked" 0 (Sim.Engine.stuck_waiters engine);
   match Sim.Engine.stranded_waiters engine with
   | [ s ] ->
@@ -157,7 +158,7 @@ let check_opposite_orders () =
         (List.length ss)
 
 let check_opposite_orders_unarmed () =
-  let engine = opposite_orders ~deadlock:false in
+  let engine = opposite_orders ~check:false in
   Alcotest.(check int) "nothing parked" 0 (Sim.Engine.stuck_waiters engine);
   Alcotest.(check int) "no report unarmed" 0
     (List.length (Sim.Engine.stranded_waiters engine))
@@ -166,7 +167,7 @@ let check_opposite_orders_unarmed () =
    inside Osenv.burn. Sixteen creators contend for both, in one order. *)
 let check_one_order_silent () =
   let stranded =
-    with_deadlock true (fun () ->
+    with_check true (fun () ->
         Experiments.Harness.run_sim ~seed:3L (fun engine ->
             let env = Seuss.Osenv.create engine in
             let backend =
@@ -189,7 +190,7 @@ let check_one_order_silent () =
 (* A with_permit whose body raises still releases: the process holds
    nothing afterwards, so b -> a later is an order of its own. *)
 let check_raise_releases () =
-  let engine = Sim.Engine.create ~seed:3L ~deadlock:true () in
+  let engine = Sim.Engine.create ~seed:3L ~check:true () in
   let a = Sim.Semaphore.create 1 and b = Sim.Semaphore.create 1 in
   Sim.Engine.spawn engine ~name:"raiser" (fun () ->
       (try Sim.Semaphore.with_permit a (fun () -> raise Exit)
@@ -206,7 +207,7 @@ let check_raise_releases () =
 let check_unarmed_still_counts () =
   let engine = Sim.Engine.create ~seed:3L () in
   Alcotest.(check bool) "detector off by default" false
-    (Sim.Engine.deadlock_armed engine);
+    (Sim.Engine.checked engine);
   let ready = Sim.Ivar.create () in
   Sim.Engine.spawn engine ~name:"reader" (fun () -> Sim.Ivar.read ready);
   Sim.Engine.run engine;
@@ -214,14 +215,6 @@ let check_unarmed_still_counts () =
     (Sim.Engine.stuck_waiters engine);
   Alcotest.(check int) "but no wait-for graph was kept" 0
     (List.length (Sim.Engine.stranded_waiters engine))
-
-let check_env_arms () =
-  match Experiments.Run_config.parse [ ("SEUSS_DEADLOCK", "1") ] with
-  | Error e -> Alcotest.fail e
-  | Ok run ->
-      Alcotest.(check bool) "SEUSS_DEADLOCK=1 arms the harness engine" true
-        (Experiments.Harness.with_run run (fun () ->
-             Experiments.Harness.run_sim ~seed:3L Sim.Engine.deadlock_armed))
 
 (* {1 The San_deadlock event} *)
 
@@ -245,7 +238,7 @@ let check_event_roundtrip () =
 (* {1 Shipped experiments with the detector armed} *)
 
 let check_experiments_clean () =
-  with_deadlock true (fun () ->
+  with_check true (fun () ->
       let check_run name run =
         ignore (run ());
         Alcotest.(check int) (name ^ ": no stuck waiters") 0
@@ -265,7 +258,7 @@ let check_experiments_clean () =
    with_run, so a multi-run row cannot hide an earlier run's findings
    behind a clean last one. *)
 let check_every_run_reported () =
-  with_deadlock true (fun () ->
+  with_check true (fun () ->
       Experiments.Harness.run_sim ~seed:3L (fun engine ->
           Sim.Engine.spawn engine ~name:"forgotten" (fun () ->
               Sim.Ivar.read (Sim.Ivar.create ())));
@@ -276,7 +269,7 @@ let check_every_run_reported () =
         (List.map
            (fun s -> s.Sim.Engine.proc)
            (Experiments.Harness.last_stranded_waiters ())));
-  with_deadlock true (fun () ->
+  with_check true (fun () ->
       Experiments.Harness.run_sim ~seed:3L ignore;
       Alcotest.(check int) "a new with_run starts clean" 0
         (List.length (Experiments.Harness.last_stranded_waiters ())))
@@ -285,7 +278,7 @@ let check_quiescence_counted_unarmed () =
   (* The counter is not gated on the detector: a detector-off run still
      proves its quiescence was genuine, closing the silent-quiescence
      hole where a stuck experiment looked identical to a finished one. *)
-  with_deadlock false (fun () ->
+  with_check false (fun () ->
       ignore (Experiments.Fig4.run ~set_sizes:[ 16 ] ~client_threads:8 ~seed:7L ());
       Alcotest.(check int) "fig4 unarmed: no stuck waiters" 0
         (Experiments.Harness.last_stuck_waiters ()))
@@ -319,7 +312,6 @@ let () =
         [
           Alcotest.test_case "unarmed engine still counts" `Quick
             check_unarmed_still_counts;
-          Alcotest.test_case "SEUSS_DEADLOCK arms create" `Quick check_env_arms;
         ] );
       ( "events",
         [

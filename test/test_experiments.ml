@@ -620,7 +620,9 @@ let test_report_rendering () =
 
    The arming contract, one row per variable: absent, empty and every
    off spelling all yield [default]; a valid value sets exactly its own
-   field; a malformed value is an error naming the variable. *)
+   field; a malformed value is an error naming the variable. A retired
+   per-checker switch parses to [default] when off, and any other
+   value is an error naming SEUSS_CHECK. *)
 
 module Rc = Experiments.Run_config
 
@@ -628,9 +630,7 @@ let run_config_rows =
   let d = Rc.default in
   [
     ("SEUSS_SHUFFLE_SEED", "3", { d with Rc.tie_seed = Some 3L }, "x3");
-    ("SEUSS_HB", "1", { d with Rc.hb = true }, "maybe");
-    ("SEUSS_DEADLOCK", "yes", { d with Rc.deadlock = true }, "2");
-    ("SEUSS_OWN", " ON ", { d with Rc.own = true }, "y");
+    ("SEUSS_CHECK", " ON ", { d with Rc.check = true }, "maybe");
     ("SEUSS_FAULT_RATE", "0.25", { d with Rc.fault_rate = 0.25 }, "1.5");
     ("SEUSS_FAULT_SEED", "29", { d with Rc.fault_seed = Some 29L }, "seed");
     ("SEUSS_PREFAULT", "true", { d with Rc.prefault = true }, "on!");
@@ -662,7 +662,23 @@ let test_run_config_parse () =
       | Error msg ->
           Alcotest.(check bool) (var ^ " error names the variable") true
             (String.starts_with ~prefix:("malformed " ^ var ^ "=") msg))
-    run_config_rows
+    run_config_rows;
+  List.iter
+    (fun (var, on) ->
+      List.iter
+        (fun off ->
+          Alcotest.(check bool)
+            (Printf.sprintf "retired %s=%S is default" var off)
+            true
+            (parsed [ (var, off) ] = Ok Rc.default))
+        [ ""; "0"; "off"; "false"; "no" ];
+      match parsed [ ("SEUSS_CHECK", "1"); (var, on) ] with
+      | Ok _ -> Alcotest.failf "retired %s=%S accepted" var on
+      | Error msg ->
+          Alcotest.(check bool) (var ^ " error names both variables") true
+            (String.starts_with ~prefix:("malformed " ^ var ^ "=") msg
+            && contains msg "set SEUSS_CHECK=1"))
+    [ ("SEUSS_HB", "1"); ("SEUSS_DEADLOCK", "yes"); ("SEUSS_OWN", " ON ") ]
 
 (* The README's environment-variable table documents exactly the
    variables Run_config reads, in its order (SEUSS_PROP_SEED is a test

@@ -109,8 +109,7 @@ let fig_load_run_twice () =
 (* {1 Happens-before checking} *)
 
 let hb_run body =
-  let engine = Sim.Engine.create ~seed:1L () in
-  ignore (Sim.Hb.enable engine);
+  let engine = Sim.Engine.create ~seed:1L ~check:true () in
   body engine;
   Sim.Engine.run engine;
   Sim.Hb.races engine
@@ -152,12 +151,11 @@ let hb_reads_never_race () =
 (* A writer publishes through a blocking primitive; the reader's write
    is ordered after it even though both land at t=0. The channel
    receivers run first and park, so the send wakes them: the timed
-   receive's edge is carried by the channel's own sync alone. *)
+   receive's edge is carried by the channel's own sync alone. The runs
+   share one cell, so each must drop the accesses of the run before. *)
 let hb_sync_edge_orders () =
+  let cell = Sim.Hb.cell ~name:"toy.sync" in
   let edge name ~publish ~await =
-    (* A cell per run: a cell keeps its accesses at an instant across
-       engines, and every run here is at t=0. *)
-    let cell = Sim.Hb.cell ~name:"toy.sync" in
     let races =
       hb_run (fun engine ->
           Sim.Engine.spawn engine ~name:"second" (fun () ->
@@ -212,15 +210,16 @@ let hb_dormant_is_free () =
   Sim.Engine.spawn engine ~name:"w" (fun () -> Sim.Hb.write cell);
   Sim.Engine.run engine;
   Alcotest.(check int) "no checker, no races" 0 (List.length (Sim.Hb.races engine));
-  Alcotest.(check bool) "not enabled" false (Sim.Hb.enabled engine)
+  Alcotest.check_raises "no reporter on an unchecked engine"
+    (Invalid_argument "Hb.add_reporter: engine not checked") (fun () ->
+      Sim.Hb.add_reporter engine ignore)
 
 (* A race reporter runs inside the access it reports, in an atomic
    section: one that yields fails the racing process, naming the
    section. *)
 let hb_reporter_must_not_suspend () =
   let cell = Sim.Hb.cell ~name:"toy.reported" in
-  let engine = Sim.Engine.create ~seed:1L () in
-  ignore (Sim.Hb.enable engine);
+  let engine = Sim.Engine.create ~seed:1L ~check:true () in
   Sim.Hb.add_reporter engine (fun _ -> Sim.Engine.yield ());
   Sim.Engine.spawn engine ~name:"w1" (fun () -> Sim.Hb.write cell);
   Sim.Engine.spawn engine ~name:"w2" (fun () -> Sim.Hb.write cell);
@@ -240,7 +239,7 @@ let experiments_race_free () =
      count off the engine. The cluster experiments run armed in
      test_arms's sweep, which requires them to stay byte-identical. *)
   let run =
-    { Experiments.Run_config.default with Experiments.Run_config.hb = true }
+    { Experiments.Run_config.default with Experiments.Run_config.check = true }
   in
   let races =
     Experiments.Harness.with_run run @@ fun () ->
@@ -391,8 +390,7 @@ let hb_pruned_matches_reference =
     (QCheck.make ~print:(fun ss -> String.concat "\n" (List.map show_hops ss))
        gen_schedule)
     (fun scripts ->
-      let engine = Sim.Engine.create ~seed:1L () in
-      ignore (Sim.Hb.enable engine);
+      let engine = Sim.Engine.create ~seed:1L ~check:true () in
       let syncs = Array.init 3 (fun _ -> Sim.Hb.make_sync ()) in
       let cells =
         Array.init 3 (fun i -> Sim.Hb.cell ~name:(Printf.sprintf "c%d" i))

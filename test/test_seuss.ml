@@ -990,7 +990,7 @@ let test_ring_drops_surface_in_metrics () =
   Alcotest.(check int) "the ring dropped exactly the run's events"
     !run_events (Obs.Log.dropped log)
 
-(* {1 Ownership census (SEUSS_OWN)} *)
+(* {1 Ownership census (SEUSS_CHECK)} *)
 
 (* A small mixed workload (cold + hot per function), optionally followed
    by a deliberately leaked UC: deployed from the base snapshot and then
@@ -1011,8 +1011,8 @@ let census_workload node ~leak =
 
 (* [census_workload] on a plain [N.create] node: nothing but the engine
    arms its census. *)
-let census_run ~own ~leak =
-  let engine = Sim.Engine.create ~seed:11L ~own () in
+let census_run ~check ~leak =
+  let engine = Sim.Engine.create ~seed:11L ~check () in
   let env = Seuss.Osenv.create ~budget_bytes:(gib 8) engine in
   let node_ref = ref None in
   Sim.Engine.spawn engine ~name:"experiment" (fun () ->
@@ -1035,7 +1035,7 @@ let census_run ~own ~leak =
   (node, leaks, san_leaks)
 
 let test_census_clean_when_armed () =
-  let node, leaks, san_leaks = census_run ~own:true ~leak:false in
+  let node, leaks, san_leaks = census_run ~check:true ~leak:false in
   Alcotest.(check int) "no leak callbacks" 0 (List.length leaks);
   Alcotest.(check int) "no San_leak events" 0 (List.length san_leaks);
   (* The census itself agrees at quiescence: the node's caches account
@@ -1045,7 +1045,7 @@ let test_census_clean_when_armed () =
   Alcotest.(check int) "no pin window left open" 0 c.N.pinned_windows
 
 let test_census_detects_planted_leak () =
-  let _node, leaks, san_leaks = census_run ~own:true ~leak:true in
+  let _node, leaks, san_leaks = census_run ~check:true ~leak:true in
   (match leaks with
   | [ c ] ->
       Alcotest.(check int) "exactly the dropped UC" 1 c.N.leaked_ucs;
@@ -1059,15 +1059,17 @@ let test_census_detects_planted_leak () =
   | l -> Alcotest.failf "expected one San_leak event, got %d" (List.length l)
 
 (* Experiments read their arming from the environment at the harness
-   boundary; "" reads as unset (Unix offers no unsetenv). *)
-let with_own_env value f =
-  Unix.putenv "SEUSS_OWN" value;
-  Fun.protect ~finally:(fun () -> Unix.putenv "SEUSS_OWN" "") f
+   boundary. The prior value comes back after [f] ("" reads as unset:
+   Unix offers no unsetenv), so a suite run checked stays checked. *)
+let with_check_env value f =
+  let prior = Option.value (Sys.getenv_opt "SEUSS_CHECK") ~default:"" in
+  Unix.putenv "SEUSS_CHECK" value;
+  Fun.protect ~finally:(fun () -> Unix.putenv "SEUSS_CHECK" prior) f
 
 let test_experiments_zero_leaks_armed () =
   (* Every shipped experiment finishes with all resources accounted for:
      armed runs report an empty leak list for each node they spin up. *)
-  with_own_env "1" (fun () ->
+  with_check_env "1" (fun () ->
       let check_run name run =
         ignore (run ());
         Alcotest.(check int)
@@ -1083,13 +1085,42 @@ let test_experiments_zero_leaks_armed () =
       check_run "reap" (fun () ->
           Experiments.Fig_reap.run ~functions:4 ~rounds:5 ~seed:7L ()))
 
-let test_experiments_own_zero_is_unset () =
-  (* SEUSS_OWN=0 must behave exactly like the variable being absent. *)
-  with_own_env "0" (fun () ->
-      ignore
-        (Experiments.Fig4.run ~set_sizes:[ 16 ] ~client_threads:8 ~seed:7L ());
-      Alcotest.(check int) "fig4 with SEUSS_OWN=0: census stays dark" 0
-        (List.length (Experiments.Harness.last_leaked_resources ())))
+(* SEUSS_CHECK reaches the engine only through the harness, and arms
+   every checker there: a run that races on a cell, strands a reader
+   and leaks a UC reports all three. Every off spelling reports none of
+   them, as if the variable were unset. *)
+let test_check_arms_every_checker () =
+  let module H = Experiments.Harness in
+  let findings value =
+    match Experiments.Run_config.parse [ ("SEUSS_CHECK", value) ] with
+    | Error e -> Alcotest.fail e
+    | Ok run ->
+        H.with_run run (fun () ->
+            let engine =
+              H.run_sim (fun engine ->
+                  let cell = Sim.Hb.cell ~name:"arming.cell" in
+                  Sim.Engine.spawn engine (fun () -> Sim.Hb.write cell);
+                  Sim.Engine.spawn engine (fun () -> Sim.Hb.write cell);
+                  Sim.Engine.spawn engine ~name:"forgotten" (fun () ->
+                      Sim.Ivar.read (Sim.Ivar.create ()));
+                  census_workload (N.create (H.make_seuss_env engine))
+                    ~leak:true;
+                  engine)
+            in
+            ( Sim.Hb.race_count engine,
+              List.map (fun s -> s.Sim.Engine.proc) (H.last_stranded_waiters ()),
+              List.map fst (H.last_leaked_resources ()) ))
+  in
+  let report = Alcotest.(triple int (list string) (list string)) in
+  Alcotest.check report "SEUSS_CHECK=1: race, stranded reader, leak"
+    (1, [ "forgotten" ], [ "node0" ])
+    (findings "1");
+  List.iter
+    (fun off ->
+      Alcotest.check report
+        (Printf.sprintf "SEUSS_CHECK=%S arms nothing" off)
+        (0, [], []) (findings off))
+    [ ""; "0"; "off"; "false"; "no" ]
 
 let test_census_covers_plain_nodes () =
   (* A node built with a plain [Seuss.Node.create] inside an armed run,
@@ -1098,7 +1129,7 @@ let test_census_covers_plain_nodes () =
      run reports the same name as the first. *)
   let module H = Experiments.Harness in
   let run () =
-    H.with_run { Experiments.Run_config.default with own = true } (fun () ->
+    H.with_run { Experiments.Run_config.default with check = true } (fun () ->
         H.run_sim (fun engine ->
             ignore (N.create (Seuss.Osenv.create ~budget_bytes:(gib 8) engine));
             census_workload (N.create (H.make_seuss_env engine)) ~leak:true);
@@ -1118,7 +1149,7 @@ let test_census_covers_plain_nodes () =
    the census's leak reports. *)
 let with_armed_census ?budget_bytes body =
   let module H = Experiments.Harness in
-  H.with_run { Experiments.Run_config.default with own = true } (fun () ->
+  H.with_run { Experiments.Run_config.default with check = true } (fun () ->
       let v =
         H.run_sim (fun engine ->
             body (H.seuss_node (H.make_seuss_env ?budget_bytes engine)))
@@ -1211,7 +1242,7 @@ let test_census_compile_oom_released () =
 let test_census_unarmed_is_silent () =
   (* Same planted leak, census unarmed: nothing observes, nothing emits —
      the hook must be observation-only. *)
-  let node, leaks, san_leaks = census_run ~own:false ~leak:true in
+  let node, leaks, san_leaks = census_run ~check:false ~leak:true in
   Alcotest.(check int) "no leak callbacks" 0 (List.length leaks);
   Alcotest.(check int) "no San_leak events" 0 (List.length san_leaks);
   (* The leak is still there — only the armed run reports it. *)
@@ -1310,7 +1341,7 @@ let () =
             test_census_covers_plain_nodes;
           case "shipped experiments leak-free armed"
             test_experiments_zero_leaks_armed;
-          case "SEUSS_OWN=0 behaves as unset" test_experiments_own_zero_is_unset;
+          case "SEUSS_CHECK arms every checker" test_check_arms_every_checker;
         ] );
       ( "seussprof",
         [

@@ -1078,10 +1078,10 @@ let test_ivar_word_budget () =
 
 (* [sleep] on the heap path: a zero-alloc callback chain keeps an event
    queued ahead of every wakeup, so each sleep parks through
-   [push_resume]. Performing [Sleep] builds its payload (3 words) and
-   the continuation (2); the handler returns [Some] (2) of a closure
-   over the engine and the delay (5) that parks it. The in-place path
-   is the [in-place] group's: no word at all. *)
+   [push_resume]. The due time waits in the engine's float record and
+   [Sleep] is a constant, so performing it builds only the continuation
+   (2); its handler is built once, like [Park]'s. The in-place path is
+   the [in-place] group's: no word at all. *)
 let test_sleep_heap_word_budget () =
   let engine = Sim.Engine.create ~seed:1L () in
   let remaining = ref 25_000 in
@@ -1092,7 +1092,7 @@ let test_sleep_heap_word_budget () =
     end
   in
   Sim.Engine.schedule engine ~delay:0.25 cb;
-  Alcotest.(check (float 0.0)) "minor words per parked sleep" 12.0
+  Alcotest.(check (float 0.0)) "minor words per parked sleep" 2.0
     (words_in_process ~engine 10_000 (fun _ -> Sim.Engine.sleep 1.0))
 
 (* The parking path: [Waitq.park], the [Park] handler, [Waitq.wake_one]
@@ -1293,27 +1293,17 @@ let test_atomic_depth_after_exception () =
   Alcotest.(check (float 0.0)) "the next run sleeps" 2.0
     (Sim.Engine.now engine)
 
-(* Deadlock reporters and census hooks run at quiescence, outside any
-   process: one that yields fails the run naming its section, not with
-   a bare [Effect.Unhandled]. *)
+(* Quiescence hooks run outside any process: one that yields fails the
+   run naming its section, not with a bare [Effect.Unhandled]. *)
 let test_atomic_quiescence_callbacks () =
-  let failure engine =
-    match Sim.Engine.run engine with
-    | () -> None
-    | exception Invalid_argument msg -> Some msg
-  in
-  let engine = Sim.Engine.create ~deadlock:true () in
-  Sim.Engine.add_deadlock_reporter engine (fun _ -> Sim.Engine.yield ());
+  let engine = Sim.Engine.create ~check:true () in
+  Sim.Engine.at_quiescence engine (fun () -> Sim.Engine.yield ());
   Sim.Engine.spawn engine (fun () -> Sim.Ivar.read (Sim.Ivar.create ()));
-  Alcotest.(check (option string)) "deadlock reporter"
-    (in_section "Engine.yield" "deadlock reporter")
-    (failure engine);
-  let engine = Sim.Engine.create ~own:true () in
-  Sim.Engine.add_census_hook engine (fun () -> Sim.Engine.yield ());
-  Sim.Engine.spawn engine (fun () -> Sim.Engine.sleep 1.0);
-  Alcotest.(check (option string)) "census hook"
-    (in_section "Engine.yield" "census hook")
-    (failure engine)
+  Alcotest.(check (option string)) "quiescence hook"
+    (in_section "Engine.yield" "quiescence hook")
+    (match Sim.Engine.run engine with
+    | () -> None
+    | exception Invalid_argument msg -> Some msg)
 
 (* Entering and leaving a section, with or without [atomic], and the
    entry check of a primitive outside one, allocate nothing. *)
@@ -1366,8 +1356,7 @@ let test_keys_fork_independently () =
    gives each child its pid at spawn: B, spawned second and writing
    first, reports pid 2 — a lazily minted pid would read 1. *)
 let test_keys_hb_fork_without_parent_value () =
-  let engine = Sim.Engine.create () in
-  ignore (Sim.Hb.enable engine);
+  let engine = Sim.Engine.create ~check:true () in
   let cell = Sim.Hb.cell ~name:"keys.cell" in
   Sim.Engine.schedule engine ~delay:0.0 (fun () ->
       Sim.Engine.spawn engine ~name:"a" (fun () ->
@@ -1433,45 +1422,44 @@ let test_keys_spawn_from_callback_forks () =
   Sim.Engine.run engine;
   Alcotest.(check opt_int) "forked from the callback's value" (Some 11) !child
 
-(* {1 Ownership census hooks (SEUSS_OWN)} *)
+(* {1 Quiescence hooks}
+
+   The census's and the stranded-waiter report's one callback list. *)
 
 let test_census_hooks_run_at_quiescence () =
-  let engine = Sim.Engine.create ~seed:3L ~own:true () in
-  Alcotest.(check bool) "armed" true (Sim.Engine.own_armed engine);
-  let fired = ref 0 in
-  let quiesced = ref false in
-  Sim.Engine.add_census_hook engine (fun () ->
-      incr fired;
-      (* Hooks run after the last event, outside any process. *)
-      quiesced := Sim.Engine.pending engine = 0);
+  let engine = Sim.Engine.create ~seed:3L ~check:true () in
+  Alcotest.(check bool) "checked" true (Sim.Engine.checked engine);
+  let fired = ref [] in
+  let hook name () =
+    (* Hooks run after the last event, outside any process. *)
+    fired := (name, Sim.Engine.pending engine) :: !fired
+  in
+  Sim.Engine.at_quiescence engine (hook "first");
+  Sim.Engine.at_quiescence engine (hook "second");
   Sim.Engine.spawn engine (fun () -> Sim.Engine.sleep 1.0);
-  Alcotest.(check int) "not before run" 0 !fired;
+  Alcotest.(check int) "not before run" 0 (List.length !fired);
   Sim.Engine.run engine;
-  Alcotest.(check int) "exactly once at quiescence" 1 !fired;
-  Alcotest.(check bool) "after the heap drained" true !quiesced
+  Alcotest.(check (list (pair string int)))
+    "each once, in registration order, after the heap drained"
+    [ ("first", 0); ("second", 0) ]
+    (List.rev !fired)
 
 let test_census_hooks_inert_unarmed () =
   let engine = Sim.Engine.create ~seed:3L () in
-  Alcotest.(check bool) "census off by default" false
-    (Sim.Engine.own_armed engine);
+  Alcotest.(check bool) "unchecked by default" false
+    (Sim.Engine.checked engine);
   let fired = ref 0 in
-  Sim.Engine.add_census_hook engine (fun () -> incr fired);
+  Sim.Engine.at_quiescence engine (fun () -> incr fired);
   Sim.Engine.spawn engine (fun () -> Sim.Engine.sleep 1.0);
   Sim.Engine.run engine;
-  Alcotest.(check int) "hook never runs unarmed" 0 !fired
-
-(* SEUSS_OWN reaches the engine only through the harness. *)
-let test_census_env_arms () =
-  let armed value =
-    match Experiments.Run_config.parse [ ("SEUSS_OWN", value) ] with
-    | Error e -> Alcotest.fail e
-    | Ok run ->
-        Experiments.Harness.with_run run (fun () ->
-            Experiments.Harness.run_sim ~seed:3L Sim.Engine.own_armed)
-  in
-  Alcotest.(check bool) "SEUSS_OWN=1 arms the harness engine" true (armed "1");
-  Alcotest.(check bool) "SEUSS_OWN=0 behaves as unset" false (armed "0");
-  Alcotest.(check bool) "empty behaves as unset" false (armed "")
+  Alcotest.(check int) "never run unchecked" 0 !fired;
+  let engine = Sim.Engine.create ~seed:3L ~check:true () in
+  Sim.Engine.at_quiescence engine (fun () -> incr fired);
+  Sim.Engine.spawn engine (fun () -> Sim.Engine.sleep 2.0);
+  Sim.Engine.run ~until:1.0 engine;
+  Alcotest.(check int) "never run at an until cut" 0 !fired;
+  Sim.Engine.run engine;
+  Alcotest.(check int) "run once the queue drains" 1 !fired
 
 let () =
   let case name f = Alcotest.test_case name `Quick f in
@@ -1598,6 +1586,5 @@ let () =
         [
           case "hooks run at quiescence" test_census_hooks_run_at_quiescence;
           case "hooks inert unarmed" test_census_hooks_inert_unarmed;
-          case "env arms" test_census_env_arms;
         ] );
     ]
